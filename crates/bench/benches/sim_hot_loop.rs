@@ -1,9 +1,6 @@
 //! Interpreter hot-loop throughput: dynamic instructions per second on
 //! a representative kernel (blackscholes tiny), baseline and memoized,
-//! across all four execution tiers (`--dispatch legacy|predecode|
-//! threaded|batched`), plus multi-lane batched legs (lanes ∈ {1, 4, 8,
-//! 16}) reporting aggregate and per-lane MIPS — the amortization the
-//! lockstep executor buys over single-stream threaded dispatch.
+//! on both execution tiers (`--dispatch legacy|threaded`).
 //! The timed region is `reset` + `run` only: blackscholes
 //! initialises every register before reading it and only writes
 //! recomputed values to its output buffer, so re-running on the same
@@ -18,16 +15,16 @@ use axmemo_compiler::codegen::memoize;
 use axmemo_core::config::MemoConfig;
 use axmemo_sim::cpu::{DispatchTier, SimConfig, Simulator};
 use axmemo_sim::Program;
-use axmemo_sim::{run_batch, BatchLane, DecodedProgram, ThreadedProgram};
+use axmemo_sim::{DecodedProgram, ThreadedProgram};
 use axmemo_telemetry::Telemetry;
 use axmemo_workloads::{benchmark_by_name, Benchmark, Dataset, Scale};
 use std::hint::black_box;
 
 /// Measure one (config, program) pair; returns MIPS and prints it
-/// alongside the per-iteration time. Fast-path configs go through
-/// `run_prepared`/`run_prepared_threaded` with a program lowered once
-/// up front — the shape the benchmark runner and sweep orchestrator use
-/// in production. With `profile` on, a cycle-attribution profiler rides
+/// alongside the per-iteration time. The threaded tier goes through
+/// `run_prepared_threaded` with a program lowered once up front — the
+/// shape the benchmark runner and sweep orchestrator use in
+/// production. With `profile` on, a cycle-attribution profiler rides
 /// an otherwise disabled telemetry handle — exactly the
 /// `--profile-out` configuration — so the delta against the unprofiled
 /// leg is the profiling overhead EXPERIMENTS.md documents.
@@ -38,10 +35,8 @@ fn measure(
     program: &Program,
     profile: bool,
 ) -> f64 {
-    let decoded = (cfg.dispatch != DispatchTier::Legacy)
-        .then(|| DecodedProgram::compile(program, &cfg.latency));
-    let threaded = matches!(cfg.dispatch, DispatchTier::Threaded | DispatchTier::Batched)
-        .then(|| ThreadedProgram::compile(decoded.as_ref().unwrap()));
+    let threaded = (cfg.dispatch == DispatchTier::Threaded)
+        .then(|| ThreadedProgram::compile(&DecodedProgram::compile(program, &cfg.latency)));
     let mut sim = Simulator::new(cfg.clone()).unwrap();
     if profile {
         let mut tel = Telemetry::off();
@@ -51,13 +46,9 @@ fn measure(
     let mut machine = bench_def.setup(Scale::Tiny, Dataset::Eval);
     let run = |sim: &mut Simulator, machine: &mut _| {
         sim.reset();
-        match (&threaded, &decoded) {
-            (Some(t), _) if cfg.dispatch == DispatchTier::Batched => {
-                sim.run_prepared_batched(t, machine)
-            }
-            (Some(t), _) => sim.run_prepared_threaded(t, machine),
-            (None, Some(d)) => sim.run_prepared(d, machine),
-            (None, None) => sim.run(program, machine),
+        match &threaded {
+            Some(t) => sim.run_prepared_threaded(t, machine),
+            None => sim.run(program, machine),
         }
         .unwrap()
     };
@@ -90,70 +81,6 @@ fn measure(
 /// Timed batches per leg; the fastest is reported.
 const ROUNDS: usize = 5;
 
-/// Measure the batched tier at `lanes` lanes: independent simulators
-/// and machines advance through one shared [`ThreadedProgram`] in
-/// lockstep, so fetch/decode/dispatch is paid once per cohort instead
-/// of once per lane. Reports **aggregate** MIPS (instructions retired
-/// across all lanes per wall-clock second) and the per-lane share;
-/// the aggregate is the number the orchestrator's sweep batching
-/// realises, the per-lane share shows the lockstep overhead a single
-/// stream pays at that width.
-fn measure_batched(
-    name: &str,
-    cfg: &SimConfig,
-    bench_def: &dyn Benchmark,
-    program: &Program,
-    lanes: usize,
-) -> f64 {
-    let decoded = DecodedProgram::compile(program, &cfg.latency);
-    let threaded = ThreadedProgram::compile(&decoded);
-    let mut sims: Vec<Simulator> = (0..lanes)
-        .map(|_| Simulator::new(cfg.clone()).unwrap())
-        .collect();
-    let mut machines: Vec<_> = (0..lanes)
-        .map(|_| bench_def.setup(Scale::Tiny, Dataset::Eval))
-        .collect();
-    let run = |sims: &mut Vec<Simulator>, machines: &mut Vec<_>| {
-        let mut batch: Vec<BatchLane<'_>> = sims
-            .iter_mut()
-            .zip(machines.iter_mut())
-            .map(|(sim, machine)| {
-                sim.reset();
-                BatchLane { sim, machine }
-            })
-            .collect();
-        run_batch(&threaded, &mut batch)
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect::<Vec<_>>()
-    };
-    let first = run(&mut sims, &mut machines);
-    let again = run(&mut sims, &mut machines);
-    assert_eq!(
-        first, again,
-        "{name}: workload is not re-run idempotent; restore machine state per iteration"
-    );
-    let insts: u64 = first.iter().map(|s| s.dynamic_insts).sum();
-    let mut best = bench(name, || {
-        black_box(run(&mut sims, &mut machines));
-    });
-    for _ in 1..ROUNDS {
-        let m = bench(name, || {
-            black_box(run(&mut sims, &mut machines));
-        });
-        if m.ns_per_iter < best.ns_per_iter {
-            best = m;
-        }
-    }
-    let mips = insts as f64 / best.ns_per_iter * 1e3;
-    println!(
-        "{best}  [{insts} insts across {lanes} lanes, aggregate {mips:.1} MIPS, \
-         per-lane {:.1} MIPS]",
-        mips / lanes as f64
-    );
-    mips
-}
-
 fn main() {
     let bench_def = benchmark_by_name("blackscholes").expect("blackscholes registered");
     let (program, specs) = bench_def.program(Scale::Tiny);
@@ -174,8 +101,8 @@ fn main() {
 
     println!("sim_hot_loop_blackscholes_tiny");
     let b = bench_def.as_ref();
-    let mut base = [0.0f64; 4];
-    let mut memo = [0.0f64; 4];
+    let mut base = [0.0f64; 2];
+    let mut memo = [0.0f64; 2];
     for (i, tier) in DispatchTier::ALL.into_iter().enumerate() {
         base[i] = measure(
             &format!("hot/baseline/{}", tier.name()),
@@ -192,53 +119,13 @@ fn main() {
             false,
         );
     }
-    let [legacy, predecode, threaded, batched1] = base;
-    let [legacy_m, predecode_m, threaded_m, batched1_m] = memo;
-    println!(
-        "predecode speedup over legacy: baseline {:.2}x, memoized {:.2}x",
-        predecode / legacy,
-        predecode_m / legacy_m
-    );
-    println!(
-        "threaded speedup over predecode: baseline {:.2}x, memoized {:.2}x",
-        threaded / predecode,
-        threaded_m / predecode_m
-    );
+    let [legacy, threaded] = base;
+    let [legacy_m, threaded_m] = memo;
     println!(
         "threaded speedup over legacy: baseline {:.2}x, memoized {:.2}x",
         threaded / legacy,
         threaded_m / legacy_m
     );
-    println!(
-        "batched (1 lane) vs threaded: baseline {:.2}x, memoized {:.2}x",
-        batched1 / threaded,
-        batched1_m / threaded_m
-    );
-
-    // Multi-lane batched legs: the number that matters is the
-    // *aggregate* MIPS — total instructions retired across the lane
-    // vector per second — against the single-stream threaded leg.
-    for lanes in [1usize, 4, 8, 16] {
-        let agg = measure_batched(
-            &format!("hot/baseline/batched@{lanes}"),
-            &base_cfg(DispatchTier::Batched),
-            b,
-            &program,
-            lanes,
-        );
-        let agg_m = measure_batched(
-            &format!("hot/memoized/batched@{lanes}"),
-            &memo_cfg_for(DispatchTier::Batched),
-            b,
-            &memoized,
-            lanes,
-        );
-        println!(
-            "batched@{lanes} aggregate speedup over threaded: baseline {:.2}x, memoized {:.2}x",
-            agg / threaded,
-            agg_m / threaded_m
-        );
-    }
 
     // The profiled legs: same simulations with the cycle-attribution
     // profiler enabled (phase leaves + per-block attribution). The

@@ -24,11 +24,6 @@
 //! baseline. `--no-baseline-cache` restores the old
 //! one-baseline-per-job behaviour; the report is byte-identical either
 //! way.
-//!
-//! `--dispatch batched` groups same-benchmark cells into lockstep
-//! batches of up to `--batch-lanes` lanes (default 8) that share one
-//! superblock fetch/decode per cohort; the report stays byte-identical
-//! to every other dispatch tier and lane count.
 
 use axmemo_bench::orchestrator::{merge_profiles, Orchestrator};
 use axmemo_bench::{scale_from_env, sweep, BenchArgs, ReportMode};
@@ -56,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!(
             "usage: fault_sweep [--benches a,b,c] [--trace-out <path>] \
              [--report text|json] [--seed <n>] [--jobs <n>] [--no-baseline-cache] \
-             [--dispatch legacy|predecode|threaded|batched] [--batch-lanes <n>] \
+             [--dispatch legacy|threaded] \
              [--profile-out <path>] [--profile folded|json|text]"
         );
         std::process::exit(2);
@@ -76,7 +71,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .progress(true)
         .baseline_cache(!args.no_baseline_cache)
         .dispatch(args.dispatch)
-        .batch_lanes(args.effective_batch_lanes())
         .profile(args.profiling())
         .run_with_telemetry(&matrix, &mut tel);
     let table = sweep::table(scale, args.seed, &metas, &outcomes);

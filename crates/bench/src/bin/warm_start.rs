@@ -21,23 +21,12 @@
 //! The report contains no filesystem paths, so two runs with the same
 //! flags (any `--state-dir`) are byte-identical — the property the CI
 //! crash-recovery job diffs.
-//!
-//! Under `--dispatch batched`, each generation runs as one lockstep
-//! *batch*: the canonical chain lane (restore generation `k-1`, write
-//! generation `k`) plus up to `--batch-lanes - 1` **staleness probes**
-//! — extra lanes warm-started from *older* snapshots of the same chain
-//! (generation `k-2`, `k-3`, …) that measure how quickly a warm image
-//! goes stale. Probe lanes write no snapshots, so the canonical chain
-//! and every table row it produces stay byte-identical to the serial
-//! tiers; probe results append extra summary lines only.
 
 use axmemo_bench::{
-    run_cell_report_snap, scale_from_env, BenchArgs, DispatchTier, ReportMode, SnapshotPlan, Table,
+    run_cell_report_snap, scale_from_env, BenchArgs, ReportMode, SnapshotPlan, Table,
 };
 use axmemo_core::config::MemoConfig;
-use axmemo_telemetry::Telemetry;
-use axmemo_workloads::runner::{run_batch_cached, BatchCell};
-use axmemo_workloads::{all_benchmarks, Dataset};
+use axmemo_workloads::all_benchmarks;
 use std::path::PathBuf;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,8 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!(
             "usage: warm_start [--state-dir <dir>] [--generations <n>] [--benches a,b,c] \
              [--trace-out <path>] [--report text|json] [--seed <n>] [--jobs <n>] \
-             [--no-baseline-cache] [--dispatch legacy|predecode|threaded|batched] \
-             [--batch-lanes <n>] [--restore-policy oldest|mru] \
+             [--no-baseline-cache] [--dispatch legacy|threaded] \
+             [--restore-policy oldest|mru] \
              [--profile-out <path>] [--profile folded|json|text]"
         );
         std::process::exit(2);
@@ -120,18 +109,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ],
     );
 
-    // Lane budget for the per-generation batch population (canonical
-    // chain lane + staleness probes); 1 everywhere except `--dispatch
-    // batched`.
-    let batch_lanes = if args.dispatch == DispatchTier::Batched {
-        args.effective_batch_lanes()
-    } else {
-        1
-    };
-
     let mut deltas: Vec<f64> = Vec::new();
     let mut warmer = 0usize;
-    let mut stale_rows: Vec<(String, Vec<(usize, f64)>)> = Vec::new();
     for bench in all_benchmarks() {
         let name = bench.meta().name.to_string();
         if !benches.contains(&name) {
@@ -140,100 +119,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let snap_path =
             |generation: usize| state_dir.join(format!("{name}.gen{generation}.axmsnap"));
         let mut cold_hit_rate = 0.0;
-        let mut stale_probes: Vec<(usize, f64)> = Vec::new();
         for generation in 0..generations {
             let plan = SnapshotPlan {
                 restore_from: (generation > 0).then(|| snap_path(generation - 1)),
                 snapshot_out: Some(snap_path(generation)),
                 restore_policy: args.restore_policy,
             };
-            // Staleness probes need a snapshot at least two generations
-            // old, so they only exist from generation 2 on.
-            let probe_ages: Vec<usize> = if batch_lanes > 1 && cache.is_some() && generation >= 2 {
-                (2..=generation).take(batch_lanes - 1).collect()
-            } else {
-                Vec::new()
-            };
-            let report = if probe_ages.is_empty() {
-                let r = run_cell_report_snap(
-                    bench.as_ref(),
-                    scale,
-                    &memo,
-                    tel,
-                    cache.as_ref(),
-                    args.run_options(),
-                    &plan,
-                )
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                });
-                r
-            } else {
-                let mut cells = vec![BatchCell {
-                    memo: memo.clone(),
-                    max_cycles: u64::MAX,
-                    plan: Some(plan.clone()),
-                }];
-                for &age in &probe_ages {
-                    cells.push(BatchCell {
-                        memo: memo.clone(),
-                        max_cycles: u64::MAX,
-                        plan: Some(SnapshotPlan {
-                            restore_from: Some(snap_path(generation - age)),
-                            snapshot_out: None,
-                            restore_policy: args.restore_policy,
-                        }),
-                    });
-                }
-                let mut tels: Vec<Telemetry> = Vec::with_capacity(cells.len());
-                tels.push(std::mem::replace(&mut tel, Telemetry::off()));
-                tels.extend((1..cells.len()).map(|_| Telemetry::off()));
-                let cache_ref = cache.as_ref().expect("probe lanes require the cache");
-                match run_batch_cached(
-                    bench.as_ref(),
-                    scale,
-                    Dataset::Eval,
-                    args.run_options(),
-                    cache_ref,
-                    &cells,
-                    &mut tels,
-                ) {
-                    Some(mut reports) => {
-                        if generation + 1 == generations {
-                            for (&age, probe) in probe_ages.iter().zip(&reports[1..]) {
-                                if let Ok(p) = probe {
-                                    stale_probes.push((age, p.result.hit_rate));
-                                }
-                            }
-                        }
-                        let mut canonical = reports.swap_remove(0).unwrap_or_else(|e| {
-                            eprintln!("error: {e}");
-                            std::process::exit(1);
-                        });
-                        canonical.telemetry = std::mem::replace(&mut tels[0], Telemetry::off());
-                        canonical
-                    }
-                    None => {
-                        // The cache could not supply the shared legs;
-                        // the scalar path reports the underlying error.
-                        let t = std::mem::replace(&mut tels[0], Telemetry::off());
-                        run_cell_report_snap(
-                            bench.as_ref(),
-                            scale,
-                            &memo,
-                            t,
-                            cache.as_ref(),
-                            args.run_options(),
-                            &plan,
-                        )
-                        .unwrap_or_else(|e| {
-                            eprintln!("error: {e}");
-                            std::process::exit(1);
-                        })
-                    }
-                }
-            };
+            let report = run_cell_report_snap(
+                bench.as_ref(),
+                scale,
+                &memo,
+                tel,
+                cache.as_ref(),
+                args.run_options(),
+                &plan,
+            )
+            .unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            });
             tel = report.telemetry;
             let r = &report.result;
             if generation == 0 {
@@ -268,9 +172,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
             }
         }
-        if !stale_probes.is_empty() {
-            stale_rows.push((name, stale_probes));
-        }
     }
 
     table.summary(
@@ -288,19 +189,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         ),
     );
-    // Staleness-probe lanes exist only under `--dispatch batched` with
-    // more than one lane, so these lines never perturb the serial
-    // report the CI crash-recovery job diffs.
-    for (name, probes) in &stale_rows {
-        let cells: Vec<String> = probes
-            .iter()
-            .map(|(age, hit_rate)| format!("age {age}: {hit_rate:.4}"))
-            .collect();
-        table.summary(
-            format!("{name} stale-restore hit rate (final gen)"),
-            cells.join(", "),
-        );
-    }
     println!("{}", table.render(args.report));
     if let Some(profile) = tel.take_profile() {
         args.write_profile(&profile)?;

@@ -87,17 +87,11 @@ pub enum ProfileMode {
 ///   inside every cell instead of sharing one run per distinct
 ///   `(benchmark, scale, dataset)` (the escape hatch; output is
 ///   byte-identical either way because the baseline is deterministic).
-/// * `--dispatch legacy|predecode|threaded|batched` — execution tier
-///   for every simulation (default `threaded`, the fused-superblock
-///   interpreter; `batched` runs same-benchmark cells through one
-///   shared program in lockstep). Results are bit-identical across
-///   tiers (pinned by the decode-equivalence tests and the CI golden
-///   diffs); the slower tiers exist as the reference sides of those
-///   diffs and as escape hatches. `--no-predecode` is kept as an alias
-///   for `--dispatch legacy`.
-/// * `--batch-lanes <n>` — maximum lanes per lockstep batch under
-///   `--dispatch batched` (default 8; `1` degenerates to single-lane
-///   batches, the scalar escape hatch). Inert under the other tiers.
+/// * `--dispatch legacy|threaded` — execution tier for every
+///   simulation (default `threaded`, the fused-superblock interpreter).
+///   Results are bit-identical across tiers (pinned by the
+///   decode-equivalence tests and the CI golden diffs); `legacy` is the
+///   reference side of those diffs and the escape hatch.
 /// * `--snapshot-out <dir>` — after each benchmark's memoized run,
 ///   write its warm LUT image atomically to `<dir>/<bench>.axmsnap`.
 /// * `--restore-from <dir>` — warm-start each benchmark from
@@ -120,12 +114,8 @@ pub struct BenchArgs {
     /// re-runs its own baseline, reproducing the pre-cache behaviour.
     pub no_baseline_cache: bool,
     /// Execution tier selected with `--dispatch` (default
-    /// [`DispatchTier::Threaded`]); `--no-predecode` is an alias for
-    /// `--dispatch legacy`.
+    /// [`DispatchTier::Threaded`]).
     pub dispatch: DispatchTier,
-    /// Maximum lanes per lockstep batch (`--batch-lanes`, default 8);
-    /// only consulted under `--dispatch batched`.
-    pub batch_lanes: usize,
     /// Cycle-attribution profile destination (`--profile-out`); `None`
     /// keeps profiling fully off.
     pub profile_out: Option<String>,
@@ -143,6 +133,13 @@ pub struct BenchArgs {
     pub restore_policy: RestorePolicy,
 }
 
+/// Usage line [`BenchArgs::parse`] prints on a bad flag.
+const USAGE: &str = "usage: <bin> [--trace-out <path>] [--report text|json] [--seed <n>] \
+                     [--jobs <n>] [--no-baseline-cache] [--dispatch legacy|threaded] \
+                     [--profile-out <path>] [--profile folded|json|text] \
+                     [--snapshot-out <dir>] [--restore-from <dir>] \
+                     [--restore-policy oldest|mru]";
+
 impl BenchArgs {
     /// Parse the process arguments; prints usage and exits on error.
     pub fn parse() -> Self {
@@ -150,15 +147,7 @@ impl BenchArgs {
             Ok(args) => args,
             Err(msg) => {
                 eprintln!("error: {msg}");
-                eprintln!(
-                    "usage: <bin> [--trace-out <path>] [--report text|json] [--seed <n>] \
-                     [--jobs <n>] [--no-baseline-cache] \
-                     [--dispatch legacy|predecode|threaded|batched] \
-                     [--batch-lanes <n>] \
-                     [--profile-out <path>] [--profile folded|json|text] \
-                     [--snapshot-out <dir>] [--restore-from <dir>] \
-                     [--restore-policy oldest|mru]"
-                );
+                eprintln!("{USAGE}");
                 std::process::exit(2);
             }
         }
@@ -194,32 +183,14 @@ impl BenchArgs {
                     }
                 }
                 "--no-baseline-cache" => out.no_baseline_cache = true,
-                "--no-predecode" => out.dispatch = DispatchTier::Legacy,
                 "--dispatch" => match it.next().as_deref() {
                     Some(tier) => {
                         out.dispatch = DispatchTier::parse(tier).ok_or_else(|| {
-                            format!(
-                                "--dispatch must be legacy|predecode|threaded|batched, got {tier}"
-                            )
+                            format!("--dispatch must be legacy|threaded, got {tier}")
                         })?;
                     }
-                    None => {
-                        return Err(
-                            "--dispatch requires legacy|predecode|threaded|batched".to_string()
-                        )
-                    }
+                    None => return Err("--dispatch requires legacy|threaded".to_string()),
                 },
-                "--batch-lanes" => {
-                    let value = it
-                        .next()
-                        .ok_or("--batch-lanes requires a number argument")?;
-                    out.batch_lanes = value.parse().map_err(|_| {
-                        format!("--batch-lanes must be a positive integer, got {value}")
-                    })?;
-                    if out.batch_lanes == 0 {
-                        return Err("--batch-lanes must be at least 1".to_string());
-                    }
-                }
                 "--profile-out" => {
                     out.profile_out =
                         Some(it.next().ok_or("--profile-out requires a path argument")?);
@@ -263,17 +234,6 @@ impl BenchArgs {
             }
         }
         Ok(out)
-    }
-
-    /// Lanes per lockstep batch: the `--batch-lanes` value, or 8 when
-    /// the flag was not given. Only meaningful under
-    /// `--dispatch batched`.
-    pub fn effective_batch_lanes(&self) -> usize {
-        if self.batch_lanes > 0 {
-            self.batch_lanes
-        } else {
-            8
-        }
     }
 
     /// Worker count for orchestrated sweeps: the `--jobs` value, or the
@@ -922,37 +882,31 @@ mod tests {
         assert_eq!(default.run_options().dispatch, DispatchTier::Threaded);
         for (flag, tier) in [
             ("legacy", DispatchTier::Legacy),
-            ("predecode", DispatchTier::Predecode),
-            ("predecoded", DispatchTier::Predecode),
             ("threaded", DispatchTier::Threaded),
-            ("batched", DispatchTier::Batched),
         ] {
             let args =
                 BenchArgs::try_from_iter(["--dispatch".to_string(), flag.to_string()]).unwrap();
             assert_eq!(args.dispatch, tier, "--dispatch {flag}");
             assert_eq!(args.run_options().dispatch, tier);
+            assert!(
+                !args.run_options().zero_trunc,
+                "orthogonal switch untouched"
+            );
         }
         assert!(BenchArgs::try_from_iter(["--dispatch".to_string(), "warp".to_string()]).is_err());
         assert!(BenchArgs::try_from_iter(["--dispatch".to_string()]).is_err());
-        // Back-compat alias: `--no-predecode` means the legacy loop.
-        let off = BenchArgs::try_from_iter(["--no-predecode".to_string()]).unwrap();
-        assert_eq!(off.dispatch, DispatchTier::Legacy);
-        assert!(!off.run_options().zero_trunc, "orthogonal switch untouched");
-    }
-
-    #[test]
-    fn bench_args_parse_batch_lanes() {
-        let default = BenchArgs::try_from_iter(std::iter::empty()).unwrap();
-        assert_eq!(default.batch_lanes, 0, "flag not given");
-        assert_eq!(default.effective_batch_lanes(), 8, "default lane count");
-        let args = BenchArgs::try_from_iter(["--batch-lanes", "4"].map(String::from)).unwrap();
-        assert_eq!(args.batch_lanes, 4);
-        assert_eq!(args.effective_batch_lanes(), 4);
-        let one = BenchArgs::try_from_iter(["--batch-lanes", "1"].map(String::from)).unwrap();
-        assert_eq!(one.effective_batch_lanes(), 1);
-        assert!(BenchArgs::try_from_iter(["--batch-lanes", "0"].map(String::from)).is_err());
-        assert!(BenchArgs::try_from_iter(["--batch-lanes", "many"].map(String::from)).is_err());
-        assert!(BenchArgs::try_from_iter(["--batch-lanes".to_string()]).is_err());
+        // Removed tiers and flags fail loudly instead of falling back.
+        for removed in [
+            &["--dispatch", "predecode"][..],
+            &["--dispatch", "batched"],
+            &["--batch-lanes", "4"],
+            &["--no-predecode"],
+        ] {
+            let err = BenchArgs::try_from_iter(removed.iter().map(|s| s.to_string()))
+                .expect_err("removed spelling must be rejected");
+            assert!(err.contains(removed[0]), "{removed:?}: {err}");
+        }
+        assert!(USAGE.contains("--dispatch legacy|threaded"), "{USAGE}");
     }
 
     #[test]

@@ -1,30 +1,31 @@
-//! Predecoded program form: the interpreter fast path.
+//! Predecoded program form: the lowering IR between [`Program`] and
+//! [`crate::threaded::ThreadedProgram`].
 //!
 //! [`DecodedProgram::compile`] lowers a [`Program`] once into a flat
 //! array of decoded instructions — operands resolved to direct register
 //! indices or immediates, per-instruction latency and functional-unit
 //! class precomputed from the [`LatencyModel`], CRC beat counts and
-//! width masks folded in — so the hot loop in `cpu.rs` dispatches with
-//! no per-dynamic-instruction enum re-derivation (Embra-style shadow
-//! decode).
+//! width masks folded in — which the threaded lowering turns into fused
+//! ops with no further enum re-derivation (Embra-style shadow decode).
 //!
 //! The program is additionally partitioned into **basic blocks**
 //! (leaders: entry, every branch target, every instruction after a
 //! branch/jump/halt; region markers stay inside blocks as pre-marked
 //! zero-cost `Region` entries). Each block carries a precomputed batch
 //! of its *input-independent* statistics — instruction
-//! classes, static energy events, CRC beats — which the interpreter
-//! adds in one shot when the block retires instead of incrementing a
-//! dozen counters per instruction. Counts that depend on runtime state
-//! (cache level served, queue stalls, branch bubbles, config-gated LUT
-//! probes) stay per-instruction, which is why the resulting
-//! [`crate::stats::RunStats`] is bit-identical to the legacy
+//! classes, static energy events, CRC beats — which the threaded
+//! interpreter adds in one shot when a superblock retires instead of
+//! incrementing a dozen counters per instruction. Counts that depend on
+//! runtime state (cache level served, queue stalls, branch bubbles,
+//! config-gated LUT probes) stay per-instruction, which is why the
+//! resulting [`crate::stats::RunStats`] is bit-identical to the legacy
 //! instruction-at-a-time interpreter.
 //!
 //! A decoded program depends only on the instructions and the latency
-//! model — not on the memoization config, cache sizes, or inputs — so
-//! one `Arc<DecodedProgram>` can be shared across every cell of a
-//! sweep matrix.
+//! model — not on the memoization config, cache sizes, or inputs. It is
+//! not executed directly: its blocks, counts and superblock chains
+//! ([`DecodedProgram::superblocks`]) are the input of
+//! [`ThreadedProgram::compile`](crate::threaded::ThreadedProgram::compile).
 
 use crate::ir::{Cond, FBinOp, FUnOp, IAluOp, Inst, MemWidth, Program};
 use crate::pipeline::{FuClass, LatencyModel};
@@ -306,13 +307,11 @@ pub(crate) struct Block {
     pub counts: BlockCounts,
 }
 
-/// A program lowered to the predecoded fast-path form.
+/// A program lowered to the predecoded form: the input of
+/// [`ThreadedProgram::compile`](crate::threaded::ThreadedProgram::compile).
 ///
-/// Compile once with [`DecodedProgram::compile`], then run any number
-/// of times via `Simulator::run_prepared` — the decoded form depends
-/// only on the instruction sequence and the [`LatencyModel`], so it can
-/// be shared (e.g. behind an `Arc`) across simulators, sweep cells, and
-/// threads.
+/// The decoded form depends only on the instruction sequence and the
+/// [`LatencyModel`].
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     /// Decoded instructions, index-for-index with the source program

@@ -18,26 +18,24 @@
 //!
 //! ## Execution tiers
 //!
-//! The simulator has four interpreters that produce **bit-identical**
+//! The simulator has two interpreters that produce **bit-identical**
 //! observables (statistics, machine state, errors, telemetry events)
 //! and differ only in host-side speed, selected by
 //! [`cpu::SimConfig::dispatch`]:
 //!
 //! | Tier | Module | Strategy |
 //! |---|---|---|
-//! | [`cpu::DispatchTier::Legacy`] | [`cpu`] | decode each [`ir::Inst`] at every dynamic execution |
-//! | [`cpu::DispatchTier::Predecode`] | [`decoded`] | pre-resolve operands/latencies once; dispatch per instruction |
+//! | [`cpu::DispatchTier::Legacy`] | [`cpu`] | decode each [`ir::Inst`] at every dynamic execution; the executable spec and the only trace-sink path |
 //! | [`cpu::DispatchTier::Threaded`] (default) | [`threaded`] | fuse basic blocks into superblocks; dispatch per chain |
-//! | [`cpu::DispatchTier::Batched`] | [`batched`] | run many independent lanes through one shared [`ThreadedProgram`] in lockstep, replaying memoized issue schedules |
 //!
 //! Lowering is staged: [`ir::Program`] →
-//! [`DecodedProgram::compile`](decoded::DecodedProgram::compile) →
+//! [`DecodedProgram::compile`](decoded::DecodedProgram::compile) (the
+//! lowering IR: operands, latencies and basic blocks resolved once) →
 //! [`ThreadedProgram::compile`](threaded::ThreadedProgram::compile).
-//! Either prepared form can be shared across simulators and threads:
+//! The threaded form can be shared across simulators and threads:
 //!
 //! ```
-//! use axmemo_sim::cpu::{Machine, SimConfig, Simulator};
-//! use axmemo_sim::pipeline::LatencyModel;
+//! use axmemo_sim::cpu::{DispatchTier, Machine, SimConfig, Simulator};
 //! use axmemo_sim::{DecodedProgram, ProgramBuilder, ThreadedProgram};
 //!
 //! let mut b = ProgramBuilder::new();
@@ -50,12 +48,16 @@
 //! let decoded = DecodedProgram::compile(&program, &config.latency);
 //! let threaded = ThreadedProgram::compile(&decoded);
 //!
-//! let mut sim = Simulator::new(config)?;
+//! let mut fast_sim = Simulator::new(config.clone())?;
+//! let mut spec_sim = Simulator::new(SimConfig {
+//!     dispatch: DispatchTier::Legacy,
+//!     ..config
+//! })?;
 //! let mut m1 = Machine::new(4096);
 //! let mut m2 = Machine::new(4096);
-//! let fast = sim.run_prepared_threaded(&threaded, &mut m1)?;
-//! let slow = sim.run_prepared(&decoded, &mut m2)?;
-//! assert_eq!(fast, slow);
+//! let fast = fast_sim.run_prepared_threaded(&threaded, &mut m1)?;
+//! let spec = spec_sim.run(&program, &mut m2)?;
+//! assert_eq!(fast, spec);
 //! assert_eq!(m1.regs[3], 42);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -84,7 +86,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batched;
 pub mod builder;
 pub mod cache;
 pub mod cpu;
@@ -98,7 +99,6 @@ pub mod predictor;
 pub mod stats;
 pub mod threaded;
 
-pub use batched::{run_batch, BatchLane};
 pub use builder::ProgramBuilder;
 pub use cpu::{DispatchTier, Machine, SimConfig, SimError, Simulator, TraceSink};
 pub use decoded::{DecodedProgram, Superblock};

@@ -324,127 +324,6 @@ impl Pipeline {
         }
     }
 
-    // ---- Memoized-schedule replay (batched tier) ----
-    //
-    // A *pure run* — straight-line fused ops whose latencies are
-    // input-independent and whose only timing inputs are the scoreboard
-    // itself — evolves the pipeline by pure max/+ arithmetic over the
-    // current cycle, the entry ready-times of the registers it reads
-    // before writing (its live-ins), the serialised-unit frontiers it
-    // uses, and the per-cycle slot counters. That entire entry state,
-    // expressed *relative to the current cycle*, is captured by a
-    // [`ReplaySig`]; simulating the run once from a pipeline seeded
-    // with the signature yields scoreboard deltas that shift exactly
-    // to any later entry with the same signature. The batched tier
-    // memoizes `(run, signature) -> deltas` at run time and replays
-    // instead of re-running the scoreboard op by op.
-
-    /// Summarize this state's influence on a pure run that reads
-    /// `live_in` (in that order) and touches the flagged serialised
-    /// units. Returns `None` when a relevant frontier is too far in
-    /// the future to fit the signature's fixed-width deltas (replay
-    /// simply falls back to the scalar walk).
-    ///
-    /// Exactness: ready times at or before the current cycle collapse
-    /// to delta 0 — `issue` lower-bounds `earliest` with `cycle`, so
-    /// any value `<= cycle` times identically to `cycle` itself.
-    /// Pending writes to registers the run *overwrites first* are
-    /// clobbered identically by live walk and replay, and registers
-    /// the run never touches never feed its timing — neither appears
-    /// in the signature. The slot counters feed timing only through
-    /// the slot search at the entry cycle, so `issued` rides along
-    /// verbatim.
-    #[inline(always)]
-    pub(crate) fn replay_sig(
-        &self,
-        live_in: &[u8],
-        uses_div: bool,
-        uses_fp_long: bool,
-    ) -> Option<ReplaySig> {
-        let mut deltas = [0u16; MAX_LIVE_IN];
-        for (d, &r) in deltas.iter_mut().zip(live_in) {
-            let rel = self.reg_ready[r as usize & (NUM_REGS - 1)].saturating_sub(self.cycle);
-            *d = u16::try_from(rel).ok()?;
-        }
-        let div = if uses_div {
-            u16::try_from(self.div_free.saturating_sub(self.cycle)).ok()?
-        } else {
-            0
-        };
-        let fp_long = if uses_fp_long {
-            u16::try_from(self.fp_long_free.saturating_sub(self.cycle)).ok()?
-        } else {
-            0
-        };
-        Some(ReplaySig {
-            issued: self.issued,
-            deltas,
-            unit: [div, fp_long],
-        })
-    }
-
-    /// A scratch pipeline at relative cycle 0 whose scoreboard matches
-    /// `sig` for a run reading `live_in` — the recording counterpart
-    /// of [`Pipeline::replay_sig`].
-    pub(crate) fn seeded(sig: &ReplaySig, live_in: &[u8]) -> Pipeline {
-        let mut p = Pipeline::new();
-        p.issued = sig.issued;
-        for (&d, &r) in sig.deltas.iter().zip(live_in) {
-            p.reg_ready[r as usize & (NUM_REGS - 1)] = d as u64;
-        }
-        p.div_free = sig.unit[0] as u64;
-        p.fp_long_free = sig.unit[1] as u64;
-        p
-    }
-
-    /// Capture the scoreboard deltas of a run simulated from a seeded
-    /// (or fresh) pipeline at relative cycle 0. Registers with a
-    /// non-zero relative ready time are exactly those the run wrote
-    /// *plus* seeded live-ins with a positive entry delta; replaying
-    /// the latter rewrites their current value verbatim (delta was
-    /// measured relative to the same base), so the write-back list is
-    /// exact either way.
-    pub(crate) fn replay_snapshot(&self, entry_issued: u64) -> ReplayDelta {
-        let writes = self
-            .reg_ready
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t > 0)
-            .map(|(r, &t)| (r as u8, t))
-            .collect();
-        ReplayDelta {
-            rel_cycle: self.cycle,
-            entry_issued,
-            end_issued: self.issued,
-            div_free: self.div_free,
-            fp_long_free: self.fp_long_free,
-            writes,
-        }
-    }
-
-    /// Apply a recorded run's scoreboard deltas at `base` (the entry
-    /// cycle — the caller must have matched this state's
-    /// [`Pipeline::replay_sig`] against the recording's).
-    #[inline(always)]
-    pub(crate) fn apply_replay(&mut self, base: u64, delta: &ReplayDelta) {
-        debug_assert_eq!(self.issued, delta.entry_issued);
-        debug_assert!(base == self.cycle);
-        self.cycle = base + delta.rel_cycle;
-        self.issued = delta.end_issued;
-        // A zero relative value means the block never touched the unit:
-        // leave the runtime value (<= base, so it contributes nothing to
-        // any future max) untouched — exactly what live execution does.
-        if delta.div_free > 0 {
-            self.div_free = base + delta.div_free;
-        }
-        if delta.fp_long_free > 0 {
-            self.fp_long_free = base + delta.fp_long_free;
-        }
-        for &(r, rel) in &delta.writes {
-            self.reg_ready[r as usize & (NUM_REGS - 1)] = base + rel;
-        }
-    }
-
     /// Charge a taken-branch bubble: the front end refills.
     #[inline]
     pub fn branch_bubble(&mut self, bubble: u64) {
@@ -466,48 +345,6 @@ impl Default for Pipeline {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Widest live-in set a pure run may carry and still be signature-
-/// replayable; wider runs fall back to the scalar scoreboard walk.
-pub(crate) const MAX_LIVE_IN: usize = 12;
-
-/// Entry-state summary of everything that can influence a pure run's
-/// timing, relative to the entry cycle (see [`Pipeline::replay_sig`]).
-/// Two entries with equal signatures evolve the scoreboard identically,
-/// so recorded deltas are memoizable keyed by `(run, signature)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ReplaySig {
-    /// Packed per-cycle issue counters at the entry cycle.
-    pub(crate) issued: u64,
-    /// `reg_ready - cycle` (clamped at 0) for each live-in register,
-    /// in the run's `live_in` order; unused tail slots are 0.
-    pub(crate) deltas: [u16; MAX_LIVE_IN],
-    /// `[div_free, fp_long_free]` deltas — 0 when the run does not
-    /// touch the unit (its frontier then never feeds the run's timing).
-    pub(crate) unit: [u16; 2],
-}
-
-/// Scoreboard deltas of a pure run recorded from a pipeline seeded
-/// with the run's entry signature (see [`Pipeline::replay_snapshot`] /
-/// [`Pipeline::apply_replay`]): every field is relative to the
-/// recording's cycle 0 and shifts exactly to any entry cycle with the
-/// same signature because the issue arithmetic is pure max/+.
-#[derive(Debug, Clone)]
-pub(crate) struct ReplayDelta {
-    /// Relative cycle at the end of the block.
-    pub(crate) rel_cycle: u64,
-    /// Packed issue counters the recording was seeded with (debug
-    /// cross-check that replay entry state matches the recording's).
-    pub(crate) entry_issued: u64,
-    /// Packed per-cycle issue counters at the final relative cycle.
-    pub(crate) end_issued: u64,
-    /// Relative cycle the unpipelined divider frees (0 = untouched).
-    pub(crate) div_free: u64,
-    /// Relative cycle the unpipelined FP unit frees (0 = untouched).
-    pub(crate) fp_long_free: u64,
-    /// `(reg, relative ready cycle)` for every register written.
-    pub(crate) writes: Vec<(u8, u64)>,
 }
 
 #[cfg(test)]
@@ -614,224 +451,6 @@ mod tests {
         }
         assert_eq!(g.drain(), s.drain());
         assert_eq!(g.reg_ready, s.reg_ready);
-    }
-
-    #[test]
-    fn replay_matches_live_execution_at_any_base() {
-        // Record a straight-line pure-class sequence (the FU classes a
-        // `BlockSchedule` may contain, including the unpipelined
-        // divider and FP-long unit) from a fresh pipeline, then check
-        // that replaying the snapshot at a shifted base leaves the
-        // scoreboard in exactly the state live execution would.
-        let seq: [(FuClass, u8, [u8; 2], u64); 10] = [
-            (FuClass::IntAlu, 1, [0, 0], 1),
-            (FuClass::IntAlu, 2, [1, 1], 1),
-            (FuClass::IntMul, 3, [1, 2], 3),
-            (FuClass::Fp, 4, [3, 3], 4),
-            (FuClass::IntDiv, 5, [4, 2], 12),
-            (FuClass::Fp, 6, [5, 4], 4),
-            (FuClass::FpLong, 7, [6, 6], 15),
-            (FuClass::IntMul, 8, [7, 6], 3),
-            (FuClass::FpLong, 9, [8, 8], 45),
-            (FuClass::IntAlu, 10, [7, 1], 1),
-        ];
-        let run = |p: &mut Pipeline| {
-            for &(fu, rd, srcs, lat) in &seq {
-                let e = p.src_ready(srcs[0]).max(p.src_ready(srcs[1]));
-                match fu {
-                    FuClass::IntAlu => p.issue_int(e, rd, lat),
-                    FuClass::IntMul => p.issue_mul(e, rd, lat),
-                    FuClass::IntDiv => p.issue_div(e, rd, lat),
-                    FuClass::Fp => p.issue_fp(e, rd, lat),
-                    FuClass::FpLong => p.issue_fp_long(e, rd, lat),
-                    _ => unreachable!("not a pure class"),
-                }
-            }
-        };
-        let mut rec = Pipeline::new();
-        run(&mut rec);
-        let delta = rec.replay_snapshot(0);
-
-        for base in [0u64, 1, 7, 1000] {
-            // Reach a canonical state at `base` the way a running lane
-            // would: a resolved taken branch drains the issue window.
-            let make = |base: u64| {
-                let mut p = Pipeline::new();
-                if base > 0 {
-                    p.branch_bubble(base - 1);
-                }
-                assert_eq!(p.issued, 0);
-                assert!(p.reg_ready.iter().all(|&r| r <= p.cycle));
-                assert_eq!(p.now(), base);
-                p
-            };
-            let mut live = make(base);
-            run(&mut live);
-            let mut replayed = make(base);
-            replayed.apply_replay(base, &delta);
-            assert_eq!(live.now(), replayed.now(), "base {base}");
-            assert_eq!(live.issued, replayed.issued, "base {base}");
-            assert_eq!(live.reg_ready, replayed.reg_ready, "base {base}");
-            assert_eq!(live.div_free, replayed.div_free, "base {base}");
-            assert_eq!(live.fp_long_free, replayed.fp_long_free, "base {base}");
-            assert_eq!(live.drain(), replayed.drain(), "base {base}");
-            // And the *next* op issues identically on both.
-            let a = live.issue(&[8], Some(9), FuClass::IntAlu, 1, 0);
-            let b = replayed.issue(&[8], Some(9), FuClass::IntAlu, 1, 0);
-            assert_eq!(a, b, "base {base}");
-        }
-    }
-
-    #[test]
-    fn replay_is_exact_with_unrelated_inflight_latency() {
-        // A run's entry signature ignores latency in flight that never
-        // feeds it: registers the run writes before reading, and
-        // registers it never touches, may have pending older writes —
-        // the common shape right after a taken branch with long FP
-        // results outstanding. Such an entry signs as all-zero, so a
-        // recording seeded from the all-zero signature (a fresh
-        // pipeline) replays exactly.
-        let seq: [(FuClass, u8, [u8; 2], u64); 4] = [
-            (FuClass::IntAlu, 1, [2, 3], 1), // live-in reads: r2, r3
-            (FuClass::Fp, 4, [1, 2], 4),     // r4 written before read
-            (FuClass::IntMul, 5, [4, 1], 3),
-            (FuClass::IntAlu, 4, [5, 5], 1),
-        ];
-        let run = |p: &mut Pipeline| {
-            for &(fu, rd, srcs, lat) in &seq {
-                let e = p.src_ready(srcs[0]).max(p.src_ready(srcs[1]));
-                match fu {
-                    FuClass::IntAlu => p.issue_int(e, rd, lat),
-                    FuClass::IntMul => p.issue_mul(e, rd, lat),
-                    FuClass::Fp => p.issue_fp(e, rd, lat),
-                    _ => unreachable!("not in this sequence"),
-                }
-            }
-        };
-
-        // Entry state: a long FP op wrote r4 (overwritten by the
-        // run before any read) and r20 (untouched by the run), then
-        // a taken branch drained the issue window.
-        let make = || {
-            let mut p = Pipeline::new();
-            p.issue_fp_long(0, 4, 45);
-            p.issue_fp(0, 20, 30);
-            p.branch_bubble(2);
-            p
-        };
-        let live_in = [2u8, 3];
-        let mut live = make();
-        let sig = live.replay_sig(&live_in, false, false).unwrap();
-        // None of the in-flight latency shows up in the signature...
-        assert_eq!(
-            sig,
-            Pipeline::new().replay_sig(&live_in, false, false).unwrap()
-        );
-        // ...even though the raw state is far from canonical.
-        assert!(live.reg_ready.iter().any(|&r| r > live.cycle));
-        // The busy FP-long unit *does* sign when the run uses it, as
-        // does a pending live-in read.
-        assert_ne!(
-            live.replay_sig(&live_in, false, true).unwrap(),
-            Pipeline::new().replay_sig(&live_in, false, true).unwrap()
-        );
-        assert_ne!(
-            live.replay_sig(&[4], false, false).unwrap(),
-            Pipeline::new().replay_sig(&[4], false, false).unwrap()
-        );
-
-        let mut rec = Pipeline::seeded(&sig, &live_in);
-        run(&mut rec);
-        let delta = rec.replay_snapshot(sig.issued);
-
-        let base = live.now();
-        run(&mut live);
-        let mut replayed = make();
-        replayed.apply_replay(base, &delta);
-        assert_eq!(live.now(), replayed.now());
-        assert_eq!(live.issued, replayed.issued);
-        assert_eq!(live.reg_ready, replayed.reg_ready);
-        assert_eq!(live.div_free, replayed.div_free);
-        assert_eq!(live.fp_long_free, replayed.fp_long_free);
-        assert_eq!(live.drain(), replayed.drain());
-    }
-
-    #[test]
-    fn seeded_replay_is_exact_from_non_canonical_entries() {
-        // The payoff of signature-keyed replay: entries with issue
-        // slots already consumed this cycle, live-in results still in
-        // flight, and a busy divider — states the old canonical-entry
-        // check rejected outright — replay exactly when the recording
-        // is seeded from the same signature.
-        let seq: [(FuClass, u8, [u8; 2], u64); 6] = [
-            (FuClass::IntAlu, 1, [2, 3], 1),
-            (FuClass::IntMul, 4, [1, 2], 3),
-            (FuClass::IntDiv, 5, [4, 3], 12),
-            (FuClass::IntAlu, 6, [5, 1], 1),
-            (FuClass::Fp, 7, [6, 6], 4),
-            (FuClass::IntAlu, 8, [7, 2], 1),
-        ];
-        let live_in = [2u8, 3];
-        let run = |p: &mut Pipeline| {
-            for &(fu, rd, srcs, lat) in &seq {
-                let e = p.src_ready(srcs[0]).max(p.src_ready(srcs[1]));
-                match fu {
-                    FuClass::IntAlu => p.issue_int(e, rd, lat),
-                    FuClass::IntMul => p.issue_mul(e, rd, lat),
-                    FuClass::IntDiv => p.issue_div(e, rd, lat),
-                    FuClass::Fp => p.issue_fp(e, rd, lat),
-                    _ => unreachable!("not in this sequence"),
-                }
-            }
-        };
-        // A menu of messy entry states: fallthrough with slots taken,
-        // live-in writes pending, divider mid-operation.
-        let entries: [fn() -> Pipeline; 3] = [
-            || {
-                let mut p = Pipeline::new();
-                p.branch_bubble(6);
-                p.issue_int(0, 9, 1); // one ALU slot consumed this cycle
-                p
-            },
-            || {
-                let mut p = Pipeline::new();
-                p.branch_bubble(1);
-                let e = p.src_ready(9);
-                p.issue_mul(e, 2, 3); // live-in r2 lands 3 cycles out
-                p.issue_fp_long(0, 20, 45); // unrelated, never signs
-                p
-            },
-            || {
-                let mut p = Pipeline::new();
-                p.issue_div(0, 3, 12); // live-in r3 + divider both busy
-                p.issue_int(0, 9, 1);
-                p
-            },
-        ];
-        for (i, make) in entries.iter().enumerate() {
-            let mut live = make();
-            let sig = live.replay_sig(&live_in, true, false).unwrap();
-            let mut rec = Pipeline::seeded(&sig, &live_in);
-            // The seed reproduces the signature it was built from.
-            assert_eq!(rec.replay_sig(&live_in, true, false).unwrap(), sig);
-            run(&mut rec);
-            let delta = rec.replay_snapshot(sig.issued);
-
-            let base = live.now();
-            let mut replayed = make();
-            run(&mut live);
-            replayed.apply_replay(base, &delta);
-            assert_eq!(live.now(), replayed.now(), "entry {i}");
-            assert_eq!(live.issued, replayed.issued, "entry {i}");
-            assert_eq!(live.reg_ready, replayed.reg_ready, "entry {i}");
-            assert_eq!(live.div_free, replayed.div_free, "entry {i}");
-            assert_eq!(live.fp_long_free, replayed.fp_long_free, "entry {i}");
-            assert_eq!(live.drain(), replayed.drain(), "entry {i}");
-            // And the *next* op issues identically on both.
-            let a = live.issue(&[8], Some(10), FuClass::IntAlu, 1, 0);
-            let b = replayed.issue(&[8], Some(10), FuClass::IntAlu, 1, 0);
-            assert_eq!(a, b, "entry {i}");
-        }
     }
 
     #[test]

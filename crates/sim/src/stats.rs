@@ -1,12 +1,11 @@
 //! Run statistics: dynamic instruction counts, cycles, and the energy
 //! event breakdown consumed by [`crate::energy::EnergyModel`].
 //!
-//! The batched-counter machinery lives here too: the block-structured
-//! interpreters (predecoded and threaded) accumulate each basic block's
-//! input-independent counts once at decode time
-//! (`crate::decoded::BlockCounts`) and fold them into a run's
-//! statistics in one shot at block/superblock retire via
-//! `RunStats::apply_block`.
+//! The per-block counter machinery lives here too: decoding computes
+//! each basic block's input-independent counts once
+//! (`crate::decoded::BlockCounts`), and the threaded interpreter folds
+//! them into a run's statistics in one shot at superblock retire or
+//! side exit via `RunStats::apply_block`.
 
 use crate::decoded::BlockCounts;
 

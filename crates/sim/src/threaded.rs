@@ -22,7 +22,7 @@
 //!
 //! Exactness is by construction, not by sampling: every op performs the
 //! same watchdog guard, error check, pipeline call, and telemetry call
-//! in the same order as the predecoded loop, so `RunStats`, machine
+//! in the same order as the legacy loop, so `RunStats`, machine
 //! state, error values, fault-injector draws, and telemetry event
 //! streams are bit-identical across tiers (pinned by
 //! `tests/decode_equivalence.rs` and the CI golden diffs). Runs of
@@ -35,8 +35,8 @@ use crate::cpu::{
     Machine, SimError, Simulator,
 };
 use crate::decoded::{BlockCounts, DecodedInst, DecodedProgram};
-use crate::ir::{Cond, FBinOp, FUnOp, IAluOp, MemWidth, NUM_REGS};
-use crate::pipeline::{FuClass, LatencyModel, Pipeline, ReplayDelta, ReplaySig, MAX_LIVE_IN};
+use crate::ir::{Cond, FBinOp, FUnOp, IAluOp, MemWidth};
+use crate::pipeline::{FuClass, LatencyModel, Pipeline};
 use crate::predictor::BranchPredictor;
 use crate::stats::{InstClassCounts, RunStats};
 use axmemo_core::faults::Protection;
@@ -157,7 +157,7 @@ pub(crate) enum FusedOp {
         exit: u32,
         expect_hit: bool,
     },
-    /// `ld_crc` (generic `Memo`-port issue path, as in the predecoded
+    /// `ld_crc` (generic `Memo`-port issue path, as in the legacy
     /// loop).
     MemoLdCrc {
         width: MemWidth,
@@ -207,218 +207,6 @@ pub(crate) struct SbMeta {
     pub(crate) total_exit: u32,
 }
 
-/// A maximal *pure* run inside a superblock: consecutive fused ops
-/// whose latency is input-independent and whose only observables are
-/// registers, the scoreboard, and (for divides) the division-by-zero
-/// check — ALU, multiply, divide, FP, and moves. Memory ops
-/// (cache-model latency, fault draws), control flow, memoization ops
-/// (telemetry), and region guards break a run.
-///
-/// Only the *extent* and dataflow profile (live-ins, serialised units)
-/// are computed here at [`ThreadedProgram::compile`] time. The issue
-/// schedule itself depends on the pipeline state at entry, so the
-/// batched tier records it lazily at run time — simulating the run
-/// once on a scratch [`Pipeline`] seeded from the entry's
-/// [`ReplaySig`](crate::pipeline) — and memoizes the resulting deltas
-/// keyed by `(run, signature)`. Because every issue constraint is
-/// max/+ arithmetic, a recorded schedule shifts exactly to any later
-/// entry with the same signature: architectural values are still
-/// computed per op, but the scoreboard walk is replaced by
-/// `Pipeline::apply_replay`, with the per-op watchdog guard
-/// reconstructed from `rel_at` so trip points stay bit-identical to
-/// the scalar loop.
-#[derive(Debug, Clone)]
-pub(crate) struct PureRun {
-    /// First covered op, as an index into the superblock's op span.
-    pub(crate) start: u32,
-    /// Number of fused ops the run covers.
-    pub(crate) len: u32,
-    /// Live-in registers: sources the run reads before writing them,
-    /// in first-read order (the signature's delta slots follow this
-    /// order). Registers the run writes first are overwritten
-    /// identically by live walk and replay, and untouched registers
-    /// never feed an issue computation — neither is tracked.
-    pub(crate) live_in: Vec<u8>,
-    /// Run issues at least one divide (serialises through `div_free`,
-    /// and the only fallible pure op — div-by-zero).
-    pub(crate) uses_div: bool,
-    /// Run issues at least one long-latency FP op (serialises through
-    /// `fp_long_free`).
-    pub(crate) uses_fp_long: bool,
-}
-
-impl PureRun {
-    /// Minimum covered ops for a run to pay for itself: below this,
-    /// signature extraction plus cache scan plus delta application
-    /// costs about as much as the scoreboard walk it avoids.
-    pub(crate) const MIN_OPS: usize = 3;
-
-    /// True when `op` qualifies for schedule coverage.
-    fn pure(op: &FusedOp) -> bool {
-        matches!(
-            op,
-            FusedOp::AluRR { .. }
-                | FusedOp::AluRI { .. }
-                | FusedOp::MulRR { .. }
-                | FusedOp::MulRI { .. }
-                | FusedOp::DivRR { .. }
-                | FusedOp::DivRI { .. }
-                | FusedOp::FBinP { .. }
-                | FusedOp::FBinLong { .. }
-                | FusedOp::FUnP { .. }
-                | FusedOp::FUnLong { .. }
-                | FusedOp::MovImm { .. }
-                | FusedOp::Mov { .. }
-        )
-    }
-
-    /// Find every maximal pure run of at least [`PureRun::MIN_OPS`]
-    /// ops in a superblock's op span.
-    pub(crate) fn find(ops: &[FusedOp]) -> Vec<PureRun> {
-        let mut runs = Vec::new();
-        let mut i = 0usize;
-        while i < ops.len() {
-            if !Self::pure(&ops[i]) {
-                i += 1;
-                continue;
-            }
-            let start = i;
-            while i < ops.len() && Self::pure(&ops[i]) {
-                i += 1;
-            }
-            if i - start >= Self::MIN_OPS {
-                if let Some(run) = Self::analyze(start, &ops[start..i]) {
-                    runs.push(run);
-                }
-            }
-        }
-        runs
-    }
-
-    /// Dataflow pass over one maximal run: live-in reads (read before
-    /// written) and which serialised units the run touches — the exact
-    /// inputs of the entry-signature extraction at run time. Returns
-    /// `None` when the live-in set is too wide for a signature.
-    fn analyze(start: usize, ops: &[FusedOp]) -> Option<PureRun> {
-        let mut written = 0u64;
-        let mut live_mask = 0u64;
-        let mut live_in: Vec<u8> = Vec::new();
-        let mut uses_div = false;
-        let mut uses_fp_long = false;
-        for op in ops {
-            let (srcs, dst): ([Option<u8>; 2], u8) = match *op {
-                FusedOp::AluRR { rd, ra, rb, .. } | FusedOp::MulRR { rd, ra, rb, .. } => {
-                    ([Some(ra), Some(rb)], rd)
-                }
-                FusedOp::AluRI { rd, ra, .. } | FusedOp::MulRI { rd, ra, .. } => {
-                    ([Some(ra), None], rd)
-                }
-                FusedOp::DivRR { rd, ra, rb, .. } => {
-                    uses_div = true;
-                    ([Some(ra), Some(rb)], rd)
-                }
-                FusedOp::DivRI { rd, ra, .. } => {
-                    uses_div = true;
-                    ([Some(ra), None], rd)
-                }
-                FusedOp::FBinP { rd, ra, rb, .. } => ([Some(ra), Some(rb)], rd),
-                FusedOp::FBinLong { rd, ra, rb, .. } => {
-                    uses_fp_long = true;
-                    ([Some(ra), Some(rb)], rd)
-                }
-                FusedOp::FUnP { rd, ra, .. } => ([Some(ra), None], rd),
-                FusedOp::FUnLong { rd, ra, .. } => {
-                    uses_fp_long = true;
-                    ([Some(ra), None], rd)
-                }
-                FusedOp::MovImm { rd, .. } => ([None, None], rd),
-                FusedOp::Mov { rd, ra } => ([Some(ra), None], rd),
-                _ => unreachable!("runs contain qualified pure ops only"),
-            };
-            for s in srcs.into_iter().flatten() {
-                let bit = 1u64 << (s as usize & (NUM_REGS - 1));
-                if written & bit == 0 && live_mask & bit == 0 {
-                    live_mask |= bit;
-                    live_in.push(s);
-                }
-            }
-            written |= 1u64 << (dst as usize & (NUM_REGS - 1));
-        }
-        if live_in.len() > MAX_LIVE_IN {
-            return None;
-        }
-        Some(PureRun {
-            start: start as u32,
-            len: ops.len() as u32,
-            live_in,
-            uses_div,
-            uses_fp_long,
-        })
-    }
-
-    /// Record the issue schedule of this run's ops (`ops` is the run's
-    /// slice, `self.len` long) on a scratch pipeline seeded from `sig`:
-    /// returns pipeline `now()` after each op relative to entry
-    /// (exactly what the scalar loop's per-op watchdog guard would read
-    /// before the *next* op) plus the end-of-run scoreboard deltas.
-    pub(crate) fn record(&self, ops: &[FusedOp], sig: &ReplaySig) -> (Vec<u64>, ReplayDelta) {
-        debug_assert_eq!(ops.len(), self.len as usize);
-        let mut pipe = Pipeline::seeded(sig, &self.live_in);
-        let mut rel_at = Vec::with_capacity(ops.len());
-        for op in ops {
-            match *op {
-                FusedOp::AluRR {
-                    rd, ra, rb, lat, ..
-                } => {
-                    let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
-                    pipe.issue_int(e, rd, lat);
-                }
-                FusedOp::AluRI { rd, ra, lat, .. } => {
-                    pipe.issue_int(pipe.src_ready(ra), rd, lat);
-                }
-                FusedOp::MulRR { rd, ra, rb, lat } => {
-                    let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
-                    pipe.issue_mul(e, rd, lat);
-                }
-                FusedOp::MulRI { rd, ra, lat, .. } => {
-                    pipe.issue_mul(pipe.src_ready(ra), rd, lat);
-                }
-                FusedOp::DivRR {
-                    rd, ra, rb, lat, ..
-                } => {
-                    let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
-                    pipe.issue_div(e, rd, lat);
-                }
-                FusedOp::DivRI { rd, ra, lat, .. } => {
-                    pipe.issue_div(pipe.src_ready(ra), rd, lat);
-                }
-                FusedOp::FBinP {
-                    rd, ra, rb, lat, ..
-                } => {
-                    let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
-                    pipe.issue_fp(e, rd, lat);
-                }
-                FusedOp::FBinLong { rd, ra, rb, lat } => {
-                    let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
-                    pipe.issue_fp_long(e, rd, lat);
-                }
-                FusedOp::FUnP { rd, ra, lat, .. } => {
-                    pipe.issue_fp(pipe.src_ready(ra), rd, lat);
-                }
-                FusedOp::FUnLong { rd, ra, lat, .. } => {
-                    pipe.issue_fp_long(pipe.src_ready(ra), rd, lat);
-                }
-                FusedOp::MovImm { rd, .. } => pipe.issue_int(0, rd, 1),
-                FusedOp::Mov { rd, ra } => pipe.issue_int(pipe.src_ready(ra), rd, 1),
-                _ => unreachable!("runs contain qualified pure ops only"),
-            }
-            rel_at.push(pipe.now());
-        }
-        let delta = pipe.replay_snapshot(sig.issued);
-        (rel_at, delta)
-    }
-}
-
 /// A program lowered to the threaded-dispatch form: fused superblock
 /// chains over a [`DecodedProgram`].
 ///
@@ -459,9 +247,6 @@ pub struct ThreadedProgram {
     /// Per-superblock pc ranges for profiler attribution:
     /// `(entry_pc, max end over the chain)`.
     pub(crate) ranges: Vec<(u32, u32)>,
-    /// Maximal pure runs per superblock (indexed like `superblocks`,
-    /// runs in op order) — the batched tier's schedule-replay sites.
-    pub(crate) runs: Vec<Vec<PureRun>>,
     /// The latency model the program was lowered against.
     latency: LatencyModel,
 }
@@ -502,17 +287,12 @@ impl ThreadedProgram {
             });
             ranges.push((sb.entry_pc() as u32, max_end));
         }
-        let runs = superblocks
-            .iter()
-            .map(|sb| PureRun::find(&ops[sb.ops_start as usize..sb.ops_end as usize]))
-            .collect();
         Self {
             ops,
             superblocks,
             block_of: dp.block_of.clone(),
             exit_counts,
             ranges,
-            runs,
             latency: *dp.latency(),
         }
     }
@@ -783,27 +563,12 @@ fn lower_block(
 impl Simulator {
     /// The threaded-dispatch interpreter: executes fused superblocks.
     /// Every observable — `RunStats`, error values, telemetry event
-    /// streams, fault-injector draws — matches `run_legacy` and
-    /// `run_decoded` exactly; equivalence tests pin this.
+    /// streams, fault-injector draws — matches `run_legacy` exactly;
+    /// equivalence tests pin this.
     pub(crate) fn run_threaded(
         &mut self,
         tp: &ThreadedProgram,
         machine: &mut Machine,
-    ) -> Result<RunStats, SimError> {
-        self.run_threaded_leaf(tp, machine, PhaseId::DispatchThreaded)
-    }
-
-    /// `run_threaded` with the profiler's dispatch leaf chosen by the
-    /// caller: the batched tier runs single-lane batches through this
-    /// exact loop (a one-lane cohort *is* a serial run — no lockstep
-    /// bookkeeping to amortize) and `leaf` keeps its cycle attribution
-    /// under `dispatch.batched`, the tier's only observable that may
-    /// differ from serial execution.
-    pub(crate) fn run_threaded_leaf(
-        &mut self,
-        tp: &ThreadedProgram,
-        machine: &mut Machine,
-        leaf: PhaseId,
     ) -> Result<RunStats, SimError> {
         // Specialize the hot loop on whether a watchdog is armed: with
         // both limits at `u64::MAX` the per-op guard can never fire
@@ -811,9 +576,9 @@ impl Simulator {
         // count cannot exceed `u64::MAX`), so the unarmed variant
         // compiles the check out entirely while staying exact.
         if self.config.max_insts == u64::MAX && self.config.max_cycles == u64::MAX {
-            self.run_threaded_impl::<false>(tp, machine, leaf)
+            self.run_threaded_impl::<false>(tp, machine)
         } else {
-            self.run_threaded_impl::<true>(tp, machine, leaf)
+            self.run_threaded_impl::<true>(tp, machine)
         }
     }
 
@@ -821,7 +586,6 @@ impl Simulator {
         &mut self,
         tp: &ThreadedProgram,
         machine: &mut Machine,
-        leaf: PhaseId,
     ) -> Result<RunStats, SimError> {
         let lat = self.config.latency;
         let mut pipe = Pipeline::new();
@@ -908,7 +672,7 @@ impl Simulator {
                             let prof = self.telemetry.profiler_mut();
                             prof.block_retire(sb_idx as usize, cyc, dyn_insts - sb_inst0);
                             let charged = prof.open_charged().saturating_sub(sb_charged0);
-                            prof.leaf(leaf, cyc.saturating_sub(charged));
+                            prof.leaf(PhaseId::DispatchThreaded, cyc.saturating_sub(charged));
                         }
                         break 'run;
                     }
@@ -1276,7 +1040,7 @@ impl Simulator {
                 let prof = self.telemetry.profiler_mut();
                 prof.block_retire(sb_idx as usize, cyc, dyn_insts - sb_inst0);
                 let charged = prof.open_charged().saturating_sub(sb_charged0);
-                prof.leaf(leaf, cyc.saturating_sub(charged));
+                prof.leaf(PhaseId::DispatchThreaded, cyc.saturating_sub(charged));
             }
             pc = next_pc;
         }
@@ -1314,9 +1078,7 @@ mod tests {
 
     fn assert_tiers_agree(p: &Program) {
         let reference = run_tier(p, DispatchTier::Legacy);
-        assert_eq!(run_tier(p, DispatchTier::Predecode), reference);
         assert_eq!(run_tier(p, DispatchTier::Threaded), reference);
-        assert_eq!(run_tier(p, DispatchTier::Batched), reference);
     }
 
     #[test]
@@ -1377,10 +1139,6 @@ mod tests {
             Err(SimError::DivByZero { pc: 2 })
         );
         assert_eq!(
-            run_tier(&p, DispatchTier::Batched),
-            Err(SimError::DivByZero { pc: 2 })
-        );
-        assert_eq!(
             run_tier(&p, DispatchTier::Legacy),
             Err(SimError::DivByZero { pc: 2 })
         );
@@ -1410,9 +1168,7 @@ mod tests {
                 sim.run(&p, &mut m)
             };
             let reference = run(DispatchTier::Legacy);
-            assert_eq!(run(DispatchTier::Predecode), reference, "insts {max_insts}");
             assert_eq!(run(DispatchTier::Threaded), reference, "insts {max_insts}");
-            assert_eq!(run(DispatchTier::Batched), reference, "insts {max_insts}");
         }
     }
 
@@ -1423,7 +1179,6 @@ mod tests {
         };
         let r = run_tier(&p, DispatchTier::Threaded);
         assert_eq!(r, run_tier(&p, DispatchTier::Legacy));
-        assert_eq!(r, run_tier(&p, DispatchTier::Batched));
         assert_eq!(r, Err(SimError::PcOutOfRange { pc: 9 }));
     }
 
@@ -1485,73 +1240,6 @@ mod tests {
             (stats, m.regs)
         };
         let reference = run(DispatchTier::Legacy);
-        assert_eq!(run(DispatchTier::Predecode), reference);
         assert_eq!(run(DispatchTier::Threaded), reference);
-        assert_eq!(run(DispatchTier::Batched), reference);
-    }
-
-    #[test]
-    fn pure_runs_are_found_and_recordable() {
-        // The loop body starts with a run of pure arithmetic before its
-        // backward branch: every unrolled superblock copy carries a
-        // replayable pure run.
-        let mut b = ProgramBuilder::new();
-        b.movi(1, 0).movi(2, 3).movi(3, 5);
-        let top = b.label("top");
-        b.bind(top);
-        b.alu(IAluOp::Add, 4, 2, Operand::Reg(3));
-        b.alu(IAluOp::Mul, 5, 4, Operand::Imm(7));
-        b.alu(IAluOp::And, 6, 5, Operand::Reg(4));
-        b.alu(IAluOp::Add, 1, 1, Operand::Imm(1));
-        b.branch(Cond::LtS, 1, Operand::Imm(10), top);
-        b.halt();
-        let p = b.build().unwrap();
-        let dp = DecodedProgram::compile(&p, &LatencyModel::default());
-        let tp = ThreadedProgram::compile(&dp);
-        assert_eq!(tp.runs.len(), tp.superblock_count());
-        let run = tp.runs[1]
-            .first()
-            .expect("loop-body superblock has a replayable pure run");
-        assert!(run.len >= 4, "len {}", run.len);
-        // Live-ins are the registers read before written: r2, r3, r1.
-        assert_eq!(run.live_in, vec![2, 3, 1]);
-        assert!(!run.uses_div && !run.uses_fp_long);
-
-        // Record from the canonical (all-zero) signature and check the
-        // schedule's shape.
-        let sb = &tp.superblocks[1];
-        let ops = &tp.ops[sb.ops_start as usize + run.start as usize..][..run.len as usize];
-        let sig = Pipeline::new()
-            .replay_sig(&run.live_in, run.uses_div, run.uses_fp_long)
-            .unwrap();
-        let (rel_at, delta) = run.record(ops, &sig);
-        assert_eq!(rel_at.len(), run.len as usize);
-        // Issue cycles are monotone and the run writes registers.
-        assert!(rel_at.windows(2).all(|w| w[0] <= w[1]));
-        assert!(!delta.writes.is_empty());
-        assert_eq!(delta.rel_cycle, *rel_at.last().unwrap());
-    }
-
-    #[test]
-    fn pure_runs_cover_mid_block_arithmetic() {
-        // A load breaks the run (its latency is cache-state-dependent),
-        // but the arithmetic *after* it still forms a replayable run —
-        // the mid-block coverage the prefix-only scheme missed.
-        let mut b = ProgramBuilder::new();
-        b.movi(1, 64).movi(2, 3);
-        b.ld(MemWidth::B8, 3, 1, 0);
-        b.alu(IAluOp::Add, 4, 3, Operand::Reg(2));
-        b.alu(IAluOp::Mul, 5, 4, Operand::Imm(7));
-        b.alu(IAluOp::Xor, 6, 5, Operand::Reg(4));
-        b.alu(IAluOp::Add, 7, 6, Operand::Imm(1));
-        b.halt();
-        let p = b.build().unwrap();
-        let dp = DecodedProgram::compile(&p, &LatencyModel::default());
-        let tp = ThreadedProgram::compile(&dp);
-        let runs: Vec<_> = tp.runs.iter().flatten().collect();
-        assert!(
-            runs.iter().any(|r| r.start > 0 && r.len >= 4),
-            "expected a mid-block pure run after the load, got {runs:?}"
-        );
     }
 }

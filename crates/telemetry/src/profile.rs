@@ -44,7 +44,7 @@ pub enum PhaseId {
     /// One whole benchmark run (baseline excluded; the profiler rides
     /// the telemetry handle, which only the memoized leg carries).
     Run = 0,
-    /// The interpreter dispatch loop (decoded or legacy).
+    /// The interpreter dispatch loop (threaded or legacy).
     Dispatch,
     /// CRC beat loop: feeding truncated input bytes into the pipelined
     /// CRC unit (`memo_ld_crc`).
@@ -70,16 +70,10 @@ pub enum PhaseId {
     /// dispatch phase keeps as *exclusive* time is then exactly the
     /// unfused residue: outer-loop transfers and side exits.
     DispatchThreaded,
-    /// Cycles retired inside fused superblocks by the batched lockstep
-    /// tier, recorded as a leaf under [`PhaseId::Dispatch`]. Per-lane
-    /// attribution rides the same per-block channel as the threaded
-    /// tier; this phase separates batched from single-stream retire so
-    /// before/after profiles show where amortized bookkeeping went.
-    DispatchBatched,
 }
 
 /// Number of distinct [`PhaseId`]s (size of per-node child arrays).
-pub const PHASE_COUNT: usize = 11;
+pub const PHASE_COUNT: usize = 10;
 
 impl PhaseId {
     /// Every phase, in enum (= report) order.
@@ -94,7 +88,6 @@ impl PhaseId {
         PhaseId::LutInvalidate,
         PhaseId::Quality,
         PhaseId::DispatchThreaded,
-        PhaseId::DispatchBatched,
     ];
 
     /// Wire name used in reports and folded-stack paths.
@@ -110,7 +103,6 @@ impl PhaseId {
             PhaseId::LutInvalidate => "lut.invalidate",
             PhaseId::Quality => "quality.monitor",
             PhaseId::DispatchThreaded => "dispatch.threaded",
-            PhaseId::DispatchBatched => "dispatch.batched",
         }
     }
 }
@@ -362,9 +354,8 @@ impl Profiler {
     /// Register (or re-attach to) the block table for the current
     /// label. Stats accumulate across repeated runs of the same
     /// program; a label whose ranges changed gets a fresh table (the
-    /// full ranges are compared, not just the count, so the predecoded
-    /// tier's basic blocks and the threaded tier's superblocks never
-    /// alias even when their tables are the same size).
+    /// full ranges are compared, not just the count, so two range
+    /// tables of the same size never alias).
     pub fn begin_blocks(&mut self, ranges: &[(u32, u32)]) {
         if !self.on {
             return;

@@ -15,7 +15,7 @@ use axmemo_core::config::MemoConfig;
 use axmemo_core::lut::LutStats;
 use axmemo_core::snapshot::{MemoSnapshot, RecoveryOutcome, RecoveryReport};
 use axmemo_core::unit::UnitStats;
-use axmemo_sim::cpu::{DispatchTier, Machine, SimConfig, SimError, Simulator};
+use axmemo_sim::cpu::{DispatchTier, SimConfig, SimError, Simulator};
 use axmemo_sim::decoded::DecodedProgram;
 use axmemo_sim::energy::EnergyModel;
 use axmemo_sim::pipeline::LatencyModel;
@@ -205,7 +205,7 @@ impl SnapshotPlan {
 
 /// A benchmark's programs compiled once and shared across every run
 /// that uses default truncation: the baseline and memoized [`Program`]s
-/// plus their predecoded and threaded-superblock forms (against
+/// plus their threaded-superblock forms (lowered against
 /// [`LatencyModel::default`], the latency every runner-constructed
 /// [`SimConfig`] uses).
 ///
@@ -217,10 +217,6 @@ pub struct PreparedProgram {
     pub program: Program,
     /// The memoized program (default truncation).
     pub memo_program: Program,
-    /// Predecoded baseline program.
-    pub decoded_base: DecodedProgram,
-    /// Predecoded memoized program.
-    pub decoded_memo: DecodedProgram,
     /// Threaded-superblock baseline program.
     pub threaded_base: ThreadedProgram,
     /// Threaded-superblock memoized program.
@@ -228,7 +224,7 @@ pub struct PreparedProgram {
 }
 
 impl PreparedProgram {
-    /// Build, predecode, and superblock-lower both legs of `bench` at
+    /// Build and superblock-lower both legs of `bench` at
     /// `scale`.
     ///
     /// # Errors
@@ -241,15 +237,12 @@ impl PreparedProgram {
         let (program, specs) = bench.program(scale);
         let memo_program = memoize(&program, &specs)?;
         let latency = LatencyModel::default();
-        let decoded_base = DecodedProgram::compile(&program, &latency);
-        let decoded_memo = DecodedProgram::compile(&memo_program, &latency);
-        let threaded_base = ThreadedProgram::compile(&decoded_base);
-        let threaded_memo = ThreadedProgram::compile(&decoded_memo);
+        let threaded_base = ThreadedProgram::compile(&DecodedProgram::compile(&program, &latency));
+        let threaded_memo =
+            ThreadedProgram::compile(&DecodedProgram::compile(&memo_program, &latency));
         Ok(Self {
             program,
             memo_program,
-            decoded_base,
-            decoded_memo,
             threaded_base,
             threaded_memo,
         })
@@ -485,12 +478,6 @@ fn baseline_leg(
         (Some(p), DispatchTier::Threaded) => {
             base_sim.run_prepared_threaded(&p.threaded_base, &mut base_machine)?
         }
-        (Some(p), DispatchTier::Batched) => {
-            base_sim.run_prepared_batched(&p.threaded_base, &mut base_machine)?
-        }
-        (Some(p), DispatchTier::Predecode) => {
-            base_sim.run_prepared(&p.decoded_base, &mut base_machine)?
-        }
         _ => base_sim.run(program, &mut base_machine)?,
     };
     let exact = bench.outputs(&base_machine, scale);
@@ -549,9 +536,9 @@ type BaselineKey = (String, Scale, Dataset, DispatchTier, bool);
 /// building, memoizing, predecoding and superblock-lowering a benchmark
 /// is deterministic and identical for every cell with default
 /// truncation, so the cache holds one [`PreparedProgram`] per
-/// `(benchmark, scale)` and every fast-path run executes it via
-/// [`Simulator::run_prepared`] / [`Simulator::run_prepared_threaded`]
-/// instead of recompiling per attempt.
+/// `(benchmark, scale)` and every threaded run executes it via
+/// [`Simulator::run_prepared_threaded`] instead of recompiling per
+/// attempt.
 ///
 /// Both maps carry a `warm` flag in their keys: a cell warm-started
 /// from a snapshot ([`SnapshotPlan::warm`]) keys separate slots, so a
@@ -903,15 +890,9 @@ fn run_benchmark_inner(
             }
         }
     }
-    let memo_stats = match (prepared, opts.dispatch) {
-        (Some(p), DispatchTier::Threaded) => {
-            memo_sim.run_prepared_threaded(&p.threaded_memo, &mut memo_machine)
-        }
-        (Some(p), DispatchTier::Batched) => {
-            memo_sim.run_prepared_batched(&p.threaded_memo, &mut memo_machine)
-        }
-        (Some(p), _) => memo_sim.run_prepared(&p.decoded_memo, &mut memo_machine),
-        (None, _) => memo_sim.run(memo_program, &mut memo_machine),
+    let memo_stats = match prepared {
+        Some(p) => memo_sim.run_prepared_threaded(&p.threaded_memo, &mut memo_machine),
+        None => memo_sim.run(memo_program, &mut memo_machine),
     };
     *tel = memo_sim.take_telemetry();
     let memo_stats = match memo_stats {
@@ -975,272 +956,6 @@ fn run_benchmark_inner(
         telemetry: Telemetry::off(),
         recovery,
     })
-}
-
-/// One lane of a batched cell run (see [`run_batch`]): the memoization
-/// configuration, watchdog budget, and optional snapshot plan for one
-/// memoized leg of the shared benchmark.
-#[derive(Debug, Clone)]
-pub struct BatchCell {
-    /// Memoization configuration for this lane (as handed to
-    /// [`run_benchmark`] — `data_width` is overridden per benchmark
-    /// exactly as in the scalar path).
-    pub memo: MemoConfig,
-    /// Simulated-cycle watchdog for this lane's memoized leg.
-    pub max_cycles: u64,
-    /// Optional snapshot persistence (restore before the run, capture
-    /// after), with the scalar path's semantics per lane.
-    pub plan: Option<SnapshotPlan>,
-}
-
-/// Run the memoized legs of many cells of the *same* benchmark through
-/// one shared lowered program in lockstep
-/// ([`axmemo_sim::batched::run_batch`]), returning one result per cell
-/// in cell order.
-///
-/// Every lane owns its simulator (cache, memoization unit, fault
-/// injectors, telemetry) and machine; only the immutable
-/// [`PreparedProgram`] is shared. Each lane's report, error, and
-/// telemetry event stream are bit-identical to running that cell alone
-/// through the scalar path with `--dispatch batched` (itself
-/// bit-identical to `threaded`): per-lane setup, interpretation, and
-/// metric collection perform the same operations in the same per-lane
-/// order; only host-side scheduling across lanes differs, and lanes
-/// share no mutable state. A lane that fails (watchdog trip, fault,
-/// snapshot I/O error) resolves to its own `Err` without disturbing
-/// sibling lanes, with its telemetry span stack drained exactly as the
-/// scalar error path does.
-///
-/// The baseline leg is independent of the memoization configuration, so
-/// the caller passes one shared [`BaselineRun`] for all lanes
-/// (typically from a [`BaselineCache`]). Cells requesting zero
-/// truncation cannot share the default-truncation prepared program and
-/// must stay on the scalar path.
-///
-/// # Panics
-///
-/// Panics if `tels` does not supply exactly one telemetry handle per
-/// cell.
-pub fn run_batch(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    baseline: &BaselineRun,
-    prepared: &PreparedProgram,
-    cells: &[BatchCell],
-    tels: &mut [Telemetry],
-) -> Vec<Result<RunReport, Box<dyn std::error::Error>>> {
-    assert_eq!(cells.len(), tels.len(), "one telemetry handle per lane");
-    struct LaneState {
-        idx: usize,
-        sim: Simulator,
-        machine: Machine,
-        memo_cfg: MemoConfig,
-        recovery: Option<RecoveryReport>,
-    }
-    let n = cells.len();
-    let mut results: Vec<Option<Result<RunReport, Box<dyn std::error::Error>>>> =
-        (0..n).map(|_| None).collect();
-
-    // Per-lane setup in lane order, mirroring the scalar path up to the
-    // interpreter call: warm-image load, simulator construction, span
-    // entry, telemetry installation, restore + capture arming.
-    let mut states: Vec<LaneState> = Vec::with_capacity(n);
-    for (idx, cell) in cells.iter().enumerate() {
-        let tel = &mut tels[idx];
-        let plan = cell.plan.as_ref().filter(|p| !p.is_empty());
-        let mut recovery: Option<RecoveryReport> = None;
-        let mut warm_image: Option<MemoSnapshot> = None;
-        if let Some(path) = plan.and_then(|p| p.restore_from.as_deref()) {
-            match MemoSnapshot::load_tel(path, tel) {
-                Ok((snap, report)) => {
-                    warm_image = snap;
-                    recovery = Some(report);
-                }
-                Err(e) => {
-                    results[idx] = Some(Err(e.into()));
-                    continue;
-                }
-            }
-        }
-        let memo_cfg = MemoConfig {
-            data_width: bench.data_width(),
-            ..cell.memo.clone()
-        };
-        let mut memo_sim = match Simulator::new(SimConfig {
-            max_cycles: cell.max_cycles,
-            dispatch: DispatchTier::Batched,
-            ..SimConfig::with_memo(memo_cfg.clone())
-        }) {
-            Ok(sim) => sim,
-            Err(e) => {
-                results[idx] = Some(Err(e.into()));
-                continue;
-            }
-        };
-        let memo_machine = bench.setup(scale, dataset);
-        tel.set_cycle(0);
-        tel.span_enter(&format!("run:{}", bench.meta().name));
-        tel.profiler_mut().set_label(bench.meta().name);
-        tel.profiler_mut().enter(PhaseId::Run);
-        memo_sim.set_telemetry(std::mem::take(tel));
-        memo_sim.reset();
-        if let Some(plan) = plan {
-            if let Some(unit) = memo_sim.memo_unit_mut() {
-                if let Some(image) = &warm_image {
-                    let summary = unit.restore_warm_with(image, plan.restore_policy);
-                    if let Some(rec) = recovery.as_mut() {
-                        rec.applied = Some(summary);
-                    }
-                }
-                if plan.snapshot_out.is_some() {
-                    unit.arm_warm_capture();
-                }
-            }
-        }
-        states.push(LaneState {
-            idx,
-            sim: memo_sim,
-            machine: memo_machine,
-            memo_cfg,
-            recovery,
-        });
-    }
-
-    // One lockstep pass over every lane that survived setup.
-    let lane_results = {
-        let mut lanes: Vec<axmemo_sim::batched::BatchLane<'_>> = states
-            .iter_mut()
-            .map(|s| axmemo_sim::batched::BatchLane {
-                sim: &mut s.sim,
-                machine: &mut s.machine,
-            })
-            .collect();
-        axmemo_sim::batched::run_batch(&prepared.threaded_memo, &mut lanes)
-    };
-
-    // Per-lane teardown and metrics, in lane order, mirroring the
-    // scalar path after the interpreter call.
-    for (state, memo_stats) in states.into_iter().zip(lane_results) {
-        let LaneState {
-            idx,
-            mut sim,
-            machine,
-            memo_cfg,
-            recovery,
-        } = state;
-        let tel = &mut tels[idx];
-        *tel = sim.take_telemetry();
-        let memo_stats = match memo_stats {
-            Ok(stats) => stats,
-            Err(e) => {
-                tel.close_open_spans();
-                tel.flush();
-                results[idx] = Some(Err(e.into()));
-                continue;
-            }
-        };
-        tel.set_cycle(memo_stats.cycles);
-        tel.span_exit();
-        tel.profiler_mut().exit_cycles(memo_stats.cycles);
-        tel.flush();
-        let approx = bench.outputs(&machine, scale);
-
-        let base_stats = &baseline.stats;
-        let exact = &baseline.exact;
-        let energy_model = EnergyModel::for_l1_lut(memo_cfg.l1_bytes);
-        let base_energy = energy_model.total_pj(&base_stats.energy);
-        let memo_energy = energy_model.total_pj(&memo_stats.energy);
-        let hit_rate = sim
-            .memo_unit()
-            .map(|u| u.lut().total_hit_rate())
-            .unwrap_or(0.0);
-        let error = compute_error(bench.meta().metric, exact, &approx);
-        let result = BenchmarkResult {
-            name: bench.meta().name.to_string(),
-            config: format!("{:?}", cells[idx].memo),
-            speedup: base_stats.cycles as f64 / memo_stats.cycles.max(1) as f64,
-            energy_reduction: base_energy / memo_energy.max(f64::MIN_POSITIVE),
-            dyn_inst_ratio: memo_stats.dynamic_insts as f64
-                / base_stats.dynamic_insts.max(1) as f64,
-            memo_inst_fraction: memo_stats.memo_fraction(),
-            hit_rate,
-            error,
-            baseline_stats: *base_stats,
-            memo_stats,
-        };
-        let (unit_stats, l1_lut, l2_lut) = match sim.memo_unit() {
-            Some(u) => (u.stats(), u.lut().l1_stats(), u.lut().l2_stats()),
-            None => Default::default(),
-        };
-        if let Some(path) = cells[idx]
-            .plan
-            .as_ref()
-            .filter(|p| !p.is_empty())
-            .and_then(|p| p.snapshot_out.as_deref())
-        {
-            let image = sim
-                .memo_unit_mut()
-                .and_then(|u| u.take_warm_image())
-                .unwrap_or_default();
-            if let Err(e) = image.write_atomic_tel(path, tel) {
-                results[idx] = Some(Err(e.into()));
-                continue;
-            }
-        }
-        results[idx] = Some(Ok(RunReport {
-            result,
-            unit_stats,
-            l1_lut,
-            l2_lut,
-            telemetry: Telemetry::off(),
-            recovery,
-        }));
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every lane resolved"))
-        .collect()
-}
-
-/// [`run_batch`] with the cache resolution of
-/// [`run_benchmark_report_snap`]: resolve the baseline and prepared
-/// program from `cache` under the same warm-keyed slots the scalar snap
-/// path uses, then run `cells` as one lockstep batch. All cells must
-/// agree on warm-ness (every plan restores, or none does) because the
-/// warm flag keys the shared cache slots.
-///
-/// Returns `None` when the cache cannot supply both legs (baseline
-/// failure, or `opts` rules out a shared prepared program) — the caller
-/// falls back to the scalar path, which reports the underlying error
-/// properly.
-///
-/// # Panics
-///
-/// Panics if the cells disagree on warm-ness or `tels` does not supply
-/// one handle per cell.
-pub fn run_batch_cached(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    opts: RunOptions,
-    cache: &BaselineCache,
-    cells: &[BatchCell],
-    tels: &mut [Telemetry],
-) -> Option<Vec<Result<RunReport, Box<dyn std::error::Error>>>> {
-    let cell_warm = |c: &BatchCell| c.plan.as_ref().is_some_and(SnapshotPlan::warm);
-    let warm = cells.first().map(cell_warm).unwrap_or(false);
-    assert!(
-        cells.iter().all(|c| cell_warm(c) == warm),
-        "batched cells must agree on warm-ness (it keys the baseline cache)"
-    );
-    let prepared = cache.prepared_for_keyed(bench, scale, opts, warm)?;
-    let baseline = cache
-        .get_or_compute_keyed(bench, scale, dataset, u64::MAX, opts.dispatch, warm)
-        .ok()?;
-    Some(run_batch(
-        bench, scale, dataset, &baseline, &prepared, cells, tels,
-    ))
 }
 
 /// Why a supervised benchmark run failed.
