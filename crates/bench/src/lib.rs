@@ -24,9 +24,9 @@ pub mod sweep;
 use axmemo_baselines::cost::kernel_profile;
 use axmemo_baselines::{AtmModel, ContenderOutcome, SoftwareLut};
 use axmemo_compiler::codegen::memoize;
-use axmemo_core::backend::RestorePolicy;
 use axmemo_core::config::MemoConfig;
 use axmemo_core::unit::LookupEvent;
+use axmemo_core::RestorePolicy;
 pub use axmemo_sim::cpu::DispatchTier;
 use axmemo_sim::cpu::{SimConfig, Simulator};
 use axmemo_sim::stats::RunStats;

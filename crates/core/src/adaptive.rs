@@ -62,7 +62,7 @@ pub enum Phase {
 }
 
 /// Serializable controller state, captured by [`crate::snapshot`] so a
-/// restarted service resumes at the truncation level the controller had
+/// restarted run resumes at the truncation level the controller had
 /// converged to instead of re-learning it from `initial_bits`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveState {

@@ -26,8 +26,6 @@
 //! * [`faults`] — deterministic fault injection and ECC protection.
 //! * [`lut`] — the set-associative lookup table (§3.3, Fig. 4).
 //! * [`two_level`] — L1 + optional inclusive L2 LUT hierarchy (§3.3–3.4).
-//! * [`backend`] — the [`MemoBackend`] trait the drivers program against.
-//! * [`service`] — concurrent N-shard backend for the serve path.
 //! * [`quality`] — runtime quality monitoring (§6).
 //! * [`unit`](mod@crate::unit) — the per-core memoization unit façade (Fig. 2).
 //! * [`config`] / [`ids`] — configuration and identifier types.
@@ -63,7 +61,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod adaptive;
-pub mod backend;
 pub mod config;
 pub mod crc;
 pub mod faults;
@@ -72,19 +69,17 @@ pub mod hvr_rename;
 pub mod ids;
 pub mod lut;
 pub mod quality;
-pub mod service;
 pub mod snapshot;
 pub mod truncate;
 pub mod two_level;
 pub mod unit;
 
-pub use backend::{MemoBackend, RestorePolicy};
 pub use config::MemoConfig;
 pub use faults::{FaultConfig, FaultInjector, FaultStats, Protection};
 pub use ids::{LutId, ThreadId};
-pub use service::{ServiceStats, ShardedLut};
 pub use snapshot::{
     CrashMode, CrashPoint, MemoSnapshot, RecoveryOutcome, RecoveryReport, SnapshotError,
 };
 pub use truncate::InputValue;
+pub use two_level::RestorePolicy;
 pub use unit::{LookupResult, MemoizationUnit};

@@ -1,7 +1,7 @@
 //! Crash-consistent persistence of warm memoization state.
 //!
-//! A production memo-service's most valuable asset is its warm LUT;
-//! this module makes it survive restarts. [`MemoSnapshot`] captures the
+//! A memoization unit's most valuable state is its warm LUT; this
+//! module makes it survive restarts. [`MemoSnapshot`] captures the
 //! [`crate::two_level::TwoLevelLut`] contents (L1 + L2 entries plus donor statistics),
 //! the [`AdaptiveTruncation`] controller and the [`QualityMonitor`]
 //! ladder position into a versioned, section-based binary format, and
@@ -55,11 +55,11 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveState, AdaptiveTruncation};
-use crate::backend::MemoBackend;
 use crate::crc::{CrcAlgorithm, CrcWidth, TableCrc};
 use crate::ids::LutId;
 use crate::lut::{ExportedEntry, LutStats};
 use crate::quality::{DegradationStage, QualityMonitor, QualityState};
+use crate::two_level::TwoLevelLut;
 use axmemo_telemetry::{Telemetry, Value};
 
 /// Magic bytes opening every snapshot file.
@@ -322,8 +322,8 @@ pub struct MemoSnapshot {
 impl MemoSnapshot {
     /// Capture the warm state of a LUT hierarchy plus the optional
     /// controllers that steer it.
-    pub fn capture<B: MemoBackend + ?Sized>(
-        lut: &B,
+    pub fn capture(
+        lut: &TwoLevelLut,
         adaptive: Option<&AdaptiveTruncation>,
         quality: Option<&QualityMonitor>,
     ) -> Self {
@@ -334,8 +334,8 @@ impl MemoSnapshot {
     /// their state was corrupt (an out-of-range stored `lut_id` — a
     /// fault the export path degrades through rather than panics on)
     /// are counted into `snapshot.capture.bad_records`.
-    pub fn capture_tel<B: MemoBackend + ?Sized>(
-        lut: &B,
+    pub fn capture_tel(
+        lut: &TwoLevelLut,
         adaptive: Option<&AdaptiveTruncation>,
         quality: Option<&QualityMonitor>,
         tel: &mut Telemetry,
@@ -346,7 +346,7 @@ impl MemoSnapshot {
             tel.count("snapshot.capture.bad_records", l1_skipped + l2_skipped);
         }
         Self {
-            geometry: lut.snapshot_geometry(),
+            geometry: Some(lut.snapshot_geometry()),
             l1_entries,
             l2_entries,
             l1_stats: Some(lut.l1_stats()),

@@ -7,12 +7,61 @@
 //! there unless itself evicted). LUT entries are never written back to
 //! main memory: an entry evicted from L2 is simply invalidated.
 
-use crate::backend::RestorePolicy;
 use crate::config::MemoConfig;
 use crate::faults::{FaultInjector, FaultStats};
 use crate::ids::LutId;
 use crate::lut::{ExportedEntry, LookupOutcome, LutArray, LutStats};
+use crate::snapshot::SnapshotGeometry;
 use axmemo_telemetry::{PhaseId, Telemetry, Value};
+
+/// Order in which previously-exported entries are re-installed by a
+/// warm restore (see `EXPERIMENTS.md`, "Warm start").
+///
+/// Entries are exported in LRU order, oldest first. Restoring them in
+/// that same order reproduces the donor's relative recency exactly —
+/// the right default, and byte-identical to the pre-policy behaviour.
+/// But for scan-dominated workloads whose working set exceeds the LUT
+/// (sobel, jmeint), a full restore is pollution: the image holds the
+/// donor's tail-end entries, the run probes from the start of the
+/// stream, and every restored way must be evicted one miss at a time.
+/// [`RestorePolicy::MruFirst`] bounds that pollution: entries are
+/// admitted newest-first (the donor's hottest state wins) and each set
+/// accepts restored entries into at most half its ways, leaving the
+/// other half invalid for the live run's working set. Entries past the
+/// cap are counted as dropped.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum RestorePolicy {
+    /// Replay the export stream oldest-first, displacing the least
+    /// recently restored entry when a set overflows. The default;
+    /// reproduces pre-policy restores byte-for-byte.
+    #[default]
+    OldestFirst,
+    /// Fresh-biased warm start: admit entries newest-first, never
+    /// displace, cap restored occupancy at half of each set's ways,
+    /// and start the quality ladder fresh instead of resuming the
+    /// donor's rung (the warm run re-earns any degradation from its
+    /// own sampled comparisons).
+    MruFirst,
+}
+
+impl RestorePolicy {
+    /// Parse a command-line spelling (`oldest` / `mru`).
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "oldest" | "oldest-first" => Some(Self::OldestFirst),
+            "mru" | "mru-first" => Some(Self::MruFirst),
+            _ => None,
+        }
+    }
+
+    /// The command-line spelling.
+    pub fn label(self) -> &'static str {
+        match self {
+            Self::OldestFirst => "oldest",
+            Self::MruFirst => "mru",
+        }
+    }
+}
 
 /// Which level served a hit — the levels have different access latencies
 /// (2 cycles for L1, 13 for L2; Table 4).
@@ -305,95 +354,74 @@ impl TwoLevelLut {
         }
     }
 
+    /// Geometry of both levels, recorded in a snapshot for reporting.
+    pub fn snapshot_geometry(&self) -> SnapshotGeometry {
+        let l1 = self.l1.geometry();
+        SnapshotGeometry {
+            l1_sets: l1.sets as u64,
+            l1_ways: l1.ways as u64,
+            data_width_bytes: l1.data_width.bytes() as u32,
+            l2: self
+                .l2
+                .as_ref()
+                .map(|l2| (l2.geometry().sets as u64, l2.geometry().ways as u64)),
+        }
+    }
+
     /// Export the L1's valid entries in LRU order (oldest first) for
-    /// persistence ([`crate::snapshot`]).
-    pub fn export_l1_entries(&self) -> Vec<ExportedEntry> {
-        self.l1.export_entries()
-    }
-
-    /// Export the L2's valid entries in LRU order; empty when no L2 is
-    /// configured.
-    pub fn export_l2_entries(&self) -> Vec<ExportedEntry> {
-        self.l2
-            .as_ref()
-            .map(|l2| l2.export_entries())
-            .unwrap_or_default()
-    }
-
-    /// [`Self::export_l1_entries`] plus the count of corrupt stored
-    /// records skipped (see [`LutArray::export_entries_counted`]).
-    pub fn export_l1_counted(&self) -> (Vec<ExportedEntry>, u64) {
+    /// persistence ([`crate::snapshot`]), plus the count of corrupt
+    /// stored records skipped (see [`LutArray::export_entries_counted`]).
+    pub fn export_l1(&self) -> (Vec<ExportedEntry>, u64) {
         self.l1.export_entries_counted()
     }
 
-    /// [`Self::export_l2_entries`] plus the count of corrupt stored
-    /// records skipped; `(vec![], 0)` when no L2 is configured.
-    pub fn export_l2_counted(&self) -> (Vec<ExportedEntry>, u64) {
+    /// [`Self::export_l1`] for the L2; `(vec![], 0)` when no L2 is
+    /// configured.
+    pub fn export_l2(&self) -> (Vec<ExportedEntry>, u64) {
         self.l2
             .as_ref()
             .map(|l2| l2.export_entries_counted())
             .unwrap_or_default()
     }
 
-    /// Restore previously-exported entries into the L1, in order
-    /// (oldest first, so relative recency survives). Restores are
-    /// stats-neutral and fault-free (see [`LutArray::restore_entry`]).
-    /// Returns `(restored, dropped)` where `dropped` counts entries
-    /// displaced because the target L1 is smaller than the source.
-    pub fn restore_l1_entries(&mut self, entries: &[ExportedEntry]) -> (u64, u64) {
-        let mut dropped = 0u64;
-        for e in entries {
-            if !self.l1.restore_entry(e.lut_id, e.crc, e.data) {
-                dropped += 1;
-            }
-        }
-        (entries.len() as u64 - dropped, dropped)
+    /// Restore previously-exported entries into the L1 under `policy`.
+    /// [`RestorePolicy::OldestFirst`] replays them in order (oldest
+    /// first, so relative recency survives). Restores are stats-neutral
+    /// and fault-free (see [`LutArray::restore_entry`]). Returns
+    /// `(restored, dropped)` where `dropped` counts entries displaced or
+    /// refused because the target L1 is smaller than the source.
+    pub fn restore_l1(&mut self, entries: &[ExportedEntry], policy: RestorePolicy) -> (u64, u64) {
+        Self::restore_into(&mut self.l1, entries, policy)
     }
 
-    /// Restore previously-exported entries into the L2. When no L2 is
-    /// configured every entry is dropped (returns `(0, len)`): the L1
-    /// section alone still warm-starts the hierarchy.
-    pub fn restore_l2_entries(&mut self, entries: &[ExportedEntry]) -> (u64, u64) {
-        let Some(l2) = self.l2.as_mut() else {
-            return (0, entries.len() as u64);
-        };
-        let mut dropped = 0u64;
-        for e in entries {
-            if !l2.restore_entry(e.lut_id, e.crc, e.data) {
-                dropped += 1;
-            }
+    /// [`Self::restore_l1`] for the L2. When no L2 is configured every
+    /// entry is dropped (returns `(0, len)`): the L1 section alone still
+    /// warm-starts the hierarchy.
+    pub fn restore_l2(&mut self, entries: &[ExportedEntry], policy: RestorePolicy) -> (u64, u64) {
+        match self.l2.as_mut() {
+            Some(l2) => Self::restore_into(l2, entries, policy),
+            None => (0, entries.len() as u64),
         }
-        (entries.len() as u64 - dropped, dropped)
     }
 
-    /// Policy-selected L1 restore (see [`RestorePolicy`]).
-    /// [`RestorePolicy::OldestFirst`] is exactly
-    /// [`Self::restore_l1_entries`].
-    pub fn restore_l1_with(
-        &mut self,
+    /// Restore `entries` into one array under `policy`; returns
+    /// `(restored, dropped)`.
+    fn restore_into(
+        array: &mut LutArray,
         entries: &[ExportedEntry],
         policy: RestorePolicy,
     ) -> (u64, u64) {
         match policy {
-            RestorePolicy::OldestFirst => self.restore_l1_entries(entries),
-            RestorePolicy::MruFirst => Self::restore_mru_first(&mut self.l1, entries),
-        }
-    }
-
-    /// Policy-selected L2 restore; `(0, len)` when no L2 is configured.
-    pub fn restore_l2_with(
-        &mut self,
-        entries: &[ExportedEntry],
-        policy: RestorePolicy,
-    ) -> (u64, u64) {
-        match policy {
-            RestorePolicy::OldestFirst => self.restore_l2_entries(entries),
-            RestorePolicy::MruFirst => {
-                let Some(l2) = self.l2.as_mut() else {
-                    return (0, entries.len() as u64);
-                };
-                Self::restore_mru_first(l2, entries)
+            RestorePolicy::OldestFirst => {
+                let mut dropped = 0u64;
+                for e in entries {
+                    if !array.restore_entry(e.lut_id, e.crc, e.data) {
+                        dropped += 1;
+                    }
+                }
+                (entries.len() as u64 - dropped, dropped)
             }
+            RestorePolicy::MruFirst => Self::restore_mru_first(array, entries),
         }
     }
 
@@ -529,8 +557,8 @@ mod tests {
         for i in 0..16u64 {
             src.update(id(0), i, i * 3);
         }
-        let l1e = src.export_l1_entries();
-        let l2e = src.export_l2_entries();
+        let (l1e, _) = src.export_l1();
+        let (l2e, _) = src.export_l2();
         assert!(!l1e.is_empty());
         assert!(!l2e.is_empty());
 
@@ -540,8 +568,8 @@ mod tests {
             ..MemoConfig::default()
         };
         let mut dst = TwoLevelLut::new(&cfg);
-        let (r1, d1) = dst.restore_l1_entries(&l1e);
-        let (r2, _) = dst.restore_l2_entries(&l2e);
+        let (r1, d1) = dst.restore_l1(&l1e, RestorePolicy::OldestFirst);
+        let (r2, _) = dst.restore_l2(&l2e, RestorePolicy::OldestFirst);
         assert_eq!(r1 + d1, l1e.len() as u64);
         assert!(r2 > 0);
         // Restored state serves hits without any prior lookups/inserts
@@ -558,9 +586,12 @@ mod tests {
         for i in 0..16u64 {
             src.update(id(0), i, i);
         }
-        let l2e = src.export_l2_entries();
+        let (l2e, _) = src.export_l2();
         let mut dst = TwoLevelLut::new(&MemoConfig::l1_only(64));
-        assert_eq!(dst.restore_l2_entries(&l2e), (0, l2e.len() as u64));
+        assert_eq!(
+            dst.restore_l2(&l2e, RestorePolicy::OldestFirst),
+            (0, l2e.len() as u64)
+        );
     }
 
     #[test]
@@ -569,5 +600,25 @@ mod tests {
         assert!(!TwoLevelOutcome::Miss.is_hit());
         assert_eq!(TwoLevelOutcome::Hit(HitLevel::L2, 9).data(), Some(9));
         assert_eq!(TwoLevelOutcome::Miss.data(), None);
+    }
+
+    #[test]
+    fn snapshot_geometry_reports_both_levels() {
+        let lut = TwoLevelLut::new(&MemoConfig::l1_l2(1024, 8 * 1024));
+        let geo = lut.snapshot_geometry();
+        assert_eq!(geo.l1_sets, 16);
+        assert!(geo.l2.is_some());
+    }
+
+    #[test]
+    fn restore_policy_parses_cli_spellings() {
+        assert_eq!(
+            RestorePolicy::parse("oldest"),
+            Some(RestorePolicy::OldestFirst)
+        );
+        assert_eq!(RestorePolicy::parse("mru"), Some(RestorePolicy::MruFirst));
+        assert_eq!(RestorePolicy::parse("bogus"), None);
+        assert_eq!(RestorePolicy::default(), RestorePolicy::OldestFirst);
+        assert_eq!(RestorePolicy::MruFirst.label(), "mru");
     }
 }

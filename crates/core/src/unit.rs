@@ -16,7 +16,6 @@
 //! simulator can charge it; the functional behaviour is independent of
 //! timing.
 
-use crate::backend::{MemoBackend, RestorePolicy};
 use crate::config::MemoConfig;
 use crate::crc::PipelinedCrc;
 use crate::faults::{FaultInjector, FaultStats, Protection};
@@ -27,7 +26,7 @@ use crate::quality::{
     TRUNC_BACKOFF_BITS,
 };
 use crate::truncate::{InputValue, TruncatedBytes};
-use crate::two_level::{HitLevel, TwoLevelLut, TwoLevelOutcome};
+use crate::two_level::{HitLevel, RestorePolicy, TwoLevelLut, TwoLevelOutcome};
 use axmemo_telemetry::{PhaseId, Telemetry, Value};
 
 /// What `lookup` reports back to the CPU (sets the condition code).
@@ -158,6 +157,10 @@ pub struct LookupEvent {
 
 /// The memoization unit attached to one core.
 ///
+/// The unit owns its [`TwoLevelLut`] outright: the LUT is private to
+/// the core, so multi-core configurations need no LUT coherence
+/// (§3.4).
+///
 /// # Examples
 ///
 /// ```
@@ -178,17 +181,12 @@ pub struct LookupEvent {
 /// unit.feed(lut, tid, InputValue::F32(1.5), 8);
 /// assert!(unit.lookup(lut, tid).skips_computation());
 /// ```
-/// The LUT hierarchy is held behind the [`MemoBackend`] trait; the
-/// default backend is the single-owner [`TwoLevelLut`] (byte-identical
-/// to the pre-trait unit), and [`MemoizationUnit::with_backend`]
-/// accepts any other implementation (e.g. the sharded
-/// [`crate::service::ShardedLut`]).
 #[derive(Debug)]
-pub struct MemoizationUnit<B: MemoBackend = TwoLevelLut> {
+pub struct MemoizationUnit {
     config: MemoConfig,
     crc: PipelinedCrc,
     hvr: HashValueRegisters,
-    lut: B,
+    lut: TwoLevelLut,
     quality: QualityMonitor,
     /// Unit-level fault injector (dropped updates). LUT bit-flips live
     /// inside the LUT arrays themselves.
@@ -211,9 +209,8 @@ pub struct MemoizationUnit<B: MemoBackend = TwoLevelLut> {
     warm_image: Option<crate::snapshot::MemoSnapshot>,
 }
 
-impl MemoizationUnit<TwoLevelLut> {
-    /// Build a unit for `config` with the default single-owner
-    /// [`TwoLevelLut`] backend.
+impl MemoizationUnit {
+    /// Build a unit for `config`.
     ///
     /// # Errors
     ///
@@ -223,21 +220,12 @@ impl MemoizationUnit<TwoLevelLut> {
     pub fn new(config: MemoConfig) -> Result<Self, crate::config::ConfigError> {
         config.validate()?;
         let lut = TwoLevelLut::new(&config);
-        Ok(Self::with_backend(config, lut))
-    }
-}
-
-impl<B: MemoBackend> MemoizationUnit<B> {
-    /// Build a unit around an already-constructed backend. The caller
-    /// is responsible for having validated `config` (use
-    /// [`MemoizationUnit::new`] for the default backend, which does).
-    pub fn with_backend(config: MemoConfig, lut: B) -> Self {
         let crc = PipelinedCrc::new(config.crc_width);
         let hvr = HashValueRegisters::new(&crc, config.smt_threads);
         let faults = FaultInjector::for_unit(&config.faults);
         let config_threads = config.smt_threads;
         let pending = vec![None; crate::ids::MAX_LUTS * config.smt_threads];
-        Self {
+        Ok(Self {
             config,
             crc,
             hvr,
@@ -252,7 +240,7 @@ impl<B: MemoBackend> MemoizationUnit<B> {
             per_lut: [(0, 0); crate::ids::MAX_LUTS],
             capture_armed: false,
             warm_image: None,
-        }
+        })
     }
 
     /// The unit's configuration.
@@ -270,8 +258,8 @@ impl<B: MemoBackend> MemoizationUnit<B> {
         self.stats
     }
 
-    /// The LUT backend (for hit-rate reporting, Fig. 9).
-    pub fn lut(&self) -> &B {
+    /// The LUT hierarchy (for hit-rate reporting, Fig. 9).
+    pub fn lut(&self) -> &TwoLevelLut {
         &self.lut
     }
 
@@ -401,7 +389,7 @@ impl<B: MemoBackend> MemoizationUnit<B> {
             }
         }
 
-        let result = match self.lut.probe(lut, crc, tel) {
+        let result = match self.lut.lookup_tel(lut, crc, tel) {
             TwoLevelOutcome::Hit(level, data) => {
                 if self.config.quality_monitoring && self.quality.should_sample_hit() {
                     self.stats.sampled_misses += 1;
@@ -587,10 +575,10 @@ impl<B: MemoBackend> MemoizationUnit<B> {
             // the LUT (the entry is keyed under stale truncation) or a
             // fault dropped the write.
             if !suppressed && !dropped {
-                self.lut.update(lut, p.crc, data, tel);
+                self.lut.update_tel(lut, p.crc, data, tel);
             }
         } else if !dropped {
-            self.lut.update(lut, p.crc, data, tel);
+            self.lut.update_tel(lut, p.crc, data, tel);
         }
         if let (Some(ev), Some(log)) = (p.event, self.event_log.as_mut()) {
             log[ev].data = Some(data);

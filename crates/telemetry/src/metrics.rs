@@ -57,8 +57,8 @@ impl Histogram {
     }
 
     /// Record one observation. Counts saturate at `u64::MAX` rather
-    /// than wrapping (a long-lived serve process outlives any counter
-    /// headroom assumption).
+    /// than wrapping (a long sweep or an accumulated merge can outlive
+    /// any counter headroom assumption).
     pub fn observe(&mut self, v: f64) {
         let idx = self
             .bounds
@@ -170,9 +170,9 @@ impl Registry {
     }
 
     /// Add `n` to the counter `name` (auto-registered at 0).
-    /// Saturates at `u64::MAX` instead of overflowing — a long-lived
-    /// serve run must degrade its telemetry, not panic (debug) or wrap
-    /// to a nonsense value (release).
+    /// Saturates at `u64::MAX` instead of overflowing — a long run must
+    /// degrade its telemetry, not panic (debug) or wrap to a nonsense
+    /// value (release).
     pub fn counter_add(&mut self, name: &'static str, n: u64) {
         let c = self.counters.entry(name).or_insert(0);
         *c = c.saturating_add(n);

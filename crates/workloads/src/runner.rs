@@ -10,11 +10,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::meta::Metric;
 use crate::{Benchmark, Dataset, Scale};
 use axmemo_compiler::codegen::memoize;
-use axmemo_core::backend::RestorePolicy;
 use axmemo_core::config::MemoConfig;
 use axmemo_core::lut::LutStats;
 use axmemo_core::snapshot::{MemoSnapshot, RecoveryOutcome, RecoveryReport};
 use axmemo_core::unit::UnitStats;
+use axmemo_core::RestorePolicy;
 use axmemo_sim::cpu::{DispatchTier, SimConfig, SimError, Simulator};
 use axmemo_sim::decoded::DecodedProgram;
 use axmemo_sim::energy::EnergyModel;
@@ -1016,10 +1016,10 @@ impl std::error::Error for RunFailure {}
 /// Per-job budget for [`run_budgeted`]: a simulated-cycle watchdog, an
 /// optional wall-clock cap, and a bounded retry schedule with
 /// exponential backoff. This generalizes [`SupervisorConfig`]'s one-shot
-/// faults-off retry for long-running sweep/service harnesses where a
-/// transient failure (fault storm, watchdog trip under a pathological
-/// seed) should be retried a bounded number of times, with growing
-/// pauses so a sweep full of failing jobs does not spin.
+/// faults-off retry for long-running sweeps where a transient failure
+/// (fault storm, watchdog trip under a pathological seed) should be
+/// retried a bounded number of times, with growing pauses so a sweep
+/// full of failing jobs does not spin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetPolicy {
     /// Watchdog *ceiling* in simulated cycles. Without a shared

@@ -13,12 +13,12 @@
 //! the ladder fresh so the warm run re-earns any degradation.
 
 use axmemo_bench::{run_cell_report_snap, RunOptions, SnapshotPlan};
-use axmemo_core::backend::RestorePolicy;
 use axmemo_core::config::MemoConfig;
 use axmemo_core::ids::{LutId, ThreadId};
 use axmemo_core::quality::{DegradationStage, QualityState};
 use axmemo_core::truncate::InputValue;
 use axmemo_core::unit::{LookupResult, MemoizationUnit};
+use axmemo_core::RestorePolicy;
 use axmemo_telemetry::Telemetry;
 use axmemo_workloads::{benchmark_by_name, Benchmark, Scale};
 use std::path::PathBuf;
@@ -159,8 +159,8 @@ fn mru_policy_caps_restored_occupancy_at_half_the_ways() {
             u
         })
         .expect("valid config");
-    let (full_entries, _) = full.lut().export_l1_counted();
-    let (capped_entries, _) = capped.lut().export_l1_counted();
+    let (full_entries, _) = full.lut().export_l1();
+    let (capped_entries, _) = capped.lut().export_l1();
     assert!(
         capped_entries.len() <= full_entries.len(),
         "capped restore admits no more than the full restore"
@@ -197,7 +197,7 @@ fn oldest_first_matches_legacy_restore_bytes() {
     let mut explicit = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024)).expect("valid config");
     let explicit_summary = explicit.restore_warm_with(&donor, RestorePolicy::OldestFirst);
     assert_eq!(legacy_summary, explicit_summary);
-    let (a, _) = legacy.lut().export_l1_counted();
-    let (b, _) = explicit.lut().export_l1_counted();
+    let (a, _) = legacy.lut().export_l1();
+    let (b, _) = explicit.lut().export_l1();
     assert_eq!(a, b, "explicit OldestFirst must match restore_warm exactly");
 }
