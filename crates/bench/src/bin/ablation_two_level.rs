@@ -5,16 +5,16 @@
 //! LLC partition supplies capacity; this sweep quantifies what a single
 //! flat level of equal capacity would have to cost to match.
 
-use axmemo_bench::{geomean, run_cell_cached, scale_from_env, BenchArgs};
+use axmemo_bench::{geomean, run_cell, scale_from_env, BaselineCache, BenchArgs, SnapshotPlan};
 use axmemo_core::config::MemoConfig;
+use axmemo_telemetry::Telemetry;
 use axmemo_workloads::all_benchmarks;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = BenchArgs::parse();
     let scale = scale_from_env();
-    // Six configurations share each benchmark's single baseline run
-    // (--no-baseline-cache opts out).
-    let cache = args.baseline_cache();
+    // Six configurations share each benchmark's single baseline run.
+    let cache = BaselineCache::new();
     println!("Ablation: L1-only vs two-level at matched capacities, scale {scale:?}");
     // 16 KB is the dedicated-SRAM ceiling (§3.3); capacity beyond that
     // is only reachable through the LLC partition.
@@ -37,13 +37,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut speedups = Vec::new();
         let mut hits = Vec::new();
         for bench in all_benchmarks() {
-            let r = run_cell_cached(
+            let r = run_cell(
                 bench.as_ref(),
                 scale,
                 &cfg,
-                cache.as_ref(),
+                Telemetry::off(),
+                &cache,
                 args.run_options(),
-            )?;
+                &SnapshotPlan::default(),
+            )?
+            .result;
             speedups.push(r.speedup);
             hits.push(r.hit_rate);
         }

@@ -62,9 +62,6 @@ fn main() {
     if args.report == ReportMode::Json {
         forwarded.extend(["--report".to_string(), "json".to_string()]);
     }
-    if args.no_baseline_cache {
-        forwarded.push("--no-baseline-cache".to_string());
-    }
     // Children get the pool's worker slots one at a time; the expensive
     // sweep child parallelises internally only when this driver runs
     // serially, otherwise the host would be oversubscribed.

@@ -9,25 +9,31 @@
 //! matrix. Jobs run on the `bench::orchestrator` worker pool: `--jobs N`
 //! selects the worker count (default: available parallelism) and the
 //! report is byte-identical for any worker count and a fixed `--seed`.
-//! Each job runs under a budget policy, so a cell that trips the cycle
-//! watchdog or panics shows up as a structured failure row instead of
-//! killing the sweep.
+//! Each job runs under a cycle watchdog with panics caught, so a cell
+//! that trips the watchdog or panics shows up as a structured failure
+//! row instead of killing the sweep.
 //!
 //! Extra flag (before the shared ones): `--benches a,b,c` restricts the
 //! matrix to a comma-separated benchmark subset (CI smoke runs use
-//! this; the default is all ten).
+//! this; the default is all ten). Sweep cells never snapshot or
+//! restore, so `--snapshot-out`, `--restore-from` and
+//! `--restore-policy` exit 2.
 //!
 //! Every cell of the matrix normalises against the same fault-free
 //! baseline, so the sweep shares one baseline simulation per benchmark
 //! (19 cells → 1 baseline) through the orchestrator's `BaselineCache`
 //! and derives each benchmark's cycle watchdog from its measured
-//! baseline. `--no-baseline-cache` restores the old
-//! one-baseline-per-job behaviour; the report is byte-identical either
-//! way.
+//! baseline. A cell makes one attempt; a failed fault-injected cell
+//! makes one more with faults cleared, reported as `ok*` if it passes.
 
 use axmemo_bench::orchestrator::{merge_profiles, Orchestrator};
 use axmemo_bench::{scale_from_env, sweep, BenchArgs, ReportMode};
 use axmemo_workloads::all_benchmarks;
+
+const USAGE: &str = "usage: fault_sweep [--benches a,b,c] [--trace-out <path>] \
+                     [--report text|json] [--seed <n>] [--jobs <n>] \
+                     [--dispatch legacy|threaded] \
+                     [--profile-out <path>] [--profile folded|json|text]";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Split off the sweep-specific `--benches` flag, hand the rest to
@@ -42,18 +48,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 std::process::exit(2);
             });
             benches = list.split(',').map(str::to_string).collect();
+        } else if matches!(
+            arg.as_str(),
+            "--snapshot-out" | "--restore-from" | "--restore-policy"
+        ) {
+            eprintln!(
+                "error: fault_sweep does not take {arg}: sweep cells never snapshot or restore"
+            );
+            eprintln!("{USAGE}");
+            std::process::exit(2);
         } else {
             shared.push(arg);
         }
     }
     let args = BenchArgs::try_from_iter(shared).unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
-        eprintln!(
-            "usage: fault_sweep [--benches a,b,c] [--trace-out <path>] \
-             [--report text|json] [--seed <n>] [--jobs <n>] [--no-baseline-cache] \
-             [--dispatch legacy|threaded] \
-             [--profile-out <path>] [--profile folded|json|text]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     });
     if benches.is_empty() {
@@ -69,7 +79,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcomes = Orchestrator::new(scale)
         .jobs(args.effective_jobs())
         .progress(true)
-        .baseline_cache(!args.no_baseline_cache)
         .dispatch(args.dispatch)
         .profile(args.profiling())
         .run_with_telemetry(&matrix, &mut tel);

@@ -4,8 +4,8 @@
 //! higher-collision error.
 
 use axmemo_bench::{
-    collect_events_cached, paper_configs, run_cell_report_cached, scale_from_env,
-    software_lut_outcome, BenchArgs, ReportMode, Table,
+    collect_events_cached, paper_configs, run_cell, scale_from_env, software_lut_outcome,
+    BaselineCache, BenchArgs, ReportMode, SnapshotPlan, Table,
 };
 use axmemo_core::config::MemoConfig;
 use axmemo_workloads::all_benchmarks;
@@ -16,8 +16,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = scale_from_env();
     let configs = paper_configs();
     // One shared baseline per benchmark across all configurations and
-    // the contender-input collection (--no-baseline-cache opts out).
-    let cache = args.baseline_cache();
+    // the contender-input collection.
+    let cache = BaselineCache::new();
 
     let mut columns = vec!["Benchmark"];
     let config_names: Vec<&str> = configs.iter().map(|(n, _)| n.as_str()).collect();
@@ -35,13 +35,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for bench in all_benchmarks() {
         let mut cells = vec![bench.meta().name.to_string()];
         for (_, cfg) in &configs {
-            let report = run_cell_report_cached(
+            let report = run_cell(
                 bench.as_ref(),
                 scale,
                 cfg,
                 tel,
-                cache.as_ref(),
+                &cache,
                 args.run_options(),
+                &SnapshotPlan::default(),
             )?;
             tel = report.telemetry;
             let r = &report.result;
@@ -50,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 cdf_sources.push((bench.meta().name, r.error.elementwise.clone()));
             }
         }
-        let inputs = collect_events_cached(bench.as_ref(), scale, cache.as_ref())?;
+        let inputs = collect_events_cached(bench.as_ref(), scale, Some(&cache))?;
         let sw = software_lut_outcome(&inputs);
         cells.push(format!("{:.2}%", 100.0 * sw.collision_rate()));
         table.row(cells);

@@ -2,10 +2,12 @@
 //! saving of AxMemo with truncation versus exact memoization (no
 //! truncation), both on the L1(8KB)+L2(512KB) configuration.
 
-use axmemo_bench::{geomean, mean, scale_from_env, BenchArgs, ReportMode, RunOptions, Table};
+use axmemo_bench::{
+    geomean, mean, run_cell, scale_from_env, BaselineCache, BenchArgs, ReportMode, RunOptions,
+    SnapshotPlan, Table,
+};
 use axmemo_core::config::MemoConfig;
-use axmemo_workloads::runner::run_benchmark_report;
-use axmemo_workloads::{all_benchmarks, Dataset};
+use axmemo_workloads::all_benchmarks;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = BenchArgs::parse();
@@ -30,18 +32,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut ex_speed = Vec::new();
     let mut ax_hits = Vec::new();
     let mut ex_hits = Vec::new();
+    // The truncated and exact runs of a benchmark share its baseline.
+    let cache = BaselineCache::new();
+    let plan = SnapshotPlan::default();
     let opts = args.run_options();
     let exact_opts = RunOptions {
         zero_trunc: true,
         ..opts
     };
     for bench in all_benchmarks() {
-        let ax_report =
-            run_benchmark_report(bench.as_ref(), scale, Dataset::Eval, &cfg, opts, tel)?;
+        let ax_report = run_cell(bench.as_ref(), scale, &cfg, tel, &cache, opts, &plan)?;
         tel = ax_report.telemetry;
         let ax = &ax_report.result;
-        let ex_report =
-            run_benchmark_report(bench.as_ref(), scale, Dataset::Eval, &cfg, exact_opts, tel)?;
+        let ex_report = run_cell(bench.as_ref(), scale, &cfg, tel, &cache, exact_opts, &plan)?;
         tel = ex_report.telemetry;
         let ex = &ex_report.result;
         table.row(vec![

@@ -3,8 +3,8 @@
 //! contender, all normalised to the non-memoized baseline.
 
 use axmemo_bench::{
-    collect_events_cached, geomean, paper_configs, run_cell_report_snap, scale_from_env,
-    software_lut_outcome, BenchArgs, ReportMode, Table,
+    collect_events_cached, geomean, paper_configs, run_cell, scale_from_env, software_lut_outcome,
+    BaselineCache, BenchArgs, ReportMode, Table,
 };
 use axmemo_workloads::all_benchmarks;
 
@@ -14,8 +14,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = scale_from_env();
     let configs = paper_configs();
     // One shared baseline per benchmark across all four configurations
-    // and the contender-input collection (--no-baseline-cache opts out).
-    let cache = args.baseline_cache();
+    // and the contender-input collection.
+    let cache = BaselineCache::new();
 
     let mut columns = vec!["Benchmark", "Metric"];
     let config_names: Vec<&str> = configs.iter().map(|(n, _)| n.as_str()).collect();
@@ -33,18 +33,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for bench in all_benchmarks() {
         let name = bench.meta().name.to_string();
         // Warm persistence (--snapshot-out / --restore-from) is
-        // per-benchmark; the empty default plan leaves this loop
-        // byte-identical to the cached path.
+        // per-benchmark; the empty default plan is a plain run.
         let plan = args.snapshot_plan_for(&name);
         let mut speed_cells = vec![name.clone(), "speedup".to_string()];
         let mut energy_cells = vec![name, "energy".to_string()];
         for (i, (_, cfg)) in configs.iter().enumerate() {
-            let report = run_cell_report_snap(
+            let report = run_cell(
                 bench.as_ref(),
                 scale,
                 cfg,
                 tel,
-                cache.as_ref(),
+                &cache,
                 args.run_options(),
                 &plan,
             )
@@ -59,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             speedups[i].push(r.speedup);
             energies[i].push(r.energy_reduction);
         }
-        let inputs = collect_events_cached(bench.as_ref(), scale, cache.as_ref())?;
+        let inputs = collect_events_cached(bench.as_ref(), scale, Some(&cache))?;
         let sw = software_lut_outcome(&inputs);
         speed_cells.push(format!("{:.2}x", sw.speedup));
         energy_cells.push(format!("{:.2}x", sw.energy_ratio));

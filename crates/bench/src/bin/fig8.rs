@@ -4,8 +4,8 @@
 //! software-LUT contender's instruction ratio (~2x in the paper).
 
 use axmemo_bench::{
-    collect_events_cached, mean, paper_configs, run_cell_report_cached, scale_from_env,
-    software_lut_outcome, BenchArgs, ReportMode, Table,
+    collect_events_cached, mean, paper_configs, run_cell, scale_from_env, software_lut_outcome,
+    BaselineCache, BenchArgs, ReportMode, SnapshotPlan, Table,
 };
 use axmemo_workloads::all_benchmarks;
 
@@ -15,8 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = scale_from_env();
     let configs = paper_configs();
     // One shared baseline per benchmark across all configurations and
-    // the contender-input collection (--no-baseline-cache opts out).
-    let cache = args.baseline_cache();
+    // the contender-input collection.
+    let cache = BaselineCache::new();
 
     let mut columns = vec!["Benchmark"];
     let config_names: Vec<&str> = configs.iter().map(|(n, _)| n.as_str()).collect();
@@ -32,13 +32,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for bench in all_benchmarks() {
         let mut cells = vec![bench.meta().name.to_string()];
         for (i, (_, cfg)) in configs.iter().enumerate() {
-            let report = run_cell_report_cached(
+            let report = run_cell(
                 bench.as_ref(),
                 scale,
                 cfg,
                 tel,
-                cache.as_ref(),
+                &cache,
                 args.run_options(),
+                &SnapshotPlan::default(),
             )?;
             tel = report.telemetry;
             let r = &report.result;
@@ -49,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ));
             totals[i].push(r.dyn_inst_ratio);
         }
-        let inputs = collect_events_cached(bench.as_ref(), scale, cache.as_ref())?;
+        let inputs = collect_events_cached(bench.as_ref(), scale, Some(&cache))?;
         let sw = software_lut_outcome(&inputs);
         cells.push(format!("{:.3}", sw.inst_ratio));
         sw_ratios.push(sw.inst_ratio);

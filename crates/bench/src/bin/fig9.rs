@@ -2,8 +2,8 @@
 //! configurations plus the software-LUT contender.
 
 use axmemo_bench::{
-    collect_events_cached, mean, paper_configs, run_cell_report_cached, scale_from_env,
-    software_lut_outcome, BenchArgs, ReportMode, Table,
+    collect_events_cached, mean, paper_configs, run_cell, scale_from_env, software_lut_outcome,
+    BaselineCache, BenchArgs, ReportMode, SnapshotPlan, Table,
 };
 use axmemo_workloads::all_benchmarks;
 
@@ -13,8 +13,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = scale_from_env();
     let configs = paper_configs();
     // One shared baseline per benchmark across all configurations and
-    // the contender-input collection (--no-baseline-cache opts out).
-    let cache = args.baseline_cache();
+    // the contender-input collection.
+    let cache = BaselineCache::new();
 
     let mut columns = vec!["Benchmark"];
     let config_names: Vec<&str> = configs.iter().map(|(n, _)| n.as_str()).collect();
@@ -27,20 +27,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for bench in all_benchmarks() {
         let mut cells = vec![bench.meta().name.to_string()];
         for (i, (_, cfg)) in configs.iter().enumerate() {
-            let report = run_cell_report_cached(
+            let report = run_cell(
                 bench.as_ref(),
                 scale,
                 cfg,
                 tel,
-                cache.as_ref(),
+                &cache,
                 args.run_options(),
+                &SnapshotPlan::default(),
             )?;
             tel = report.telemetry;
             let r = &report.result;
             cells.push(format!("{:.1}%", 100.0 * r.hit_rate));
             per_config[i].push(r.hit_rate);
         }
-        let inputs = collect_events_cached(bench.as_ref(), scale, cache.as_ref())?;
+        let inputs = collect_events_cached(bench.as_ref(), scale, Some(&cache))?;
         let sw = software_lut_outcome(&inputs);
         cells.push(format!("{:.1}%", 100.0 * sw.hit_rate()));
         sw_rates.push(sw.hit_rate());

@@ -16,14 +16,17 @@
 //!   live (default: `axmemo-warm-start` under the OS temp directory).
 //! * `--generations <n>` — runs per benchmark, `>= 2` (default 3).
 //! * `--benches a,b,c` — comma-separated benchmark subset (default:
-//!   all).
+//!   all). An unknown name exits 2 and is named on stderr.
+//!
+//! `--state-dir` sets every snapshot path, so the shared
+//! `--snapshot-out` and `--restore-from` flags exit 2 here.
 //!
 //! The report contains no filesystem paths, so two runs with the same
 //! flags (any `--state-dir`) are byte-identical — the property the CI
 //! crash-recovery job diffs.
 
 use axmemo_bench::{
-    run_cell_report_snap, scale_from_env, BenchArgs, ReportMode, SnapshotPlan, Table,
+    run_cell, scale_from_env, BaselineCache, BenchArgs, ReportMode, SnapshotPlan, Table,
 };
 use axmemo_core::config::MemoConfig;
 use axmemo_workloads::all_benchmarks;
@@ -40,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!(
             "usage: warm_start [--state-dir <dir>] [--generations <n>] [--benches a,b,c] \
              [--trace-out <path>] [--report text|json] [--seed <n>] [--jobs <n>] \
-             [--no-baseline-cache] [--dispatch legacy|threaded] \
+             [--dispatch legacy|threaded] \
              [--restore-policy oldest|mru] \
              [--profile-out <path>] [--profile folded|json|text]"
         );
@@ -63,6 +66,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 };
                 state_dir = Some(PathBuf::from(dir));
             }
+            "--snapshot-out" | "--restore-from" => {
+                eprintln!(
+                    "error: warm_start does not take {arg}; --state-dir sets the snapshot paths"
+                );
+                usage();
+            }
             "--generations" => {
                 let value = it.next().unwrap_or_default();
                 match value.parse() {
@@ -80,17 +89,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("error: {msg}");
         usage();
     });
+    let known: Vec<String> = all_benchmarks()
+        .iter()
+        .map(|b| b.meta().name.to_string())
+        .collect();
+    let unknown: Vec<&str> = benches
+        .iter()
+        .filter(|b| !known.contains(b))
+        .map(String::as_str)
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "error: --benches names unknown benchmark(s) {}; known: {}",
+            unknown.join(","),
+            known.join(",")
+        );
+        usage();
+    }
     if benches.is_empty() {
-        benches = all_benchmarks()
-            .iter()
-            .map(|b| b.meta().name.to_string())
-            .collect();
+        benches = known;
     }
     let state_dir = state_dir.unwrap_or_else(|| std::env::temp_dir().join("axmemo-warm-start"));
 
     let mut tel = args.telemetry()?;
     let scale = scale_from_env();
-    let cache = args.baseline_cache();
+    let cache = BaselineCache::new();
     // One mid-size configuration: large enough to hold useful warm
     // state, small enough that a single run does not trivially saturate
     // it (the regime where persistence matters).
@@ -125,12 +148,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 snapshot_out: Some(snap_path(generation)),
                 restore_policy: args.restore_policy,
             };
-            let report = run_cell_report_snap(
+            let report = run_cell(
                 bench.as_ref(),
                 scale,
                 &memo,
                 tel,
-                cache.as_ref(),
+                &cache,
                 args.run_options(),
                 &plan,
             )

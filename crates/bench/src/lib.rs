@@ -33,10 +33,8 @@ use axmemo_sim::stats::RunStats;
 use axmemo_telemetry::{escape_json, JsonlSink, Profile, Telemetry};
 pub use axmemo_workloads::runner::RunOptions;
 pub use axmemo_workloads::runner::SnapshotPlan;
-use axmemo_workloads::runner::{
-    run_benchmark_report, run_benchmark_report_cached, run_benchmark_report_snap, RunReport,
-};
-use axmemo_workloads::{run_benchmark, Benchmark, BenchmarkResult, Dataset, Scale};
+use axmemo_workloads::runner::{run_benchmark_report_snap, RunReport};
+use axmemo_workloads::{Benchmark, Dataset, Scale};
 
 pub use axmemo_workloads::BaselineCache;
 
@@ -83,10 +81,6 @@ pub enum ProfileMode {
 /// * `--jobs <n>` — worker threads for orchestrated sweeps (default:
 ///   available parallelism; `1` forces the serial path). Serial
 ///   binaries accept and ignore it, so one flag set drives them all.
-/// * `--no-baseline-cache` — re-simulate the fault-free baseline
-///   inside every cell instead of sharing one run per distinct
-///   `(benchmark, scale, dataset)` (the escape hatch; output is
-///   byte-identical either way because the baseline is deterministic).
 /// * `--dispatch legacy|threaded` — execution tier for every
 ///   simulation (default `threaded`, the fused-superblock interpreter).
 ///   Results are bit-identical across tiers (pinned by the
@@ -110,9 +104,6 @@ pub struct BenchArgs {
     pub seed: u64,
     /// Requested worker count; 0 means "auto" (available parallelism).
     pub jobs: usize,
-    /// Disable baseline sharing (`--no-baseline-cache`): every cell
-    /// re-runs its own baseline, reproducing the pre-cache behaviour.
-    pub no_baseline_cache: bool,
     /// Execution tier selected with `--dispatch` (default
     /// [`DispatchTier::Threaded`]).
     pub dispatch: DispatchTier,
@@ -135,7 +126,7 @@ pub struct BenchArgs {
 
 /// Usage line [`BenchArgs::parse`] prints on a bad flag.
 const USAGE: &str = "usage: <bin> [--trace-out <path>] [--report text|json] [--seed <n>] \
-                     [--jobs <n>] [--no-baseline-cache] [--dispatch legacy|threaded] \
+                     [--jobs <n>] [--dispatch legacy|threaded] \
                      [--profile-out <path>] [--profile folded|json|text] \
                      [--snapshot-out <dir>] [--restore-from <dir>] \
                      [--restore-policy oldest|mru]";
@@ -182,7 +173,6 @@ impl BenchArgs {
                         return Err("--jobs must be at least 1".to_string());
                     }
                 }
-                "--no-baseline-cache" => out.no_baseline_cache = true,
                 "--dispatch" => match it.next().as_deref() {
                     Some(tier) => {
                         out.dispatch = DispatchTier::parse(tier).ok_or_else(|| {
@@ -246,16 +236,6 @@ impl BenchArgs {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         }
-    }
-
-    /// Build the sweep-wide [`BaselineCache`] the flags ask for:
-    /// `Some` (share one baseline run per distinct benchmark) unless
-    /// `--no-baseline-cache` was given. Serial figure binaries thread
-    /// the returned cache through [`run_cell_cached`] /
-    /// [`collect_events_cached`]; orchestrated sweeps pass the flag to
-    /// [`orchestrator::Orchestrator::baseline_cache`] instead.
-    pub fn baseline_cache(&self) -> Option<BaselineCache> {
-        (!self.no_baseline_cache).then(BaselineCache::new)
     }
 
     /// The per-run switches the flags ask for: default options on the
@@ -506,98 +486,27 @@ pub fn paper_configs() -> Vec<(String, MemoConfig)> {
     MemoConfig::paper_sweep()
 }
 
-/// Run one (benchmark × config) cell on the evaluation dataset.
-///
-/// # Errors
-///
-/// Propagates simulator/codegen failures.
-pub fn run_cell(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    memo: &MemoConfig,
-) -> Result<BenchmarkResult, Box<dyn std::error::Error>> {
-    run_benchmark(bench, scale, Dataset::Eval, memo)
-}
-
-/// [`run_cell`] with telemetry: the memoized run executes under a
-/// `run:<name>` span with `tel` threaded through the simulator; the
-/// handle comes back inside the [`RunReport`] so the caller can pass
-/// it to the next cell.
-///
-/// # Errors
-///
-/// Propagates simulator/codegen failures.
-pub fn run_cell_report(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    memo: &MemoConfig,
-    tel: Telemetry,
-) -> Result<RunReport, Box<dyn std::error::Error>> {
-    run_benchmark_report(
-        bench,
-        scale,
-        Dataset::Eval,
-        memo,
-        RunOptions::default(),
-        tel,
-    )
-}
-
-/// [`run_cell`] reusing a sweep-wide [`BaselineCache`]: a figure binary
-/// that runs the same benchmark under several configurations simulates
-/// its fault-free baseline once instead of once per configuration. Pass
-/// `None` (the `--no-baseline-cache` path) to reproduce [`run_cell`]
-/// exactly.
-///
-/// # Errors
-///
-/// Propagates simulator/codegen failures, including a cached baseline
-/// failure.
-pub fn run_cell_cached(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    memo: &MemoConfig,
-    cache: Option<&BaselineCache>,
-    opts: RunOptions,
-) -> Result<BenchmarkResult, Box<dyn std::error::Error>> {
-    run_cell_report_cached(bench, scale, memo, Telemetry::off(), cache, opts).map(|r| r.result)
-}
-
-/// [`run_cell_report`] reusing a sweep-wide [`BaselineCache`]; see
-/// [`run_cell_cached`].
-///
-/// # Errors
-///
-/// Propagates simulator/codegen failures, including a cached baseline
-/// failure.
-pub fn run_cell_report_cached(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    memo: &MemoConfig,
-    tel: Telemetry,
-    cache: Option<&BaselineCache>,
-    opts: RunOptions,
-) -> Result<RunReport, Box<dyn std::error::Error>> {
-    run_benchmark_report_cached(bench, scale, Dataset::Eval, memo, opts, tel, cache)
-}
-
-/// [`run_cell_report_cached`] with a [`SnapshotPlan`] (from
-/// [`BenchArgs::snapshot_plan_for`]): warm-start from
-/// `plan.restore_from`, write the end-of-run image to
-/// `plan.snapshot_out` (creating its parent directory). The empty plan
-/// reproduces [`run_cell_report_cached`] byte-for-byte.
+/// Run one (benchmark × config) cell on the evaluation dataset, with
+/// its baseline and compiled programs from `cache` (a figure binary
+/// that runs one benchmark under several configurations simulates its
+/// baseline once) and the snapshot persistence of `plan` (from
+/// [`BenchArgs::snapshot_plan_for`]; the empty plan is a plain run).
+/// The memoized run executes under a `run:<name>` span with `tel`
+/// threaded through the simulator; the handle comes back inside the
+/// [`RunReport`] so the caller can pass it to the next cell. The parent
+/// directory of `plan.snapshot_out` is created if needed.
 ///
 /// # Errors
 ///
 /// Propagates simulator/codegen failures, cached baseline failures, and
 /// snapshot I/O failures (which name the offending path). A corrupt
 /// snapshot file is not an error; it degrades to a reported cold start.
-pub fn run_cell_report_snap(
+pub fn run_cell(
     bench: &dyn Benchmark,
     scale: Scale,
     memo: &MemoConfig,
     tel: Telemetry,
-    cache: Option<&BaselineCache>,
+    cache: &BaselineCache,
     opts: RunOptions,
     plan: &SnapshotPlan,
 ) -> Result<RunReport, Box<dyn std::error::Error>> {
@@ -609,7 +518,16 @@ pub fn run_cell_report_snap(
             )
         })?;
     }
-    run_benchmark_report_snap(bench, scale, Dataset::Eval, memo, opts, tel, cache, plan)
+    run_benchmark_report_snap(
+        bench,
+        scale,
+        Dataset::Eval,
+        memo,
+        opts,
+        tel,
+        Some(cache),
+        plan,
+    )
 }
 
 /// Everything the software contenders need: the recorded lookup-event
@@ -628,6 +546,7 @@ pub struct ContenderInputs {
 /// stats, then run the memoized binary with a *very large* LUT and no
 /// quality sampling so the event stream reflects the workload's true
 /// reuse, recording every lookup.
+/// Kept in this shape because `ledger/` (the benchmark) calls it.
 ///
 /// # Errors
 ///
@@ -639,12 +558,12 @@ pub fn collect_events(
     collect_events_cached(bench, scale, None)
 }
 
-/// [`collect_events`] reusing a sweep-wide [`BaselineCache`] for the
-/// baseline-stats leg (the event-recording memoized run is unique to
-/// this collection and always executes). The cached baseline is the
-/// same deterministic simulation, so the contender inputs are
-/// identical; a figure binary that has already run the benchmark's
-/// cells skips one whole baseline re-simulation here.
+/// [`collect_events`] taking the baseline-stats leg from `cache` (the
+/// event-recording memoized run is unique to this collection and always
+/// executes). A figure binary that has already run the benchmark's
+/// cells skips one whole baseline simulation here. `None` uses a
+/// call-local cache; the `Option` stays because `ledger/` (the
+/// benchmark) calls this shape.
 ///
 /// # Errors
 ///
@@ -658,24 +577,23 @@ pub fn collect_events_cached(
     let (program, specs) = bench.program(scale);
     let memoized = memoize(&program, &specs)?;
 
-    let baseline = match cache {
-        Some(cache) => {
-            cache
-                .get_or_compute(
-                    bench,
-                    scale,
-                    Dataset::Eval,
-                    u64::MAX,
-                    DispatchTier::default(),
-                )?
-                .stats
-        }
+    let local;
+    let cache = match cache {
+        Some(cache) => cache,
         None => {
-            let mut base_sim = Simulator::new(SimConfig::baseline())?;
-            let mut base_machine = bench.setup(scale, Dataset::Eval);
-            base_sim.run(&program, &mut base_machine)?
+            local = BaselineCache::new();
+            &local
         }
     };
+    let baseline = cache
+        .get_or_compute(
+            bench,
+            scale,
+            Dataset::Eval,
+            u64::MAX,
+            DispatchTier::default(),
+        )?
+        .stats;
 
     let cfg = MemoConfig {
         data_width: bench.data_width(),
@@ -862,16 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_args_parse_no_baseline_cache() {
-        let default = BenchArgs::try_from_iter(std::iter::empty()).unwrap();
-        assert!(!default.no_baseline_cache, "sharing is on by default");
-        assert!(default.baseline_cache().is_some());
-        let off = BenchArgs::try_from_iter(["--no-baseline-cache".to_string()]).unwrap();
-        assert!(off.no_baseline_cache);
-        assert!(off.baseline_cache().is_none());
-    }
-
-    #[test]
     fn bench_args_parse_dispatch() {
         let default = BenchArgs::try_from_iter(std::iter::empty()).unwrap();
         assert_eq!(
@@ -901,6 +809,7 @@ mod tests {
             &["--dispatch", "batched"],
             &["--batch-lanes", "4"],
             &["--no-predecode"],
+            &["--no-baseline-cache"],
         ] {
             let err = BenchArgs::try_from_iter(removed.iter().map(|s| s.to_string()))
                 .expect_err("removed spelling must be rejected");

@@ -16,11 +16,17 @@
 //!    back in index order, so aggregation (tables, telemetry spans,
 //!    summaries) never observes completion order.
 //!
-//! Failures never sink a sweep: each job runs under a
-//! [`BudgetPolicy`] (simulated-cycle watchdog, optional wall-clock cap,
-//! bounded retries with exponential backoff, final faults-off attempt)
-//! and a job that exhausts its budget is reported as a structured
-//! [`RunFailure`] row next to its successful siblings.
+//! Every job of a run shares one [`BaselineCache`], so each distinct
+//! benchmark's fault-free baseline is simulated once per sweep.
+//!
+//! Failures never sink a sweep: each job runs through
+//! [`runner::run_job`], which catches panics, bounds the memoized leg
+//! with a watchdog derived from the measured baseline (capped by
+//! [`Orchestrator::max_cycles`]), and makes one attempt plus, under a
+//! fault-injecting configuration, one faults-off attempt. The simulator
+//! is deterministic, so a failed attempt would fail identically again;
+//! a job that fails is reported as a structured [`RunFailure`] row next
+//! to its successful siblings.
 //!
 //! ```
 //! use axmemo_bench::orchestrator::{JobMatrix, JobSpec, Orchestrator};
@@ -40,10 +46,8 @@ use std::sync::Mutex;
 use axmemo_core::config::MemoConfig;
 use axmemo_sim::cpu::DispatchTier;
 use axmemo_telemetry::{Profile, Telemetry};
-use axmemo_workloads::runner::{
-    BaselineCache, BudgetPolicy, RunFailure, RunOptions, SupervisedRun,
-};
-use axmemo_workloads::{benchmark_by_name, runner, Dataset, FailureKind, Scale};
+use axmemo_workloads::runner::{BaselineCache, RunFailure, RunOptions, SupervisedRun};
+use axmemo_workloads::{benchmark_by_name, runner, FailureKind, Scale};
 
 /// Deterministic-order parallel map: evaluate `f(0..count)` on up to
 /// `jobs` worker threads and return the results **in index order**,
@@ -164,7 +168,8 @@ pub struct JobOutcome {
     pub index: usize,
     /// The job that ran.
     pub spec: JobSpec,
-    /// Attempts the budget machinery made (1 = first try succeeded).
+    /// Attempts made: 1, or 2 when a faults-off attempt followed a
+    /// failed fault-injected one.
     pub attempts: u32,
     /// The successful attempt ran with fault injection cleared.
     pub faults_cleared: bool,
@@ -172,9 +177,8 @@ pub struct JobOutcome {
     /// used to key the per-job telemetry span.
     pub sim_cycles: u64,
     /// Wall-clock milliseconds this job spent in the runner (all
-    /// attempts, including backoff pauses). Reflects host load, so it
-    /// feeds only the text report's per-group totals — never the
-    /// deterministic JSON output.
+    /// attempts). Reflects host load, so it feeds only the text
+    /// report's per-group totals — never the deterministic JSON output.
     pub wall_ms: u64,
     /// The paper metrics, or a structured failure that names the final
     /// attempt's failure class.
@@ -203,8 +207,8 @@ impl JobOutcome {
     }
 }
 
-/// The sweep orchestrator: scale/dataset selection, worker count, and
-/// the per-job [`BudgetPolicy`] shared by every job in a run.
+/// The sweep orchestrator: scale selection, worker count, and the
+/// watchdog ceiling shared by every job in a run.
 ///
 /// Construct with [`Orchestrator::new`], adjust with the builder
 /// methods, then call [`Orchestrator::run`] (or
@@ -213,27 +217,23 @@ impl JobOutcome {
 #[derive(Debug, Clone)]
 pub struct Orchestrator {
     scale: Scale,
-    dataset: Dataset,
     jobs: usize,
-    budget: BudgetPolicy,
+    max_cycles: u64,
     progress: bool,
-    baseline_cache: bool,
     dispatch: DispatchTier,
     profile: bool,
 }
 
 impl Orchestrator {
-    /// Orchestrator for `scale` on the evaluation dataset: serial
-    /// (`jobs = 1`), default budget, progress lines off, baseline
-    /// sharing on.
+    /// Orchestrator for `scale` (jobs run on the evaluation dataset): serial
+    /// (`jobs = 1`), no watchdog ceiling, progress lines off.
+    /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn new(scale: Scale) -> Self {
         Self {
             scale,
-            dataset: Dataset::Eval,
             jobs: 1,
-            budget: BudgetPolicy::default(),
+            max_cycles: u64::MAX,
             progress: false,
-            baseline_cache: true,
             dispatch: DispatchTier::default(),
             profile: false,
         }
@@ -241,20 +241,19 @@ impl Orchestrator {
 
     /// Set the worker count (clamped to ≥ 1). `1` reproduces serial
     /// behaviour bit-for-bit.
+    /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
     }
 
-    /// Set the per-job budget policy.
-    pub fn budget(mut self, budget: BudgetPolicy) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Select the dataset (default: [`Dataset::Eval`]).
-    pub fn dataset(mut self, dataset: Dataset) -> Self {
-        self.dataset = dataset;
+    /// Cap every simulation at `max_cycles` (default: uncapped). The
+    /// ceiling bounds the shared baseline run and clamps each job's
+    /// derived memoized-leg watchdog
+    /// ([`axmemo_workloads::runner::memo_watchdog`]); tests use it to
+    /// force watchdog trips.
+    pub fn max_cycles(mut self, max_cycles: u64) -> Self {
+        self.max_cycles = max_cycles;
         self
     }
 
@@ -263,20 +262,6 @@ impl Orchestrator {
     /// report (stdout).
     pub fn progress(mut self, on: bool) -> Self {
         self.progress = on;
-        self
-    }
-
-    /// Share one fault-free baseline run per distinct `(benchmark,
-    /// scale, dataset)` across the whole sweep via a [`BaselineCache`]
-    /// (default: on). The baseline simulation is deterministic and
-    /// independent of each cell's memoization/fault configuration, so
-    /// the aggregated report is byte-identical either way; `false` is
-    /// the `--no-baseline-cache` escape hatch that re-simulates the
-    /// baseline inside every job exactly as before. The cache also
-    /// enables the per-benchmark derived watchdogs of
-    /// [`BudgetPolicy::derived`].
-    pub fn baseline_cache(mut self, on: bool) -> Self {
-        self.baseline_cache = on;
         self
     }
 
@@ -291,11 +276,12 @@ impl Orchestrator {
 
     /// Collect a cycle-attribution profile for every job (default:
     /// off). Each job records into its own profiler — failed attempts
-    /// are discarded by the budgeted runner — so the per-job profiles,
+    /// are discarded by the job runner — so the per-job profiles,
     /// and any index-order merge of them, are identical for every
     /// worker count. Profiling rides an otherwise-disabled telemetry
     /// handle: the job's event streams, counters, and report bytes are
     /// unchanged.
+    /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn profile(mut self, on: bool) -> Self {
         self.profile = on;
         self
@@ -306,19 +292,25 @@ impl Orchestrator {
     /// values, never propagated — a sweep always yields exactly
     /// `matrix.len()` outcomes.
     pub fn run(&self, matrix: &JobMatrix) -> Vec<JobOutcome> {
-        self.run_inner(matrix).0
+        self.run_shared(matrix).0
     }
 
-    /// [`Orchestrator::run`] plus the sweep's [`BaselineCache`] (when
-    /// enabled), whose `computed`/`reused` counters and measured
-    /// baseline-cycle table outlive the run for reporting and tests.
+    /// [`Orchestrator::run`] plus the sweep's [`BaselineCache`], whose
+    /// counters outlive the run for reporting and tests. Always `Some`;
+    /// the `Option` stays because `ledger/` (the benchmark) calls this
+    /// shape.
     pub fn run_inner(&self, matrix: &JobMatrix) -> (Vec<JobOutcome>, Option<BaselineCache>) {
-        let cache = self.baseline_cache.then(BaselineCache::new);
+        let (outcomes, cache) = self.run_shared(matrix);
+        (outcomes, Some(cache))
+    }
+
+    fn run_shared(&self, matrix: &JobMatrix) -> (Vec<JobOutcome>, BaselineCache) {
+        let cache = BaselineCache::new();
         let total = matrix.len();
         let done = AtomicUsize::new(0);
         let run_one = |index: usize| -> JobOutcome {
             let spec = matrix.jobs()[index].clone();
-            let outcome = self.run_job(index, spec, cache.as_ref());
+            let outcome = self.run_job(index, spec, &cache);
             if self.progress {
                 let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
                 eprintln!(
@@ -341,14 +333,13 @@ impl Orchestrator {
     /// span would pollute span min/p50 statistics, so failures are
     /// counted only via `orchestrator.jobs.failed`), the
     /// `orchestrator.jobs.{ok,failed,retries,faults_cleared}` counters,
-    /// and — when baseline sharing is on — the
-    /// `orchestrator.baseline.{computed,reused}` counters.
+    /// and the `orchestrator.baseline.{computed,reused}` counters.
     ///
     /// Span paths treat `/` as a hierarchy separator, so any `/` in the
     /// label is rewritten to `|` to keep the whole name on one path
     /// segment (the text report prints only the leaf segment).
     pub fn run_with_telemetry(&self, matrix: &JobMatrix, tel: &mut Telemetry) -> Vec<JobOutcome> {
-        let (outcomes, cache) = self.run_inner(matrix);
+        let (outcomes, cache) = self.run_shared(matrix);
         for outcome in &outcomes {
             match outcome.result {
                 Ok(_) => {
@@ -367,23 +358,19 @@ impl Orchestrator {
                 tel.count("orchestrator.jobs.faults_cleared", 1);
             }
         }
-        if let Some(cache) = &cache {
-            tel.count("orchestrator.baseline.computed", cache.computed());
-            tel.count("orchestrator.baseline.reused", cache.reused());
-        }
+        tel.count("orchestrator.baseline.computed", cache.computed());
+        tel.count("orchestrator.baseline.reused", cache.reused());
         outcomes
     }
 
-    fn run_job(&self, index: usize, spec: JobSpec, cache: Option<&BaselineCache>) -> JobOutcome {
+    fn run_job(&self, index: usize, spec: JobSpec, cache: &BaselineCache) -> JobOutcome {
         let started = std::time::Instant::now();
         let Some(bench) = benchmark_by_name(&spec.benchmark) else {
             let failure = RunFailure {
                 benchmark: spec.benchmark.clone(),
                 kind: FailureKind::Error,
                 message: format!("unknown benchmark {:?}", spec.benchmark),
-                retried: false,
                 attempts: 1,
-                wall_clock_exhausted: false,
             };
             return JobOutcome {
                 index,
@@ -407,12 +394,11 @@ impl Orchestrator {
         if self.profile {
             tel.profiler_mut().enable();
         }
-        match runner::run_budgeted_cached_tel(
+        match runner::run_job(
             bench.as_ref(),
             self.scale,
-            self.dataset,
             &spec.memo,
-            &self.budget,
+            self.max_cycles,
             cache,
             opts,
             &mut tel,

@@ -36,10 +36,9 @@ pub mod runner;
 
 pub use meta::{Metric, WorkloadMeta};
 pub use runner::{
-    run_baseline, run_benchmark, run_benchmark_opts, run_benchmark_report_snap, run_budgeted,
-    run_budgeted_cached, run_supervised, BaselineCache, BaselineFailure, BaselineRun,
-    BenchmarkResult, BudgetPolicy, DerivedBudget, FailureKind, PreparedProgram, RunFailure,
-    RunOptions, SnapshotPlan, SupervisedRun, SupervisorConfig,
+    run_benchmark, run_benchmark_report_snap, run_job, BaselineCache, BaselineFailure, BaselineRun,
+    BenchmarkResult, FailureKind, PreparedProgram, RunFailure, RunOptions, SnapshotPlan,
+    SupervisedRun,
 };
 
 use axmemo_compiler::RegionSpec;

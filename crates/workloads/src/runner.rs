@@ -11,6 +11,7 @@ use crate::meta::Metric;
 use crate::{Benchmark, Dataset, Scale};
 use axmemo_compiler::codegen::memoize;
 use axmemo_core::config::MemoConfig;
+use axmemo_core::faults::FaultConfig;
 use axmemo_core::lut::LutStats;
 use axmemo_core::snapshot::{MemoSnapshot, RecoveryOutcome, RecoveryReport};
 use axmemo_core::unit::UnitStats;
@@ -262,67 +263,26 @@ pub fn run_benchmark(
     dataset: Dataset,
     memo: &MemoConfig,
 ) -> Result<BenchmarkResult, Box<dyn std::error::Error>> {
-    run_benchmark_opts(bench, scale, dataset, memo, RunOptions::default())
-}
-
-/// Like [`run_benchmark`], with [`RunOptions`] switches (exact
-/// memoization for Fig. 11, legacy-interpreter escape hatch).
-///
-/// # Errors
-///
-/// Propagates simulator faults and codegen failures as a boxed error.
-pub fn run_benchmark_opts(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-    opts: RunOptions,
-) -> Result<BenchmarkResult, Box<dyn std::error::Error>> {
-    run_benchmark_report(bench, scale, dataset, memo, opts, Telemetry::off())
-        .map(|report| report.result)
-}
-
-/// Like [`run_benchmark_opts`], with a telemetry handle threaded
-/// through the memoized run. The whole run executes under a
-/// `run:<name>` span; every LUT probe, quality decision, and
-/// per-run counter flows into `tel`'s registry and sinks, and the
-/// handle comes back inside the [`RunReport`]. Pass
-/// [`Telemetry::off()`] for a zero-cost run.
-///
-/// # Errors
-///
-/// Propagates simulator faults and codegen failures as a boxed error
-/// (the telemetry handle is dropped on the error path).
-pub fn run_benchmark_report(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-    opts: RunOptions,
-    mut tel: Telemetry,
-) -> Result<RunReport, Box<dyn std::error::Error>> {
-    let mut report = run_benchmark_inner(
+    run_benchmark_report_cached(
         bench,
         scale,
         dataset,
         memo,
-        opts,
-        &mut tel,
-        u64::MAX,
+        RunOptions::default(),
+        Telemetry::off(),
         None,
-        None,
-        None,
-    )?;
-    report.telemetry = tel;
-    Ok(report)
+    )
+    .map(|report| report.result)
 }
 
-/// Like [`run_benchmark_report`], reusing a [`BaselineCache`] so the
-/// fault-free baseline run (which depends only on the benchmark, scale
-/// and dataset — never on the memoization or fault configuration) is
-/// simulated once per distinct key instead of once per call. Passing
-/// `None` reproduces [`run_benchmark_report`] exactly; the cached path
-/// is byte-identical because the baseline simulation is deterministic.
+/// [`run_benchmark`] with [`RunOptions`] switches and a telemetry handle
+/// threaded through the memoized run, which executes under a
+/// `run:<name>` span; the handle comes back inside the [`RunReport`].
+/// The baseline and compiled programs come from `cache`, so a caller
+/// that runs one benchmark under several configurations simulates its
+/// deterministic baseline once. `None` uses a call-local cache.
+/// `cache` stays an `Option` because `ledger/` (the benchmark) calls
+/// this shape.
 ///
 /// # Errors
 ///
@@ -335,38 +295,20 @@ pub fn run_benchmark_report_cached(
     dataset: Dataset,
     memo: &MemoConfig,
     opts: RunOptions,
-    mut tel: Telemetry,
+    tel: Telemetry,
     cache: Option<&BaselineCache>,
 ) -> Result<RunReport, Box<dyn std::error::Error>> {
-    let (baseline, prepared) = match cache {
-        Some(cache) => {
-            let prepared = cache.prepared_for(bench, scale, opts);
-            let baseline = cache.get_or_compute(bench, scale, dataset, u64::MAX, opts.dispatch)?;
-            (Some(baseline), prepared)
-        }
-        None => (None, None),
-    };
-    let mut report = run_benchmark_inner(
-        bench,
-        scale,
-        dataset,
-        memo,
-        opts,
-        &mut tel,
-        u64::MAX,
-        baseline.as_deref(),
-        prepared.as_deref(),
-        None,
-    )?;
-    report.telemetry = tel;
-    Ok(report)
+    let plan = SnapshotPlan::default();
+    run_benchmark_report_snap(bench, scale, dataset, memo, opts, tel, cache, &plan)
 }
 
 /// Like [`run_benchmark_report_cached`], with a [`SnapshotPlan`]: the
 /// memoization unit is warm-started from `plan.restore_from` (if set)
 /// before the run and its end-of-run warm image is written atomically
 /// to `plan.snapshot_out` (if set). An empty plan reproduces
-/// [`run_benchmark_report_cached`] byte-for-byte.
+/// [`run_benchmark_report_cached`] byte-for-byte. `cache` stays an
+/// `Option` (`None` = a call-local cache) because `ledger/` (the
+/// benchmark) calls this shape.
 ///
 /// Warm-started runs use restore-keyed [`BaselineCache`] slots
 /// (`warm = true`), so their baselines and compiled programs never mix
@@ -391,16 +333,18 @@ pub fn run_benchmark_report_snap(
     cache: Option<&BaselineCache>,
     plan: &SnapshotPlan,
 ) -> Result<RunReport, Box<dyn std::error::Error>> {
-    let warm = plan.warm();
-    let (baseline, prepared) = match cache {
-        Some(cache) => {
-            let prepared = cache.prepared_for_keyed(bench, scale, opts, warm);
-            let baseline =
-                cache.get_or_compute_keyed(bench, scale, dataset, u64::MAX, opts.dispatch, warm)?;
-            (Some(baseline), prepared)
+    let local;
+    let cache = match cache {
+        Some(cache) => cache,
+        None => {
+            local = BaselineCache::new();
+            &local
         }
-        None => (None, None),
     };
+    let warm = plan.warm();
+    let prepared = cache.prepared_for(bench, scale, opts, warm);
+    let baseline =
+        cache.get_or_compute_keyed(bench, scale, dataset, u64::MAX, opts.dispatch, warm)?;
     let mut report = run_benchmark_inner(
         bench,
         scale,
@@ -409,9 +353,9 @@ pub fn run_benchmark_report_snap(
         opts,
         &mut tel,
         u64::MAX,
-        baseline.as_deref(),
+        &baseline,
         prepared.as_deref(),
-        Some(plan),
+        plan,
     )?;
     report.telemetry = tel;
     Ok(report)
@@ -433,40 +377,27 @@ pub struct BaselineRun {
     pub exact: Vec<f64>,
 }
 
-/// Run only the baseline leg of `bench` (no memoization) under a cycle
-/// watchdog and return the shareable [`BaselineRun`]. `dispatch`
-/// selects the interpreter (results are bit-identical across tiers).
-///
-/// # Errors
-///
-/// Propagates simulator failures (including
-/// [`SimError::CycleLimit`] watchdog trips) as a boxed error.
-pub fn run_baseline(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    max_cycles: u64,
-    dispatch: DispatchTier,
-) -> Result<BaselineRun, Box<dyn std::error::Error>> {
-    let (program, _specs) = bench.program(scale);
-    baseline_leg(bench, &program, scale, dataset, max_cycles, dispatch, None)
-}
-
-/// Baseline leg with an already-built program (shared by the inline
-/// path, which reuses the program it must build anyway for codegen).
-/// When `prepared` carries the shared lowered forms, the simulator
-/// skips its internal decode/lowering for the non-legacy tiers;
-/// otherwise `dispatch` decides which interpreter [`Simulator::run`]
+/// Simulate the baseline leg of `bench` (no memoization) under a cycle
+/// watchdog. When `prepared` carries the shared lowered forms, the
+/// threaded tier runs them directly; otherwise the program is built
+/// here and `dispatch` decides which interpreter [`Simulator::run`]
 /// dispatches to internally.
 fn baseline_leg(
     bench: &dyn Benchmark,
-    program: &Program,
     scale: Scale,
     dataset: Dataset,
     max_cycles: u64,
     dispatch: DispatchTier,
     prepared: Option<&PreparedProgram>,
 ) -> Result<BaselineRun, Box<dyn std::error::Error>> {
+    let built;
+    let program = match prepared {
+        Some(p) => &p.program,
+        None => {
+            built = bench.program(scale).0;
+            &built
+        }
+    };
     let mut base_sim = Simulator::new(SimConfig {
         max_cycles,
         dispatch,
@@ -489,7 +420,7 @@ fn baseline_leg(
 #[derive(Debug, Clone)]
 pub struct BaselineFailure {
     /// Failure class (watchdog trip, panic, or ordinary error) —
-    /// classified exactly as an inline attempt would classify it.
+    /// classified exactly as a memoized-leg failure is.
     pub kind: FailureKind,
     /// Human-readable message (panic payload or error display).
     pub message: String,
@@ -503,7 +434,7 @@ impl std::fmt::Display for BaselineFailure {
 
 impl std::error::Error for BaselineFailure {}
 
-/// Classify a boxed run error the same way [`run_budgeted`] does.
+/// Classify a boxed run error into a [`FailureKind`].
 fn classify_error(e: &(dyn std::error::Error + 'static)) -> FailureKind {
     match e.downcast_ref::<SimError>() {
         Some(SimError::CycleLimit { .. }) => FailureKind::Watchdog,
@@ -517,7 +448,9 @@ type PreparedSlot = Arc<OnceLock<Option<Arc<PreparedProgram>>>>;
 type BaselineKey = (String, Scale, Dataset, DispatchTier, bool);
 
 /// Thread-safe once-per-key map of shared baseline runs, keyed by
-/// `(benchmark, scale, dataset, dispatch)`.
+/// `(benchmark, scale, dataset, dispatch)`: the only place any run gets
+/// its baseline and compiled programs from. Callers without a
+/// sweep-wide cache use a call-local one.
 ///
 /// A sweep's fault matrix runs every benchmark under many (domain ×
 /// protection × rate) cells, but the fault-free baseline those cells
@@ -558,6 +491,7 @@ pub struct BaselineCache {
 
 impl BaselineCache {
     /// Empty cache.
+    /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn new() -> Self {
         Self::default()
     }
@@ -570,6 +504,7 @@ impl BaselineCache {
     /// `--dispatch legacy` run genuinely exercises the legacy loop
     /// instead of reusing a fast-path baseline (they are bit-identical,
     /// but the golden diffs exist to prove exactly that).
+    /// Kept in this shape because `ledger/` (the benchmark) calls it.
     ///
     /// # Errors
     ///
@@ -589,6 +524,7 @@ impl BaselineCache {
     /// [`Self::get_or_compute`] with the warm-start flag in the key:
     /// cells restoring from a snapshot get their own slots (see the
     /// type-level docs).
+    /// Kept in this shape because `ledger/` (the benchmark) calls it.
     ///
     /// # Errors
     ///
@@ -618,26 +554,23 @@ impl BaselineCache {
         let result = slot.get_or_init(|| {
             fresh = true;
             // Fast-path baselines reuse the shared compiled program
-            // when available; a `None` (codegen failed) falls through to
-            // the inline path so the error is reproduced and classified.
+            // when available; a `None` (codegen failed) builds the
+            // program here so the error is reproduced and classified.
             let prepared = if dispatch != DispatchTier::Legacy {
                 self.prepared_keyed(bench, scale, warm)
             } else {
                 None
             };
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &prepared {
-                    Some(p) => baseline_leg(
-                        bench,
-                        &p.program,
-                        scale,
-                        dataset,
-                        max_cycles,
-                        dispatch,
-                        Some(&**p),
-                    ),
-                    None => run_baseline(bench, scale, dataset, max_cycles, dispatch),
-                }));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                baseline_leg(
+                    bench,
+                    scale,
+                    dataset,
+                    max_cycles,
+                    dispatch,
+                    prepared.as_deref(),
+                )
+            }));
             match outcome {
                 Ok(Ok(baseline)) => Ok(Arc::new(baseline)),
                 Ok(Err(e)) => Err(BaselineFailure {
@@ -660,8 +593,9 @@ impl BaselineCache {
 
     /// The shared compiled-and-lowered programs for `(bench, scale)`,
     /// built once per key. Returns `None` when compilation failed (by
-    /// error or panic); callers then fall back to inline compilation,
+    /// error or panic); callers then compile the program themselves,
     /// which reproduces the failure with full context.
+    /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn prepared(&self, bench: &dyn Benchmark, scale: Scale) -> Option<Arc<PreparedProgram>> {
         self.prepared_keyed(bench, scale, false)
     }
@@ -696,21 +630,11 @@ impl BaselineCache {
         result.clone()
     }
 
-    /// [`Self::prepared`] gated on the options that make it usable: a
-    /// prepared program is compiled with default truncation for the
-    /// fast-path interpreters, so zero-truncation or legacy runs get
-    /// `None` and compile inline.
+    /// [`Self::prepared_keyed`] gated on the options that make it
+    /// usable: a prepared program is compiled with default truncation
+    /// for the fast-path interpreter, so zero-truncation or legacy runs
+    /// get `None` and compile inline.
     fn prepared_for(
-        &self,
-        bench: &dyn Benchmark,
-        scale: Scale,
-        opts: RunOptions,
-    ) -> Option<Arc<PreparedProgram>> {
-        self.prepared_for_keyed(bench, scale, opts, false)
-    }
-
-    /// [`Self::prepared_for`] with the warm-start flag in the key.
-    fn prepared_for_keyed(
         &self,
         bench: &dyn Benchmark,
         scale: Scale,
@@ -726,65 +650,48 @@ impl BaselineCache {
 
     /// Prepared-program compilations actually performed (one per
     /// distinct `(benchmark, scale)`).
+    /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn programs_compiled(&self) -> u64 {
         self.programs_compiled.load(Ordering::Relaxed)
     }
 
     /// Prepared-program requests served from an existing slot.
+    /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn programs_reused(&self) -> u64 {
         self.programs_reused.load(Ordering::Relaxed)
     }
 
     /// Baseline simulations actually performed (one per distinct key).
+    /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn computed(&self) -> u64 {
         self.computed.load(Ordering::Relaxed)
     }
 
     /// Requests served from an already-computed (or in-flight) slot.
+    /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn reused(&self) -> u64 {
         self.reused.load(Ordering::Relaxed)
     }
-
-    /// Measured baseline cycles per benchmark, sorted by name — the raw
-    /// column of the derived per-benchmark budget table (failed
-    /// baselines are omitted). See [`DerivedBudget`].
-    pub fn baseline_cycles(&self) -> Vec<(String, u64)> {
-        let slots = self.slots.lock().expect("baseline cache poisoned");
-        let mut rows: Vec<(String, u64)> = slots
-            .iter()
-            .filter_map(|((name, _, _, _, _), slot)| {
-                let run = slot.get()?.as_ref().ok()?;
-                Some((name.clone(), run.stats.cycles))
-            })
-            .collect();
-        rows.sort();
-        // Both interpreter variants produce bit-identical stats; a cache
-        // that saw both keys would list the benchmark twice otherwise.
-        rows.dedup();
-        rows
-    }
 }
 
-/// [`run_benchmark_report`] with a simulated-cycle watchdog budget and
-/// an optionally injected pre-computed baseline. When `baseline` is
-/// `Some`, only the memoized leg is simulated (under `max_cycles`); the
-/// baseline leg — which is independent of the memoization config — is
-/// taken from the shared run. When `None`, the baseline leg runs inline
-/// exactly as before. `prepared` optionally supplies the shared
-/// compiled-and-lowered programs; it is only consumed when the
-/// options allow (non-legacy tier, default truncation) — otherwise the
-/// programs are built inline.
+/// One memoized run against an already computed `baseline`: only the
+/// memoized leg is simulated, under `max_cycles`. `prepared` optionally
+/// supplies the shared compiled-and-lowered programs; it is only
+/// consumed when the options allow (non-legacy tier, default
+/// truncation), otherwise the memoized program is built here.
+///
 /// The telemetry handle is borrowed so it *survives* the error path:
 /// the sim-side spans and phase frames a failed run leaves open are
 /// drained via [`Telemetry::close_open_spans`] before returning, and
-/// the caller (budgeted retry loops, sweep jobs) keeps its registry,
-/// sinks, and profiler across attempts. The returned [`RunReport`]
-/// carries a disabled placeholder handle; the by-value wrappers move
-/// the real one back in.
-/// `plan` optionally adds snapshot persistence: restore the warm image
-/// before the memoized run, arm the end-of-run capture, and write the
-/// image atomically after the metrics are collected. `None` (and the
-/// empty plan) leave the run byte-identical to the plain path.
+/// the caller (sweep jobs and their faults-off attempt) keeps its
+/// registry, sinks, and profiler across attempts. The returned
+/// [`RunReport`] carries a disabled placeholder handle; the by-value
+/// wrappers move the real one back in.
+///
+/// `plan` adds snapshot persistence: restore the warm image before the
+/// memoized run, arm the end-of-run capture, and write the image
+/// atomically after the metrics are collected. The empty plan leaves
+/// the run byte-identical to the plain path.
 #[allow(clippy::too_many_arguments)]
 fn run_benchmark_inner(
     bench: &dyn Benchmark,
@@ -794,9 +701,9 @@ fn run_benchmark_inner(
     opts: RunOptions,
     tel: &mut Telemetry,
     max_cycles: u64,
-    baseline: Option<&BaselineRun>,
+    baseline: &BaselineRun,
     prepared: Option<&PreparedProgram>,
-    plan: Option<&SnapshotPlan>,
+    plan: &SnapshotPlan,
 ) -> Result<RunReport, Box<dyn std::error::Error>> {
     let prepared = prepared.filter(|_| opts.dispatch != DispatchTier::Legacy && !opts.zero_trunc);
     // Load and recover the warm image first, while the telemetry handle
@@ -804,7 +711,7 @@ fn run_benchmark_inner(
     // decisions land in the same registry/sinks as the run itself.
     // Only I/O failures abort; corrupt bytes degrade to a reported cold
     // start.
-    let plan = plan.filter(|p| !p.is_empty());
+    let plan = Some(plan).filter(|p| !p.is_empty());
     let mut recovery: Option<RecoveryReport> = None;
     let mut warm_image: Option<MemoSnapshot> = None;
     if let Some(path) = plan.and_then(|p| p.restore_from.as_deref()) {
@@ -812,9 +719,9 @@ fn run_benchmark_inner(
         warm_image = snap;
         recovery = Some(report);
     }
-    let inline_built;
-    let (program, memo_program): (&Program, &Program) = match prepared {
-        Some(p) => (&p.program, &p.memo_program),
+    let built;
+    let memo_program: &Program = match prepared {
+        Some(p) => &p.memo_program,
         None => {
             let (program, mut specs) = bench.program(scale);
             if opts.zero_trunc {
@@ -827,9 +734,8 @@ fn run_benchmark_inner(
                     }
                 }
             }
-            let memo_program = memoize(&program, &specs)?;
-            inline_built = (program, memo_program);
-            (&inline_built.0, &inline_built.1)
+            built = memoize(&program, &specs)?;
+            &built
         }
     };
     let memo_cfg = MemoConfig {
@@ -837,24 +743,6 @@ fn run_benchmark_inner(
         ..memo.clone()
     };
 
-    // Baseline leg: shared run when injected, simulated inline
-    // otherwise.
-    let inline_baseline;
-    let baseline = match baseline {
-        Some(shared) => shared,
-        None => {
-            inline_baseline = baseline_leg(
-                bench,
-                program,
-                scale,
-                dataset,
-                max_cycles,
-                opts.dispatch,
-                prepared,
-            )?;
-            &inline_baseline
-        }
-    };
     let base_stats = &baseline.stats;
     let exact = &baseline.exact;
 
@@ -973,7 +861,7 @@ pub enum FailureKind {
     Error,
 }
 
-/// Structured failure from [`run_supervised`] / [`run_budgeted`].
+/// Structured failure from [`run_job`].
 #[derive(Debug, Clone)]
 pub struct RunFailure {
     /// Benchmark that failed.
@@ -982,30 +870,19 @@ pub struct RunFailure {
     pub kind: FailureKind,
     /// Human-readable message (panic payload or error display).
     pub message: String,
-    /// Whether a degraded-config retry was attempted before giving up.
-    pub retried: bool,
-    /// Total attempts made (same-config retries plus the optional
-    /// faults-off attempt).
+    /// Attempts made: 1, or 2 when the faults-off attempt also ran.
     pub attempts: u32,
-    /// The wall-clock cap expired before every budgeted attempt could
-    /// run; the failure describes the last attempt that did.
-    pub wall_clock_exhausted: bool,
 }
 
 impl std::fmt::Display for RunFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} failed ({:?}, {} attempt{}{}): {}",
+            "{} failed ({:?}, {} attempt{}): {}",
             self.benchmark,
             self.kind,
             self.attempts,
             if self.attempts == 1 { "" } else { "s" },
-            if self.wall_clock_exhausted {
-                ", wall-clock budget exhausted"
-            } else {
-                ""
-            },
             self.message
         )
     }
@@ -1013,264 +890,97 @@ impl std::fmt::Display for RunFailure {
 
 impl std::error::Error for RunFailure {}
 
-/// Per-job budget for [`run_budgeted`]: a simulated-cycle watchdog, an
-/// optional wall-clock cap, and a bounded retry schedule with
-/// exponential backoff. This generalizes [`SupervisorConfig`]'s one-shot
-/// faults-off retry for long-running sweeps where a transient failure
-/// (fault storm, watchdog trip under a pathological seed) should be
-/// retried a bounded number of times, with growing pauses so a sweep
-/// full of failing jobs does not spin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetPolicy {
-    /// Watchdog *ceiling* in simulated cycles. Without a shared
-    /// baseline this uniform value is applied to the baseline and
-    /// memoized runs individually (the pre-cache behaviour); with one,
-    /// it bounds the baseline run and caps the per-benchmark watchdog
-    /// derived by [`BudgetPolicy::derived`].
-    pub max_cycles: u64,
-    /// Per-benchmark watchdog derivation from the shared baseline's
-    /// measured cycles (see [`DerivedBudget`]). Only takes effect when
-    /// a [`BaselineCache`] supplies a baseline — a uniform ceiling
-    /// cannot be tight across benchmarks whose costs differ by ~30×
-    /// (jpeg vs. blackscholes), but `margin × measured baseline` can.
-    /// `None` keeps the uniform `max_cycles` watchdog everywhere.
-    pub derived: Option<DerivedBudget>,
-    /// Wall-clock cap for all attempts of one job, in milliseconds.
-    /// `None` means uncapped. The cap is checked *between* attempts: a
-    /// running attempt is never interrupted (results stay deterministic),
-    /// but no further retry starts once the cap has expired.
-    pub wall_clock_cap_ms: Option<u64>,
-    /// Maximum same-configuration attempts (≥ 1).
-    pub max_attempts: u32,
-    /// Pause before the first same-configuration retry, in milliseconds.
-    /// Zero disables sleeping (the retries still happen).
-    pub backoff_base_ms: u64,
-    /// Multiplier applied to the pause after every retry.
-    pub backoff_factor: u32,
-    /// Ceiling on a single backoff pause, in milliseconds.
-    pub backoff_cap_ms: u64,
-    /// After every same-configuration attempt failed under a
-    /// fault-injecting configuration, make one final attempt with all
-    /// fault injection cleared (isolating "the fault model broke it"
-    /// from "the benchmark is broken").
-    pub retry_without_faults: bool,
+/// A job's memoized leg may run at most this many times its baseline's
+/// cycles before the watchdog trips (see [`memo_watchdog`]).
+pub const WATCHDOG_MARGIN: u64 = 8;
+
+/// The memoized-leg watchdog never drops below this many cycles: tiny
+/// baselines leave no headroom for fixed memoization overheads
+/// otherwise.
+pub const WATCHDOG_FLOOR_CYCLES: u64 = 1_000_000;
+
+/// The memoized-leg watchdog of a job whose baseline measured
+/// `baseline_cycles`: [`WATCHDOG_MARGIN`] × baseline, at least
+/// [`WATCHDOG_FLOOR_CYCLES`], clamped to `ceiling`. A memoized run that
+/// is 8× slower than its own baseline is pathological whatever the
+/// benchmark's absolute cost, so one margin gives tight watchdogs on
+/// kernels whose costs differ by ~30× (jpeg vs. blackscholes).
+pub fn memo_watchdog(baseline_cycles: u64, ceiling: u64) -> u64 {
+    WATCHDOG_MARGIN
+        .saturating_mul(baseline_cycles)
+        .max(WATCHDOG_FLOOR_CYCLES)
+        .min(ceiling)
 }
 
-impl Default for BudgetPolicy {
-    fn default() -> Self {
-        Self {
-            max_cycles: u64::MAX,
-            derived: Some(DerivedBudget::default()),
-            wall_clock_cap_ms: None,
-            max_attempts: 1,
-            backoff_base_ms: 25,
-            backoff_factor: 2,
-            backoff_cap_ms: 1_000,
-            retry_without_faults: true,
-        }
-    }
-}
-
-/// Per-benchmark watchdog derivation: once a sweep's [`BaselineCache`]
-/// has measured a benchmark's fault-free baseline cycles, the memoized
-/// legs of every sibling cell run under `margin × baseline` cycles
-/// (with a floor for very small runs) instead of one uniform sweep-wide
-/// ceiling. A memoized run that is `margin`× slower than its own
-/// baseline is pathological regardless of the benchmark's absolute
-/// cost, so `full`-scale sweeps get tight watchdogs without false trips
-/// on the expensive kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DerivedBudget {
-    /// Watchdog = `margin × measured baseline cycles` …
-    pub margin: u64,
-    /// … but never below this floor (tiny baselines leave no headroom
-    /// for fixed memoization overheads otherwise).
-    pub floor_cycles: u64,
-}
-
-impl Default for DerivedBudget {
-    fn default() -> Self {
-        Self {
-            margin: 8,
-            floor_cycles: 1_000_000,
-        }
-    }
-}
-
-impl DerivedBudget {
-    /// The derived watchdog for a benchmark whose baseline measured
-    /// `baseline_cycles`, clamped to the policy-wide `ceiling`
-    /// ([`BudgetPolicy::max_cycles`]).
-    pub fn watchdog(&self, baseline_cycles: u64, ceiling: u64) -> u64 {
-        self.margin
-            .saturating_mul(baseline_cycles)
-            .max(self.floor_cycles)
-            .min(ceiling)
-    }
-}
-
-impl BudgetPolicy {
-    /// Backoff pause in milliseconds before retry number `retry` (the
-    /// first retry is `retry = 0`): `base * factor^retry`, saturating,
-    /// clamped to [`Self::backoff_cap_ms`].
-    pub fn backoff_ms(&self, retry: u32) -> u64 {
-        let factor = u64::from(self.backoff_factor.max(1)).saturating_pow(retry);
-        self.backoff_base_ms
-            .saturating_mul(factor)
-            .min(self.backoff_cap_ms)
-    }
-
-    /// The full pause schedule for this policy: one entry per possible
-    /// same-configuration retry (`max_attempts - 1` entries).
-    pub fn backoff_schedule(&self) -> Vec<u64> {
-        (0..self.max_attempts.saturating_sub(1))
-            .map(|r| self.backoff_ms(r))
-            .collect()
-    }
-}
-
-/// Successful outcome of [`run_budgeted`], annotated with what the
-/// budget machinery had to do to get it.
+/// Successful outcome of [`run_job`].
 #[derive(Debug, Clone)]
 pub struct SupervisedRun {
     /// The paper metrics of the successful attempt.
     pub result: BenchmarkResult,
-    /// Attempts made, including the successful one.
+    /// Attempts made, including the successful one (1 or 2).
     pub attempts: u32,
-    /// The successful attempt ran with fault injection cleared (every
+    /// The successful attempt ran with fault injection cleared (the
     /// attempt with the requested fault configuration failed).
     pub faults_cleared: bool,
 }
 
-/// Supervised, budgeted variant of [`run_benchmark`] for sweep
-/// orchestration: panics are caught, a watchdog bounds simulated cycles,
-/// failed attempts are retried up to [`BudgetPolicy::max_attempts`]
-/// times with exponential backoff, an optional wall-clock cap stops the
-/// retry loop, and a final faults-off attempt isolates fault-model
-/// breakage. See [`run_supervised`] for the one-shot policy it
-/// generalizes.
+/// One sweep job: a supervised run of `bench` on the evaluation
+/// dataset that never panics and never runs away.
 ///
-/// # Errors
+/// - The baseline comes from `cache`, simulated once per distinct key
+///   under the `max_cycles` ceiling. A cached baseline *failure* fails
+///   the job with that failure, without re-simulating.
+/// - The memoized leg runs under [`memo_watchdog`] of the measured
+///   baseline, clamped to `max_cycles`.
+/// - Panics are caught and become [`FailureKind::Panic`] failures.
+/// - The job makes one attempt. When that attempt fails under a
+///   fault-injecting configuration, one more attempt runs with all
+///   fault injection cleared, isolating "the fault model broke it" from
+///   "the benchmark is broken". The simulator is deterministic, so any
+///   other retry would fail identically.
 ///
-/// Returns a [`RunFailure`] describing the final failed attempt, with
-/// the attempt count and whether the wall-clock budget expired.
-pub fn run_budgeted(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-    policy: &BudgetPolicy,
-) -> Result<SupervisedRun, RunFailure> {
-    run_budgeted_cached(
-        bench,
-        scale,
-        dataset,
-        memo,
-        policy,
-        None,
-        RunOptions::default(),
-    )
-}
-
-/// [`run_budgeted`] with an optional shared [`BaselineCache`].
+/// `tel` is caller-owned and survives every attempt, panics and
+/// watchdog trips included:
 ///
-/// With a cache, the fault-free baseline leg is fetched from it —
-/// simulated once per distinct `(benchmark, scale, dataset)` across the
-/// whole sweep, under the policy's `max_cycles` ceiling — and only the
-/// memoized leg runs per attempt, under the per-benchmark watchdog of
-/// [`BudgetPolicy::derived`] (when set) instead of the uniform ceiling.
-/// A cached baseline *failure* short-circuits every attempt with the
-/// identical failure an inline re-run would deterministically produce,
-/// so the retry/wall-clock accounting matches the uncached path without
-/// re-simulating a run that cannot succeed.
-///
-/// Without a cache this is exactly [`run_budgeted`]: baseline and
-/// memoized legs both run inline under the uniform `max_cycles`.
-///
-/// # Errors
-///
-/// Returns a [`RunFailure`] describing the final failed attempt, with
-/// the attempt count and whether the wall-clock budget expired.
-pub fn run_budgeted_cached(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-    policy: &BudgetPolicy,
-    cache: Option<&BaselineCache>,
-    opts: RunOptions,
-) -> Result<SupervisedRun, RunFailure> {
-    let mut tel = Telemetry::off();
-    run_budgeted_cached_tel(bench, scale, dataset, memo, policy, cache, opts, &mut tel)
-}
-
-/// [`run_budgeted_cached`] with a caller-owned telemetry handle that
-/// survives every attempt — panics and watchdog trips included. This is
-/// the sweep-orchestration entry point for profiling: install an
-/// enabled profiler on `tel` (typically on an otherwise-disabled handle
-/// so event streams stay byte-identical) and read
-/// [`Telemetry::take_profile`] after a successful return.
-///
-/// Recovery semantics:
-///
-/// - After any failed attempt the span and phase stacks are drained
+/// - After a failed attempt the span and phase stacks are drained
 ///   ([`Telemetry::close_open_spans`]), so a panicking benchmark
 ///   followed by a healthy one yields a balanced span tree.
 /// - If a panic fires while the handle is installed in the simulator,
 ///   the handle itself is forfeited with the unwound stack; an enabled
 ///   replacement is restored (accumulated sinks are lost — they
 ///   unwound with the attempt) and the profiler is re-enabled.
-/// - Profile data from failed attempts is discarded
+/// - Profile data from a failed attempt is discarded
 ///   ([`axmemo_telemetry::Profiler::clear`]), so the profile of a
-///   successful return describes exactly one successful run — making
-///   aggregated sweep profiles independent of the attempt schedule and
-///   therefore of worker count and wall-clock caps.
+///   successful return describes exactly one successful run.
 ///
 /// # Errors
 ///
-/// Returns a [`RunFailure`] describing the final failed attempt, with
-/// the attempt count and whether the wall-clock budget expired.
-#[allow(clippy::too_many_arguments)]
-pub fn run_budgeted_cached_tel(
+/// Returns a [`RunFailure`] describing the final failed attempt.
+pub fn run_job(
     bench: &dyn Benchmark,
     scale: Scale,
-    dataset: Dataset,
     memo: &MemoConfig,
-    policy: &BudgetPolicy,
-    cache: Option<&BaselineCache>,
+    max_cycles: u64,
+    cache: &BaselineCache,
     opts: RunOptions,
     tel: &mut Telemetry,
 ) -> Result<SupervisedRun, RunFailure> {
-    let name = bench.meta().name.to_string();
     let was_enabled = tel.is_enabled();
     let was_profiling = tel.profiler().is_enabled();
-    let started = std::time::Instant::now();
-    let baseline =
-        cache.map(|c| c.get_or_compute(bench, scale, dataset, policy.max_cycles, opts.dispatch));
+    let dataset = Dataset::Eval;
+    let baseline = cache.get_or_compute(bench, scale, dataset, max_cycles, opts.dispatch);
     // Compiled programs are shared across attempts (and across sibling
-    // cells through the cache); the attempt loop then only re-simulates.
-    let prepared = cache.and_then(|c| c.prepared_for(bench, scale, opts));
-    // With a shared baseline in hand, the memoized leg runs under the
-    // tight per-benchmark watchdog; otherwise the uniform ceiling
-    // bounds both legs (pre-cache behaviour, bit-for-bit).
-    let memo_max_cycles = match (&baseline, policy.derived) {
-        (Some(Ok(run)), Some(derived)) => derived.watchdog(run.stats.cycles, policy.max_cycles),
-        _ => policy.max_cycles,
-    };
-    let wall_exhausted = |attempts_left: bool| -> bool {
-        attempts_left
-            && policy
-                .wall_clock_cap_ms
-                .is_some_and(|cap| started.elapsed().as_millis() as u64 >= cap)
+    // cells through the cache); an attempt only re-simulates.
+    let prepared = cache.prepared_for(bench, scale, opts, false);
+    let memo_max_cycles = match &baseline {
+        Ok(run) => memo_watchdog(run.stats.cycles, max_cycles),
+        Err(_) => max_cycles,
     };
     let attempt =
         |cfg: &MemoConfig, tel: &mut Telemetry| -> Result<BenchmarkResult, (FailureKind, String)> {
             let shared = match &baseline {
-                Some(Ok(run)) => Some(run.as_ref()),
-                // The deterministic baseline failed once; every inline
-                // retry would reproduce it exactly.
-                Some(Err(fail)) => return Err((fail.kind, fail.message.clone())),
-                None => None,
+                Ok(run) => run,
+                Err(fail) => return Err((fail.kind, fail.message.clone())),
             };
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_benchmark_inner(
@@ -1283,7 +993,7 @@ pub fn run_budgeted_cached_tel(
                     memo_max_cycles,
                     shared,
                     prepared.as_deref(),
-                    None,
+                    &SnapshotPlan::default(),
                 )
                 .map(|report| report.result)
             }));
@@ -1307,113 +1017,41 @@ pub fn run_budgeted_cached_tel(
             Err(failure)
         };
 
-    let max_attempts = policy.max_attempts.max(1);
-    let mut attempts = 0u32;
-    let mut last_failure = None;
-    let mut exhausted = false;
-    for retry in 0..max_attempts {
-        if retry > 0 {
-            if wall_exhausted(true) {
-                exhausted = true;
-                break;
-            }
-            let pause = policy.backoff_ms(retry - 1);
-            if pause > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(pause));
-            }
+    let first = match attempt(memo, tel) {
+        Ok(result) => {
+            return Ok(SupervisedRun {
+                result,
+                attempts: 1,
+                faults_cleared: false,
+            })
         }
-        attempts += 1;
-        match attempt(memo, tel) {
-            Ok(result) => {
-                return Ok(SupervisedRun {
-                    result,
-                    attempts,
-                    faults_cleared: false,
-                })
-            }
-            Err(failure) => last_failure = Some(failure),
-        }
-    }
-
-    let faults_active = memo.faults != axmemo_core::faults::FaultConfig::default();
-    if policy.retry_without_faults && faults_active && !wall_exhausted(true) {
+        Err(failure) => failure,
+    };
+    let no_faults = FaultConfig::default();
+    let (attempts, (kind, message)) = if memo.faults == no_faults {
+        (1, first)
+    } else {
         let degraded = MemoConfig {
-            faults: axmemo_core::faults::FaultConfig::default(),
+            faults: no_faults,
             ..memo.clone()
         };
-        attempts += 1;
         match attempt(&degraded, tel) {
             Ok(result) => {
                 return Ok(SupervisedRun {
                     result,
-                    attempts,
+                    attempts: 2,
                     faults_cleared: true,
-                });
+                })
             }
-            Err(failure) => last_failure = Some(failure),
+            Err(second) => (2, second),
         }
-    }
-
-    let (kind, message) = last_failure.expect("at least one attempt ran");
+    };
     Err(RunFailure {
-        benchmark: name,
+        benchmark: bench.meta().name.to_string(),
         kind,
         message,
-        retried: attempts > 1,
         attempts,
-        wall_clock_exhausted: exhausted,
     })
-}
-
-/// Supervision policy for [`run_supervised`].
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorConfig {
-    /// Watchdog budget in simulated cycles, applied to the baseline and
-    /// memoized runs individually.
-    pub max_cycles: u64,
-    /// When the first attempt fails under a fault-injecting
-    /// configuration, retry once with all fault injection cleared
-    /// before reporting failure.
-    pub retry_without_faults: bool,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            max_cycles: u64::MAX,
-            retry_without_faults: true,
-        }
-    }
-}
-
-/// Supervised variant of [`run_benchmark`] for sweeps that must survive
-/// individual benchmark failures: panics are caught and converted into
-/// [`RunFailure`]s, a watchdog bounds simulated cycles, and a failing
-/// fault-injected run is retried once with faults cleared (isolating
-/// "the fault model broke it" from "the benchmark is broken").
-///
-/// This is the one-shot special case of [`run_budgeted`] (one attempt,
-/// no backoff, no wall-clock cap), kept for callers that do not need a
-/// retry budget.
-///
-/// # Errors
-///
-/// Returns a [`RunFailure`] describing the final failed attempt.
-pub fn run_supervised(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-    sup: &SupervisorConfig,
-) -> Result<BenchmarkResult, RunFailure> {
-    let policy = BudgetPolicy {
-        max_cycles: sup.max_cycles,
-        max_attempts: 1,
-        backoff_base_ms: 0,
-        retry_without_faults: sup.retry_without_faults,
-        ..BudgetPolicy::default()
-    };
-    run_budgeted(bench, scale, dataset, memo, &policy).map(|run| run.result)
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1585,85 +1223,79 @@ mod tests {
         }
     }
 
+    /// One job at tiny scale with a fresh cache.
+    fn job(
+        bench: &dyn crate::Benchmark,
+        memo: &MemoConfig,
+        max_cycles: u64,
+        tel: &mut Telemetry,
+    ) -> Result<SupervisedRun, RunFailure> {
+        run_job(
+            bench,
+            crate::Scale::Tiny,
+            memo,
+            max_cycles,
+            &BaselineCache::new(),
+            RunOptions::default(),
+            tel,
+        )
+    }
+
+    /// Every memory access spikes by 100k cycles, so a memoized run
+    /// under it blows any watchdog the tests set, while the same run
+    /// with faults cleared fits comfortably.
+    fn storm() -> MemoConfig {
+        use axmemo_core::faults::PPM;
+        MemoConfig {
+            faults: FaultConfig {
+                seed: 3,
+                latency_spike_ppm: PPM,
+                latency_spike_cycles: 100_000,
+                ..FaultConfig::default()
+            },
+            ..MemoConfig::l1_only(4096)
+        }
+    }
+
     #[test]
     fn supervised_runner_catches_panics() {
-        let fail = run_supervised(
+        let fail = job(
             &PanickyBench,
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
             &MemoConfig::l1_only(4096),
-            &SupervisorConfig::default(),
+            u64::MAX,
+            &mut Telemetry::off(),
         )
         .unwrap_err();
         assert_eq!(fail.kind, FailureKind::Panic);
         assert_eq!(fail.benchmark, "panicky");
         assert!(fail.message.contains("synthetic benchmark bug"));
-        assert!(!fail.retried);
+        assert_eq!(fail.attempts, 1);
     }
 
     #[test]
     fn supervised_runner_watchdog_bounds_cycles() {
         let bench = crate::benchmark_by_name("blackscholes").unwrap();
-        let sup = SupervisorConfig {
-            max_cycles: 1_000, // far below what even Tiny needs
-            ..SupervisorConfig::default()
-        };
-        let fail = run_supervised(
+        let fail = job(
             bench.as_ref(),
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
             &MemoConfig::l1_only(4096),
-            &sup,
+            1_000, // far below what even Tiny needs
+            &mut Telemetry::off(),
         )
         .unwrap_err();
         assert_eq!(fail.kind, FailureKind::Watchdog);
         assert!(fail.message.contains("cycle limit"), "{}", fail.message);
-        assert!(!fail.retried, "no fault config, so no retry");
+        assert_eq!(fail.attempts, 1, "no fault config, so no retry");
     }
 
     #[test]
     fn supervised_runner_retries_without_faults() {
-        use axmemo_core::faults::FaultConfig;
-        // A fault storm: every memory access spikes by 100k cycles, so
-        // the memoized run blows the watchdog budget — but the retry
-        // with faults cleared fits comfortably.
         let bench = crate::benchmark_by_name("blackscholes").unwrap();
-        let memo = MemoConfig {
-            faults: FaultConfig {
-                seed: 3,
-                latency_spike_ppm: axmemo_core::faults::PPM,
-                latency_spike_cycles: 100_000,
-                ..FaultConfig::default()
-            },
-            ..MemoConfig::l1_only(4096)
-        };
-        let sup = SupervisorConfig {
-            max_cycles: 2_000_000,
-            ..SupervisorConfig::default()
-        };
-        let result = run_supervised(
-            bench.as_ref(),
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
-            &memo,
-            &sup,
-        )
-        .expect("degraded retry must succeed");
-        assert!(result.speedup > 0.0);
-        // With the retry disabled, the same configuration must fail.
-        let sup_no_retry = SupervisorConfig {
-            retry_without_faults: false,
-            ..sup
-        };
-        let fail = run_supervised(
-            bench.as_ref(),
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
-            &memo,
-            &sup_no_retry,
-        )
-        .unwrap_err();
-        assert_eq!(fail.kind, FailureKind::Watchdog);
+        let run = job(bench.as_ref(), &storm(), 2_000_000, &mut Telemetry::off())
+            .expect("degraded retry must succeed");
+        assert!(run.result.speedup > 0.0);
+        // The storm attempt failed; only the faults-off attempt passed.
+        assert!(run.faults_cleared);
+        assert_eq!(run.attempts, 2);
     }
 
     #[test]
@@ -1674,22 +1306,8 @@ mod tests {
         // a clean span tree and a one-run profile.
         let mut tel = Telemetry::enabled();
         tel.profiler_mut().enable();
-        let policy = BudgetPolicy {
-            max_attempts: 1,
-            backoff_base_ms: 0,
-            ..BudgetPolicy::default()
-        };
-        let fail = run_budgeted_cached_tel(
-            &PanickyBench,
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
-            &MemoConfig::l1_only(4096),
-            &policy,
-            None,
-            RunOptions::default(),
-            &mut tel,
-        )
-        .unwrap_err();
+        let memo = MemoConfig::l1_only(4096);
+        let fail = job(&PanickyBench, &memo, u64::MAX, &mut tel).unwrap_err();
         assert_eq!(fail.kind, FailureKind::Panic);
         // The handle survived the panic, balanced and still profiling.
         assert!(tel.is_enabled());
@@ -1697,17 +1315,7 @@ mod tests {
         assert_eq!(tel.close_open_spans(), 0, "no spans left open");
 
         let bench = crate::benchmark_by_name("blackscholes").unwrap();
-        run_budgeted_cached_tel(
-            bench.as_ref(),
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
-            &MemoConfig::l1_only(4096),
-            &policy,
-            None,
-            RunOptions::default(),
-            &mut tel,
-        )
-        .expect("healthy benchmark after a panic");
+        job(bench.as_ref(), &memo, u64::MAX, &mut tel).expect("healthy benchmark after a panic");
         assert_eq!(tel.close_open_spans(), 0, "span tree balanced");
         let runs: Vec<_> = tel
             .spans()
@@ -1726,41 +1334,14 @@ mod tests {
     #[test]
     fn watchdog_failure_recovers_span_stack() {
         // A watchdog trip abandons the run mid-span (inside the
-        // simulator); the budgeted runner must drain the open stack so
-        // the handle stays balanced, then a degraded-config success
-        // must profile exactly one run.
-        use axmemo_core::faults::FaultConfig;
+        // simulator); the job runner must drain the open stack so the
+        // handle stays balanced, then a degraded-config success must
+        // profile exactly one run.
         let bench = crate::benchmark_by_name("blackscholes").unwrap();
-        let memo = MemoConfig {
-            faults: FaultConfig {
-                seed: 3,
-                latency_spike_ppm: axmemo_core::faults::PPM,
-                latency_spike_cycles: 100_000,
-                ..FaultConfig::default()
-            },
-            ..MemoConfig::l1_only(4096)
-        };
-        let policy = BudgetPolicy {
-            max_cycles: 2_000_000,
-            derived: None,
-            max_attempts: 1,
-            backoff_base_ms: 0,
-            retry_without_faults: true,
-            ..BudgetPolicy::default()
-        };
         let mut tel = Telemetry::enabled();
         tel.profiler_mut().enable();
-        let run = run_budgeted_cached_tel(
-            bench.as_ref(),
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
-            &memo,
-            &policy,
-            None,
-            RunOptions::default(),
-            &mut tel,
-        )
-        .expect("degraded retry must succeed");
+        let run = job(bench.as_ref(), &storm(), 2_000_000, &mut tel)
+            .expect("degraded retry must succeed");
         assert!(run.faults_cleared);
         assert_eq!(run.attempts, 2);
         assert_eq!(tel.close_open_spans(), 0, "span tree balanced");

@@ -1,67 +1,77 @@
-//! Integration tests for baseline sharing: the reduced fault sweep is
-//! byte-identical with the cache on vs. `--no-baseline-cache` at any
-//! worker count, performs exactly one baseline simulation per distinct
-//! benchmark (asserted via `orchestrator.baseline.computed`), and the
-//! per-benchmark derived watchdogs come from measured baseline cycles.
+//! Integration tests for baseline sharing: a sweep whose cells share one
+//! cache gives the same results as cells that each simulate their own
+//! baseline, at any worker count, while performing exactly one baseline
+//! simulation per distinct benchmark (asserted via
+//! `orchestrator.baseline.computed`); and the memoized-leg watchdog is
+//! derived from measured baseline cycles.
 
 use axmemo_bench::orchestrator::Orchestrator;
-use axmemo_bench::{sweep, DispatchTier, ReportMode};
+use axmemo_bench::{sweep, DispatchTier};
 use axmemo_telemetry::Telemetry;
-use axmemo_workloads::runner::{BaselineCache, DerivedBudget};
+use axmemo_workloads::runner::{
+    memo_watchdog, run_benchmark_report_cached, BaselineCache, RunOptions, WATCHDOG_FLOOR_CYCLES,
+    WATCHDOG_MARGIN,
+};
 use axmemo_workloads::{benchmark_by_name, Dataset, Scale};
 
-/// The PR's acceptance property: the reduced `fault_sweep` report is
-/// byte-identical between the shared-baseline path and the
-/// `--no-baseline-cache` escape hatch, on the serial path and on the
-/// worker pool — and the cached runs simulate each distinct benchmark's
-/// baseline exactly once (not once per job).
+/// The reduced fault sweep on a shared cache reproduces, cell for cell,
+/// the results of per-cell runs that each use a fresh cache — on the
+/// serial path and on the worker pool — and the shared cache simulates
+/// each distinct benchmark's baseline exactly once (not once per job).
 #[test]
 fn reduced_sweep_is_byte_identical_with_and_without_cache() {
     let benches = vec!["blackscholes".to_string(), "fft".to_string()];
-    let (matrix, metas) = sweep::matrix(7, &benches);
+    let (matrix, _) = sweep::matrix(7, &benches);
     assert_eq!(matrix.len(), 19 * benches.len());
 
-    let render = |cache: bool, jobs: usize| -> (String, u64, u64) {
+    let per_cell: Vec<String> = matrix
+        .jobs()
+        .iter()
+        .map(|job| {
+            let bench = benchmark_by_name(&job.benchmark).expect("registered");
+            let report = run_benchmark_report_cached(
+                bench.as_ref(),
+                Scale::Tiny,
+                Dataset::Eval,
+                &job.memo,
+                RunOptions::default(),
+                Telemetry::off(),
+                None,
+            )
+            .expect("tiny cell succeeds");
+            format!("{:?}", report.result)
+        })
+        .collect();
+
+    for jobs in [1, 4] {
         let mut tel = Telemetry::enabled();
         let outcomes = Orchestrator::new(Scale::Tiny)
             .jobs(jobs)
-            .baseline_cache(cache)
             .run_with_telemetry(&matrix, &mut tel);
-        let report = sweep::table(Scale::Tiny, 7, &metas, &outcomes).render(ReportMode::Json);
+        assert_eq!(outcomes.len(), per_cell.len());
+        for (outcome, expected) in outcomes.iter().zip(&per_cell) {
+            let cell = format!("{}:{}", outcome.spec.benchmark, outcome.spec.label);
+            let result = outcome.result.as_ref().expect("tiny sweep cell succeeds");
+            assert_eq!(outcome.attempts, 1, "--jobs {jobs} {cell}");
+            assert_eq!(&format!("{result:?}"), expected, "--jobs {jobs} {cell}");
+        }
+        // Exactly one baseline simulation per distinct benchmark — not
+        // per job — regardless of worker count; every other job reuses
+        // it.
         let computed = tel.registry().counter("orchestrator.baseline.computed");
         let reused = tel.registry().counter("orchestrator.baseline.reused");
-        (report, computed, reused)
-    };
-
-    let (cached_j1, computed_j1, reused_j1) = render(true, 1);
-    let (cached_j4, computed_j4, reused_j4) = render(true, 4);
-    let (uncached_j1, computed_off, _) = render(false, 1);
-    let (uncached_j4, _, _) = render(false, 4);
-
-    assert_eq!(cached_j1, uncached_j1, "cache must not change the report");
-    assert_eq!(
-        cached_j1, cached_j4,
-        "cached report is worker-count independent"
-    );
-    assert_eq!(
-        uncached_j1, uncached_j4,
-        "uncached report is worker-count independent"
-    );
-
-    // Exactly one baseline simulation per distinct benchmark — not per
-    // job — regardless of worker count; every other job reuses it.
-    assert_eq!(computed_j1, benches.len() as u64);
-    assert_eq!(computed_j4, benches.len() as u64);
-    assert_eq!(reused_j1, (matrix.len() - benches.len()) as u64);
-    assert_eq!(reused_j4, (matrix.len() - benches.len()) as u64);
-    // The escape hatch has no cache at all.
-    assert_eq!(computed_off, 0);
+        assert_eq!(computed, benches.len() as u64, "--jobs {jobs}");
+        assert_eq!(
+            reused,
+            (matrix.len() - benches.len()) as u64,
+            "--jobs {jobs}"
+        );
+    }
 }
 
 /// Direct cache semantics: the first request computes, subsequent
 /// requests (same key) reuse the same shared run; distinct keys get
-/// their own computation; and the measured-cycles table feeds the
-/// derived budgets.
+/// their own computation.
 #[test]
 fn baseline_cache_computes_once_per_key() {
     let cache = BaselineCache::new();
@@ -127,17 +137,8 @@ fn baseline_cache_computes_once_per_key() {
         .expect("legacy baseline succeeds");
     assert!(!std::sync::Arc::ptr_eq(&first, &legacy), "distinct slot");
     assert_eq!(legacy.stats, first.stats, "bit-identical stats");
+    assert!(first.stats.cycles > 0);
     assert_eq!(cache.computed(), 4);
-
-    let cycles = cache.baseline_cycles();
-    // Both tier variants of blackscholes/Tiny measure identical
-    // cycles and collapse to one row.
-    assert_eq!(cycles.len(), 3, "one measured entry per distinct run");
-    assert!(cycles.iter().all(|(_, c)| *c > 0));
-    assert!(
-        cycles.windows(2).all(|w| w[0].0 <= w[1].0),
-        "sorted by name"
-    );
 }
 
 /// A baseline that trips the watchdog is cached as a failure and shared:
@@ -170,33 +171,19 @@ fn failed_baseline_is_cached_and_shared() {
     assert_eq!(a.message, b.message);
     assert_eq!(cache.computed(), 1, "the failing run is simulated once");
     assert_eq!(cache.reused(), 1);
-    assert!(
-        cache.baseline_cycles().is_empty(),
-        "failures have no cycles"
-    );
 }
 
 /// The derived per-benchmark watchdog is `margin × baseline` with a
-/// floor, clamped to the policy ceiling.
+/// floor, clamped to the ceiling.
 #[test]
 fn derived_budget_watchdog_math() {
-    let d = DerivedBudget {
-        margin: 8,
-        floor_cycles: 1_000_000,
-    };
+    assert_eq!((WATCHDOG_MARGIN, WATCHDOG_FLOOR_CYCLES), (8, 1_000_000));
     // Small baselines sit on the floor.
-    assert_eq!(d.watchdog(10_000, u64::MAX), 1_000_000);
+    assert_eq!(memo_watchdog(10_000, u64::MAX), 1_000_000);
     // Large baselines scale by the margin.
-    assert_eq!(d.watchdog(10_000_000, u64::MAX), 80_000_000);
-    // The policy-wide ceiling always wins.
-    assert_eq!(d.watchdog(10_000_000, 5_000_000), 5_000_000);
+    assert_eq!(memo_watchdog(10_000_000, u64::MAX), 80_000_000);
+    // The ceiling always wins.
+    assert_eq!(memo_watchdog(10_000_000, 5_000_000), 5_000_000);
     // Saturating: an absurd baseline must not overflow.
-    assert_eq!(d.watchdog(u64::MAX / 2, u64::MAX), u64::MAX);
-    assert_eq!(
-        DerivedBudget::default(),
-        DerivedBudget {
-            margin: 8,
-            floor_cycles: 1_000_000
-        }
-    );
+    assert_eq!(memo_watchdog(u64::MAX / 2, u64::MAX), u64::MAX);
 }

@@ -16,7 +16,7 @@ use axmemo_sim::predictor::PredictorConfig;
 use axmemo_sim::{Program, ProgramBuilder};
 use axmemo_telemetry::{event_to_json, RingBufferSink, Telemetry};
 use axmemo_workloads::gen::SplitMix64;
-use axmemo_workloads::runner::{run_benchmark_report, RunOptions};
+use axmemo_workloads::runner::{run_benchmark_report_cached, RunOptions};
 use axmemo_workloads::{all_benchmarks, Dataset, Scale};
 
 fn options(dispatch: DispatchTier) -> RunOptions {
@@ -41,13 +41,14 @@ fn every_benchmark_is_bit_identical_across_interpreters() {
             let sink = RingBufferSink::new(4_000_000);
             let mut tel = Telemetry::enabled();
             tel.add_sink(Box::new(sink.clone()));
-            let report = run_benchmark_report(
+            let report = run_benchmark_report_cached(
                 bench.as_ref(),
                 Scale::Tiny,
                 Dataset::Eval,
                 &cfg,
                 options(tier),
                 tel,
+                None,
             )
             .unwrap_or_else(|e| panic!("{name} (dispatch={}): {e}", tier.name()));
             assert_eq!(sink.dropped(), 0, "{name}: event stream truncated");

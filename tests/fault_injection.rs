@@ -6,16 +6,14 @@
 //! 2. Output quality degrades monotonically as the flip rate rises, and
 //!    the ECC-protected curve degrades strictly slower than the
 //!    unprotected one at rates where faults actually land.
-//! 3. The supervised runner's watchdog bounds a fault-free run too —
+//! 3. The orchestrator's watchdog ceiling bounds a fault-free job too —
 //!    the cycle budget is enforced end-to-end, not just in unit tests.
 
+use axmemo_bench::orchestrator::{JobMatrix, JobSpec, Orchestrator};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::faults::{FaultConfig, Protection};
 use axmemo_workloads::runner::run_benchmark;
-use axmemo_workloads::{
-    benchmark_by_name, run_supervised, BenchmarkResult, Dataset, FailureKind, Scale,
-    SupervisorConfig,
-};
+use axmemo_workloads::{benchmark_by_name, BenchmarkResult, Dataset, FailureKind, Scale};
 
 fn faulty_config(seed: u64, flip_ppm: u32, protection: Protection) -> MemoConfig {
     MemoConfig {
@@ -95,19 +93,17 @@ fn quality_degrades_monotonically_and_ecc_degrades_slower() {
 
 #[test]
 fn supervised_watchdog_bounds_cycles_end_to_end() {
-    let bench = benchmark_by_name("blackscholes").expect("registered");
-    let sup = SupervisorConfig {
-        max_cycles: 500,
-        retry_without_faults: false,
-    };
-    let failure = run_supervised(
-        bench.as_ref(),
-        Scale::Tiny,
-        Dataset::Eval,
-        &MemoConfig::l1_only(8 * 1024),
-        &sup,
-    )
-    .expect_err("500 cycles cannot finish blackscholes");
+    let mut matrix = JobMatrix::new();
+    matrix.push(JobSpec::new(
+        "blackscholes",
+        "L1 8K",
+        MemoConfig::l1_only(8 * 1024),
+    ));
+    let outcomes = Orchestrator::new(Scale::Tiny).max_cycles(500).run(&matrix);
+    let failure = outcomes[0]
+        .result
+        .as_ref()
+        .expect_err("500 cycles cannot finish blackscholes");
     assert_eq!(failure.kind, FailureKind::Watchdog);
     assert!(
         failure.message.contains("cycle limit"),

@@ -1,13 +1,12 @@
 //! Integration tests for the sweep orchestrator: worker-count
 //! determinism of the aggregated report, structured budget-exhaustion
-//! failures, the exponential-backoff schedule, and per-job telemetry.
+//! failures, the faults-off attempt, and per-job telemetry.
 
 use axmemo_bench::orchestrator::{JobMatrix, JobSpec, Orchestrator};
 use axmemo_bench::{sweep, ReportMode};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::faults::FaultConfig;
 use axmemo_telemetry::Telemetry;
-use axmemo_workloads::runner::BudgetPolicy;
 use axmemo_workloads::{FailureKind, Scale};
 
 /// The acceptance property for the whole PR: the aggregated fault-sweep
@@ -32,8 +31,10 @@ fn sweep_report_is_identical_for_any_worker_count() {
     );
 }
 
-/// A job that always trips the cycle watchdog exhausts its retry budget
-/// and is reported as a structured failure; the sweep itself completes.
+/// A job that always trips the cycle watchdog is reported as a
+/// structured failure and the sweep itself completes. The simulator is
+/// deterministic, so a fault-free job is attempted exactly once; a
+/// fault-injected one gets exactly one more attempt with faults cleared.
 #[test]
 fn budget_exhaustion_is_a_structured_failure() {
     let mut matrix = JobMatrix::new();
@@ -42,24 +43,27 @@ fn budget_exhaustion_is_a_structured_failure() {
         "tight",
         MemoConfig::l1_only(4096),
     ));
-    let budget = BudgetPolicy {
-        max_cycles: 1_000, // far below what even Tiny needs
-        max_attempts: 3,
-        backoff_base_ms: 0, // keep the test fast; the schedule has its own test
-        retry_without_faults: false,
-        ..BudgetPolicy::default()
-    };
+    matrix.push(JobSpec::new(
+        "blackscholes",
+        "tight+faults",
+        MemoConfig {
+            faults: FaultConfig::uniform(1, 500, Default::default()),
+            ..MemoConfig::l1_only(4096)
+        },
+    ));
     let outcomes = Orchestrator::new(Scale::Tiny)
         .jobs(2)
-        .budget(budget)
+        .max_cycles(1_000) // far below what even Tiny needs
         .run(&matrix);
-    assert_eq!(outcomes.len(), 1);
-    let fail = outcomes[0].result.as_ref().unwrap_err();
-    assert_eq!(fail.kind, FailureKind::Watchdog);
-    assert_eq!(fail.attempts, 3, "all budgeted attempts were consumed");
-    assert!(fail.retried);
-    assert!(!fail.wall_clock_exhausted);
-    assert_eq!(outcomes[0].status(), "watchdog");
+    assert_eq!(outcomes.len(), 2);
+    for (outcome, attempts) in outcomes.iter().zip([1, 2]) {
+        let fail = outcome.result.as_ref().unwrap_err();
+        assert_eq!(fail.kind, FailureKind::Watchdog);
+        assert_eq!(fail.attempts, attempts, "{}", outcome.spec.label);
+        assert_eq!(outcome.attempts, attempts);
+        assert!(!outcome.faults_cleared);
+        assert_eq!(outcome.status(), "watchdog");
+    }
 }
 
 /// A fault storm that blows the watchdog is healed by the final
@@ -87,14 +91,9 @@ fn fault_storm_heals_via_faults_off_attempt() {
         "healthy",
         MemoConfig::l1_only(4096),
     ));
-    let budget = BudgetPolicy {
-        max_cycles: 2_000_000,
-        backoff_base_ms: 0,
-        ..BudgetPolicy::default()
-    };
     let outcomes = Orchestrator::new(Scale::Tiny)
         .jobs(2)
-        .budget(budget)
+        .max_cycles(2_000_000)
         .run(&matrix);
     assert!(outcomes[0].result.is_ok());
     assert!(outcomes[0].faults_cleared);
@@ -106,97 +105,17 @@ fn fault_storm_heals_via_faults_off_attempt() {
     assert_eq!(outcomes[1].status(), "ok");
 }
 
-/// The backoff schedule is exponential in the retry index, saturating
-/// at the cap.
-#[test]
-fn backoff_schedule_is_exponential_and_capped() {
-    let policy = BudgetPolicy {
-        max_attempts: 6,
-        backoff_base_ms: 10,
-        backoff_factor: 3,
-        backoff_cap_ms: 200,
-        ..BudgetPolicy::default()
-    };
-    assert_eq!(policy.backoff_schedule(), vec![10, 30, 90, 200, 200]);
-    assert_eq!(policy.backoff_ms(0), 10);
-    assert_eq!(policy.backoff_ms(10), 200, "deep retries stay capped");
-
-    let constant = BudgetPolicy {
-        max_attempts: 3,
-        backoff_base_ms: 50,
-        backoff_factor: 1,
-        ..BudgetPolicy::default()
-    };
-    assert_eq!(constant.backoff_schedule(), vec![50, 50]);
-
-    let none = BudgetPolicy {
-        max_attempts: 1,
-        ..BudgetPolicy::default()
-    };
-    assert!(none.backoff_schedule().is_empty());
-
-    // Saturating arithmetic: an absurd retry index must not overflow.
-    let wide = BudgetPolicy {
-        backoff_base_ms: u64::MAX / 2,
-        backoff_factor: u32::MAX,
-        backoff_cap_ms: u64::MAX,
-        ..BudgetPolicy::default()
-    };
-    assert_eq!(wide.backoff_ms(40), u64::MAX);
-}
-
-/// An expired wall-clock cap stops the retry loop (including the
-/// faults-off attempt) after the first failure.
-#[test]
-fn wall_clock_cap_stops_retries() {
-    let mut matrix = JobMatrix::new();
-    matrix.push(JobSpec::new(
-        "blackscholes",
-        "capped",
-        MemoConfig {
-            faults: FaultConfig::uniform(1, 500, Default::default()),
-            ..MemoConfig::l1_only(4096)
-        },
-    ));
-    let budget = BudgetPolicy {
-        max_cycles: 1_000,
-        max_attempts: 5,
-        wall_clock_cap_ms: Some(0), // expired before any retry
-        backoff_base_ms: 0,
-        retry_without_faults: true,
-        ..BudgetPolicy::default()
-    };
-    let outcomes = Orchestrator::new(Scale::Tiny).budget(budget).run(&matrix);
-    let fail = outcomes[0].result.as_ref().unwrap_err();
-    assert_eq!(fail.attempts, 1, "no retry once the cap expired");
-    assert!(fail.wall_clock_exhausted);
-    assert_eq!(fail.kind, FailureKind::Watchdog);
-}
-
 /// Regression (all-failed group summary): a group in which every cell
 /// failed must render `-` for both statistics, not the empty-slice
 /// `mean error 0.000e0, geomean speedup 0.00x` that reads like a
-/// perfect group. Forced via a watchdog budget no benchmark can meet;
-/// the report must also stay byte-identical between the shared-baseline
-/// path and the escape hatch on the failure path.
+/// perfect group. Forced via a watchdog ceiling no benchmark can meet.
 #[test]
 fn all_failed_group_summary_renders_dashes() {
     let benches = vec!["blackscholes".to_string()];
     let (matrix, metas) = sweep::matrix(7, &benches);
-    let budget = BudgetPolicy {
-        max_cycles: 1_000, // below what any benchmark needs: every cell fails
-        max_attempts: 1,
-        backoff_base_ms: 0,
-        retry_without_faults: false,
-        ..BudgetPolicy::default()
-    };
-    let run = |cache: bool| {
-        Orchestrator::new(Scale::Tiny)
-            .budget(budget)
-            .baseline_cache(cache)
-            .run(&matrix)
-    };
-    let outcomes = run(true);
+    let outcomes = Orchestrator::new(Scale::Tiny)
+        .max_cycles(1_000) // below what any benchmark needs: every cell fails
+        .run(&matrix);
     assert!(
         outcomes.iter().all(|o| o.result.is_err()),
         "forced watchdog"
@@ -211,9 +130,6 @@ fn all_failed_group_summary_renders_dashes() {
         !text.contains("0.000e0") && !text.contains("0.00x"),
         "no zero statistics for failed groups:\n{text}"
     );
-    // The failure path is also cache-independent, byte for byte.
-    let uncached = sweep::table(Scale::Tiny, 7, &metas, &run(false)).render(ReportMode::Json);
-    assert_eq!(table.render(ReportMode::Json), uncached);
 }
 
 /// Regression (silent zip truncation): `sweep::table` must fail loudly
@@ -224,14 +140,9 @@ fn all_failed_group_summary_renders_dashes() {
 fn mismatched_meta_and_outcome_lengths_panic() {
     let benches = vec!["blackscholes".to_string()];
     let (matrix, metas) = sweep::matrix(7, &benches);
-    let budget = BudgetPolicy {
-        max_cycles: 1_000,
-        max_attempts: 1,
-        backoff_base_ms: 0,
-        retry_without_faults: false,
-        ..BudgetPolicy::default()
-    };
-    let mut outcomes = Orchestrator::new(Scale::Tiny).budget(budget).run(&matrix);
+    let mut outcomes = Orchestrator::new(Scale::Tiny)
+        .max_cycles(1_000)
+        .run(&matrix);
     outcomes.pop(); // a future matrix edit that desyncs the two slices
     let _ = sweep::table(Scale::Tiny, 7, &metas, &outcomes);
 }

@@ -12,7 +12,7 @@
 //! both caps restored occupancy (bounding LRU pollution) and starts
 //! the ladder fresh so the warm run re-earns any degradation.
 
-use axmemo_bench::{run_cell_report_snap, RunOptions, SnapshotPlan};
+use axmemo_bench::{run_cell, BaselineCache, RunOptions, SnapshotPlan};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::ids::{LutId, ThreadId};
 use axmemo_core::quality::{DegradationStage, QualityState};
@@ -65,12 +65,12 @@ fn mru_policy_warm_sobel_small_is_at_least_cold() {
         snapshot_out: Some(path.clone()),
         restore_policy: RestorePolicy::MruFirst,
     };
-    let cold = run_cell_report_snap(
+    let cold = run_cell(
         sobel().as_ref(),
         Scale::Small,
         &memo,
         Telemetry::off(),
-        None,
+        &BaselineCache::new(),
         RunOptions::default(),
         &cold_plan,
     )
@@ -81,12 +81,12 @@ fn mru_policy_warm_sobel_small_is_at_least_cold() {
         snapshot_out: None,
         restore_policy: RestorePolicy::MruFirst,
     };
-    let warm = run_cell_report_snap(
+    let warm = run_cell(
         sobel().as_ref(),
         Scale::Small,
         &memo,
         Telemetry::off(),
-        None,
+        &BaselineCache::new(),
         RunOptions::default(),
         &warm_plan,
     )

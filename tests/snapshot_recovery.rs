@@ -12,7 +12,7 @@
 use std::collections::HashSet;
 use std::path::PathBuf;
 
-use axmemo_bench::{run_cell_report_cached, run_cell_report_snap, RunOptions, SnapshotPlan};
+use axmemo_bench::{run_cell, BaselineCache, RunOptions, SnapshotPlan};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::ids::{LutId, ThreadId};
 use axmemo_core::snapshot::{CrashMode, CrashPoint, MemoSnapshot, RecoveryOutcome};
@@ -20,7 +20,8 @@ use axmemo_core::truncate::InputValue;
 use axmemo_core::two_level::TwoLevelLut;
 use axmemo_core::unit::{LookupResult, MemoizationUnit};
 use axmemo_telemetry::Telemetry;
-use axmemo_workloads::{benchmark_by_name, Benchmark, Scale};
+use axmemo_workloads::runner::run_benchmark_report_cached;
+use axmemo_workloads::{benchmark_by_name, Benchmark, Dataset, Scale};
 
 /// Unique-per-test scratch directory under the OS temp dir.
 fn scratch(tag: &str) -> PathBuf {
@@ -161,12 +162,12 @@ fn runner_warm_start_beats_cold_and_keeps_stats_clean() {
         snapshot_out: Some(path.clone()),
         ..SnapshotPlan::default()
     };
-    let cold = run_cell_report_snap(
+    let cold = run_cell(
         fft().as_ref(),
         Scale::Tiny,
         &memo,
         Telemetry::off(),
-        None,
+        &BaselineCache::new(),
         RunOptions::default(),
         &cold_plan,
     )
@@ -183,12 +184,12 @@ fn runner_warm_start_beats_cold_and_keeps_stats_clean() {
         snapshot_out: None,
         ..SnapshotPlan::default()
     };
-    let warm = run_cell_report_snap(
+    let warm = run_cell(
         fft().as_ref(),
         Scale::Tiny,
         &memo,
         Telemetry::off(),
-        None,
+        &BaselineCache::new(),
         RunOptions::default(),
         &warm_plan,
     )
@@ -217,7 +218,7 @@ fn runner_warm_start_beats_cold_and_keeps_stats_clean() {
 
 /// `--snapshot-out` then `--restore-from` is deterministic: two
 /// identical cold runs write byte-identical snapshot files, and the
-/// default-off (empty-plan) path is byte-identical to the plain cached
+/// default-off (empty-plan) path is byte-identical to the plain
 /// runner.
 #[test]
 fn snapshot_files_and_default_off_path_are_deterministic() {
@@ -230,12 +231,12 @@ fn snapshot_files_and_default_off_path_are_deterministic() {
             snapshot_out: Some(dir.join(format!("fft.{leg}.axmsnap"))),
             ..SnapshotPlan::default()
         };
-        run_cell_report_snap(
+        run_cell(
             fft().as_ref(),
             Scale::Tiny,
             &memo,
             Telemetry::off(),
-            None,
+            &BaselineCache::new(),
             RunOptions::default(),
             &plan,
         )
@@ -244,21 +245,22 @@ fn snapshot_files_and_default_off_path_are_deterministic() {
     }
     assert_eq!(images[0], images[1], "snapshot bytes are deterministic");
 
-    let plain = run_cell_report_cached(
+    let plain = run_benchmark_report_cached(
         fft().as_ref(),
         Scale::Tiny,
+        Dataset::Eval,
         &memo,
+        RunOptions::default(),
         Telemetry::off(),
         None,
-        RunOptions::default(),
     )
     .expect("plain run");
-    let empty_plan = run_cell_report_snap(
+    let empty_plan = run_cell(
         fft().as_ref(),
         Scale::Tiny,
         &memo,
         Telemetry::off(),
-        None,
+        &BaselineCache::new(),
         RunOptions::default(),
         &SnapshotPlan::default(),
     )
@@ -266,7 +268,7 @@ fn snapshot_files_and_default_off_path_are_deterministic() {
     assert_eq!(
         plain.to_json(),
         empty_plan.to_json(),
-        "empty plan is byte-identical to the cached path"
+        "empty plan is byte-identical to the plain runner"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -285,12 +287,12 @@ fn corrupt_snapshot_degrades_to_reported_cold_start() {
         snapshot_out: None,
         ..SnapshotPlan::default()
     };
-    let report = run_cell_report_snap(
+    let report = run_cell(
         fft().as_ref(),
         Scale::Tiny,
         &memo,
         Telemetry::off(),
-        None,
+        &BaselineCache::new(),
         RunOptions::default(),
         &plan,
     )
@@ -299,13 +301,14 @@ fn corrupt_snapshot_degrades_to_reported_cold_start() {
     assert_eq!(rec.outcome, RecoveryOutcome::ColdStart);
     assert!(rec.cold_start_reason.is_some());
 
-    let cold = run_cell_report_cached(
+    let cold = run_cell(
         fft().as_ref(),
         Scale::Tiny,
         &memo,
         Telemetry::off(),
-        None,
+        &BaselineCache::new(),
         RunOptions::default(),
+        &SnapshotPlan::default(),
     )
     .expect("plain cold run");
     assert_eq!(
@@ -327,12 +330,12 @@ fn missing_restore_file_is_an_error_naming_the_path() {
         snapshot_out: None,
         ..SnapshotPlan::default()
     };
-    let err = run_cell_report_snap(
+    let err = run_cell(
         fft().as_ref(),
         Scale::Tiny,
         &MemoConfig::l1_only(8 * 1024),
         Telemetry::off(),
-        None,
+        &BaselineCache::new(),
         RunOptions::default(),
         &plan,
     )

@@ -4,7 +4,7 @@
 
 use axmemo_core::config::MemoConfig;
 use axmemo_telemetry::{JsonlSink, RingBufferSink, Telemetry};
-use axmemo_workloads::runner::{run_benchmark_report, RunOptions};
+use axmemo_workloads::runner::{run_benchmark_report_cached, RunOptions};
 use axmemo_workloads::{benchmark_by_name, Dataset, Scale};
 
 /// Every `TwoLevelLut` probe emits exactly one `lut.hit` or `lut.miss`
@@ -17,13 +17,14 @@ fn lut_events_reconcile_with_benchmark_hit_rate() {
     let mut tel = Telemetry::enabled();
     tel.add_sink(Box::new(sink.clone()));
     let cfg = MemoConfig::l1_l2(4 * 1024, 64 * 1024);
-    let report = run_benchmark_report(
+    let report = run_benchmark_report_cached(
         bench.as_ref(),
         Scale::Tiny,
         Dataset::Eval,
         &cfg,
         RunOptions::default(),
         tel,
+        None,
     )
     .expect("run succeeds");
 
@@ -63,13 +64,14 @@ fn run_report_carries_span_and_counters() {
     let bench = benchmark_by_name("fft").expect("fft registered");
     let tel = Telemetry::enabled();
     let cfg = MemoConfig::l1_only(4 * 1024);
-    let report = run_benchmark_report(
+    let report = run_benchmark_report_cached(
         bench.as_ref(),
         Scale::Tiny,
         Dataset::Eval,
         &cfg,
         RunOptions::default(),
         tel,
+        None,
     )
     .expect("run succeeds");
     let tel = &report.telemetry;
@@ -95,13 +97,14 @@ fn jsonl_trace_is_valid_per_line() {
         JsonlSink::create(&path).expect("trace file creatable"),
     ));
     let cfg = MemoConfig::l1_only(4 * 1024);
-    run_benchmark_report(
+    run_benchmark_report_cached(
         bench.as_ref(),
         Scale::Tiny,
         Dataset::Eval,
         &cfg,
         RunOptions::default(),
         tel,
+        None,
     )
     .expect("run succeeds");
 
