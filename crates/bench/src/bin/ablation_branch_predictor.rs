@@ -6,55 +6,6 @@
 //! baseline cycles / memoized cycles) are insensitive to that modelling
 //! choice — both runs profit from prediction equally.
 
-use axmemo_bench::scale_from_env;
-use axmemo_compiler::codegen::memoize;
-use axmemo_core::config::MemoConfig;
-use axmemo_sim::cpu::{SimConfig, Simulator};
-use axmemo_sim::predictor::PredictorConfig;
-use axmemo_workloads::{all_benchmarks, Dataset};
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = scale_from_env();
-    println!("Ablation: fixed-bubble vs bimodal-predictor front end, scale {scale:?}");
-    println!(
-        "{:<14} | {:>16} | {:>16} | {:>10}",
-        "Benchmark", "speedup (bubble)", "speedup (pred.)", "delta"
-    );
-    for bench in all_benchmarks() {
-        let (program, specs) = bench.program(scale);
-        let memoized = memoize(&program, &specs)?;
-        let memo_cfg = MemoConfig {
-            data_width: bench.data_width(),
-            ..MemoConfig::l1_l2(8 * 1024, 512 * 1024)
-        };
-        let mut speedups = [0.0f64; 2];
-        for (i, predictor) in [None, Some(PredictorConfig::default())]
-            .into_iter()
-            .enumerate()
-        {
-            let base_cfg = SimConfig {
-                predictor,
-                ..SimConfig::baseline()
-            };
-            let memo_sim_cfg = SimConfig {
-                predictor,
-                ..SimConfig::with_memo(memo_cfg.clone())
-            };
-            let mut base = Simulator::new(base_cfg)?;
-            let mut mb = bench.setup(scale, Dataset::Eval);
-            let bs = base.run(&program, &mut mb)?;
-            let mut memo = Simulator::new(memo_sim_cfg)?;
-            let mut mm = bench.setup(scale, Dataset::Eval);
-            let ms = memo.run(&memoized, &mut mm)?;
-            speedups[i] = bs.cycles as f64 / ms.cycles.max(1) as f64;
-        }
-        println!(
-            "{:<14} | {:>15.2}x | {:>15.2}x | {:>+9.1}%",
-            bench.meta().name,
-            speedups[0],
-            speedups[1],
-            100.0 * (speedups[1] / speedups[0] - 1.0)
-        );
-    }
-    Ok(())
+fn main() {
+    axmemo_bench::experiments::main("ablation_branch_predictor");
 }

@@ -6,61 +6,6 @@
 //! re-hashes the raw input bytes at 16/32/64 bits, counting *tag
 //! collisions*: distinct input tuples mapping to the same CRC value.
 
-use axmemo_bench::{collect_events, scale_from_env};
-use axmemo_core::crc::{CrcAlgorithm, CrcWidth, TableCrc};
-use axmemo_workloads::all_benchmarks;
-use std::collections::HashMap;
-
-fn collisions(events: &[(u8, Vec<u8>)], width: CrcWidth) -> (u64, u64) {
-    let crc = TableCrc::new(width);
-    // (lut, crc) -> representative input
-    let mut seen: HashMap<(u8, u64), Vec<u8>> = HashMap::new();
-    let mut distinct = 0u64;
-    let mut collided = 0u64;
-    for (lut, bytes) in events {
-        let tag = crc.checksum(bytes);
-        match seen.get(&(*lut, tag)) {
-            Some(prev) if prev != bytes => collided += 1,
-            Some(_) => {}
-            None => {
-                distinct += 1;
-                seen.insert((*lut, tag), bytes.clone());
-            }
-        }
-    }
-    (distinct, collided)
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = scale_from_env();
-    println!("Ablation: CRC width vs collision rate, scale {scale:?}");
-    println!(
-        "{:<14} | {:>10} | {:>14} | {:>14} | {:>14}",
-        "Benchmark", "lookups", "CRC16 collide", "CRC32 collide", "CRC64 collide"
-    );
-    for bench in all_benchmarks() {
-        let inputs = collect_events(bench.as_ref(), scale)?;
-        let stream: Vec<(u8, Vec<u8>)> = inputs
-            .events
-            .iter()
-            .map(|e| (e.lut.raw(), e.input_bytes.clone()))
-            .collect();
-        let (_, c16) = collisions(&stream, CrcWidth::W16);
-        let (_, c32) = collisions(&stream, CrcWidth::W32);
-        let (_, c64) = collisions(&stream, CrcWidth::W64);
-        println!(
-            "{:<14} | {:>10} | {:>14} | {:>14} | {:>14}",
-            bench.meta().name,
-            stream.len(),
-            c16,
-            c32,
-            c64
-        );
-    }
-    println!();
-    println!("Expectation (§6): CRC32 and CRC64 collision-free on these streams;");
-    println!(
-        "CRC16's 65536-value space collides once distinct tuples approach ~300 (birthday bound)."
-    );
-    Ok(())
+fn main() {
+    axmemo_bench::experiments::main("ablation_crc");
 }

@@ -17,7 +17,7 @@
 //! matrix to a comma-separated benchmark subset (CI smoke runs use
 //! this; the default is all ten). Sweep cells never snapshot or
 //! restore, so `--snapshot-out`, `--restore-from` and
-//! `--restore-policy` exit 2.
+//! `--restore-policy` exit 2, as for every experiment but fig7–fig10.
 //!
 //! Every cell of the matrix normalises against the same fault-free
 //! baseline, so the sweep shares one baseline simulation per benchmark
@@ -26,18 +26,11 @@
 //! baseline. A cell makes one attempt; a failed fault-injected cell
 //! makes one more with faults cleared, reported as `ok*` if it passes.
 
-use axmemo_bench::orchestrator::{merge_profiles, Orchestrator};
-use axmemo_bench::{scale_from_env, sweep, BenchArgs, ReportMode};
-use axmemo_workloads::all_benchmarks;
+use axmemo_bench::experiments::{experiment, fault_sweep};
 
-const USAGE: &str = "usage: fault_sweep [--benches a,b,c] [--trace-out <path>] \
-                     [--report text|json] [--seed <n>] [--jobs <n>] \
-                     [--dispatch legacy|threaded] \
-                     [--profile-out <path>] [--profile folded|json|text]";
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Split off the sweep-specific `--benches` flag, hand the rest to
-    // the shared parser.
+fn main() {
+    // Split off the sweep-specific `--benches` flag; the driver parses
+    // the rest.
     let mut benches: Vec<String> = Vec::new();
     let mut shared = Vec::new();
     let mut it = std::env::args().skip(1);
@@ -48,49 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 std::process::exit(2);
             });
             benches = list.split(',').map(str::to_string).collect();
-        } else if matches!(
-            arg.as_str(),
-            "--snapshot-out" | "--restore-from" | "--restore-policy"
-        ) {
-            eprintln!(
-                "error: fault_sweep does not take {arg}: sweep cells never snapshot or restore"
-            );
-            eprintln!("{USAGE}");
-            std::process::exit(2);
         } else {
             shared.push(arg);
         }
     }
-    let args = BenchArgs::try_from_iter(shared).unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    });
-    if benches.is_empty() {
-        benches = all_benchmarks()
-            .iter()
-            .map(|b| b.meta().name.to_string())
-            .collect();
-    }
-
-    let mut tel = args.telemetry()?;
-    let scale = scale_from_env();
-    let (matrix, metas) = sweep::matrix(args.seed, &benches);
-    let outcomes = Orchestrator::new(scale)
-        .jobs(args.effective_jobs())
-        .progress(true)
-        .dispatch(args.dispatch)
-        .profile(args.profiling())
-        .run_with_telemetry(&matrix, &mut tel);
-    let table = sweep::table(scale, args.seed, &metas, &outcomes);
-    if let Some(profile) = merge_profiles(&outcomes) {
-        args.write_profile(&profile)?;
-    }
-
-    println!("{}", table.render(args.report));
-    tel.flush();
-    if tel.is_enabled() && args.report == ReportMode::Text {
-        println!("{}", tel.text_report());
-    }
-    Ok(())
+    experiment("fault_sweep").main_with(shared, |ctx, tel| fault_sweep(ctx, tel, &benches));
 }

@@ -4,56 +4,6 @@
 //! 0.44% average slowdown (hotspot worst at 1.55%) — the L2 LUT earns
 //! far more than the lost caching capacity costs.
 
-use axmemo_bench::{mean, scale_from_env};
-use axmemo_compiler::codegen::memoize;
-use axmemo_core::config::MemoConfig;
-use axmemo_sim::cache::CacheConfig;
-use axmemo_sim::cpu::{SimConfig, Simulator};
-use axmemo_workloads::{all_benchmarks, Dataset};
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = scale_from_env();
-    let memo = MemoConfig::l1_l2(8 * 1024, 256 * 1024);
-    println!("L2 size sensitivity with a 256 KB L2 LUT, scale {scale:?}");
-    println!(
-        "{:<14} | {:>14} | {:>14} | {:>12}",
-        "Benchmark", "cycles @1MB L2", "cycles @512KB", "degradation"
-    );
-    let mut degradations = Vec::new();
-    for bench in all_benchmarks() {
-        let (program, specs) = bench.program(scale);
-        let memoized = memoize(&program, &specs)?;
-        let mut cycles = [0u64; 2];
-        for (i, l2_bytes) in [1024 * 1024usize, 512 * 1024].into_iter().enumerate() {
-            let cfg = SimConfig {
-                memo: Some(MemoConfig {
-                    data_width: bench.data_width(),
-                    ..memo.clone()
-                }),
-                cache: CacheConfig {
-                    l2_bytes,
-                    ..CacheConfig::default()
-                },
-                ..SimConfig::default()
-            };
-            let mut sim = Simulator::new(cfg)?;
-            let mut machine = bench.setup(scale, Dataset::Eval);
-            cycles[i] = sim.run(&memoized, &mut machine)?.cycles;
-        }
-        let degradation = cycles[1] as f64 / cycles[0] as f64 - 1.0;
-        degradations.push(degradation);
-        println!(
-            "{:<14} | {:>14} | {:>14} | {:>11.2}%",
-            bench.meta().name,
-            cycles[0],
-            cycles[1],
-            100.0 * degradation
-        );
-    }
-    println!();
-    println!(
-        "average degradation: {:.2}% (paper: 0.44%, worst 1.55%)",
-        100.0 * mean(&degradations)
-    );
-    Ok(())
+fn main() {
+    axmemo_bench::experiments::main("l2_sensitivity");
 }

@@ -5,39 +5,6 @@
 //! Per §5 the analysis runs on the *sample* input set (disjoint from
 //! evaluation) and a bounded trace window.
 
-use axmemo_bench::{BenchArgs, Table};
-use axmemo_compiler::dddg::Dddg;
-use axmemo_compiler::trace::TraceCapture;
-use axmemo_compiler::{analyze, SearchConfig};
-use axmemo_sim::cpu::{SimConfig, Simulator};
-use axmemo_sim::pipeline::LatencyModel;
-use axmemo_workloads::{all_benchmarks, Dataset, Scale};
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = BenchArgs::parse();
-    let mut table = Table::new(
-        "Table 1: dynamic data dependence graph (DDDG) analysis",
-        &["Benchmark", "# dynamic", "# unique", "CI_Ratio", "Coverage"],
-    );
-    // Trace window: enough dynamic instructions to cover many kernel
-    // invocations without ballooning graph construction.
-    const TRACE_CAP: usize = 200_000;
-    for bench in all_benchmarks() {
-        let (program, _) = bench.program(Scale::Tiny);
-        let mut machine = bench.setup(Scale::Tiny, Dataset::Sample);
-        let mut sim = Simulator::new(SimConfig::baseline())?;
-        let mut cap = TraceCapture::with_limit(TRACE_CAP);
-        sim.run_traced(&program, &mut machine, Some(&mut cap))?;
-        let graph = Dddg::from_trace(cap.events(), &LatencyModel::default());
-        let summary = analyze(&graph, &SearchConfig::default());
-        table.row(vec![
-            bench.meta().name.to_string(),
-            summary.total_dynamic_subgraphs.to_string(),
-            summary.unique_subgraphs.to_string(),
-            format!("{:.2}", summary.mean_ci_ratio),
-            format!("{:.2}%", 100.0 * summary.coverage),
-        ]);
-    }
-    println!("{}", table.render(args.report));
-    Ok(())
+fn main() {
+    axmemo_bench::experiments::main("table1");
 }

@@ -1,42 +1,6 @@
 //! Table 2: benchmark inventory — domain, description, dataset,
 //! memoization input sizes, and truncated bits per memoized block.
 
-use axmemo_bench::{BenchArgs, Table};
-use axmemo_workloads::all_benchmarks;
-
 fn main() {
-    let args = BenchArgs::parse();
-    let mut table = Table::new(
-        "Table 2: evaluated benchmarks",
-        &[
-            "Benchmark",
-            "Domain",
-            "Dataset (synthetic stand-in)",
-            "Input bytes",
-            "Trunc bits",
-        ],
-    );
-    for bench in all_benchmarks() {
-        let m = bench.meta();
-        let bytes = m
-            .input_bytes
-            .iter()
-            .map(|b| b.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        let trunc = m
-            .truncated_bits
-            .iter()
-            .map(|b| b.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        table.row(vec![
-            m.name.to_string(),
-            m.domain.to_string(),
-            m.dataset.to_string(),
-            bytes,
-            trunc,
-        ]);
-    }
-    println!("{}", table.render(args.report));
+    axmemo_bench::experiments::main("table2");
 }

@@ -2,77 +2,6 @@
 //! area / energy / latency figures, including the §6.1 area-overhead
 //! claim (memoization hardware ≈ 2% of the two-core HPI processor).
 
-use axmemo_bench::{BenchArgs, Table};
-use axmemo_isa::MemoTiming;
-use axmemo_sim::energy::{l1_lut_energy, AreaModel, EnergyModel};
-
 fn main() {
-    let args = BenchArgs::parse();
-    let t = MemoTiming::paper();
-    let mut t4 = Table::new(
-        "Table 4: AxMemo ISA timing parameters",
-        &["instruction", "latency"],
-    );
-    t4.row(vec![
-        "ld_crc / reg_crc".to_string(),
-        format!(
-            "{} cycle per byte (no CPU stall unless the input queue is full)",
-            t.crc_cycles_per_byte
-        ),
-    ]);
-    t4.row(vec![
-        "lookup".to_string(),
-        format!(
-            "{} cycles (L1 LUT) / {} cycles (L2 LUT)",
-            t.lookup_l1_cycles, t.lookup_l2_cycles
-        ),
-    ]);
-    t4.row(vec![
-        "update".to_string(),
-        format!("{} cycles", t.update_cycles),
-    ]);
-    t4.row(vec![
-        "invalidate".to_string(),
-        format!("{} cycle per way in a set", t.invalidate_cycles_per_way),
-    ]);
-    println!("{}", t4.render(args.report));
-
-    let mut t5 = Table::new(
-        "Table 5: area, energy and latency at 32 nm",
-        &["unit", "area (mm^2)", "energy (pJ)"],
-    );
-    for (label, bytes) in [
-        ("LUT (4KB)", 4096),
-        ("LUT (8KB)", 8192),
-        ("LUT (16KB)", 16384),
-    ] {
-        let a = AreaModel::for_l1_lut(bytes);
-        t5.row(vec![
-            label.to_string(),
-            format!("{:.4}", a.l1_lut),
-            format!("{:.4}", l1_lut_energy(bytes)),
-        ]);
-    }
-    let a = AreaModel::for_l1_lut(16 * 1024);
-    let e = EnergyModel::for_l1_lut(16 * 1024);
-    t5.row(vec![
-        "CRC32 unit".to_string(),
-        format!("{:.4}", a.crc_unit),
-        format!("{:.4}", e.crc_beat),
-    ]);
-    t5.row(vec![
-        "hash registers".to_string(),
-        format!("{:.4}", a.hash_registers),
-        format!("{:.4}", e.hash_register),
-    ]);
-    t5.summary(
-        "Area overhead (2 cores, 16KB L1 LUTs)",
-        format!(
-            "{:.3} mm^2 = {:.2}% of the {:.2} mm^2 HPI processor",
-            a.memoization_area(2),
-            100.0 * a.overhead_fraction(2),
-            a.processor
-        ),
-    );
-    println!("{}", t5.render(args.report));
+    axmemo_bench::experiments::main("table4_5");
 }

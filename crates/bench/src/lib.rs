@@ -18,6 +18,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod experiments;
+pub mod matrix;
 pub mod orchestrator;
 pub mod sweep;
 
@@ -57,9 +59,7 @@ pub enum ProfileMode {
     /// `flamegraph.pl`-style tool).
     #[default]
     Folded,
-    /// One JSON object (machine-readable; `Profile::from_json`
-    /// round-trips it, which is how `all_experiments` merges its
-    /// children's part-files).
+    /// One JSON object (machine-readable).
     Json,
     /// Human-readable phase tree plus hot-block tables.
     Text,
@@ -124,28 +124,9 @@ pub struct BenchArgs {
     pub restore_policy: RestorePolicy,
 }
 
-/// Usage line [`BenchArgs::parse`] prints on a bad flag.
-const USAGE: &str = "usage: <bin> [--trace-out <path>] [--report text|json] [--seed <n>] \
-                     [--jobs <n>] [--dispatch legacy|threaded] \
-                     [--profile-out <path>] [--profile folded|json|text] \
-                     [--snapshot-out <dir>] [--restore-from <dir>] \
-                     [--restore-policy oldest|mru]";
-
 impl BenchArgs {
-    /// Parse the process arguments; prints usage and exits on error.
-    pub fn parse() -> Self {
-        match Self::try_from_iter(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parse from an explicit argument list (testable form of
-    /// [`Self::parse`]).
+    /// Parse an argument list (without the program name). The
+    /// [`experiments`] drivers call this and exit 2 on an error.
     ///
     /// # Errors
     ///
@@ -653,11 +634,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Render a markdown-style table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
-}
-
 /// A tiny wall-clock micro-benchmark harness for the `benches/`
 /// binaries (`cargo bench` with `harness = false`): calibrated
 /// batching against `std::time::Instant`, no external crates.
@@ -815,7 +791,6 @@ mod tests {
                 .expect_err("removed spelling must be rejected");
             assert!(err.contains(removed[0]), "{removed:?}: {err}");
         }
-        assert!(USAGE.contains("--dispatch legacy|threaded"), "{USAGE}");
     }
 
     #[test]

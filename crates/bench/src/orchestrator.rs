@@ -292,7 +292,7 @@ impl Orchestrator {
     /// values, never propagated — a sweep always yields exactly
     /// `matrix.len()` outcomes.
     pub fn run(&self, matrix: &JobMatrix) -> Vec<JobOutcome> {
-        self.run_shared(matrix).0
+        self.run_in(matrix, &BaselineCache::new())
     }
 
     /// [`Orchestrator::run`] plus the sweep's [`BaselineCache`], whose
@@ -300,17 +300,16 @@ impl Orchestrator {
     /// the `Option` stays because `ledger/` (the benchmark) calls this
     /// shape.
     pub fn run_inner(&self, matrix: &JobMatrix) -> (Vec<JobOutcome>, Option<BaselineCache>) {
-        let (outcomes, cache) = self.run_shared(matrix);
-        (outcomes, Some(cache))
+        let cache = BaselineCache::new();
+        (self.run_in(matrix, &cache), Some(cache))
     }
 
-    fn run_shared(&self, matrix: &JobMatrix) -> (Vec<JobOutcome>, BaselineCache) {
-        let cache = BaselineCache::new();
+    fn run_in(&self, matrix: &JobMatrix, cache: &BaselineCache) -> Vec<JobOutcome> {
         let total = matrix.len();
         let done = AtomicUsize::new(0);
         let run_one = |index: usize| -> JobOutcome {
             let spec = matrix.jobs()[index].clone();
-            let outcome = self.run_job(index, spec, &cache);
+            let outcome = self.run_job(index, spec, cache);
             if self.progress {
                 let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
                 eprintln!(
@@ -323,23 +322,30 @@ impl Orchestrator {
             }
             outcome
         };
-        (parallel_map(self.jobs, total, run_one), cache)
+        parallel_map(self.jobs, total, run_one)
     }
 
-    /// [`Orchestrator::run`], then record the sweep into `tel` in
+    /// [`Orchestrator::run`] with baselines and compiled programs from
+    /// `cache` (shared with the caller's other runs), then record the
+    /// sweep into `tel` in
     /// job-index order: one `job:<benchmark>:<label>` span per
     /// *successful* job (covering its simulated memoized-run cycles —
     /// failed jobs have no meaningful cycle count, and a zero-length
     /// span would pollute span min/p50 statistics, so failures are
     /// counted only via `orchestrator.jobs.failed`), the
     /// `orchestrator.jobs.{ok,failed,retries,faults_cleared}` counters,
-    /// and the `orchestrator.baseline.{computed,reused}` counters.
+    /// and `cache`'s `orchestrator.baseline.{computed,reused}` counters.
     ///
     /// Span paths treat `/` as a hierarchy separator, so any `/` in the
     /// label is rewritten to `|` to keep the whole name on one path
     /// segment (the text report prints only the leaf segment).
-    pub fn run_with_telemetry(&self, matrix: &JobMatrix, tel: &mut Telemetry) -> Vec<JobOutcome> {
-        let (outcomes, cache) = self.run_shared(matrix);
+    pub fn run_with_telemetry(
+        &self,
+        matrix: &JobMatrix,
+        cache: &BaselineCache,
+        tel: &mut Telemetry,
+    ) -> Vec<JobOutcome> {
+        let outcomes = self.run_in(matrix, cache);
         for outcome in &outcomes {
             match outcome.result {
                 Ok(_) => {

@@ -47,7 +47,7 @@ fn reduced_sweep_is_byte_identical_with_and_without_cache() {
         let mut tel = Telemetry::enabled();
         let outcomes = Orchestrator::new(Scale::Tiny)
             .jobs(jobs)
-            .run_with_telemetry(&matrix, &mut tel);
+            .run_with_telemetry(&matrix, &BaselineCache::new(), &mut tel);
         assert_eq!(outcomes.len(), per_cell.len());
         for (outcome, expected) in outcomes.iter().zip(&per_cell) {
             let cell = format!("{}:{}", outcome.spec.benchmark, outcome.spec.label);

@@ -1,6 +1,7 @@
-//! Command-line contracts of the `warm_start` and `fault_sweep`
-//! binaries: flags a binary cannot honour and benchmark-name typos exit
-//! 2 with a message and the usage line, before any simulation runs.
+//! Command-line contracts of the experiment binaries: flags a binary
+//! cannot honour, unknown flags and benchmark-name typos exit 2 with a
+//! message and the usage line, before any simulation runs; the
+//! snapshot flags fig7–fig10 do honour write one file per benchmark.
 
 use std::process::{Command, Output};
 
@@ -33,6 +34,10 @@ fn assert_usage_error(bin: &str, args: &[&str], mentions: &[&str]) {
 
 const WARM_START: &str = env!("CARGO_BIN_EXE_warm_start");
 const FAULT_SWEEP: &str = env!("CARGO_BIN_EXE_fault_sweep");
+const FIG8: &str = env!("CARGO_BIN_EXE_fig8");
+const FIG11: &str = env!("CARGO_BIN_EXE_fig11");
+const ALL_EXPERIMENTS: &str = env!("CARGO_BIN_EXE_all_experiments");
+const ATM_COMPARE: &str = env!("CARGO_BIN_EXE_atm_compare");
 
 #[test]
 fn warm_start_rejects_unknown_benchmark_names() {
@@ -65,4 +70,56 @@ fn fault_sweep_rejects_snapshot_flags() {
     ] {
         assert_usage_error(FAULT_SWEEP, &[flag, value], &[flag]);
     }
+}
+
+#[test]
+fn fig8_honours_snapshot_out() {
+    let dir = std::env::temp_dir().join(format!("axmemo-fig8-snap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = run(
+        FIG8,
+        &["--snapshot-out", dir.to_str().unwrap(), "--report", "json"],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let golden = std::fs::read(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/data/fig8_tiny.golden.json"),
+    )
+    .expect("golden exists");
+    assert!(out.stdout == golden, "writing snapshots changes no result");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("snapshot dir created")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    let mut expected: Vec<String> = axmemo_workloads::all_benchmarks()
+        .iter()
+        .map(|b| format!("{}.axmsnap", b.meta().name))
+        .collect();
+    expected.sort();
+    assert_eq!(files, expected);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn fig11_rejects_snapshot_out() {
+    assert_usage_error(FIG11, &["--snapshot-out", "x"], &["--snapshot-out"]);
+}
+
+#[test]
+fn all_experiments_rejects_restore_from() {
+    assert_usage_error(
+        ALL_EXPERIMENTS,
+        &["--restore-from", "x"],
+        &["--restore-from"],
+    );
+}
+
+#[test]
+fn atm_compare_rejects_unknown_flags() {
+    assert_usage_error(ATM_COMPARE, &["--bogus"], &["--bogus"]);
 }

@@ -3,7 +3,7 @@
 //! failures, the faults-off attempt, and per-job telemetry.
 
 use axmemo_bench::orchestrator::{JobMatrix, JobSpec, Orchestrator};
-use axmemo_bench::{sweep, ReportMode};
+use axmemo_bench::{sweep, BaselineCache, ReportMode};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::faults::FaultConfig;
 use axmemo_telemetry::Telemetry;
@@ -160,7 +160,8 @@ fn failed_jobs_record_no_span() {
     ));
     matrix.push(JobSpec::new("doom", "L1 4K", MemoConfig::l1_only(4096)));
     let mut tel = Telemetry::enabled();
-    let outcomes = Orchestrator::new(Scale::Tiny).run_with_telemetry(&matrix, &mut tel);
+    let outcomes =
+        Orchestrator::new(Scale::Tiny).run_with_telemetry(&matrix, &BaselineCache::new(), &mut tel);
     assert!(outcomes[0].result.is_ok());
     assert!(outcomes[1].result.is_err());
     let spans = tel.spans();
@@ -183,9 +184,11 @@ fn telemetry_spans_cover_each_job() {
     ));
     matrix.push(JobSpec::new("sobel", "L1 4K", MemoConfig::l1_only(4096)));
     let mut tel = Telemetry::enabled();
-    let outcomes = Orchestrator::new(Scale::Tiny)
-        .jobs(2)
-        .run_with_telemetry(&matrix, &mut tel);
+    let outcomes = Orchestrator::new(Scale::Tiny).jobs(2).run_with_telemetry(
+        &matrix,
+        &BaselineCache::new(),
+        &mut tel,
+    );
     assert_eq!(outcomes.len(), 2);
     let spans = tel.spans();
     assert_eq!(spans.len(), 2);
