@@ -20,7 +20,6 @@
 //! * [`crc`] — serial, byte-parallel and pipelined CRC units (Fig. 3).
 //! * [`truncate`] — input-bit truncation, the approximation knob (§3.1).
 //! * [`hvr`] — Hash Value Registers holding in-flight CRC state (§3.2).
-//! * [`hvr_rename`] — renamed physical HVRs for out-of-order cores (§4).
 //! * [`adaptive`] — runtime truncation adjustment (§3.1's dynamic
 //!   profiling alternative).
 //! * [`faults`] — deterministic fault injection and ECC protection.
@@ -65,7 +64,6 @@ pub mod config;
 pub mod crc;
 pub mod faults;
 pub mod hvr;
-pub mod hvr_rename;
 pub mod ids;
 pub mod lut;
 pub mod quality;

@@ -174,8 +174,7 @@ pub struct PhaseStat {
     pub total: u64,
     /// Inclusive host nanoseconds measured at phase exit. Zero for
     /// [`Profiler::leaf`] phases (no host-clock read on the hot path)
-    /// and for profiles loaded with [`Profile::from_json`] — host time
-    /// is text-report-only and never serialized.
+    /// — host time is text-report-only and never serialized.
     pub ns: u64,
 }
 
@@ -577,27 +576,6 @@ impl Profile {
         out
     }
 
-    /// Parse a profile previously produced by [`Profile::to_json`]
-    /// (round-trip: `from_json(p.to_json()) == p` for profiles with no
-    /// host time, which is never serialized). `all_experiments` uses
-    /// this to merge the per-child part files its bins emit.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax violation.
-    pub fn from_json(text: &str) -> Result<Profile, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let profile = p.profile()?;
-        p.ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(profile)
-    }
-
     /// Human-readable report: the phase tree (indented, with counts,
     /// exclusive/inclusive cycles and host milliseconds when measured)
     /// followed by the top hot blocks of every program.
@@ -670,213 +648,6 @@ fn depth_of(path: &str) -> usize {
 
 fn leaf_name(path: &str) -> &str {
     path.rsplit(';').next().unwrap_or(path)
-}
-
-/// Minimal recursive-descent parser for exactly the schema
-/// [`Profile::to_json`] emits (zero-dependency; not a general JSON
-/// parser).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = Vec::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return String::from_utf8(out).map_err(|e| e.to_string());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    out.push(match esc {
-                        b'"' => b'"',
-                        b'\\' => b'\\',
-                        b'/' => b'/',
-                        b'n' => b'\n',
-                        b'r' => b'\r',
-                        b't' => b'\t',
-                        other => return Err(format!("unsupported escape \\{}", *other as char)),
-                    });
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    out.push(b);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        self.ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected integer at offset {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string())
-    }
-
-    fn key(&mut self, name: &str) -> Result<(), String> {
-        let got = self.string()?;
-        if got != name {
-            return Err(format!("expected key {name:?}, got {got:?}"));
-        }
-        self.eat(b':')
-    }
-
-    fn profile(&mut self) -> Result<Profile, String> {
-        let mut profile = Profile::default();
-        self.eat(b'{')?;
-        self.key("phases")?;
-        self.eat(b'[')?;
-        if self.peek() != Some(b']') {
-            loop {
-                self.eat(b'{')?;
-                self.key("path")?;
-                let path = self.string()?;
-                self.eat(b',')?;
-                self.key("count")?;
-                let count = self.u64()?;
-                self.eat(b',')?;
-                self.key("cycles")?;
-                let cycles = self.u64()?;
-                self.eat(b',')?;
-                self.key("total")?;
-                let total = self.u64()?;
-                self.eat(b'}')?;
-                profile.phases.insert(
-                    path,
-                    PhaseStat {
-                        count,
-                        cycles,
-                        total,
-                        ns: 0,
-                    },
-                );
-                if self.peek() == Some(b',') {
-                    self.eat(b',')?;
-                } else {
-                    break;
-                }
-            }
-        }
-        self.eat(b']')?;
-        self.eat(b',')?;
-        self.key("blocks")?;
-        self.eat(b'{')?;
-        if self.peek() != Some(b'}') {
-            loop {
-                let label = self.string()?;
-                self.eat(b':')?;
-                self.eat(b'{')?;
-                self.key("ranges")?;
-                self.eat(b'[')?;
-                let mut ranges = Vec::new();
-                if self.peek() != Some(b']') {
-                    loop {
-                        self.eat(b'[')?;
-                        let start = self.u64()? as u32;
-                        self.eat(b',')?;
-                        let end = self.u64()? as u32;
-                        self.eat(b']')?;
-                        ranges.push((start, end));
-                        if self.peek() == Some(b',') {
-                            self.eat(b',')?;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                self.eat(b']')?;
-                self.eat(b',')?;
-                self.key("stats")?;
-                self.eat(b'[')?;
-                let mut stats = Vec::new();
-                if self.peek() != Some(b']') {
-                    loop {
-                        self.eat(b'{')?;
-                        self.key("entries")?;
-                        let entries = self.u64()?;
-                        self.eat(b',')?;
-                        self.key("cycles")?;
-                        let cycles = self.u64()?;
-                        self.eat(b',')?;
-                        self.key("insts")?;
-                        let insts = self.u64()?;
-                        self.eat(b'}')?;
-                        stats.push(BlockStat {
-                            entries,
-                            cycles,
-                            insts,
-                        });
-                        if self.peek() == Some(b',') {
-                            self.eat(b',')?;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                self.eat(b']')?;
-                self.eat(b'}')?;
-                if stats.len() != ranges.len() {
-                    return Err(format!(
-                        "block table {label:?}: {} ranges but {} stats",
-                        ranges.len(),
-                        stats.len()
-                    ));
-                }
-                profile.blocks.insert(label, BlockProfile { ranges, stats });
-                if self.peek() == Some(b',') {
-                    self.eat(b',')?;
-                } else {
-                    break;
-                }
-            }
-        }
-        self.eat(b'}')?;
-        self.eat(b'}')?;
-        Ok(profile)
-    }
 }
 
 #[cfg(test)]
@@ -1016,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_byte_identically() {
+    fn to_json_pins_the_exact_schema() {
         let mut p = Profiler::enabled();
         p.set_label("fft");
         p.enter(PhaseId::Run);
@@ -1026,35 +797,17 @@ mod tests {
         p.block_retire(0, 12, 4);
         p.leaf(PhaseId::LutUpdate, 3);
         p.exit_cycles(60);
-        let mut profile = p.snapshot();
-        // Host time is never serialized; zero it so equality covers
-        // every remaining field.
-        for stat in profile.phases.values_mut() {
-            stat.ns = 0;
-        }
-        let json = profile.to_json();
-        let back = Profile::from_json(&json).expect("parse");
-        assert_eq!(back, profile);
-        assert_eq!(back.to_json(), json);
-        let blocks = &back.blocks["fft"];
-        assert_eq!(blocks.ranges, vec![(0, 4), (4, 9)]);
+        // Host time is measured but never serialized.
         assert_eq!(
-            blocks.stats[0],
-            BlockStat {
-                entries: 2,
-                cycles: 24,
-                insts: 8
-            }
+            p.snapshot().to_json(),
+            concat!(
+                r#"{"phases":[{"path":"run","count":1,"cycles":57,"total":60},"#,
+                r#"{"path":"run;lut.update","count":1,"cycles":3,"total":3}],"#,
+                r#""blocks":{"fft":{"ranges":[[0,4],[4,9]],"#,
+                r#""stats":[{"entries":2,"cycles":24,"insts":8},"#,
+                r#"{"entries":1,"cycles":30,"insts":5}]}}}"#,
+            )
         );
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_input() {
-        assert!(Profile::from_json("").is_err());
-        assert!(Profile::from_json("{\"phases\":[}").is_err());
-        assert!(Profile::from_json("{\"phases\":[],\"blocks\":{}} trailing").is_err());
-        let empty = Profile::from_json("{\"phases\":[],\"blocks\":{}}").expect("empty ok");
-        assert!(empty.is_empty());
     }
 
     #[test]
