@@ -7,5 +7,5 @@
 //! choice — both runs profit from prediction equally.
 
 fn main() {
-    axmemo_bench::experiments::main("ablation_branch_predictor");
+    axmemo_bench::experiments::experiment("ablation_branch_predictor").main();
 }

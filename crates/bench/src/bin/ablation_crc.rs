@@ -7,5 +7,5 @@
 //! collisions*: distinct input tuples mapping to the same CRC value.
 
 fn main() {
-    axmemo_bench::experiments::main("ablation_crc");
+    axmemo_bench::experiments::experiment("ablation_crc").main();
 }

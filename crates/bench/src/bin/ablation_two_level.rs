@@ -6,5 +6,5 @@
 //! flat level of equal capacity would have to cost to match.
 
 fn main() {
-    axmemo_bench::experiments::main("ablation_two_level");
+    axmemo_bench::experiments::experiment("ablation_two_level").main();
 }

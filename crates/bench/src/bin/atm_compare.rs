@@ -5,5 +5,5 @@
 //! 0.8x.
 
 fn main() {
-    axmemo_bench::experiments::main("atm_compare");
+    axmemo_bench::experiments::experiment("atm_compare").main();
 }

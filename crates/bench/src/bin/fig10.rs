@@ -4,5 +4,5 @@
 //! higher-collision error.
 
 fn main() {
-    axmemo_bench::experiments::main("fig10");
+    axmemo_bench::experiments::experiment("fig10").main();
 }

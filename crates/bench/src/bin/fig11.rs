@@ -3,5 +3,5 @@
 //! truncation), both on the L1(8KB)+L2(512KB) configuration.
 
 fn main() {
-    axmemo_bench::experiments::main("fig11");
+    axmemo_bench::experiments::experiment("fig11").main();
 }

@@ -3,5 +3,5 @@
 //! contender, all normalised to the non-memoized baseline.
 
 fn main() {
-    axmemo_bench::experiments::main("fig7");
+    axmemo_bench::experiments::experiment("fig7").main();
 }

@@ -4,5 +4,5 @@
 //! software-LUT contender's instruction ratio (~2x in the paper).
 
 fn main() {
-    axmemo_bench::experiments::main("fig8");
+    axmemo_bench::experiments::experiment("fig8").main();
 }

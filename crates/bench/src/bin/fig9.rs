@@ -2,5 +2,5 @@
 //! configurations plus the software-LUT contender.
 
 fn main() {
-    axmemo_bench::experiments::main("fig9");
+    axmemo_bench::experiments::experiment("fig9").main();
 }

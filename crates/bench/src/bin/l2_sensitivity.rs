@@ -5,5 +5,5 @@
 //! far more than the lost caching capacity costs.
 
 fn main() {
-    axmemo_bench::experiments::main("l2_sensitivity");
+    axmemo_bench::experiments::experiment("l2_sensitivity").main();
 }

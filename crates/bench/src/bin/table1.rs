@@ -6,5 +6,5 @@
 //! evaluation) and a bounded trace window.
 
 fn main() {
-    axmemo_bench::experiments::main("table1");
+    axmemo_bench::experiments::experiment("table1").main();
 }

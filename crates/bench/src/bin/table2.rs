@@ -2,5 +2,5 @@
 //! memoization input sizes, and truncated bits per memoized block.
 
 fn main() {
-    axmemo_bench::experiments::main("table2");
+    axmemo_bench::experiments::experiment("table2").main();
 }

@@ -3,5 +3,5 @@
 //! claim (memoization hardware ≈ 2% of the two-core HPI processor).
 
 fn main() {
-    axmemo_bench::experiments::main("table4_5");
+    axmemo_bench::experiments::experiment("table4_5").main();
 }

@@ -1,6 +1,6 @@
 //! Every experiment of the suite as a library function, plus the two
-//! drivers that run them: one experiment per binary ([`main`],
-//! [`Experiment::main_with`]) or the whole suite in one process
+//! drivers that run them: one experiment per binary
+//! ([`Experiment::main`]) or the whole suite in one process
 //! ([`all_experiments`]).
 //!
 //! An experiment reads a shared [`Context`] (flags, scale, one
@@ -38,7 +38,7 @@ use crate::{
 type Result<T> = std::result::Result<T, Box<dyn Error>>;
 
 /// What one experiment produced.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Output {
     /// Everything the experiment prints on stdout.
     pub stdout: String,
@@ -134,7 +134,7 @@ const FLAG_USAGE: [(&str, &str); 10] = [
 
 /// The usage line of `bin`, listing every shared flag it does not
 /// refuse.
-pub fn usage(bin: &str, extra: &str, refused: &[&str]) -> String {
+fn usage(bin: &str, extra: &str, refused: &[&str]) -> String {
     let flags: Vec<&str> = FLAG_USAGE
         .iter()
         .filter(|(flag, _)| !refused.contains(flag))
@@ -237,15 +237,6 @@ fn merge(a: Option<Profile>, b: Option<Profile>) -> Option<Profile> {
         }
         (a, b) => a.or(b),
     }
-}
-
-/// Run the experiment named `name` as its own binary.
-///
-/// # Panics
-///
-/// Panics if no experiment has that name.
-pub fn main(name: &str) {
-    experiment(name).main();
 }
 
 /// The experiment named `name`.
@@ -398,8 +389,8 @@ fn table2(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
             m.name.to_string(),
             m.domain.to_string(),
             m.dataset.to_string(),
-            join(&m.input_bytes),
-            join(&m.truncated_bits),
+            join(m.input_bytes),
+            join(m.truncated_bits),
         ]);
     }
     Ok(format!("{}\n", table.render(ctx.args.report)).into())
@@ -650,27 +641,20 @@ fn l2_sensitivity(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
     Ok(out.into())
 }
 
-/// Tag collisions of one event stream at `width`: distinct input tuples
-/// of the same LUT that map to the same CRC value. Returns
-/// `(distinct tags, collisions)`.
-fn crc_collisions(events: &[(u8, Vec<u8>)], width: CrcWidth) -> (u64, u64) {
+/// Tag collisions of one event stream at `width`: inputs of the same
+/// LUT that differ from the first input seen with their CRC value.
+fn crc_collisions(events: &[(u8, Vec<u8>)], width: CrcWidth) -> u64 {
     let crc = TableCrc::new(width);
     // (lut, crc) -> representative input
     let mut seen: std::collections::HashMap<(u8, u64), &[u8]> = Default::default();
-    let mut distinct = 0u64;
     let mut collided = 0u64;
     for (lut, bytes) in events {
-        let tag = crc.checksum(bytes);
-        match seen.get(&(*lut, tag)) {
-            Some(prev) if *prev != bytes.as_slice() => collided += 1,
-            Some(_) => {}
-            None => {
-                distinct += 1;
-                seen.insert((*lut, tag), bytes);
-            }
+        let first = *seen.entry((*lut, crc.checksum(bytes))).or_insert(bytes);
+        if first != bytes.as_slice() {
+            collided += 1;
         }
     }
-    (distinct, collided)
+    collided
 }
 
 /// Ablation: CRC width vs. collision rate on real workload input
@@ -697,9 +681,9 @@ fn ablation_crc(ctx: &Context, tel: &mut Telemetry) -> Result<Output> {
             .iter()
             .map(|e| (e.lut.raw(), e.input_bytes.clone()))
             .collect();
-        let (_, c16) = crc_collisions(&stream, CrcWidth::W16);
-        let (_, c32) = crc_collisions(&stream, CrcWidth::W32);
-        let (_, c64) = crc_collisions(&stream, CrcWidth::W64);
+        let c16 = crc_collisions(&stream, CrcWidth::W16);
+        let c32 = crc_collisions(&stream, CrcWidth::W32);
+        let c64 = crc_collisions(&stream, CrcWidth::W64);
         writeln!(
             out,
             "{:<14} | {:>10} | {:>14} | {:>14} | {:>14}",
@@ -854,10 +838,7 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
 /// Full-matrix fault-injection sweep over `benches` (empty: all ten)
 /// on the [`Orchestrator`] pool with `--jobs` workers, sharing the
 /// context's baselines. See the `fault_sweep` binary for the matrix.
-///
-/// # Errors
-///
-/// None today: a failed cell is a structured row of the report.
+/// A failed cell is a structured row of the report, never an error.
 pub fn fault_sweep(ctx: &Context, tel: &mut Telemetry, benches: &[String]) -> Result<Output> {
     let benches: Vec<String> = if benches.is_empty() {
         all_benchmarks()
@@ -887,13 +868,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn experiment_names_are_unique_and_resolvable() {
-        for exp in &EXPERIMENTS {
-            assert!(std::ptr::eq(experiment(exp.name), exp), "{}", exp.name);
-        }
-    }
-
-    #[test]
     fn only_the_matrix_figures_take_snapshot_flags() {
         let snapshot: Vec<&str> = EXPERIMENTS
             .iter()
@@ -912,12 +886,5 @@ mod tests {
         let fig7 = experiment("fig7");
         let line = usage(fig7.name, fig7.extra_usage, fig7.refused());
         assert!(line.ends_with("[--restore-policy oldest|mru]"), "{line}");
-    }
-
-    #[test]
-    fn crc_collisions_count_distinct_inputs_sharing_a_tag() {
-        let stream = vec![(0, vec![1, 2]), (0, vec![1, 2]), (1, vec![1, 2])];
-        // Repeats of one tuple are one tag; another LUT is its own tag.
-        assert_eq!(crc_collisions(&stream, CrcWidth::W32), (2, 0));
     }
 }

@@ -1,8 +1,10 @@
 //! # axmemo-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (see DESIGN.md's experiment index), all built on the
-//! helpers in this library crate.
+//! evaluation (see DESIGN.md's experiment index). Each binary is a shim
+//! over one function in [`experiments`]; figures 7–10 render one
+//! [`matrix::PaperMatrix`], and `all_experiments` runs the whole suite
+//! in one process.
 //!
 //! Scale is selected with the `AXMEMO_SCALE` environment variable
 //! (`tiny` | `small` | `full`, default `small`). `tiny` is a smoke
@@ -93,7 +95,9 @@ pub enum ProfileMode {
 ///   run). Corrupt or torn files degrade to a reported cold start.
 ///   Both snapshot flags are default-off with the same discipline as
 ///   the dispatch escape hatches: unused, the output is byte-identical
-///   to a build without the feature.
+///   to a build without the feature. Only the paper-matrix figures
+///   (`fig7`–`fig10`) take them; the [`experiments`] drivers reject
+///   them elsewhere with exit 2.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     /// JSONL event-trace destination, when requested.
