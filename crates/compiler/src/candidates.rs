@@ -82,8 +82,11 @@ pub struct AnalysisSummary {
 /// Find the best candidate rooted at `output` by backward BFS growth.
 ///
 /// A producer joins `S` only if *all* of its consumers are already in
-/// `S` (otherwise it would need to be a second output). Growth stops
-/// when the input budget is exceeded; the best-ratio prefix is kept.
+/// `S` (otherwise it would need to be a second output). Growth runs
+/// until no producer qualifies, whatever the input count; the kept
+/// candidate is the growth-order prefix with the best CI_Ratio among
+/// those with at most `max_inputs` inputs and at least `min_vertices`
+/// vertices.
 fn grow_from(g: &Dddg, output: VertexId, cfg: &SearchConfig) -> Option<Candidate> {
     let mut in_s: HashSet<VertexId> = HashSet::from([output]);
     let mut order: Vec<VertexId> = vec![output];

@@ -20,8 +20,6 @@
 //! * [`crc`] — serial, byte-parallel and pipelined CRC units (Fig. 3).
 //! * [`truncate`] — input-bit truncation, the approximation knob (§3.1).
 //! * [`hvr`] — Hash Value Registers holding in-flight CRC state (§3.2).
-//! * [`adaptive`] — runtime truncation adjustment (§3.1's dynamic
-//!   profiling alternative).
 //! * [`faults`] — deterministic fault injection and ECC protection.
 //! * [`lut`] — the set-associative lookup table (§3.3, Fig. 4).
 //! * [`two_level`] — L1 + optional inclusive L2 LUT hierarchy (§3.3–3.4).
@@ -59,7 +57,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod adaptive;
 pub mod config;
 pub mod crc;
 pub mod faults;

@@ -2,9 +2,9 @@
 //!
 //! A memoization unit's most valuable state is its warm LUT; this
 //! module makes it survive restarts. [`MemoSnapshot`] captures the
-//! [`crate::two_level::TwoLevelLut`] contents (L1 + L2 entries plus donor statistics),
-//! the [`AdaptiveTruncation`] controller and the [`QualityMonitor`]
-//! ladder position into a versioned, section-based binary format, and
+//! [`crate::two_level::TwoLevelLut`] contents (L1 + L2 entries plus donor statistics)
+//! and the [`QualityMonitor`] ladder position into a versioned,
+//! section-based binary format, and
 //! [`MemoSnapshot::recover`] rebuilds as much of that state as the
 //! bytes allow.
 //!
@@ -23,6 +23,10 @@
 //! records — `lut_id u8 | crc u64 | data u64 | record CRC32` — in LRU
 //! order, oldest first.
 //!
+//! Tag 5 is retired: it held an adaptive-truncation controller's state,
+//! which no run ever wrote. Files that carry it still load; recovery
+//! reports the section as skipped, like any unknown tag.
+//!
 //! # Torn-update semantics
 //!
 //! The design follows the criticality split of the data-partitioning
@@ -40,7 +44,7 @@
 //! - A **payload** whose CRC fails is salvaged record-by-record for
 //!   entry sections (each record carries its own CRC; corrupt records
 //!   are discarded, intact ones restored) and discarded whole for
-//!   scalar sections (controller/monitor state is all-or-nothing).
+//!   scalar sections (monitor state is all-or-nothing).
 //! - A truncated final payload keeps its valid record prefix and
 //!   discards the torn tail.
 //!
@@ -54,7 +58,6 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveState, AdaptiveTruncation};
 use crate::crc::{CrcAlgorithm, CrcWidth, TableCrc};
 use crate::ids::LutId;
 use crate::lut::{ExportedEntry, LutStats};
@@ -77,7 +80,8 @@ const TAG_GEOMETRY: u32 = 1;
 const TAG_L1_ENTRIES: u32 = 2;
 const TAG_L2_ENTRIES: u32 = 3;
 const TAG_LUT_STATS: u32 = 4;
-const TAG_ADAPTIVE: u32 = 5;
+// Tag 5 is retired (adaptive-truncation controller state) and must not
+// be reused: older files may still carry it, and decode skips it.
 const TAG_QUALITY: u32 = 6;
 
 fn section_name(tag: u32) -> &'static str {
@@ -86,7 +90,6 @@ fn section_name(tag: u32) -> &'static str {
         TAG_L1_ENTRIES => "l1_entries",
         TAG_L2_ENTRIES => "l2_entries",
         TAG_LUT_STATS => "lut_stats",
-        TAG_ADAPTIVE => "adaptive",
         TAG_QUALITY => "quality",
         _ => "unknown",
     }
@@ -226,8 +229,6 @@ pub struct RecoveryReport {
     pub l2_entries_restored: u64,
     /// L2 entry records discarded.
     pub l2_entries_discarded: u64,
-    /// Whether the adaptive-truncation controller state was recovered.
-    pub adaptive_restored: bool,
     /// Whether the quality-monitor state was recovered.
     pub quality_restored: bool,
     /// Parsing stopped before the promised section count (truncated
@@ -249,7 +250,6 @@ impl RecoveryReport {
             l1_entries_discarded: 0,
             l2_entries_restored: 0,
             l2_entries_discarded: 0,
-            adaptive_restored: false,
             quality_restored: false,
             torn_tail: false,
             applied: None,
@@ -313,21 +313,15 @@ pub struct MemoSnapshot {
     pub l1_stats: Option<LutStats>,
     /// Donor run's L2 statistics (informational).
     pub l2_stats: Option<LutStats>,
-    /// Adaptive-truncation controller state, when one was active.
-    pub adaptive: Option<AdaptiveState>,
     /// Quality-monitor ladder state.
     pub quality: Option<QualityState>,
 }
 
 impl MemoSnapshot {
     /// Capture the warm state of a LUT hierarchy plus the optional
-    /// controllers that steer it.
-    pub fn capture(
-        lut: &TwoLevelLut,
-        adaptive: Option<&AdaptiveTruncation>,
-        quality: Option<&QualityMonitor>,
-    ) -> Self {
-        Self::capture_tel(lut, adaptive, quality, &mut Telemetry::off())
+    /// quality monitor that steers it.
+    pub fn capture(lut: &TwoLevelLut, quality: Option<&QualityMonitor>) -> Self {
+        Self::capture_tel(lut, quality, &mut Telemetry::off())
     }
 
     /// [`Self::capture`] with telemetry: stored records skipped because
@@ -336,7 +330,6 @@ impl MemoSnapshot {
     /// are counted into `snapshot.capture.bad_records`.
     pub fn capture_tel(
         lut: &TwoLevelLut,
-        adaptive: Option<&AdaptiveTruncation>,
         quality: Option<&QualityMonitor>,
         tel: &mut Telemetry,
     ) -> Self {
@@ -351,7 +344,6 @@ impl MemoSnapshot {
             l2_entries,
             l1_stats: Some(lut.l1_stats()),
             l2_stats: Some(lut.l2_stats()),
-            adaptive: adaptive.map(AdaptiveTruncation::export_state),
             quality: quality.map(QualityMonitor::export_state),
         }
     }
@@ -373,9 +365,6 @@ impl MemoSnapshot {
                     self.l2_stats.unwrap_or_default(),
                 ),
             ));
-        }
-        if let Some(a) = &self.adaptive {
-            sections.push((TAG_ADAPTIVE, encode_adaptive(a)));
         }
         if let Some(q) = &self.quality {
             sections.push((TAG_QUALITY, encode_quality(q)));
@@ -592,27 +581,6 @@ fn encode_stats(l1: LutStats, l2: LutStats) -> Vec<u8> {
     p
 }
 
-fn encode_adaptive(a: &AdaptiveState) -> Vec<u8> {
-    let mut p = Vec::new();
-    p.extend_from_slice(&a.config.target_error.to_le_bytes());
-    p.extend_from_slice(&a.config.raise_margin.to_le_bytes());
-    p.extend_from_slice(&a.config.normal_window.to_le_bytes());
-    p.extend_from_slice(&a.config.profile_window.to_le_bytes());
-    p.extend_from_slice(&a.config.min_bits.to_le_bytes());
-    p.extend_from_slice(&a.config.max_bits.to_le_bytes());
-    p.extend_from_slice(&a.bits.to_le_bytes());
-    p.push(u8::from(a.profiling));
-    p.extend_from_slice(&a.remaining.to_le_bytes());
-    p.extend_from_slice(&a.err_sum.to_le_bytes());
-    p.extend_from_slice(&a.err_count.to_le_bytes());
-    p.extend_from_slice(&(a.history.len() as u64).to_le_bytes());
-    for (bits, err) in &a.history {
-        p.extend_from_slice(&bits.to_le_bytes());
-        p.extend_from_slice(&err.to_le_bytes());
-    }
-    p
-}
-
 fn stage_to_u8(stage: DegradationStage) -> u8 {
     match stage {
         DegradationStage::Healthy => 0,
@@ -730,7 +698,6 @@ fn decode(bytes: &[u8]) -> (Option<MemoSnapshot>, RecoveryReport) {
         l1_entries_discarded: 0,
         l2_entries_restored: 0,
         l2_entries_discarded: 0,
-        adaptive_restored: false,
         quality_restored: false,
         torn_tail: false,
         applied: None,
@@ -822,16 +789,6 @@ fn decode(bytes: &[u8]) -> (Option<MemoSnapshot>, RecoveryReport) {
                 }
                 None => SectionDisposition::Discarded {
                     reason: "stats payload malformed".into(),
-                },
-            },
-            TAG_ADAPTIVE => match decode_adaptive(payload) {
-                Some(a) => {
-                    snap.adaptive = Some(a);
-                    report.adaptive_restored = true;
-                    SectionDisposition::Salvaged
-                }
-                None => SectionDisposition::Discarded {
-                    reason: "adaptive payload malformed".into(),
                 },
             },
             TAG_QUALITY => match decode_quality(payload) {
@@ -945,47 +902,6 @@ fn decode_stats(payload: &[u8]) -> Option<(LutStats, LutStats)> {
         return None;
     }
     Some((l1, l2))
-}
-
-fn decode_adaptive(payload: &[u8]) -> Option<AdaptiveState> {
-    let mut r = Reader::new(payload);
-    let config = AdaptiveConfig {
-        target_error: r.f64()?,
-        raise_margin: r.f64()?,
-        normal_window: r.u64()?,
-        profile_window: r.u64()?,
-        min_bits: r.u32()?,
-        max_bits: r.u32()?,
-    };
-    let bits = r.u32()?;
-    let profiling = r.u8()? != 0;
-    let remaining = r.u64()?;
-    let err_sum = r.f64()?;
-    let err_count = r.u64()?;
-    let history_len = r.u64()?;
-    // A plausibility bound: each pair costs 12 bytes, so the length can
-    // never exceed the remaining payload.
-    if history_len > (payload.len() as u64) / 12 {
-        return None;
-    }
-    let mut history = Vec::with_capacity(history_len as usize);
-    for _ in 0..history_len {
-        let bits = r.u32()?;
-        let err = r.f64()?;
-        history.push((bits, err));
-    }
-    if !r.done() {
-        return None;
-    }
-    Some(AdaptiveState {
-        config,
-        bits,
-        profiling,
-        remaining,
-        err_sum,
-        err_count,
-        history,
-    })
 }
 
 fn decode_quality(payload: &[u8]) -> Option<QualityState> {
@@ -1113,7 +1029,7 @@ mod tests {
     fn encode_recover_roundtrip_is_lossless() {
         let lut = warm_lut();
         let qm = QualityMonitor::new();
-        let snap = MemoSnapshot::capture(&lut, None, Some(&qm));
+        let snap = MemoSnapshot::capture(&lut, Some(&qm));
         let bytes = snap.encode();
         let (recovered, report) = MemoSnapshot::recover(&bytes);
         let recovered = recovered.expect("clean bytes restore");
@@ -1165,7 +1081,7 @@ mod tests {
     #[test]
     fn flipped_entry_record_is_discarded_not_admitted() {
         let lut = warm_lut();
-        let snap = MemoSnapshot::capture(&lut, None, None);
+        let snap = MemoSnapshot::capture(&lut, None);
         let mut bytes = snap.encode();
         // Flip a byte inside the first L1 entry record's data field.
         // Layout: file header, then geometry section, then L1 entries.
@@ -1188,7 +1104,7 @@ mod tests {
     #[test]
     fn truncation_keeps_valid_prefix() {
         let lut = warm_lut();
-        let snap = MemoSnapshot::capture(&lut, None, None);
+        let snap = MemoSnapshot::capture(&lut, None);
         let bytes = snap.encode();
         // Cut in the middle of the L2 entry section payload: the final
         // lut_stats section (20 B header + 80 B payload) disappears
@@ -1207,7 +1123,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("axmemo_snap_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("unit.snap");
-        let snap = MemoSnapshot::capture(&warm_lut(), None, None);
+        let snap = MemoSnapshot::capture(&warm_lut(), None);
         let n = snap.write_atomic(&path).expect("write");
         assert_eq!(n, snap.encode().len() as u64);
         // No temp file left behind.

@@ -654,7 +654,6 @@ impl MemoizationUnit {
         if self.capture_armed && self.warm_image.is_none() {
             self.warm_image = Some(crate::snapshot::MemoSnapshot::capture_tel(
                 &self.lut,
-                None,
                 Some(&self.quality),
                 tel,
             ));
@@ -726,7 +725,6 @@ impl MemoizationUnit {
         self.warm_image.take().or_else(|| {
             Some(crate::snapshot::MemoSnapshot::capture(
                 &self.lut,
-                None,
                 Some(&self.quality),
             ))
         })

@@ -1,10 +1,11 @@
 //! # axmemo-isa
 //!
 //! The five AxMemo ISA extensions (§4 of the paper) as standalone
-//! instruction definitions: semantics, a 32-bit binary encoding, the
-//! Table 4 timing parameters, and the program-ordering model (the
-//! "dummy register" dependency that serialises `ld_crc`/`reg_crc`/
-//! `lookup` within one logical LUT).
+//! instruction definitions: semantics, a 32-bit binary encoding and the
+//! Table 4 timing parameters. The program-ordering rule (the "dummy
+//! register" dependency that serialises `ld_crc`/`reg_crc`/`lookup`
+//! within one logical LUT) is enforced by `axmemo-sim`'s per-LUT CRC
+//! chain on both dispatch tiers.
 //!
 //! The host ISA is modelled abstractly — `axmemo-sim` defines its own
 //! RISC-style IR and embeds these extension instructions into it; this
@@ -22,13 +23,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod asm;
 pub mod encoding;
-pub mod ordering;
 pub mod timing;
 
 pub use encoding::{decode, encode, DecodeError};
-pub use ordering::OrderingModel;
 pub use timing::MemoTiming;
 
 use axmemo_core::ids::LutId;
@@ -99,26 +97,6 @@ pub enum MemoInst {
 }
 
 impl MemoInst {
-    /// The logical LUT this instruction addresses.
-    pub fn lut(&self) -> LutId {
-        match *self {
-            MemoInst::LdCrc { lut, .. }
-            | MemoInst::RegCrc { lut, .. }
-            | MemoInst::Lookup { lut, .. }
-            | MemoInst::Update { lut, .. }
-            | MemoInst::Invalidate { lut } => lut,
-        }
-    }
-
-    /// Whether this instruction participates in the dummy-register
-    /// program-order chain (`ld_crc`, `reg_crc`, `lookup`; §4).
-    pub fn is_ordered(&self) -> bool {
-        matches!(
-            self,
-            MemoInst::LdCrc { .. } | MemoInst::RegCrc { .. } | MemoInst::Lookup { .. }
-        )
-    }
-
     /// Assembly mnemonic.
     pub fn mnemonic(&self) -> &'static str {
         match self {
@@ -171,28 +149,6 @@ mod tests {
             MemoInst::Invalidate { lut: lut(0) }.to_string(),
             "invalidate LUT0"
         );
-    }
-
-    #[test]
-    fn ordering_participation() {
-        assert!(MemoInst::LdCrc {
-            dst: 0,
-            addr: 0,
-            lut: lut(0),
-            trunc: 0
-        }
-        .is_ordered());
-        assert!(MemoInst::Lookup {
-            dst: 0,
-            lut: lut(0)
-        }
-        .is_ordered());
-        assert!(!MemoInst::Update {
-            src: 0,
-            lut: lut(0)
-        }
-        .is_ordered());
-        assert!(!MemoInst::Invalidate { lut: lut(0) }.is_ordered());
     }
 
     #[test]

@@ -364,11 +364,6 @@ impl Simulator {
         &self.telemetry
     }
 
-    /// Mutable telemetry handle (add sinks, read the registry).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
-    }
-
     /// Take the telemetry handle out (e.g. to render a report), leaving
     /// a disabled one in place.
     pub fn take_telemetry(&mut self) -> Telemetry {
@@ -1292,6 +1287,50 @@ mod tests {
         };
         let reference = run(DispatchTier::Legacy);
         assert_eq!(run(DispatchTier::Threaded), reference);
+    }
+
+    /// §4's dummy-register rule: `lookup` waits for every `reg_crc`
+    /// feeding the same LUT, and only those. The wait is charged as
+    /// `memo_stall_cycles` and grows with the number of inputs in
+    /// flight; a lookup on another LUT does not wait at all.
+    #[test]
+    fn lookup_orders_only_after_crc_on_its_own_lut() {
+        let (lut_a, lut_b) = (LutId::new(0).unwrap(), LutId::new(1).unwrap());
+        let run = |dispatch: DispatchTier, inputs: usize, lookup_lut: LutId| {
+            let mut b = ProgramBuilder::new();
+            b.movi(1, 0x1234_5678);
+            for _ in 0..inputs {
+                b.memo_reg_crc(MemWidth::B8, 1, lut_a, 0);
+            }
+            b.memo_lookup(2, lookup_lut);
+            b.halt();
+            let cfg = SimConfig {
+                dispatch,
+                ..SimConfig::with_memo(MemoConfig::l1_only(4096))
+            };
+            let mut sim = Simulator::new(cfg).unwrap();
+            sim.run(&b.build().unwrap(), &mut Machine::new(64)).unwrap()
+        };
+        for dispatch in DispatchTier::ALL {
+            let mut last_stall = 0;
+            for inputs in [1, 2, 4, 8, 12] {
+                let same = run(dispatch, inputs, lut_a);
+                let other = run(dispatch, inputs, lut_b);
+                assert!(
+                    same.memo_stall_cycles > last_stall,
+                    "{dispatch:?}, {inputs} inputs: stall {} after {last_stall}",
+                    same.memo_stall_cycles
+                );
+                last_stall = same.memo_stall_cycles;
+                assert_eq!(other.memo_stall_cycles, 0, "{dispatch:?}, {inputs} inputs");
+                assert!(
+                    other.cycles < same.cycles,
+                    "{dispatch:?}, {inputs} inputs: {} vs {}",
+                    other.cycles,
+                    same.cycles
+                );
+            }
+        }
     }
 
     #[test]

@@ -90,7 +90,6 @@ pub mod builder;
 pub mod cache;
 pub mod cpu;
 pub mod decoded;
-pub mod disasm;
 pub mod energy;
 pub mod ir;
 pub mod multicore;

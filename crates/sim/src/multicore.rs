@@ -132,11 +132,6 @@ impl MultiCore {
         Ok(Self { cores })
     }
 
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Run `jobs` — one (program, machine) pair per core, e.g. data-
     /// parallel shards of one workload.
     ///

@@ -1,7 +1,7 @@
 //! Structured events and their JSON encoding.
 //!
 //! An [`Event`] is one timestamped record in the trace stream: a kind
-//! (`"lut.lookup"`, `"adaptive.decision"`, …), the simulated cycle it
+//! (`"lut.lookup"`, `"snapshot.restore"`, …), the simulated cycle it
 //! happened at, the span path that was open when it was emitted, and a
 //! flat list of typed fields. Encoding is hand-rolled JSON — this crate
 //! must stay dependency-free — with full string escaping so arbitrary

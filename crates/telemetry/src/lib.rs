@@ -207,11 +207,6 @@ impl Telemetry {
         &self.registry
     }
 
-    /// Mutable access to the registry (bulk merges in multicore runs).
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
-    }
-
     /// Completed spans, in close order.
     pub fn spans(&self) -> &[SpanRecord] {
         self.spans.completed()

@@ -176,37 +176,6 @@ fn two_level_is_consistent() {
     }
 }
 
-/// Assembly print/parse round-trips for arbitrary field values.
-#[test]
-fn asm_roundtrip() {
-    use axmemo_isa::{asm, MemoInst};
-    let mut rng = SplitMix64::new(8);
-    for _ in 0..CASES {
-        let dst = rng.below(32) as u8;
-        let addr = rng.below(32) as u8;
-        let lut = LutId::new(rng.below(8) as u8).unwrap();
-        let trunc = rng.below(64) as u8;
-        for inst in [
-            MemoInst::LdCrc {
-                dst,
-                addr,
-                lut,
-                trunc,
-            },
-            MemoInst::RegCrc {
-                src: dst,
-                lut,
-                trunc,
-            },
-            MemoInst::Lookup { dst, lut },
-            MemoInst::Update { src: addr, lut },
-            MemoInst::Invalidate { lut },
-        ] {
-            assert_eq!(asm::parse(&inst.to_string()), Ok(inst));
-        }
-    }
-}
-
 /// The pipeline never time-travels: issue cycles are monotone
 /// non-decreasing along the dynamic instruction stream, and every
 /// `not_before` constraint is honoured.
