@@ -1,13 +1,13 @@
-//! Micro-benchmark: CRC hashing throughput for the three
-//! implementations (serial bit-wise specification, byte-parallel table,
-//! unrolled/pipelined) over the paper's memoization-input sizes
+//! Micro-benchmark: CRC hashing throughput for the two
+//! implementations (serial bit-wise specification, byte-parallel table)
+//! over the paper's memoization-input sizes
 //! (4 bytes for fft up to 36 bytes for sobel/jmeint).
 //!
 //! Runs under `cargo bench` with the in-tree harness
 //! (`axmemo_bench::timing`); no external benchmarking crates.
 
 use axmemo_bench::timing::report;
-use axmemo_core::crc::{CrcAlgorithm, CrcWidth, PipelinedCrc, SerialCrc, TableCrc};
+use axmemo_core::crc::{CrcWidth, SerialCrc, TableCrc};
 use std::hint::black_box;
 
 fn main() {
@@ -21,10 +21,6 @@ fn main() {
         let table = TableCrc::new(CrcWidth::W32);
         report(&format!("crc/table/{size}B"), || {
             black_box(table.checksum(black_box(&data)));
-        });
-        let pipe = PipelinedCrc::new(CrcWidth::W32);
-        report(&format!("crc/pipelined/{size}B"), || {
-            black_box(pipe.checksum(black_box(&data)));
         });
     }
 }

@@ -6,7 +6,7 @@
 //! story. Uses the in-tree harness (`axmemo_bench::timing`).
 
 use axmemo_bench::timing::report;
-use axmemo_core::crc::{CrcAlgorithm, CrcWidth, TableCrc};
+use axmemo_core::crc::{CrcWidth, TableCrc};
 use std::collections::HashMap;
 use std::hint::black_box;
 

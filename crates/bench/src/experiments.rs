@@ -18,8 +18,8 @@ use axmemo_compiler::dddg::Dddg;
 use axmemo_compiler::trace::TraceCapture;
 use axmemo_compiler::{analyze, SearchConfig};
 use axmemo_core::config::MemoConfig;
-use axmemo_core::crc::{CrcAlgorithm, CrcWidth, TableCrc};
-use axmemo_isa::MemoTiming;
+use axmemo_core::crc::{CrcWidth, TableCrc};
+use axmemo_core::unit::UnitTiming;
 use axmemo_sim::cache::CacheConfig;
 use axmemo_sim::cpu::{SimConfig, Simulator};
 use axmemo_sim::energy::{l1_lut_energy, AreaModel, EnergyModel};
@@ -400,7 +400,7 @@ fn table2(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
 /// area / energy / latency figures, including the §6.1 area-overhead
 /// claim (memoization hardware ≈ 2% of the two-core HPI processor).
 fn table4_5(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
-    let t = MemoTiming::paper();
+    let t = UnitTiming::default();
     let mut t4 = Table::new(
         "Table 4: AxMemo ISA timing parameters",
         &["instruction", "latency"],
@@ -409,23 +409,20 @@ fn table4_5(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
         "ld_crc / reg_crc".to_string(),
         format!(
             "{} cycle per byte (no CPU stall unless the input queue is full)",
-            t.crc_cycles_per_byte
+            t.cycles_per_input_byte
         ),
     ]);
     t4.row(vec![
         "lookup".to_string(),
         format!(
             "{} cycles (L1 LUT) / {} cycles (L2 LUT)",
-            t.lookup_l1_cycles, t.lookup_l2_cycles
+            t.lookup_l1, t.lookup_l2
         ),
     ]);
-    t4.row(vec![
-        "update".to_string(),
-        format!("{} cycles", t.update_cycles),
-    ]);
+    t4.row(vec!["update".to_string(), format!("{} cycles", t.update)]);
     t4.row(vec![
         "invalidate".to_string(),
-        format!("{} cycle per way in a set", t.invalidate_cycles_per_way),
+        format!("{} cycle per way in a set", t.invalidate_per_way),
     ]);
 
     let mut t5 = Table::new(

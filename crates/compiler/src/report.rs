@@ -70,11 +70,6 @@ impl CompilationReport {
             regions,
         }
     }
-
-    /// Total memoization inputs across regions.
-    pub fn total_inputs(&self) -> usize {
-        self.regions.iter().map(|r| r.inputs).sum()
-    }
 }
 
 impl fmt::Display for CompilationReport {
@@ -146,7 +141,6 @@ mod tests {
         assert_eq!(r.regions.len(), 1);
         assert_eq!(r.regions[0].inputs, 2);
         assert_eq!(r.regions[0].truncation, vec![8, 8]);
-        assert_eq!(r.total_inputs(), 2);
         assert!((r.regions[0].ci_ratio - 50.0).abs() < 1e-9);
     }
 

@@ -7,23 +7,23 @@
 //! affects the output, the hardware is cheap, and the width is
 //! configurable (16/32/64 bits).
 //!
-//! Three implementations are provided, mirroring Fig. 3:
+//! Two implementations are provided, mirroring Fig. 3:
 //!
 //! * [`SerialCrc`] — the LFSR-with-input-XOR reference that processes one
-//!   *bit* per step. It is the specification against which the faster
-//!   variants are property-tested.
+//!   *bit* per step. It is the specification against which [`TableCrc`]
+//!   is property-tested.
 //! * [`TableCrc`] — the byte-parallel (n = 8) implementation. In hardware
 //!   this needs a `2^8 × m`-bit constant RAM; in software it is the classic
-//!   table-driven algorithm. This is what the memoization unit instantiates
-//!   (one byte per cycle, matching Table 4's "one cycle for each byte").
-//! * [`PipelinedCrc`] — the 4×-unrolled, pipelined variant from §6.1 used
-//!   to match the throughput of a 4-byte-per-cycle input stream. It is
-//!   bit-identical to the others; only its [`HardwareTiming`] differs.
+//!   table-driven algorithm. This is what the memoization unit instantiates.
+//!
+//! Hashing is functional only: the cycles the synthesised unit takes
+//! (4× unrolled and pipelined, 4 bytes per cycle, §6.1) are charged by
+//! the simulator, per `ld_crc`/`reg_crc` beat.
 //!
 //! # Examples
 //!
 //! ```
-//! use axmemo_core::crc::{CrcAlgorithm, CrcWidth, TableCrc};
+//! use axmemo_core::crc::{CrcWidth, TableCrc};
 //!
 //! let crc = TableCrc::new(CrcWidth::W32);
 //! let mut state = crc.init();
@@ -94,87 +94,12 @@ pub struct CrcState {
     width: CrcWidth,
 }
 
-impl CrcState {
-    /// Raw register contents. Exposed for the HVR file and for tests.
-    pub fn raw(self) -> u64 {
-        self.value
-    }
-
-    /// The width this state was created for.
-    pub fn width(self) -> CrcWidth {
-        self.width
-    }
-}
-
-/// Hardware cost model of a CRC implementation, in core clock cycles.
-///
-/// Latencies come from Table 4 ("one cycle for each byte of data") and the
-/// synthesis results in Table 5 (all units < 0.5 ns, so no cycle-time
-/// impact at 2 GHz).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HardwareTiming {
-    /// Bytes of input consumed per clock cycle.
-    pub bytes_per_cycle: u32,
-    /// Pipeline fill latency in cycles before the first result is valid.
-    pub pipeline_depth: u32,
-}
-
-impl HardwareTiming {
-    /// Cycles needed to absorb `bytes` of input (excluding pipeline fill).
-    pub fn cycles_for(self, bytes: usize) -> u64 {
-        (bytes as u64).div_ceil(self.bytes_per_cycle as u64)
-    }
-}
-
-/// A streaming CRC implementation.
-///
-/// All implementors of a given [`CrcWidth`] must produce bit-identical
-/// results; only their hardware timing differs. This trait is sealed in
-/// spirit (the memoization unit only instantiates the types in this
-/// module) but left open so that experiments can plug in alternative
-/// hash functions (see the `hash_ablation` bench).
-pub trait CrcAlgorithm: fmt::Debug {
-    /// Fresh state (all-ones preset, the conventional CRC init).
-    fn init(&self) -> CrcState;
-
-    /// Absorb `data` into `state`, one byte at a time in order.
-    fn feed(&self, state: &mut CrcState, data: &[u8]);
-
-    /// Produce the final CRC value (final XOR applied).
-    fn finalize(&self, state: CrcState) -> u64;
-
-    /// The width of CRC values produced.
-    fn width(&self) -> CrcWidth;
-
-    /// The unit's hardware cost model.
-    fn timing(&self) -> HardwareTiming;
-
-    /// Convenience: hash a complete buffer in one call.
-    fn checksum(&self, data: &[u8]) -> u64 {
-        let mut s = self.init();
-        self.feed(&mut s, data);
-        self.finalize(s)
-    }
-}
-
-fn init_state(width: CrcWidth) -> CrcState {
-    CrcState {
-        value: width.mask(), // all-ones preset
-        width,
-    }
-}
-
-fn finalize_state(state: CrcState) -> u64 {
-    // Final XOR with all-ones, masked to width.
-    (state.value ^ state.width.mask()) & state.width.mask()
-}
-
 /// Bit-serial CRC: the linear-feedback shift register with the input bit
 /// XORed into the feedback path (Fig. 3, "serial CRC unit").
 ///
 /// Processes one input bit per step; in hardware this is the cheapest
 /// (but slowest) implementation. Used here as the executable
-/// specification.
+/// specification, independent of [`TableCrc`]'s table.
 #[derive(Debug, Clone, Copy)]
 pub struct SerialCrc {
     width: CrcWidth,
@@ -185,18 +110,14 @@ impl SerialCrc {
     pub fn new(width: CrcWidth) -> Self {
         Self { width }
     }
-}
 
-impl CrcAlgorithm for SerialCrc {
-    fn init(&self) -> CrcState {
-        init_state(self.width)
-    }
-
-    fn feed(&self, state: &mut CrcState, data: &[u8]) {
-        debug_assert_eq!(state.width, self.width, "state/unit width mismatch");
+    /// Hash a complete buffer: all-ones preset, final XOR with all-ones.
+    pub fn checksum(&self, data: &[u8]) -> u64 {
         let poly = self.width.polynomial();
+        let mask = self.width.mask();
+        let mut crc = mask;
         for &byte in data {
-            let mut crc = state.value ^ u64::from(byte);
+            crc ^= u64::from(byte);
             for _ in 0..8 {
                 // Reflected form: shift right, XOR polynomial on carry-out.
                 let lsb = crc & 1;
@@ -205,25 +126,8 @@ impl CrcAlgorithm for SerialCrc {
                     crc ^= poly;
                 }
             }
-            state.value = crc & self.width.mask();
         }
-    }
-
-    fn finalize(&self, state: CrcState) -> u64 {
-        finalize_state(state)
-    }
-
-    fn width(&self) -> CrcWidth {
-        self.width
-    }
-
-    fn timing(&self) -> HardwareTiming {
-        // 1 bit per cycle => 1/8 byte per cycle. We round conservatively to
-        // 8 cycles per byte by reporting fractional throughput via depth.
-        HardwareTiming {
-            bytes_per_cycle: 1, // consumed per *8 cycles*; modelled below
-            pipeline_depth: 8,
-        }
+        (crc ^ mask) & mask
     }
 }
 
@@ -258,18 +162,16 @@ impl TableCrc {
         Self { width, table }
     }
 
-    /// Size in bytes of the constant RAM (for the energy/area model).
-    pub fn constant_ram_bytes(&self) -> usize {
-        256 * (self.width.bits() as usize / 8)
-    }
-}
-
-impl CrcAlgorithm for TableCrc {
-    fn init(&self) -> CrcState {
-        init_state(self.width)
+    /// Fresh state (all-ones preset, the conventional CRC init).
+    pub fn init(&self) -> CrcState {
+        CrcState {
+            value: self.width.mask(),
+            width: self.width,
+        }
     }
 
-    fn feed(&self, state: &mut CrcState, data: &[u8]) {
+    /// Absorb `data` into `state`, one byte at a time in order.
+    pub fn feed(&self, state: &mut CrcState, data: &[u8]) {
         debug_assert_eq!(state.width, self.width, "state/unit width mismatch");
         let mask = self.width.mask();
         let mut crc = state.value;
@@ -280,65 +182,22 @@ impl CrcAlgorithm for TableCrc {
         state.value = crc & mask;
     }
 
-    fn finalize(&self, state: CrcState) -> u64 {
-        finalize_state(state)
+    /// Produce the final CRC value (final XOR with all-ones, masked to
+    /// width).
+    pub fn finalize(&self, state: CrcState) -> u64 {
+        (state.value ^ state.width.mask()) & state.width.mask()
     }
 
-    fn width(&self) -> CrcWidth {
+    /// The width of CRC values produced.
+    pub fn width(&self) -> CrcWidth {
         self.width
     }
 
-    fn timing(&self) -> HardwareTiming {
-        HardwareTiming {
-            bytes_per_cycle: 1,
-            pipeline_depth: 1,
-        }
-    }
-}
-
-/// The 4×-unrolled, pipelined CRC unit synthesised in §6.1 ("to match the
-/// throughput of the CRC unit with the most common case of a 4-byte
-/// input, we unrolled the 32-bit CRC unit four times and apply
-/// pipelining").
-///
-/// Functionally identical to [`TableCrc`]; consumes 4 bytes per cycle
-/// with a 2-stage pipeline.
-#[derive(Debug, Clone)]
-pub struct PipelinedCrc {
-    inner: TableCrc,
-}
-
-impl PipelinedCrc {
-    /// Create the unrolled/pipelined unit.
-    pub fn new(width: CrcWidth) -> Self {
-        Self {
-            inner: TableCrc::new(width),
-        }
-    }
-}
-
-impl CrcAlgorithm for PipelinedCrc {
-    fn init(&self) -> CrcState {
-        self.inner.init()
-    }
-
-    fn feed(&self, state: &mut CrcState, data: &[u8]) {
-        self.inner.feed(state, data);
-    }
-
-    fn finalize(&self, state: CrcState) -> u64 {
-        self.inner.finalize(state)
-    }
-
-    fn width(&self) -> CrcWidth {
-        self.inner.width()
-    }
-
-    fn timing(&self) -> HardwareTiming {
-        HardwareTiming {
-            bytes_per_cycle: 4,
-            pipeline_depth: 2,
-        }
+    /// Convenience: hash a complete buffer in one call.
+    pub fn checksum(&self, data: &[u8]) -> u64 {
+        let mut s = self.init();
+        self.feed(&mut s, data);
+        self.finalize(s)
     }
 }
 
@@ -385,16 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_matches_table() {
-        let a = PipelinedCrc::new(CrcWidth::W32);
-        let b = TableCrc::new(CrcWidth::W32);
-        assert_eq!(
-            a.checksum(b"streaming input"),
-            b.checksum(b"streaming input")
-        );
-    }
-
-    #[test]
     fn streaming_equals_oneshot() {
         let crc = TableCrc::new(CrcWidth::W32);
         let mut s = crc.init();
@@ -424,23 +273,6 @@ mod tests {
                 assert_ne!(crc.checksum(&flipped), reference, "byte {byte} bit {bit}");
             }
         }
-    }
-
-    #[test]
-    fn constant_ram_size_matches_width() {
-        assert_eq!(TableCrc::new(CrcWidth::W32).constant_ram_bytes(), 1024);
-        assert_eq!(TableCrc::new(CrcWidth::W16).constant_ram_bytes(), 512);
-        assert_eq!(TableCrc::new(CrcWidth::W64).constant_ram_bytes(), 2048);
-    }
-
-    #[test]
-    fn timing_cycles_for_bytes() {
-        let t = PipelinedCrc::new(CrcWidth::W32).timing();
-        assert_eq!(t.cycles_for(4), 1);
-        assert_eq!(t.cycles_for(5), 2);
-        assert_eq!(t.cycles_for(36), 9);
-        let t1 = TableCrc::new(CrcWidth::W32).timing();
-        assert_eq!(t1.cycles_for(4), 4);
     }
 
     #[test]

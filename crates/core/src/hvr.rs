@@ -4,10 +4,9 @@
 //! acting as the hardware context of the CRC calculation when the
 //! processor interleaves inputs destined for different logical LUTs (or
 //! from different SMT threads). `{LUT_ID, TID}` is the architectural name
-//! of a register; out-of-order cores would rename these, which we model
-//! with a simple checkpoint/restore interface.
+//! of a register.
 
-use crate::crc::{CrcAlgorithm, CrcState};
+use crate::crc::{CrcState, TableCrc};
 use crate::ids::{LutId, ThreadId, MAX_LUTS};
 
 /// The Hash Value Register file.
@@ -18,7 +17,7 @@ use crate::ids::{LutId, ThreadId, MAX_LUTS};
 /// # Examples
 ///
 /// ```
-/// use axmemo_core::crc::{CrcAlgorithm, CrcWidth, TableCrc};
+/// use axmemo_core::crc::{CrcWidth, TableCrc};
 /// use axmemo_core::hvr::HashValueRegisters;
 /// use axmemo_core::ids::{LutId, ThreadId};
 ///
@@ -38,30 +37,12 @@ pub struct HashValueRegisters {
 impl HashValueRegisters {
     /// Allocate the register file for `threads` SMT threads, with every
     /// register preset to the CRC init state.
-    pub fn new(crc: &dyn CrcAlgorithm, threads: usize) -> Self {
+    pub fn new(crc: &TableCrc, threads: usize) -> Self {
         assert!(threads > 0, "at least one thread");
         Self {
             regs: vec![crc.init(); MAX_LUTS * threads],
             threads,
         }
-    }
-
-    /// Number of physical registers.
-    pub fn len(&self) -> usize {
-        self.regs.len()
-    }
-
-    /// Whether the file is empty (never true for a valid construction).
-    pub fn is_empty(&self) -> bool {
-        self.regs.is_empty()
-    }
-
-    /// Total bits of register state (for the area model).
-    pub fn state_bits(&self) -> usize {
-        self.regs
-            .first()
-            .map(|s| s.width().bits() as usize * self.regs.len())
-            .unwrap_or(0)
     }
 
     fn slot(&self, lut: LutId, tid: ThreadId) -> usize {
@@ -74,14 +55,14 @@ impl HashValueRegisters {
     }
 
     /// Stream `data` into the register named `{lut, tid}`.
-    pub fn accumulate(&mut self, crc: &dyn CrcAlgorithm, lut: LutId, tid: ThreadId, data: &[u8]) {
+    pub fn accumulate(&mut self, crc: &TableCrc, lut: LutId, tid: ThreadId, data: &[u8]) {
         let i = self.slot(lut, tid);
         crc.feed(&mut self.regs[i], data);
     }
 
     /// Read out the finalised CRC value and reset the register for the
     /// next memoization instance (done as part of `lookup`/`update`).
-    pub fn take(&mut self, crc: &dyn CrcAlgorithm, lut: LutId, tid: ThreadId) -> u64 {
+    pub fn take(&mut self, crc: &TableCrc, lut: LutId, tid: ThreadId) -> u64 {
         let i = self.slot(lut, tid);
         let v = crc.finalize(self.regs[i]);
         self.regs[i] = crc.init();
@@ -91,50 +72,26 @@ impl HashValueRegisters {
     /// Read the finalised value without resetting (used by `update`,
     /// which must observe the same CRC the preceding `lookup` computed —
     /// the unit latches it; see [`crate::unit::MemoizationUnit`]).
-    pub fn peek(&self, crc: &dyn CrcAlgorithm, lut: LutId, tid: ThreadId) -> u64 {
+    pub fn peek(&self, crc: &TableCrc, lut: LutId, tid: ThreadId) -> u64 {
         crc.finalize(self.regs[self.slot(lut, tid)])
     }
 
     /// Reset one register (abandoning a partially-hashed input set).
-    pub fn reset(&mut self, crc: &dyn CrcAlgorithm, lut: LutId, tid: ThreadId) {
+    pub fn reset(&mut self, crc: &TableCrc, lut: LutId, tid: ThreadId) {
         let i = self.slot(lut, tid);
         self.regs[i] = crc.init();
-    }
-
-    /// Snapshot the whole file (rename/checkpoint support for
-    /// out-of-order integration).
-    pub fn checkpoint(&self) -> Vec<CrcState> {
-        self.regs.clone()
-    }
-
-    /// Restore a snapshot taken with [`Self::checkpoint`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot length does not match this file.
-    pub fn restore(&mut self, snapshot: &[CrcState]) {
-        assert_eq!(snapshot.len(), self.regs.len(), "snapshot size mismatch");
-        self.regs.copy_from_slice(snapshot);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crc::{CrcWidth, TableCrc};
+    use crate::crc::CrcWidth;
 
     fn setup() -> (TableCrc, HashValueRegisters) {
         let crc = TableCrc::new(CrcWidth::W32);
         let hvr = HashValueRegisters::new(&crc, 2);
         (crc, hvr)
-    }
-
-    #[test]
-    fn sized_per_paper_example() {
-        let (_, hvr) = setup();
-        assert_eq!(hvr.len(), 16);
-        assert_eq!(hvr.state_bits(), 16 * 32);
-        assert!(!hvr.is_empty());
     }
 
     #[test]
@@ -179,19 +136,6 @@ mod tests {
         let p = hvr.peek(&crc, lut, t);
         assert_eq!(p, hvr.peek(&crc, lut, t));
         assert_eq!(p, hvr.take(&crc, lut, t));
-    }
-
-    #[test]
-    fn checkpoint_restore_roundtrip() {
-        let (crc, mut hvr) = setup();
-        let (lut, t) = (LutId::new(0).unwrap(), ThreadId(0));
-        hvr.accumulate(&crc, lut, t, b"partial");
-        let snap = hvr.checkpoint();
-        hvr.accumulate(&crc, lut, t, b" state");
-        let with_more = hvr.peek(&crc, lut, t);
-        hvr.restore(&snap);
-        hvr.accumulate(&crc, lut, t, b" state");
-        assert_eq!(hvr.peek(&crc, lut, t), with_more);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!
 //! ## Modules
 //!
-//! * [`crc`] — serial, byte-parallel and pipelined CRC units (Fig. 3).
+//! * [`crc`] — bit-serial (specification) and byte-parallel CRC (Fig. 3).
 //! * [`truncate`] — input-bit truncation, the approximation knob (§3.1).
 //! * [`hvr`] — Hash Value Registers holding in-flight CRC state (§3.2).
 //! * [`faults`] — deterministic fault injection and ECC protection.

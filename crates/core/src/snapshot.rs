@@ -58,7 +58,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::crc::{CrcAlgorithm, CrcWidth, TableCrc};
+use crate::crc::{CrcWidth, TableCrc};
 use crate::ids::LutId;
 use crate::lut::{ExportedEntry, LutStats};
 use crate::quality::{DegradationStage, QualityMonitor, QualityState};

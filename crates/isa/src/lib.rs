@@ -1,15 +1,15 @@
 //! # axmemo-isa
 //!
 //! The five AxMemo ISA extensions (§4 of the paper) as standalone
-//! instruction definitions: semantics, a 32-bit binary encoding and the
-//! Table 4 timing parameters. The program-ordering rule (the "dummy
-//! register" dependency that serialises `ld_crc`/`reg_crc`/`lookup`
-//! within one logical LUT) is enforced by `axmemo-sim`'s per-LUT CRC
-//! chain on both dispatch tiers.
+//! instruction definitions: semantics and a 32-bit binary encoding.
+//! Their costs are the Table 4 values in `axmemo_core::unit::UnitTiming`,
+//! and the program-ordering rule (the "dummy register" dependency that
+//! serialises `ld_crc`/`reg_crc`/`lookup` within one logical LUT) is
+//! enforced by `axmemo-sim`'s per-LUT CRC chain on both dispatch tiers.
 //!
 //! The host ISA is modelled abstractly — `axmemo-sim` defines its own
-//! RISC-style IR and embeds these extension instructions into it; this
-//! crate is the single source of truth for their behaviour and cost.
+//! RISC-style IR with width-carrying forms of these instructions; no
+//! simulator or compiler path depends on this crate.
 //!
 //! ```
 //! use axmemo_isa::{MemoInst, encode, decode};
@@ -24,10 +24,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod encoding;
-pub mod timing;
 
 pub use encoding::{decode, encode, DecodeError};
-pub use timing::MemoTiming;
 
 use axmemo_core::ids::LutId;
 use core::fmt;

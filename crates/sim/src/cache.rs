@@ -25,16 +25,6 @@ impl CacheStats {
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
-
-    /// Miss fraction in `[0,1]`.
-    pub fn miss_rate(&self) -> f64 {
-        let n = self.accesses();
-        if n == 0 {
-            0.0
-        } else {
-            self.misses as f64 / n as f64
-        }
-    }
 }
 
 /// One set-associative cache level (LRU, write-allocate, timing-only —
@@ -324,7 +314,6 @@ mod tests {
         let s = h.l1d_stats();
         assert_eq!(s.accesses(), 2);
         assert_eq!(s.hits, 1);
-        assert!((s.miss_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -890,7 +890,7 @@ fn operand_reg(op: Operand) -> Option<u8> {
     }
 }
 
-fn width_mask(w: MemWidth) -> u64 {
+pub(crate) fn width_mask(w: MemWidth) -> u64 {
     match w {
         MemWidth::B1 => 0xFF,
         MemWidth::B4 => 0xFFFF_FFFF,

@@ -1,150 +1,31 @@
-//! Predecoded program form: the lowering IR between [`Program`] and
+//! The block CFG of a register-validated program: the input of
 //! [`crate::threaded::ThreadedProgram`].
 //!
-//! [`DecodedProgram::compile`] lowers a [`Program`] once into a flat
-//! array of decoded instructions — operands resolved to direct register
-//! indices or immediates, per-instruction latency and functional-unit
-//! class precomputed from the [`LatencyModel`], CRC beat counts and
-//! width masks folded in — which the threaded lowering turns into fused
-//! ops with no further enum re-derivation (Embra-style shadow decode).
+//! [`DecodedProgram::compile`] checks every register operand once and
+//! partitions the program into **basic blocks** (leaders: entry, every
+//! branch target, every instruction after a branch/jump/halt; region
+//! markers stay inside blocks as zero-cost entries). Each block carries
+//! a precomputed batch of its *input-independent* statistics —
+//! instruction classes, static energy events, CRC beats — which the
+//! threaded interpreter adds in one shot when a superblock retires
+//! instead of incrementing a dozen counters per instruction. Counts that
+//! depend on runtime state (cache level served, queue stalls, branch
+//! bubbles, config-gated LUT probes) stay per-instruction, which is why
+//! the resulting [`crate::stats::RunStats`] is bit-identical to the
+//! legacy instruction-at-a-time interpreter.
 //!
-//! The program is additionally partitioned into **basic blocks**
-//! (leaders: entry, every branch target, every instruction after a
-//! branch/jump/halt; region markers stay inside blocks as pre-marked
-//! zero-cost `Region` entries). Each block carries a precomputed batch
-//! of its *input-independent* statistics — instruction
-//! classes, static energy events, CRC beats — which the threaded
-//! interpreter adds in one shot when a superblock retires instead of
-//! incrementing a dozen counters per instruction. Counts that depend on
-//! runtime state (cache level served, queue stalls, branch bubbles,
-//! config-gated LUT probes) stay per-instruction, which is why the
-//! resulting [`crate::stats::RunStats`] is bit-identical to the legacy
-//! instruction-at-a-time interpreter.
-//!
-//! A decoded program depends only on the instructions and the latency
-//! model — not on the memoization config, cache sizes, or inputs. It is
-//! not executed directly: its blocks, counts and superblock chains
-//! ([`DecodedProgram::superblocks`]) are the input of
-//! [`ThreadedProgram::compile`](crate::threaded::ThreadedProgram::compile).
+//! The CFG depends only on the instructions and the latency model — not
+//! on the memoization config, cache sizes, or inputs. It is not executed
+//! directly: its blocks, counts and superblock chains
+//! ([`DecodedProgram::superblocks`]) are what
+//! [`ThreadedProgram::compile`](crate::threaded::ThreadedProgram::compile)
+//! lowers, straight from the [`Inst`]s, into fused ops.
 
-use crate::ir::{Cond, FBinOp, FUnOp, IAluOp, Inst, MemWidth, Program};
-use crate::pipeline::{FuClass, LatencyModel};
-use axmemo_core::ids::LutId;
-
-/// One predecoded instruction. Register operands are direct indices,
-/// immediates are pre-converted to their raw `u64` form (matching the
-/// legacy interpreter's `Operand` resolution), and latency/FU class are
-/// baked in from the [`LatencyModel`] at compile time.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum DecodedInst {
-    /// Integer ALU, register-register form.
-    IAluRR {
-        op: IAluOp,
-        rd: u8,
-        ra: u8,
-        rb: u8,
-        lat: u64,
-        fu: FuClass,
-    },
-    /// Integer ALU, register-immediate form (`imm` holds the raw bits
-    /// the legacy `operand()` helper would produce).
-    IAluRI {
-        op: IAluOp,
-        rd: u8,
-        ra: u8,
-        imm: u64,
-        lat: u64,
-        fu: FuClass,
-    },
-    /// f32 binary op.
-    FBin {
-        op: FBinOp,
-        rd: u8,
-        ra: u8,
-        rb: u8,
-        lat: u64,
-        fu: FuClass,
-    },
-    /// f32 unary op.
-    FUn {
-        op: FUnOp,
-        rd: u8,
-        ra: u8,
-        lat: u64,
-        fu: FuClass,
-    },
-    /// Load (latency comes from the cache model at run time).
-    Ld {
-        width: MemWidth,
-        rd: u8,
-        base: u8,
-        offset: i32,
-    },
-    /// Store; `lat` is the precomputed store latency.
-    St {
-        width: MemWidth,
-        rs: u8,
-        base: u8,
-        offset: i32,
-        lat: u64,
-    },
-    /// Load immediate.
-    MovImm { rd: u8, imm: u64 },
-    /// Register move.
-    Mov { rd: u8, ra: u8 },
-    /// Conditional branch, register-register form.
-    BranchRR {
-        cond: Cond,
-        ra: u8,
-        rb: u8,
-        target: usize,
-    },
-    /// Conditional branch against a pre-converted immediate.
-    BranchRI {
-        cond: Cond,
-        ra: u8,
-        imm: u64,
-        target: usize,
-    },
-    /// Unconditional jump.
-    Jump { target: usize },
-    /// Branch on the memoization condition code.
-    BranchMemoHit { target: usize },
-    /// `ld_crc`; `beat` is the precomputed CRC beat count, `trunc` the
-    /// widened truncation amount.
-    MemoLdCrc {
-        width: MemWidth,
-        rd: u8,
-        base: u8,
-        offset: i32,
-        lut: LutId,
-        trunc: u32,
-        beat: u64,
-    },
-    /// `reg_crc`; `mask` is the precomputed width mask.
-    MemoRegCrc {
-        width: MemWidth,
-        src: u8,
-        mask: u64,
-        lut: LutId,
-        trunc: u32,
-        beat: u64,
-    },
-    /// `lookup`.
-    MemoLookup { rd: u8, lut: LutId },
-    /// `update`.
-    MemoUpdate { src: u8, lut: LutId },
-    /// `invalidate`.
-    MemoInvalidate { lut: LutId },
-    /// Region marker (zero-cost; kept so instruction indices and the
-    /// trace-visible program shape are unchanged).
-    Region,
-    /// Stop execution.
-    Halt,
-}
+use crate::ir::{FBinOp, FUnOp, IAluOp, Inst, MemWidth, Program};
+use crate::pipeline::LatencyModel;
 
 /// Input-independent statistics of one basic block, accumulated once at
-/// decode time and added to the run's counters in one shot when the
+/// compile time and added to the run's counters in one shot when the
 /// block retires. Only counters whose value is fully determined by the
 /// static instruction sequence live here; anything input-, config- or
 /// timing-dependent (cache levels, queue stalls, branch bubbles,
@@ -293,7 +174,7 @@ impl BlockCounts {
     }
 }
 
-/// One basic block: instructions `[start, end)` of the decoded array,
+/// One basic block: instructions `[start, end)` of the program,
 /// where `start` is the block's leader and the terminator (if any) is
 /// the last instruction.
 #[derive(Debug, Clone, Copy)]
@@ -307,26 +188,26 @@ pub(crate) struct Block {
     pub counts: BlockCounts,
 }
 
-/// A program lowered to the predecoded form: the input of
+/// The block CFG of a register-validated program: the input of
 /// [`ThreadedProgram::compile`](crate::threaded::ThreadedProgram::compile).
 ///
-/// The decoded form depends only on the instruction sequence and the
-/// [`LatencyModel`].
+/// It depends only on the instruction sequence and the [`LatencyModel`].
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
-    /// Decoded instructions, index-for-index with the source program
-    /// (branch targets, error PCs, and predictor indices unchanged).
-    pub(crate) insts: Vec<DecodedInst>,
+    /// The source instructions (branch targets, error PCs, and
+    /// predictor indices are instruction indices).
+    pub(crate) insts: Vec<Inst>,
     /// Basic blocks covering `insts` exactly.
     pub(crate) blocks: Vec<Block>,
     /// Containing block of every instruction index.
     pub(crate) block_of: Vec<u32>,
-    /// The latency model the program was decoded against.
+    /// The latency model the program is lowered against.
     latency: LatencyModel,
 }
 
 impl DecodedProgram {
-    /// Lower `program` against `latency`.
+    /// Validate `program`'s registers and build its block CFG for
+    /// lowering against `latency`.
     ///
     /// Out-of-range branch targets are preserved as-is (the interpreter
     /// reports the same [`crate::cpu::SimError::PcOutOfRange`] the
@@ -376,13 +257,7 @@ impl DecodedProgram {
                 _ => {}
             }
         }
-        // Pass 2: decode instructions.
-        let insts: Vec<DecodedInst> = program
-            .insts
-            .iter()
-            .map(|inst| decode(inst, latency))
-            .collect();
-        // Pass 3: blocks and the pc → block map.
+        // Pass 2: blocks and the pc → block map.
         let mut blocks = Vec::new();
         let mut block_of = vec![0u32; n];
         let mut start = 0usize;
@@ -407,14 +282,14 @@ impl DecodedProgram {
             start = end;
         }
         Self {
-            insts,
+            insts: program.insts.clone(),
             blocks,
             block_of,
             latency: *latency,
         }
     }
 
-    /// The latency model this program was decoded against (a prepared
+    /// The latency model this program is lowered against (a prepared
     /// run must use a simulator configured with an equal model).
     pub fn latency(&self) -> &LatencyModel {
         &self.latency
@@ -436,41 +311,36 @@ impl DecodedProgram {
     }
 
     /// The block a fused chain continues into after `blk`, under static
-    /// prediction, or `None` if the chain must stop there:
+    /// prediction, and whether that edge is the terminator's taken edge;
+    /// `None` if the chain must stop there. This is the one place the
+    /// fused direction of an edge is decided; the threaded lowering
+    /// reads it back from the chain.
     ///
-    /// - unconditional jump → the target block (stop if the target is
-    ///   out of range — the runtime reports `PcOutOfRange`);
+    /// - unconditional jump → the target block, taken (stop if the
+    ///   target is out of range — the runtime reports `PcOutOfRange`);
     /// - conditional branch → the statically predicted direction: a
-    ///   backward in-range target (`target <= pc` — a loop back-edge)
-    ///   is predicted **taken** and the chain follows it; anything else
-    ///   is predicted not-taken and the chain falls through;
+    ///   backward target (`target <= pc` — a loop back-edge) is
+    ///   predicted **taken** and the chain follows it; anything else is
+    ///   predicted not-taken and the chain falls through;
     /// - `branch_memo_hit` → predicted **hit** (taken), following the
     ///   in-range target; an out-of-range target is predicted not-hit
     ///   and the chain falls through;
     /// - plain fall-through into the next leader → the next block;
     /// - `halt` (or falling off the end of the program) → stop.
-    fn fused_successor(&self, blk: &Block) -> Option<usize> {
+    fn fused_successor(&self, blk: &Block) -> Option<(usize, bool)> {
         let n = self.insts.len();
         let last = blk.end as usize - 1;
-        let fallthrough = |end: usize| (end < n).then(|| self.block_of[end] as usize);
+        let taken = |target: usize| (target < n).then(|| (self.block_of[target] as usize, true));
+        let fallthrough = || {
+            let end = blk.end as usize;
+            (end < n).then(|| (self.block_of[end] as usize, false))
+        };
         match self.insts[last] {
-            DecodedInst::Jump { target } => (target < n).then(|| self.block_of[target] as usize),
-            DecodedInst::BranchRR { target, .. } | DecodedInst::BranchRI { target, .. } => {
-                if target <= last && target < n {
-                    Some(self.block_of[target] as usize)
-                } else {
-                    fallthrough(blk.end as usize)
-                }
-            }
-            DecodedInst::BranchMemoHit { target } => {
-                if target < n {
-                    Some(self.block_of[target] as usize)
-                } else {
-                    fallthrough(blk.end as usize)
-                }
-            }
-            DecodedInst::Halt => None,
-            _ => fallthrough(blk.end as usize),
+            Inst::Jump { target } => taken(target),
+            Inst::Branch { target, .. } if target <= last => taken(target),
+            Inst::BranchMemoHit { target } => taken(target).or_else(fallthrough),
+            Inst::Halt => None,
+            _ => fallthrough(),
         }
     }
 
@@ -522,10 +392,11 @@ impl DecodedProgram {
                     {
                         break;
                     }
-                    blocks.push(cur as u32);
+                    let next = self.fused_successor(blk);
+                    blocks.push((cur as u32, next.is_some_and(|(_, taken)| taken)));
                     ops += len;
-                    match self.fused_successor(blk) {
-                        Some(next) => cur = next,
+                    match next {
+                        Some((next, _)) => cur = next,
                         None => break,
                     }
                 }
@@ -544,7 +415,7 @@ impl DecodedProgram {
 /// iterations), so the caps are the only termination condition.
 pub const MAX_SUPERBLOCK_BLOCKS: usize = 32;
 
-/// Fusion cap: a superblock carries at most this many decoded
+/// Fusion cap: a superblock carries at most this many source
 /// instructions (region markers included), except that a single head
 /// block larger than the cap still forms a one-block superblock.
 pub const MAX_SUPERBLOCK_OPS: usize = 256;
@@ -557,9 +428,11 @@ pub const MAX_SUPERBLOCK_OPS: usize = 256;
 /// direction disagrees with the prediction.
 #[derive(Debug, Clone)]
 pub struct Superblock {
-    /// Indices into `DecodedProgram::blocks`, in execution order.
-    /// Repeats are expected (unrolled loop iterations).
-    blocks: Vec<u32>,
+    /// `(index into DecodedProgram::blocks, taken)`, in execution order.
+    /// Repeats are expected (unrolled loop iterations). `taken` records
+    /// whether the block's fused successor is its terminator's taken
+    /// edge; the lowering fuses that direction unless the block is last.
+    blocks: Vec<(u32, bool)>,
     /// The leader pc of the head block — the only valid entry point.
     entry_pc: u32,
 }
@@ -580,13 +453,13 @@ impl Superblock {
         self.blocks.is_empty()
     }
 
-    /// The chained block indices, in execution order.
-    pub(crate) fn block_indices(&self) -> &[u32] {
+    /// The chained `(block index, taken)` pairs, in execution order.
+    pub(crate) fn chain(&self) -> &[(u32, bool)] {
         &self.blocks
     }
 }
 
-/// Every register an instruction names (for decode-time validation).
+/// Every register an instruction names (for compile-time validation).
 /// Register 0 — always valid — pads unused slots.
 fn inst_regs(inst: &Inst) -> impl Iterator<Item = u8> {
     use crate::ir::Operand;
@@ -619,152 +492,27 @@ fn inst_regs(inst: &Inst) -> impl Iterator<Item = u8> {
 
 /// CRC beats for one feed: the synthesised CRC unit is unrolled 4× and
 /// pipelined (§6.1), 4 bytes per cycle.
-fn crc_beat(width: MemWidth) -> u64 {
+pub(crate) fn crc_beat(width: MemWidth) -> u64 {
     (width.bytes() as u64).div_ceil(4)
-}
-
-/// Width mask matching the legacy interpreter's `width_mask`.
-fn mask(width: MemWidth) -> u64 {
-    match width {
-        MemWidth::B1 => 0xFF,
-        MemWidth::B4 => 0xFFFF_FFFF,
-        MemWidth::B8 => u64::MAX,
-    }
-}
-
-fn decode(inst: &Inst, lat: &LatencyModel) -> DecodedInst {
-    use crate::ir::Operand;
-    match *inst {
-        Inst::IAlu { op, rd, ra, rb } => {
-            let (latency, fu) = lat.ialu(op);
-            match rb {
-                Operand::Reg(r) => DecodedInst::IAluRR {
-                    op,
-                    rd,
-                    ra,
-                    rb: r,
-                    lat: latency,
-                    fu,
-                },
-                Operand::Imm(i) => DecodedInst::IAluRI {
-                    op,
-                    rd,
-                    ra,
-                    imm: i as u64,
-                    lat: latency,
-                    fu,
-                },
-            }
-        }
-        Inst::FBin { op, rd, ra, rb } => {
-            let (latency, fu) = lat.fbin(op);
-            DecodedInst::FBin {
-                op,
-                rd,
-                ra,
-                rb,
-                lat: latency,
-                fu,
-            }
-        }
-        Inst::FUn { op, rd, ra } => {
-            let (latency, fu) = lat.fun(op);
-            DecodedInst::FUn {
-                op,
-                rd,
-                ra,
-                lat: latency,
-                fu,
-            }
-        }
-        Inst::Ld {
-            width,
-            rd,
-            base,
-            offset,
-        } => DecodedInst::Ld {
-            width,
-            rd,
-            base,
-            offset,
-        },
-        Inst::St {
-            width,
-            rs,
-            base,
-            offset,
-        } => DecodedInst::St {
-            width,
-            rs,
-            base,
-            offset,
-            lat: lat.store,
-        },
-        Inst::MovImm { rd, imm } => DecodedInst::MovImm { rd, imm },
-        Inst::Mov { rd, ra } => DecodedInst::Mov { rd, ra },
-        Inst::Branch {
-            cond,
-            ra,
-            rb,
-            target,
-        } => match rb {
-            Operand::Reg(r) => DecodedInst::BranchRR {
-                cond,
-                ra,
-                rb: r,
-                target,
-            },
-            Operand::Imm(i) => DecodedInst::BranchRI {
-                cond,
-                ra,
-                imm: i as u64,
-                target,
-            },
-        },
-        Inst::Jump { target } => DecodedInst::Jump { target },
-        Inst::BranchMemoHit { target } => DecodedInst::BranchMemoHit { target },
-        Inst::MemoLdCrc {
-            width,
-            rd,
-            base,
-            offset,
-            lut,
-            trunc,
-        } => DecodedInst::MemoLdCrc {
-            width,
-            rd,
-            base,
-            offset,
-            lut,
-            trunc: u32::from(trunc),
-            beat: crc_beat(width),
-        },
-        Inst::MemoRegCrc {
-            width,
-            src,
-            lut,
-            trunc,
-        } => DecodedInst::MemoRegCrc {
-            width,
-            src,
-            mask: mask(width),
-            lut,
-            trunc: u32::from(trunc),
-            beat: crc_beat(width),
-        },
-        Inst::MemoLookup { rd, lut } => DecodedInst::MemoLookup { rd, lut },
-        Inst::MemoUpdate { src, lut } => DecodedInst::MemoUpdate { src, lut },
-        Inst::MemoInvalidate { lut } => DecodedInst::MemoInvalidate { lut },
-        Inst::RegionBegin { .. } | Inst::RegionEnd { .. } => DecodedInst::Region,
-        Inst::Halt => DecodedInst::Halt,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::ir::Operand;
+    use crate::ir::{Cond, Operand};
+    use crate::threaded::{FusedOp, ThreadedProgram};
+
+    /// The chain's block indices, in execution order.
+    fn blocks_of(sb: &Superblock) -> Vec<u32> {
+        sb.chain().iter().map(|&(b, _)| b).collect()
+    }
+
+    /// The flat fused-op array `p` lowers to (the entry superblock's ops
+    /// come first).
+    fn lowered(p: &Program) -> Vec<FusedOp> {
+        ThreadedProgram::compile(&DecodedProgram::compile(p, &LatencyModel::default())).ops
+    }
 
     fn looped_program() -> Program {
         let mut b = ProgramBuilder::new();
@@ -830,8 +578,7 @@ mod tests {
         let p = Program {
             insts: vec![Inst::Jump { target: 5 }, Inst::Halt],
         };
-        let d = DecodedProgram::compile(&p, &LatencyModel::default());
-        assert!(matches!(d.insts[0], DecodedInst::Jump { target: 5 }));
+        assert!(matches!(lowered(&p)[0], FusedOp::JumpExit { target: 5 }));
     }
 
     #[test]
@@ -844,11 +591,13 @@ mod tests {
         // to the block cap; the entry block fuses into it too.
         let body = chains.iter().find(|sb| sb.entry_pc() == 2).unwrap();
         assert_eq!(body.len(), MAX_SUPERBLOCK_BLOCKS);
-        assert!(body.block_indices().iter().all(|&b| b == 1));
+        assert!(blocks_of(body).iter().all(|&b| b == 1));
+        // Every back-edge is the taken edge of its branch.
+        assert!(body.chain().iter().all(|&(_, taken)| taken));
         let entry = chains.iter().find(|sb| sb.entry_pc() == 0).unwrap();
         assert_eq!(entry.len(), MAX_SUPERBLOCK_BLOCKS);
-        assert_eq!(entry.block_indices()[0], 0);
-        assert!(entry.block_indices()[1..].iter().all(|&b| b == 1));
+        assert_eq!(blocks_of(entry)[0], 0);
+        assert!(blocks_of(entry)[1..].iter().all(|&b| b == 1));
         // The halt block chains nothing.
         let tail = chains.iter().find(|sb| sb.entry_pc() == 4).unwrap();
         assert_eq!(tail.len(), 1);
@@ -871,9 +620,10 @@ mod tests {
         // the halt: all three blocks fused, no revisits.
         let head = chains.iter().find(|sb| sb.entry_pc() == 0).unwrap();
         assert_eq!(head.len(), 3);
-        let mut seen = head.block_indices().to_vec();
+        let mut seen = blocks_of(head);
         seen.dedup();
         assert_eq!(seen.len(), 3);
+        assert!(head.chain().iter().all(|&(_, taken)| !taken));
     }
 
     #[test]
@@ -910,14 +660,13 @@ mod tests {
                 Inst::Halt,
             ],
         };
-        let d = DecodedProgram::compile(&p, &LatencyModel::default());
-        match d.insts[0] {
-            DecodedInst::IAluRI { imm, lat, fu, .. } => {
-                assert_eq!(imm, (-2i64) as u64);
-                assert_eq!(lat, 1);
-                assert_eq!(fu, FuClass::IntAlu);
-            }
-            ref other => panic!("expected IAluRI, got {other:?}"),
-        }
+        assert!(matches!(
+            lowered(&p)[0],
+            FusedOp::AluRI {
+                imm,
+                lat: 1,
+                ..
+            } if imm == (-2i64) as u64
+        ));
     }
 }

@@ -4,7 +4,7 @@
 //! substitute is a compact RISC-like IR rich enough to express the ten
 //! benchmark kernels: 32 general 64-bit registers, int/FP ALU ops,
 //! byte-addressed loads/stores, compare-and-branch, and the five AxMemo
-//! extension instructions from [`axmemo_isa`].
+//! extension instructions of §4.
 //!
 //! Floating-point operates on IEEE `f32` values held in the low 32 bits
 //! of a register (all AxBench kernels are single-precision). `Exp`,
@@ -19,7 +19,6 @@
 //! region id; they are ignored by the pipeline and energy models.
 
 use axmemo_core::ids::LutId;
-use axmemo_isa::MemoInst;
 use core::fmt;
 
 /// Register index (x0..x31). x0 is an ordinary register (not wired to
@@ -269,7 +268,7 @@ pub enum Inst {
         target: Target,
     },
     /// `ld_crc`: load + stream the loaded value into the CRC unit
-    /// (sim-level form of [`MemoInst::LdCrc`] carrying the access width).
+    /// (the ISA's `ld_crc` plus the access width).
     MemoLdCrc {
         /// Access width of the load / CRC beat.
         width: MemWidth,
@@ -284,8 +283,8 @@ pub enum Inst {
         /// Truncated LSBs.
         trunc: u8,
     },
-    /// `reg_crc`: stream a register into the CRC unit (sim-level form of
-    /// [`MemoInst::RegCrc`] carrying the beat width).
+    /// `reg_crc`: stream a register into the CRC unit (the ISA's
+    /// `reg_crc` plus the beat width).
     MemoRegCrc {
         /// Beat width (4 or 8 bytes).
         width: MemWidth,
@@ -328,52 +327,6 @@ pub enum Inst {
     },
     /// Stop execution.
     Halt,
-}
-
-impl Inst {
-    /// Whether this is one of the five AxMemo extension instructions.
-    pub fn is_memo(&self) -> bool {
-        matches!(
-            self,
-            Inst::MemoLdCrc { .. }
-                | Inst::MemoRegCrc { .. }
-                | Inst::MemoLookup { .. }
-                | Inst::MemoUpdate { .. }
-                | Inst::MemoInvalidate { .. }
-        )
-    }
-
-    /// Whether this is a zero-cost marker (not a real instruction).
-    pub fn is_marker(&self) -> bool {
-        matches!(self, Inst::RegionBegin { .. } | Inst::RegionEnd { .. })
-    }
-
-    /// The canonical ISA form of a memoization instruction, if this is
-    /// one ( [`Inst::MemoLdCrc`] / [`Inst::MemoRegCrc`] lose their width,
-    /// which the ISA encoding does not carry).
-    pub fn as_memo_inst(&self) -> Option<MemoInst> {
-        match *self {
-            Inst::MemoLdCrc {
-                rd,
-                base,
-                lut,
-                trunc,
-                ..
-            } => Some(MemoInst::LdCrc {
-                dst: rd,
-                addr: base,
-                lut,
-                trunc,
-            }),
-            Inst::MemoRegCrc {
-                src, lut, trunc, ..
-            } => Some(MemoInst::RegCrc { src, lut, trunc }),
-            Inst::MemoLookup { rd, lut } => Some(MemoInst::Lookup { dst: rd, lut }),
-            Inst::MemoUpdate { src, lut } => Some(MemoInst::Update { src, lut }),
-            Inst::MemoInvalidate { lut } => Some(MemoInst::Invalidate { lut }),
-            _ => None,
-        }
-    }
 }
 
 /// A complete program: a flat instruction sequence with resolved
@@ -430,38 +383,6 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn memo_classification() {
-        let lut = LutId::new(0).unwrap();
-        assert!(Inst::MemoLookup { rd: 0, lut }.is_memo());
-        assert!(!Inst::Halt.is_memo());
-        assert!(Inst::RegionBegin { id: 1 }.is_marker());
-        assert!(!Inst::MemoLookup { rd: 0, lut }.is_marker());
-    }
-
-    #[test]
-    fn as_memo_inst_maps_fields() {
-        let lut = LutId::new(2).unwrap();
-        let i = Inst::MemoLdCrc {
-            width: MemWidth::B4,
-            rd: 3,
-            base: 4,
-            offset: 8,
-            lut,
-            trunc: 6,
-        };
-        assert_eq!(
-            i.as_memo_inst(),
-            Some(MemoInst::LdCrc {
-                dst: 3,
-                addr: 4,
-                lut,
-                trunc: 6
-            })
-        );
-        assert_eq!(Inst::Halt.as_memo_inst(), None);
-    }
 
     #[test]
     fn validate_catches_out_of_range_target() {

@@ -30,8 +30,10 @@
 //!
 //! Lowering is staged: [`ir::Program`] →
 //! [`DecodedProgram::compile`](decoded::DecodedProgram::compile) (the
-//! lowering IR: operands, latencies and basic blocks resolved once) →
-//! [`ThreadedProgram::compile`](threaded::ThreadedProgram::compile).
+//! block CFG: registers checked, basic blocks and superblock chains
+//! found once) →
+//! [`ThreadedProgram::compile`](threaded::ThreadedProgram::compile)
+//! (each chain lowered straight from its [`ir::Inst`]s into fused ops).
 //! The threaded form can be shared across simulators and threads:
 //!
 //! ```

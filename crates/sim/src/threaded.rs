@@ -1,13 +1,13 @@
-//! Threaded-code execution tier: superblock fusion over the decoded
-//! program.
+//! Threaded-code execution tier: superblock fusion over a program's
+//! block CFG.
 //!
-//! [`ThreadedProgram::compile`] lowers a [`DecodedProgram`]'s basic
-//! blocks into **superblocks** — straight-line chains fused across
-//! unconditional jumps and statically predicted conditional edges (see
-//! [`DecodedProgram::superblocks`]) — and flattens each chain into a
-//! dense run of fused ops. The hot loop then pays one outer dispatch
-//! per *superblock* instead of one block lookup per basic block and one
-//! decoded-enum match per instruction:
+//! [`ThreadedProgram::compile`] takes the **superblocks** of a
+//! [`DecodedProgram`] — straight-line chains of basic blocks fused
+//! across unconditional jumps and statically predicted conditional
+//! edges (see [`DecodedProgram::superblocks`]) — and lowers each chain
+//! straight from its [`Inst`]s into a dense run of fused ops. The hot
+//! loop then pays one outer dispatch per *superblock* instead of one
+//! block lookup per basic block and one [`Inst`] match per instruction:
 //!
 //! - loop back-edges are fused repeatedly, so a tiny hot loop executes
 //!   as dozens of unrolled iterations of straight-line fused ops;
@@ -32,10 +32,10 @@
 
 use crate::cpu::{
     charge_mem_levels, cond_taken, fbin, funop, ialu, ialu_simple, input_value, spike_cycles,
-    Machine, SimError, Simulator,
+    width_mask, Machine, SimError, Simulator,
 };
-use crate::decoded::{BlockCounts, DecodedInst, DecodedProgram};
-use crate::ir::{Cond, FBinOp, FUnOp, IAluOp, MemWidth};
+use crate::decoded::{crc_beat, Block, BlockCounts, DecodedProgram};
+use crate::ir::{Cond, FBinOp, FUnOp, IAluOp, Inst, MemWidth, Operand};
 use crate::pipeline::{FuClass, LatencyModel, Pipeline};
 use crate::predictor::BranchPredictor;
 use crate::stats::{InstClassCounts, RunStats};
@@ -210,7 +210,7 @@ pub(crate) struct SbMeta {
 /// A program lowered to the threaded-dispatch form: fused superblock
 /// chains over a [`DecodedProgram`].
 ///
-/// Like the decoded form, a threaded program depends only on the
+/// Like its block CFG, a threaded program depends only on the
 /// instruction sequence and the [`LatencyModel`] — share one behind an
 /// `Arc` across simulators, sweep cells, and threads, and run it via
 /// `Simulator::run_prepared_threaded`.
@@ -227,7 +227,7 @@ pub(crate) struct SbMeta {
 ///
 /// let decoded = DecodedProgram::compile(&program, &LatencyModel::default());
 /// let threaded = ThreadedProgram::compile(&decoded);
-/// // One superblock per basic block of the decoded program.
+/// // One superblock per basic block of the CFG.
 /// assert_eq!(threaded.superblock_count(), decoded.block_count());
 /// assert!(threaded.op_count() >= decoded.len());
 /// ```
@@ -235,7 +235,7 @@ pub(crate) struct SbMeta {
 pub struct ThreadedProgram {
     /// Flat fused-op array; superblocks are contiguous runs.
     pub(crate) ops: Vec<FusedOp>,
-    /// One superblock per basic block, in block order (so the decoded
+    /// One superblock per basic block, in block order (so the CFG's
     /// `block_of` table maps a leader pc straight to its superblock).
     pub(crate) superblocks: Vec<SbMeta>,
     /// Containing block — and therefore superblock — of every pc.
@@ -252,32 +252,30 @@ pub struct ThreadedProgram {
 }
 
 impl ThreadedProgram {
-    /// Lower a decoded program into fused superblocks.
+    /// Lower a program's block CFG into fused superblocks.
     pub fn compile(dp: &DecodedProgram) -> Self {
-        let n = dp.insts.len();
         let chains = dp.superblocks();
         let mut ops = Vec::new();
         let mut superblocks = Vec::with_capacity(chains.len());
         let mut exit_counts = Vec::with_capacity(chains.len());
         let mut ranges = Vec::with_capacity(chains.len());
         for sb in &chains {
-            let chain = sb.block_indices();
+            let chain = sb.chain();
             let ops_start = ops.len() as u32;
             let base_exit = exit_counts.len() as u32;
             let mut cum = BlockCounts::default();
             let mut max_end = 0u32;
-            for &b in chain {
+            for (j, &(b, taken)) in chain.iter().enumerate() {
                 let blk = &dp.blocks[b as usize];
                 cum.absorb(&blk.counts);
                 exit_counts.push(cum);
                 max_end = max_end.max(blk.end);
-            }
-            for (j, &b) in chain.iter().enumerate() {
-                let blk = &dp.blocks[b as usize];
                 let last_in_chain = j + 1 == chain.len();
-                lower_block(dp, blk, base_exit + j as u32, last_in_chain, n, &mut ops);
+                let exit = base_exit + j as u32;
+                lower_block(dp, blk, exit, taken && !last_in_chain, &mut ops);
             }
-            let last_blk = &dp.blocks[*chain.last().expect("chains are non-empty") as usize];
+            let (last, _) = *chain.last().expect("chains are non-empty");
+            let last_blk = &dp.blocks[last as usize];
             superblocks.push(SbMeta {
                 ops_start,
                 ops_end: ops.len() as u32,
@@ -303,7 +301,7 @@ impl ThreadedProgram {
         &self.latency
     }
 
-    /// Number of superblocks (always equal to the decoded program's
+    /// Number of superblocks (always equal to the CFG's
     /// basic-block count: one chain per leader).
     pub fn superblock_count(&self) -> usize {
         self.superblocks.len()
@@ -316,34 +314,35 @@ impl ThreadedProgram {
     }
 }
 
-/// The fused direction and side-exit pc of a conditional branch at
-/// decoded index `pc` whose block ends at `end`: mid-chain backward
-/// in-range branches are fused taken (exit = fall-through), everything
-/// else is fused not-taken (exit = target). Must mirror
-/// `DecodedProgram::fused_successor` exactly.
-fn branch_fusion(target: usize, pc: usize, end: usize, n: usize, last: bool) -> (bool, u32) {
-    if !last && target <= pc && target < n {
-        (true, end as u32)
-    } else {
-        (false, target as u32)
-    }
-}
-
-/// Append one basic block's fused ops, bound to exit-count slot `exit`.
+/// Append one basic block's fused ops, lowered straight from its
+/// instructions and bound to exit-count slot `exit`. `fused_taken` says
+/// whether the chain continues along the terminator's taken edge (as
+/// decided by `DecodedProgram::fused_successor`): a branch then expects
+/// taken and side-exits to the fall-through, a jump reduces to timing;
+/// otherwise a branch expects not-taken and side-exits to its target,
+/// and a jump ends the chain.
 fn lower_block(
     dp: &DecodedProgram,
-    blk: &crate::decoded::Block,
+    blk: &Block,
     exit: u32,
-    last_in_chain: bool,
-    n: usize,
+    fused_taken: bool,
     ops: &mut Vec<FusedOp>,
 ) {
+    let latency = dp.latency();
     let start = blk.start as usize;
     let end = blk.end as usize;
+    // Side-exit pc of the block's conditional terminator.
+    let side_exit = |target: usize| {
+        if fused_taken {
+            end as u32
+        } else {
+            target as u32
+        }
+    };
     let mut in_region_run = false;
     for pc in start..end {
         let inst = dp.insts[pc];
-        if matches!(inst, DecodedInst::Region) {
+        if matches!(inst, Inst::RegionBegin { .. } | Inst::RegionEnd { .. }) {
             if !in_region_run {
                 ops.push(FusedOp::Guard);
                 in_region_run = true;
@@ -353,66 +352,51 @@ fn lower_block(
         in_region_run = false;
         let pc32 = pc as u32;
         let fused = match inst {
-            DecodedInst::IAluRR {
-                op,
-                rd,
-                ra,
-                rb,
-                lat,
-                fu,
-            } => match fu {
-                FuClass::IntMul => FusedOp::MulRR { rd, ra, rb, lat },
-                FuClass::IntDiv => FusedOp::DivRR {
-                    op,
-                    rd,
-                    ra,
-                    rb,
-                    lat,
-                    pc: pc32,
-                },
-                _ => FusedOp::AluRR {
-                    op,
-                    rd,
-                    ra,
-                    rb,
-                    lat,
-                },
-            },
-            DecodedInst::IAluRI {
-                op,
-                rd,
-                ra,
-                imm,
-                lat,
-                fu,
-            } => match fu {
-                FuClass::IntMul => FusedOp::MulRI { rd, ra, imm, lat },
-                FuClass::IntDiv => FusedOp::DivRI {
-                    op,
-                    rd,
-                    ra,
-                    imm,
-                    lat,
-                    pc: pc32,
-                },
-                _ => FusedOp::AluRI {
-                    op,
-                    rd,
-                    ra,
-                    imm,
-                    lat,
-                },
-            },
-            DecodedInst::FBin {
-                op,
-                rd,
-                ra,
-                rb,
-                lat,
-                fu,
-            } => match fu {
-                FuClass::FpLong => FusedOp::FBinLong { rd, ra, rb, lat },
-                _ => FusedOp::FBinP {
+            Inst::IAlu { op, rd, ra, rb } => {
+                let (lat, fu) = latency.ialu(op);
+                match (fu, rb) {
+                    (FuClass::IntMul, Operand::Reg(rb)) => FusedOp::MulRR { rd, ra, rb, lat },
+                    (FuClass::IntMul, Operand::Imm(i)) => FusedOp::MulRI {
+                        rd,
+                        ra,
+                        imm: i as u64,
+                        lat,
+                    },
+                    (FuClass::IntDiv, Operand::Reg(rb)) => FusedOp::DivRR {
+                        op,
+                        rd,
+                        ra,
+                        rb,
+                        lat,
+                        pc: pc32,
+                    },
+                    (FuClass::IntDiv, Operand::Imm(i)) => FusedOp::DivRI {
+                        op,
+                        rd,
+                        ra,
+                        imm: i as u64,
+                        lat,
+                        pc: pc32,
+                    },
+                    (_, Operand::Reg(rb)) => FusedOp::AluRR {
+                        op,
+                        rd,
+                        ra,
+                        rb,
+                        lat,
+                    },
+                    (_, Operand::Imm(i)) => FusedOp::AluRI {
+                        op,
+                        rd,
+                        ra,
+                        imm: i as u64,
+                        lat,
+                    },
+                }
+            }
+            Inst::FBin { op, rd, ra, rb } => match latency.fbin(op) {
+                (lat, FuClass::FpLong) => FusedOp::FBinLong { rd, ra, rb, lat },
+                (lat, _) => FusedOp::FBinP {
                     op,
                     rd,
                     ra,
@@ -420,17 +404,11 @@ fn lower_block(
                     lat,
                 },
             },
-            DecodedInst::FUn {
-                op,
-                rd,
-                ra,
-                lat,
-                fu,
-            } => match fu {
-                FuClass::FpLong => FusedOp::FUnLong { op, rd, ra, lat },
-                _ => FusedOp::FUnP { op, rd, ra, lat },
+            Inst::FUn { op, rd, ra } => match latency.fun(op) {
+                (lat, FuClass::FpLong) => FusedOp::FUnLong { op, rd, ra, lat },
+                (lat, _) => FusedOp::FUnP { op, rd, ra, lat },
             },
-            DecodedInst::Ld {
+            Inst::Ld {
                 width,
                 rd,
                 base,
@@ -441,120 +419,96 @@ fn lower_block(
                 base,
                 offset,
             },
-            DecodedInst::St {
+            Inst::St {
                 width,
                 rs,
                 base,
                 offset,
-                lat,
             } => FusedOp::St {
                 width,
                 rs,
                 base,
                 offset,
-                lat,
+                lat: latency.store,
             },
-            DecodedInst::MovImm { rd, imm } => FusedOp::MovImm { rd, imm },
-            DecodedInst::Mov { rd, ra } => FusedOp::Mov { rd, ra },
-            DecodedInst::BranchRR {
+            Inst::MovImm { rd, imm } => FusedOp::MovImm { rd, imm },
+            Inst::Mov { rd, ra } => FusedOp::Mov { rd, ra },
+            Inst::Branch {
                 cond,
                 ra,
                 rb,
                 target,
             } => {
                 debug_assert_eq!(pc, end - 1, "branch must terminate its block");
-                let (expect_taken, exit_pc) = branch_fusion(target, pc, end, n, last_in_chain);
-                FusedOp::BranchRR {
-                    cond,
-                    ra,
-                    rb,
-                    pc: pc32,
-                    exit_pc,
-                    exit,
-                    expect_taken,
+                let (pc, exit_pc, expect_taken) = (pc32, side_exit(target), fused_taken);
+                match rb {
+                    Operand::Reg(rb) => FusedOp::BranchRR {
+                        cond,
+                        ra,
+                        rb,
+                        pc,
+                        exit_pc,
+                        exit,
+                        expect_taken,
+                    },
+                    Operand::Imm(i) => FusedOp::BranchRI {
+                        cond,
+                        ra,
+                        imm: i as u64,
+                        pc,
+                        exit_pc,
+                        exit,
+                        expect_taken,
+                    },
                 }
             }
-            DecodedInst::BranchRI {
-                cond,
-                ra,
-                imm,
-                target,
-            } => {
-                debug_assert_eq!(pc, end - 1, "branch must terminate its block");
-                let (expect_taken, exit_pc) = branch_fusion(target, pc, end, n, last_in_chain);
-                FusedOp::BranchRI {
-                    cond,
-                    ra,
-                    imm,
-                    pc: pc32,
-                    exit_pc,
-                    exit,
-                    expect_taken,
-                }
-            }
-            DecodedInst::Jump { target } => {
-                if last_in_chain {
-                    FusedOp::JumpExit {
-                        target: target as u32,
-                    }
-                } else {
-                    // The chain's next block is the jump target by
-                    // construction: the jump reduces to pure timing.
-                    FusedOp::JumpFused
-                }
-            }
-            DecodedInst::BranchMemoHit { target } => {
-                let expect_hit = !last_in_chain && target < n;
-                let exit_pc = if expect_hit {
-                    end as u32
-                } else {
-                    target as u32
-                };
-                FusedOp::MemoBranchHit {
-                    exit_pc,
-                    exit,
-                    expect_hit,
-                }
-            }
-            DecodedInst::MemoLdCrc {
+            // The chain's next block is the jump target by construction:
+            // the jump reduces to pure timing.
+            Inst::Jump { .. } if fused_taken => FusedOp::JumpFused,
+            Inst::Jump { target } => FusedOp::JumpExit {
+                target: target as u32,
+            },
+            Inst::BranchMemoHit { target } => FusedOp::MemoBranchHit {
+                exit_pc: side_exit(target),
+                exit,
+                expect_hit: fused_taken,
+            },
+            Inst::MemoLdCrc {
                 width,
                 rd,
                 base,
                 offset,
                 lut,
                 trunc,
-                beat,
             } => FusedOp::MemoLdCrc {
                 width,
                 rd,
                 base,
                 offset,
                 lut,
-                trunc,
-                beat,
+                trunc: u32::from(trunc),
+                beat: crc_beat(width),
                 pc: pc32,
             },
-            DecodedInst::MemoRegCrc {
+            Inst::MemoRegCrc {
                 width,
                 src,
-                mask,
                 lut,
                 trunc,
-                beat,
             } => FusedOp::MemoRegCrc {
                 width,
                 src,
-                mask,
+                mask: width_mask(width),
                 lut,
-                trunc,
-                beat,
+                trunc: u32::from(trunc),
+                beat: crc_beat(width),
                 pc: pc32,
             },
-            DecodedInst::MemoLookup { rd, lut } => FusedOp::MemoLookup { rd, lut, pc: pc32 },
-            DecodedInst::MemoUpdate { src, lut } => FusedOp::MemoUpdate { src, lut, pc: pc32 },
-            DecodedInst::MemoInvalidate { lut } => FusedOp::MemoInvalidate { lut, pc: pc32 },
-            DecodedInst::Halt => FusedOp::Halt,
-            DecodedInst::Region => unreachable!("handled above"),
+            Inst::MemoLookup { rd, lut } => FusedOp::MemoLookup { rd, lut, pc: pc32 },
+            Inst::MemoUpdate { src, lut } => FusedOp::MemoUpdate { src, lut, pc: pc32 },
+            Inst::MemoInvalidate { lut } => FusedOp::MemoInvalidate { lut, pc: pc32 },
+            Inst::Halt => FusedOp::Halt,
+            Inst::RegionBegin { .. } | Inst::RegionEnd { .. } => unreachable!("handled above"),
         };
         ops.push(fused);
     }
@@ -1210,6 +1164,38 @@ mod tests {
         assert!(branches.len() > 8);
         assert!(branches[..branches.len() - 1].iter().all(|&t| t));
         assert!(!branches[branches.len() - 1]);
+    }
+
+    #[test]
+    fn memo_hit_fuses_taken_except_at_the_chain_end() {
+        // lookup; branch_memo_hit top — a backward memo-hit edge, so the
+        // chain unrolls the block up to the block cap.
+        let lut = LutId::new(0).unwrap();
+        let mut b = ProgramBuilder::new();
+        let top = b.label("top");
+        b.bind(top);
+        b.memo_lookup(1, lut);
+        b.branch_memo_hit(top);
+        b.halt();
+        let p = b.build().unwrap();
+        let tp = ThreadedProgram::compile(&DecodedProgram::compile(&p, &LatencyModel::default()));
+        let sb = &tp.superblocks[0];
+        let hits: Vec<(u32, bool)> = tp.ops[sb.ops_start as usize..sb.ops_end as usize]
+            .iter()
+            .filter_map(|op| match *op {
+                FusedOp::MemoBranchHit {
+                    exit_pc,
+                    expect_hit,
+                    ..
+                } => Some((exit_pc, expect_hit)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(hits.len(), crate::decoded::MAX_SUPERBLOCK_BLOCKS);
+        // Mid-chain: expect a hit, side-exit to the fall-through (pc 2).
+        assert!(hits[..hits.len() - 1].iter().all(|&h| h == (2, true)));
+        // Last in the chain: expect a miss, side-exit to the target.
+        assert_eq!(hits[hits.len() - 1], (0, false));
     }
 
     #[test]

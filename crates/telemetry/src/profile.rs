@@ -5,7 +5,7 @@
 //! *phases* (a fixed enum, so the hot path indexes an array instead of
 //! hashing strings) each accumulating entry counts, exclusive
 //! **simulated cycles**, and inclusive **host nanoseconds**, plus a
-//! per-basic-block attribution table for the decoded interpreter.
+//! per-superblock attribution table for the threaded interpreter.
 //!
 //! Three recording shapes:
 //!
@@ -140,7 +140,7 @@ struct Frame {
     charged: u64,
 }
 
-/// Per-block attribution counters (decoded interpreter).
+/// Per-block attribution counters (threaded interpreter, one per superblock).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockStat {
     /// Times the block was entered.

@@ -92,19 +92,9 @@ impl SpanTracker {
         self.open.last().map(|(p, _)| p.as_str())
     }
 
-    /// Number of currently-open spans.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
     /// Completed spans, in close order.
     pub fn completed(&self) -> &[SpanRecord] {
         &self.completed
-    }
-
-    /// Drain completed spans.
-    pub fn take_completed(&mut self) -> Vec<SpanRecord> {
-        std::mem::take(&mut self.completed)
     }
 }
 
@@ -125,7 +115,7 @@ mod tests {
         let outer = t.exit(60);
         assert_eq!(outer.path, "run:fft");
         assert_eq!(outer.depth, 0);
-        assert_eq!(t.open_count(), 0);
+        assert!(t.current_path().is_none());
         assert_eq!(t.completed().len(), 2);
     }
 
@@ -159,20 +149,11 @@ mod tests {
         assert_eq!(drained[0].cycles(), 0);
         assert_eq!(drained[1].path, "run:a");
         assert_eq!(drained[1].end_cycle, 100);
-        assert_eq!(t.open_count(), 0);
+        assert!(t.current_path().is_none());
         assert!(t.close_open(0).is_empty());
         // The tracker is reusable afterwards: balanced spans nest from
         // the top level again.
         assert_eq!(t.enter("run:b", 0), "run:b");
         t.exit(5);
-    }
-
-    #[test]
-    fn take_completed_drains() {
-        let mut t = SpanTracker::new();
-        t.enter("a", 0);
-        t.exit(5);
-        assert_eq!(t.take_completed().len(), 1);
-        assert!(t.completed().is_empty());
     }
 }

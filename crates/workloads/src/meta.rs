@@ -46,13 +46,6 @@ pub struct WorkloadMeta {
     pub metric: Metric,
 }
 
-impl WorkloadMeta {
-    /// Number of memoized blocks (logical LUTs) in this benchmark.
-    pub fn num_blocks(&self) -> usize {
-        self.input_bytes.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,20 +54,5 @@ mod tests {
     fn metric_bounds_match_paper() {
         assert_eq!(Metric::Numeric.bound(), 0.001);
         assert_eq!(Metric::Image.bound(), 0.01);
-    }
-
-    #[test]
-    fn meta_counts_blocks() {
-        let m = WorkloadMeta {
-            name: "x",
-            suite: "s",
-            domain: "d",
-            description: "",
-            dataset: "",
-            input_bytes: &[16, 16],
-            truncated_bits: &[2, 7],
-            metric: Metric::Image,
-        };
-        assert_eq!(m.num_blocks(), 2);
     }
 }

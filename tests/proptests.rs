@@ -6,7 +6,7 @@
 //! cases are fully deterministic: a failure always reproduces.
 
 use axmemo_core::config::{DataWidth, MemoConfig};
-use axmemo_core::crc::{CrcAlgorithm, CrcWidth, PipelinedCrc, SerialCrc, TableCrc};
+use axmemo_core::crc::{CrcWidth, SerialCrc, TableCrc};
 use axmemo_core::ids::LutId;
 use axmemo_core::lut::{LookupOutcome, LutArray, LutGeometry};
 use axmemo_core::truncate::{truncate_bits, InputValue, TruncatedBytes};
@@ -15,7 +15,8 @@ use axmemo_workloads::gen::SplitMix64;
 
 const CASES: usize = 200;
 
-/// All CRC implementations agree on arbitrary inputs at all widths.
+/// The table CRC agrees with the bit-serial specification on arbitrary
+/// inputs at all widths.
 #[test]
 fn crc_implementations_agree() {
     let mut rng = SplitMix64::new(0xC0FFEE);
@@ -25,9 +26,7 @@ fn crc_implementations_agree() {
         for width in [CrcWidth::W16, CrcWidth::W32, CrcWidth::W64] {
             let serial = SerialCrc::new(width).checksum(&data);
             let table = TableCrc::new(width).checksum(&data);
-            let pipe = PipelinedCrc::new(width).checksum(&data);
             assert_eq!(serial, table, "serial vs table, {width:?}, {data:?}");
-            assert_eq!(table, pipe, "table vs pipelined, {width:?}, {data:?}");
         }
     }
 }
