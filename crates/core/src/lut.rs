@@ -236,6 +236,7 @@ impl LutArray {
 
     /// Strike the accessed set with any faults the injector draws for
     /// this access. Strikes landing in invalid entries are harmless.
+    #[inline]
     fn inject_faults(&mut self, set: usize) {
         let Some(inj) = self.faults.as_mut() else {
             return;

@@ -440,7 +440,7 @@ impl MemoSnapshot {
                 &[
                     ("section", Value::Str(s.name.into())),
                     ("disposition", Value::Str(disposition.into())),
-                    ("detail", Value::Str(detail)),
+                    ("detail", Value::Str(detail.into())),
                 ],
             );
         }
@@ -462,7 +462,7 @@ impl MemoSnapshot {
                 ("torn_tail", Value::Bool(report.torn_tail)),
                 (
                     "reason",
-                    Value::Str(report.cold_start_reason.clone().unwrap_or_default()),
+                    Value::Str(report.cold_start_reason.clone().unwrap_or_default().into()),
                 ),
             ],
         );
@@ -506,7 +506,7 @@ impl MemoSnapshot {
         tel.event(
             "snapshot.write",
             &[
-                ("path", Value::Str(path.display().to_string())),
+                ("path", Value::Str(path.display().to_string().into())),
                 ("bytes", Value::U64(bytes.len() as u64)),
                 (
                     "entries",

@@ -104,11 +104,12 @@ pub trait TruncatedBytes {
 
 impl TruncatedBytes for InputValue {
     fn truncated_bytes(&self, n: u32) -> ([u8; 8], usize) {
-        let bits = truncate_bits(self.raw_bits(), n);
-        let mut out = [0u8; 8];
-        let w = self.byte_width();
-        out[..w].copy_from_slice(&bits.to_le_bytes()[..w]);
-        (out, w)
+        // `raw_bits` zero-extends, so the bytes past `byte_width` are
+        // already zero and no partial copy is needed.
+        (
+            truncate_bits(self.raw_bits(), n).to_le_bytes(),
+            self.byte_width(),
+        )
     }
 }
 

@@ -285,6 +285,11 @@ impl TwoLevelLut {
     /// scan of the arrays, so call it at phase boundaries rather than
     /// per access.
     pub fn record_occupancy(&self, tel: &mut Telemetry) {
+        // Every recording call below is a no-op on a disabled handle;
+        // return before paying for the array scans.
+        if !tel.is_enabled() {
+            return;
+        }
         // An all-empty snapshot (e.g. right after the region-end
         // invalidate) would clobber the meaningful gauge values.
         if self.l1.occupancy() == 0 && self.l2.as_ref().is_none_or(|l2| l2.occupancy() == 0) {
@@ -470,6 +475,7 @@ impl TwoLevelLut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axmemo_telemetry::RingBufferSink;
 
     fn id(i: u8) -> LutId {
         LutId::new(i).unwrap()
@@ -591,6 +597,77 @@ mod tests {
         assert_eq!(
             dst.restore_l2(&l2e, RestorePolicy::OldestFirst),
             (0, l2e.len() as u64)
+        );
+    }
+
+    /// The `level` field of every `kind` event the sink saw, in order.
+    fn levels(sink: &RingBufferSink, kind: &str) -> Vec<String> {
+        sink.events()
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| match e.field("level") {
+                Some(Value::Str(s)) => s.to_string(),
+                other => panic!("{kind} without a string level: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hit_and_evict_events_carry_their_level() {
+        let sink = RingBufferSink::new(4096);
+        let mut tel = Telemetry::enabled();
+        tel.add_sink(Box::new(sink.clone()));
+
+        let mut lut = tiny_two_level();
+        // Far more entries than L1 + L2 hold: L2 must evict.
+        for i in 0..512u64 {
+            lut.update_tel(id(0), i, i, &mut tel);
+        }
+        assert!(lut.lookup_tel(id(0), 511, &mut tel).is_hit());
+        let l2_resident = (0..512u64)
+            .find(|&i| {
+                lut.l1().peek(id(0), i).is_none() && lut.l2().unwrap().peek(id(0), i).is_some()
+            })
+            .expect("an entry only L2 holds");
+        assert_eq!(
+            lut.lookup_tel(id(0), l2_resident, &mut tel),
+            TwoLevelOutcome::Hit(HitLevel::L2, l2_resident)
+        );
+        assert_eq!(levels(&sink, "lut.hit"), ["L1", "L2"]);
+        let evicts = levels(&sink, "lut.evict");
+        assert!(!evicts.is_empty());
+        assert!(evicts.iter().all(|l| l == "L2"), "{evicts:?}");
+
+        // Single level: the L1 victim is the one lost.
+        let sink = RingBufferSink::new(4096);
+        let mut tel = Telemetry::enabled();
+        tel.add_sink(Box::new(sink.clone()));
+        let mut lut = TwoLevelLut::new(&MemoConfig::l1_only(64));
+        for i in 0..16u64 {
+            lut.update_tel(id(0), i, i, &mut tel);
+        }
+        assert_eq!(levels(&sink, "lut.evict"), vec!["L1"; 8]);
+    }
+
+    #[test]
+    fn record_occupancy_records_only_when_enabled() {
+        let mut lut = tiny_two_level();
+        for i in 0..16u64 {
+            lut.update(id(0), i, i);
+        }
+        let mut off = Telemetry::off();
+        lut.record_occupancy(&mut off);
+        assert_eq!(off.registry().gauge("lut.l1.occupancy"), None);
+
+        let mut on = Telemetry::enabled();
+        lut.record_occupancy(&mut on);
+        assert_eq!(on.registry().gauge("lut.l1.occupancy"), Some(1.0));
+        assert!(on.registry().gauge("lut.l2.occupancy").unwrap() > 0.0);
+        assert_eq!(
+            on.registry()
+                .histogram("lut.l1.set_occupancy")
+                .map(|h| h.count()),
+            Some(1)
         );
     }
 

@@ -801,10 +801,14 @@ impl MemoizationUnit {
         }
     }
 
-    /// Append an event if logging; consumes the staged bytes.
+    /// Append an event if logging; consumes the staged bytes. The event
+    /// gets an exact-size copy and the staging buffer keeps its capacity
+    /// for the next instance.
     fn log_event(&mut self, slot: usize, lut: LutId, crc: u64, hit: bool) -> Option<usize> {
         let log = self.event_log.as_mut()?;
-        let input_bytes = std::mem::take(&mut self.staged_bytes[slot]);
+        let staged = &mut self.staged_bytes[slot];
+        let input_bytes = staged.to_vec();
+        staged.clear();
         log.push(LookupEvent {
             lut,
             crc,
@@ -1111,6 +1115,48 @@ mod tests {
         u.feed(lut, tid, InputValue::I32(5), 0);
         let hit = u.lookup(lut, tid);
         assert_eq!(u.lookup_cycles(&hit), 2); // L1 hit
+    }
+
+    #[test]
+    fn event_log_records_each_instance_bytes() {
+        // Staging reuses one buffer per slot: every event must still get
+        // exactly its own instance's bytes, whatever the earlier
+        // instances left behind.
+        let mut u = unit();
+        let (lut, tid) = ids();
+        u.enable_event_log();
+        let instances: [&[InputValue]; 3] = [
+            &[InputValue::F64(2.5), InputValue::U8(9), InputValue::I32(-3)],
+            &[InputValue::U8(1)],
+            &[InputValue::F64(2.5), InputValue::U8(9), InputValue::I32(-3)],
+        ];
+        let crc = TableCrc::new(MemoConfig::default().crc_width);
+        let mut expected = Vec::new();
+        for inputs in instances {
+            let mut bytes = Vec::new();
+            for &v in inputs {
+                u.feed(lut, tid, v, 0);
+                let (b, n) = v.truncated_bytes(0);
+                bytes.extend_from_slice(&b[..n]);
+            }
+            let hit = u.lookup(lut, tid).skips_computation();
+            if !hit {
+                u.update(lut, tid, bytes.len() as u64);
+            }
+            expected.push(LookupEvent {
+                lut,
+                crc: crc.checksum(&bytes),
+                input_bytes: bytes,
+                hit,
+                data: Some(13),
+            });
+        }
+        expected[1].data = Some(1);
+        assert_eq!(
+            expected.iter().map(|e| e.hit).collect::<Vec<_>>(),
+            [false, false, true]
+        );
+        assert_eq!(u.take_event_log(), expected);
     }
 
     #[test]

@@ -91,9 +91,14 @@ impl Machine {
             .and_then(|a| a.checked_add(n).map(|end| a..end))
             .and_then(|range| self.mem.get(range))
             .ok_or(SimError::MemOutOfBounds { addr, width })?;
-        let mut buf = [0u8; 8];
-        buf[..n].copy_from_slice(bytes);
-        Ok(u64::from_le_bytes(buf))
+        // Fixed-size conversions per width: the slice length is already
+        // checked, and a variable-length copy would call libc `memcpy`
+        // on every simulated access.
+        Ok(match width {
+            MemWidth::B1 => u64::from(bytes[0]),
+            MemWidth::B4 => u64::from(u32::from_le_bytes(fixed(bytes))),
+            MemWidth::B8 => u64::from_le_bytes(fixed(bytes)),
+        })
     }
 
     /// Write the low `width` bytes of `value` at `addr`.
@@ -104,7 +109,11 @@ impl Machine {
             .and_then(|a| a.checked_add(n).map(|end| a..end))
             .and_then(|range| self.mem.get_mut(range))
             .ok_or(SimError::MemOutOfBounds { addr, width })?;
-        dst.copy_from_slice(&value.to_le_bytes()[..n]);
+        match width {
+            MemWidth::B1 => dst[0] = value as u8,
+            MemWidth::B4 => dst.copy_from_slice(&(value as u32).to_le_bytes()),
+            MemWidth::B8 => dst.copy_from_slice(&value.to_le_bytes()),
+        }
         Ok(())
     }
 
@@ -118,6 +127,15 @@ impl Machine {
     pub fn load_f32(&self, addr: u64) -> f32 {
         f32::from_bits(self.load(addr, MemWidth::B4).expect("load_f32 in bounds") as u32)
     }
+}
+
+/// The `N` bytes of an access whose range was already checked to be
+/// `N` long.
+#[inline(always)]
+fn fixed<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    *bytes
+        .first_chunk()
+        .expect("access range checked to its width")
 }
 
 /// Execution failure.
@@ -1265,6 +1283,40 @@ mod tests {
                     addr: u64::MAX - 1,
                     width: MemWidth::B8
                 })
+            );
+        }
+    }
+
+    #[test]
+    fn store_writes_exactly_its_width_and_load_zero_extends() {
+        // Every byte of `value` has its top bit set, so a sign-extending
+        // load at any width would show.
+        let value = 0x8899_AABB_CCDD_EEFFu64;
+        for (width, n) in [(MemWidth::B1, 1), (MemWidth::B4, 4), (MemWidth::B8, 8)] {
+            // The start, the middle and the last slot of memory.
+            for a in [0, 8, 32 - n] {
+                let mut m = Machine::new(32);
+                m.mem.fill(0x5A);
+                let addr = a as u64;
+                m.store(addr, width, value).unwrap();
+                assert_eq!(
+                    &m.mem[a..a + n],
+                    &value.to_le_bytes()[..n],
+                    "{width:?} at {a}"
+                );
+                assert!(
+                    m.mem[..a].iter().chain(&m.mem[a + n..]).all(|&b| b == 0x5A),
+                    "{width:?} at {a} wrote outside its width"
+                );
+                let mask = u64::MAX >> (64 - 8 * n);
+                assert_eq!(m.load(addr, width), Ok(value & mask), "{width:?} at {a}");
+            }
+            // One byte past the end is out of bounds at every width.
+            let m = Machine::new(32);
+            let addr = 33 - n as u64;
+            assert_eq!(
+                m.load(addr, width),
+                Err(SimError::MemOutOfBounds { addr, width })
             );
         }
     }

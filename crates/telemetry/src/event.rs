@@ -7,6 +7,7 @@
 //! must stay dependency-free — with full string escaping so arbitrary
 //! benchmark names survive a round trip through offline tooling.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A typed field value.
@@ -20,8 +21,9 @@ pub enum Value {
     F64(f64),
     /// Boolean flag (hit/miss, enabled/disabled).
     Bool(bool),
-    /// Free-form text (names, labels).
-    Str(String),
+    /// Free-form text (names, labels). Fixed labels such as `"L1"` are
+    /// borrowed, so building the field costs no allocation.
+    Str(Cow<'static, str>),
 }
 
 impl From<u64> for Value {
@@ -50,13 +52,13 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(Cow::Owned(v.to_string()))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(Cow::Owned(v))
     }
 }
 
@@ -177,10 +179,22 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        let e = ev(vec![("name", Value::Str("a\"b\\c\nd\te\u{1}".to_string()))]);
+        let e = ev(vec![("name", Value::from("a\"b\\c\nd\te\u{1}"))]);
         assert_eq!(
             event_to_json(&e),
             "{\"cycle\":7,\"kind\":\"test.kind\",\"name\":\"a\\\"b\\\\c\\nd\\te\\u0001\"}"
+        );
+    }
+
+    #[test]
+    fn borrowed_and_owned_strings_encode_alike() {
+        let borrowed = ev(vec![("level", Value::Str(Cow::Borrowed("L1\"x")))]);
+        let owned = ev(vec![("level", Value::Str(Cow::Owned("L1\"x".to_string())))]);
+        assert_eq!(borrowed, owned);
+        assert_eq!(event_to_json(&borrowed), event_to_json(&owned));
+        assert_eq!(
+            event_to_json(&borrowed),
+            r#"{"cycle":7,"kind":"test.kind","level":"L1\"x"}"#
         );
     }
 

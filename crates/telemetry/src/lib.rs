@@ -125,11 +125,19 @@ impl Telemetry {
 
     /// Emit a structured event at the current cycle, tagged with the
     /// innermost open span path.
-    #[inline]
+    ///
+    /// Only the enabled-and-has-sinks check is inlined into callers;
+    /// building and dispatching the event is out of line.
+    #[inline(always)]
     pub fn event(&mut self, kind: &'static str, fields: &[(&'static str, Value)]) {
-        if !self.enabled || self.sinks.is_empty() {
-            return;
+        if self.enabled && !self.sinks.is_empty() {
+            self.emit(kind, fields);
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn emit(&mut self, kind: &'static str, fields: &[(&'static str, Value)]) {
         let ev = Event {
             cycle: self.cycle,
             kind,

@@ -31,19 +31,50 @@ fn crc_implementations_agree() {
     }
 }
 
-/// Streaming in arbitrary chunkings equals one-shot hashing.
+/// Streaming in arbitrary chunkings equals the bit-serial specification
+/// at every width: 1-, 4- and 8-byte beats (the `ld_crc`/`reg_crc`
+/// widths) and random cuts.
 #[test]
 fn crc_streaming_is_chunking_invariant() {
     let mut rng = SplitMix64::new(1);
-    let crc = TableCrc::new(CrcWidth::W32);
-    for _ in 0..CASES {
-        let len = 1 + rng.index(127);
-        let data = rng.bytes(len);
-        let cut = rng.index(data.len());
-        let mut s = crc.init();
-        crc.feed(&mut s, &data[..cut]);
-        crc.feed(&mut s, &data[cut..]);
-        assert_eq!(crc.finalize(s), crc.checksum(&data), "cut {cut}, {data:?}");
+    for width in [CrcWidth::W16, CrcWidth::W32, CrcWidth::W64] {
+        let serial = SerialCrc::new(width);
+        let crc = TableCrc::new(width);
+        for _ in 0..CASES {
+            let len = 1 + rng.index(127);
+            let data = rng.bytes(len);
+            let expected = serial.checksum(&data);
+            assert_eq!(
+                crc.checksum(&data),
+                expected,
+                "{width:?} one-shot, {data:?}"
+            );
+            for beat in [1, 4, 8] {
+                let mut s = crc.init();
+                for chunk in data.chunks(beat) {
+                    crc.feed(&mut s, chunk);
+                }
+                assert_eq!(
+                    crc.finalize(s),
+                    expected,
+                    "{width:?} {beat}-byte beats, {data:?}"
+                );
+            }
+            let mut cuts: Vec<usize> = (0..rng.index(4)).map(|_| rng.index(len + 1)).collect();
+            cuts.push(len);
+            cuts.sort_unstable();
+            let mut s = crc.init();
+            let mut at = 0;
+            for &cut in &cuts {
+                crc.feed(&mut s, &data[at..cut]);
+                at = cut;
+            }
+            assert_eq!(
+                crc.finalize(s),
+                expected,
+                "{width:?} cuts {cuts:?}, {data:?}"
+            );
+        }
     }
 }
 
