@@ -13,7 +13,6 @@ use std::error::Error;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
-use axmemo_compiler::codegen::memoize;
 use axmemo_compiler::dddg::Dddg;
 use axmemo_compiler::trace::TraceCapture;
 use axmemo_compiler::{analyze, SearchConfig};
@@ -21,7 +20,7 @@ use axmemo_core::config::MemoConfig;
 use axmemo_core::crc::{CrcWidth, TableCrc};
 use axmemo_core::unit::UnitTiming;
 use axmemo_sim::cache::CacheConfig;
-use axmemo_sim::cpu::{SimConfig, Simulator};
+use axmemo_sim::cpu::{DispatchTier, SimConfig, Simulator};
 use axmemo_sim::energy::{l1_lut_energy, AreaModel, EnergyModel};
 use axmemo_sim::pipeline::LatencyModel;
 use axmemo_sim::predictor::PredictorConfig;
@@ -599,8 +598,7 @@ fn l2_sensitivity(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
     )?;
     let mut degradations = Vec::new();
     for bench in all_benchmarks() {
-        let (program, specs) = bench.program(scale);
-        let memoized = memoize(&program, &specs)?;
+        let prepared = ctx.cache.program(bench.as_ref(), scale, false)?;
         let mut cycles = [0u64; 2];
         for (i, l2_bytes) in [1024 * 1024usize, 512 * 1024].into_iter().enumerate() {
             let cfg = SimConfig {
@@ -616,7 +614,10 @@ fn l2_sensitivity(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
             };
             let mut sim = Simulator::new(cfg)?;
             let mut machine = bench.setup(scale, Dataset::Eval);
-            cycles[i] = sim.run(&memoized, &mut machine)?.cycles;
+            cycles[i] = prepared
+                .memo
+                .run(&mut sim, DispatchTier::default(), &mut machine)?
+                .cycles;
         }
         let degradation = cycles[1] as f64 / cycles[0] as f64 - 1.0;
         degradations.push(degradation);
@@ -793,8 +794,7 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
         "Benchmark", "speedup (bubble)", "speedup (pred.)", "delta"
     )?;
     for bench in all_benchmarks() {
-        let (program, specs) = bench.program(scale);
-        let memoized = memoize(&program, &specs)?;
+        let prepared = ctx.cache.program(bench.as_ref(), scale, false)?;
         let memo_cfg = MemoConfig {
             data_width: bench.data_width(),
             ..MemoConfig::l1_l2(8 * 1024, 512 * 1024)
@@ -814,10 +814,14 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
             };
             let mut base = Simulator::new(base_cfg)?;
             let mut mb = bench.setup(scale, Dataset::Eval);
-            let bs = base.run(&program, &mut mb)?;
+            let bs = prepared
+                .base
+                .run(&mut base, DispatchTier::default(), &mut mb)?;
             let mut memo = Simulator::new(memo_sim_cfg)?;
             let mut mm = bench.setup(scale, Dataset::Eval);
-            let ms = memo.run(&memoized, &mut mm)?;
+            let ms = prepared
+                .memo
+                .run(&mut memo, DispatchTier::default(), &mut mm)?;
             speedups[i] = bs.cycles as f64 / ms.cycles.max(1) as f64;
         }
         writeln!(

@@ -27,7 +27,6 @@ pub mod sweep;
 
 use axmemo_baselines::cost::kernel_profile;
 use axmemo_baselines::{AtmModel, ContenderOutcome, SoftwareLut};
-use axmemo_compiler::codegen::memoize;
 use axmemo_core::config::MemoConfig;
 use axmemo_core::unit::LookupEvent;
 use axmemo_core::RestorePolicy;
@@ -543,25 +542,22 @@ pub fn collect_events(
     collect_events_cached(bench, scale, None)
 }
 
-/// [`collect_events`] taking the baseline-stats leg from `cache` (the
-/// event-recording memoized run is unique to this collection and always
-/// executes). A figure binary that has already run the benchmark's
-/// cells skips one whole baseline simulation here. `None` uses a
-/// call-local cache; the `Option` stays because `ledger/` (the
-/// benchmark) calls this shape.
+/// [`collect_events`] taking the compiled program and the
+/// baseline-stats leg from `cache` (the event-recording memoized run is
+/// unique to this collection and always executes). A figure binary that
+/// has already run the benchmark's cells skips one whole baseline
+/// simulation here. `None` uses a call-local cache; the `Option` stays
+/// because `ledger/` (the benchmark) calls this shape.
 ///
 /// # Errors
 ///
-/// Propagates simulator/codegen failures, including a cached baseline
-/// failure.
+/// Propagates simulator failures and cached compile or baseline
+/// failures.
 pub fn collect_events_cached(
     bench: &dyn Benchmark,
     scale: Scale,
     cache: Option<&BaselineCache>,
 ) -> Result<ContenderInputs, Box<dyn std::error::Error>> {
-    let (program, specs) = bench.program(scale);
-    let memoized = memoize(&program, &specs)?;
-
     let local;
     let cache = match cache {
         Some(cache) => cache,
@@ -570,6 +566,7 @@ pub fn collect_events_cached(
             &local
         }
     };
+    let prepared = cache.program(bench, scale, false)?;
     let baseline = cache
         .get_or_compute(
             bench,
@@ -590,7 +587,9 @@ pub fn collect_events_cached(
         .expect("memo configured")
         .enable_event_log();
     let mut machine = bench.setup(scale, Dataset::Eval);
-    sim.run(&memoized, &mut machine)?;
+    prepared
+        .memo
+        .run(&mut sim, DispatchTier::default(), &mut machine)?;
     let events = sim
         .memo_unit_mut()
         .expect("memo configured")
@@ -603,7 +602,7 @@ pub fn collect_events_cached(
         .map(|&b| b as u64)
         .sum::<u64>()
         / bench.meta().input_bytes.len().max(1) as u64;
-    let profile = kernel_profile(&program, input_bytes);
+    let profile = kernel_profile(&prepared.base.program, input_bytes);
     Ok(ContenderInputs {
         events,
         baseline,
@@ -843,7 +842,7 @@ mod tests {
         .unwrap();
         let plan = args.snapshot_plan_for("fft");
         assert!(!plan.is_empty());
-        assert!(plan.warm());
+        assert!(plan.restore_from.is_some());
         assert_eq!(
             plan.snapshot_out.as_deref(),
             Some(std::path::Path::new("/tmp/warm/fft.axmsnap"))

@@ -17,8 +17,8 @@
 //! corruption; a double flip escapes parity) and data words carry SECDED
 //! (single flips corrected, double flips detected-uncorrectable and
 //! invalidated). Protection costs cycles and energy per access; those
-//! constants live in `axmemo-isa`'s timing table and `axmemo-sim`'s
-//! energy model.
+//! constants live in Table 4's [`crate::unit::UnitTiming`] and
+//! `axmemo-sim`'s energy model.
 //!
 //! The default [`FaultConfig`] injects nothing, and a zero-rate config
 //! installs no injectors at all, so the fault-free path is bit-identical

@@ -12,8 +12,9 @@
 //! skipped; a miss executes the block and stores the result.
 //!
 //! This crate is the cycle-agnostic *functional + cost* model of that
-//! hardware. Timing simulation lives in `axmemo-sim`, the ISA encoding in
-//! `axmemo-isa`, and the compiler analysis in `axmemo-compiler`.
+//! hardware. Timing simulation lives in `axmemo-sim` (whose IR carries the
+//! five ISA extensions as `sim::ir::Inst::Memo*`), and the compiler
+//! analysis in `axmemo-compiler`.
 //!
 //! ## Modules
 //!

@@ -36,8 +36,8 @@ pub mod runner;
 
 pub use meta::{Metric, WorkloadMeta};
 pub use runner::{
-    run_benchmark, run_benchmark_report_snap, run_job, BaselineCache, BaselineFailure, BaselineRun,
-    BenchmarkResult, FailureKind, PreparedProgram, RunFailure, RunOptions, SnapshotPlan,
+    run_benchmark, run_benchmark_report_snap, run_job, BaselineCache, BaselineRun, BenchmarkResult,
+    CachedFailure, FailureKind, PreparedProgram, RunFailure, RunOptions, SnapshotPlan,
     SupervisedRun,
 };
 

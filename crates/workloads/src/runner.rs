@@ -3,20 +3,21 @@
 //! energy reduction, dynamic-instruction ratio, hit rate, output error).
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::meta::Metric;
 use crate::{Benchmark, Dataset, Scale};
-use axmemo_compiler::codegen::memoize;
+use axmemo_compiler::codegen::{memoize, CodegenError};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::faults::FaultConfig;
 use axmemo_core::lut::LutStats;
 use axmemo_core::snapshot::{MemoSnapshot, RecoveryOutcome, RecoveryReport};
 use axmemo_core::unit::UnitStats;
 use axmemo_core::RestorePolicy;
-use axmemo_sim::cpu::{DispatchTier, SimConfig, SimError, Simulator};
+use axmemo_sim::cpu::{DispatchTier, Machine, SimConfig, SimError, Simulator};
 use axmemo_sim::decoded::DecodedProgram;
 use axmemo_sim::energy::EnergyModel;
 use axmemo_sim::pipeline::LatencyModel;
@@ -166,11 +167,13 @@ pub struct RunOptions {
 /// Persistence plan for one run: where to restore warm LUT state from
 /// before executing and where to write the end-of-run snapshot.
 ///
-/// Kept separate from [`RunOptions`] (which stays `Copy` and keys the
-/// baseline/program caches) because paths are per-cell, not per-sweep.
-/// The empty plan is the default and reproduces a plain run
-/// byte-for-byte — persistence is an escape hatch with the same
-/// default-off discipline as `--dispatch legacy`.
+/// Kept separate from [`RunOptions`] (which stays `Copy`) because paths
+/// are per-cell, not per-sweep. A plan never reaches the
+/// [`BaselineCache`]: a restore only touches the memoized run's unit,
+/// which neither a baseline nor a [`PreparedProgram`] contains. The
+/// empty plan is the default and reproduces a plain run byte-for-byte —
+/// persistence is an escape hatch with the same default-off discipline
+/// as `--dispatch legacy`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SnapshotPlan {
     /// Snapshot file to warm-start from, if any. The file is recovered
@@ -195,57 +198,84 @@ impl SnapshotPlan {
     pub fn is_empty(&self) -> bool {
         self.restore_from.is_none() && self.snapshot_out.is_none()
     }
-
-    /// `true` when the run warm-starts from a snapshot — the property
-    /// that must reach the [`BaselineCache`] keys so warm cells never
-    /// share compiled programs or baselines with cold ones.
-    pub fn warm(&self) -> bool {
-        self.restore_from.is_some()
-    }
 }
 
-/// A benchmark's programs compiled once and shared across every run
-/// that uses default truncation: the baseline and memoized [`Program`]s
-/// plus their threaded-superblock forms (lowered against
-/// [`LatencyModel::default`], the latency every runner-constructed
-/// [`SimConfig`] uses).
-///
-/// Zero-truncation runs rebuild their specs (different codegen output),
-/// so they never consume a `PreparedProgram`.
+/// A benchmark's programs, built once per `(benchmark, scale,
+/// zero_trunc)` by [`BaselineCache`] and shared by every run: the
+/// baseline and memoized legs, each in both tier forms. Immutable once
+/// built, so no run (a snapshot restore included) can change what its
+/// siblings execute.
 #[derive(Debug)]
 pub struct PreparedProgram {
-    /// The baseline program.
-    pub program: Program,
-    /// The memoized program (default truncation).
-    pub memo_program: Program,
-    /// Threaded-superblock baseline program.
-    pub threaded_base: ThreadedProgram,
-    /// Threaded-superblock memoized program.
-    pub threaded_memo: ThreadedProgram,
+    /// The baseline leg (the same for either truncation choice).
+    pub base: Leg,
+    /// The memoized leg.
+    pub memo: Leg,
 }
 
-impl PreparedProgram {
-    /// Build and superblock-lower both legs of `bench` at
-    /// `scale`.
+/// One leg's program plus its threaded-superblock form, lowered against
+/// [`LatencyModel::default`] (the latency every runner-constructed
+/// [`SimConfig`] uses).
+#[derive(Debug)]
+pub struct Leg {
+    /// The program the legacy tier interprets.
+    pub program: Program,
+    /// The lowered form the threaded tier runs.
+    pub threaded: ThreadedProgram,
+}
+
+impl Leg {
+    fn lower(program: Program) -> Self {
+        let decoded = DecodedProgram::compile(&program, &LatencyModel::default());
+        let threaded = ThreadedProgram::compile(&decoded);
+        Self { program, threaded }
+    }
+
+    /// Run this leg to `Halt` on `sim`, which must be configured for
+    /// `dispatch`: legacy interprets [`Self::program`], threaded runs
+    /// [`Self::threaded`] without lowering it again.
     ///
     /// # Errors
     ///
-    /// Propagates codegen failures as a boxed error.
+    /// The simulator's first fault, as [`Simulator::run`].
+    pub fn run(
+        &self,
+        sim: &mut Simulator,
+        dispatch: DispatchTier,
+        machine: &mut Machine,
+    ) -> Result<RunStats, SimError> {
+        match dispatch {
+            DispatchTier::Legacy => sim.run(&self.program, machine),
+            DispatchTier::Threaded => sim.run_prepared_threaded(&self.threaded, machine),
+        }
+    }
+}
+
+impl PreparedProgram {
+    /// Build, memoize and superblock-lower both legs of `bench` at
+    /// `scale`. `zero_trunc` zeroes every input's truncation first
+    /// (exact memoization, Fig. 11).
+    ///
+    /// # Errors
+    ///
+    /// The codegen failure, when the benchmark's region specs do not fit
+    /// its program.
     pub fn compile(
         bench: &dyn Benchmark,
         scale: Scale,
-    ) -> Result<Self, Box<dyn std::error::Error>> {
-        let (program, specs) = bench.program(scale);
-        let memo_program = memoize(&program, &specs)?;
-        let latency = LatencyModel::default();
-        let threaded_base = ThreadedProgram::compile(&DecodedProgram::compile(&program, &latency));
-        let threaded_memo =
-            ThreadedProgram::compile(&DecodedProgram::compile(&memo_program, &latency));
+        zero_trunc: bool,
+    ) -> Result<Self, CodegenError> {
+        let (program, mut specs) = bench.program(scale);
+        if zero_trunc {
+            for spec in &mut specs {
+                spec.input_loads.iter_mut().for_each(|il| il.trunc = 0);
+                spec.reg_inputs.iter_mut().for_each(|ri| ri.trunc = 0);
+            }
+        }
+        let memo = Leg::lower(memoize(&program, &specs)?);
         Ok(Self {
-            program,
-            memo_program,
-            threaded_base,
-            threaded_memo,
+            base: Leg::lower(program),
+            memo,
         })
     }
 }
@@ -286,9 +316,8 @@ pub fn run_benchmark(
 ///
 /// # Errors
 ///
-/// Propagates simulator faults and codegen failures as a boxed error,
-/// including a cached [`BaselineFailure`] when the shared baseline run
-/// itself failed.
+/// Propagates simulator faults as a boxed error, and a cached
+/// [`CachedFailure`] when the shared compile or baseline run failed.
 pub fn run_benchmark_report_cached(
     bench: &dyn Benchmark,
     scale: Scale,
@@ -310,18 +339,16 @@ pub fn run_benchmark_report_cached(
 /// `Option` (`None` = a call-local cache) because `ledger/` (the
 /// benchmark) calls this shape.
 ///
-/// Warm-started runs use restore-keyed [`BaselineCache`] slots
-/// (`warm = true`), so their baselines and compiled programs never mix
-/// with cold cells sharing the same cache.
+/// Warm and cold runs share the same [`BaselineCache`] slots: the
+/// restore reaches only this run's memoization unit.
 ///
 /// # Errors
 ///
-/// Propagates simulator faults, codegen failures, cached
-/// [`BaselineFailure`]s, and snapshot *I/O* failures
-/// ([`axmemo_core::snapshot::SnapshotError`], which names the offending
-/// path) as a boxed error. A corrupt or torn snapshot file is **not**
-/// an error: recovery degrades to a cold start recorded in
-/// [`RunReport::recovery`].
+/// Propagates simulator faults, cached [`CachedFailure`]s, and snapshot
+/// *I/O* failures ([`axmemo_core::snapshot::SnapshotError`], which
+/// names the offending path) as a boxed error. A corrupt or torn
+/// snapshot file is **not** an error: recovery degrades to a cold start
+/// recorded in [`RunReport::recovery`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_benchmark_report_snap(
     bench: &dyn Benchmark,
@@ -341,20 +368,18 @@ pub fn run_benchmark_report_snap(
             &local
         }
     };
-    let warm = plan.warm();
-    let prepared = cache.prepared_for(bench, scale, opts, warm);
-    let baseline =
-        cache.get_or_compute_keyed(bench, scale, dataset, u64::MAX, opts.dispatch, warm)?;
+    let prepared = cache.program(bench, scale, opts.zero_trunc)?;
+    let baseline = cache.get_or_compute(bench, scale, dataset, u64::MAX, opts.dispatch)?;
     let mut report = run_benchmark_inner(
         bench,
         scale,
         dataset,
         memo,
-        opts,
+        opts.dispatch,
         &mut tel,
         u64::MAX,
         &baseline,
-        prepared.as_deref(),
+        &prepared,
         plan,
     )?;
     report.telemetry = tel;
@@ -366,9 +391,9 @@ pub fn run_benchmark_report_snap(
 /// against, plus the exact output vector quality metrics compare to.
 ///
 /// Depends only on `(benchmark, scale, dataset)` — the memoization
-/// configuration (LUT geometry, faults, truncation) never touches the
-/// baseline core — which is what makes it shareable across every cell
-/// of a sweep via [`BaselineCache`].
+/// configuration (LUT geometry, faults, truncation, warm state) never
+/// touches the baseline core — which is what makes it shareable across
+/// every cell of a sweep via [`BaselineCache`].
 #[derive(Debug, Clone)]
 pub struct BaselineRun {
     /// Statistics of the non-memoized baseline run.
@@ -377,27 +402,16 @@ pub struct BaselineRun {
     pub exact: Vec<f64>,
 }
 
-/// Simulate the baseline leg of `bench` (no memoization) under a cycle
-/// watchdog. When `prepared` carries the shared lowered forms, the
-/// threaded tier runs them directly; otherwise the program is built
-/// here and `dispatch` decides which interpreter [`Simulator::run`]
-/// dispatches to internally.
+/// Simulate the baseline leg of `prepared` (no memoization) on the
+/// `dispatch` tier under a cycle watchdog.
 fn baseline_leg(
     bench: &dyn Benchmark,
     scale: Scale,
     dataset: Dataset,
     max_cycles: u64,
     dispatch: DispatchTier,
-    prepared: Option<&PreparedProgram>,
+    prepared: &PreparedProgram,
 ) -> Result<BaselineRun, Box<dyn std::error::Error>> {
-    let built;
-    let program = match prepared {
-        Some(p) => &p.program,
-        None => {
-            built = bench.program(scale).0;
-            &built
-        }
-    };
     let mut base_sim = Simulator::new(SimConfig {
         max_cycles,
         dispatch,
@@ -405,20 +419,18 @@ fn baseline_leg(
     })?;
     let mut base_machine = bench.setup(scale, dataset);
     base_sim.reset();
-    let stats = match (prepared, dispatch) {
-        (Some(p), DispatchTier::Threaded) => {
-            base_sim.run_prepared_threaded(&p.threaded_base, &mut base_machine)?
-        }
-        _ => base_sim.run(program, &mut base_machine)?,
-    };
+    let stats = prepared
+        .base
+        .run(&mut base_sim, dispatch, &mut base_machine)?;
     let exact = bench.outputs(&base_machine, scale);
     Ok(BaselineRun { stats, exact })
 }
 
-/// Why a shared baseline run failed, in a cloneable form every cell
-/// waiting on the same cache slot can receive.
+/// Why a shared [`BaselineCache`] slot — a program compile or a
+/// baseline run — failed, in a cloneable form every run waiting on the
+/// same slot can receive.
 #[derive(Debug, Clone)]
-pub struct BaselineFailure {
+pub struct CachedFailure {
     /// Failure class (watchdog trip, panic, or ordinary error) —
     /// classified exactly as a memoized-leg failure is.
     pub kind: FailureKind,
@@ -426,63 +438,94 @@ pub struct BaselineFailure {
     pub message: String,
 }
 
-impl std::fmt::Display for BaselineFailure {
+impl std::fmt::Display for CachedFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "baseline run failed ({:?}): {}", self.kind, self.message)
+        write!(f, "{} ({:?})", self.message, self.kind)
     }
 }
 
-impl std::error::Error for BaselineFailure {}
+impl std::error::Error for CachedFailure {}
 
-/// Classify a boxed run error into a [`FailureKind`].
-fn classify_error(e: &(dyn std::error::Error + 'static)) -> FailureKind {
-    match e.downcast_ref::<SimError>() {
-        Some(SimError::CycleLimit { .. }) => FailureKind::Watchdog,
-        _ => FailureKind::Error,
-    }
+/// Run `f`, turning its error or panic into a [`CachedFailure`].
+fn catch_failure<T>(
+    f: impl FnOnce() -> Result<T, Box<dyn std::error::Error>>,
+) -> Result<T, CachedFailure> {
+    let (kind, message) = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(Ok(value)) => return Ok(value),
+        Ok(Err(e)) => match e.downcast_ref::<SimError>() {
+            Some(SimError::CycleLimit { .. }) => (FailureKind::Watchdog, e.to_string()),
+            _ => (FailureKind::Error, e.to_string()),
+        },
+        Err(payload) => (FailureKind::Panic, panic_message(payload.as_ref())),
+    };
+    Err(CachedFailure { kind, message })
 }
 
-type BaselineSlot = Arc<OnceLock<Result<Arc<BaselineRun>, BaselineFailure>>>;
-type PreparedSlot = Arc<OnceLock<Option<Arc<PreparedProgram>>>>;
-/// Baseline slot key: `(benchmark, scale, dataset, dispatch, warm)`.
-type BaselineKey = (String, Scale, Dataset, DispatchTier, bool);
+/// One lazily filled, shared cache entry: the value or its failure.
+type Slot<T> = Arc<OnceLock<Result<Arc<T>, CachedFailure>>>;
+/// Baseline slot key: `(benchmark, scale, dataset, dispatch)`.
+type BaselineKey = (String, Scale, Dataset, DispatchTier);
+/// Program slot key: `(benchmark, scale, zero_trunc)`.
+type ProgramKey = (String, Scale, bool);
 
-/// Thread-safe once-per-key map of shared baseline runs, keyed by
-/// `(benchmark, scale, dataset, dispatch)`: the only place any run gets
-/// its baseline and compiled programs from. Callers without a
-/// sweep-wide cache use a call-local one.
+/// Fill `key`'s slot in `slots` with `init` on first request (concurrent
+/// askers block on the same [`OnceLock`]) and serve it afterwards,
+/// counting the request in `computed` or `reused`.
+fn get_or_init<K: Eq + Hash, T>(
+    slots: &Mutex<HashMap<K, Slot<T>>>,
+    key: K,
+    [computed, reused]: [&AtomicU64; 2],
+    init: impl FnOnce() -> Result<T, CachedFailure>,
+) -> Result<Arc<T>, CachedFailure> {
+    let slot = Arc::clone(
+        slots
+            .lock()
+            .expect("baseline cache poisoned")
+            .entry(key)
+            .or_default(),
+    );
+    let mut fresh = false;
+    let result = slot.get_or_init(|| {
+        fresh = true;
+        init().map(Arc::new)
+    });
+    if fresh { computed } else { reused }.fetch_add(1, Ordering::Relaxed);
+    result.clone()
+}
+
+/// The one source of every simulated program and baseline run: a
+/// thread-safe once-per-key map, keyed on exactly what each result
+/// depends on. Callers without a sweep-wide cache use a call-local one.
 ///
-/// A sweep's fault matrix runs every benchmark under many (domain ×
-/// protection × rate) cells, but the fault-free baseline those cells
-/// normalise against is identical for all of them — the memoization
-/// configuration never reaches the baseline core. This cache computes
-/// each baseline exactly once per sweep (the first cell to ask performs
-/// the simulation; concurrent askers block on the same [`OnceLock`] and
-/// then share the [`Arc`]) and counts computations vs. reuses so
-/// orchestrators can export `orchestrator.baseline.{computed,reused}`
-/// telemetry.
+/// - **Programs**: one [`PreparedProgram`] per `(benchmark, scale,
+///   zero_trunc)`. Building, memoizing and superblock-lowering a
+///   benchmark is deterministic, so every run, attempt and tier shares
+///   it.
+/// - **Baselines**: one [`BaselineRun`] per `(benchmark, scale, dataset,
+///   dispatch)`. A sweep's fault matrix runs every benchmark under many
+///   (domain × protection × rate) cells, but the memoization
+///   configuration never reaches the baseline core, so the first cell
+///   to ask simulates it and the rest share the [`Arc`]. The tier is in
+///   the key so a `--dispatch legacy` run genuinely exercises the
+///   legacy loop (the tiers are bit-identical, but the golden diffs
+///   exist to prove exactly that).
 ///
-/// Baseline *failures* (watchdog trip, panic, simulator error) are
-/// cached too: the simulation is deterministic, so re-running it for
-/// every sibling cell would fail identically 19 more times.
-/// In addition to baseline runs, the cache shares *compiled programs*:
-/// building, memoizing, predecoding and superblock-lowering a benchmark
-/// is deterministic and identical for every cell with default
-/// truncation, so the cache holds one [`PreparedProgram`] per
-/// `(benchmark, scale)` and every threaded run executes it via
-/// [`Simulator::run_prepared_threaded`] instead of recompiling per
-/// attempt.
+/// Nothing else is in either key. In particular a snapshot restore
+/// ([`SnapshotPlan`]) changes neither: the baseline simulator has no
+/// memoization unit and a `PreparedProgram` is immutable, so warm and
+/// cold runs share slots.
 ///
-/// Both maps carry a `warm` flag in their keys: a cell warm-started
-/// from a snapshot ([`SnapshotPlan::warm`]) keys separate slots, so a
-/// restore can never poison the shared baselines or compiled programs
-/// that cold cells normalise against (today the baseline core never
-/// sees the restored LUT, but the key keeps that an invariant of the
-/// cache rather than a property callers must re-verify).
+/// Failures are cached too, as [`CachedFailure`]s: a codegen error or
+/// panic in the program slot, a watchdog trip, panic or simulator error
+/// in the baseline slot (a baseline whose program failed to compile
+/// carries the compile failure). Everything is deterministic, so
+/// re-running would fail identically for every sibling cell. Computed
+/// and reused requests are counted so orchestrators can export
+/// `orchestrator.baseline.{computed,reused}` telemetry.
 #[derive(Debug, Default)]
 pub struct BaselineCache {
-    slots: Mutex<HashMap<BaselineKey, BaselineSlot>>,
-    programs: Mutex<HashMap<(String, Scale, bool), PreparedSlot>>,
+    slots: Mutex<HashMap<BaselineKey, Slot<BaselineRun>>>,
+    programs: Mutex<HashMap<ProgramKey, Slot<PreparedProgram>>>,
     computed: AtomicU64,
     reused: AtomicU64,
     programs_compiled: AtomicU64,
@@ -498,18 +541,13 @@ impl BaselineCache {
 
     /// The shared baseline for `(bench, scale, dataset, dispatch)`,
     /// simulating it under `max_cycles` on first request and serving the
-    /// cached run (or cached failure) afterwards. Panics inside the
-    /// baseline run are caught and cached as [`FailureKind::Panic`]
-    /// failures. The execution tier is part of the key so a
-    /// `--dispatch legacy` run genuinely exercises the legacy loop
-    /// instead of reusing a fast-path baseline (they are bit-identical,
-    /// but the golden diffs exist to prove exactly that).
+    /// cached run (or cached failure) afterwards.
     /// Kept in this shape because `ledger/` (the benchmark) calls it.
     ///
     /// # Errors
     ///
-    /// Returns the (possibly cached) [`BaselineFailure`] when the
-    /// baseline simulation failed.
+    /// Returns the (possibly cached) [`CachedFailure`] when the
+    /// baseline program failed to compile or its simulation failed.
     pub fn get_or_compute(
         &self,
         bench: &dyn Benchmark,
@@ -517,19 +555,21 @@ impl BaselineCache {
         dataset: Dataset,
         max_cycles: u64,
         dispatch: DispatchTier,
-    ) -> Result<Arc<BaselineRun>, BaselineFailure> {
-        self.get_or_compute_keyed(bench, scale, dataset, max_cycles, dispatch, false)
+    ) -> Result<Arc<BaselineRun>, CachedFailure> {
+        let key = (bench.meta().name.to_string(), scale, dataset, dispatch);
+        get_or_init(&self.slots, key, [&self.computed, &self.reused], || {
+            let prepared = self.program(bench, scale, false)?;
+            catch_failure(|| baseline_leg(bench, scale, dataset, max_cycles, dispatch, &prepared))
+        })
     }
 
-    /// [`Self::get_or_compute`] with the warm-start flag in the key:
-    /// cells restoring from a snapshot get their own slots (see the
-    /// type-level docs).
+    /// [`Self::get_or_compute`]; `warm` is inert (no baseline can
+    /// observe a restore, so warm and cold requests share a slot).
     /// Kept in this shape because `ledger/` (the benchmark) calls it.
     ///
     /// # Errors
     ///
-    /// Returns the (possibly cached) [`BaselineFailure`] when the
-    /// baseline simulation failed.
+    /// As [`Self::get_or_compute`].
     pub fn get_or_compute_keyed(
         &self,
         bench: &dyn Benchmark,
@@ -537,125 +577,45 @@ impl BaselineCache {
         dataset: Dataset,
         max_cycles: u64,
         dispatch: DispatchTier,
-        warm: bool,
-    ) -> Result<Arc<BaselineRun>, BaselineFailure> {
-        let key = (
-            bench.meta().name.to_string(),
-            scale,
-            dataset,
-            dispatch,
-            warm,
-        );
-        let slot = {
-            let mut slots = self.slots.lock().expect("baseline cache poisoned");
-            Arc::clone(slots.entry(key).or_default())
-        };
-        let mut fresh = false;
-        let result = slot.get_or_init(|| {
-            fresh = true;
-            // Fast-path baselines reuse the shared compiled program
-            // when available; a `None` (codegen failed) builds the
-            // program here so the error is reproduced and classified.
-            let prepared = if dispatch != DispatchTier::Legacy {
-                self.prepared_keyed(bench, scale, warm)
-            } else {
-                None
-            };
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                baseline_leg(
-                    bench,
-                    scale,
-                    dataset,
-                    max_cycles,
-                    dispatch,
-                    prepared.as_deref(),
-                )
-            }));
-            match outcome {
-                Ok(Ok(baseline)) => Ok(Arc::new(baseline)),
-                Ok(Err(e)) => Err(BaselineFailure {
-                    kind: classify_error(e.as_ref()),
-                    message: e.to_string(),
-                }),
-                Err(payload) => Err(BaselineFailure {
-                    kind: FailureKind::Panic,
-                    message: panic_message(payload.as_ref()),
-                }),
-            }
-        });
-        if fresh {
-            self.computed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.reused.fetch_add(1, Ordering::Relaxed);
-        }
-        result.clone()
+        _warm: bool,
+    ) -> Result<Arc<BaselineRun>, CachedFailure> {
+        self.get_or_compute(bench, scale, dataset, max_cycles, dispatch)
     }
 
-    /// The shared compiled-and-lowered programs for `(bench, scale)`,
-    /// built once per key. Returns `None` when compilation failed (by
-    /// error or panic); callers then compile the program themselves,
-    /// which reproduces the failure with full context.
+    /// The shared [`PreparedProgram`] for `(bench, scale, zero_trunc)`,
+    /// built on first request and served (or its cached failure)
+    /// afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns the (possibly cached) [`CachedFailure`] when codegen
+    /// failed or panicked.
+    pub fn program(
+        &self,
+        bench: &dyn Benchmark,
+        scale: Scale,
+        zero_trunc: bool,
+    ) -> Result<Arc<PreparedProgram>, CachedFailure> {
+        let key = (bench.meta().name.to_string(), scale, zero_trunc);
+        let counters = [&self.programs_compiled, &self.programs_reused];
+        get_or_init(&self.programs, key, counters, || {
+            catch_failure(|| Ok(PreparedProgram::compile(bench, scale, zero_trunc)?))
+        })
+    }
+
+    /// [`Self::program`] with default truncation, `None` when it failed.
     /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn prepared(&self, bench: &dyn Benchmark, scale: Scale) -> Option<Arc<PreparedProgram>> {
-        self.prepared_keyed(bench, scale, false)
+        self.program(bench, scale, false).ok()
     }
 
-    /// [`Self::prepared`] with the warm-start flag in the key.
-    fn prepared_keyed(
-        &self,
-        bench: &dyn Benchmark,
-        scale: Scale,
-        warm: bool,
-    ) -> Option<Arc<PreparedProgram>> {
-        let key = (bench.meta().name.to_string(), scale, warm);
-        let slot = {
-            let mut programs = self.programs.lock().expect("program cache poisoned");
-            Arc::clone(programs.entry(key).or_default())
-        };
-        let mut fresh = false;
-        let result = slot.get_or_init(|| {
-            fresh = true;
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                PreparedProgram::compile(bench, scale)
-            }))
-            .ok()
-            .and_then(Result::ok)
-            .map(Arc::new)
-        });
-        if fresh {
-            self.programs_compiled.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.programs_reused.fetch_add(1, Ordering::Relaxed);
-        }
-        result.clone()
-    }
-
-    /// [`Self::prepared_keyed`] gated on the options that make it
-    /// usable: a prepared program is compiled with default truncation
-    /// for the fast-path interpreter, so zero-truncation or legacy runs
-    /// get `None` and compile inline.
-    fn prepared_for(
-        &self,
-        bench: &dyn Benchmark,
-        scale: Scale,
-        opts: RunOptions,
-        warm: bool,
-    ) -> Option<Arc<PreparedProgram>> {
-        if opts.dispatch != DispatchTier::Legacy && !opts.zero_trunc {
-            self.prepared_keyed(bench, scale, warm)
-        } else {
-            None
-        }
-    }
-
-    /// Prepared-program compilations actually performed (one per
-    /// distinct `(benchmark, scale)`).
+    /// Program compilations actually performed (one per distinct key).
     /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn programs_compiled(&self) -> u64 {
         self.programs_compiled.load(Ordering::Relaxed)
     }
 
-    /// Prepared-program requests served from an existing slot.
+    /// Program requests served from an existing slot.
     /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn programs_reused(&self) -> u64 {
         self.programs_reused.load(Ordering::Relaxed)
@@ -674,11 +634,9 @@ impl BaselineCache {
     }
 }
 
-/// One memoized run against an already computed `baseline`: only the
-/// memoized leg is simulated, under `max_cycles`. `prepared` optionally
-/// supplies the shared compiled-and-lowered programs; it is only
-/// consumed when the options allow (non-legacy tier, default
-/// truncation), otherwise the memoized program is built here.
+/// One memoized run of `prepared` against an already computed
+/// `baseline`: only the memoized leg is simulated, on the `dispatch`
+/// tier under `max_cycles`.
 ///
 /// The telemetry handle is borrowed so it *survives* the error path:
 /// the sim-side spans and phase frames a failed run leaves open are
@@ -698,14 +656,13 @@ fn run_benchmark_inner(
     scale: Scale,
     dataset: Dataset,
     memo: &MemoConfig,
-    opts: RunOptions,
+    dispatch: DispatchTier,
     tel: &mut Telemetry,
     max_cycles: u64,
     baseline: &BaselineRun,
-    prepared: Option<&PreparedProgram>,
+    prepared: &PreparedProgram,
     plan: &SnapshotPlan,
 ) -> Result<RunReport, Box<dyn std::error::Error>> {
-    let prepared = prepared.filter(|_| opts.dispatch != DispatchTier::Legacy && !opts.zero_trunc);
     // Load and recover the warm image first, while the telemetry handle
     // is still in hand (it moves into the simulator below): recovery
     // decisions land in the same registry/sinks as the run itself.
@@ -719,25 +676,6 @@ fn run_benchmark_inner(
         warm_image = snap;
         recovery = Some(report);
     }
-    let built;
-    let memo_program: &Program = match prepared {
-        Some(p) => &p.memo_program,
-        None => {
-            let (program, mut specs) = bench.program(scale);
-            if opts.zero_trunc {
-                for spec in &mut specs {
-                    for il in &mut spec.input_loads {
-                        il.trunc = 0;
-                    }
-                    for ri in &mut spec.reg_inputs {
-                        ri.trunc = 0;
-                    }
-                }
-            }
-            built = memoize(&program, &specs)?;
-            &built
-        }
-    };
     let memo_cfg = MemoConfig {
         data_width: bench.data_width(),
         ..memo.clone()
@@ -751,7 +689,7 @@ fn run_benchmark_inner(
     // unit and the LUT hierarchy from there).
     let mut memo_sim = Simulator::new(SimConfig {
         max_cycles,
-        dispatch: opts.dispatch,
+        dispatch,
         ..SimConfig::with_memo(memo_cfg.clone())
     })?;
     let mut memo_machine = bench.setup(scale, dataset);
@@ -778,10 +716,9 @@ fn run_benchmark_inner(
             }
         }
     }
-    let memo_stats = match prepared {
-        Some(p) => memo_sim.run_prepared_threaded(&p.threaded_memo, &mut memo_machine),
-        None => memo_sim.run(memo_program, &mut memo_machine),
-    };
+    let memo_stats = prepared
+        .memo
+        .run(&mut memo_sim, dispatch, &mut memo_machine);
     *tel = memo_sim.take_telemetry();
     let memo_stats = match memo_stats {
         Ok(stats) => stats,
@@ -927,9 +864,10 @@ pub struct SupervisedRun {
 /// One sweep job: a supervised run of `bench` on the evaluation
 /// dataset that never panics and never runs away.
 ///
-/// - The baseline comes from `cache`, simulated once per distinct key
-///   under the `max_cycles` ceiling. A cached baseline *failure* fails
-///   the job with that failure, without re-simulating.
+/// - The compiled program and the baseline come from `cache`, the
+///   baseline simulated once per distinct key under the `max_cycles`
+///   ceiling. A cached compile or baseline *failure* fails the job with
+///   that failure, without recompiling or re-simulating.
 /// - The memoized leg runs under [`memo_watchdog`] of the measured
 ///   baseline, clamped to `max_cycles`.
 /// - Panics are caught and become [`FailureKind::Panic`] failures.
@@ -968,39 +906,39 @@ pub fn run_job(
     let was_enabled = tel.is_enabled();
     let was_profiling = tel.profiler().is_enabled();
     let dataset = Dataset::Eval;
-    let baseline = cache.get_or_compute(bench, scale, dataset, max_cycles, opts.dispatch);
     // Compiled programs are shared across attempts (and across sibling
     // cells through the cache); an attempt only re-simulates.
-    let prepared = cache.prepared_for(bench, scale, opts, false);
-    let memo_max_cycles = match &baseline {
-        Ok(run) => memo_watchdog(run.stats.cycles, max_cycles),
+    let shared = cache
+        .program(bench, scale, opts.zero_trunc)
+        .and_then(|prepared| {
+            cache
+                .get_or_compute(bench, scale, dataset, max_cycles, opts.dispatch)
+                .map(|baseline| (prepared, baseline))
+        });
+    let memo_max_cycles = match &shared {
+        Ok((_, run)) => memo_watchdog(run.stats.cycles, max_cycles),
         Err(_) => max_cycles,
     };
     let attempt =
-        |cfg: &MemoConfig, tel: &mut Telemetry| -> Result<BenchmarkResult, (FailureKind, String)> {
-            let shared = match &baseline {
-                Ok(run) => run,
-                Err(fail) => return Err((fail.kind, fail.message.clone())),
-            };
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        |cfg: &MemoConfig, tel: &mut Telemetry| -> Result<BenchmarkResult, CachedFailure> {
+            let (prepared, baseline) = shared.as_ref().map_err(CachedFailure::clone)?;
+            let failure = match catch_failure(|| {
                 run_benchmark_inner(
                     bench,
                     scale,
                     dataset,
                     cfg,
-                    opts,
+                    opts.dispatch,
                     tel,
                     memo_max_cycles,
-                    shared,
-                    prepared.as_deref(),
+                    baseline,
+                    prepared,
                     &SnapshotPlan::default(),
                 )
                 .map(|report| report.result)
-            }));
-            let failure = match outcome {
-                Ok(Ok(result)) => return Ok(result),
-                Ok(Err(e)) => (classify_error(e.as_ref()), e.to_string()),
-                Err(payload) => (FailureKind::Panic, panic_message(payload.as_ref())),
+            }) {
+                Ok(result) => return Ok(result),
+                Err(failure) => failure,
             };
             // Failed-attempt hygiene: drain whatever the abandoned run
             // left open, restore the handle if the panic forfeited it
@@ -1028,7 +966,7 @@ pub fn run_job(
         Err(failure) => failure,
     };
     let no_faults = FaultConfig::default();
-    let (attempts, (kind, message)) = if memo.faults == no_faults {
+    let (attempts, CachedFailure { kind, message }) = if memo.faults == no_faults {
         (1, first)
     } else {
         let degraded = MemoConfig {

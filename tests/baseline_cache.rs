@@ -2,17 +2,25 @@
 //! cache gives the same results as cells that each simulate their own
 //! baseline, at any worker count, while performing exactly one baseline
 //! simulation per distinct benchmark (asserted via
-//! `orchestrator.baseline.computed`); and the memoized-leg watchdog is
+//! `orchestrator.baseline.computed`); warm and cold runs share slots
+//! without a restore leaking into a cold run; compile failures are
+//! cached like baseline failures; and the memoized-leg watchdog is
 //! derived from measured baseline cycles.
 
 use axmemo_bench::orchestrator::Orchestrator;
 use axmemo_bench::{sweep, DispatchTier};
+use axmemo_compiler::codegen::CodegenError;
+use axmemo_compiler::RegionSpec;
+use axmemo_core::config::MemoConfig;
+use axmemo_core::snapshot::RecoveryOutcome;
+use axmemo_sim::cpu::Machine;
+use axmemo_sim::Program;
 use axmemo_telemetry::Telemetry;
 use axmemo_workloads::runner::{
-    memo_watchdog, run_benchmark_report_cached, BaselineCache, RunOptions, WATCHDOG_FLOOR_CYCLES,
-    WATCHDOG_MARGIN,
+    memo_watchdog, run_benchmark_report_cached, run_benchmark_report_snap, run_job, BaselineCache,
+    RunOptions, SnapshotPlan, WATCHDOG_FLOOR_CYCLES, WATCHDOG_MARGIN,
 };
-use axmemo_workloads::{benchmark_by_name, Dataset, Scale};
+use axmemo_workloads::{benchmark_by_name, Benchmark, Dataset, FailureKind, Scale, WorkloadMeta};
 
 /// The reduced fault sweep on a shared cache reproduces, cell for cell,
 /// the results of per-cell runs that each use a fresh cache — on the
@@ -100,6 +108,25 @@ fn baseline_cache_computes_once_per_key() {
     assert_eq!(cache.computed(), 1);
     assert_eq!(cache.reused(), 1);
 
+    // `warm` is not part of the key: no restore can reach the baseline
+    // core, so a warm request is served the cold run.
+    let warm = cache
+        .get_or_compute_keyed(
+            bs.as_ref(),
+            Scale::Tiny,
+            Dataset::Eval,
+            u64::MAX,
+            DispatchTier::Threaded,
+            true,
+        )
+        .expect("cached baseline succeeds");
+    assert!(
+        std::sync::Arc::ptr_eq(&first, &warm),
+        "warm shares the slot"
+    );
+    assert_eq!(cache.computed(), 1);
+    assert_eq!(cache.reused(), 2);
+
     // A different scale is a different key.
     cache
         .get_or_compute(
@@ -171,6 +198,135 @@ fn failed_baseline_is_cached_and_shared() {
     assert_eq!(a.message, b.message);
     assert_eq!(cache.computed(), 1, "the failing run is simulated once");
     assert_eq!(cache.reused(), 1);
+}
+
+/// A run restored from a snapshot and a later cold run share one cache:
+/// the cold run reports exactly what a cold run on a fresh cache does,
+/// so the restore reached neither the shared baseline nor the shared
+/// program.
+#[test]
+fn warm_run_leaves_shared_cold_run_unchanged() {
+    let fft = benchmark_by_name("fft").unwrap();
+    let memo = MemoConfig::l1_only(8 * 1024);
+    let cold = |cache: &BaselineCache| {
+        run_benchmark_report_cached(
+            fft.as_ref(),
+            Scale::Tiny,
+            Dataset::Eval,
+            &memo,
+            RunOptions::default(),
+            Telemetry::enabled(),
+            Some(cache),
+        )
+        .expect("cold run")
+        .to_json()
+    };
+    let snap = |cache: &BaselineCache, plan: &SnapshotPlan| {
+        run_benchmark_report_snap(
+            fft.as_ref(),
+            Scale::Tiny,
+            Dataset::Eval,
+            &memo,
+            RunOptions::default(),
+            Telemetry::off(),
+            Some(cache),
+            plan,
+        )
+        .expect("snapshot run")
+    };
+    let reference = cold(&BaselineCache::new());
+
+    let dir = std::env::temp_dir().join(format!("axmemo-cachetest-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("fft.axmsnap");
+    let write = SnapshotPlan {
+        snapshot_out: Some(path.clone()),
+        ..SnapshotPlan::default()
+    };
+    snap(&BaselineCache::new(), &write);
+
+    let shared = BaselineCache::new();
+    let restore = SnapshotPlan {
+        restore_from: Some(path),
+        ..SnapshotPlan::default()
+    };
+    let warm = snap(&shared, &restore);
+    let rec = warm.recovery.expect("restore reported");
+    assert_eq!(rec.outcome, RecoveryOutcome::Restored);
+    assert!(rec.entries_restored() > 0, "test premise: warm entries");
+    assert_eq!(cold(&shared), reference);
+    assert_eq!((shared.computed(), shared.reused()), (1, 1));
+    assert_eq!(shared.programs_compiled(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// blackscholes whose region spec names a region its program has no
+/// markers for, so codegen fails.
+#[derive(Debug)]
+struct MisplacedSpec(Box<dyn Benchmark>);
+
+impl Benchmark for MisplacedSpec {
+    fn meta(&self) -> WorkloadMeta {
+        WorkloadMeta {
+            name: "misplaced_spec",
+            ..self.0.meta()
+        }
+    }
+    fn program(&self, scale: Scale) -> (Program, Vec<RegionSpec>) {
+        let (program, mut specs) = self.0.program(scale);
+        specs[0].region = 99;
+        (program, specs)
+    }
+    fn setup(&self, scale: Scale, dataset: Dataset) -> Machine {
+        self.0.setup(scale, dataset)
+    }
+    fn outputs(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
+        self.0.outputs(machine, scale)
+    }
+    fn golden(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
+        self.0.golden(machine, scale)
+    }
+}
+
+/// A codegen failure is compiled once and cached: every later request
+/// gets the same error, and a supervised job on the benchmark fails
+/// with a structured `Error`, not a panic.
+#[test]
+fn codegen_failure_is_cached_and_structured() {
+    let bench = MisplacedSpec(benchmark_by_name("blackscholes").unwrap());
+    let memo = MemoConfig::l1_only(4 * 1024);
+    let expected = CodegenError::RegionNotFound(99).to_string();
+    let cache = BaselineCache::new();
+    for _ in 0..2 {
+        let err = run_benchmark_report_cached(
+            &bench,
+            Scale::Tiny,
+            Dataset::Eval,
+            &memo,
+            RunOptions::default(),
+            Telemetry::off(),
+            Some(&cache),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains(&expected), "{err}");
+    }
+    assert_eq!(cache.programs_compiled(), 1);
+
+    let fail = run_job(
+        &bench,
+        Scale::Tiny,
+        &memo,
+        u64::MAX,
+        &cache,
+        RunOptions::default(),
+        &mut Telemetry::off(),
+    )
+    .unwrap_err();
+    assert_eq!(fail.kind, FailureKind::Error);
+    assert_eq!(fail.benchmark, "misplaced_spec");
+    assert!(fail.message.contains(&expected), "{}", fail.message);
+    assert_eq!(fail.attempts, 1);
+    assert_eq!(cache.programs_compiled(), 1, "the job reuses the failure");
 }
 
 /// The derived per-benchmark watchdog is `margin × baseline` with a

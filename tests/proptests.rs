@@ -267,34 +267,3 @@ fn cache_retouch_is_l1_hit() {
         }
     }
 }
-
-/// ISA encode/decode round-trips for arbitrary field values.
-#[test]
-fn isa_roundtrip() {
-    use axmemo_isa::{decode, encode, MemoInst};
-    let mut rng = SplitMix64::new(12);
-    for _ in 0..CASES {
-        let dst = rng.below(32) as u8;
-        let addr = rng.below(32) as u8;
-        let lut = LutId::new(rng.below(8) as u8).unwrap();
-        let trunc = rng.below(64) as u8;
-        for inst in [
-            MemoInst::LdCrc {
-                dst,
-                addr,
-                lut,
-                trunc,
-            },
-            MemoInst::RegCrc {
-                src: dst,
-                lut,
-                trunc,
-            },
-            MemoInst::Lookup { dst, lut },
-            MemoInst::Update { src: addr, lut },
-            MemoInst::Invalidate { lut },
-        ] {
-            assert_eq!(decode(encode(inst)), Ok(inst));
-        }
-    }
-}
