@@ -18,7 +18,7 @@ use axmemo_compiler::trace::TraceCapture;
 use axmemo_compiler::{analyze, SearchConfig};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::crc::{CrcWidth, TableCrc};
-use axmemo_core::unit::UnitTiming;
+use axmemo_core::unit::{UnitTiming, CRC_BYTES_PER_CYCLE};
 use axmemo_sim::cache::CacheConfig;
 use axmemo_sim::cpu::{DispatchTier, SimConfig, Simulator};
 use axmemo_sim::energy::{l1_lut_energy, AreaModel, EnergyModel};
@@ -407,8 +407,7 @@ fn table4_5(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
     t4.row(vec![
         "ld_crc / reg_crc".to_string(),
         format!(
-            "{} cycle per byte (no CPU stall unless the input queue is full)",
-            t.cycles_per_input_byte
+            "{CRC_BYTES_PER_CYCLE} bytes per cycle (no CPU stall unless the input queue is full)"
         ),
     ]);
     t4.row(vec![

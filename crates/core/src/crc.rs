@@ -16,9 +16,9 @@
 //!   this needs a `2^8 × m`-bit constant RAM; in software it is the classic
 //!   table-driven algorithm. This is what the memoization unit instantiates.
 //!
-//! Hashing is functional only: the cycles the synthesised unit takes
-//! (4× unrolled and pipelined, 4 bytes per cycle, §6.1) are charged by
-//! the simulator, per `ld_crc`/`reg_crc` beat.
+//! Hashing is functional only: the simulator models the synthesised
+//! unit's timing (4× unrolled and pipelined, §6.1) at
+//! [`crate::unit::CRC_BYTES_PER_CYCLE`].
 //!
 //! # Examples
 //!

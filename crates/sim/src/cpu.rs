@@ -11,15 +11,14 @@
 use crate::cache::{CacheConfig, CacheHierarchy, CacheStats, ServedBy};
 use crate::decoded::DecodedProgram;
 use crate::ir::{Cond, FBinOp, FUnOp, IAluOp, Inst, MemWidth, Operand, Program, NUM_REGS};
+use crate::memo::{crc_beats, CrcInput, MemoTiming};
 use crate::pipeline::{FuClass, LatencyModel, Pipeline};
 use crate::predictor::{BranchPredictor, PredictorConfig, PredictorStats};
 use crate::stats::{InstClassCounts, RunStats};
 use crate::threaded::ThreadedProgram;
 use axmemo_core::config::MemoConfig;
-use axmemo_core::faults::{FaultInjector, Protection};
-use axmemo_core::ids::{ThreadId, MAX_LUTS};
-use axmemo_core::truncate::InputValue;
-use axmemo_core::unit::{LookupResult, MemoizationUnit};
+use axmemo_core::faults::FaultInjector;
+use axmemo_core::unit::MemoizationUnit;
 use axmemo_telemetry::{PhaseId, Telemetry};
 use core::fmt;
 
@@ -497,19 +496,10 @@ impl Simulator {
         // Cache statistics accumulate across runs; snapshot for deltas.
         let l1d_before = self.cache.l1d_stats();
         let l2_before = self.cache.l2_stats();
-        let tid = ThreadId(0);
-        // Per-LUT cycle when the CRC unit finishes the queued beats.
-        let mut crc_ready = [0u64; MAX_LUTS];
-        // Queue capacity in cycles of backlog (1 byte ≈ 1 cycle).
-        let queue_capacity: u64 = self
-            .config
-            .memo
-            .as_ref()
-            .map(|m| m.input_queue_depth as u64 * 8)
-            .unwrap_or(0);
+        let mut memo = MemoTiming::new(self.memo.as_ref());
         let mut pc = 0usize;
         // Interpreter dispatch phase: exclusive cycles are whatever the
-        // LUT leaves (CRC beats, lookups, updates) don't claim. Early
+        // LUT leaves (CRC stalls, lookups, updates) don't claim. Early
         // error returns leave the frame open; the runner's recovery path
         // (`close_open_spans`) drains it.
         self.telemetry.profiler_mut().enter(PhaseId::Dispatch);
@@ -694,7 +684,8 @@ impl Simulator {
                     lut,
                     trunc,
                 } => {
-                    let unit = self.memo.as_mut().ok_or(SimError::NoMemoUnit { pc })?;
+                    // A missing unit faults before the load can.
+                    self.memo.as_ref().ok_or(SimError::NoMemoUnit { pc })?;
                     let addr = machine.regs[base as usize].wrapping_add_signed(offset.into());
                     let raw = machine.load(addr, width)?;
                     machine.regs[rd as usize] = raw;
@@ -703,29 +694,16 @@ impl Simulator {
                     let (mut latency, served) = self.cache.access_served(addr);
                     latency += spike_cycles(&mut self.mem_faults);
                     charge_mem(&mut stats, served);
-                    // The load issues like a normal load; the CRC beat is
-                    // absorbed in the background, 1 cycle/byte, unless
-                    // the input queue is full.
-                    let backlog = crc_ready[lut.index()];
-                    let not_before = backlog.saturating_sub(queue_capacity);
-                    let at = pipe.issue(&[base], Some(rd), FuClass::LdSt, latency, not_before);
-                    self.telemetry.set_cycle(at);
-                    unit.feed_tel(
+                    let port = self.memo_port(&mut pipe, &mut stats, pc)?;
+                    let input = CrcInput {
                         lut,
-                        tid,
-                        input_value(width, raw),
-                        u32::from(trunc),
-                        &mut self.telemetry,
-                    );
-                    // The synthesised CRC unit is unrolled 4x and
-                    // pipelined (§6.1): 4 bytes per cycle.
-                    let beat = (width.bytes() as u64).div_ceil(4);
-                    crc_ready[lut.index()] = crc_ready[lut.index()].max(at + latency) + beat;
-                    stats.energy.crc_beats += beat;
+                        width,
+                        raw,
+                        trunc,
+                    };
+                    memo.ld_crc(port, base, rd, latency, input);
+                    stats.energy.crc_beats += crc_beats(width);
                     stats.energy.hvr_accesses += 1;
-                    if not_before > at {
-                        stats.memo_stall_cycles += not_before - at;
-                    }
                     classes.memo += 1;
                 }
                 Inst::MemoRegCrc {
@@ -734,91 +712,40 @@ impl Simulator {
                     lut,
                     trunc,
                 } => {
-                    let unit = self.memo.as_mut().ok_or(SimError::NoMemoUnit { pc })?;
-                    let raw = machine.regs[src as usize] & width_mask(width);
-                    let backlog = crc_ready[lut.index()];
-                    let not_before = backlog.saturating_sub(queue_capacity);
-                    let at = pipe.issue(&[src], None, FuClass::Memo, 1, not_before);
-                    self.telemetry.set_cycle(at);
-                    unit.feed_tel(
+                    let port = self.memo_port(&mut pipe, &mut stats, pc)?;
+                    let input = CrcInput {
                         lut,
-                        tid,
-                        input_value(width, raw),
-                        u32::from(trunc),
-                        &mut self.telemetry,
-                    );
-                    let beat = (width.bytes() as u64).div_ceil(4);
-                    crc_ready[lut.index()] = crc_ready[lut.index()].max(at + 1) + beat;
-                    stats.energy.crc_beats += beat;
+                        width,
+                        raw: machine.regs[src as usize],
+                        trunc,
+                    };
+                    memo.reg_crc(port, src, input);
+                    stats.energy.crc_beats += crc_beats(width);
                     stats.energy.hvr_accesses += 1;
                     stats.memo_insts += 1;
                     classes.memo += 1;
                 }
                 Inst::MemoLookup { rd, lut } => {
-                    let unit = self.memo.as_mut().ok_or(SimError::NoMemoUnit { pc })?;
-                    // lookup waits for the CRC pipeline to drain (§3.4).
-                    let not_before = crc_ready[lut.index()];
-                    self.telemetry.set_cycle(pipe.now().max(not_before));
-                    let result = unit.lookup_tel(lut, tid, &mut self.telemetry);
-                    let latency = unit.lookup_cycles(&result);
-                    let before = pipe.now();
-                    pipe.issue(&[], Some(rd), FuClass::Memo, latency, not_before);
-                    stats.memo_stall_cycles += not_before.saturating_sub(before.max(1)) / 2;
+                    let port = self.memo_port(&mut pipe, &mut stats, pc)?;
+                    if let Some(data) = memo.lookup(port, machine, rd, lut) {
+                        wrote = Some((rd, data));
+                    }
                     stats.energy.hvr_accesses += 1;
                     stats.energy.l1_lut_accesses += 1;
-                    let mut lut_accesses = 1;
-                    if unit.config().l2_bytes.is_some() {
-                        // L2 LUT probed on L1 miss (and on L2 hits).
-                        if !matches!(
-                            result,
-                            LookupResult::Hit {
-                                level: axmemo_core::two_level::HitLevel::L1,
-                                ..
-                            }
-                        ) {
-                            stats.energy.l2_lut_accesses += 1;
-                            lut_accesses += 1;
-                        }
-                    }
-                    if unit.config().faults.protection == Protection::EccProtected {
-                        stats.energy.ecc_checks += lut_accesses;
-                    }
-                    match result {
-                        LookupResult::Hit { data, .. } => {
-                            machine.regs[rd as usize] = data;
-                            machine.memo_hit = true;
-                            wrote = Some((rd, data));
-                        }
-                        _ => {
-                            machine.memo_hit = false;
-                        }
-                    }
                     stats.memo_insts += 1;
                     classes.memo += 1;
                 }
                 Inst::MemoUpdate { src, lut } => {
-                    let unit = self.memo.as_mut().ok_or(SimError::NoMemoUnit { pc })?;
                     let data = machine.regs[src as usize];
-                    self.telemetry.set_cycle(pipe.now());
-                    let cycles = unit.update_tel(lut, tid, data, &mut self.telemetry);
-                    pipe.issue(&[src], None, FuClass::Memo, cycles, 0);
+                    let port = self.memo_port(&mut pipe, &mut stats, pc)?;
+                    memo.update(port, src, lut, data);
                     stats.energy.l1_lut_accesses += 1;
-                    let mut lut_accesses = 1;
-                    if unit.config().l2_bytes.is_some() {
-                        stats.energy.l2_lut_accesses += 1;
-                        lut_accesses += 1;
-                    }
-                    if unit.config().faults.protection == Protection::EccProtected {
-                        stats.energy.ecc_checks += lut_accesses;
-                    }
                     stats.memo_insts += 1;
                     classes.memo += 1;
                 }
                 Inst::MemoInvalidate { lut } => {
-                    let unit = self.memo.as_mut().ok_or(SimError::NoMemoUnit { pc })?;
-                    self.telemetry.set_cycle(pipe.now());
-                    let cycles = unit.invalidate_tel(lut, &mut self.telemetry);
-                    pipe.issue(&[], None, FuClass::Memo, cycles, 0);
+                    let port = self.memo_port(&mut pipe, &mut stats, pc)?;
+                    memo.invalidate(port, lut);
                     stats.memo_insts += 1;
                     classes.memo += 1;
                 }
@@ -905,22 +832,6 @@ fn operand_reg(op: Operand) -> Option<u8> {
     match op {
         Operand::Reg(r) => Some(r),
         Operand::Imm(_) => None,
-    }
-}
-
-pub(crate) fn width_mask(w: MemWidth) -> u64 {
-    match w {
-        MemWidth::B1 => 0xFF,
-        MemWidth::B4 => 0xFFFF_FFFF,
-        MemWidth::B8 => u64::MAX,
-    }
-}
-
-pub(crate) fn input_value(width: MemWidth, raw: u64) -> InputValue {
-    match width {
-        MemWidth::B1 => InputValue::U8(raw as u8),
-        MemWidth::B4 => InputValue::I32(raw as u32 as i32),
-        MemWidth::B8 => InputValue::I64(raw as i64),
     }
 }
 
@@ -1061,6 +972,7 @@ mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
     use axmemo_core::ids::LutId;
+    use axmemo_core::unit::CRC_BYTES_PER_CYCLE;
 
     #[test]
     fn straight_line_arithmetic() {
@@ -1344,11 +1256,13 @@ mod tests {
     /// §4's dummy-register rule: `lookup` waits for every `reg_crc`
     /// feeding the same LUT, and only those. The wait is charged as
     /// `memo_stall_cycles` and grows with the number of inputs in
-    /// flight; a lookup on another LUT does not wait at all.
+    /// flight; a lookup on another LUT does not wait at all. The
+    /// profiler's `crc.beat` leaf holds the exact issue delay the CRC
+    /// causes, identical on both tiers.
     #[test]
     fn lookup_orders_only_after_crc_on_its_own_lut() {
         let (lut_a, lut_b) = (LutId::new(0).unwrap(), LutId::new(1).unwrap());
-        let run = |dispatch: DispatchTier, inputs: usize, lookup_lut: LutId| {
+        let run = |dispatch: DispatchTier, inputs: u64, lookup_lut: LutId, queue_depth: usize| {
             let mut b = ProgramBuilder::new();
             b.movi(1, 0x1234_5678);
             for _ in 0..inputs {
@@ -1356,32 +1270,69 @@ mod tests {
             }
             b.memo_lookup(2, lookup_lut);
             b.halt();
+            let memo = MemoConfig {
+                input_queue_depth: queue_depth,
+                ..MemoConfig::l1_only(4096)
+            };
             let cfg = SimConfig {
                 dispatch,
-                ..SimConfig::with_memo(MemoConfig::l1_only(4096))
+                ..SimConfig::with_memo(memo)
             };
             let mut sim = Simulator::new(cfg).unwrap();
-            sim.run(&b.build().unwrap(), &mut Machine::new(64)).unwrap()
+            let mut tel = Telemetry::off();
+            tel.profiler_mut().enable();
+            sim.set_telemetry(tel);
+            let stats = sim.run(&b.build().unwrap(), &mut Machine::new(64)).unwrap();
+            let profile = sim.telemetry().take_profile().unwrap();
+            (stats, profile.phases["dispatch;crc.beat"].cycles)
         };
+        // `movi` makes r1 ready at cycle 1 and the one memo port issues
+        // the k-th `reg_crc` at cycle k; each value reaches the CRC a
+        // cycle later and costs `beats` CRC cycles, back to back. The
+        // CRC drains at 2 + n·beats, while the lookup alone would issue
+        // at n + 1. Queue back-pressure moves part of that delay from
+        // the lookup to the feeds but leaves the sum unchanged.
+        let beats = 8u64.div_ceil(CRC_BYTES_PER_CYCLE);
+        let crc_delay = |n: u64| 2 + n * beats - (n + 1);
+        let default_depth = MemoConfig::default().input_queue_depth;
+        let mut last_leaf = None;
         for dispatch in DispatchTier::ALL {
             let mut last_stall = 0;
+            let mut leaves = Vec::new();
             for inputs in [1, 2, 4, 8, 12] {
-                let same = run(dispatch, inputs, lut_a);
-                let other = run(dispatch, inputs, lut_b);
+                let (same, leaf) = run(dispatch, inputs, lut_a, default_depth);
+                let (other, other_leaf) = run(dispatch, inputs, lut_b, default_depth);
                 assert!(
                     same.memo_stall_cycles > last_stall,
                     "{dispatch:?}, {inputs} inputs: stall {} after {last_stall}",
                     same.memo_stall_cycles
                 );
                 last_stall = same.memo_stall_cycles;
+                assert_eq!(leaf, crc_delay(inputs), "{dispatch:?}, {inputs} inputs");
                 assert_eq!(other.memo_stall_cycles, 0, "{dispatch:?}, {inputs} inputs");
+                assert_eq!(other_leaf, 0, "{dispatch:?}, {inputs} inputs");
                 assert!(
                     other.cycles < same.cycles,
                     "{dispatch:?}, {inputs} inputs: {} vs {}",
                     other.cycles,
                     same.cycles
                 );
+                leaves.push(leaf);
             }
+            // A one-slot queue holds 8 cycles of CRC backlog, so 32
+            // inputs stall their own issue.
+            let (full, leaf) = run(dispatch, 32, lut_a, 1);
+            assert_eq!(leaf, crc_delay(32), "{dispatch:?}, full queue");
+            assert!(
+                2 * full.memo_stall_cycles < leaf,
+                "{dispatch:?}: stall {} counts back-pressure (leaf {leaf})",
+                full.memo_stall_cycles
+            );
+            leaves.push(leaf);
+            if let Some(last) = &last_leaf {
+                assert_eq!(&leaves, last, "{dispatch:?}: tiers disagree");
+            }
+            last_leaf = Some(leaves);
         }
     }
 

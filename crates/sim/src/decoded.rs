@@ -21,7 +21,8 @@
 //! [`ThreadedProgram::compile`](crate::threaded::ThreadedProgram::compile)
 //! lowers, straight from the [`Inst`]s, into fused ops.
 
-use crate::ir::{FBinOp, FUnOp, IAluOp, Inst, MemWidth, Program};
+use crate::ir::{FBinOp, FUnOp, IAluOp, Inst, Program};
+use crate::memo::crc_beats;
 use crate::pipeline::LatencyModel;
 
 /// Input-independent statistics of one basic block, accumulated once at
@@ -142,12 +143,12 @@ impl BlockCounts {
             Inst::MemoLdCrc { width, .. } => {
                 self.memo += 1;
                 self.l1d_accesses += 1;
-                self.crc_beats += crc_beat(width);
+                self.crc_beats += crc_beats(width);
                 self.hvr_accesses += 1;
             }
             Inst::MemoRegCrc { width, .. } => {
                 self.memo += 1;
-                self.crc_beats += crc_beat(width);
+                self.crc_beats += crc_beats(width);
                 self.hvr_accesses += 1;
                 self.memo_insts += 1;
             }
@@ -488,12 +489,6 @@ fn inst_regs(inst: &Inst) -> impl Iterator<Item = u8> {
         | Inst::Halt => [0, 0, 0],
     };
     rs.into_iter()
-}
-
-/// CRC beats for one feed: the synthesised CRC unit is unrolled 4× and
-/// pipelined (§6.1), 4 bytes per cycle.
-pub(crate) fn crc_beat(width: MemWidth) -> u64 {
-    (width.bytes() as u64).div_ceil(4)
 }
 
 #[cfg(test)]

@@ -232,6 +232,23 @@ impl Pipeline {
         at
     }
 
+    /// The cycle [`Self::issue`] would pick for an op reading `srcs` on
+    /// `fu` with no `not_before` constraint, without issuing it. Only
+    /// for pipelined units: it ignores the unpipelined units' busy time.
+    #[inline(always)]
+    pub(crate) fn next_issue(&self, srcs: &[u8], fu: FuClass) -> u64 {
+        let earliest = srcs
+            .iter()
+            .fold(self.cycle, |e, &s| e.max(self.src_ready(s)));
+        if earliest > self.cycle {
+            earliest // a later cycle starts with every slot free
+        } else if (self.issued & 0xff) >= self.width || self.fu_slot_full(fu) {
+            self.cycle + 1
+        } else {
+            self.cycle
+        }
+    }
+
     // ---- Specialized issue paths for the threaded tier ----
     //
     // `FusedOp` bakes the FU class into the variant, so the threaded

@@ -31,17 +31,16 @@
 //! zero-cost markers, so one check is equivalent to N.
 
 use crate::cpu::{
-    charge_mem_levels, cond_taken, fbin, funop, ialu, ialu_simple, input_value, spike_cycles,
-    width_mask, Machine, SimError, Simulator,
+    charge_mem_levels, cond_taken, fbin, funop, ialu, ialu_simple, spike_cycles, Machine, SimError,
+    Simulator,
 };
-use crate::decoded::{crc_beat, Block, BlockCounts, DecodedProgram};
+use crate::decoded::{Block, BlockCounts, DecodedProgram};
 use crate::ir::{Cond, FBinOp, FUnOp, IAluOp, Inst, MemWidth, Operand};
+use crate::memo::{CrcInput, MemoTiming};
 use crate::pipeline::{FuClass, LatencyModel, Pipeline};
 use crate::predictor::BranchPredictor;
 use crate::stats::{InstClassCounts, RunStats};
-use axmemo_core::faults::Protection;
-use axmemo_core::ids::{LutId, ThreadId, MAX_LUTS};
-use axmemo_core::unit::LookupResult;
+use axmemo_core::ids::LutId;
 use axmemo_telemetry::PhaseId;
 
 /// One fused op. The functional-unit class is the variant — the
@@ -157,26 +156,22 @@ pub(crate) enum FusedOp {
         exit: u32,
         expect_hit: bool,
     },
-    /// `ld_crc` (generic `Memo`-port issue path, as in the legacy
-    /// loop).
+    /// `ld_crc` (timing in [`crate::memo`], as for every memo op).
     MemoLdCrc {
         width: MemWidth,
         rd: u8,
         base: u8,
         offset: i32,
         lut: LutId,
-        trunc: u32,
-        beat: u64,
+        trunc: u8,
         pc: u32,
     },
     /// `reg_crc`.
     MemoRegCrc {
         width: MemWidth,
         src: u8,
-        mask: u64,
         lut: LutId,
-        trunc: u32,
-        beat: u64,
+        trunc: u8,
         pc: u32,
     },
     /// `lookup`.
@@ -486,8 +481,7 @@ fn lower_block(
                 base,
                 offset,
                 lut,
-                trunc: u32::from(trunc),
-                beat: crc_beat(width),
+                trunc,
                 pc: pc32,
             },
             Inst::MemoRegCrc {
@@ -498,10 +492,8 @@ fn lower_block(
             } => FusedOp::MemoRegCrc {
                 width,
                 src,
-                mask: width_mask(width),
                 lut,
-                trunc: u32::from(trunc),
-                beat: crc_beat(width),
+                trunc,
                 pc: pc32,
             },
             Inst::MemoLookup { rd, lut } => FusedOp::MemoLookup { rd, lut, pc: pc32 },
@@ -549,25 +541,7 @@ impl Simulator {
         // Cache statistics accumulate across runs; snapshot for deltas.
         let l1d_before = self.cache.l1d_stats();
         let l2_before = self.cache.l2_stats();
-        let tid = ThreadId(0);
-        // Per-LUT cycle when the CRC unit finishes the queued beats.
-        let mut crc_ready = [0u64; MAX_LUTS];
-        // Queue capacity in cycles of backlog (1 byte ≈ 1 cycle).
-        let queue_capacity: u64 = self
-            .config
-            .memo
-            .as_ref()
-            .map(|m| m.input_queue_depth as u64 * 8)
-            .unwrap_or(0);
-        // Config-dependent LUT charging, hoisted out of the loop.
-        let has_l2_lut = self
-            .memo
-            .as_ref()
-            .is_some_and(|u| u.config().l2_bytes.is_some());
-        let ecc = self
-            .memo
-            .as_ref()
-            .is_some_and(|u| u.config().faults.protection == Protection::EccProtected);
+        let mut memo = MemoTiming::new(self.memo.as_ref());
         let max_insts = self.config.max_insts;
         let max_cycles = self.config.max_cycles;
         let taken_bubble = lat.taken_branch_bubble;
@@ -859,131 +833,60 @@ impl Simulator {
                         offset,
                         lut,
                         trunc,
-                        beat,
                         pc: at_pc,
                     } => {
-                        let unit = self
-                            .memo
-                            .as_mut()
-                            .ok_or(SimError::NoMemoUnit { pc: at_pc as usize })?;
+                        let at_pc = at_pc as usize;
+                        // A missing unit faults before the load can.
+                        self.memo
+                            .as_ref()
+                            .ok_or(SimError::NoMemoUnit { pc: at_pc })?;
                         let addr = machine.reg(base).wrapping_add_signed(offset.into());
                         let raw = machine.load(addr, width)?;
                         machine.set_reg(rd, raw);
                         let (mut latency, served) = self.cache.access_served(addr);
                         latency += spike_cycles(&mut self.mem_faults);
                         charge_mem_levels(&mut stats, served);
-                        let backlog = crc_ready[lut.index()];
-                        let not_before = backlog.saturating_sub(queue_capacity);
-                        let at = pipe.issue(&[base], Some(rd), FuClass::LdSt, latency, not_before);
-                        self.telemetry.set_cycle(at);
-                        unit.feed_tel(
+                        let port = self.memo_port(&mut pipe, &mut stats, at_pc)?;
+                        let input = CrcInput {
                             lut,
-                            tid,
-                            input_value(width, raw),
+                            width,
+                            raw,
                             trunc,
-                            &mut self.telemetry,
-                        );
-                        crc_ready[lut.index()] = crc_ready[lut.index()].max(at + latency) + beat;
-                        if not_before > at {
-                            stats.memo_stall_cycles += not_before - at;
-                        }
+                        };
+                        memo.ld_crc(port, base, rd, latency, input);
                     }
                     FusedOp::MemoRegCrc {
                         width,
                         src,
-                        mask,
                         lut,
                         trunc,
-                        beat,
                         pc: at_pc,
                     } => {
-                        let unit = self
-                            .memo
-                            .as_mut()
-                            .ok_or(SimError::NoMemoUnit { pc: at_pc as usize })?;
-                        let raw = machine.reg(src) & mask;
-                        let backlog = crc_ready[lut.index()];
-                        let not_before = backlog.saturating_sub(queue_capacity);
-                        let at = pipe.issue(&[src], None, FuClass::Memo, 1, not_before);
-                        self.telemetry.set_cycle(at);
-                        unit.feed_tel(
+                        let port = self.memo_port(&mut pipe, &mut stats, at_pc as usize)?;
+                        let input = CrcInput {
                             lut,
-                            tid,
-                            input_value(width, raw),
+                            width,
+                            raw: machine.reg(src),
                             trunc,
-                            &mut self.telemetry,
-                        );
-                        crc_ready[lut.index()] = crc_ready[lut.index()].max(at + 1) + beat;
+                        };
+                        memo.reg_crc(port, src, input);
                     }
                     FusedOp::MemoLookup { rd, lut, pc: at_pc } => {
-                        let unit = self
-                            .memo
-                            .as_mut()
-                            .ok_or(SimError::NoMemoUnit { pc: at_pc as usize })?;
-                        // lookup waits for the CRC pipeline to drain (§3.4).
-                        let not_before = crc_ready[lut.index()];
-                        self.telemetry.set_cycle(pipe.now().max(not_before));
-                        let result = unit.lookup_tel(lut, tid, &mut self.telemetry);
-                        let latency = unit.lookup_cycles(&result);
-                        let before = pipe.now();
-                        pipe.issue(&[], Some(rd), FuClass::Memo, latency, not_before);
-                        stats.memo_stall_cycles += not_before.saturating_sub(before.max(1)) / 2;
-                        let mut lut_accesses = 1;
-                        if has_l2_lut
-                            && !matches!(
-                                result,
-                                LookupResult::Hit {
-                                    level: axmemo_core::two_level::HitLevel::L1,
-                                    ..
-                                }
-                            )
-                        {
-                            stats.energy.l2_lut_accesses += 1;
-                            lut_accesses += 1;
-                        }
-                        if ecc {
-                            stats.energy.ecc_checks += lut_accesses;
-                        }
-                        match result {
-                            LookupResult::Hit { data, .. } => {
-                                machine.set_reg(rd, data);
-                                machine.memo_hit = true;
-                            }
-                            _ => {
-                                machine.memo_hit = false;
-                            }
-                        }
+                        let port = self.memo_port(&mut pipe, &mut stats, at_pc as usize)?;
+                        memo.lookup(port, machine, rd, lut);
                     }
                     FusedOp::MemoUpdate {
                         src,
                         lut,
                         pc: at_pc,
                     } => {
-                        let unit = self
-                            .memo
-                            .as_mut()
-                            .ok_or(SimError::NoMemoUnit { pc: at_pc as usize })?;
                         let data = machine.reg(src);
-                        self.telemetry.set_cycle(pipe.now());
-                        let cycles = unit.update_tel(lut, tid, data, &mut self.telemetry);
-                        pipe.issue(&[src], None, FuClass::Memo, cycles, 0);
-                        let mut lut_accesses = 1;
-                        if has_l2_lut {
-                            stats.energy.l2_lut_accesses += 1;
-                            lut_accesses += 1;
-                        }
-                        if ecc {
-                            stats.energy.ecc_checks += lut_accesses;
-                        }
+                        let port = self.memo_port(&mut pipe, &mut stats, at_pc as usize)?;
+                        memo.update(port, src, lut, data);
                     }
                     FusedOp::MemoInvalidate { lut, pc: at_pc } => {
-                        let unit = self
-                            .memo
-                            .as_mut()
-                            .ok_or(SimError::NoMemoUnit { pc: at_pc as usize })?;
-                        self.telemetry.set_cycle(pipe.now());
-                        let cycles = unit.invalidate_tel(lut, &mut self.telemetry);
-                        pipe.issue(&[], None, FuClass::Memo, cycles, 0);
+                        let port = self.memo_port(&mut pipe, &mut stats, at_pc as usize)?;
+                        memo.invalidate(port, lut);
                     }
                 }
                 dyn_insts += 1;

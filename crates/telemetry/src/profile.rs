@@ -46,8 +46,10 @@ pub enum PhaseId {
     Run = 0,
     /// The interpreter dispatch loop (threaded or legacy).
     Dispatch,
-    /// CRC beat loop: feeding truncated input bytes into the pipelined
-    /// CRC unit (`memo_ld_crc`).
+    /// CRC stalls: cycles an issue waits on the CRC unit (a `lookup`
+    /// waiting for its LUT's queued inputs to be hashed, or an
+    /// `ld_crc`/`reg_crc` waiting on a full input queue). Entered once
+    /// per feed and per lookup.
     CrcBeat,
     /// L1 LUT set search on lookup (every probe pays this).
     LutL1Search,

@@ -38,7 +38,6 @@ const FIG8: &str = env!("CARGO_BIN_EXE_fig8");
 const FIG11: &str = env!("CARGO_BIN_EXE_fig11");
 const ALL_EXPERIMENTS: &str = env!("CARGO_BIN_EXE_all_experiments");
 const ATM_COMPARE: &str = env!("CARGO_BIN_EXE_atm_compare");
-const MULTICORE_SCALING: &str = env!("CARGO_BIN_EXE_multicore_scaling");
 
 #[test]
 fn warm_start_rejects_unknown_benchmark_names() {
@@ -123,15 +122,4 @@ fn all_experiments_rejects_restore_from() {
 #[test]
 fn atm_compare_rejects_unknown_flags() {
     assert_usage_error(ATM_COMPARE, &["--bogus"], &["--bogus"]);
-}
-
-#[test]
-fn multicore_scaling_rejects_any_argument() {
-    for args in [&["--report", "json"][..], &["extra"]] {
-        assert_usage_error(
-            MULTICORE_SCALING,
-            args,
-            &[args[0], "usage: multicore_scaling"],
-        );
-    }
 }

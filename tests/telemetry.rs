@@ -5,7 +5,7 @@
 use axmemo_core::config::MemoConfig;
 use axmemo_telemetry::{JsonlSink, RingBufferSink, Telemetry};
 use axmemo_workloads::runner::{run_benchmark_report_cached, RunOptions};
-use axmemo_workloads::{benchmark_by_name, Dataset, Scale};
+use axmemo_workloads::{all_benchmarks, benchmark_by_name, Dataset, Scale};
 
 /// Every `TwoLevelLut` probe emits exactly one `lut.hit` or `lut.miss`
 /// event, so the event totals must reproduce `BenchmarkResult.hit_rate`
@@ -84,6 +84,40 @@ fn run_report_carries_span_and_counters() {
     let json = report.to_json();
     assert!(json.starts_with('{') && json.ends_with('}'));
     assert!(json.contains("\"hit_rate\":"));
+}
+
+/// The profiler's leaves under `run` sum to the simulated cycles the
+/// threaded tier reports, on every benchmark. Memo ops charge
+/// `crc.beat` only the issue delays the CRC causes, so no superblock's
+/// leaves outrun its cycles; the tolerance covers LUT latencies that
+/// overlap later issue.
+#[test]
+fn threaded_cycle_attribution_is_exact() {
+    let cfg = MemoConfig::l1_l2(8 * 1024, 512 * 1024);
+    for bench in all_benchmarks() {
+        let mut tel = Telemetry::off();
+        tel.profiler_mut().enable();
+        let report = run_benchmark_report_cached(
+            bench.as_ref(),
+            Scale::Tiny,
+            Dataset::Eval,
+            &cfg,
+            RunOptions::default(),
+            tel,
+            None,
+        )
+        .expect("run succeeds");
+        let profile = report.telemetry.take_profile().expect("profiler on");
+        let run = profile.phases["run"];
+        let attributed = (run.total - run.cycles) as f64;
+        let reported = report.result.memo_stats.cycles as f64;
+        let skew_pct = 100.0 * (attributed - reported).abs() / reported;
+        assert!(
+            skew_pct < 0.05,
+            "{}: attributed {attributed} vs reported {reported} cycles ({skew_pct:.4}%)",
+            bench.meta().name
+        );
+    }
 }
 
 /// `--trace-out`-style JSONL must be one well-formed JSON object per
