@@ -20,7 +20,7 @@ use axmemo_core::config::MemoConfig;
 use axmemo_core::crc::{CrcWidth, TableCrc};
 use axmemo_core::unit::{UnitTiming, CRC_BYTES_PER_CYCLE};
 use axmemo_sim::cache::CacheConfig;
-use axmemo_sim::cpu::{DispatchTier, SimConfig, Simulator};
+use axmemo_sim::cpu::{DispatchTier, Machine, SimConfig, Simulator};
 use axmemo_sim::energy::{l1_lut_energy, AreaModel, EnergyModel};
 use axmemo_sim::pipeline::LatencyModel;
 use axmemo_sim::predictor::PredictorConfig;
@@ -598,6 +598,7 @@ fn l2_sensitivity(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
     let mut degradations = Vec::new();
     for bench in all_benchmarks() {
         let prepared = ctx.cache.program(bench.as_ref(), scale, false)?;
+        let inputs = ctx.cache.inputs(bench.as_ref(), scale, Dataset::Eval)?;
         let mut cycles = [0u64; 2];
         for (i, l2_bytes) in [1024 * 1024usize, 512 * 1024].into_iter().enumerate() {
             let cfg = SimConfig {
@@ -612,7 +613,7 @@ fn l2_sensitivity(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
                 ..SimConfig::default()
             };
             let mut sim = Simulator::new(cfg)?;
-            let mut machine = bench.setup(scale, Dataset::Eval);
+            let mut machine = Machine::clone(&inputs);
             cycles[i] = prepared
                 .memo
                 .run(&mut sim, DispatchTier::default(), &mut machine)?
@@ -794,6 +795,7 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
     )?;
     for bench in all_benchmarks() {
         let prepared = ctx.cache.program(bench.as_ref(), scale, false)?;
+        let inputs = ctx.cache.inputs(bench.as_ref(), scale, Dataset::Eval)?;
         let memo_cfg = MemoConfig {
             data_width: bench.data_width(),
             ..MemoConfig::l1_l2(8 * 1024, 512 * 1024)
@@ -812,12 +814,12 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
                 ..SimConfig::with_memo(memo_cfg.clone())
             };
             let mut base = Simulator::new(base_cfg)?;
-            let mut mb = bench.setup(scale, Dataset::Eval);
+            let mut mb = Machine::clone(&inputs);
             let bs = prepared
                 .base
                 .run(&mut base, DispatchTier::default(), &mut mb)?;
             let mut memo = Simulator::new(memo_sim_cfg)?;
-            let mut mm = bench.setup(scale, Dataset::Eval);
+            let mut mm = Machine::clone(&inputs);
             let ms = prepared
                 .memo
                 .run(&mut memo, DispatchTier::default(), &mut mm)?;

@@ -31,7 +31,7 @@ use axmemo_core::config::MemoConfig;
 use axmemo_core::unit::LookupEvent;
 use axmemo_core::RestorePolicy;
 pub use axmemo_sim::cpu::DispatchTier;
-use axmemo_sim::cpu::{SimConfig, Simulator};
+use axmemo_sim::cpu::{Machine, SimConfig, Simulator};
 use axmemo_sim::stats::RunStats;
 use axmemo_telemetry::{escape_json, JsonlSink, Profile, Telemetry};
 pub use axmemo_workloads::runner::RunOptions;
@@ -542,9 +542,9 @@ pub fn collect_events(
     collect_events_cached(bench, scale, None)
 }
 
-/// [`collect_events`] taking the compiled program and the
-/// baseline-stats leg from `cache` (the event-recording memoized run is
-/// unique to this collection and always executes). A figure binary that
+/// [`collect_events`] taking the compiled program, the input image and
+/// the baseline-stats leg from `cache` (the event-recording memoized
+/// run is unique to this collection and always executes). A figure binary that
 /// has already run the benchmark's cells skips one whole baseline
 /// simulation here. `None` uses a call-local cache; the `Option` stays
 /// because `ledger/` (the benchmark) calls this shape.
@@ -586,7 +586,7 @@ pub fn collect_events_cached(
     sim.memo_unit_mut()
         .expect("memo configured")
         .enable_event_log();
-    let mut machine = bench.setup(scale, Dataset::Eval);
+    let mut machine = Machine::clone(&*cache.inputs(bench, scale, Dataset::Eval)?);
     prepared
         .memo
         .run(&mut sim, DispatchTier::default(), &mut machine)?;

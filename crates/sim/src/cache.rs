@@ -28,7 +28,7 @@ impl CacheStats {
 }
 
 /// One set-associative cache level (LRU, write-allocate, timing-only —
-/// data lives in the simulator's flat memory).
+/// data lives in the `Machine`'s memory).
 #[derive(Debug, Clone)]
 struct Level {
     sets: usize,

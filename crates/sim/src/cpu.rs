@@ -2,7 +2,7 @@
 //! energy accounting + memoization-unit integration.
 //!
 //! One [`Simulator::run`] call executes a [`Program`] on a [`Machine`]
-//! (registers + flat memory) and returns [`RunStats`]. When a
+//! (registers + sparse paged memory) and returns [`RunStats`]. When a
 //! [`MemoConfig`] is supplied, a per-core [`MemoizationUnit`] services
 //! the AxMemo instructions, and the configured L2 LUT capacity is carved
 //! out of the L2 cache's ways (shrinking the caching capacity exactly as
@@ -22,16 +22,33 @@ use axmemo_core::unit::MemoizationUnit;
 use axmemo_telemetry::{PhaseId, Telemetry};
 use core::fmt;
 
-/// Architectural machine state: 32 × 64-bit registers plus a flat,
+/// Bytes per page of simulated memory: the unit a [`Machine`] allocates
+/// on the first write to it.
+pub const PAGE_BYTES: usize = 4096;
+
+/// One page of simulated memory.
+type Page = [u8; PAGE_BYTES];
+
+/// Architectural machine state: 32 × 64-bit registers, a
 /// byte-addressable memory and the memoization condition code.
-#[derive(Debug, Clone)]
+///
+/// Memory is sparse. It is held in [`PAGE_BYTES`] pages, each allocated
+/// on its first write; a page never written reads as zero. Creating,
+/// cloning and dropping a machine therefore cost in proportion to the
+/// pages written, not to the memory's length, while every access is
+/// still bounds-checked against the exact byte length given to
+/// [`Machine::new`]. Two machines are equal when their registers,
+/// condition code, length and bytes are, whichever pages they hold.
+#[derive(Clone)]
 pub struct Machine {
     /// General registers x0..x31 (raw bits; f32 live in the low word).
     pub regs: [u64; NUM_REGS],
-    /// Flat memory.
-    pub mem: Vec<u8>,
     /// Condition code set by `lookup` (§3.4).
     pub memo_hit: bool,
+    /// Memory length in bytes.
+    len: usize,
+    /// `len.div_ceil(PAGE_BYTES)` slots; `None` reads as zeros.
+    pages: Vec<Option<Box<Page>>>,
 }
 
 impl Machine {
@@ -39,8 +56,9 @@ impl Machine {
     pub fn new(mem_bytes: usize) -> Self {
         Self {
             regs: [0; NUM_REGS],
-            mem: vec![0; mem_bytes],
             memo_hit: false,
+            len: mem_bytes,
+            pages: vec![None; mem_bytes.div_ceil(PAGE_BYTES)],
         }
     }
 
@@ -81,37 +99,26 @@ impl Machine {
     }
 
     /// Read `width` bytes at `addr` (little-endian, zero-extended).
+    #[inline]
     pub fn load(&self, addr: u64, width: MemWidth) -> Result<u64, SimError> {
-        let n = width.bytes();
-        // `addr + n` can overflow for near-`u64::MAX` addresses; the
-        // checked range keeps that a structured fault, not a panic.
-        let bytes = usize::try_from(addr)
-            .ok()
-            .and_then(|a| a.checked_add(n).map(|end| a..end))
-            .and_then(|range| self.mem.get(range))
-            .ok_or(SimError::MemOutOfBounds { addr, width })?;
-        // Fixed-size conversions per width: the slice length is already
-        // checked, and a variable-length copy would call libc `memcpy`
-        // on every simulated access.
+        let a = self.check(addr, width)?;
+        // Fixed-size reads per width: a variable-length copy would call
+        // libc `memcpy` on every simulated access.
         Ok(match width {
-            MemWidth::B1 => u64::from(bytes[0]),
-            MemWidth::B4 => u64::from(u32::from_le_bytes(fixed(bytes))),
-            MemWidth::B8 => u64::from_le_bytes(fixed(bytes)),
+            MemWidth::B1 => u64::from(self.read::<1>(a)[0]),
+            MemWidth::B4 => u64::from(u32::from_le_bytes(self.read(a))),
+            MemWidth::B8 => u64::from_le_bytes(self.read(a)),
         })
     }
 
     /// Write the low `width` bytes of `value` at `addr`.
+    #[inline]
     pub fn store(&mut self, addr: u64, width: MemWidth, value: u64) -> Result<(), SimError> {
-        let n = width.bytes();
-        let dst = usize::try_from(addr)
-            .ok()
-            .and_then(|a| a.checked_add(n).map(|end| a..end))
-            .and_then(|range| self.mem.get_mut(range))
-            .ok_or(SimError::MemOutOfBounds { addr, width })?;
+        let a = self.check(addr, width)?;
         match width {
-            MemWidth::B1 => dst[0] = value as u8,
-            MemWidth::B4 => dst.copy_from_slice(&(value as u32).to_le_bytes()),
-            MemWidth::B8 => dst.copy_from_slice(&value.to_le_bytes()),
+            MemWidth::B1 => self.write(a, [value as u8]),
+            MemWidth::B4 => self.write(a, (value as u32).to_le_bytes()),
+            MemWidth::B8 => self.write(a, value.to_le_bytes()),
         }
         Ok(())
     }
@@ -126,14 +133,121 @@ impl Machine {
     pub fn load_f32(&self, addr: u64) -> f32 {
         f32::from_bits(self.load(addr, MemWidth::B4).expect("load_f32 in bounds") as u32)
     }
+
+    /// `addr` as a byte index, when all `width` bytes from it lie in
+    /// memory. `addr + n` can overflow for near-`u64::MAX` addresses;
+    /// the checked add keeps that a structured fault, not a panic.
+    #[inline(always)]
+    fn check(&self, addr: u64, width: MemWidth) -> Result<usize, SimError> {
+        match usize::try_from(addr).map(|a| (a, a.checked_add(width.bytes()))) {
+            Ok((a, Some(end))) if end <= self.len => Ok(a),
+            _ => Err(SimError::MemOutOfBounds { addr, width }),
+        }
+    }
+
+    /// The `N` bytes at the checked index `a`.
+    #[inline(always)]
+    fn read<const N: usize>(&self, a: usize) -> [u8; N] {
+        let off = a % PAGE_BYTES;
+        if off > PAGE_BYTES - N {
+            return self.read_straddling(a);
+        }
+        match &self.pages[a / PAGE_BYTES] {
+            Some(page) => fixed(&page[off..]),
+            None => [0; N],
+        }
+    }
+
+    /// Write `bytes` at the checked index `a`.
+    #[inline(always)]
+    fn write<const N: usize>(&mut self, a: usize, bytes: [u8; N]) {
+        let off = a % PAGE_BYTES;
+        if off > PAGE_BYTES - N {
+            return self.write_straddling(a, bytes);
+        }
+        *fixed_mut(&mut self.page_mut(a / PAGE_BYTES)[off..]) = bytes;
+    }
+
+    /// [`Self::read`] of an access that crosses a page boundary.
+    #[cold]
+    #[inline(never)]
+    fn read_straddling<const N: usize>(&self, a: usize) -> [u8; N] {
+        std::array::from_fn(|i| {
+            let a = a + i;
+            self.pages[a / PAGE_BYTES]
+                .as_ref()
+                .map_or(0, |page| page[a % PAGE_BYTES])
+        })
+    }
+
+    /// [`Self::write`] of an access that crosses a page boundary.
+    #[cold]
+    #[inline(never)]
+    fn write_straddling<const N: usize>(&mut self, a: usize, bytes: [u8; N]) {
+        for (i, byte) in bytes.into_iter().enumerate() {
+            let a = a + i;
+            self.page_mut(a / PAGE_BYTES)[a % PAGE_BYTES] = byte;
+        }
+    }
+
+    /// Page `index`, allocated zeroed if it was never written.
+    #[inline(always)]
+    fn page_mut(&mut self, index: usize) -> &mut Page {
+        match &mut self.pages[index] {
+            Some(page) => page,
+            slot => zero_page(slot),
+        }
+    }
 }
 
-/// The `N` bytes of an access whose range was already checked to be
-/// `N` long.
+/// Allocate the zeroed page an absent `slot` stands for.
+#[cold]
+#[inline(never)]
+fn zero_page(slot: &mut Option<Box<Page>>) -> &mut Page {
+    slot.insert(Box::new([0; PAGE_BYTES]))
+}
+
+impl PartialEq for Machine {
+    /// Byte-wise equality: an absent page equals an all-zero one.
+    fn eq(&self, other: &Self) -> bool {
+        let zero = |page: &Page| page.iter().all(|&b| b == 0);
+        self.regs == other.regs
+            && self.memo_hit == other.memo_hit
+            && self.len == other.len
+            && self.pages.iter().zip(&other.pages).all(|pair| match pair {
+                (Some(a), Some(b)) => a == b,
+                (Some(page), None) | (None, Some(page)) => zero(page),
+                (None, None) => true,
+            })
+    }
+}
+
+impl Eq for Machine {}
+
+impl fmt::Debug for Machine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Machine")
+            .field("regs", &self.regs)
+            .field("memo_hit", &self.memo_hit)
+            .field("mem_bytes", &self.len)
+            .field("pages_allocated", &self.pages.iter().flatten().count())
+            .finish()
+    }
+}
+
+/// The `N` bytes at the front of `bytes`, which holds at least `N`.
 #[inline(always)]
 fn fixed<const N: usize>(bytes: &[u8]) -> [u8; N] {
     *bytes
         .first_chunk()
+        .expect("access range checked to its width")
+}
+
+/// Mutable [`fixed`].
+#[inline(always)]
+fn fixed_mut<const N: usize>(bytes: &mut [u8]) -> &mut [u8; N] {
+    bytes
+        .first_chunk_mut()
         .expect("access range checked to its width")
 }
 
@@ -1208,16 +1322,18 @@ mod tests {
             // The start, the middle and the last slot of memory.
             for a in [0, 8, 32 - n] {
                 let mut m = Machine::new(32);
-                m.mem.fill(0x5A);
+                for i in 0..32 {
+                    m.store(i, MemWidth::B1, 0x5A).unwrap();
+                }
                 let addr = a as u64;
                 m.store(addr, width, value).unwrap();
-                assert_eq!(
-                    &m.mem[a..a + n],
-                    &value.to_le_bytes()[..n],
+                let bytes: Vec<u64> = (0..32).map(|i| m.load(i, MemWidth::B1).unwrap()).collect();
+                assert!(
+                    (a..a + n).all(|i| bytes[i] == value >> (8 * (i - a)) & 0xFF),
                     "{width:?} at {a}"
                 );
                 assert!(
-                    m.mem[..a].iter().chain(&m.mem[a + n..]).all(|&b| b == 0x5A),
+                    bytes[..a].iter().chain(&bytes[a + n..]).all(|&b| b == 0x5A),
                     "{width:?} at {a} wrote outside its width"
                 );
                 let mask = u64::MAX >> (64 - 8 * n);
@@ -1231,6 +1347,114 @@ mod tests {
                 Err(SimError::MemOutOfBounds { addr, width })
             );
         }
+    }
+
+    /// Every B4/B8 access that crosses a page boundary, at each in-page
+    /// start offset, reads and writes the bytes a flat little-endian
+    /// memory would, whether the pages it touches were written before
+    /// or not.
+    #[test]
+    fn page_straddling_accesses_match_a_flat_reference() {
+        let len = 3 * PAGE_BYTES;
+        let boundary = PAGE_BYTES;
+        let value = 0x8877_6655_4433_2211u64;
+        for (width, n) in [(MemWidth::B4, 4), (MemWidth::B8, 8)] {
+            for a in boundary - n + 1..boundary {
+                for prefilled in [false, true] {
+                    let mut m = Machine::new(len);
+                    let mut flat = vec![0u8; len];
+                    if prefilled {
+                        for (i, b) in flat.iter_mut().enumerate().skip(boundary - 16).take(32) {
+                            *b = (i * 7 + 3) as u8;
+                            m.store(i as u64, MemWidth::B1, u64::from(*b)).unwrap();
+                        }
+                    }
+                    let flat_load = |flat: &[u8]| {
+                        (0..n).fold(0u64, |v, i| v | u64::from(flat[a + i]) << (8 * i))
+                    };
+                    let case = format!("{width:?} at {a}, prefilled {prefilled}");
+                    assert_eq!(m.load(a as u64, width), Ok(flat_load(&flat)), "{case}");
+                    m.store(a as u64, width, value).unwrap();
+                    flat[a..a + n].copy_from_slice(&value.to_le_bytes()[..n]);
+                    assert_eq!(m.load(a as u64, width), Ok(flat_load(&flat)), "{case}");
+                    for (i, &b) in flat.iter().enumerate().skip(boundary - 16).take(32) {
+                        assert_eq!(m.load(i as u64, MemWidth::B1), Ok(u64::from(b)), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memory_never_written_reads_zero() {
+        let len = 10 * PAGE_BYTES + 5;
+        let mut m = Machine::new(len);
+        m.store(3 * PAGE_BYTES as u64 + 8, MemWidth::B8, u64::MAX)
+            .unwrap();
+        for addr in [
+            0,
+            PAGE_BYTES - 4,
+            2 * PAGE_BYTES + 4092,
+            4 * PAGE_BYTES,
+            len - 8,
+        ] {
+            for width in [MemWidth::B1, MemWidth::B4, MemWidth::B8] {
+                assert_eq!(m.load(addr as u64, width), Ok(0), "{width:?} at {addr}");
+            }
+        }
+    }
+
+    /// With a length that is not a page multiple, the last access of
+    /// each width ends exactly at the length, and one byte further is
+    /// out of bounds for loads and stores alike.
+    #[test]
+    fn out_of_bounds_trips_at_the_exact_length() {
+        let len = PAGE_BYTES + 100;
+        for width in [MemWidth::B1, MemWidth::B4, MemWidth::B8] {
+            let n = width.bytes();
+            let mut m = Machine::new(len);
+            let last = (len - n) as u64;
+            m.store(last, width, u64::MAX).unwrap();
+            assert_eq!(m.load(last, width), Ok(u64::MAX >> (64 - 8 * n)));
+            let before = m.clone();
+            let addr = last + 1;
+            let err = Err(SimError::MemOutOfBounds { addr, width });
+            assert_eq!(m.load(addr, width), err);
+            assert_eq!(m.store(addr, width, 0), err.map(|_| ()));
+            assert_eq!(m, before, "a faulting store writes nothing");
+        }
+    }
+
+    #[test]
+    fn clone_writes_do_not_reach_the_original() {
+        let mut m = Machine::new(4 * PAGE_BYTES);
+        m.store(16, MemWidth::B8, 7).unwrap();
+        let mut c = m.clone();
+        c.store(16, MemWidth::B8, 9).unwrap();
+        c.store(2 * PAGE_BYTES as u64, MemWidth::B4, 5).unwrap();
+        c.regs[1] = 3;
+        assert_eq!(m.load(16, MemWidth::B8), Ok(7));
+        assert_eq!(m.load(2 * PAGE_BYTES as u64, MemWidth::B4), Ok(0));
+        assert_eq!(m.regs[1], 0);
+        assert_eq!(c.load(16, MemWidth::B8), Ok(9));
+        assert_ne!(m, c);
+    }
+
+    #[test]
+    fn equality_ignores_all_zero_allocated_pages() {
+        let a = Machine::new(2 * PAGE_BYTES + 1);
+        let mut b = a.clone();
+        // Writing zeros allocates a page that still reads as zeros.
+        b.store(PAGE_BYTES as u64 + 8, MemWidth::B8, 0).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+        b.store(PAGE_BYTES as u64 + 9, MemWidth::B1, 1).unwrap();
+        assert_ne!(a, b);
+        assert_ne!(b, a);
+        assert_ne!(a, Machine::new(2 * PAGE_BYTES + 2), "lengths differ");
+        let mut c = a.clone();
+        c.memo_hit = true;
+        assert_ne!(a, c);
     }
 
     #[test]
@@ -1247,7 +1471,7 @@ mod tests {
                 m.store_f32(0x1000 + 4 * i, (i % 8) as f32 + 1.0);
             }
             let stats = sim.run(&p, &mut m).unwrap();
-            (stats, m.regs, m.mem)
+            (stats, m)
         };
         let reference = run(DispatchTier::Legacy);
         assert_eq!(run(DispatchTier::Threaded), reference);
@@ -1357,7 +1581,7 @@ mod tests {
         let mut m2 = setup();
         let prepared = sim.run_prepared_threaded(&threaded, &mut m2).unwrap();
         assert_eq!(direct, prepared);
-        assert_eq!(m1.mem, m2.mem);
+        assert_eq!(m1, m2);
     }
 
     #[test]
@@ -1480,6 +1704,84 @@ mod tests {
         for i in 0..256u64 {
             let x = (i % 8) as f32 + 1.0;
             assert_eq!(m.load_f32(0x2000 + 4 * i), x * x, "slot {i}");
+        }
+    }
+
+    /// A new simulator is already in its reset state. Running a
+    /// memoized program with L1, L2 and memory faults on gives the same
+    /// run, unit, LUT and fault statistics, telemetry events and final
+    /// machine whether or not the simulator is reset first, on both
+    /// tiers. The runner relies on this to skip the reset, which would
+    /// rewrite every LUT entry the constructor just built.
+    #[test]
+    fn fresh_simulator_equals_fresh_then_reset() {
+        use axmemo_core::faults::FaultConfig;
+        use axmemo_telemetry::{event_to_json, RingBufferSink};
+        let p = memo_square_program();
+        let memo = MemoConfig {
+            faults: FaultConfig {
+                seed: 11,
+                l1_tag_flip_ppm: 30_000,
+                l1_data_flip_ppm: 30_000,
+                l2_tag_flip_ppm: 30_000,
+                l2_data_flip_ppm: 30_000,
+                dropped_update_ppm: 300_000,
+                latency_spike_ppm: 50_000,
+                latency_spike_cycles: 40,
+                ..FaultConfig::default()
+            },
+            // One 64-byte L1 set in front of the L2: 32 distinct inputs
+            // keep evicting into the L2 and hitting there.
+            ..MemoConfig::l1_l2(64, 4096)
+        };
+        let run = |dispatch: DispatchTier, reset: bool| {
+            let mut sim = Simulator::new(SimConfig {
+                dispatch,
+                ..SimConfig::with_memo(memo.clone())
+            })
+            .unwrap();
+            let sink = RingBufferSink::new(1 << 20);
+            let mut tel = Telemetry::enabled();
+            tel.add_sink(Box::new(sink.clone()));
+            sim.set_telemetry(tel);
+            if reset {
+                sim.reset();
+            }
+            let mut m = Machine::new(64 * 1024);
+            for i in 0..256 {
+                m.store_f32(0x1000 + 4 * i, (i % 32) as f32 + 1.0);
+            }
+            let stats = sim.run(&p, &mut m).unwrap();
+            let mut tel = sim.take_telemetry();
+            tel.flush();
+            assert_eq!(sink.dropped(), 0);
+            let unit = sim.memo_unit().unwrap();
+            let events: Vec<String> = sink.events().iter().map(event_to_json).collect();
+            let luts = (unit.lut().l1_stats(), unit.lut().l2_stats());
+            let spikes = sim.mem_faults.as_ref().unwrap().stats().latency_spikes;
+            (
+                stats,
+                unit.stats(),
+                luts,
+                unit.fault_stats(),
+                spikes,
+                events,
+                m,
+            )
+        };
+        for dispatch in DispatchTier::ALL {
+            let fresh = run(dispatch, false);
+            let (stats, unit, (_, l2), faults, spikes, events, _) = &fresh;
+            // The premise: every part of the state a reset touches is
+            // exercised.
+            assert!(unit.l2_hits > 0 && l2.inserts > 0, "{dispatch:?}: {l2:?}");
+            let flips = faults.tag_flips + faults.data_flips;
+            assert!(
+                flips > 0 && faults.dropped_updates > 0,
+                "{dispatch:?}: {faults:?}"
+            );
+            assert!(*spikes > 0 && stats.memo_insts > 0 && !events.is_empty());
+            assert!(fresh == run(dispatch, true), "{dispatch:?}");
         }
     }
 

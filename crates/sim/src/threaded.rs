@@ -521,6 +521,12 @@ impl Simulator {
         // (`dyn_insts` cannot reach 2^64 in any real run and a cycle
         // count cannot exceed `u64::MAX`), so the unarmed variant
         // compiles the check out entirely while staying exact.
+        //
+        // In practice every run is armed: `SimConfig::default()` caps
+        // `max_insts` at 2,000,000,000, so the runner, the figure
+        // binaries and the ledger all take the guarded loop. Only
+        // callers that set both limits to `u64::MAX` themselves (the
+        // random-program equivalence test) reach the unguarded one.
         if self.config.max_insts == u64::MAX && self.config.max_cycles == u64::MAX {
             self.run_threaded_impl::<false>(tp, machine)
         } else {

@@ -370,16 +370,17 @@ pub fn run_benchmark_report_snap(
     };
     let prepared = cache.program(bench, scale, opts.zero_trunc)?;
     let baseline = cache.get_or_compute(bench, scale, dataset, u64::MAX, opts.dispatch)?;
+    let inputs = cache.inputs(bench, scale, dataset)?;
     let mut report = run_benchmark_inner(
         bench,
         scale,
-        dataset,
         memo,
         opts.dispatch,
         &mut tel,
         u64::MAX,
         &baseline,
         &prepared,
+        &inputs,
         plan,
     )?;
     report.telemetry = tel;
@@ -403,22 +404,21 @@ pub struct BaselineRun {
 }
 
 /// Simulate the baseline leg of `prepared` (no memoization) on the
-/// `dispatch` tier under a cycle watchdog.
+/// `dispatch` tier under a cycle watchdog, on a copy of `inputs`.
 fn baseline_leg(
     bench: &dyn Benchmark,
     scale: Scale,
-    dataset: Dataset,
     max_cycles: u64,
     dispatch: DispatchTier,
     prepared: &PreparedProgram,
+    inputs: &Machine,
 ) -> Result<BaselineRun, Box<dyn std::error::Error>> {
     let mut base_sim = Simulator::new(SimConfig {
         max_cycles,
         dispatch,
         ..SimConfig::baseline()
     })?;
-    let mut base_machine = bench.setup(scale, dataset);
-    base_sim.reset();
+    let mut base_machine = inputs.clone();
     let stats = prepared
         .base
         .run(&mut base_sim, dispatch, &mut base_machine)?;
@@ -426,9 +426,9 @@ fn baseline_leg(
     Ok(BaselineRun { stats, exact })
 }
 
-/// Why a shared [`BaselineCache`] slot — a program compile or a
-/// baseline run — failed, in a cloneable form every run waiting on the
-/// same slot can receive.
+/// Why a shared [`BaselineCache`] slot — a program compile, an input
+/// image or a baseline run — failed, in a cloneable form every run
+/// waiting on the same slot can receive.
 #[derive(Debug, Clone)]
 pub struct CachedFailure {
     /// Failure class (watchdog trip, panic, or ordinary error) —
@@ -467,6 +467,8 @@ type Slot<T> = Arc<OnceLock<Result<Arc<T>, CachedFailure>>>;
 type BaselineKey = (String, Scale, Dataset, DispatchTier);
 /// Program slot key: `(benchmark, scale, zero_trunc)`.
 type ProgramKey = (String, Scale, bool);
+/// Input slot key: `(benchmark, scale, dataset)`.
+type InputKey = (String, Scale, Dataset);
 
 /// Fill `key`'s slot in `slots` with `init` on first request (concurrent
 /// askers block on the same [`OnceLock`]) and serve it afterwards,
@@ -493,14 +495,18 @@ fn get_or_init<K: Eq + Hash, T>(
     result.clone()
 }
 
-/// The one source of every simulated program and baseline run: a
-/// thread-safe once-per-key map, keyed on exactly what each result
-/// depends on. Callers without a sweep-wide cache use a call-local one.
+/// The one source of every simulated program, input image and baseline
+/// run: a thread-safe once-per-key map, keyed on exactly what each
+/// result depends on. Callers without a sweep-wide cache use a
+/// call-local one.
 ///
 /// - **Programs**: one [`PreparedProgram`] per `(benchmark, scale,
 ///   zero_trunc)`. Building, memoizing and superblock-lowering a
 ///   benchmark is deterministic, so every run, attempt and tier shares
 ///   it.
+/// - **Inputs**: one [`Machine`] per `(benchmark, scale, dataset)`, as
+///   [`Benchmark::setup`] writes it. Every leg runs on a clone, which
+///   copies only the pages the inputs occupy.
 /// - **Baselines**: one [`BaselineRun`] per `(benchmark, scale, dataset,
 ///   dispatch)`. A sweep's fault matrix runs every benchmark under many
 ///   (domain × protection × rate) cells, but the memoization
@@ -510,26 +516,31 @@ fn get_or_init<K: Eq + Hash, T>(
 ///   legacy loop (the tiers are bit-identical, but the golden diffs
 ///   exist to prove exactly that).
 ///
-/// Nothing else is in either key. In particular a snapshot restore
-/// ([`SnapshotPlan`]) changes neither: the baseline simulator has no
-/// memoization unit and a `PreparedProgram` is immutable, so warm and
-/// cold runs share slots.
+/// Nothing else is in any key. In particular a snapshot restore
+/// ([`SnapshotPlan`]) changes none of them: the baseline simulator has
+/// no memoization unit, a `PreparedProgram` is immutable and every leg
+/// runs on a clone of its input image, so warm and cold runs share
+/// slots.
 ///
 /// Failures are cached too, as [`CachedFailure`]s: a codegen error or
-/// panic in the program slot, a watchdog trip, panic or simulator error
-/// in the baseline slot (a baseline whose program failed to compile
-/// carries the compile failure). Everything is deterministic, so
-/// re-running would fail identically for every sibling cell. Computed
+/// panic in the program slot, a panicking `setup` in the input slot, a
+/// watchdog trip, panic or simulator error in the baseline slot (a
+/// baseline whose program or inputs failed carries that failure).
+/// Everything is deterministic, so re-running would fail identically
+/// for every sibling cell. Computed
 /// and reused requests are counted so orchestrators can export
 /// `orchestrator.baseline.{computed,reused}` telemetry.
 #[derive(Debug, Default)]
 pub struct BaselineCache {
     slots: Mutex<HashMap<BaselineKey, Slot<BaselineRun>>>,
     programs: Mutex<HashMap<ProgramKey, Slot<PreparedProgram>>>,
+    inputs: Mutex<HashMap<InputKey, Slot<Machine>>>,
     computed: AtomicU64,
     reused: AtomicU64,
     programs_compiled: AtomicU64,
     programs_reused: AtomicU64,
+    inputs_generated: AtomicU64,
+    inputs_reused: AtomicU64,
 }
 
 impl BaselineCache {
@@ -559,7 +570,8 @@ impl BaselineCache {
         let key = (bench.meta().name.to_string(), scale, dataset, dispatch);
         get_or_init(&self.slots, key, [&self.computed, &self.reused], || {
             let prepared = self.program(bench, scale, false)?;
-            catch_failure(|| baseline_leg(bench, scale, dataset, max_cycles, dispatch, &prepared))
+            let inputs = self.inputs(bench, scale, dataset)?;
+            catch_failure(|| baseline_leg(bench, scale, max_cycles, dispatch, &prepared, &inputs))
         })
     }
 
@@ -603,6 +615,37 @@ impl BaselineCache {
         })
     }
 
+    /// The shared input image for `(bench, scale, dataset)`: the machine
+    /// [`Benchmark::setup`] returns, generated on first request and
+    /// served (or its cached failure) afterwards. Run a leg on a clone.
+    ///
+    /// # Errors
+    ///
+    /// Returns the (possibly cached) [`CachedFailure`] when `setup`
+    /// panicked.
+    pub fn inputs(
+        &self,
+        bench: &dyn Benchmark,
+        scale: Scale,
+        dataset: Dataset,
+    ) -> Result<Arc<Machine>, CachedFailure> {
+        let key = (bench.meta().name.to_string(), scale, dataset);
+        let counters = [&self.inputs_generated, &self.inputs_reused];
+        get_or_init(&self.inputs, key, counters, || {
+            catch_failure(|| Ok(bench.setup(scale, dataset)))
+        })
+    }
+
+    /// Input images generated (one per distinct key).
+    pub fn inputs_generated(&self) -> u64 {
+        self.inputs_generated.load(Ordering::Relaxed)
+    }
+
+    /// Input requests served from an existing slot.
+    pub fn inputs_reused(&self) -> u64 {
+        self.inputs_reused.load(Ordering::Relaxed)
+    }
+
     /// [`Self::program`] with default truncation, `None` when it failed.
     /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn prepared(&self, bench: &dyn Benchmark, scale: Scale) -> Option<Arc<PreparedProgram>> {
@@ -635,8 +678,8 @@ impl BaselineCache {
 }
 
 /// One memoized run of `prepared` against an already computed
-/// `baseline`: only the memoized leg is simulated, on the `dispatch`
-/// tier under `max_cycles`.
+/// `baseline`: only the memoized leg is simulated, on a copy of
+/// `inputs`, on the `dispatch` tier under `max_cycles`.
 ///
 /// The telemetry handle is borrowed so it *survives* the error path:
 /// the sim-side spans and phase frames a failed run leaves open are
@@ -654,13 +697,13 @@ impl BaselineCache {
 fn run_benchmark_inner(
     bench: &dyn Benchmark,
     scale: Scale,
-    dataset: Dataset,
     memo: &MemoConfig,
     dispatch: DispatchTier,
     tel: &mut Telemetry,
     max_cycles: u64,
     baseline: &BaselineRun,
     prepared: &PreparedProgram,
+    inputs: &Machine,
     plan: &SnapshotPlan,
 ) -> Result<RunReport, Box<dyn std::error::Error>> {
     // Load and recover the warm image first, while the telemetry handle
@@ -686,23 +729,24 @@ fn run_benchmark_inner(
 
     // Memoized run, under a `run:<name>` span with the telemetry
     // handle installed in the simulator (it reaches the memoization
-    // unit and the LUT hierarchy from there).
+    // unit and the LUT hierarchy from there). A new simulator is
+    // already in its reset state, so it is not reset again: that would
+    // rewrite every LUT entry `Simulator::new` just built.
     let mut memo_sim = Simulator::new(SimConfig {
         max_cycles,
         dispatch,
         ..SimConfig::with_memo(memo_cfg.clone())
     })?;
-    let mut memo_machine = bench.setup(scale, dataset);
+    let mut memo_machine = inputs.clone();
     tel.set_cycle(0);
     tel.span_enter(&format!("run:{}", bench.meta().name));
     tel.profiler_mut().set_label(bench.meta().name);
     tel.profiler_mut().enter(PhaseId::Run);
     memo_sim.set_telemetry(std::mem::take(tel));
-    memo_sim.reset();
-    // Warm-start after reset (reset wipes the unit) and arm the
-    // end-of-run capture: compiled programs invalidate every LUT before
-    // halting, so the warm image is grabbed at the first invalidate,
-    // not after the wipe.
+    // Warm-start the fresh unit and arm the end-of-run capture:
+    // compiled programs invalidate every LUT before halting, so the
+    // warm image is grabbed at the first invalidate, not after the
+    // wipe.
     if let Some(plan) = plan {
         if let Some(unit) = memo_sim.memo_unit_mut() {
             if let Some(image) = &warm_image {
@@ -864,10 +908,11 @@ pub struct SupervisedRun {
 /// One sweep job: a supervised run of `bench` on the evaluation
 /// dataset that never panics and never runs away.
 ///
-/// - The compiled program and the baseline come from `cache`, the
-///   baseline simulated once per distinct key under the `max_cycles`
-///   ceiling. A cached compile or baseline *failure* fails the job with
-///   that failure, without recompiling or re-simulating.
+/// - The compiled program, the input image and the baseline come from
+///   `cache`, the baseline simulated once per distinct key under the
+///   `max_cycles` ceiling. A cached compile, input or baseline
+///   *failure* fails the job with that failure, without recompiling or
+///   re-simulating.
 /// - The memoized leg runs under [`memo_watchdog`] of the measured
 ///   baseline, clamped to `max_cycles`.
 /// - Panics are caught and become [`FailureKind::Panic`] failures.
@@ -906,33 +951,35 @@ pub fn run_job(
     let was_enabled = tel.is_enabled();
     let was_profiling = tel.profiler().is_enabled();
     let dataset = Dataset::Eval;
-    // Compiled programs are shared across attempts (and across sibling
-    // cells through the cache); an attempt only re-simulates.
+    // Compiled programs and input images are shared across attempts
+    // (and across sibling cells through the cache); an attempt only
+    // re-simulates, on its own copy of the inputs.
     let shared = cache
         .program(bench, scale, opts.zero_trunc)
         .and_then(|prepared| {
-            cache
-                .get_or_compute(bench, scale, dataset, max_cycles, opts.dispatch)
-                .map(|baseline| (prepared, baseline))
+            let baseline =
+                cache.get_or_compute(bench, scale, dataset, max_cycles, opts.dispatch)?;
+            let inputs = cache.inputs(bench, scale, dataset)?;
+            Ok((prepared, baseline, inputs))
         });
     let memo_max_cycles = match &shared {
-        Ok((_, run)) => memo_watchdog(run.stats.cycles, max_cycles),
+        Ok((_, run, _)) => memo_watchdog(run.stats.cycles, max_cycles),
         Err(_) => max_cycles,
     };
     let attempt =
         |cfg: &MemoConfig, tel: &mut Telemetry| -> Result<BenchmarkResult, CachedFailure> {
-            let (prepared, baseline) = shared.as_ref().map_err(CachedFailure::clone)?;
+            let (prepared, baseline, inputs) = shared.as_ref().map_err(CachedFailure::clone)?;
             let failure = match catch_failure(|| {
                 run_benchmark_inner(
                     bench,
                     scale,
-                    dataset,
                     cfg,
                     opts.dispatch,
                     tel,
                     memo_max_cycles,
                     baseline,
                     prepared,
+                    inputs,
                     &SnapshotPlan::default(),
                 )
                 .map(|report| report.result)

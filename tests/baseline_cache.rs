@@ -3,12 +3,15 @@
 //! baseline, at any worker count, while performing exactly one baseline
 //! simulation per distinct benchmark (asserted via
 //! `orchestrator.baseline.computed`); warm and cold runs share slots
-//! without a restore leaking into a cold run; compile failures are
-//! cached like baseline failures; and the memoized-leg watchdog is
+//! without a restore leaking into a cold run; compile and `setup`
+//! failures are cached like baseline failures; every leg on one cache
+//! runs on one input image per key; and the memoized-leg watchdog is
 //! derived from measured baseline cycles.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use axmemo_bench::orchestrator::Orchestrator;
-use axmemo_bench::{sweep, DispatchTier};
+use axmemo_bench::{collect_events_cached, sweep, DispatchTier};
 use axmemo_compiler::codegen::CodegenError;
 use axmemo_compiler::RegionSpec;
 use axmemo_core::config::MemoConfig;
@@ -260,32 +263,153 @@ fn warm_run_leaves_shared_cold_run_unchanged() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// blackscholes whose region spec names a region its program has no
-/// markers for, so codegen fails.
-#[derive(Debug)]
-struct MisplacedSpec(Box<dyn Benchmark>);
+/// What a [`Wrapped`] benchmark changes about blackscholes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    /// Nothing.
+    None,
+    /// Its region spec names a region the program has no markers for,
+    /// so codegen fails.
+    MisplacedSpec,
+    /// `setup` panics.
+    PanickingSetup,
+}
 
-impl Benchmark for MisplacedSpec {
+/// blackscholes behind a wrapper that counts its `setup` calls and can
+/// inject one [`Fault`].
+#[derive(Debug)]
+struct Wrapped {
+    inner: Box<dyn Benchmark>,
+    fault: Fault,
+    setups: AtomicU64,
+}
+
+impl Wrapped {
+    fn new(fault: Fault) -> Self {
+        Self {
+            inner: benchmark_by_name("blackscholes").unwrap(),
+            fault,
+            setups: AtomicU64::new(0),
+        }
+    }
+
+    fn setups(&self) -> u64 {
+        self.setups.load(Ordering::Relaxed)
+    }
+}
+
+impl Benchmark for Wrapped {
     fn meta(&self) -> WorkloadMeta {
+        let name = match self.fault {
+            Fault::None => "wrapped",
+            Fault::MisplacedSpec => "misplaced_spec",
+            Fault::PanickingSetup => "panicking_setup",
+        };
         WorkloadMeta {
-            name: "misplaced_spec",
-            ..self.0.meta()
+            name,
+            ..self.inner.meta()
         }
     }
     fn program(&self, scale: Scale) -> (Program, Vec<RegionSpec>) {
-        let (program, mut specs) = self.0.program(scale);
-        specs[0].region = 99;
+        let (program, mut specs) = self.inner.program(scale);
+        if self.fault == Fault::MisplacedSpec {
+            specs[0].region = 99;
+        }
         (program, specs)
     }
     fn setup(&self, scale: Scale, dataset: Dataset) -> Machine {
-        self.0.setup(scale, dataset)
+        self.setups.fetch_add(1, Ordering::Relaxed);
+        assert!(self.fault != Fault::PanickingSetup, "synthetic setup bug");
+        self.inner.setup(scale, dataset)
     }
     fn outputs(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        self.0.outputs(machine, scale)
+        self.inner.outputs(machine, scale)
     }
     fn golden(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        self.0.golden(machine, scale)
+        self.inner.golden(machine, scale)
     }
+}
+
+/// With one cache, `Benchmark::setup` runs once per `(benchmark,
+/// scale, dataset)`: a baseline, four memoized legs, the contender
+/// event recording and a supervised job all run on copies of one input
+/// image, and after all of them that image still equals a fresh
+/// `setup`.
+#[test]
+fn inputs_are_generated_once_per_key() {
+    let bench = Wrapped::new(Fault::None);
+    let cache = BaselineCache::new();
+    let (scale, dataset) = (Scale::Tiny, Dataset::Eval);
+    cache
+        .get_or_compute(&bench, scale, dataset, u64::MAX, DispatchTier::default())
+        .unwrap();
+    for (_, memo) in MemoConfig::paper_sweep() {
+        let opts = RunOptions::default();
+        let tel = Telemetry::off();
+        run_benchmark_report_cached(&bench, scale, dataset, &memo, opts, tel, Some(&cache))
+            .unwrap();
+    }
+    collect_events_cached(&bench, scale, Some(&cache)).unwrap();
+    let memo = MemoConfig::l1_only(4 * 1024);
+    let opts = RunOptions::default();
+    run_job(
+        &bench,
+        scale,
+        &memo,
+        u64::MAX,
+        &cache,
+        opts,
+        &mut Telemetry::off(),
+    )
+    .unwrap();
+    assert_eq!(bench.setups(), 1);
+    assert_eq!((cache.inputs_generated(), cache.inputs_reused()), (1, 6));
+
+    // Another dataset is another key.
+    cache.inputs(&bench, scale, Dataset::Sample).unwrap();
+    assert_eq!(bench.setups(), 2);
+
+    let image = cache.inputs(&bench, scale, dataset).unwrap();
+    assert_eq!(
+        *image,
+        bench.setup(scale, dataset),
+        "no leg wrote the image"
+    );
+}
+
+/// A panicking `setup` becomes a cached failure of the input slot: it
+/// runs once, and the baseline and a supervised job both carry it.
+#[test]
+fn panicking_setup_is_a_cached_failure() {
+    let bench = Wrapped::new(Fault::PanickingSetup);
+    let cache = BaselineCache::new();
+    for _ in 0..2 {
+        let err = cache
+            .get_or_compute(
+                &bench,
+                Scale::Tiny,
+                Dataset::Eval,
+                u64::MAX,
+                DispatchTier::default(),
+            )
+            .unwrap_err();
+        assert_eq!(err.kind, FailureKind::Panic);
+        assert!(err.message.contains("synthetic setup bug"), "{err}");
+    }
+    let memo = MemoConfig::l1_only(4 * 1024);
+    let opts = RunOptions::default();
+    let fail = run_job(
+        &bench,
+        Scale::Tiny,
+        &memo,
+        u64::MAX,
+        &cache,
+        opts,
+        &mut Telemetry::off(),
+    )
+    .unwrap_err();
+    assert_eq!(fail.kind, FailureKind::Panic);
+    assert_eq!(bench.setups(), 1);
 }
 
 /// A codegen failure is compiled once and cached: every later request
@@ -293,7 +417,7 @@ impl Benchmark for MisplacedSpec {
 /// with a structured `Error`, not a panic.
 #[test]
 fn codegen_failure_is_cached_and_structured() {
-    let bench = MisplacedSpec(benchmark_by_name("blackscholes").unwrap());
+    let bench = Wrapped::new(Fault::MisplacedSpec);
     let memo = MemoConfig::l1_only(4 * 1024);
     let expected = CodegenError::RegionNotFound(99).to_string();
     let cache = BaselineCache::new();

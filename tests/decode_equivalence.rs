@@ -10,7 +10,7 @@
 use axmemo_bench::orchestrator::Orchestrator;
 use axmemo_bench::{sweep, DispatchTier, ReportMode};
 use axmemo_core::config::MemoConfig;
-use axmemo_sim::cpu::{Machine, SimConfig, SimError, Simulator};
+use axmemo_sim::cpu::{Machine, SimConfig, SimError, Simulator, PAGE_BYTES};
 use axmemo_sim::ir::{Cond, FBinOp, FUnOp, IAluOp, MemWidth, Operand};
 use axmemo_sim::predictor::PredictorConfig;
 use axmemo_sim::{Program, ProgramBuilder};
@@ -124,13 +124,13 @@ fn biased_branch_flip_mid_run_side_exits_exactly() {
         let mut sim = Simulator::new(cfg).unwrap();
         let mut machine = Machine::new(64 * 1024);
         let stats = sim.run(&program, &mut machine).unwrap();
-        (stats, machine.regs, machine.mem)
+        (stats, machine)
     };
     let reference = run(DispatchTier::Legacy);
     assert_eq!(run(DispatchTier::Threaded), reference);
     // Sanity: both phases actually executed.
-    assert_eq!(reference.1[1], 1200);
-    assert_ne!(reference.1[3], 0);
+    assert_eq!(reference.1.regs[1], 1200);
+    assert_ne!(reference.1.regs[3], 0);
 }
 
 /// The reduced fault sweep — fault injection, retries, shared baselines
@@ -155,13 +155,17 @@ fn reduced_fault_sweep_golden_diff_across_interpreters() {
     );
 }
 
-/// Memory size of every random program's machine.
-const MEM_BYTES: u64 = 4096;
+/// Memory size of every random program's machine: one and a half
+/// pages, so the top of memory lies inside a page.
+const MEM_BYTES: u64 = (PAGE_BYTES + PAGE_BYTES / 2) as u64;
 /// Random data operands live in `x1..=x12`; the registers below are
 /// control state the generator never hands out as a destination.
 const DATA_REGS: u64 = 12;
-/// Base address well inside memory.
+/// Base address well inside memory, 192 bytes below the first page
+/// boundary: its offsets (-64..448) reach across that boundary, so
+/// unaligned loads and stores straddle two pages.
 const R_LO_BASE: u8 = 16;
+const LO_BASE: u64 = PAGE_BYTES as u64 - 192;
 /// Base address 16 bytes below the top of memory: small positive
 /// offsets reach the last valid byte, larger ones run past it.
 const R_HI_BASE: u8 = 17;
@@ -369,7 +373,7 @@ impl ProgramGen {
 
     fn program(&mut self) -> Program {
         let mut b = ProgramBuilder::new();
-        b.movi(R_LO_BASE, 256).movi(R_HI_BASE, MEM_BYTES - 16);
+        b.movi(R_LO_BASE, LO_BASE).movi(R_HI_BASE, MEM_BYTES - 16);
         for r in 1..=DATA_REGS as u8 {
             let v = self.value();
             b.movi(r, v);
@@ -418,7 +422,7 @@ fn random_programs_match_legacy() {
             .unwrap();
             let mut machine = Machine::new(MEM_BYTES as usize);
             let result = sim.run(&program, &mut machine);
-            (result, machine.regs, machine.mem)
+            (result, machine.regs, machine)
         };
         let reference = run(DispatchTier::Legacy);
         let threaded = run(DispatchTier::Threaded);
