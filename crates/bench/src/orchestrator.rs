@@ -384,7 +384,7 @@ impl Orchestrator {
                 attempts: 1,
                 faults_cleared: false,
                 sim_cycles: 0,
-                wall_ms: started.elapsed().as_millis() as u64,
+                wall_ms: round_ms(started.elapsed()),
                 result: Err(failure),
                 profile: None,
             };
@@ -418,7 +418,7 @@ impl Orchestrator {
                 attempts,
                 faults_cleared,
                 sim_cycles: result.memo_stats.cycles,
-                wall_ms: started.elapsed().as_millis() as u64,
+                wall_ms: round_ms(started.elapsed()),
                 result: Ok(result),
                 spec,
                 profile: tel.take_profile(),
@@ -428,13 +428,20 @@ impl Orchestrator {
                 attempts: failure.attempts,
                 faults_cleared: false,
                 sim_cycles: 0,
-                wall_ms: started.elapsed().as_millis() as u64,
+                wall_ms: round_ms(started.elapsed()),
                 result: Err(failure),
                 spec,
                 profile: None,
             },
         }
     }
+}
+
+/// `d` in whole milliseconds, rounded to the nearest. Truncating would
+/// drop half a millisecond per job on average, which a sweep of
+/// sub-millisecond jobs sums into most of its reported tail.
+fn round_ms(d: std::time::Duration) -> u64 {
+    ((d.as_micros() + 500) / 1000) as u64
 }
 
 /// Merge per-job profiles into the sweep aggregate, **in job-index
@@ -462,6 +469,16 @@ pub fn merge_profiles(outcomes: &[JobOutcome]) -> Option<Profile> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn job_wall_time_rounds_to_nearest_ms() {
+        use std::time::Duration;
+        let ms = |us| round_ms(Duration::from_micros(us));
+        assert_eq!(
+            [ms(0), ms(499), ms(500), ms(1499), ms(1500)],
+            [0, 0, 1, 1, 2]
+        );
+    }
 
     #[test]
     fn parallel_map_preserves_index_order() {

@@ -316,6 +316,88 @@ mod tests {
         assert_eq!(s.hits, 1);
     }
 
+    /// The obvious per-way LRU model: each way holds an optional line
+    /// and its last-use time; a miss fills the lowest empty way, else the
+    /// first least recently used one; a flush empties every way.
+    struct NaiveLevel {
+        sets: usize,
+        line_shift: u32,
+        ways: Vec<Vec<Option<(u64, u64)>>>,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl NaiveLevel {
+        fn new(sets: usize, ways: usize, line_bytes: usize) -> Self {
+            Self {
+                sets,
+                line_shift: line_bytes.trailing_zeros(),
+                ways: vec![vec![None; ways]; sets],
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let line = addr >> self.line_shift;
+            let set = &mut self.ways[line as usize % self.sets];
+            self.clock += 1;
+            if let Some(way) = set.iter_mut().flatten().find(|(tag, _)| *tag == line) {
+                way.1 = self.clock;
+                self.stats.hits += 1;
+                return true;
+            }
+            self.stats.misses += 1;
+            let victim = set.iter().position(Option::is_none).unwrap_or_else(|| {
+                let oldest = set.iter().flatten().map(|&(_, used)| used).min().unwrap();
+                set.iter().position(|w| w.unwrap().1 == oldest).unwrap()
+            });
+            set[victim] = Some((line, self.clock));
+            false
+        }
+
+        fn flush(&mut self) {
+            for set in &mut self.ways {
+                set.fill(None);
+            }
+        }
+    }
+
+    #[test]
+    fn level_matches_naive_model_across_flushes() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            // xorshift64*
+            rng ^= rng >> 12;
+            rng ^= rng << 25;
+            rng ^= rng >> 27;
+            rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for ways in [1, 2, 4, 13, 16] {
+            let (sets, line_bytes) = (8, 64);
+            let mut level = Level::new(sets * ways * line_bytes, ways, line_bytes);
+            assert_eq!((level.sets, level.ways), (sets, ways));
+            let mut naive = NaiveLevel::new(sets, ways, line_bytes);
+            // Three sets' worth of lines per set: hits, conflict
+            // evictions and refills after a flush all occur.
+            let span = (3 * sets * ways * line_bytes) as u64;
+            for i in 0..20_000 {
+                if next() % 1000 == 0 {
+                    level.flush();
+                    naive.flush();
+                }
+                let addr = next() % span;
+                assert_eq!(
+                    level.access(addr),
+                    naive.access(addr),
+                    "{ways}-way, access {i} at {addr:#x}"
+                );
+            }
+            assert_eq!(level.stats, naive.stats, "{ways}-way");
+            assert!(level.stats.hits > 0 && level.stats.misses > 0);
+        }
+    }
+
     #[test]
     fn flush_forces_cold_misses() {
         let mut h = CacheHierarchy::new(CacheConfig::default(), 0);

@@ -1604,9 +1604,13 @@ mod tests {
 
     #[test]
     fn watchdog_trip_points_identical_across_tiers() {
-        // Sweep max_insts and max_cycles over ranges that trip mid-loop,
-        // at a superblock boundary, and mid-superblock: every tier must
-        // return the identical Result at every point.
+        // Sweep max_insts over every value from 0 to one past the
+        // program's exact dynamic count (trips in the first superblock
+        // traversals, where the threaded tier switches between guarded
+        // and unguarded superblocks, later where the memo lookups hit,
+        // and at the very end) plus the default budget, and max_cycles
+        // over points that trip mid-loop: every tier must return the
+        // identical Result at every point.
         let p = memo_square_program();
         let run = |dispatch: DispatchTier, max_insts: u64, max_cycles: u64| {
             let cfg = SimConfig {
@@ -1620,9 +1624,14 @@ mod tests {
             for i in 0..256 {
                 m.store_f32(0x1000 + 4 * i, (i % 8) as f32 + 1.0);
             }
-            sim.run(&p, &mut m)
+            sim.run(&p, &mut m).map(|stats| (stats, m.regs))
         };
-        for max_insts in [1, 7, 50, 333, 1000, 2500] {
+        let total = run(DispatchTier::Legacy, u64::MAX, u64::MAX)
+            .unwrap()
+            .0
+            .dynamic_insts;
+        let insts_limits = (0..=total + 1).chain([SimConfig::default().max_insts]);
+        for max_insts in insts_limits {
             let reference = run(DispatchTier::Legacy, max_insts, u64::MAX);
             assert_eq!(
                 run(DispatchTier::Threaded, max_insts, u64::MAX),

@@ -21,11 +21,12 @@
 //!   back to the outer loop at the architecturally correct pc.
 //!
 //! Exactness is by construction, not by sampling: every op performs the
-//! same watchdog guard, error check, pipeline call, and telemetry call
-//! in the same order as the legacy loop, so `RunStats`, machine
-//! state, error values, fault-injector draws, and telemetry event
-//! streams are bit-identical across tiers (pinned by
-//! `tests/decode_equivalence.rs` and the CI golden diffs). Runs of
+//! same error check, pipeline call, and telemetry call in the same
+//! order as the legacy loop, and the same watchdog guard unless its
+//! superblock was shown at entry not to reach the watchdog's limits,
+//! so `RunStats`, machine state, error values, fault-injector draws,
+//! and telemetry event streams are bit-identical across tiers (pinned
+//! by `tests/decode_equivalence.rs` and the CI golden diffs). Runs of
 //! consecutive region markers compress into one guard op —
 //! valid because the watchdog state cannot change between two
 //! zero-cost markers, so one check is equivalent to N.
@@ -506,6 +507,24 @@ fn lower_block(
     }
 }
 
+/// Per-run interpreter state that the ops of every superblock update.
+struct RunState {
+    pipe: Pipeline,
+    predictor: Option<BranchPredictor>,
+    stats: RunStats,
+    memo: MemoTiming,
+    /// Dynamic instructions retired so far.
+    insts: u64,
+}
+
+/// Where a superblock's op run left off.
+struct BlockEnd {
+    /// Exit-count row for the chain prefix that ran.
+    exit: u32,
+    /// Architectural pc to continue at; `None` after `halt`.
+    next_pc: Option<usize>,
+}
+
 impl Simulator {
     /// The threaded-dispatch interpreter: executes fused superblocks.
     /// Every observable — `RunStats`, error values, telemetry event
@@ -516,42 +535,19 @@ impl Simulator {
         tp: &ThreadedProgram,
         machine: &mut Machine,
     ) -> Result<RunStats, SimError> {
-        // Specialize the hot loop on whether a watchdog is armed: with
-        // both limits at `u64::MAX` the per-op guard can never fire
-        // (`dyn_insts` cannot reach 2^64 in any real run and a cycle
-        // count cannot exceed `u64::MAX`), so the unarmed variant
-        // compiles the check out entirely while staying exact.
-        //
-        // In practice every run is armed: `SimConfig::default()` caps
-        // `max_insts` at 2,000,000,000, so the runner, the figure
-        // binaries and the ledger all take the guarded loop. Only
-        // callers that set both limits to `u64::MAX` themselves (the
-        // random-program equivalence test) reach the unguarded one.
-        if self.config.max_insts == u64::MAX && self.config.max_cycles == u64::MAX {
-            self.run_threaded_impl::<false>(tp, machine)
-        } else {
-            self.run_threaded_impl::<true>(tp, machine)
-        }
-    }
-
-    fn run_threaded_impl<const WATCHDOG: bool>(
-        &mut self,
-        tp: &ThreadedProgram,
-        machine: &mut Machine,
-    ) -> Result<RunStats, SimError> {
-        let lat = self.config.latency;
-        let mut pipe = Pipeline::new();
-        let mut predictor = self.config.predictor.map(BranchPredictor::new);
-        let mut stats = RunStats::default();
+        let mut st = RunState {
+            pipe: Pipeline::new(),
+            predictor: self.config.predictor.map(BranchPredictor::new),
+            stats: RunStats::default(),
+            memo: MemoTiming::new(self.memo.as_ref()),
+            insts: 0,
+        };
         let mut classes = InstClassCounts::default();
         // Cache statistics accumulate across runs; snapshot for deltas.
         let l1d_before = self.cache.l1d_stats();
         let l2_before = self.cache.l2_stats();
-        let mut memo = MemoTiming::new(self.memo.as_ref());
         let max_insts = self.config.max_insts;
-        let max_cycles = self.config.max_cycles;
-        let taken_bubble = lat.taken_branch_bubble;
-        let mut dyn_insts = 0u64;
+        let cycles_unarmed = self.config.max_cycles == u64::MAX;
         let mut pc = 0usize;
         // Profiler plumbing: with profiling on, each superblock retire
         // attributes its cycle/instruction deltas to the superblock's pc
@@ -565,7 +561,7 @@ impl Simulator {
         }
         self.telemetry.profiler_mut().enter(PhaseId::Dispatch);
 
-        'run: loop {
+        loop {
             let Some(&sb_idx) = tp.block_of.get(pc) else {
                 return Err(SimError::PcOutOfRange { pc });
             };
@@ -576,348 +572,389 @@ impl Simulator {
             );
             let (sb_cycle0, sb_inst0, sb_charged0) = if prof_on {
                 (
-                    pipe.now(),
-                    dyn_insts,
+                    st.pipe.now(),
+                    st.insts,
                     self.telemetry.profiler().open_charged(),
                 )
             } else {
                 (0, 0, 0)
             };
-            let mut next_pc = sb.fall_pc as usize;
-            let mut exit = sb.total_exit;
-            for op in &tp.ops[sb.ops_start as usize..sb.ops_end as usize] {
-                // Same per-dynamic-instruction guard order as the other
-                // tiers, so watchdog trip points match bit for bit.
-                if WATCHDOG && ((dyn_insts >= max_insts) | (pipe.now() > max_cycles)) {
-                    if dyn_insts >= max_insts {
-                        return Err(SimError::InstLimit { limit: max_insts });
-                    }
-                    return Err(SimError::CycleLimit { limit: max_cycles });
-                }
-                match *op {
-                    FusedOp::Guard => {
-                        continue; // stands in for a run of region markers
-                    }
-                    FusedOp::Halt => {
-                        dyn_insts += 1;
-                        stats.apply_block(&mut classes, &tp.exit_counts[sb.total_exit as usize]);
-                        if prof_on {
-                            let cyc = pipe.now().saturating_sub(sb_cycle0);
-                            let prof = self.telemetry.profiler_mut();
-                            prof.block_retire(sb_idx as usize, cyc, dyn_insts - sb_inst0);
-                            let charged = prof.open_charged().saturating_sub(sb_charged0);
-                            prof.leaf(PhaseId::DispatchThreaded, cyc.saturating_sub(charged));
-                        }
-                        break 'run;
-                    }
-                    FusedOp::AluRR {
-                        op,
-                        rd,
-                        ra,
-                        rb,
-                        lat,
-                    } => {
-                        let v = ialu_simple(op, machine.reg(ra), machine.reg(rb));
-                        machine.set_reg(rd, v);
-                        let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
-                        pipe.issue_int(e, rd, lat);
-                    }
-                    FusedOp::AluRI {
-                        op,
-                        rd,
-                        ra,
-                        imm,
-                        lat,
-                    } => {
-                        let v = ialu_simple(op, machine.reg(ra), imm);
-                        machine.set_reg(rd, v);
-                        pipe.issue_int(pipe.src_ready(ra), rd, lat);
-                    }
-                    FusedOp::MulRR { rd, ra, rb, lat } => {
-                        let v = machine.reg(ra).wrapping_mul(machine.reg(rb));
-                        machine.set_reg(rd, v);
-                        let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
-                        pipe.issue_mul(e, rd, lat);
-                    }
-                    FusedOp::MulRI { rd, ra, imm, lat } => {
-                        let v = machine.reg(ra).wrapping_mul(imm);
-                        machine.set_reg(rd, v);
-                        pipe.issue_mul(pipe.src_ready(ra), rd, lat);
-                    }
-                    FusedOp::DivRR {
-                        op,
-                        rd,
-                        ra,
-                        rb,
-                        lat,
-                        pc: at,
-                    } => {
-                        let a = machine.reg(ra);
-                        let b = machine.reg(rb);
-                        let v = ialu(op, a, b).ok_or(SimError::DivByZero { pc: at as usize })?;
-                        machine.set_reg(rd, v);
-                        let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
-                        pipe.issue_div(e, rd, lat);
-                    }
-                    FusedOp::DivRI {
-                        op,
-                        rd,
-                        ra,
-                        imm,
-                        lat,
-                        pc: at,
-                    } => {
-                        let a = machine.reg(ra);
-                        let v = ialu(op, a, imm).ok_or(SimError::DivByZero { pc: at as usize })?;
-                        machine.set_reg(rd, v);
-                        pipe.issue_div(pipe.src_ready(ra), rd, lat);
-                    }
-                    FusedOp::FBinP {
-                        op,
-                        rd,
-                        ra,
-                        rb,
-                        lat,
-                    } => {
-                        let v = fbin(op, machine.reg_f32(ra), machine.reg_f32(rb));
-                        machine.set_reg_f32(rd, v);
-                        let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
-                        pipe.issue_fp(e, rd, lat);
-                    }
-                    FusedOp::FBinLong { rd, ra, rb, lat } => {
-                        let v = machine.reg_f32(ra) / machine.reg_f32(rb);
-                        machine.set_reg_f32(rd, v);
-                        let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
-                        pipe.issue_fp_long(e, rd, lat);
-                    }
-                    FusedOp::FUnP { op, rd, ra, lat } => {
-                        let v = funop(op, machine.reg(ra));
-                        machine.set_reg(rd, v);
-                        pipe.issue_fp(pipe.src_ready(ra), rd, lat);
-                    }
-                    FusedOp::FUnLong { op, rd, ra, lat } => {
-                        let v = funop(op, machine.reg(ra));
-                        machine.set_reg(rd, v);
-                        pipe.issue_fp_long(pipe.src_ready(ra), rd, lat);
-                    }
-                    FusedOp::Ld {
-                        width,
-                        rd,
-                        base,
-                        offset,
-                    } => {
-                        let addr = machine.reg(base).wrapping_add_signed(offset.into());
-                        let v = machine.load(addr, width)?;
-                        machine.set_reg(rd, v);
-                        let (mut latency, served) = self.cache.access_served(addr);
-                        latency += spike_cycles(&mut self.mem_faults);
-                        charge_mem_levels(&mut stats, served);
-                        pipe.issue_ldst(pipe.src_ready(base), Some(rd), latency);
-                    }
-                    FusedOp::St {
-                        width,
-                        rs,
-                        base,
-                        offset,
-                        lat,
-                    } => {
-                        let addr = machine.reg(base).wrapping_add_signed(offset.into());
-                        machine.store(addr, width, machine.reg(rs))?;
-                        let (_, served) = self.cache.access_served(addr);
-                        charge_mem_levels(&mut stats, served);
-                        let st_latency = lat + spike_cycles(&mut self.mem_faults);
-                        let e = pipe.src_ready(rs).max(pipe.src_ready(base));
-                        pipe.issue_ldst(e, None, st_latency);
-                    }
-                    FusedOp::MovImm { rd, imm } => {
-                        machine.set_reg(rd, imm);
-                        pipe.issue_int(0, rd, 1);
-                    }
-                    FusedOp::Mov { rd, ra } => {
-                        machine.set_reg(rd, machine.reg(ra));
-                        pipe.issue_int(pipe.src_ready(ra), rd, 1);
-                    }
-                    FusedOp::BranchRR {
-                        cond,
-                        ra,
-                        rb,
-                        pc: bpc,
-                        exit_pc,
-                        exit: ex,
-                        expect_taken,
-                    } => {
-                        let taken = cond_taken(cond, machine.reg(ra), machine.reg(rb));
-                        let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
-                        pipe.issue_branch(e);
-                        match predictor.as_mut() {
-                            Some(bp) => {
-                                let stall = bp.resolve(bpc as usize, taken);
-                                if stall > 0 {
-                                    pipe.branch_bubble(stall);
-                                    stats.branch_bubbles += 1;
-                                }
-                            }
-                            None if taken => {
-                                pipe.branch_bubble(taken_bubble);
-                                stats.branch_bubbles += 1;
-                            }
-                            None => {}
-                        }
-                        if taken != expect_taken {
-                            dyn_insts += 1;
-                            next_pc = exit_pc as usize;
-                            exit = ex;
-                            break;
-                        }
-                    }
-                    FusedOp::BranchRI {
-                        cond,
-                        ra,
-                        imm,
-                        pc: bpc,
-                        exit_pc,
-                        exit: ex,
-                        expect_taken,
-                    } => {
-                        let taken = cond_taken(cond, machine.reg(ra), imm);
-                        pipe.issue_branch(pipe.src_ready(ra));
-                        match predictor.as_mut() {
-                            Some(bp) => {
-                                let stall = bp.resolve(bpc as usize, taken);
-                                if stall > 0 {
-                                    pipe.branch_bubble(stall);
-                                    stats.branch_bubbles += 1;
-                                }
-                            }
-                            None if taken => {
-                                pipe.branch_bubble(taken_bubble);
-                                stats.branch_bubbles += 1;
-                            }
-                            None => {}
-                        }
-                        if taken != expect_taken {
-                            dyn_insts += 1;
-                            next_pc = exit_pc as usize;
-                            exit = ex;
-                            break;
-                        }
-                    }
-                    FusedOp::JumpFused => {
-                        pipe.issue_branch(0);
-                        pipe.branch_bubble(taken_bubble);
-                        stats.branch_bubbles += 1;
-                    }
-                    FusedOp::JumpExit { target } => {
-                        pipe.issue_branch(0);
-                        pipe.branch_bubble(taken_bubble);
-                        stats.branch_bubbles += 1;
-                        dyn_insts += 1;
-                        next_pc = target as usize;
-                        break; // `exit` already holds the chain total
-                    }
-                    FusedOp::MemoBranchHit {
-                        exit_pc,
-                        exit: ex,
-                        expect_hit,
-                    } => {
-                        pipe.issue_branch(0);
-                        if machine.memo_hit {
-                            pipe.branch_bubble(taken_bubble);
-                            stats.branch_bubbles += 1;
-                        }
-                        if machine.memo_hit != expect_hit {
-                            dyn_insts += 1;
-                            next_pc = exit_pc as usize;
-                            exit = ex;
-                            break;
-                        }
-                    }
-                    FusedOp::MemoLdCrc {
-                        width,
-                        rd,
-                        base,
-                        offset,
-                        lut,
-                        trunc,
-                        pc: at_pc,
-                    } => {
-                        let at_pc = at_pc as usize;
-                        // A missing unit faults before the load can.
-                        self.memo
-                            .as_ref()
-                            .ok_or(SimError::NoMemoUnit { pc: at_pc })?;
-                        let addr = machine.reg(base).wrapping_add_signed(offset.into());
-                        let raw = machine.load(addr, width)?;
-                        machine.set_reg(rd, raw);
-                        let (mut latency, served) = self.cache.access_served(addr);
-                        latency += spike_cycles(&mut self.mem_faults);
-                        charge_mem_levels(&mut stats, served);
-                        let port = self.memo_port(&mut pipe, &mut stats, at_pc)?;
-                        let input = CrcInput {
-                            lut,
-                            width,
-                            raw,
-                            trunc,
-                        };
-                        memo.ld_crc(port, base, rd, latency, input);
-                    }
-                    FusedOp::MemoRegCrc {
-                        width,
-                        src,
-                        lut,
-                        trunc,
-                        pc: at_pc,
-                    } => {
-                        let port = self.memo_port(&mut pipe, &mut stats, at_pc as usize)?;
-                        let input = CrcInput {
-                            lut,
-                            width,
-                            raw: machine.reg(src),
-                            trunc,
-                        };
-                        memo.reg_crc(port, src, input);
-                    }
-                    FusedOp::MemoLookup { rd, lut, pc: at_pc } => {
-                        let port = self.memo_port(&mut pipe, &mut stats, at_pc as usize)?;
-                        memo.lookup(port, machine, rd, lut);
-                    }
-                    FusedOp::MemoUpdate {
-                        src,
-                        lut,
-                        pc: at_pc,
-                    } => {
-                        let data = machine.reg(src);
-                        let port = self.memo_port(&mut pipe, &mut stats, at_pc as usize)?;
-                        memo.update(port, src, lut, data);
-                    }
-                    FusedOp::MemoInvalidate { lut, pc: at_pc } => {
-                        let port = self.memo_port(&mut pipe, &mut stats, at_pc as usize)?;
-                        memo.invalidate(port, lut);
-                    }
-                }
-                dyn_insts += 1;
-            }
-            stats.apply_block(&mut classes, &tp.exit_counts[exit as usize]);
+            // The instruction count rises by at most one per op, so with
+            // the cycle limit unarmed a superblock whose op count fits in
+            // what is left of the instruction budget cannot trip the
+            // watchdog: its ops skip the per-op guard. Any other
+            // superblock checks before every op, exactly as `run_legacy`
+            // does before every instruction.
+            let len = u64::from(sb.ops_end - sb.ops_start);
+            let end = if cycles_unarmed && st.insts + len <= max_insts {
+                self.run_superblock::<false>(&mut st, tp, sb, machine)?
+            } else {
+                self.run_superblock::<true>(&mut st, tp, sb, machine)?
+            };
+            st.stats
+                .apply_block(&mut classes, &tp.exit_counts[end.exit as usize]);
             if prof_on {
-                let cyc = pipe.now().saturating_sub(sb_cycle0);
+                let cyc = st.pipe.now().saturating_sub(sb_cycle0);
                 let prof = self.telemetry.profiler_mut();
-                prof.block_retire(sb_idx as usize, cyc, dyn_insts - sb_inst0);
+                prof.block_retire(sb_idx as usize, cyc, st.insts - sb_inst0);
                 let charged = prof.open_charged().saturating_sub(sb_charged0);
                 prof.leaf(PhaseId::DispatchThreaded, cyc.saturating_sub(charged));
             }
+            let Some(next_pc) = end.next_pc else {
+                break;
+            };
             pc = next_pc;
         }
 
-        stats.dynamic_insts = dyn_insts;
-        stats.energy.instructions = dyn_insts;
-        stats.cycles = pipe.drain();
+        let mut stats = st.stats;
+        stats.dynamic_insts = st.insts;
+        stats.energy.instructions = st.insts;
+        stats.cycles = st.pipe.drain();
         self.telemetry.profiler_mut().exit_cycles(stats.cycles);
         if let Some(unit) = self.memo.as_ref() {
             stats.energy.quality_compares = unit.stats().sampled_misses;
         }
-        let predictor_stats = predictor.as_ref().map(|bp| bp.stats());
+        let predictor_stats = st.predictor.as_ref().map(|bp| bp.stats());
         self.flush_run_telemetry(&stats, &classes, predictor_stats, l1d_before, l2_before);
         Ok(stats)
+    }
+
+    /// Executes the fused ops of superblock `sb` until it falls off its
+    /// end, side-exits or halts. With `GUARD`, every op first checks the
+    /// watchdog in the legacy loop's order, so trip points match bit for
+    /// bit; without it the caller has shown that no op of `sb` can trip.
+    #[inline(always)]
+    fn run_superblock<const GUARD: bool>(
+        &mut self,
+        st: &mut RunState,
+        tp: &ThreadedProgram,
+        sb: &SbMeta,
+        machine: &mut Machine,
+    ) -> Result<BlockEnd, SimError> {
+        let max_insts = self.config.max_insts;
+        let max_cycles = self.config.max_cycles;
+        let taken_bubble = self.config.latency.taken_branch_bubble;
+        let RunState {
+            pipe,
+            predictor,
+            stats,
+            memo,
+            insts: dyn_insts,
+        } = st;
+        for op in &tp.ops[sb.ops_start as usize..sb.ops_end as usize] {
+            if GUARD && ((*dyn_insts >= max_insts) | (pipe.now() > max_cycles)) {
+                if *dyn_insts >= max_insts {
+                    return Err(SimError::InstLimit { limit: max_insts });
+                }
+                return Err(SimError::CycleLimit { limit: max_cycles });
+            }
+            match *op {
+                FusedOp::Guard => {
+                    continue; // stands in for a run of region markers
+                }
+                FusedOp::Halt => {
+                    *dyn_insts += 1;
+                    return Ok(BlockEnd {
+                        exit: sb.total_exit,
+                        next_pc: None,
+                    });
+                }
+                FusedOp::AluRR {
+                    op,
+                    rd,
+                    ra,
+                    rb,
+                    lat,
+                } => {
+                    let v = ialu_simple(op, machine.reg(ra), machine.reg(rb));
+                    machine.set_reg(rd, v);
+                    let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
+                    pipe.issue_int(e, rd, lat);
+                }
+                FusedOp::AluRI {
+                    op,
+                    rd,
+                    ra,
+                    imm,
+                    lat,
+                } => {
+                    let v = ialu_simple(op, machine.reg(ra), imm);
+                    machine.set_reg(rd, v);
+                    pipe.issue_int(pipe.src_ready(ra), rd, lat);
+                }
+                FusedOp::MulRR { rd, ra, rb, lat } => {
+                    let v = machine.reg(ra).wrapping_mul(machine.reg(rb));
+                    machine.set_reg(rd, v);
+                    let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
+                    pipe.issue_mul(e, rd, lat);
+                }
+                FusedOp::MulRI { rd, ra, imm, lat } => {
+                    let v = machine.reg(ra).wrapping_mul(imm);
+                    machine.set_reg(rd, v);
+                    pipe.issue_mul(pipe.src_ready(ra), rd, lat);
+                }
+                FusedOp::DivRR {
+                    op,
+                    rd,
+                    ra,
+                    rb,
+                    lat,
+                    pc: at,
+                } => {
+                    let a = machine.reg(ra);
+                    let b = machine.reg(rb);
+                    let v = ialu(op, a, b).ok_or(SimError::DivByZero { pc: at as usize })?;
+                    machine.set_reg(rd, v);
+                    let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
+                    pipe.issue_div(e, rd, lat);
+                }
+                FusedOp::DivRI {
+                    op,
+                    rd,
+                    ra,
+                    imm,
+                    lat,
+                    pc: at,
+                } => {
+                    let a = machine.reg(ra);
+                    let v = ialu(op, a, imm).ok_or(SimError::DivByZero { pc: at as usize })?;
+                    machine.set_reg(rd, v);
+                    pipe.issue_div(pipe.src_ready(ra), rd, lat);
+                }
+                FusedOp::FBinP {
+                    op,
+                    rd,
+                    ra,
+                    rb,
+                    lat,
+                } => {
+                    let v = fbin(op, machine.reg_f32(ra), machine.reg_f32(rb));
+                    machine.set_reg_f32(rd, v);
+                    let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
+                    pipe.issue_fp(e, rd, lat);
+                }
+                FusedOp::FBinLong { rd, ra, rb, lat } => {
+                    let v = machine.reg_f32(ra) / machine.reg_f32(rb);
+                    machine.set_reg_f32(rd, v);
+                    let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
+                    pipe.issue_fp_long(e, rd, lat);
+                }
+                FusedOp::FUnP { op, rd, ra, lat } => {
+                    let v = funop(op, machine.reg(ra));
+                    machine.set_reg(rd, v);
+                    pipe.issue_fp(pipe.src_ready(ra), rd, lat);
+                }
+                FusedOp::FUnLong { op, rd, ra, lat } => {
+                    let v = funop(op, machine.reg(ra));
+                    machine.set_reg(rd, v);
+                    pipe.issue_fp_long(pipe.src_ready(ra), rd, lat);
+                }
+                FusedOp::Ld {
+                    width,
+                    rd,
+                    base,
+                    offset,
+                } => {
+                    let addr = machine.reg(base).wrapping_add_signed(offset.into());
+                    let v = machine.load(addr, width)?;
+                    machine.set_reg(rd, v);
+                    let (mut latency, served) = self.cache.access_served(addr);
+                    latency += spike_cycles(&mut self.mem_faults);
+                    charge_mem_levels(stats, served);
+                    pipe.issue_ldst(pipe.src_ready(base), Some(rd), latency);
+                }
+                FusedOp::St {
+                    width,
+                    rs,
+                    base,
+                    offset,
+                    lat,
+                } => {
+                    let addr = machine.reg(base).wrapping_add_signed(offset.into());
+                    machine.store(addr, width, machine.reg(rs))?;
+                    let (_, served) = self.cache.access_served(addr);
+                    charge_mem_levels(stats, served);
+                    let st_latency = lat + spike_cycles(&mut self.mem_faults);
+                    let e = pipe.src_ready(rs).max(pipe.src_ready(base));
+                    pipe.issue_ldst(e, None, st_latency);
+                }
+                FusedOp::MovImm { rd, imm } => {
+                    machine.set_reg(rd, imm);
+                    pipe.issue_int(0, rd, 1);
+                }
+                FusedOp::Mov { rd, ra } => {
+                    machine.set_reg(rd, machine.reg(ra));
+                    pipe.issue_int(pipe.src_ready(ra), rd, 1);
+                }
+                FusedOp::BranchRR {
+                    cond,
+                    ra,
+                    rb,
+                    pc: bpc,
+                    exit_pc,
+                    exit: ex,
+                    expect_taken,
+                } => {
+                    let taken = cond_taken(cond, machine.reg(ra), machine.reg(rb));
+                    let e = pipe.src_ready(ra).max(pipe.src_ready(rb));
+                    pipe.issue_branch(e);
+                    match predictor.as_mut() {
+                        Some(bp) => {
+                            let stall = bp.resolve(bpc as usize, taken);
+                            if stall > 0 {
+                                pipe.branch_bubble(stall);
+                                stats.branch_bubbles += 1;
+                            }
+                        }
+                        None if taken => {
+                            pipe.branch_bubble(taken_bubble);
+                            stats.branch_bubbles += 1;
+                        }
+                        None => {}
+                    }
+                    if taken != expect_taken {
+                        *dyn_insts += 1;
+                        return Ok(BlockEnd {
+                            exit: ex,
+                            next_pc: Some(exit_pc as usize),
+                        });
+                    }
+                }
+                FusedOp::BranchRI {
+                    cond,
+                    ra,
+                    imm,
+                    pc: bpc,
+                    exit_pc,
+                    exit: ex,
+                    expect_taken,
+                } => {
+                    let taken = cond_taken(cond, machine.reg(ra), imm);
+                    pipe.issue_branch(pipe.src_ready(ra));
+                    match predictor.as_mut() {
+                        Some(bp) => {
+                            let stall = bp.resolve(bpc as usize, taken);
+                            if stall > 0 {
+                                pipe.branch_bubble(stall);
+                                stats.branch_bubbles += 1;
+                            }
+                        }
+                        None if taken => {
+                            pipe.branch_bubble(taken_bubble);
+                            stats.branch_bubbles += 1;
+                        }
+                        None => {}
+                    }
+                    if taken != expect_taken {
+                        *dyn_insts += 1;
+                        return Ok(BlockEnd {
+                            exit: ex,
+                            next_pc: Some(exit_pc as usize),
+                        });
+                    }
+                }
+                FusedOp::JumpFused => {
+                    pipe.issue_branch(0);
+                    pipe.branch_bubble(taken_bubble);
+                    stats.branch_bubbles += 1;
+                }
+                FusedOp::JumpExit { target } => {
+                    pipe.issue_branch(0);
+                    pipe.branch_bubble(taken_bubble);
+                    stats.branch_bubbles += 1;
+                    *dyn_insts += 1;
+                    return Ok(BlockEnd {
+                        exit: sb.total_exit,
+                        next_pc: Some(target as usize),
+                    });
+                }
+                FusedOp::MemoBranchHit {
+                    exit_pc,
+                    exit: ex,
+                    expect_hit,
+                } => {
+                    pipe.issue_branch(0);
+                    if machine.memo_hit {
+                        pipe.branch_bubble(taken_bubble);
+                        stats.branch_bubbles += 1;
+                    }
+                    if machine.memo_hit != expect_hit {
+                        *dyn_insts += 1;
+                        return Ok(BlockEnd {
+                            exit: ex,
+                            next_pc: Some(exit_pc as usize),
+                        });
+                    }
+                }
+                FusedOp::MemoLdCrc {
+                    width,
+                    rd,
+                    base,
+                    offset,
+                    lut,
+                    trunc,
+                    pc: at_pc,
+                } => {
+                    let at_pc = at_pc as usize;
+                    // A missing unit faults before the load can.
+                    self.memo
+                        .as_ref()
+                        .ok_or(SimError::NoMemoUnit { pc: at_pc })?;
+                    let addr = machine.reg(base).wrapping_add_signed(offset.into());
+                    let raw = machine.load(addr, width)?;
+                    machine.set_reg(rd, raw);
+                    let (mut latency, served) = self.cache.access_served(addr);
+                    latency += spike_cycles(&mut self.mem_faults);
+                    charge_mem_levels(stats, served);
+                    let port = self.memo_port(pipe, stats, at_pc)?;
+                    let input = CrcInput {
+                        lut,
+                        width,
+                        raw,
+                        trunc,
+                    };
+                    memo.ld_crc(port, base, rd, latency, input);
+                }
+                FusedOp::MemoRegCrc {
+                    width,
+                    src,
+                    lut,
+                    trunc,
+                    pc: at_pc,
+                } => {
+                    let port = self.memo_port(pipe, stats, at_pc as usize)?;
+                    let input = CrcInput {
+                        lut,
+                        width,
+                        raw: machine.reg(src),
+                        trunc,
+                    };
+                    memo.reg_crc(port, src, input);
+                }
+                FusedOp::MemoLookup { rd, lut, pc: at_pc } => {
+                    let port = self.memo_port(pipe, stats, at_pc as usize)?;
+                    memo.lookup(port, machine, rd, lut);
+                }
+                FusedOp::MemoUpdate {
+                    src,
+                    lut,
+                    pc: at_pc,
+                } => {
+                    let data = machine.reg(src);
+                    let port = self.memo_port(pipe, stats, at_pc as usize)?;
+                    memo.update(port, src, lut, data);
+                }
+                FusedOp::MemoInvalidate { lut, pc: at_pc } => {
+                    let port = self.memo_port(pipe, stats, at_pc as usize)?;
+                    memo.invalidate(port, lut);
+                }
+            }
+            *dyn_insts += 1;
+        }
+        Ok(BlockEnd {
+            exit: sb.total_exit,
+            next_pc: Some(sb.fall_pc as usize),
+        })
     }
 }
 

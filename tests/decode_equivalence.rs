@@ -393,9 +393,11 @@ impl ProgramGen {
 /// Seeded random programs — integer, multiply and divide ops (some by
 /// zero), FP ops, loads and stores at and past the memory bound,
 /// counted loops whose inner branch flips bias mid-run, data-dependent
-/// branches, and tight instruction or cycle limits on some programs —
-/// must produce the same `Result`, registers and memory on the
-/// threaded tier as on the legacy loop.
+/// branches, and on some programs a tight instruction or cycle limit,
+/// the default instruction budget, or an instruction limit at the
+/// program's exact dynamic count and one either side of it — must
+/// produce the same `Result`, registers and memory on the threaded tier
+/// as on the legacy loop.
 #[test]
 fn random_programs_match_legacy() {
     let mut outcomes = [0usize; 3]; // [completed, faulted, watchdog]
@@ -405,13 +407,8 @@ fn random_programs_match_legacy() {
             hazards: seed % 4 == 0,
         };
         let program = gen.program();
-        let (max_insts, max_cycles) = match gen.rng.below(6) {
-            0 => (gen.rng.below(400), u64::MAX),
-            1 => (u64::MAX, gen.rng.below(1500)),
-            _ => (u64::MAX, u64::MAX),
-        };
         let predictor = gen.rng.bool().then(PredictorConfig::default);
-        let run = |dispatch: DispatchTier| {
+        let run = |dispatch: DispatchTier, max_insts: u64, max_cycles: u64| {
             let mut sim = Simulator::new(SimConfig {
                 dispatch,
                 max_insts,
@@ -424,16 +421,34 @@ fn random_programs_match_legacy() {
             let result = sim.run(&program, &mut machine);
             (result, machine.regs, machine)
         };
-        let reference = run(DispatchTier::Legacy);
-        let threaded = run(DispatchTier::Threaded);
-        assert_eq!(threaded.0, reference.0, "seed {seed}: result diverges");
-        assert_eq!(threaded.1, reference.1, "seed {seed}: registers diverge");
-        assert!(threaded.2 == reference.2, "seed {seed}: memory diverges");
-        outcomes[match reference.0 {
-            Ok(_) => 0,
-            Err(SimError::InstLimit { .. } | SimError::CycleLimit { .. }) => 2,
-            Err(_) => 1,
-        }] += 1;
+        let limits = match gen.rng.below(8) {
+            0..=1 => vec![(gen.rng.below(400), u64::MAX)],
+            2..=3 => vec![(u64::MAX, gen.rng.below(1500))],
+            4 => vec![(SimConfig::default().max_insts, u64::MAX)],
+            // The unlimited run's exact count and one either side of it:
+            // there the last superblock's budget check decides the trip.
+            5 => match run(DispatchTier::Legacy, u64::MAX, u64::MAX).0 {
+                Ok(stats) => {
+                    let n = stats.dynamic_insts;
+                    vec![(n - 1, u64::MAX), (n, u64::MAX), (n + 1, u64::MAX)]
+                }
+                Err(_) => vec![(u64::MAX, u64::MAX)],
+            },
+            _ => vec![(u64::MAX, u64::MAX)],
+        };
+        for (max_insts, max_cycles) in limits {
+            let reference = run(DispatchTier::Legacy, max_insts, max_cycles);
+            let threaded = run(DispatchTier::Threaded, max_insts, max_cycles);
+            let at = format!("seed {seed}, max_insts {max_insts}, max_cycles {max_cycles}");
+            assert_eq!(threaded.0, reference.0, "{at}: result diverges");
+            assert_eq!(threaded.1, reference.1, "{at}: registers diverge");
+            assert!(threaded.2 == reference.2, "{at}: memory diverges");
+            outcomes[match reference.0 {
+                Ok(_) => 0,
+                Err(SimError::InstLimit { .. } | SimError::CycleLimit { .. }) => 2,
+                Err(_) => 1,
+            }] += 1;
+        }
     }
     // The generator reaches every outcome class, with most programs
     // running to completion.
