@@ -15,7 +15,8 @@
 //!
 //! Extra flag (before the shared ones): `--benches a,b,c` restricts the
 //! matrix to a comma-separated benchmark subset (CI smoke runs use
-//! this; the default is all ten). Sweep cells never snapshot or
+//! this; the default is all ten). An unknown name exits 2 and is named
+//! on stderr. Sweep cells never snapshot or
 //! restore, so `--snapshot-out`, `--restore-from` and
 //! `--restore-policy` exit 2, as for every experiment but fig7–fig10.
 //!
@@ -27,23 +28,25 @@
 //! makes one more with faults cleared, reported as `ok*` if it passes.
 
 use axmemo_bench::experiments::{experiment, fault_sweep};
+use axmemo_bench::select_benches;
 
 fn main() {
     // Split off the sweep-specific `--benches` flag; the driver parses
     // the rest.
+    let sweep = experiment("fault_sweep");
     let mut benches: Vec<String> = Vec::new();
     let mut shared = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         if arg == "--benches" {
-            let list = it.next().unwrap_or_else(|| {
-                eprintln!("error: --benches requires a comma-separated list");
-                std::process::exit(2);
-            });
+            let list = it
+                .next()
+                .unwrap_or_else(|| sweep.usage_error("--benches requires a comma-separated list"));
             benches = list.split(',').map(str::to_string).collect();
         } else {
             shared.push(arg);
         }
     }
-    experiment("fault_sweep").main_with(shared, |ctx, tel| fault_sweep(ctx, tel, &benches));
+    let benches = select_benches(&benches).unwrap_or_else(|msg| sweep.usage_error(&msg));
+    sweep.main_with(shared, |ctx, tel| fault_sweep(ctx, tel, &benches));
 }

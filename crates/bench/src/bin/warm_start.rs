@@ -26,7 +26,8 @@
 //! crash-recovery job diffs.
 
 use axmemo_bench::{
-    run_cell, scale_from_env, BaselineCache, BenchArgs, ReportMode, SnapshotPlan, Table,
+    run_cell, scale_from_env, select_benches, BaselineCache, BenchArgs, ReportMode, RunOptions,
+    SnapshotPlan, Table,
 };
 use axmemo_core::config::MemoConfig;
 use axmemo_workloads::all_benchmarks;
@@ -43,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!(
             "usage: warm_start [--state-dir <dir>] [--generations <n>] [--benches a,b,c] \
              [--trace-out <path>] [--report text|json] [--seed <n>] [--jobs <n>] \
-             [--dispatch legacy|threaded] \
              [--restore-policy oldest|mru] \
              [--profile-out <path>] [--profile folded|json|text]"
         );
@@ -89,26 +89,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("error: {msg}");
         usage();
     });
-    let known: Vec<String> = all_benchmarks()
-        .iter()
-        .map(|b| b.meta().name.to_string())
-        .collect();
-    let unknown: Vec<&str> = benches
-        .iter()
-        .filter(|b| !known.contains(b))
-        .map(String::as_str)
-        .collect();
-    if !unknown.is_empty() {
-        eprintln!(
-            "error: --benches names unknown benchmark(s) {}; known: {}",
-            unknown.join(","),
-            known.join(",")
-        );
+    let benches = select_benches(&benches).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
         usage();
-    }
-    if benches.is_empty() {
-        benches = known;
-    }
+    });
     let state_dir = state_dir.unwrap_or_else(|| std::env::temp_dir().join("axmemo-warm-start"));
 
     let mut tel = args.telemetry()?;
@@ -154,7 +138,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &memo,
                 tel,
                 &cache,
-                args.run_options(),
+                RunOptions::default(),
                 &plan,
             )
             .unwrap_or_else(|e| {

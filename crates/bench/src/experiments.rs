@@ -118,12 +118,11 @@ pub struct Experiment {
 const SNAPSHOT_FLAGS: [&str; 3] = ["--snapshot-out", "--restore-from", "--restore-policy"];
 
 /// Usage fragment of every shared flag, keyed by the flag.
-const FLAG_USAGE: [(&str, &str); 10] = [
+const FLAG_USAGE: [(&str, &str); 9] = [
     ("--trace-out", "[--trace-out <path>]"),
     ("--report", "[--report text|json]"),
     ("--seed", "[--seed <n>]"),
     ("--jobs", "[--jobs <n>]"),
-    ("--dispatch", "[--dispatch legacy|threaded]"),
     ("--profile-out", "[--profile-out <path>]"),
     ("--profile", "[--profile folded|json|text]"),
     ("--snapshot-out", "[--snapshot-out <dir>]"),
@@ -155,11 +154,14 @@ fn parse_or_exit(
         Some(flag) => Err(format!("{bin} does not take {flag}")),
         None => BenchArgs::try_from_iter(raw),
     };
-    parsed.unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        eprintln!("{}", usage(bin, extra, refused));
-        std::process::exit(2);
-    })
+    parsed.unwrap_or_else(|msg| usage_exit(bin, extra, refused, &msg))
+}
+
+/// Print `msg` and the usage line of `bin`, and exit 2.
+fn usage_exit(bin: &str, extra: &str, refused: &[&str], msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("{}", usage(bin, extra, refused));
+    std::process::exit(2);
 }
 
 impl Experiment {
@@ -169,6 +171,12 @@ impl Experiment {
         } else {
             &SNAPSHOT_FLAGS
         }
+    }
+
+    /// Print `msg` and this binary's usage line, and exit 2: for a bad
+    /// value of a flag only the binary itself parses.
+    pub fn usage_error(&self, msg: &str) -> ! {
+        usage_exit(self.name, self.extra_usage, self.refused(), msg)
     }
 
     /// Run this experiment as its own binary with the process
@@ -489,7 +497,7 @@ fn fig11(ctx: &Context, tel: &mut Telemetry) -> Result<Output> {
     let mut ax_hits = Vec::new();
     let mut ex_hits = Vec::new();
     let plan = SnapshotPlan::default();
-    let opts = ctx.args.run_options();
+    let opts = RunOptions::default();
     let exact_opts = RunOptions {
         zero_trunc: true,
         ..opts
@@ -639,15 +647,14 @@ fn l2_sensitivity(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
     Ok(out.into())
 }
 
-/// Tag collisions of one event stream at `width`: inputs of the same
-/// LUT that differ from the first input seen with their CRC value.
-fn crc_collisions(events: &[(u8, Vec<u8>)], width: CrcWidth) -> u64 {
-    let crc = TableCrc::new(width);
-    // (lut, crc) -> representative input
+/// Tag collisions of one event stream under `hash`: inputs of the same
+/// LUT that differ from the first input seen with their hash value.
+fn collisions(events: &[(u8, Vec<u8>)], hash: impl Fn(&[u8]) -> u64) -> u64 {
+    // (lut, hash) -> representative input
     let mut seen: std::collections::HashMap<(u8, u64), &[u8]> = Default::default();
     let mut collided = 0u64;
     for (lut, bytes) in events {
-        let first = *seen.entry((*lut, crc.checksum(bytes))).or_insert(bytes);
+        let first = *seen.entry((*lut, hash(bytes))).or_insert(bytes);
         if first != bytes.as_slice() {
             collided += 1;
         }
@@ -655,12 +662,36 @@ fn crc_collisions(events: &[(u8, Vec<u8>)], width: CrcWidth) -> u64 {
     collided
 }
 
+/// The cheap alternative to a CRC: every 4-byte little-endian word
+/// (the last one zero-padded) xored into 32 bits.
+fn xor_fold(data: &[u8]) -> u64 {
+    let mut acc = 0u32;
+    for chunk in data.chunks(4) {
+        let mut w = [0u8; 4];
+        w[..chunk.len()].copy_from_slice(chunk);
+        acc ^= u32::from_le_bytes(w);
+    }
+    u64::from(acc)
+}
+
+/// ATM-style input sampling: the first 8 bytes (zero-padded) stand for
+/// the whole input.
+fn sample8(data: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    let n = data.len().min(8);
+    w[..n].copy_from_slice(&data[..n]);
+    u64::from_le_bytes(w)
+}
+
 /// Ablation: CRC width vs. collision rate on real workload input
 /// streams. §6 claims "32-bit CRC is generally large enough to avoid
 /// collision"; this replays each benchmark's recorded lookup events
 /// (the paper matrix's contender inputs) and re-hashes the raw input
-/// bytes at 16/32/64 bits.
+/// bytes at 16/32/64 bits, and with the two cheaper keys the paper
+/// argues against: a 32-bit xor-fold and ATM-style 8-byte sampling.
+/// The footer is computed from the counts.
 fn ablation_crc(ctx: &Context, tel: &mut Telemetry) -> Result<Output> {
+    const KEYS: [&str; 5] = ["CRC16", "CRC32", "CRC64", "xor-fold", "sample8"];
     let mut out = String::new();
     writeln!(
         out,
@@ -669,9 +700,18 @@ fn ablation_crc(ctx: &Context, tel: &mut Telemetry) -> Result<Output> {
     )?;
     writeln!(
         out,
-        "{:<14} | {:>10} | {:>14} | {:>14} | {:>14}",
-        "Benchmark", "lookups", "CRC16 collide", "CRC32 collide", "CRC64 collide"
+        "{:<14} | {:>10} | {:>14} | {:>14} | {:>14} | {:>16} | {:>16}",
+        "Benchmark",
+        "lookups",
+        "CRC16 collide",
+        "CRC32 collide",
+        "CRC64 collide",
+        "xor-fold collide",
+        "sample8 collide"
     )?;
+    let crcs = [CrcWidth::W16, CrcWidth::W32, CrcWidth::W64].map(TableCrc::new);
+    let mut lookups = 0usize;
+    let mut totals = [0u64; KEYS.len()];
     for row in &ctx.matrix(tel)?.rows {
         let stream: Vec<(u8, Vec<u8>)> = row
             .contender
@@ -679,23 +719,47 @@ fn ablation_crc(ctx: &Context, tel: &mut Telemetry) -> Result<Output> {
             .iter()
             .map(|e| (e.lut.raw(), e.input_bytes.clone()))
             .collect();
-        let c16 = crc_collisions(&stream, CrcWidth::W16);
-        let c32 = crc_collisions(&stream, CrcWidth::W32);
-        let c64 = crc_collisions(&stream, CrcWidth::W64);
+        let counts = [
+            collisions(&stream, |d| crcs[0].checksum(d)),
+            collisions(&stream, |d| crcs[1].checksum(d)),
+            collisions(&stream, |d| crcs[2].checksum(d)),
+            collisions(&stream, xor_fold),
+            collisions(&stream, sample8),
+        ];
         writeln!(
             out,
-            "{:<14} | {:>10} | {:>14} | {:>14} | {:>14}",
+            "{:<14} | {:>10} | {:>14} | {:>14} | {:>14} | {:>16} | {:>16}",
             row.bench,
             stream.len(),
-            c16,
-            c32,
-            c64
+            counts[0],
+            counts[1],
+            counts[2],
+            counts[3],
+            counts[4]
         )?;
+        lookups += stream.len();
+        for (total, count) in totals.iter_mut().zip(counts) {
+            *total += count;
+        }
     }
     writeln!(out)?;
+    let observed: Vec<String> = KEYS
+        .iter()
+        .zip(totals)
+        .map(|(key, total)| format!("{key} {total}"))
+        .collect();
     writeln!(
         out,
-        "Expectation (§6): CRC32 and CRC64 collision-free on these streams;"
+        "Collisions in {lookups} lookups: {}.",
+        observed.join(", ")
+    )?;
+    let crc32 = match totals[1] {
+        0 => "is collision-free".to_string(),
+        n => format!("collides on {n} of {lookups} lookups"),
+    };
+    writeln!(
+        out,
+        "Expectation (§6): 32-bit CRC is generally large enough to avoid collision; here CRC32 {crc32}."
     )?;
     writeln!(
         out,
@@ -744,7 +808,7 @@ fn ablation_two_level(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
                 &cfg,
                 Telemetry::off(),
                 &ctx.cache,
-                ctx.args.run_options(),
+                RunOptions::default(),
                 &SnapshotPlan::default(),
             )?
             .result;
@@ -841,6 +905,8 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
 /// on the [`Orchestrator`] pool with `--jobs` workers, sharing the
 /// context's baselines. See the `fault_sweep` binary for the matrix.
 /// A failed cell is a structured row of the report, never an error.
+/// An empty `benches` means all ten; the binary has already checked
+/// the names (see [`crate::select_benches`]).
 pub fn fault_sweep(ctx: &Context, tel: &mut Telemetry, benches: &[String]) -> Result<Output> {
     let benches: Vec<String> = if benches.is_empty() {
         all_benchmarks()
@@ -855,7 +921,6 @@ pub fn fault_sweep(ctx: &Context, tel: &mut Telemetry, benches: &[String]) -> Re
     let outcomes = Orchestrator::new(ctx.scale)
         .jobs(args.effective_jobs())
         .progress(true)
-        .dispatch(args.dispatch)
         .profile(args.profiling())
         .run_with_telemetry(&matrix, &ctx.cache, tel);
     let table = sweep::table(ctx.scale, args.seed, &metas, &outcomes);
@@ -870,6 +935,18 @@ mod tests {
     use super::*;
 
     #[test]
+    fn collisions_count_distinct_inputs_sharing_a_key_per_lut() {
+        let a = vec![1, 2, 3, 4, 5, 6, 7, 8, 9];
+        let b = vec![1, 2, 3, 4, 5, 6, 7, 8, 0]; // differs past byte 8
+        let c = vec![9, 2, 3, 4, 5, 6, 7, 8, 1]; // same xor-fold as `a`
+        let stream = vec![(0, a.clone()), (0, b.clone()), (0, c), (1, b), (0, a)];
+        assert_eq!(collisions(&stream, sample8), 1, "b aliases a");
+        assert_eq!(collisions(&stream, xor_fold), 1, "c aliases a");
+        let crc = TableCrc::new(CrcWidth::W32);
+        assert_eq!(collisions(&stream, |d| crc.checksum(d)), 0);
+    }
+
+    #[test]
     fn only_the_matrix_figures_take_snapshot_flags() {
         let snapshot: Vec<&str> = EXPERIMENTS
             .iter()
@@ -880,7 +957,7 @@ mod tests {
         let fig11 = experiment("fig11");
         let line = usage(fig11.name, fig11.extra_usage, fig11.refused());
         assert!(line.starts_with("usage: fig11 [--trace-out"), "{line}");
-        assert!(line.contains("--dispatch legacy|threaded"), "{line}");
+        assert!(!line.contains("--dispatch"), "{line}");
         assert!(!line.contains("--snapshot-out"), "{line}");
         let sweep = experiment("fault_sweep");
         let line = usage(sweep.name, sweep.extra_usage, sweep.refused());

@@ -37,7 +37,7 @@ use axmemo_telemetry::{escape_json, JsonlSink, Profile, Telemetry};
 pub use axmemo_workloads::runner::RunOptions;
 pub use axmemo_workloads::runner::SnapshotPlan;
 use axmemo_workloads::runner::{run_benchmark_report_snap, RunReport};
-use axmemo_workloads::{Benchmark, Dataset, Scale};
+use axmemo_workloads::{all_benchmarks, Benchmark, Dataset, Scale};
 
 pub use axmemo_workloads::BaselineCache;
 
@@ -82,21 +82,15 @@ pub enum ProfileMode {
 /// * `--jobs <n>` — worker threads for orchestrated sweeps (default:
 ///   available parallelism; `1` forces the serial path). Serial
 ///   binaries accept and ignore it, so one flag set drives them all.
-/// * `--dispatch legacy|threaded` — execution tier for every
-///   simulation (default `threaded`, the fused-superblock interpreter).
-///   Results are bit-identical across tiers (pinned by the
-///   decode-equivalence tests and the CI golden diffs); `legacy` is the
-///   reference side of those diffs and the escape hatch.
 /// * `--snapshot-out <dir>` — after each benchmark's memoized run,
 ///   write its warm LUT image atomically to `<dir>/<bench>.axmsnap`.
 /// * `--restore-from <dir>` — warm-start each benchmark from
 ///   `<dir>/<bench>.axmsnap` (written by a previous `--snapshot-out`
 ///   run). Corrupt or torn files degrade to a reported cold start.
-///   Both snapshot flags are default-off with the same discipline as
-///   the dispatch escape hatches: unused, the output is byte-identical
-///   to a build without the feature. Only the paper-matrix figures
-///   (`fig7`–`fig10`) take them; the [`experiments`] drivers reject
-///   them elsewhere with exit 2.
+///   Both snapshot flags are default-off: unused, the output is
+///   byte-identical to a build without the feature. Only the
+///   paper-matrix figures (`fig7`–`fig10`) take them; the
+///   [`experiments`] drivers reject them elsewhere with exit 2.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     /// JSONL event-trace destination, when requested.
@@ -107,9 +101,6 @@ pub struct BenchArgs {
     pub seed: u64,
     /// Requested worker count; 0 means "auto" (available parallelism).
     pub jobs: usize,
-    /// Execution tier selected with `--dispatch` (default
-    /// [`DispatchTier::Threaded`]).
-    pub dispatch: DispatchTier,
     /// Cycle-attribution profile destination (`--profile-out`); `None`
     /// keeps profiling fully off.
     pub profile_out: Option<String>,
@@ -157,14 +148,6 @@ impl BenchArgs {
                         return Err("--jobs must be at least 1".to_string());
                     }
                 }
-                "--dispatch" => match it.next().as_deref() {
-                    Some(tier) => {
-                        out.dispatch = DispatchTier::parse(tier).ok_or_else(|| {
-                            format!("--dispatch must be legacy|threaded, got {tier}")
-                        })?;
-                    }
-                    None => return Err("--dispatch requires legacy|threaded".to_string()),
-                },
                 "--profile-out" => {
                     out.profile_out =
                         Some(it.next().ok_or("--profile-out requires a path argument")?);
@@ -219,15 +202,6 @@ impl BenchArgs {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
-        }
-    }
-
-    /// The per-run switches the flags ask for: default options on the
-    /// `--dispatch` execution tier.
-    pub fn run_options(&self) -> RunOptions {
-        RunOptions {
-            dispatch: self.dispatch,
-            ..RunOptions::default()
         }
     }
 
@@ -464,6 +438,37 @@ pub fn scale_from_env() -> Scale {
     }
 }
 
+/// The benchmarks a `--benches a,b,c` list selects, in list order;
+/// every registered benchmark when `names` is empty.
+///
+/// # Errors
+///
+/// A message naming every unknown benchmark and listing the known
+/// ones; the binaries print it and exit 2.
+pub fn select_benches(names: &[String]) -> Result<Vec<String>, String> {
+    let known: Vec<String> = all_benchmarks()
+        .iter()
+        .map(|b| b.meta().name.to_string())
+        .collect();
+    let unknown: Vec<&str> = names
+        .iter()
+        .filter(|b| !known.contains(b))
+        .map(String::as_str)
+        .collect();
+    if !unknown.is_empty() {
+        return Err(format!(
+            "--benches names unknown benchmark(s) {}; known: {}",
+            unknown.join(","),
+            known.join(",")
+        ));
+    }
+    Ok(if names.is_empty() {
+        known
+    } else {
+        names.to_vec()
+    })
+}
+
 /// The four hardware configurations of §6.2, labelled as in the
 /// figures.
 pub fn paper_configs() -> Vec<(String, MemoConfig)> {
@@ -637,82 +642,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// A tiny wall-clock micro-benchmark harness for the `benches/`
-/// binaries (`cargo bench` with `harness = false`): calibrated
-/// batching against `std::time::Instant`, no external crates.
-pub mod timing {
-    use std::time::Instant;
-
-    /// One completed measurement.
-    #[derive(Debug, Clone)]
-    pub struct Measurement {
-        /// Benchmark label.
-        pub name: String,
-        /// Iterations in the timed batch.
-        pub iters: u64,
-        /// Mean wall-clock nanoseconds per iteration.
-        pub ns_per_iter: f64,
-    }
-
-    impl std::fmt::Display for Measurement {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            if self.ns_per_iter >= 1_000_000.0 {
-                write!(
-                    f,
-                    "{:<40} {:>12.3} ms/iter ({} iters)",
-                    self.name,
-                    self.ns_per_iter / 1e6,
-                    self.iters
-                )
-            } else if self.ns_per_iter >= 1_000.0 {
-                write!(
-                    f,
-                    "{:<40} {:>12.3} us/iter ({} iters)",
-                    self.name,
-                    self.ns_per_iter / 1e3,
-                    self.iters
-                )
-            } else {
-                write!(
-                    f,
-                    "{:<40} {:>12.1} ns/iter ({} iters)",
-                    self.name, self.ns_per_iter, self.iters
-                )
-            }
-        }
-    }
-
-    /// Time `f`, growing the batch size until the timed batch runs at
-    /// least ~50 ms (or a batch cap is hit), and return the mean cost
-    /// per iteration. One warm-up call precedes timing.
-    pub fn bench<F: FnMut()>(name: &str, mut f: F) -> Measurement {
-        f(); // warm-up
-        let mut iters: u64 = 1;
-        loop {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            let elapsed = start.elapsed();
-            if elapsed.as_millis() >= 50 || iters >= 1 << 22 {
-                return Measurement {
-                    name: name.to_string(),
-                    iters,
-                    ns_per_iter: elapsed.as_nanos() as f64 / iters as f64,
-                };
-            }
-            iters = iters.saturating_mul(4);
-        }
-    }
-
-    /// Run and print a measurement (the common bench-main idiom).
-    pub fn report<F: FnMut()>(name: &str, f: F) -> Measurement {
-        let m = bench(name, f);
-        println!("{m}");
-        m
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,32 +688,14 @@ mod tests {
     }
 
     #[test]
-    fn bench_args_parse_dispatch() {
-        let default = BenchArgs::try_from_iter(std::iter::empty()).unwrap();
-        assert_eq!(
-            default.dispatch,
-            DispatchTier::Threaded,
-            "threaded tier is the default"
-        );
-        assert_eq!(default.run_options().dispatch, DispatchTier::Threaded);
-        for (flag, tier) in [
-            ("legacy", DispatchTier::Legacy),
-            ("threaded", DispatchTier::Threaded),
-        ] {
-            let args =
-                BenchArgs::try_from_iter(["--dispatch".to_string(), flag.to_string()]).unwrap();
-            assert_eq!(args.dispatch, tier, "--dispatch {flag}");
-            assert_eq!(args.run_options().dispatch, tier);
-            assert!(
-                !args.run_options().zero_trunc,
-                "orthogonal switch untouched"
-            );
-        }
-        assert!(BenchArgs::try_from_iter(["--dispatch".to_string(), "warp".to_string()]).is_err());
-        assert!(BenchArgs::try_from_iter(["--dispatch".to_string()]).is_err());
+    fn bench_args_reject_removed_spellings() {
         // Removed tiers and flags fail loudly instead of falling back.
+        // The legacy interpreter is selected through `RunOptions` and
+        // `SimConfig` in tests, never from the command line.
         for removed in [
-            &["--dispatch", "predecode"][..],
+            &["--dispatch", "legacy"][..],
+            &["--dispatch", "threaded"],
+            &["--dispatch", "predecode"],
             &["--dispatch", "batched"],
             &["--batch-lanes", "4"],
             &["--no-predecode"],
@@ -902,14 +813,6 @@ mod tests {
         assert!(json.contains("\"title\":\"T \\\"q\\\"\""));
         assert!(json.contains("\"rows\":[[\"v\\n\"]]"));
         assert!(json.contains("\"summary\":{\"s\":\"1\"}"));
-    }
-
-    #[test]
-    fn timing_bench_measures_positive_cost() {
-        let mut x = 0u64;
-        let m = timing::bench("noop", || x = x.wrapping_add(1));
-        assert!(m.ns_per_iter >= 0.0);
-        assert!(m.iters >= 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use axmemo_workloads::{all_benchmarks, Scale};
 
 use crate::{
     collect_events_cached, geomean, mean, paper_configs, run_cell, software_lut_outcome,
-    BaselineCache, BenchArgs, ContenderInputs, ReportMode, Table,
+    BaselineCache, BenchArgs, ContenderInputs, ReportMode, RunOptions, Table,
 };
 
 /// One benchmark's row of the matrix.
@@ -76,7 +76,7 @@ impl PaperMatrix {
                     cfg,
                     handle,
                     cache,
-                    args.run_options(),
+                    RunOptions::default(),
                     &plan,
                 )?;
                 *tel = report.telemetry;

@@ -267,8 +267,8 @@ impl Orchestrator {
 
     /// Select the execution tier for every simulation (default:
     /// [`DispatchTier::Threaded`], the fused-superblock interpreter).
-    /// The `--dispatch legacy` escape hatch produces byte-identical
-    /// reports (the CI golden diffs pin exactly that).
+    /// The legacy tier, the executable spec, produces byte-identical
+    /// reports (the decode-equivalence tests pin exactly that).
     pub fn dispatch(mut self, tier: DispatchTier) -> Self {
         self.dispatch = tier;
         self

@@ -350,23 +350,14 @@ pub enum DispatchTier {
 }
 
 impl DispatchTier {
-    /// All tiers, in escape-hatch order (reference first).
+    /// All tiers, reference first.
     pub const ALL: [DispatchTier; 2] = [DispatchTier::Legacy, DispatchTier::Threaded];
 
-    /// The flag-facing name (`legacy` | `threaded`).
+    /// The tier's name (`legacy` | `threaded`).
     pub fn name(self) -> &'static str {
         match self {
             DispatchTier::Legacy => "legacy",
             DispatchTier::Threaded => "threaded",
-        }
-    }
-
-    /// Parse a flag value as accepted by `--dispatch`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "legacy" => Some(DispatchTier::Legacy),
-            "threaded" => Some(DispatchTier::Threaded),
-            _ => None,
         }
     }
 }
@@ -393,8 +384,8 @@ pub struct SimConfig {
     pub max_cycles: u64,
     /// Which interpreter runs the program (default
     /// [`DispatchTier::Threaded`]). Results are bit-identical across
-    /// tiers (pinned by tests), so the slower tiers exist only as
-    /// escape hatches and as references for equivalence checks.
+    /// tiers (pinned by tests), so the legacy tier exists only as the
+    /// reference for equivalence checks.
     pub dispatch: DispatchTier,
 }
 

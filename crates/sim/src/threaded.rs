@@ -26,10 +26,10 @@
 //! superblock was shown at entry not to reach the watchdog's limits,
 //! so `RunStats`, machine state, error values, fault-injector draws,
 //! and telemetry event streams are bit-identical across tiers (pinned
-//! by `tests/decode_equivalence.rs` and the CI golden diffs). Runs of
-//! consecutive region markers compress into one guard op —
-//! valid because the watchdog state cannot change between two
-//! zero-cost markers, so one check is equivalent to N.
+//! by `tests/decode_equivalence.rs`). Runs of consecutive region
+//! markers compress into one guard op — valid because the watchdog
+//! state cannot change between two zero-cost markers, so one check is
+//! equivalent to N.
 
 use crate::cpu::{
     charge_mem_levels, cond_taken, fbin, funop, ialu, ialu_simple, spike_cycles, Machine, SimError,

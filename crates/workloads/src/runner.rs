@@ -157,10 +157,9 @@ pub struct RunOptions {
     /// approximation-effectiveness comparison.
     pub zero_trunc: bool,
     /// Execution tier for both legs (default
-    /// [`DispatchTier::Threaded`]). The slower tiers produce
-    /// bit-identical results (pinned by the decode-equivalence tests),
-    /// so they exist as escape hatches and as the reference sides of
-    /// golden diffs.
+    /// [`DispatchTier::Threaded`]). The legacy tier produces
+    /// bit-identical results (pinned by the decode-equivalence tests);
+    /// it is the executable spec those tests compare against.
     pub dispatch: DispatchTier,
 }
 
@@ -172,8 +171,7 @@ pub struct RunOptions {
 /// [`BaselineCache`]: a restore only touches the memoized run's unit,
 /// which neither a baseline nor a [`PreparedProgram`] contains. The
 /// empty plan is the default and reproduces a plain run byte-for-byte —
-/// persistence is an escape hatch with the same default-off discipline
-/// as `--dispatch legacy`.
+/// persistence is default-off.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SnapshotPlan {
     /// Snapshot file to warm-start from, if any. The file is recovered
@@ -512,9 +510,9 @@ fn get_or_init<K: Eq + Hash, T>(
 ///   (domain × protection × rate) cells, but the memoization
 ///   configuration never reaches the baseline core, so the first cell
 ///   to ask simulates it and the rest share the [`Arc`]. The tier is in
-///   the key so a `--dispatch legacy` run genuinely exercises the
-///   legacy loop (the tiers are bit-identical, but the golden diffs
-///   exist to prove exactly that).
+///   the key so a legacy-tier run genuinely exercises the legacy
+///   loop (the tiers are bit-identical, but the decode-equivalence
+///   tests exist to prove exactly that).
 ///
 /// Nothing else is in any key. In particular a snapshot restore
 /// ([`SnapshotPlan`]) changes none of them: the baseline simulator has

@@ -154,8 +154,8 @@ fn baseline_cache_computes_once_per_key() {
 
     // The execution tier is part of the key: a legacy-loop request
     // simulates its own baseline instead of reusing the fast-path run
-    // (they are bit-identical — the golden diffs prove it — but sharing
-    // across interpreters would defeat those diffs).
+    // (they are bit-identical — the decode-equivalence tests prove
+    // it — but sharing across interpreters would defeat those tests).
     let legacy = cache
         .get_or_compute(
             bs.as_ref(),

@@ -55,6 +55,24 @@ fn warm_start_rejects_unknown_benchmark_names() {
 }
 
 #[test]
+fn fault_sweep_rejects_unknown_benchmark_names() {
+    assert_usage_error(FAULT_SWEEP, &["--benches", "bogus"], &["bogus"]);
+    assert_usage_error(
+        FAULT_SWEEP,
+        &["--benches", "blackscholes,sobell", "--jobs", "1"],
+        &["sobell"],
+    );
+}
+
+#[test]
+fn removed_dispatch_flag_exits_2() {
+    // The legacy interpreter is a test reference, not a flag.
+    for bin in [FIG11, FAULT_SWEEP, WARM_START] {
+        assert_usage_error(bin, &["--dispatch", "legacy"], &["--dispatch"]);
+    }
+}
+
+#[test]
 fn warm_start_rejects_snapshot_path_flags() {
     for flag in ["--snapshot-out", "--restore-from"] {
         assert_usage_error(WARM_START, &[flag, "x"], &[flag, "--state-dir"]);

@@ -1,94 +1,131 @@
 //! The threaded interpreter is an *optimisation*, never a semantic
 //! change: these tests pin byte-identical results between the two
-//! execution tiers — the legacy instruction-at-a-time loop
-//! (`--dispatch legacy`, the executable spec) and the threaded
-//! superblock interpreter (`--dispatch threaded`, the default) — at the
-//! benchmark and sweep level (metrics, raw run statistics, telemetry
-//! event streams, the whole aggregated fault-sweep report) and on
-//! seeded random programs.
+//! execution tiers — the legacy instruction-at-a-time loop (the
+//! executable spec, selected through `RunOptions::dispatch`,
+//! `SimConfig::dispatch` or `Orchestrator::dispatch`) and the threaded
+//! superblock interpreter (the default and the only tier the binaries
+//! run) — at the benchmark and sweep level (metrics, raw run
+//! statistics, report JSON, CRC and LUT profile leaves, telemetry event
+//! streams, the whole aggregated fault-sweep report) and on seeded
+//! random programs. The threaded tier's outputs are pinned by the
+//! figure goldens, so these tests carry the goldens to the spec.
 
-use axmemo_bench::orchestrator::Orchestrator;
-use axmemo_bench::{sweep, DispatchTier, ReportMode};
-use axmemo_core::config::MemoConfig;
+use axmemo_bench::orchestrator::{merge_profiles, Orchestrator};
+use axmemo_bench::{paper_configs, sweep, DispatchTier, ReportMode};
 use axmemo_sim::cpu::{Machine, SimConfig, SimError, Simulator, PAGE_BYTES};
 use axmemo_sim::ir::{Cond, FBinOp, FUnOp, IAluOp, MemWidth, Operand};
 use axmemo_sim::predictor::PredictorConfig;
 use axmemo_sim::{Program, ProgramBuilder};
-use axmemo_telemetry::{event_to_json, RingBufferSink, Telemetry};
+use axmemo_telemetry::{event_to_json, Profile, RingBufferSink, Telemetry};
 use axmemo_workloads::gen::SplitMix64;
 use axmemo_workloads::runner::{run_benchmark_report_cached, RunOptions};
 use axmemo_workloads::{all_benchmarks, Dataset, Scale};
+use std::collections::BTreeMap;
 
-fn options(dispatch: DispatchTier) -> RunOptions {
-    RunOptions {
-        dispatch,
-        ..RunOptions::default()
-    }
+/// Profile leaves by path, as (cycles, count).
+type Leaves = BTreeMap<String, (u64, u64)>;
+
+/// The `run;dispatch;crc.beat` and `run;dispatch;lut.*` leaves of
+/// `profile`. Both tiers take memo-op timing from one owner
+/// (`sim::memo`), so these must agree.
+fn memo_leaves(profile: &Profile) -> Leaves {
+    profile
+        .phases
+        .iter()
+        .filter(|(path, _)| {
+            *path == "run;dispatch;crc.beat" || path.starts_with("run;dispatch;lut.")
+        })
+        .map(|(path, stat)| (path.clone(), (stat.cycles, stat.count)))
+        .collect()
 }
 
-/// Every registered benchmark at tiny scale: identical baseline and
-/// memoized [`axmemo_sim::stats::RunStats`], identical paper metrics,
-/// and an identical telemetry event stream (every LUT probe, quality
-/// decision and span edge at the same simulated cycle) on both
-/// interpreters.
+/// Every registered benchmark at tiny scale under the four paper
+/// configurations (Figs. 7–10), each with the benchmark's own
+/// truncation and with none (`zero_trunc`, Fig. 11's exact leg):
+/// identical baseline and memoized [`axmemo_sim::stats::RunStats`],
+/// identical paper metrics and report JSON, identical CRC and LUT
+/// profile leaves (cycles and counts), and an identical telemetry
+/// event stream (every LUT probe, quality decision and span edge at
+/// the same simulated cycle) on both interpreters.
 #[test]
 fn every_benchmark_is_bit_identical_across_interpreters() {
-    let cfg = MemoConfig::l1_l2(8 * 1024, 256 * 1024);
+    let mut runs = 0;
     for bench in all_benchmarks() {
         let name = bench.meta().name;
-        let mut legs = Vec::new();
-        for tier in DispatchTier::ALL {
-            let sink = RingBufferSink::new(4_000_000);
-            let mut tel = Telemetry::enabled();
-            tel.add_sink(Box::new(sink.clone()));
-            let report = run_benchmark_report_cached(
-                bench.as_ref(),
-                Scale::Tiny,
-                Dataset::Eval,
-                &cfg,
-                options(tier),
-                tel,
-                None,
-            )
-            .unwrap_or_else(|e| panic!("{name} (dispatch={}): {e}", tier.name()));
-            assert_eq!(sink.dropped(), 0, "{name}: event stream truncated");
-            let events: Vec<String> = sink.events().iter().map(event_to_json).collect();
-            legs.push((tier, report, events));
-        }
-        let (_, ref_report, ref_events) = &legs[0];
-        for (tier, report, events) in &legs[1..] {
-            let t = tier.name();
-            assert_eq!(
-                report.result.baseline_stats, ref_report.result.baseline_stats,
-                "{name} ({t}): baseline stats diverge"
-            );
-            assert_eq!(
-                report.result.memo_stats, ref_report.result.memo_stats,
-                "{name} ({t}): memoized stats diverge"
-            );
-            assert_eq!(
-                report.result.error.output_error, ref_report.result.error.output_error,
-                "{name} ({t}): output error diverges"
-            );
-            assert_eq!(
-                report.result.hit_rate, ref_report.result.hit_rate,
-                "{name} ({t}): hit rate diverges"
-            );
-            assert_eq!(
-                report.to_json(),
-                ref_report.to_json(),
-                "{name} ({t}): report JSON diverges"
-            );
-            assert_eq!(
-                events.len(),
-                ref_events.len(),
-                "{name} ({t}): event counts diverge"
-            );
-            for (i, (got, want)) in events.iter().zip(ref_events).enumerate() {
-                assert_eq!(got, want, "{name} ({t}): event {i} diverges");
+        for (label, cfg) in paper_configs() {
+            for zero_trunc in [false, true] {
+                let at = format!("{name} {label} zero_trunc={zero_trunc}");
+                let mut legs = Vec::new();
+                for dispatch in DispatchTier::ALL {
+                    let sink = RingBufferSink::new(4_000_000);
+                    let mut tel = Telemetry::enabled();
+                    tel.add_sink(Box::new(sink.clone()));
+                    tel.profiler_mut().enable();
+                    let opts = RunOptions {
+                        zero_trunc,
+                        dispatch,
+                    };
+                    let report = run_benchmark_report_cached(
+                        bench.as_ref(),
+                        Scale::Tiny,
+                        Dataset::Eval,
+                        &cfg,
+                        opts,
+                        tel,
+                        None,
+                    )
+                    .unwrap_or_else(|e| panic!("{at} (dispatch={}): {e}", dispatch.name()));
+                    assert_eq!(sink.dropped(), 0, "{at}: event stream truncated");
+                    let events: Vec<String> = sink.events().iter().map(event_to_json).collect();
+                    let profile = report.telemetry.take_profile().expect("profiling on");
+                    legs.push((dispatch, report, events, memo_leaves(&profile)));
+                }
+                let (_, ref_report, ref_events, ref_leaves) = &legs[0];
+                assert!(
+                    ref_leaves.contains_key("run;dispatch;crc.beat") && ref_leaves.len() > 1,
+                    "{at}: CRC and LUT leaves missing: {ref_leaves:?}"
+                );
+                for (tier, report, events, leaves) in &legs[1..] {
+                    let t = tier.name();
+                    assert_eq!(
+                        report.result.baseline_stats, ref_report.result.baseline_stats,
+                        "{at} ({t}): baseline stats diverge"
+                    );
+                    assert_eq!(
+                        report.result.memo_stats, ref_report.result.memo_stats,
+                        "{at} ({t}): memoized stats diverge"
+                    );
+                    assert_eq!(
+                        report.result.error.output_error, ref_report.result.error.output_error,
+                        "{at} ({t}): output error diverges"
+                    );
+                    assert_eq!(
+                        report.result.hit_rate, ref_report.result.hit_rate,
+                        "{at} ({t}): hit rate diverges"
+                    );
+                    assert_eq!(
+                        report.to_json(),
+                        ref_report.to_json(),
+                        "{at} ({t}): report JSON diverges"
+                    );
+                    assert_eq!(
+                        leaves, ref_leaves,
+                        "{at} ({t}): CRC/LUT profile leaves diverge"
+                    );
+                    assert_eq!(
+                        events.len(),
+                        ref_events.len(),
+                        "{at} ({t}): event counts diverge"
+                    );
+                    for (i, (got, want)) in events.iter().zip(ref_events).enumerate() {
+                        assert_eq!(got, want, "{at} ({t}): event {i} diverges");
+                    }
+                }
+                runs += legs.len();
             }
         }
     }
+    assert_eq!(runs, 160);
 }
 
 /// Side-exit stress: a conditional branch whose bias *flips* mid-run.
@@ -133,26 +170,57 @@ fn biased_branch_flip_mid_run_side_exits_exactly() {
     assert_ne!(reference.1.regs[3], 0);
 }
 
-/// The reduced fault sweep — fault injection, retries, shared baselines
-/// and all — renders a byte-identical JSON report on every execution
-/// tier (the in-tree version of the CI `fault_sweep --dispatch …`
-/// golden diffs).
+/// The reduced fault sweep — fault injection, retries, watchdogs,
+/// shared baselines and all — with the profiler on, over two benchmark
+/// pairs: on every execution tier each pair renders the same JSON
+/// report and the same merged CRC and LUT profile leaves, and
+/// `blackscholes,sobel` renders the committed `fault_sweep_reduced`
+/// golden (`fault_sweep --seed 7 --benches blackscholes,sobel --report
+/// json`) byte for byte.
 #[test]
 fn reduced_fault_sweep_golden_diff_across_interpreters() {
-    let benches = vec!["blackscholes".to_string(), "fft".to_string()];
-    let (matrix, metas) = sweep::matrix(7, &benches);
-    let render = |tier: DispatchTier| -> String {
-        let outcomes = Orchestrator::new(Scale::Tiny)
-            .jobs(1)
-            .dispatch(tier)
-            .run(&matrix);
-        sweep::table(Scale::Tiny, 7, &metas, &outcomes).render(ReportMode::Json)
-    };
-    assert_eq!(
-        render(DispatchTier::Threaded),
-        render(DispatchTier::Legacy),
-        "fault-sweep report must not depend on the interpreter"
-    );
+    for pair in [["blackscholes", "sobel"], ["blackscholes", "fft"]] {
+        let at = pair.join(",");
+        let benches = pair.map(str::to_string).to_vec();
+        let (matrix, metas) = sweep::matrix(7, &benches);
+        let legs: Vec<(DispatchTier, String, Leaves)> = DispatchTier::ALL
+            .into_iter()
+            .map(|tier| {
+                let outcomes = Orchestrator::new(Scale::Tiny)
+                    .jobs(2)
+                    .dispatch(tier)
+                    .profile(true)
+                    .run(&matrix);
+                let report =
+                    sweep::table(Scale::Tiny, 7, &metas, &outcomes).render(ReportMode::Json);
+                let profile = merge_profiles(&outcomes).expect("profiling on");
+                (tier, report, memo_leaves(&profile))
+            })
+            .collect();
+        let (_, ref_report, ref_leaves) = &legs[0];
+        assert!(
+            ref_leaves.contains_key("run;dispatch;crc.beat") && ref_leaves.len() > 1,
+            "{at}: CRC and LUT leaves missing: {ref_leaves:?}"
+        );
+        for (tier, report, leaves) in &legs[1..] {
+            let t = tier.name();
+            assert_eq!(
+                report, ref_report,
+                "{at} ({t}): fault-sweep report diverges"
+            );
+            assert_eq!(
+                leaves, ref_leaves,
+                "{at} ({t}): CRC/LUT profile leaves diverge"
+            );
+        }
+        if at == "blackscholes,sobel" {
+            assert_eq!(
+                format!("{ref_report}\n"),
+                include_str!("data/fault_sweep_reduced.golden.json"),
+                "{at}: fault-sweep report drifted from its golden"
+            );
+        }
+    }
 }
 
 /// Memory size of every random program's machine: one and a half
