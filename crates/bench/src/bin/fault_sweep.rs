@@ -24,8 +24,8 @@
 //! baseline, so the sweep shares one baseline simulation per benchmark
 //! (19 cells → 1 baseline) through the orchestrator's `BaselineCache`
 //! and derives each benchmark's cycle watchdog from its measured
-//! baseline. A cell makes one attempt; a failed fault-injected cell
-//! makes one more with faults cleared, reported as `ok*` if it passes.
+//! baseline. A cell makes one attempt: the simulator is deterministic,
+//! so a retry would fail identically.
 
 use axmemo_bench::experiments::{experiment, fault_sweep};
 use axmemo_bench::select_benches;
@@ -34,19 +34,7 @@ fn main() {
     // Split off the sweep-specific `--benches` flag; the driver parses
     // the rest.
     let sweep = experiment("fault_sweep");
-    let mut benches: Vec<String> = Vec::new();
-    let mut shared = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        if arg == "--benches" {
-            let list = it
-                .next()
-                .unwrap_or_else(|| sweep.usage_error("--benches requires a comma-separated list"));
-            benches = list.split(',').map(str::to_string).collect();
-        } else {
-            shared.push(arg);
-        }
-    }
-    let benches = select_benches(&benches).unwrap_or_else(|msg| sweep.usage_error(&msg));
+    let ([benches], shared) = sweep.split_flags(std::env::args().skip(1), ["--benches"]);
+    let benches = select_benches(benches.as_deref()).unwrap_or_else(|msg| sweep.usage_error(&msg));
     sweep.main_with(shared, |ctx, tel| fault_sweep(ctx, tel, &benches));
 }

@@ -11,6 +11,7 @@
 
 use std::error::Error;
 use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use axmemo_compiler::dddg::Dddg;
@@ -18,6 +19,7 @@ use axmemo_compiler::trace::TraceCapture;
 use axmemo_compiler::{analyze, SearchConfig};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::crc::{CrcWidth, TableCrc};
+use axmemo_core::snapshot::RecoveryOutcome;
 use axmemo_core::unit::{UnitTiming, CRC_BYTES_PER_CYCLE};
 use axmemo_sim::cache::CacheConfig;
 use axmemo_sim::cpu::{DispatchTier, Machine, SimConfig, Simulator};
@@ -106,9 +108,10 @@ pub type Body = fn(&Context, &mut Telemetry) -> Result<Output>;
 pub struct Experiment {
     /// Binary name, also the section header in [`all_experiments`].
     pub name: &'static str,
-    /// Whether it honours `--snapshot-out`, `--restore-from` and
-    /// `--restore-policy`; every other experiment rejects them.
-    snapshots: bool,
+    /// Shared flags it rejects: the snapshot flags, except on the
+    /// matrix figures and `warm_start` (which takes only
+    /// `--restore-policy`).
+    refused: &'static [&'static str],
     /// Usage text for flags only its own binary parses.
     extra_usage: &'static str,
     body: Body,
@@ -165,18 +168,36 @@ fn usage_exit(bin: &str, extra: &str, refused: &[&str], msg: &str) -> ! {
 }
 
 impl Experiment {
-    fn refused(&self) -> &'static [&'static str] {
-        if self.snapshots {
-            &[]
-        } else {
-            &SNAPSHOT_FLAGS
-        }
-    }
-
     /// Print `msg` and this binary's usage line, and exit 2: for a bad
     /// value of a flag only the binary itself parses.
     pub fn usage_error(&self, msg: &str) -> ! {
-        usage_exit(self.name, self.extra_usage, self.refused(), msg)
+        usage_exit(self.name, self.extra_usage, self.refused, msg)
+    }
+
+    /// Split `raw` into the values of the flags in `own`, which only
+    /// this binary parses (each takes one value; a repeat overrides),
+    /// and the shared flags left for [`Self::main_with`]. A flag of
+    /// `own` without a value exits 2 with the usage line.
+    pub fn split_flags<const N: usize>(
+        &self,
+        raw: impl IntoIterator<Item = String>,
+        own: [&str; N],
+    ) -> ([Option<String>; N], Vec<String>) {
+        let mut values = std::array::from_fn(|_| None);
+        let mut shared = Vec::new();
+        let mut it = raw.into_iter();
+        while let Some(arg) = it.next() {
+            match own.iter().position(|flag| *flag == arg) {
+                Some(i) => {
+                    let value = it
+                        .next()
+                        .unwrap_or_else(|| self.usage_error(&format!("{arg} requires a value")));
+                    values[i] = Some(value);
+                }
+                None => shared.push(arg),
+            }
+        }
+        (values, shared)
     }
 
     /// Run this experiment as its own binary with the process
@@ -195,7 +216,7 @@ impl Experiment {
         raw: impl IntoIterator<Item = String>,
         body: impl FnOnce(&Context, &mut Telemetry) -> Result<Output>,
     ) {
-        let args = parse_or_exit(self.name, self.extra_usage, self.refused(), raw);
+        let args = parse_or_exit(self.name, self.extra_usage, self.refused, raw);
         let ctx = Context::new(args);
         let run = || -> Result<()> {
             let mut tel = ctx.args.telemetry()?;
@@ -261,7 +282,7 @@ pub fn experiment(name: &str) -> &'static Experiment {
 const fn plain(name: &'static str, body: Body) -> Experiment {
     Experiment {
         name,
-        snapshots: false,
+        refused: &SNAPSHOT_FLAGS,
         extra_usage: "",
         body,
     }
@@ -269,7 +290,7 @@ const fn plain(name: &'static str, body: Body) -> Experiment {
 
 const fn figure(name: &'static str, body: Body) -> Experiment {
     Experiment {
-        snapshots: true,
+        refused: &[],
         ..plain(name, body)
     }
 }
@@ -294,6 +315,17 @@ pub static EXPERIMENTS: [Experiment; 14] = [
         ..plain("fault_sweep", |c, t| fault_sweep(c, t, &[]))
     },
 ];
+
+/// The `warm_start` binary: not part of [`EXPERIMENTS`] (it writes
+/// snapshot files, so [`all_experiments`] leaves it out). `--state-dir`
+/// sets every snapshot path, so it refuses `--snapshot-out` and
+/// `--restore-from`; `--restore-policy` picks the restore order.
+pub static WARM_START: Experiment = Experiment {
+    name: "warm_start",
+    refused: &["--snapshot-out", "--restore-from"],
+    extra_usage: "[--state-dir <dir>] [--generations <n>] [--benches a,b,c] ",
+    body: |c, t| warm_start(c, t, &WarmStart::default()),
+};
 
 /// Run every experiment of [`EXPERIMENTS`] in this process and print
 /// each one's output under a `==== <name> ====` header in suite order,
@@ -930,6 +962,133 @@ pub fn fault_sweep(ctx: &Context, tel: &mut Telemetry, benches: &[String]) -> Re
     })
 }
 
+/// `warm_start`'s own flags.
+#[derive(Debug, Clone)]
+pub struct WarmStart {
+    /// Where the per-generation `.axmsnap` files live.
+    pub state_dir: PathBuf,
+    /// Runs per benchmark, at least 2.
+    pub generations: usize,
+    /// Benchmarks to run, in suite order (empty: all of them).
+    pub benches: Vec<String>,
+}
+
+impl Default for WarmStart {
+    fn default() -> Self {
+        Self {
+            state_dir: std::env::temp_dir().join("axmemo-warm-start"),
+            generations: 3,
+            benches: Vec::new(),
+        }
+    }
+}
+
+/// Cold-vs-warm hit-rate curves on an 8 KB L1 LUT: generation 0 of
+/// each benchmark is a cold run that only writes its snapshot,
+/// generation `k` warm-starts from generation `k-1`'s file. The report
+/// names no paths, so it is the same for any `state_dir`.
+///
+/// # Errors
+///
+/// The first run's failure, snapshot I/O included.
+pub fn warm_start(ctx: &Context, tel: &mut Telemetry, warm: &WarmStart) -> Result<Output> {
+    let (scale, generations) = (ctx.scale, warm.generations);
+    // One mid-size configuration: large enough to hold useful warm
+    // state, small enough that a single run does not trivially saturate
+    // it (the regime where persistence matters).
+    let memo = MemoConfig::l1_only(8 * 1024);
+    let mut table = Table::new(
+        format!("Warm-start hit-rate curves, {generations} generations, scale {scale:?}"),
+        &[
+            "Benchmark",
+            "Gen",
+            "Start",
+            "Hit rate",
+            "Speedup",
+            "Restored",
+            "dHit vs cold",
+        ],
+    );
+    let mut deltas: Vec<f64> = Vec::new();
+    let mut warmer = 0usize;
+    for bench in all_benchmarks() {
+        let name = bench.meta().name.to_string();
+        if !warm.benches.is_empty() && !warm.benches.contains(&name) {
+            continue;
+        }
+        let snap_path = |generation: usize| {
+            warm.state_dir
+                .join(format!("{name}.gen{generation}.axmsnap"))
+        };
+        let mut cold_hit_rate = 0.0;
+        for generation in 0..generations {
+            let plan = SnapshotPlan {
+                restore_from: (generation > 0).then(|| snap_path(generation - 1)),
+                snapshot_out: Some(snap_path(generation)),
+                restore_policy: ctx.args.restore_policy,
+            };
+            let report = run_cell(
+                bench.as_ref(),
+                scale,
+                &memo,
+                std::mem::take(tel),
+                &ctx.cache,
+                RunOptions::default(),
+                &plan,
+            )?;
+            *tel = report.telemetry;
+            let r = &report.result;
+            if generation == 0 {
+                cold_hit_rate = r.hit_rate;
+            }
+            let (start, restored) = match &report.recovery {
+                Some(rec) => (
+                    match rec.outcome {
+                        RecoveryOutcome::Restored => "warm",
+                        RecoveryOutcome::ColdStart => "cold",
+                    },
+                    rec.applied
+                        .map(|a| a.l1_restored + a.l2_restored)
+                        .unwrap_or(0),
+                ),
+                None => ("cold", 0),
+            };
+            let delta = r.hit_rate - cold_hit_rate;
+            table.row(vec![
+                name.clone(),
+                generation.to_string(),
+                start.to_string(),
+                format!("{:.4}", r.hit_rate),
+                format!("{:.2}x", r.speedup),
+                restored.to_string(),
+                format!("{delta:+.4}"),
+            ]);
+            if generation + 1 == generations {
+                deltas.push(delta);
+                if delta > 0.0 {
+                    warmer += 1;
+                }
+            }
+        }
+    }
+    table.summary(
+        "benchmarks warmer than cold",
+        format!("{warmer}/{}", deltas.len()),
+    );
+    table.summary(
+        "mean final hit-rate delta",
+        format!(
+            "{:+.4}",
+            if deltas.is_empty() {
+                0.0
+            } else {
+                deltas.iter().sum::<f64>() / deltas.len() as f64
+            }
+        ),
+    );
+    Ok(format!("{}\n", table.render(ctx.args.report)).into())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -950,20 +1109,26 @@ mod tests {
     fn only_the_matrix_figures_take_snapshot_flags() {
         let snapshot: Vec<&str> = EXPERIMENTS
             .iter()
-            .filter(|e| e.snapshots)
+            .filter(|e| e.refused.is_empty())
             .map(|e| e.name)
             .collect();
         assert_eq!(snapshot, ["fig7", "fig8", "fig9", "fig10"]);
         let fig11 = experiment("fig11");
-        let line = usage(fig11.name, fig11.extra_usage, fig11.refused());
+        let line = usage(fig11.name, fig11.extra_usage, fig11.refused);
         assert!(line.starts_with("usage: fig11 [--trace-out"), "{line}");
         assert!(!line.contains("--dispatch"), "{line}");
         assert!(!line.contains("--snapshot-out"), "{line}");
         let sweep = experiment("fault_sweep");
-        let line = usage(sweep.name, sweep.extra_usage, sweep.refused());
+        let line = usage(sweep.name, sweep.extra_usage, sweep.refused);
         assert!(line.starts_with("usage: fault_sweep [--benches a,b,c] "));
         let fig7 = experiment("fig7");
-        let line = usage(fig7.name, fig7.extra_usage, fig7.refused());
+        let line = usage(fig7.name, fig7.extra_usage, fig7.refused);
         assert!(line.ends_with("[--restore-policy oldest|mru]"), "{line}");
+        // warm_start sets its own snapshot paths but takes the policy.
+        let warm = &WARM_START;
+        let line = usage(warm.name, warm.extra_usage, warm.refused);
+        assert!(line.starts_with("usage: warm_start [--state-dir <dir>] "));
+        assert!(line.ends_with("[--restore-policy oldest|mru]"), "{line}");
+        assert!(!line.contains("--snapshot-out") && !line.contains("--restore-from"));
     }
 }

@@ -438,18 +438,22 @@ pub fn scale_from_env() -> Scale {
     }
 }
 
-/// The benchmarks a `--benches a,b,c` list selects, in list order;
-/// every registered benchmark when `names` is empty.
+/// The benchmarks a `--benches a,b,c` value selects, in list order;
+/// every registered benchmark when `list` is `None`.
 ///
 /// # Errors
 ///
 /// A message naming every unknown benchmark and listing the known
 /// ones; the binaries print it and exit 2.
-pub fn select_benches(names: &[String]) -> Result<Vec<String>, String> {
+pub fn select_benches(list: Option<&str>) -> Result<Vec<String>, String> {
     let known: Vec<String> = all_benchmarks()
         .iter()
         .map(|b| b.meta().name.to_string())
         .collect();
+    let Some(list) = list else {
+        return Ok(known);
+    };
+    let names: Vec<String> = list.split(',').map(str::to_string).collect();
     let unknown: Vec<&str> = names
         .iter()
         .filter(|b| !known.contains(b))
@@ -462,11 +466,7 @@ pub fn select_benches(names: &[String]) -> Result<Vec<String>, String> {
             known.join(",")
         ));
     }
-    Ok(if names.is_empty() {
-        known
-    } else {
-        names.to_vec()
-    })
+    Ok(names)
 }
 
 /// The four hardware configurations of §6.2, labelled as in the

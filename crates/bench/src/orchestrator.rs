@@ -22,11 +22,10 @@
 //! Failures never sink a sweep: each job runs through
 //! [`runner::run_job`], which catches panics, bounds the memoized leg
 //! with a watchdog derived from the measured baseline (capped by
-//! [`Orchestrator::max_cycles`]), and makes one attempt plus, under a
-//! fault-injecting configuration, one faults-off attempt. The simulator
-//! is deterministic, so a failed attempt would fail identically again;
-//! a job that fails is reported as a structured [`RunFailure`] row next
-//! to its successful siblings.
+//! [`Orchestrator::max_cycles`]), and makes one attempt. The simulator
+//! is deterministic, so a retry would fail identically; a job that
+//! fails is reported as a structured [`RunFailure`] row next to its
+//! successful siblings.
 //!
 //! ```
 //! use axmemo_bench::orchestrator::{JobMatrix, JobSpec, Orchestrator};
@@ -46,7 +45,7 @@ use std::sync::Mutex;
 use axmemo_core::config::MemoConfig;
 use axmemo_sim::cpu::DispatchTier;
 use axmemo_telemetry::{Profile, Telemetry};
-use axmemo_workloads::runner::{BaselineCache, RunFailure, RunOptions, SupervisedRun};
+use axmemo_workloads::runner::{BaselineCache, RunFailure, RunOptions};
 use axmemo_workloads::{benchmark_by_name, runner, FailureKind, Scale};
 
 /// Deterministic-order parallel map: evaluate `f(0..count)` on up to
@@ -168,20 +167,22 @@ pub struct JobOutcome {
     pub index: usize,
     /// The job that ran.
     pub spec: JobSpec,
-    /// Attempts made: 1, or 2 when a faults-off attempt followed a
-    /// failed fault-injected one.
+    /// Attempts made: always 1 (a job never retries). Kept because
+    /// `ledger/` (the benchmark) reads and digests it.
     pub attempts: u32,
-    /// The successful attempt ran with fault injection cleared.
+    /// Whether the result came from a run with fault injection
+    /// cleared: always `false` (faults are never cleared). Kept because
+    /// `ledger/` (the benchmark) reads and digests it.
     pub faults_cleared: bool,
     /// Simulated cycles of the successful memoized run (0 on failure);
     /// used to key the per-job telemetry span.
     pub sim_cycles: u64,
-    /// Wall-clock milliseconds this job spent in the runner (all
-    /// attempts). Reflects host load, so it feeds only the text
-    /// report's per-group totals — never the deterministic JSON output.
+    /// Wall-clock milliseconds this job spent in the runner. Reflects
+    /// host load, so it feeds only the text report's per-group totals —
+    /// never the deterministic JSON output.
     pub wall_ms: u64,
-    /// The paper metrics, or a structured failure that names the final
-    /// attempt's failure class.
+    /// The paper metrics, or a structured failure that names the
+    /// failure class.
     pub result: Result<runner::BenchmarkResult, RunFailure>,
     /// Cycle-attribution profile of the successful run, when the
     /// orchestrator ran with [`Orchestrator::profile`] on. Always
@@ -192,11 +193,9 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    /// One-word status for tables/progress: `ok`, `ok*` (succeeded only
-    /// after clearing faults), or the failure kind.
+    /// One-word status for tables/progress: `ok`, or the failure kind.
     pub fn status(&self) -> &'static str {
         match &self.result {
-            Ok(_) if self.faults_cleared => "ok*",
             Ok(_) => "ok",
             Err(f) => match f.kind {
                 FailureKind::Panic => "panic",
@@ -275,7 +274,7 @@ impl Orchestrator {
     }
 
     /// Collect a cycle-attribution profile for every job (default:
-    /// off). Each job records into its own profiler — failed attempts
+    /// off). Each job records into its own profiler — failed runs
     /// are discarded by the job runner — so the per-job profiles,
     /// and any index-order merge of them, are identical for every
     /// worker count. Profiling rides an otherwise-disabled telemetry
@@ -313,11 +312,10 @@ impl Orchestrator {
             if self.progress {
                 let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
                 eprintln!(
-                    "[{finished}/{total}] {:<8} {} {} (attempt {})",
+                    "[{finished}/{total}] {:<8} {} {}",
                     outcome.status(),
                     outcome.spec.benchmark,
                     outcome.spec.label,
-                    outcome.attempts,
                 );
             }
             outcome
@@ -333,7 +331,7 @@ impl Orchestrator {
     /// failed jobs have no meaningful cycle count, and a zero-length
     /// span would pollute span min/p50 statistics, so failures are
     /// counted only via `orchestrator.jobs.failed`), the
-    /// `orchestrator.jobs.{ok,failed,retries,faults_cleared}` counters,
+    /// `orchestrator.jobs.{ok,failed}` counters,
     /// and `cache`'s `orchestrator.baseline.{computed,reused}` counters.
     ///
     /// Span paths treat `/` as a hierarchy separator, so any `/` in the
@@ -359,10 +357,6 @@ impl Orchestrator {
                 }
                 Err(_) => tel.count("orchestrator.jobs.failed", 1),
             }
-            tel.count("orchestrator.jobs.retries", u64::from(outcome.attempts - 1));
-            if outcome.faults_cleared {
-                tel.count("orchestrator.jobs.faults_cleared", 1);
-            }
         }
         tel.count("orchestrator.baseline.computed", cache.computed());
         tel.count("orchestrator.baseline.reused", cache.reused());
@@ -371,68 +365,40 @@ impl Orchestrator {
 
     fn run_job(&self, index: usize, spec: JobSpec, cache: &BaselineCache) -> JobOutcome {
         let started = std::time::Instant::now();
-        let Some(bench) = benchmark_by_name(&spec.benchmark) else {
-            let failure = RunFailure {
-                benchmark: spec.benchmark.clone(),
-                kind: FailureKind::Error,
-                message: format!("unknown benchmark {:?}", spec.benchmark),
-                attempts: 1,
-            };
-            return JobOutcome {
-                index,
-                spec,
-                attempts: 1,
-                faults_cleared: false,
-                sim_cycles: 0,
-                wall_ms: round_ms(started.elapsed()),
-                result: Err(failure),
-                profile: None,
-            };
-        };
-        let opts = RunOptions {
-            dispatch: self.dispatch,
-            ..RunOptions::default()
-        };
         // Per-job telemetry: a disabled handle (events/counters/spans
-        // off, exactly as before) that carries the profiler when
-        // profiling is requested.
+        // off) that carries the profiler when profiling is requested.
         let mut tel = Telemetry::off();
         if self.profile {
             tel.profiler_mut().enable();
         }
-        match runner::run_job(
-            bench.as_ref(),
-            self.scale,
-            &spec.memo,
-            self.max_cycles,
-            cache,
-            opts,
-            &mut tel,
-        ) {
-            Ok(SupervisedRun {
-                result,
-                attempts,
-                faults_cleared,
-            }) => JobOutcome {
-                index,
-                attempts,
-                faults_cleared,
-                sim_cycles: result.memo_stats.cycles,
-                wall_ms: round_ms(started.elapsed()),
-                result: Ok(result),
-                spec,
-                profile: tel.take_profile(),
-            },
-            Err(failure) => JobOutcome {
-                index,
-                attempts: failure.attempts,
-                faults_cleared: false,
-                sim_cycles: 0,
-                wall_ms: round_ms(started.elapsed()),
-                result: Err(failure),
-                spec,
-                profile: None,
-            },
+        let result = match benchmark_by_name(&spec.benchmark) {
+            Some(bench) => runner::run_job(
+                bench.as_ref(),
+                self.scale,
+                &spec.memo,
+                self.max_cycles,
+                cache,
+                RunOptions {
+                    dispatch: self.dispatch,
+                    ..RunOptions::default()
+                },
+                &mut tel,
+            ),
+            None => Err(RunFailure {
+                benchmark: spec.benchmark.clone(),
+                kind: FailureKind::Error,
+                message: format!("unknown benchmark {:?}", spec.benchmark),
+            }),
+        };
+        JobOutcome {
+            index,
+            attempts: 1,
+            faults_cleared: false,
+            sim_cycles: result.as_ref().map_or(0, |r| r.memo_stats.cycles),
+            wall_ms: round_ms(started.elapsed()),
+            profile: result.as_ref().ok().and_then(|_| tel.take_profile()),
+            result,
+            spec,
         }
     }
 }
@@ -544,7 +510,7 @@ mod tests {
         };
         let serial = run(1);
         let parallel = run(4);
-        // Merge is associative and element-wise, and failed attempts
+        // Merge is associative and element-wise, and failed runs
         // are discarded per-job, so the aggregate is byte-identical
         // regardless of scheduling.
         assert_eq!(serial.to_json(), parallel.to_json());

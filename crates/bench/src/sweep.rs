@@ -109,8 +109,8 @@ pub fn matrix(seed: u64, benches: &[String]) -> (JobMatrix, Vec<CellMeta>) {
 /// empty-slice `mean`/`geomean` of `0.0` would make a fully-failed
 /// cell read like a perfect one.
 ///
-/// See DESIGN.md ("Sweep orchestration") for the `ok`/`ok*`/failure
-/// status legend the Status column uses.
+/// See DESIGN.md ("Sweep orchestration") for the `ok`/failure status
+/// legend the Status column uses.
 ///
 /// # Panics
 ///

@@ -2,15 +2,10 @@
 //!
 //! A production memoization unit must survive SRAM bit flips without
 //! silently violating the "same tag → same data" invariant (§3.4). This
-//! module models three fault classes, all drawn from a seeded SplitMix64
-//! stream so every run is exactly reproducible:
-//!
-//! * **Bit flips** in the tag or data SRAM of the L1 LUT and the L2 way
-//!   partition, struck into the accessed set on each lookup/insert.
-//! * **Dropped updates** — an `update` that never reaches the LUT
-//!   (write-queue loss).
-//! * **Latency spikes** in the memory model (row-hammer mitigation,
-//!   refresh collisions), charged by the simulator per memory access.
+//! module models that fault class — bit flips in the tag or data SRAM of
+//! the L1 LUT and the L2 way partition, struck into the accessed set on
+//! each lookup/insert — drawn from a seeded SplitMix64 stream so every
+//! run is exactly reproducible.
 //!
 //! With [`Protection::EccProtected`], tags carry parity (a single flip
 //! is detected and the entry invalidated — a miss instead of silent
@@ -40,7 +35,7 @@ pub enum Protection {
 /// Fault-injection configuration. All rates are in parts per million per
 /// access (integer, so [`crate::config::MemoConfig`] stays `Eq`). The
 /// default is all-off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultConfig {
     /// Seed for the injection streams (each injection site derives its
     /// own stream from this with a fixed salt).
@@ -53,19 +48,34 @@ pub struct FaultConfig {
     pub l2_tag_flip_ppm: u32,
     /// Data-array flip probability per L2 access, in ppm.
     pub l2_data_flip_ppm: u32,
-    /// Probability that an `update` is dropped before reaching the LUT,
-    /// in ppm.
-    pub dropped_update_ppm: u32,
-    /// Probability that a memory access suffers a latency spike, in ppm.
-    pub latency_spike_ppm: u32,
-    /// Extra cycles charged for one latency spike.
-    pub latency_spike_cycles: u64,
     /// Percentage (0–100) of flip events that strike *two* bits of the
     /// same field — the case parity cannot detect and SECDED cannot
     /// correct.
     pub double_flip_pct: u32,
     /// Storage protection scheme.
     pub protection: Protection,
+}
+
+/// The derived rendering plus three fields earlier versions carried,
+/// at the values every configuration had (dropped updates and memory
+/// latency spikes, both off). `format!("{memo:?}")` is the `config`
+/// string of every benchmark result, which `ledger/` (the benchmark)
+/// digests, so the string keeps its shape.
+impl std::fmt::Debug for FaultConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FaultConfig")
+            .field("seed", &self.seed)
+            .field("l1_tag_flip_ppm", &self.l1_tag_flip_ppm)
+            .field("l1_data_flip_ppm", &self.l1_data_flip_ppm)
+            .field("l2_tag_flip_ppm", &self.l2_tag_flip_ppm)
+            .field("l2_data_flip_ppm", &self.l2_data_flip_ppm)
+            .field("dropped_update_ppm", &0u32)
+            .field("latency_spike_ppm", &0u32)
+            .field("latency_spike_cycles", &200u64)
+            .field("double_flip_pct", &self.double_flip_pct)
+            .field("protection", &self.protection)
+            .finish()
+    }
 }
 
 impl Default for FaultConfig {
@@ -76,9 +86,6 @@ impl Default for FaultConfig {
             l1_data_flip_ppm: 0,
             l2_tag_flip_ppm: 0,
             l2_data_flip_ppm: 0,
-            dropped_update_ppm: 0,
-            latency_spike_ppm: 0,
-            latency_spike_cycles: 200,
             double_flip_pct: 10,
             protection: Protection::Unprotected,
         }
@@ -119,8 +126,7 @@ impl FaultDomain {
 
 impl FaultConfig {
     /// A uniform fault environment: the same `flip_ppm` on every tag and
-    /// data array, with `protection`. Dropped updates and latency spikes
-    /// stay off (enable them field-wise).
+    /// data array, with `protection`.
     ///
     /// ```
     /// use axmemo_core::faults::{FaultConfig, Protection};
@@ -130,7 +136,7 @@ impl FaultConfig {
     /// assert_eq!(cfg.l2_data_flip_ppm, 500);
     /// assert!(cfg.any_lut_faults());
     /// // Rate zero means no injector is ever installed.
-    /// assert!(!FaultConfig::uniform(7, 0, Protection::Unprotected).any_faults());
+    /// assert!(!FaultConfig::uniform(7, 0, Protection::Unprotected).any_lut_faults());
     /// ```
     pub fn uniform(seed: u64, flip_ppm: u32, protection: Protection) -> Self {
         Self {
@@ -179,11 +185,6 @@ impl FaultConfig {
         self.l1_tag_flip_ppm | self.l1_data_flip_ppm | self.l2_tag_flip_ppm | self.l2_data_flip_ppm
             > 0
     }
-
-    /// Whether any fault class at all can fire.
-    pub fn any_faults(&self) -> bool {
-        self.any_lut_faults() || self.dropped_update_ppm > 0 || self.latency_spike_ppm > 0
-    }
 }
 
 /// Counters for injected faults and protection outcomes.
@@ -195,10 +196,6 @@ pub struct FaultStats {
     pub data_flips: u64,
     /// Of the above, events that struck two bits.
     pub double_flips: u64,
-    /// `update` operations dropped before reaching the LUT.
-    pub dropped_updates: u64,
-    /// Memory accesses hit by a latency spike.
-    pub latency_spikes: u64,
     /// Tag flips caught by parity (entry invalidated → clean miss).
     pub parity_detected: u64,
     /// Double tag flips that escaped parity (silent corruption).
@@ -215,8 +212,6 @@ impl FaultStats {
         self.tag_flips += other.tag_flips;
         self.data_flips += other.data_flips;
         self.double_flips += other.double_flips;
-        self.dropped_updates += other.dropped_updates;
-        self.latency_spikes += other.latency_spikes;
         self.parity_detected += other.parity_detected;
         self.parity_escapes += other.parity_escapes;
         self.secded_corrected += other.secded_corrected;
@@ -301,18 +296,14 @@ impl SplitMix64 {
     }
 }
 
-/// A seeded fault-injection site. Each LUT level, the memoization unit
-/// (dropped updates), and the memory model (latency spikes) own one,
-/// derived from the same [`FaultConfig`] with distinct stream salts.
+/// A seeded fault-injection site. Each LUT level owns one, derived from
+/// the same [`FaultConfig`] with distinct stream salts.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     rng: SplitMix64,
     seed: u64,
     tag_ppm: u32,
     data_ppm: u32,
-    drop_ppm: u32,
-    spike_ppm: u32,
-    spike_cycles: u64,
     double_pct: u32,
     protection: Protection,
     stats: FaultStats,
@@ -320,8 +311,6 @@ pub struct FaultInjector {
 
 const SALT_L1: u64 = 0x4C31_5F41_584D_454D; // "L1_AXMEM"
 const SALT_L2: u64 = 0x4C32_5F41_584D_454D;
-const SALT_UNIT: u64 = 0x554E_4954_584D_454D;
-const SALT_MEM: u64 = 0x4D45_4D5F_584D_454D;
 
 impl FaultInjector {
     fn with_salt(cfg: &FaultConfig, salt: u64, tag_ppm: u32, data_ppm: u32) -> Self {
@@ -331,9 +320,6 @@ impl FaultInjector {
             seed,
             tag_ppm,
             data_ppm,
-            drop_ppm: cfg.dropped_update_ppm,
-            spike_ppm: cfg.latency_spike_ppm,
-            spike_cycles: cfg.latency_spike_cycles,
             double_pct: cfg.double_flip_pct,
             protection: cfg.protection,
             stats: FaultStats::default(),
@@ -351,16 +337,6 @@ impl FaultInjector {
     pub fn for_l2(cfg: &FaultConfig) -> Option<Self> {
         (cfg.l2_tag_flip_ppm | cfg.l2_data_flip_ppm > 0)
             .then(|| Self::with_salt(cfg, SALT_L2, cfg.l2_tag_flip_ppm, cfg.l2_data_flip_ppm))
-    }
-
-    /// Injector for unit-level dropped updates; `None` when off.
-    pub fn for_unit(cfg: &FaultConfig) -> Option<Self> {
-        (cfg.dropped_update_ppm > 0).then(|| Self::with_salt(cfg, SALT_UNIT, 0, 0))
-    }
-
-    /// Injector for memory-model latency spikes; `None` when off.
-    pub fn for_memory(cfg: &FaultConfig) -> Option<Self> {
-        (cfg.latency_spike_ppm > 0).then(|| Self::with_salt(cfg, SALT_MEM, 0, 0))
     }
 
     /// Counters accumulated by this site.
@@ -465,25 +441,6 @@ impl FaultInjector {
         }
         pair
     }
-
-    /// Whether this `update` is dropped before reaching the LUT.
-    pub fn drop_update(&mut self) -> bool {
-        let dropped = self.draw(self.drop_ppm);
-        if dropped {
-            self.stats.dropped_updates += 1;
-        }
-        dropped
-    }
-
-    /// Extra cycles if this memory access suffers a latency spike.
-    pub fn latency_spike(&mut self) -> Option<u64> {
-        if self.draw(self.spike_ppm) {
-            self.stats.latency_spikes += 1;
-            Some(self.spike_cycles)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -497,11 +454,21 @@ mod tests {
     #[test]
     fn default_config_is_all_off() {
         let cfg = FaultConfig::default();
-        assert!(!cfg.any_faults());
+        assert!(!cfg.any_lut_faults());
         assert!(FaultInjector::for_l1(&cfg).is_none());
         assert!(FaultInjector::for_l2(&cfg).is_none());
-        assert!(FaultInjector::for_unit(&cfg).is_none());
-        assert!(FaultInjector::for_memory(&cfg).is_none());
+    }
+
+    #[test]
+    fn debug_rendering_keeps_its_shape() {
+        let cfg = FaultConfig::uniform(7, 500, Protection::EccProtected);
+        assert_eq!(
+            format!("{cfg:?}"),
+            "FaultConfig { seed: 7, l1_tag_flip_ppm: 500, l1_data_flip_ppm: 500, \
+             l2_tag_flip_ppm: 500, l2_data_flip_ppm: 500, dropped_update_ppm: 0, \
+             latency_spike_ppm: 0, latency_spike_cycles: 200, double_flip_pct: 10, \
+             protection: EccProtected }"
+        );
     }
 
     #[test]
@@ -612,33 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_updates_and_spikes_fire_at_rate() {
-        let cfg = FaultConfig {
-            dropped_update_ppm: 200_000,
-            latency_spike_ppm: 100_000,
-            latency_spike_cycles: 321,
-            ..FaultConfig::default()
-        };
-        let mut unit = FaultInjector::for_unit(&cfg).unwrap();
-        let mut mem = FaultInjector::for_memory(&cfg).unwrap();
-        let mut drops = 0u64;
-        let mut spikes = 0u64;
-        for _ in 0..50_000 {
-            if unit.drop_update() {
-                drops += 1;
-            }
-            if let Some(c) = mem.latency_spike() {
-                assert_eq!(c, 321);
-                spikes += 1;
-            }
-        }
-        assert!((8_000..12_000).contains(&drops), "drops {drops}");
-        assert!((4_000..6_000).contains(&spikes), "spikes {spikes}");
-        assert_eq!(unit.stats().dropped_updates, drops);
-        assert_eq!(mem.stats().latency_spikes, spikes);
-    }
-
-    #[test]
     fn stats_merge_accumulates() {
         let mut a = FaultStats {
             tag_flips: 1,
@@ -648,14 +588,14 @@ mod tests {
         let b = FaultStats {
             tag_flips: 3,
             data_flips: 4,
-            latency_spikes: 5,
+            parity_detected: 5,
             ..FaultStats::default()
         };
         a.merge(&b);
         assert_eq!(a.tag_flips, 4);
         assert_eq!(a.data_flips, 4);
         assert_eq!(a.secded_corrected, 2);
-        assert_eq!(a.latency_spikes, 5);
+        assert_eq!(a.parity_detected, 5);
         assert_eq!(a.total_flips(), 8);
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::config::MemoConfig;
 use crate::crc::TableCrc;
-use crate::faults::{FaultInjector, FaultStats, Protection};
+use crate::faults::{FaultStats, Protection};
 use crate::hvr::HashValueRegisters;
 use crate::ids::{LutId, ThreadId};
 use crate::quality::{
@@ -194,9 +194,6 @@ pub struct MemoizationUnit {
     hvr: HashValueRegisters,
     lut: TwoLevelLut,
     quality: QualityMonitor,
-    /// Unit-level fault injector (dropped updates). LUT bit-flips live
-    /// inside the LUT arrays themselves.
-    faults: Option<FaultInjector>,
     pending: Vec<Option<PendingUpdate>>,
     stats: UnitStats,
     timing: UnitTiming,
@@ -228,7 +225,6 @@ impl MemoizationUnit {
         let lut = TwoLevelLut::new(&config);
         let crc = TableCrc::new(config.crc_width);
         let hvr = HashValueRegisters::new(&crc, config.smt_threads);
-        let faults = FaultInjector::for_unit(&config.faults);
         let config_threads = config.smt_threads;
         let pending = vec![None; crate::ids::MAX_LUTS * config.smt_threads];
         Ok(Self {
@@ -237,7 +233,6 @@ impl MemoizationUnit {
             hvr,
             lut,
             quality: QualityMonitor::new(),
-            faults,
             pending,
             stats: UnitStats::default(),
             timing: UnitTiming::default(),
@@ -284,14 +279,9 @@ impl MemoizationUnit {
         &self.quality
     }
 
-    /// Aggregate fault statistics across the LUT hierarchy and the
-    /// unit-level (dropped-update) injector.
+    /// Aggregate fault statistics across the LUT hierarchy.
     pub fn fault_stats(&self) -> FaultStats {
-        let mut s = self.lut.fault_stats();
-        if let Some(f) = &self.faults {
-            s.merge(&f.stats());
-        }
-        s
+        self.lut.fault_stats()
     }
 
     /// Extra cycles per LUT access charged for ECC checking under the
@@ -537,13 +527,6 @@ impl MemoizationUnit {
                 .leaf(PhaseId::LutUpdate, self.timing.update);
             return self.timing.update;
         };
-        // A dropped-update fault loses the LUT write (the interface
-        // transaction is silently discarded); the program still paid the
-        // update cost and the quality comparison still happens.
-        let dropped = self.faults.as_mut().is_some_and(|f| f.drop_update());
-        if dropped {
-            tel.count("faults.dropped_updates", 1);
-        }
         if let Some(lut_data) = p.sampled_data {
             // Quality comparison path: compare recomputed vs LUT output.
             let exact = value_for_quality(data);
@@ -574,12 +557,11 @@ impl MemoizationUnit {
             let suppressed = self.apply_quality_action(action, tel);
             // The entry already exists (it hit); refresh its data with
             // the exact recomputation — unless the ladder just flushed
-            // the LUT (the entry is keyed under stale truncation) or a
-            // fault dropped the write.
-            if !suppressed && !dropped {
+            // the LUT (the entry is keyed under stale truncation).
+            if !suppressed {
                 self.lut.update_tel(lut, p.crc, data, tel);
             }
-        } else if !dropped {
+        } else {
             self.lut.update_tel(lut, p.crc, data, tel);
         }
         if let (Some(ev), Some(log)) = (p.event, self.event_log.as_mut()) {
@@ -685,9 +667,6 @@ impl MemoizationUnit {
         self.lut.invalidate_all();
         self.lut.reset_stats();
         self.lut.reset_faults();
-        if let Some(f) = self.faults.as_mut() {
-            f.reset();
-        }
         self.hvr = HashValueRegisters::new(&self.crc, self.config.smt_threads);
         self.quality = QualityMonitor::new();
         for p in &mut self.pending {
@@ -1030,28 +1009,6 @@ mod tests {
         // Stable values now: the unit hits again after re-warming.
         u.feed(lut, tid, InputValue::I32(1), 0);
         assert!(u.lookup(lut, tid).skips_computation());
-    }
-
-    #[test]
-    fn dropped_update_faults_lose_the_write() {
-        use crate::faults::FaultConfig;
-        let cfg = MemoConfig {
-            faults: FaultConfig {
-                seed: 7,
-                dropped_update_ppm: crate::faults::PPM, // drop every update
-                ..FaultConfig::default()
-            },
-            ..MemoConfig::l1_only(4096)
-        };
-        let mut u = MemoizationUnit::new(cfg).unwrap();
-        let (lut, tid) = ids();
-        u.feed(lut, tid, InputValue::I32(3), 0);
-        assert_eq!(u.lookup(lut, tid), LookupResult::Miss);
-        u.update(lut, tid, 3);
-        // The write was dropped: the same key misses again.
-        u.feed(lut, tid, InputValue::I32(3), 0);
-        assert_eq!(u.lookup(lut, tid), LookupResult::Miss);
-        assert_eq!(u.fault_stats().dropped_updates, 1);
     }
 
     #[test]

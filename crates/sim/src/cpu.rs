@@ -17,7 +17,6 @@ use crate::predictor::{BranchPredictor, PredictorConfig, PredictorStats};
 use crate::stats::{InstClassCounts, RunStats};
 use crate::threaded::ThreadedProgram;
 use axmemo_core::config::MemoConfig;
-use axmemo_core::faults::FaultInjector;
 use axmemo_core::unit::MemoizationUnit;
 use axmemo_telemetry::{PhaseId, Telemetry};
 use core::fmt;
@@ -440,9 +439,6 @@ pub struct Simulator {
     pub(crate) config: SimConfig,
     pub(crate) cache: CacheHierarchy,
     pub(crate) memo: Option<MemoizationUnit>,
-    /// Memory-model fault injector (latency spikes on cache accesses),
-    /// seeded from the memoization config's fault settings.
-    pub(crate) mem_faults: Option<FaultInjector>,
     pub(crate) telemetry: Telemetry,
 }
 
@@ -459,15 +455,10 @@ impl Simulator {
             Some(m) => Some(MemoizationUnit::new(m.clone())?),
             None => None,
         };
-        let mem_faults = config
-            .memo
-            .as_ref()
-            .and_then(|m| FaultInjector::for_memory(&m.faults));
         Ok(Self {
             cache: CacheHierarchy::new(config.cache, reserved),
             config,
             memo,
-            mem_faults,
             telemetry: Telemetry::off(),
         })
     }
@@ -515,9 +506,6 @@ impl Simulator {
         self.cache.flush();
         if let Some(m) = self.memo.as_mut() {
             m.reset();
-        }
-        if let Some(f) = self.mem_faults.as_mut() {
-            f.reset();
         }
     }
 
@@ -697,8 +685,7 @@ impl Simulator {
                     machine.regs[rd as usize] = v;
                     wrote = Some((rd, v));
                     mem_addr = Some(addr);
-                    let (mut latency, served) = self.cache.access_served(addr);
-                    latency += spike_cycles(&mut self.mem_faults);
+                    let (latency, served) = self.cache.access_served(addr);
                     charge_mem(&mut stats, served);
                     pipe.issue(&[base], Some(rd), FuClass::LdSt, latency, 0);
                     classes.load += 1;
@@ -714,8 +701,7 @@ impl Simulator {
                     mem_addr = Some(addr);
                     let (_, served) = self.cache.access_served(addr);
                     charge_mem(&mut stats, served);
-                    let st_latency = lat.store + spike_cycles(&mut self.mem_faults);
-                    pipe.issue(&[rs, base], None, FuClass::LdSt, st_latency, 0);
+                    pipe.issue(&[rs, base], None, FuClass::LdSt, lat.store, 0);
                     classes.store += 1;
                 }
                 Inst::MovImm { rd, imm } => {
@@ -796,8 +782,7 @@ impl Simulator {
                     machine.regs[rd as usize] = raw;
                     wrote = Some((rd, raw));
                     mem_addr = Some(addr);
-                    let (mut latency, served) = self.cache.access_served(addr);
-                    latency += spike_cycles(&mut self.mem_faults);
+                    let (latency, served) = self.cache.access_served(addr);
                     charge_mem(&mut stats, served);
                     let port = self.memo_port(&mut pipe, &mut stats, pc)?;
                     let input = CrcInput {
@@ -938,12 +923,6 @@ fn operand_reg(op: Operand) -> Option<u8> {
         Operand::Reg(r) => Some(r),
         Operand::Imm(_) => None,
     }
-}
-
-/// Extra memory latency from an injected spike fault (0 when no injector
-/// is installed or this access drew no fault).
-pub(crate) fn spike_cycles(faults: &mut Option<FaultInjector>) -> u64 {
-    faults.as_mut().and_then(|f| f.latency_spike()).unwrap_or(0)
 }
 
 fn charge_mem(stats: &mut RunStats, served: ServedBy) {
@@ -1192,39 +1171,6 @@ mod tests {
             sim.run(&p, &mut m),
             Err(SimError::CycleLimit { limit: 5_000 })
         );
-    }
-
-    #[test]
-    fn latency_spike_faults_slow_the_run_deterministically() {
-        use axmemo_core::faults::FaultConfig;
-        let p = memo_square_program();
-        let run = |spike_ppm: u32| {
-            let cfg = SimConfig::with_memo(MemoConfig {
-                faults: FaultConfig {
-                    seed: 11,
-                    latency_spike_ppm: spike_ppm,
-                    latency_spike_cycles: 500,
-                    ..FaultConfig::default()
-                },
-                ..MemoConfig::l1_only(4096)
-            });
-            let mut sim = Simulator::new(cfg).unwrap();
-            let mut m = Machine::new(64 * 1024);
-            for i in 0..256 {
-                m.store_f32(0x1000 + 4 * i, (i % 8) as f32 + 1.0);
-            }
-            sim.run(&p, &mut m).unwrap()
-        };
-        let clean = run(0);
-        let spiked = run(200_000); // ~20% of memory accesses spike
-        assert!(
-            spiked.cycles > clean.cycles,
-            "spiked {} !> clean {}",
-            spiked.cycles,
-            clean.cycles
-        );
-        // Same seed, same program: exactly reproducible.
-        assert_eq!(run(200_000), spiked);
     }
 
     #[test]
@@ -1708,7 +1654,7 @@ mod tests {
     }
 
     /// A new simulator is already in its reset state. Running a
-    /// memoized program with L1, L2 and memory faults on gives the same
+    /// memoized program with L1 and L2 faults on gives the same
     /// run, unit, LUT and fault statistics, telemetry events and final
     /// machine whether or not the simulator is reset first, on both
     /// tiers. The runner relies on this to skip the reset, which would
@@ -1725,9 +1671,6 @@ mod tests {
                 l1_data_flip_ppm: 30_000,
                 l2_tag_flip_ppm: 30_000,
                 l2_data_flip_ppm: 30_000,
-                dropped_update_ppm: 300_000,
-                latency_spike_ppm: 50_000,
-                latency_spike_cycles: 40,
                 ..FaultConfig::default()
             },
             // One 64-byte L1 set in front of the L2: 32 distinct inputs
@@ -1758,29 +1701,16 @@ mod tests {
             let unit = sim.memo_unit().unwrap();
             let events: Vec<String> = sink.events().iter().map(event_to_json).collect();
             let luts = (unit.lut().l1_stats(), unit.lut().l2_stats());
-            let spikes = sim.mem_faults.as_ref().unwrap().stats().latency_spikes;
-            (
-                stats,
-                unit.stats(),
-                luts,
-                unit.fault_stats(),
-                spikes,
-                events,
-                m,
-            )
+            (stats, unit.stats(), luts, unit.fault_stats(), events, m)
         };
         for dispatch in DispatchTier::ALL {
             let fresh = run(dispatch, false);
-            let (stats, unit, (_, l2), faults, spikes, events, _) = &fresh;
+            let (stats, unit, (_, l2), faults, events, _) = &fresh;
             // The premise: every part of the state a reset touches is
             // exercised.
             assert!(unit.l2_hits > 0 && l2.inserts > 0, "{dispatch:?}: {l2:?}");
-            let flips = faults.tag_flips + faults.data_flips;
-            assert!(
-                flips > 0 && faults.dropped_updates > 0,
-                "{dispatch:?}: {faults:?}"
-            );
-            assert!(*spikes > 0 && stats.memo_insts > 0 && !events.is_empty());
+            assert!(faults.total_flips() > 0, "{dispatch:?}: {faults:?}");
+            assert!(stats.memo_insts > 0 && !events.is_empty());
             assert!(fresh == run(dispatch, true), "{dispatch:?}");
         }
     }

@@ -32,8 +32,7 @@
 //! equivalent to N.
 
 use crate::cpu::{
-    charge_mem_levels, cond_taken, fbin, funop, ialu, ialu_simple, spike_cycles, Machine, SimError,
-    Simulator,
+    charge_mem_levels, cond_taken, fbin, funop, ialu, ialu_simple, Machine, SimError, Simulator,
 };
 use crate::decoded::{Block, BlockCounts, DecodedProgram};
 use crate::ir::{Cond, FBinOp, FUnOp, IAluOp, Inst, MemWidth, Operand};
@@ -758,8 +757,7 @@ impl Simulator {
                     let addr = machine.reg(base).wrapping_add_signed(offset.into());
                     let v = machine.load(addr, width)?;
                     machine.set_reg(rd, v);
-                    let (mut latency, served) = self.cache.access_served(addr);
-                    latency += spike_cycles(&mut self.mem_faults);
+                    let (latency, served) = self.cache.access_served(addr);
                     charge_mem_levels(stats, served);
                     pipe.issue_ldst(pipe.src_ready(base), Some(rd), latency);
                 }
@@ -774,9 +772,8 @@ impl Simulator {
                     machine.store(addr, width, machine.reg(rs))?;
                     let (_, served) = self.cache.access_served(addr);
                     charge_mem_levels(stats, served);
-                    let st_latency = lat + spike_cycles(&mut self.mem_faults);
                     let e = pipe.src_ready(rs).max(pipe.src_ready(base));
-                    pipe.issue_ldst(e, None, st_latency);
+                    pipe.issue_ldst(e, None, lat);
                 }
                 FusedOp::MovImm { rd, imm } => {
                     machine.set_reg(rd, imm);
@@ -903,8 +900,7 @@ impl Simulator {
                     let addr = machine.reg(base).wrapping_add_signed(offset.into());
                     let raw = machine.load(addr, width)?;
                     machine.set_reg(rd, raw);
-                    let (mut latency, served) = self.cache.access_served(addr);
-                    latency += spike_cycles(&mut self.mem_faults);
+                    let (latency, served) = self.cache.access_served(addr);
                     charge_mem_levels(stats, served);
                     let port = self.memo_port(pipe, stats, at_pc)?;
                     let input = CrcInput {

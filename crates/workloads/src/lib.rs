@@ -38,7 +38,6 @@ pub use meta::{Metric, WorkloadMeta};
 pub use runner::{
     run_benchmark, run_benchmark_report_snap, run_job, BaselineCache, BaselineRun, BenchmarkResult,
     CachedFailure, FailureKind, PreparedProgram, RunFailure, RunOptions, SnapshotPlan,
-    SupervisedRun,
 };
 
 use axmemo_compiler::RegionSpec;

@@ -12,7 +12,6 @@ use crate::meta::Metric;
 use crate::{Benchmark, Dataset, Scale};
 use axmemo_compiler::codegen::{memoize, CodegenError};
 use axmemo_core::config::MemoConfig;
-use axmemo_core::faults::FaultConfig;
 use axmemo_core::lut::LutStats;
 use axmemo_core::snapshot::{MemoSnapshot, RecoveryOutcome, RecoveryReport};
 use axmemo_core::unit::UnitStats;
@@ -682,8 +681,8 @@ impl BaselineCache {
 /// The telemetry handle is borrowed so it *survives* the error path:
 /// the sim-side spans and phase frames a failed run leaves open are
 /// drained via [`Telemetry::close_open_spans`] before returning, and
-/// the caller (sweep jobs and their faults-off attempt) keeps its
-/// registry, sinks, and profiler across attempts. The returned
+/// the caller (a sweep job, whose handle outlives the failure) keeps
+/// its registry, sinks, and profiler. The returned
 /// [`RunReport`] carries a disabled placeholder handle; the by-value
 /// wrappers move the real one back in.
 ///
@@ -767,7 +766,7 @@ fn run_benchmark_inner(
         Err(e) => {
             // Watchdog trips and sim errors abandon the run mid-span;
             // drain the open span/phase stacks so the handle stays
-            // balanced for the caller's next attempt.
+            // balanced for the caller's next run.
             tel.close_open_spans();
             tel.flush();
             return Err(e.into());
@@ -845,24 +844,18 @@ pub enum FailureKind {
 pub struct RunFailure {
     /// Benchmark that failed.
     pub benchmark: String,
-    /// Failure class of the *final* attempt.
+    /// Failure class.
     pub kind: FailureKind,
     /// Human-readable message (panic payload or error display).
     pub message: String,
-    /// Attempts made: 1, or 2 when the faults-off attempt also ran.
-    pub attempts: u32,
 }
 
 impl std::fmt::Display for RunFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} failed ({:?}, {} attempt{}): {}",
-            self.benchmark,
-            self.kind,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.message
+            "{} failed ({:?}): {}",
+            self.benchmark, self.kind, self.message
         )
     }
 }
@@ -891,18 +884,6 @@ pub fn memo_watchdog(baseline_cycles: u64, ceiling: u64) -> u64 {
         .min(ceiling)
 }
 
-/// Successful outcome of [`run_job`].
-#[derive(Debug, Clone)]
-pub struct SupervisedRun {
-    /// The paper metrics of the successful attempt.
-    pub result: BenchmarkResult,
-    /// Attempts made, including the successful one (1 or 2).
-    pub attempts: u32,
-    /// The successful attempt ran with fault injection cleared (the
-    /// attempt with the requested fault configuration failed).
-    pub faults_cleared: bool,
-}
-
 /// One sweep job: a supervised run of `bench` on the evaluation
 /// dataset that never panics and never runs away.
 ///
@@ -914,29 +895,26 @@ pub struct SupervisedRun {
 /// - The memoized leg runs under [`memo_watchdog`] of the measured
 ///   baseline, clamped to `max_cycles`.
 /// - Panics are caught and become [`FailureKind::Panic`] failures.
-/// - The job makes one attempt. When that attempt fails under a
-///   fault-injecting configuration, one more attempt runs with all
-///   fault injection cleared, isolating "the fault model broke it" from
-///   "the benchmark is broken". The simulator is deterministic, so any
-///   other retry would fail identically.
+/// - The job makes one attempt: the simulator is deterministic, so a
+///   retry would fail identically.
 ///
-/// `tel` is caller-owned and survives every attempt, panics and
-/// watchdog trips included:
+/// `tel` is caller-owned and survives a failure, panics and watchdog
+/// trips included:
 ///
-/// - After a failed attempt the span and phase stacks are drained
+/// - After a failed run the span and phase stacks are drained
 ///   ([`Telemetry::close_open_spans`]), so a panicking benchmark
 ///   followed by a healthy one yields a balanced span tree.
 /// - If a panic fires while the handle is installed in the simulator,
 ///   the handle itself is forfeited with the unwound stack; an enabled
 ///   replacement is restored (accumulated sinks are lost — they
-///   unwound with the attempt) and the profiler is re-enabled.
-/// - Profile data from a failed attempt is discarded
-///   ([`axmemo_telemetry::Profiler::clear`]), so the profile of a
-///   successful return describes exactly one successful run.
+///   unwound with the run) and the profiler is re-enabled.
+/// - Profile data from a failed run is discarded
+///   ([`axmemo_telemetry::Profiler::clear`]), so a later success on the
+///   same handle profiles exactly one run.
 ///
 /// # Errors
 ///
-/// Returns a [`RunFailure`] describing the final failed attempt.
+/// Returns a [`RunFailure`] describing the failed run.
 pub fn run_job(
     bench: &dyn Benchmark,
     scale: Scale,
@@ -945,96 +923,58 @@ pub fn run_job(
     cache: &BaselineCache,
     opts: RunOptions,
     tel: &mut Telemetry,
-) -> Result<SupervisedRun, RunFailure> {
+) -> Result<BenchmarkResult, RunFailure> {
     let was_enabled = tel.is_enabled();
     let was_profiling = tel.profiler().is_enabled();
     let dataset = Dataset::Eval;
-    // Compiled programs and input images are shared across attempts
-    // (and across sibling cells through the cache); an attempt only
-    // re-simulates, on its own copy of the inputs.
-    let shared = cache
+    let failed = |CachedFailure { kind, message }| RunFailure {
+        benchmark: bench.meta().name.to_string(),
+        kind,
+        message,
+    };
+    // Compiled programs and input images are shared with sibling cells
+    // through the cache; the job only re-simulates, on its own copy of
+    // the inputs.
+    let (prepared, baseline, inputs) = cache
         .program(bench, scale, opts.zero_trunc)
         .and_then(|prepared| {
             let baseline =
                 cache.get_or_compute(bench, scale, dataset, max_cycles, opts.dispatch)?;
             let inputs = cache.inputs(bench, scale, dataset)?;
             Ok((prepared, baseline, inputs))
-        });
-    let memo_max_cycles = match &shared {
-        Ok((_, run, _)) => memo_watchdog(run.stats.cycles, max_cycles),
-        Err(_) => max_cycles,
-    };
-    let attempt =
-        |cfg: &MemoConfig, tel: &mut Telemetry| -> Result<BenchmarkResult, CachedFailure> {
-            let (prepared, baseline, inputs) = shared.as_ref().map_err(CachedFailure::clone)?;
-            let failure = match catch_failure(|| {
-                run_benchmark_inner(
-                    bench,
-                    scale,
-                    cfg,
-                    opts.dispatch,
-                    tel,
-                    memo_max_cycles,
-                    baseline,
-                    prepared,
-                    inputs,
-                    &SnapshotPlan::default(),
-                )
-                .map(|report| report.result)
-            }) {
-                Ok(result) => return Ok(result),
-                Err(failure) => failure,
-            };
-            // Failed-attempt hygiene: drain whatever the abandoned run
-            // left open, restore the handle if the panic forfeited it
-            // mid-simulation, and drop the attempt's profile data so a
-            // later success profiles exactly one run.
-            tel.close_open_spans();
-            if was_enabled && !tel.is_enabled() {
-                *tel = Telemetry::enabled();
-            }
-            if was_profiling && !tel.profiler().is_enabled() {
-                tel.profiler_mut().enable();
-            }
-            tel.profiler_mut().clear();
-            Err(failure)
-        };
-
-    let first = match attempt(memo, tel) {
-        Ok(result) => {
-            return Ok(SupervisedRun {
-                result,
-                attempts: 1,
-                faults_cleared: false,
-            })
-        }
+        })
+        .map_err(failed)?;
+    let failure = match catch_failure(|| {
+        run_benchmark_inner(
+            bench,
+            scale,
+            memo,
+            opts.dispatch,
+            tel,
+            memo_watchdog(baseline.stats.cycles, max_cycles),
+            &baseline,
+            &prepared,
+            &inputs,
+            &SnapshotPlan::default(),
+        )
+        .map(|report| report.result)
+    }) {
+        Ok(result) => return Ok(result),
         Err(failure) => failure,
     };
-    let no_faults = FaultConfig::default();
-    let (attempts, CachedFailure { kind, message }) = if memo.faults == no_faults {
-        (1, first)
-    } else {
-        let degraded = MemoConfig {
-            faults: no_faults,
-            ..memo.clone()
-        };
-        match attempt(&degraded, tel) {
-            Ok(result) => {
-                return Ok(SupervisedRun {
-                    result,
-                    attempts: 2,
-                    faults_cleared: true,
-                })
-            }
-            Err(second) => (2, second),
-        }
-    };
-    Err(RunFailure {
-        benchmark: bench.meta().name.to_string(),
-        kind,
-        message,
-        attempts,
-    })
+    // Failed-run hygiene: drain whatever the abandoned run left open,
+    // restore the handle if the panic forfeited it mid-simulation, and
+    // drop the run's profile data so a later success on the same
+    // handle profiles exactly one run.
+    tel.close_open_spans();
+    if was_enabled && !tel.is_enabled() {
+        *tel = Telemetry::enabled();
+    }
+    if was_profiling && !tel.profiler().is_enabled() {
+        tel.profiler_mut().enable();
+    }
+    tel.profiler_mut().clear();
+    Err(failed(failure))
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1212,7 +1152,7 @@ mod tests {
         memo: &MemoConfig,
         max_cycles: u64,
         tel: &mut Telemetry,
-    ) -> Result<SupervisedRun, RunFailure> {
+    ) -> Result<BenchmarkResult, RunFailure> {
         run_job(
             bench,
             crate::Scale::Tiny,
@@ -1222,22 +1162,6 @@ mod tests {
             RunOptions::default(),
             tel,
         )
-    }
-
-    /// Every memory access spikes by 100k cycles, so a memoized run
-    /// under it blows any watchdog the tests set, while the same run
-    /// with faults cleared fits comfortably.
-    fn storm() -> MemoConfig {
-        use axmemo_core::faults::PPM;
-        MemoConfig {
-            faults: FaultConfig {
-                seed: 3,
-                latency_spike_ppm: PPM,
-                latency_spike_cycles: 100_000,
-                ..FaultConfig::default()
-            },
-            ..MemoConfig::l1_only(4096)
-        }
     }
 
     #[test]
@@ -1252,7 +1176,6 @@ mod tests {
         assert_eq!(fail.kind, FailureKind::Panic);
         assert_eq!(fail.benchmark, "panicky");
         assert!(fail.message.contains("synthetic benchmark bug"));
-        assert_eq!(fail.attempts, 1);
     }
 
     #[test]
@@ -1267,18 +1190,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(fail.kind, FailureKind::Watchdog);
         assert!(fail.message.contains("cycle limit"), "{}", fail.message);
-        assert_eq!(fail.attempts, 1, "no fault config, so no retry");
-    }
-
-    #[test]
-    fn supervised_runner_retries_without_faults() {
-        let bench = crate::benchmark_by_name("blackscholes").unwrap();
-        let run = job(bench.as_ref(), &storm(), 2_000_000, &mut Telemetry::off())
-            .expect("degraded retry must succeed");
-        assert!(run.result.speedup > 0.0);
-        // The storm attempt failed; only the faults-off attempt passed.
-        assert!(run.faults_cleared);
-        assert_eq!(run.attempts, 2);
     }
 
     #[test]
@@ -1318,18 +1229,33 @@ mod tests {
     fn watchdog_failure_recovers_span_stack() {
         // A watchdog trip abandons the run mid-span (inside the
         // simulator); the job runner must drain the open stack so the
-        // handle stays balanced, then a degraded-config success must
-        // profile exactly one run.
-        let bench = crate::benchmark_by_name("blackscholes").unwrap();
+        // handle stays balanced, then a healthy run on the same handle
+        // must profile exactly one run. jmeint has no reuse, so its
+        // memoized leg (76,448 cycles at tiny) is slower than its
+        // baseline (72,960): a 75,000-cycle ceiling admits the baseline
+        // and trips inside the memoized leg.
+        let bench = crate::benchmark_by_name("jmeint").unwrap();
+        let memo = MemoConfig::l1_only(4096);
+        let baseline = BaselineCache::new()
+            .get_or_compute(
+                bench.as_ref(),
+                crate::Scale::Tiny,
+                crate::Dataset::Eval,
+                75_000,
+                DispatchTier::default(),
+            )
+            .expect("the baseline fits under the ceiling");
+        assert_eq!(baseline.stats.cycles, 72_960);
         let mut tel = Telemetry::enabled();
         tel.profiler_mut().enable();
-        let run = job(bench.as_ref(), &storm(), 2_000_000, &mut tel)
-            .expect("degraded retry must succeed");
-        assert!(run.faults_cleared);
-        assert_eq!(run.attempts, 2);
+        let fail = job(bench.as_ref(), &memo, 75_000, &mut tel).unwrap_err();
+        assert_eq!(fail.kind, FailureKind::Watchdog, "{fail}");
+        assert!(tel.is_enabled());
         assert_eq!(tel.close_open_spans(), 0, "span tree balanced");
-        // The failed fault-injected attempt's profile was discarded:
-        // only the successful run remains.
+        // The failed run's profile was discarded.
+        assert!(tel.profiler().is_enabled());
+        job(bench.as_ref(), &memo, u64::MAX, &mut tel).expect("healthy run after a watchdog trip");
+        assert_eq!(tel.close_open_spans(), 0, "span tree balanced");
         let profile = tel.take_profile().expect("profiler enabled");
         assert_eq!(profile.phases["run"].count, 1);
     }

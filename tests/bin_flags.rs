@@ -65,10 +65,12 @@ fn fault_sweep_rejects_unknown_benchmark_names() {
 }
 
 #[test]
-fn removed_dispatch_flag_exits_2() {
-    // The legacy interpreter is a test reference, not a flag.
+fn removed_flags_exit_2() {
+    // The legacy interpreter is a test reference, not a flag; every
+    // run shares baselines, so the cache cannot be switched off.
     for bin in [FIG11, FAULT_SWEEP, WARM_START] {
         assert_usage_error(bin, &["--dispatch", "legacy"], &["--dispatch"]);
+        assert_usage_error(bin, &["--no-baseline-cache"], &["--no-baseline-cache"]);
     }
 }
 

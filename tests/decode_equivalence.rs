@@ -170,7 +170,7 @@ fn biased_branch_flip_mid_run_side_exits_exactly() {
     assert_ne!(reference.1.regs[3], 0);
 }
 
-/// The reduced fault sweep — fault injection, retries, watchdogs,
+/// The reduced fault sweep — fault injection, watchdogs,
 /// shared baselines and all — with the profiler on, over two benchmark
 /// pairs: on every execution tier each pair renders the same JSON
 /// report and the same merged CRC and LUT profile leaves, and

@@ -1,11 +1,11 @@
 //! Integration tests for the sweep orchestrator: worker-count
 //! determinism of the aggregated report, structured budget-exhaustion
-//! failures, the faults-off attempt, and per-job telemetry.
+//! failures, single-attempt fault storms, and per-job telemetry.
 
 use axmemo_bench::orchestrator::{JobMatrix, JobSpec, Orchestrator};
 use axmemo_bench::{sweep, BaselineCache, ReportMode};
 use axmemo_core::config::MemoConfig;
-use axmemo_core::faults::FaultConfig;
+use axmemo_core::faults::{FaultConfig, Protection, PPM};
 use axmemo_telemetry::Telemetry;
 use axmemo_workloads::{FailureKind, Scale};
 
@@ -33,8 +33,8 @@ fn sweep_report_is_identical_for_any_worker_count() {
 
 /// A job that always trips the cycle watchdog is reported as a
 /// structured failure and the sweep itself completes. The simulator is
-/// deterministic, so a fault-free job is attempted exactly once; a
-/// fault-injected one gets exactly one more attempt with faults cleared.
+/// deterministic, so every job is attempted exactly once, with or
+/// without faults configured.
 #[test]
 fn budget_exhaustion_is_a_structured_failure() {
     let mut matrix = JobMatrix::new();
@@ -56,53 +56,43 @@ fn budget_exhaustion_is_a_structured_failure() {
         .max_cycles(1_000) // far below what even Tiny needs
         .run(&matrix);
     assert_eq!(outcomes.len(), 2);
-    for (outcome, attempts) in outcomes.iter().zip([1, 2]) {
+    for outcome in &outcomes {
         let fail = outcome.result.as_ref().unwrap_err();
         assert_eq!(fail.kind, FailureKind::Watchdog);
-        assert_eq!(fail.attempts, attempts, "{}", outcome.spec.label);
-        assert_eq!(outcome.attempts, attempts);
+        assert_eq!(outcome.attempts, 1, "{}", outcome.spec.label);
         assert!(!outcome.faults_cleared);
         assert_eq!(outcome.status(), "watchdog");
     }
 }
 
-/// A fault storm that blows the watchdog is healed by the final
-/// faults-off attempt, while a healthy sibling job in the same sweep
-/// succeeds first try — mixed outcomes, nothing sinks.
+/// LUT bit flips only ever perturb approximate state, so even a flip on
+/// every tag and data access — both protections, every benchmark —
+/// finishes inside the watchdog on its single attempt. Nothing the
+/// repository injects can fail a run, which is why a job never retries.
 #[test]
-fn fault_storm_heals_via_faults_off_attempt() {
-    let storm = FaultConfig {
-        seed: 3,
-        latency_spike_ppm: axmemo_core::faults::PPM,
-        latency_spike_cycles: 100_000,
-        ..FaultConfig::default()
-    };
+fn flip_storm_never_fails_a_job() {
     let mut matrix = JobMatrix::new();
-    matrix.push(JobSpec::new(
-        "blackscholes",
-        "storm",
-        MemoConfig {
-            faults: storm,
-            ..MemoConfig::l1_only(4096)
-        },
-    ));
-    matrix.push(JobSpec::new(
-        "blackscholes",
-        "healthy",
-        MemoConfig::l1_only(4096),
-    ));
-    let outcomes = Orchestrator::new(Scale::Tiny)
-        .jobs(2)
-        .max_cycles(2_000_000)
-        .run(&matrix);
-    assert!(outcomes[0].result.is_ok());
-    assert!(outcomes[0].faults_cleared);
-    assert_eq!(outcomes[0].attempts, 2);
-    assert_eq!(outcomes[0].status(), "ok*");
-    assert!(outcomes[1].result.is_ok());
-    assert!(!outcomes[1].faults_cleared);
-    assert_eq!(outcomes[1].attempts, 1);
-    assert_eq!(outcomes[1].status(), "ok");
+    for protection in [Protection::Unprotected, Protection::EccProtected] {
+        for bench in axmemo_workloads::all_benchmarks() {
+            matrix.push(JobSpec::new(
+                bench.meta().name,
+                format!("storm {protection:?}"),
+                MemoConfig {
+                    faults: FaultConfig::uniform(1, PPM, protection),
+                    ..MemoConfig::l1_only(4096)
+                },
+            ));
+        }
+    }
+    assert_eq!(matrix.len(), 20);
+    let outcomes = Orchestrator::new(Scale::Tiny).jobs(2).run(&matrix);
+    for outcome in &outcomes {
+        let label = format!("{}:{}", outcome.spec.benchmark, outcome.spec.label);
+        assert!(outcome.result.is_ok(), "{label}: {:?}", outcome.result);
+        assert_eq!(outcome.attempts, 1, "{label}");
+        assert!(!outcome.faults_cleared, "{label}");
+        assert_eq!(outcome.status(), "ok", "{label}");
+    }
 }
 
 /// Regression (all-failed group summary): a group in which every cell
