@@ -20,10 +20,13 @@ use axmemo_compiler::{analyze, SearchConfig};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::crc::{CrcWidth, TableCrc};
 use axmemo_core::snapshot::RecoveryOutcome;
-use axmemo_core::unit::{UnitTiming, CRC_BYTES_PER_CYCLE};
 use axmemo_sim::cache::CacheConfig;
 use axmemo_sim::cpu::{DispatchTier, Machine, SimConfig, Simulator};
 use axmemo_sim::energy::{l1_lut_energy, AreaModel, EnergyModel};
+use axmemo_sim::memo::{
+    CRC_BYTES_PER_CYCLE, INVALIDATE_CYCLES_PER_WAY, LOOKUP_L1_CYCLES, LOOKUP_L2_CYCLES,
+    UPDATE_CYCLES,
+};
 use axmemo_sim::pipeline::LatencyModel;
 use axmemo_sim::predictor::PredictorConfig;
 use axmemo_telemetry::{Profile, Telemetry};
@@ -108,8 +111,9 @@ pub type Body = fn(&Context, &mut Telemetry) -> Result<Output>;
 pub struct Experiment {
     /// Binary name, also the section header in [`all_experiments`].
     pub name: &'static str,
-    /// Shared flags it rejects: the snapshot flags, except on the
-    /// matrix figures and `warm_start` (which takes only
+    /// Shared flags it rejects: `--seed`, except on `fault_sweep`, the
+    /// only experiment with a seeded model; and the snapshot flags,
+    /// except on the matrix figures and `warm_start` (which takes only
     /// `--restore-policy`).
     refused: &'static [&'static str],
     /// Usage text for flags only its own binary parses.
@@ -119,6 +123,15 @@ pub struct Experiment {
 
 /// Flags that only snapshot-aware experiments take.
 const SNAPSHOT_FLAGS: [&str; 3] = ["--snapshot-out", "--restore-from", "--restore-policy"];
+
+/// What an experiment with neither a seeded model nor snapshots
+/// refuses.
+const SEED_AND_SNAPSHOT_FLAGS: [&str; 4] = [
+    "--seed",
+    "--snapshot-out",
+    "--restore-from",
+    "--restore-policy",
+];
 
 /// Usage fragment of every shared flag, keyed by the flag.
 const FLAG_USAGE: [(&str, &str); 9] = [
@@ -282,7 +295,7 @@ pub fn experiment(name: &str) -> &'static Experiment {
 const fn plain(name: &'static str, body: Body) -> Experiment {
     Experiment {
         name,
-        refused: &SNAPSHOT_FLAGS,
+        refused: &SEED_AND_SNAPSHOT_FLAGS,
         extra_usage: "",
         body,
     }
@@ -290,7 +303,7 @@ const fn plain(name: &'static str, body: Body) -> Experiment {
 
 const fn figure(name: &'static str, body: Body) -> Experiment {
     Experiment {
-        refused: &[],
+        refused: &["--seed"],
         ..plain(name, body)
     }
 }
@@ -311,6 +324,7 @@ pub static EXPERIMENTS: [Experiment; 14] = [
     plain("ablation_two_level", ablation_two_level),
     plain("ablation_branch_predictor", ablation_branch_predictor),
     Experiment {
+        refused: &SNAPSHOT_FLAGS,
         extra_usage: "[--benches a,b,c] ",
         ..plain("fault_sweep", |c, t| fault_sweep(c, t, &[]))
     },
@@ -319,10 +333,11 @@ pub static EXPERIMENTS: [Experiment; 14] = [
 /// The `warm_start` binary: not part of [`EXPERIMENTS`] (it writes
 /// snapshot files, so [`all_experiments`] leaves it out). `--state-dir`
 /// sets every snapshot path, so it refuses `--snapshot-out` and
-/// `--restore-from`; `--restore-policy` picks the restore order.
+/// `--restore-from`; `--restore-policy` picks the restore order. It
+/// has no seeded model, so it refuses `--seed` too.
 pub static WARM_START: Experiment = Experiment {
     name: "warm_start",
-    refused: &["--snapshot-out", "--restore-from"],
+    refused: &["--seed", "--snapshot-out", "--restore-from"],
     extra_usage: "[--state-dir <dir>] [--generations <n>] [--benches a,b,c] ",
     body: |c, t| warm_start(c, t, &WarmStart::default()),
 };
@@ -439,7 +454,6 @@ fn table2(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
 /// area / energy / latency figures, including the §6.1 area-overhead
 /// claim (memoization hardware ≈ 2% of the two-core HPI processor).
 fn table4_5(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
-    let t = UnitTiming::default();
     let mut t4 = Table::new(
         "Table 4: AxMemo ISA timing parameters",
         &["instruction", "latency"],
@@ -452,15 +466,15 @@ fn table4_5(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
     ]);
     t4.row(vec![
         "lookup".to_string(),
-        format!(
-            "{} cycles (L1 LUT) / {} cycles (L2 LUT)",
-            t.lookup_l1, t.lookup_l2
-        ),
+        format!("{LOOKUP_L1_CYCLES} cycles (L1 LUT) / {LOOKUP_L2_CYCLES} cycles (L2 LUT)"),
     ]);
-    t4.row(vec!["update".to_string(), format!("{} cycles", t.update)]);
+    t4.row(vec![
+        "update".to_string(),
+        format!("{UPDATE_CYCLES} cycles"),
+    ]);
     t4.row(vec![
         "invalidate".to_string(),
-        format!("{} cycle per way in a set", t.invalidate_per_way),
+        format!("{INVALIDATE_CYCLES_PER_WAY} cycle per way in a set"),
     ]);
 
     let mut t5 = Table::new(
@@ -1107,28 +1121,35 @@ mod tests {
 
     #[test]
     fn only_the_matrix_figures_take_snapshot_flags() {
-        let snapshot: Vec<&str> = EXPERIMENTS
-            .iter()
-            .filter(|e| e.refused.is_empty())
-            .map(|e| e.name)
-            .collect();
-        assert_eq!(snapshot, ["fig7", "fig8", "fig9", "fig10"]);
+        let taking = |flag: &str| -> Vec<&str> {
+            EXPERIMENTS
+                .iter()
+                .filter(|e| !e.refused.contains(&flag))
+                .map(|e| e.name)
+                .collect()
+        };
+        assert_eq!(taking("--snapshot-out"), ["fig7", "fig8", "fig9", "fig10"]);
+        assert_eq!(taking("--seed"), ["fault_sweep"]);
         let fig11 = experiment("fig11");
         let line = usage(fig11.name, fig11.extra_usage, fig11.refused);
         assert!(line.starts_with("usage: fig11 [--trace-out"), "{line}");
         assert!(!line.contains("--dispatch"), "{line}");
         assert!(!line.contains("--snapshot-out"), "{line}");
+        assert!(!line.contains("--seed"), "{line}");
         let sweep = experiment("fault_sweep");
         let line = usage(sweep.name, sweep.extra_usage, sweep.refused);
         assert!(line.starts_with("usage: fault_sweep [--benches a,b,c] "));
+        assert!(line.contains("[--seed <n>]"), "{line}");
         let fig7 = experiment("fig7");
         let line = usage(fig7.name, fig7.extra_usage, fig7.refused);
         assert!(line.ends_with("[--restore-policy oldest|mru]"), "{line}");
+        assert!(!line.contains("--seed"), "{line}");
         // warm_start sets its own snapshot paths but takes the policy.
         let warm = &WARM_START;
         let line = usage(warm.name, warm.extra_usage, warm.refused);
         assert!(line.starts_with("usage: warm_start [--state-dir <dir>] "));
         assert!(line.ends_with("[--restore-policy oldest|mru]"), "{line}");
         assert!(!line.contains("--snapshot-out") && !line.contains("--restore-from"));
+        assert!(!line.contains("--seed"), "{line}");
     }
 }

@@ -77,8 +77,9 @@ pub enum ProfileMode {
 /// * `--profile folded|json|text` — profile rendering (default
 ///   `folded`).
 /// * `--report text|json` — output format (default `text`).
-/// * `--seed <n>` — seed for binaries with stochastic models (e.g.
-///   `fault_sweep`'s injection streams); default 0.
+/// * `--seed <n>` — seed of `fault_sweep`'s injection streams (also
+///   through `all_experiments`); default 0. Every other binary has no
+///   seeded model and rejects it with exit 2.
 /// * `--jobs <n>` — worker threads for orchestrated sweeps (default:
 ///   available parallelism; `1` forces the serial path). Serial
 ///   binaries accept and ignore it, so one flag set drives them all.

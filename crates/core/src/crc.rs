@@ -18,7 +18,7 @@
 //!
 //! Hashing is functional only: the simulator models the synthesised
 //! unit's timing (4× unrolled and pipelined, §6.1) at
-//! [`crate::unit::CRC_BYTES_PER_CYCLE`].
+//! `axmemo_sim::memo::CRC_BYTES_PER_CYCLE`.
 //!
 //! # Examples
 //!

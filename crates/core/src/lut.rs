@@ -63,11 +63,6 @@ impl LutGeometry {
         self.sets * self.ways
     }
 
-    /// Capacity in bytes (tag + data), one line per set.
-    pub fn capacity_bytes(self) -> usize {
-        self.sets * LUT_LINE_BYTES
-    }
-
     /// Number of low CRC bits consumed by set indexing.
     pub fn index_bits(self) -> u32 {
         self.sets.trailing_zeros()
@@ -95,6 +90,17 @@ impl Entry {
         data: 0,
         last_use: 0,
     };
+}
+
+/// How [`LutArray::place`] stored an entry.
+#[derive(Debug)]
+enum Placement {
+    /// Over the entry's own slot or in an invalid way.
+    Stored,
+    /// Over this valid least-recently-used entry.
+    Displaced(Entry),
+    /// Not at all: the set was at its cap.
+    Refused,
 }
 
 /// Result of a lookup in a single LUT array.
@@ -292,26 +298,71 @@ impl LutArray {
         &mut self.sets[set * w..(set + 1) * w]
     }
 
+    /// The slot (index into `sets`) of the valid entry for `{lut_id,
+    /// tag}` in `set`, if any: the one tag match every access shares.
+    fn find(&self, set: usize, lut_id: LutId, tag: u64) -> Option<usize> {
+        let w = self.geometry.ways;
+        self.sets[set * w..(set + 1) * w]
+            .iter()
+            .position(|e| e.valid && e.lut_id == lut_id.raw() && e.tag == tag)
+            .map(|way| set * w + way)
+    }
+
+    /// Store `{lut_id, tag} → data` in `set` as its most recently used
+    /// entry: over the entry's own slot, else in an invalid way, else
+    /// over the first least-recently-used way. With `cap`, a set already
+    /// holding `cap` valid entries (or no invalid way) refuses instead
+    /// of displacing one.
+    fn place(
+        &mut self,
+        set: usize,
+        lut_id: LutId,
+        tag: u64,
+        data: u64,
+        cap: Option<usize>,
+    ) -> Placement {
+        self.clock += 1;
+        let entry = Entry {
+            valid: true,
+            lut_id: lut_id.raw(),
+            tag,
+            data,
+            last_use: self.clock,
+        };
+        if let Some(slot) = self.find(set, lut_id, tag) {
+            self.sets[slot] = entry;
+            return Placement::Stored;
+        }
+        let ways = self.ways_of(set);
+        if cap.is_some_and(|cap| ways.iter().filter(|e| e.valid).count() >= cap) {
+            return Placement::Refused;
+        }
+        if let Some(e) = ways.iter_mut().find(|e| !e.valid) {
+            *e = entry;
+            return Placement::Stored;
+        }
+        if cap.is_some() {
+            return Placement::Refused;
+        }
+        let victim = ways
+            .iter_mut()
+            .min_by_key(|e| e.last_use)
+            .expect("a LUT set has at least one way");
+        Placement::Displaced(std::mem::replace(victim, entry))
+    }
+
     /// Look up `{lut_id, crc}`; on a hit the entry's LRU stamp is
     /// refreshed and its data returned.
     pub fn lookup(&mut self, lut_id: LutId, crc: u64) -> LookupOutcome {
         let set = self.set_index(crc);
-        let tag = self.tag_of(crc);
         self.inject_faults(set);
         self.clock += 1;
-        let clock = self.clock;
-        let mut hit = None;
-        for e in self.ways_of(set) {
-            if e.valid && e.lut_id == lut_id.raw() && e.tag == tag {
-                e.last_use = clock;
-                hit = Some(e.data);
-                break;
-            }
-        }
-        match hit {
-            Some(data) => {
+        match self.find(set, lut_id, self.tag_of(crc)) {
+            Some(slot) => {
+                let e = &mut self.sets[slot];
+                e.last_use = self.clock;
                 self.stats.hits += 1;
-                LookupOutcome::Hit(data)
+                LookupOutcome::Hit(e.data)
             }
             None => {
                 self.stats.misses += 1;
@@ -320,16 +371,11 @@ impl LutArray {
         }
     }
 
-    /// Peek without updating LRU or statistics (used by the quality
-    /// monitor's forced-miss sampling and by tests).
+    /// Peek without updating LRU, statistics or the fault stream (tests
+    /// use it to inspect an array's contents).
     pub fn peek(&self, lut_id: LutId, crc: u64) -> Option<u64> {
-        let set = self.set_index(crc);
-        let tag = self.tag_of(crc);
-        let w = self.geometry.ways;
-        self.sets[set * w..(set + 1) * w]
-            .iter()
-            .find(|e| e.valid && e.lut_id == lut_id.raw() && e.tag == tag)
-            .map(|e| e.data)
+        self.find(self.set_index(crc), lut_id, self.tag_of(crc))
+            .map(|slot| self.sets[slot].data)
     }
 
     /// Insert (or overwrite) the entry for `{lut_id, crc}` with `data`.
@@ -339,48 +385,13 @@ impl LutArray {
     /// drops it at the last level.
     pub fn insert(&mut self, lut_id: LutId, crc: u64, data: u64) -> Option<Evicted> {
         let set = self.set_index(crc);
-        let tag = self.tag_of(crc);
         self.inject_faults(set);
-        self.clock += 1;
-        let clock = self.clock;
         self.stats.inserts += 1;
-
-        // Overwrite an existing match (same inputs recomputed, e.g. after
-        // a forced quality-monitor miss).
-        for e in self.ways_of(set) {
-            if e.valid && e.lut_id == lut_id.raw() && e.tag == tag {
-                e.data = data;
-                e.last_use = clock;
-                return None;
-            }
-        }
-        // Fill an invalid way if one exists.
-        if let Some(e) = self.ways_of(set).iter_mut().find(|e| !e.valid) {
-            *e = Entry {
-                valid: true,
-                lut_id: lut_id.raw(),
-                tag,
-                data,
-                last_use: clock,
-            };
+        let Placement::Displaced(victim) = self.place(set, lut_id, self.tag_of(crc), data, None)
+        else {
             return None;
-        }
-        // LRU-evict.
-        let victim_way = {
-            let ways = self.ways_of(set);
-            let mut best = 0;
-            for (i, e) in ways.iter().enumerate() {
-                if e.last_use < ways[best].last_use {
-                    best = i;
-                }
-            }
-            best
         };
         self.stats.evictions += 1;
-        let victim = {
-            let ways = self.ways_of(set);
-            ways[victim_way]
-        };
         // A fault can in principle leave a stored lut_id out of range
         // (an SEU in the LUT_ID tag bits); such a victim carries no
         // usable identity, so it is dropped and counted rather than
@@ -393,14 +404,6 @@ impl LutArray {
         if evicted.is_none() {
             self.bad_entries_dropped += 1;
         }
-        let ways = self.ways_of(set);
-        ways[victim_way] = Entry {
-            valid: true,
-            lut_id: lut_id.raw(),
-            tag,
-            data,
-            last_use: clock,
-        };
         evicted
     }
 
@@ -427,32 +430,23 @@ impl LutArray {
 
     /// Remove a specific entry (inclusive-L2 back-invalidation support).
     pub fn invalidate_entry(&mut self, lut_id: LutId, crc: u64) -> bool {
-        let set = self.set_index(crc);
-        let tag = self.tag_of(crc);
-        for e in self.ways_of(set) {
-            if e.valid && e.lut_id == lut_id.raw() && e.tag == tag {
-                *e = Entry::INVALID;
-                return true;
-            }
+        let found = self.find(self.set_index(crc), lut_id, self.tag_of(crc));
+        if let Some(slot) = found {
+            self.sets[slot] = Entry::INVALID;
         }
-        false
+        found.is_some()
     }
 
     /// Export every valid entry in LRU order (least recently used
     /// first), reconstructing each entry's full CRC from tag + set
-    /// index. Restoring the entries in this order through
+    /// index, plus the count of stored records that could not be
+    /// exported because their stored `lut_id` was out of range (an SEU
+    /// in the LUT_ID tag bits — see [`Self::corrupt_stored_lut_id`]).
+    /// Corrupt records are skipped and counted, never a panic.
+    /// Restoring the entries in this order through
     /// [`Self::restore_entry`] reproduces the relative recency of the
     /// source array.
-    pub fn export_entries(&self) -> Vec<ExportedEntry> {
-        self.export_entries_counted().0
-    }
-
-    /// [`Self::export_entries`] plus the count of stored records that
-    /// could not be exported because their stored `lut_id` was out of
-    /// range (an SEU in the LUT_ID tag bits — see
-    /// [`Self::corrupt_stored_lut_id`]). Corrupt records are skipped
-    /// and counted, never a panic.
-    pub fn export_entries_counted(&self) -> (Vec<ExportedEntry>, u64) {
+    pub fn export_entries(&self) -> (Vec<ExportedEntry>, u64) {
         let ways = self.geometry.ways;
         let mut skipped = 0u64;
         let mut out: Vec<(u64, ExportedEntry)> = Vec::with_capacity(self.occupancy());
@@ -497,15 +491,11 @@ impl LutArray {
     /// entry becomes unexportable and exercises the skip-and-count
     /// paths.
     pub fn corrupt_stored_lut_id(&mut self, lut_id: LutId, crc: u64, raw: u8) -> bool {
-        let set = self.set_index(crc);
-        let tag = self.tag_of(crc);
-        for e in self.ways_of(set) {
-            if e.valid && e.lut_id == lut_id.raw() && e.tag == tag {
-                e.lut_id = raw;
-                return true;
-            }
+        let found = self.find(self.set_index(crc), lut_id, self.tag_of(crc));
+        if let Some(slot) = found {
+            self.sets[slot].lut_id = raw;
         }
-        false
+        found.is_some()
     }
 
     /// Reinstall a previously-exported entry without touching the access
@@ -520,46 +510,8 @@ impl LutArray {
     /// displaced entry as dropped.
     pub fn restore_entry(&mut self, lut_id: LutId, crc: u64, data: u64) -> bool {
         let set = self.set_index(crc);
-        let tag = self.tag_of(crc);
-        self.clock += 1;
-        let clock = self.clock;
-        for e in self.ways_of(set) {
-            if e.valid && e.lut_id == lut_id.raw() && e.tag == tag {
-                e.data = data;
-                e.last_use = clock;
-                return true;
-            }
-        }
-        if let Some(e) = self.ways_of(set).iter_mut().find(|e| !e.valid) {
-            *e = Entry {
-                valid: true,
-                lut_id: lut_id.raw(),
-                tag,
-                data,
-                last_use: clock,
-            };
-            return true;
-        }
-        // Set is full (restore target smaller than the source): displace
-        // the least recently restored entry, which is the oldest one.
-        let victim_way = {
-            let ways = self.ways_of(set);
-            let mut best = 0;
-            for (i, e) in ways.iter().enumerate() {
-                if e.last_use < ways[best].last_use {
-                    best = i;
-                }
-            }
-            best
-        };
-        self.ways_of(set)[victim_way] = Entry {
-            valid: true,
-            lut_id: lut_id.raw(),
-            tag,
-            data,
-            last_use: clock,
-        };
-        false
+        let placed = self.place(set, lut_id, self.tag_of(crc), data, None);
+        !matches!(placed, Placement::Displaced(_))
     }
 
     /// Like [`Self::restore_entry`], but never displaces a valid entry
@@ -579,31 +531,8 @@ impl LutArray {
         max_set_occupancy: usize,
     ) -> bool {
         let set = self.set_index(crc);
-        let tag = self.tag_of(crc);
-        self.clock += 1;
-        let clock = self.clock;
-        for e in self.ways_of(set) {
-            if e.valid && e.lut_id == lut_id.raw() && e.tag == tag {
-                e.data = data;
-                e.last_use = clock;
-                return true;
-            }
-        }
-        let occupied = self.ways_of(set).iter().filter(|e| e.valid).count();
-        if occupied >= max_set_occupancy {
-            return false;
-        }
-        if let Some(e) = self.ways_of(set).iter_mut().find(|e| !e.valid) {
-            *e = Entry {
-                valid: true,
-                lut_id: lut_id.raw(),
-                tag,
-                data,
-                last_use: clock,
-            };
-            return true;
-        }
-        false
+        let placed = self.place(set, lut_id, self.tag_of(crc), data, Some(max_set_occupancy));
+        !matches!(placed, Placement::Refused)
     }
 
     /// Count of currently-valid entries.
@@ -635,7 +564,6 @@ mod tests {
         let g4 = LutGeometry::from_capacity(4096, DataWidth::W4);
         assert_eq!(g4.sets, 64);
         assert_eq!(g4.ways, 8);
-        assert_eq!(g4.capacity_bytes(), 4096);
         let g8 = LutGeometry::from_capacity(4096, DataWidth::W8);
         assert_eq!(g8.sets, 64);
         assert_eq!(g8.ways, 4);
@@ -814,7 +742,7 @@ mod tests {
             src.insert(id((i % 3) as u8), i * 37, i);
         }
         src.lookup(id(0), 0); // refresh entry 0: it must survive a later evict
-        let exported = src.export_entries();
+        let exported = src.export_entries().0;
         assert_eq!(exported.len(), src.occupancy());
 
         let mut dst = LutArray::new(src.geometry());
@@ -828,7 +756,7 @@ mod tests {
         // Stats stay untouched: restores are not inserts (double-count pin).
         assert_eq!(dst.stats(), LutStats::default());
         // LRU order carried over: exported order is oldest-first.
-        let re = dst.export_entries();
+        let re = dst.export_entries().0;
         assert_eq!(re, exported);
     }
 
@@ -840,7 +768,7 @@ mod tests {
         for i in 0..9u64 {
             src.insert(id(0), i, i * 10);
         }
-        let exported = src.export_entries();
+        let exported = src.export_entries().0;
         assert_eq!(exported.len(), 9);
         let mut dst = LutArray::new(LutGeometry::from_capacity(64, DataWidth::W4));
         let kept = exported

@@ -64,7 +64,7 @@ impl RestorePolicy {
 }
 
 /// Which level served a hit — the levels have different access latencies
-/// (2 cycles for L1, 13 for L2; Table 4).
+/// (Table 4; `axmemo_sim::memo` charges them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HitLevel {
     /// Served from the dedicated L1 LUT SRAM.
@@ -214,13 +214,7 @@ impl TwoLevelLut {
                 if let Some(victim) = self.l1.insert(lut_id, crc, d) {
                     tel.count("lut.l1.evictions", 1);
                     tel.profiler_mut().leaf(PhaseId::LutEvict, 0);
-                    // Last-level eviction from L2 is a plain invalidation;
-                    // nothing propagates to memory.
-                    if l2.insert(victim.lut_id, victim.crc, victim.data).is_some() {
-                        tel.count("lut.l2.evictions", 1);
-                        tel.profiler_mut().leaf(PhaseId::LutEvict, 0);
-                        tel.event("lut.evict", &[("level", Value::Str("L2".into()))]);
-                    }
+                    insert_l2(l2, victim.lut_id, victim.crc, victim.data, tel);
                 }
                 TwoLevelOutcome::Hit(HitLevel::L2, d)
             }
@@ -256,19 +250,11 @@ impl TwoLevelLut {
         match self.l2.as_mut() {
             Some(l2) => {
                 // Inclusive L2 also receives the new entry.
-                if l2.insert(lut_id, crc, data).is_some() {
-                    tel.count("lut.l2.evictions", 1);
-                    tel.profiler_mut().leaf(PhaseId::LutEvict, 0);
-                    tel.event("lut.evict", &[("level", Value::Str("L2".into()))]);
-                }
+                insert_l2(l2, lut_id, crc, data, tel);
                 // L1 victims spill to L2 ("evicted to L2 LUT ... using the
                 // least recently used policy").
                 if let Some(v) = victim {
-                    if l2.insert(v.lut_id, v.crc, v.data).is_some() {
-                        tel.count("lut.l2.evictions", 1);
-                        tel.profiler_mut().leaf(PhaseId::LutEvict, 0);
-                        tel.event("lut.evict", &[("level", Value::Str("L2".into()))]);
-                    }
+                    insert_l2(l2, v.lut_id, v.crc, v.data, tel);
                 }
             }
             None => {
@@ -375,9 +361,9 @@ impl TwoLevelLut {
 
     /// Export the L1's valid entries in LRU order (oldest first) for
     /// persistence ([`crate::snapshot`]), plus the count of corrupt
-    /// stored records skipped (see [`LutArray::export_entries_counted`]).
+    /// stored records skipped (see [`LutArray::export_entries`]).
     pub fn export_l1(&self) -> (Vec<ExportedEntry>, u64) {
-        self.l1.export_entries_counted()
+        self.l1.export_entries()
     }
 
     /// [`Self::export_l1`] for the L2; `(vec![], 0)` when no L2 is
@@ -385,7 +371,7 @@ impl TwoLevelLut {
     pub fn export_l2(&self) -> (Vec<ExportedEntry>, u64) {
         self.l2
             .as_ref()
-            .map(|l2| l2.export_entries_counted())
+            .map(|l2| l2.export_entries())
             .unwrap_or_default()
     }
 
@@ -469,6 +455,16 @@ impl TwoLevelLut {
     /// Direct read access to the L2 array, if present.
     pub fn l2(&self) -> Option<&LutArray> {
         self.l2.as_ref()
+    }
+}
+
+/// Insert into the last-level L2. An entry displaced there is a plain
+/// invalidation: LUT entries never propagate to memory.
+fn insert_l2(l2: &mut LutArray, lut_id: LutId, crc: u64, data: u64, tel: &mut Telemetry) {
+    if l2.insert(lut_id, crc, data).is_some() {
+        tel.count("lut.l2.evictions", 1);
+        tel.profiler_mut().leaf(PhaseId::LutEvict, 0);
+        tel.event("lut.evict", &[("level", Value::Str("L2".into()))]);
     }
 }
 

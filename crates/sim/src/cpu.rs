@@ -1055,8 +1055,8 @@ pub(crate) fn cond_taken(cond: Cond, a: u64, b: u64) -> bool {
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
+    use crate::memo::CRC_BYTES_PER_CYCLE;
     use axmemo_core::ids::LutId;
-    use axmemo_core::unit::CRC_BYTES_PER_CYCLE;
 
     #[test]
     fn straight_line_arithmetic() {

@@ -94,7 +94,7 @@ pub mod cpu;
 pub mod decoded;
 pub mod energy;
 pub mod ir;
-mod memo;
+pub mod memo;
 pub mod pipeline;
 pub mod predictor;
 pub mod stats;

@@ -1,14 +1,17 @@
 //! Timing rules of the five AxMemo instructions, shared by both
 //! dispatch tiers.
 //!
-//! The tiers decode and dispatch a memo op their own way, then call one
-//! function here per op. That function owns everything the op does to
-//! the pipeline, the memoization unit, the profiler and the
+//! This module is the one owner of memo-op cycles: Table 4's latencies
+//! are its constants, and the memoization unit it drives
+//! ([`MemoizationUnit`]) is purely functional. The tiers decode and
+//! dispatch a memo op their own way, then call one function here per
+//! op. That function owns everything the op does to the pipeline, the
+//! memoization unit, the profiler's cycle leaves and the
 //! runtime-dependent counters, so the tiers cannot drift apart. Counters
 //! fixed by the instruction alone (instruction classes, CRC beats, HVR
 //! and L1-LUT accesses) stay with the tiers: the legacy loop counts them
 //! per arm, and the threaded tier adds the same counts per block through
-//! [`crate::decoded::BlockCounts`].
+//! `decoded::BlockCounts`.
 //!
 //! The model (§4, §6.1): `ld_crc` and `reg_crc` queue their input for the
 //! CRC unit, which hashes [`CRC_BYTES_PER_CYCLE`] bytes per cycle in the
@@ -28,8 +31,35 @@ use axmemo_core::faults::Protection;
 use axmemo_core::ids::{LutId, ThreadId, MAX_LUTS};
 use axmemo_core::truncate::InputValue;
 use axmemo_core::two_level::HitLevel;
-use axmemo_core::unit::{LookupResult, MemoizationUnit, CRC_BYTES_PER_CYCLE};
-use axmemo_telemetry::{PhaseId, Telemetry};
+use axmemo_core::unit::{LookupResult, MemoizationUnit};
+use axmemo_telemetry::{PhaseId, Profiler, Telemetry};
+
+/// Bytes the CRC unit absorbs per cycle: the synthesised unit is
+/// unrolled 4× and pipelined (§6.1). Table 4's text gives `ld_crc` /
+/// `reg_crc` as 1 cycle per byte; the simulator follows §6.1's
+/// synthesised design.
+pub const CRC_BYTES_PER_CYCLE: u64 = 4;
+
+/// Table 4: `lookup` latency when the L1 LUT answers. Like every
+/// Table 4 figure it includes the 1-cycle dummy-register overhead that
+/// orders `ld_crc`/`reg_crc`/`lookup` (§4, §6.1).
+pub const LOOKUP_L1_CYCLES: u64 = 2;
+
+/// Table 4: `lookup` latency when the L2 LUT answers; a miss that
+/// probed an L2 pays it too.
+pub const LOOKUP_L2_CYCLES: u64 = 13;
+
+/// Table 4: `update` latency.
+pub const UPDATE_CYCLES: u64 = 2;
+
+/// Table 4: `invalidate` latency per way in a set (§4: "one cycle for
+/// each way in a set").
+pub const INVALIDATE_CYCLES_PER_WAY: u64 = 1;
+
+/// Extra latency of a LUT access whose arrays are ECC-protected (parity
+/// check on tags, SECDED syndrome on data), charged only under
+/// [`Protection::EccProtected`].
+pub const ECC_CHECK_CYCLES: u64 = 1;
 
 /// The simulated core runs one hardware thread.
 const TID: ThreadId = ThreadId(0);
@@ -59,8 +89,8 @@ pub(crate) struct MemoPort<'a> {
     pub(crate) stats: &'a mut RunStats,
 }
 
-/// Per-run CRC state plus the unit's configuration flags that gate
-/// energy charges.
+/// Per-run CRC state plus the unit's configuration flags that decide
+/// the ops' latencies and energy charges.
 #[derive(Debug)]
 pub(crate) struct MemoTiming {
     /// Per-LUT cycle at which the CRC unit finishes its queued beats.
@@ -77,6 +107,8 @@ pub(crate) struct MemoTiming {
     has_l2_lut: bool,
     /// Every LUT access pays an ECC check.
     ecc: bool,
+    /// `invalidate` latency: one cycle per way in a set.
+    invalidate_cycles: u64,
 }
 
 impl MemoTiming {
@@ -88,7 +120,49 @@ impl MemoTiming {
             queue_capacity: config.map_or(0, |c| c.input_queue_depth as u64 * 8),
             has_l2_lut: config.is_some_and(|c| c.l2_bytes.is_some()),
             ecc: config.is_some_and(|c| c.faults.protection == Protection::EccProtected),
+            invalidate_cycles: config.map_or(0, |c| {
+                INVALIDATE_CYCLES_PER_WAY * c.data_width.ways() as u64
+            }),
         }
+    }
+
+    /// Cycles of the ECC check one LUT access pays.
+    #[inline(always)]
+    fn ecc_cycles(&self) -> u64 {
+        if self.ecc {
+            ECC_CHECK_CYCLES
+        } else {
+            0
+        }
+    }
+
+    /// Table 4 latency of one lookup outcome, charged to the profiler's
+    /// leaves as it is computed, so the leaves sum to the latency. Every
+    /// probe pays the L1 set search (`lut.l1.search`). An outcome that
+    /// reached the L2 (an L2 hit, or any miss when an L2 exists) also
+    /// pays the rest of the L2 latency (`lut.l2.probe`), and the ECC
+    /// check rides the access that completes the lookup. A disabled
+    /// lookup never touches the arrays: its residual L1 check is
+    /// quality-monitor overhead (`quality.monitor`), with no ECC check.
+    #[inline(always)]
+    fn lookup_latency(&self, result: &LookupResult, prof: &mut Profiler) -> u64 {
+        let reached_l2 = match result {
+            LookupResult::Disabled => {
+                prof.leaf(PhaseId::Quality, LOOKUP_L1_CYCLES);
+                return LOOKUP_L1_CYCLES;
+            }
+            LookupResult::Hit { level, .. } => *level == HitLevel::L2,
+            LookupResult::Miss | LookupResult::SampledMiss { .. } => self.has_l2_lut,
+        };
+        if !reached_l2 {
+            let search = LOOKUP_L1_CYCLES + self.ecc_cycles();
+            prof.leaf(PhaseId::LutL1Search, search);
+            return search;
+        }
+        let probe = LOOKUP_L2_CYCLES - LOOKUP_L1_CYCLES + self.ecc_cycles();
+        prof.leaf(PhaseId::LutL1Search, LOOKUP_L1_CYCLES);
+        prof.leaf(PhaseId::LutL2Probe, probe);
+        LOOKUP_L1_CYCLES + probe
     }
 
     /// `ld_crc`: the load issues on the load/store port (its `latency`
@@ -157,7 +231,7 @@ impl MemoTiming {
         let before = port.pipe.now();
         port.tel.set_cycle(before.max(not_before));
         let result = port.unit.lookup_tel(lut, TID, port.tel);
-        let latency = port.unit.lookup_cycles(&result);
+        let latency = self.lookup_latency(&result, port.tel.profiler_mut());
         let free = port.pipe.next_issue(&[], FuClass::Memo);
         let at = port
             .pipe
@@ -188,10 +262,13 @@ impl MemoTiming {
     }
 
     /// `update`: writes the recomputed output for the preceding miss.
+    /// Only a write that consumed a pending miss pays the ECC check.
     #[inline(always)]
     pub(crate) fn update(&mut self, port: MemoPort<'_>, src: u8, lut: LutId, data: u64) {
         port.tel.set_cycle(port.pipe.now());
-        let cycles = port.unit.update_tel(lut, TID, data, port.tel);
+        let wrote = port.unit.update_tel(lut, TID, data, port.tel);
+        let cycles = UPDATE_CYCLES + if wrote { self.ecc_cycles() } else { 0 };
+        port.tel.profiler_mut().leaf(PhaseId::LutUpdate, cycles);
         port.pipe.issue(&[src], None, FuClass::Memo, cycles, 0);
         self.charge_lut(port.stats, true);
     }
@@ -200,8 +277,12 @@ impl MemoTiming {
     #[inline(always)]
     pub(crate) fn invalidate(&mut self, port: MemoPort<'_>, lut: LutId) {
         port.tel.set_cycle(port.pipe.now());
-        let cycles = port.unit.invalidate_tel(lut, port.tel);
-        port.pipe.issue(&[], None, FuClass::Memo, cycles, 0);
+        port.unit.invalidate_tel(lut, port.tel);
+        port.tel
+            .profiler_mut()
+            .leaf(PhaseId::LutInvalidate, self.invalidate_cycles);
+        port.pipe
+            .issue(&[], None, FuClass::Memo, self.invalidate_cycles, 0);
     }
 
     /// Energy of one L1 LUT access (counted by the tiers) plus, when an
@@ -246,5 +327,121 @@ impl Simulator {
             tel: &mut self.telemetry,
             stats,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use axmemo_core::config::{DataWidth, MemoConfig};
+    use axmemo_core::faults::FaultConfig;
+
+    fn unit(l2: bool, ecc: bool, data_width: DataWidth) -> MemoizationUnit {
+        let base = if l2 {
+            MemoConfig::l1_l2(8 * 1024, 256 * 1024)
+        } else {
+            MemoConfig::l1_only(4096)
+        };
+        let protection = if ecc {
+            Protection::EccProtected
+        } else {
+            Protection::Unprotected
+        };
+        MemoizationUnit::new(MemoConfig {
+            data_width,
+            faults: FaultConfig {
+                protection,
+                ..FaultConfig::default()
+            },
+            ..base
+        })
+        .unwrap()
+    }
+
+    /// Cycles charged to `phase`'s top-level leaf.
+    fn leaf_cycles(prof: &Profiler, phase: PhaseId) -> u64 {
+        prof.snapshot()
+            .phases
+            .get(phase.name())
+            .map_or(0, |s| s.cycles)
+    }
+
+    /// Run one op on `unit` with a fresh pipeline and return the cycles
+    /// it charged to `phase`.
+    fn charged(
+        unit: &mut MemoizationUnit,
+        phase: PhaseId,
+        op: impl FnOnce(&mut MemoTiming, MemoPort<'_>),
+    ) -> u64 {
+        let mut timing = MemoTiming::new(Some(unit));
+        let (mut pipe, mut stats) = (Pipeline::new(), RunStats::default());
+        let mut tel = Telemetry::off();
+        tel.profiler_mut().enable();
+        let port = MemoPort {
+            unit,
+            pipe: &mut pipe,
+            tel: &mut tel,
+            stats: &mut stats,
+        };
+        op(&mut timing, port);
+        leaf_cycles(tel.profiler(), phase)
+    }
+
+    #[test]
+    fn memo_ops_follow_table4() {
+        let l1_hit = LookupResult::Hit {
+            data: 0,
+            level: HitLevel::L1,
+        };
+        let l2_hit = LookupResult::Hit {
+            data: 0,
+            level: HitLevel::L2,
+        };
+        let sampled = LookupResult::SampledMiss { data: 0 };
+        for (l2, ecc) in [(false, false), (false, true), (true, false), (true, true)] {
+            let ecc_check = u64::from(ecc);
+            let mut u = unit(l2, ecc, DataWidth::W4);
+            let timing = MemoTiming::new(Some(&u));
+            // An L1-only unit never reports an L2 hit.
+            let probe = if l2 { 13 } else { 2 };
+            let mut cases = vec![
+                (l1_hit, 2 + ecc_check),
+                (LookupResult::Miss, probe + ecc_check),
+                (sampled, probe + ecc_check),
+                // No array access, so no ECC check.
+                (LookupResult::Disabled, 2),
+            ];
+            if l2 {
+                cases.push((l2_hit, 13 + ecc_check));
+            }
+            for (result, latency) in cases {
+                let mut prof = Profiler::enabled();
+                let cycles = timing.lookup_latency(&result, &mut prof);
+                let what = format!("{result:?} with l2={l2} ecc={ecc}");
+                assert_eq!(cycles, latency, "latency of {what}");
+                let leaves: u64 = prof.snapshot().phases.values().map(|s| s.cycles).sum();
+                assert_eq!(leaves, latency, "leaves of {what}");
+                if result == LookupResult::Disabled {
+                    assert_eq!(leaf_cycles(&prof, PhaseId::Quality), 2);
+                }
+            }
+
+            let lut = LutId::new(0).unwrap();
+            let update = |u: &mut MemoizationUnit| {
+                charged(u, PhaseId::LutUpdate, |t, port| t.update(port, 0, lut, 7))
+            };
+            assert_eq!(update(&mut u), 2, "update without a pending miss");
+            u.feed(lut, TID, InputValue::I32(5), 0);
+            assert_eq!(u.lookup(lut, TID), LookupResult::Miss);
+            assert_eq!(update(&mut u), 2 + ecc_check, "update after a miss");
+        }
+        for (data_width, cycles) in [(DataWidth::W4, 8), (DataWidth::W8, 4)] {
+            let mut u = unit(false, false, data_width);
+            let lut = LutId::new(0).unwrap();
+            let invalidate = charged(&mut u, PhaseId::LutInvalidate, |t, port| {
+                t.invalidate(port, lut)
+            });
+            assert_eq!(invalidate, cycles, "invalidate with {data_width:?} data");
+        }
     }
 }

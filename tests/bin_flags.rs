@@ -75,6 +75,14 @@ fn removed_flags_exit_2() {
 }
 
 #[test]
+fn seed_exits_2_where_nothing_reads_it() {
+    // Only fault_sweep (also through all_experiments) has a seeded model.
+    for bin in [FIG11, FIG8, ATM_COMPARE, WARM_START] {
+        assert_usage_error(bin, &["--seed", "1"], &["--seed"]);
+    }
+}
+
+#[test]
 fn warm_start_rejects_snapshot_path_flags() {
     for flag in ["--snapshot-out", "--restore-from"] {
         assert_usage_error(WARM_START, &[flag, "x"], &[flag, "--state-dir"]);
