@@ -18,7 +18,7 @@
 //! `--profile-out <path>` merges every experiment's cycle-attribution
 //! profile in fixed experiment order and writes the aggregate to
 //! `<path>` in the `--profile` format; each simulated run is counted
-//! once. `--trace-out` and the snapshot flags exit 2.
+//! once. `--trace-out` exits 2.
 
 fn main() {
     axmemo_bench::experiments::all_experiments();

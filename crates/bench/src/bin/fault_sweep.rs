@@ -16,9 +16,10 @@
 //! Extra flag (before the shared ones): `--benches a,b,c` restricts the
 //! matrix to a comma-separated benchmark subset (CI smoke runs use
 //! this; the default is all ten). An unknown name exits 2 and is named
-//! on stderr. Sweep cells never snapshot or
-//! restore, so `--snapshot-out`, `--restore-from` and
-//! `--restore-policy` exit 2, as for every experiment but fig7–fig10.
+//! on stderr. Sweep cells run cold: only `warm_start` writes or
+//! restores LUT snapshots, so the snapshot flags exit 2 here as on
+//! every other binary. `--seed` and `--jobs` are read here (and through
+//! `all_experiments`) and nowhere else.
 //!
 //! Every cell of the matrix normalises against the same fault-free
 //! baseline, so the sweep shares one baseline simulation per benchmark

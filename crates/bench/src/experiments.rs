@@ -20,6 +20,7 @@ use axmemo_compiler::{analyze, SearchConfig};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::crc::{CrcWidth, TableCrc};
 use axmemo_core::snapshot::RecoveryOutcome;
+use axmemo_core::RestorePolicy;
 use axmemo_sim::cache::CacheConfig;
 use axmemo_sim::cpu::{DispatchTier, Machine, SimConfig, Simulator};
 use axmemo_sim::energy::{l1_lut_energy, AreaModel, EnergyModel};
@@ -95,8 +96,7 @@ impl Context {
     pub fn matrix(&self, tel: &mut Telemetry) -> Result<&PaperMatrix> {
         self.matrix
             .get_or_init(|| {
-                PaperMatrix::compute(&self.args, self.scale, &self.cache, tel)
-                    .map_err(|e| e.to_string())
+                PaperMatrix::compute(self.scale, &self.cache, tel).map_err(|e| e.to_string())
             })
             .as_ref()
             .map_err(|e| e.clone().into())
@@ -111,39 +111,26 @@ pub type Body = fn(&Context, &mut Telemetry) -> Result<Output>;
 pub struct Experiment {
     /// Binary name, also the section header in [`all_experiments`].
     pub name: &'static str,
-    /// Shared flags it rejects: `--seed`, except on `fault_sweep`, the
-    /// only experiment with a seeded model; and the snapshot flags,
-    /// except on the matrix figures and `warm_start` (which takes only
-    /// `--restore-policy`).
-    refused: &'static [&'static str],
+    /// Whether it runs the seeded, orchestrated fault sweep: only then
+    /// does it read `--seed` and `--jobs`; every other experiment
+    /// refuses them.
+    seeded_sweep: bool,
     /// Usage text for flags only its own binary parses.
     extra_usage: &'static str,
     body: Body,
 }
 
-/// Flags that only snapshot-aware experiments take.
-const SNAPSHOT_FLAGS: [&str; 3] = ["--snapshot-out", "--restore-from", "--restore-policy"];
-
-/// What an experiment with neither a seeded model nor snapshots
-/// refuses.
-const SEED_AND_SNAPSHOT_FLAGS: [&str; 4] = [
-    "--seed",
-    "--snapshot-out",
-    "--restore-from",
-    "--restore-policy",
-];
+/// The shared flags only the seeded sweep reads.
+const SWEEP_FLAGS: [&str; 2] = ["--seed", "--jobs"];
 
 /// Usage fragment of every shared flag, keyed by the flag.
-const FLAG_USAGE: [(&str, &str); 9] = [
+const FLAG_USAGE: [(&str, &str); 6] = [
     ("--trace-out", "[--trace-out <path>]"),
     ("--report", "[--report text|json]"),
     ("--seed", "[--seed <n>]"),
     ("--jobs", "[--jobs <n>]"),
     ("--profile-out", "[--profile-out <path>]"),
     ("--profile", "[--profile folded|json|text]"),
-    ("--snapshot-out", "[--snapshot-out <dir>]"),
-    ("--restore-from", "[--restore-from <dir>]"),
-    ("--restore-policy", "[--restore-policy oldest|mru]"),
 ];
 
 /// The usage line of `bin`, listing every shared flag it does not
@@ -181,10 +168,19 @@ fn usage_exit(bin: &str, extra: &str, refused: &[&str], msg: &str) -> ! {
 }
 
 impl Experiment {
+    /// The shared flags this experiment refuses.
+    fn refused(&self) -> &'static [&'static str] {
+        if self.seeded_sweep {
+            &[]
+        } else {
+            &SWEEP_FLAGS
+        }
+    }
+
     /// Print `msg` and this binary's usage line, and exit 2: for a bad
     /// value of a flag only the binary itself parses.
     pub fn usage_error(&self, msg: &str) -> ! {
-        usage_exit(self.name, self.extra_usage, self.refused, msg)
+        usage_exit(self.name, self.extra_usage, self.refused(), msg)
     }
 
     /// Split `raw` into the values of the flags in `own`, which only
@@ -229,7 +225,7 @@ impl Experiment {
         raw: impl IntoIterator<Item = String>,
         body: impl FnOnce(&Context, &mut Telemetry) -> Result<Output>,
     ) {
-        let args = parse_or_exit(self.name, self.extra_usage, self.refused, raw);
+        let args = parse_or_exit(self.name, self.extra_usage, self.refused(), raw);
         let ctx = Context::new(args);
         let run = || -> Result<()> {
             let mut tel = ctx.args.telemetry()?;
@@ -292,19 +288,13 @@ pub fn experiment(name: &str) -> &'static Experiment {
         .unwrap_or_else(|| panic!("no experiment named {name}"))
 }
 
+/// An experiment without the seeded sweep or flags of its own.
 const fn plain(name: &'static str, body: Body) -> Experiment {
     Experiment {
         name,
-        refused: &SEED_AND_SNAPSHOT_FLAGS,
+        seeded_sweep: false,
         extra_usage: "",
         body,
-    }
-}
-
-const fn figure(name: &'static str, body: Body) -> Experiment {
-    Experiment {
-        refused: &["--seed"],
-        ..plain(name, body)
     }
 }
 
@@ -313,10 +303,10 @@ pub static EXPERIMENTS: [Experiment; 14] = [
     plain("table1", table1),
     plain("table2", table2),
     plain("table4_5", table4_5),
-    figure("fig7", |c, t| Ok(c.matrix(t)?.fig7(c.args.report).into())),
-    figure("fig8", |c, t| Ok(c.matrix(t)?.fig8(c.args.report).into())),
-    figure("fig9", |c, t| Ok(c.matrix(t)?.fig9(c.args.report).into())),
-    figure("fig10", |c, t| Ok(c.matrix(t)?.fig10(c.args.report).into())),
+    plain("fig7", |c, t| Ok(c.matrix(t)?.fig7(c.args.report).into())),
+    plain("fig8", |c, t| Ok(c.matrix(t)?.fig8(c.args.report).into())),
+    plain("fig9", |c, t| Ok(c.matrix(t)?.fig9(c.args.report).into())),
+    plain("fig10", |c, t| Ok(c.matrix(t)?.fig10(c.args.report).into())),
     plain("fig11", fig11),
     plain("atm_compare", atm_compare),
     plain("l2_sensitivity", l2_sensitivity),
@@ -324,22 +314,20 @@ pub static EXPERIMENTS: [Experiment; 14] = [
     plain("ablation_two_level", ablation_two_level),
     plain("ablation_branch_predictor", ablation_branch_predictor),
     Experiment {
-        refused: &SNAPSHOT_FLAGS,
+        seeded_sweep: true,
         extra_usage: "[--benches a,b,c] ",
         ..plain("fault_sweep", |c, t| fault_sweep(c, t, &[]))
     },
 ];
 
 /// The `warm_start` binary: not part of [`EXPERIMENTS`] (it writes
-/// snapshot files, so [`all_experiments`] leaves it out). `--state-dir`
-/// sets every snapshot path, so it refuses `--snapshot-out` and
-/// `--restore-from`; `--restore-policy` picks the restore order. It
-/// has no seeded model, so it refuses `--seed` too.
+/// snapshot files, so [`all_experiments`] leaves it out). It is the
+/// only binary that writes or restores LUT snapshots: `--state-dir`
+/// sets every snapshot path and `--restore-policy` the restore order.
 pub static WARM_START: Experiment = Experiment {
-    name: "warm_start",
-    refused: &["--seed", "--snapshot-out", "--restore-from"],
-    extra_usage: "[--state-dir <dir>] [--generations <n>] [--benches a,b,c] ",
-    body: |c, t| warm_start(c, t, &WarmStart::default()),
+    extra_usage:
+        "[--state-dir <dir>] [--generations <n>] [--benches a,b,c] [--restore-policy oldest|mru] ",
+    ..plain("warm_start", |c, t| warm_start(c, t, &WarmStart::default()))
 };
 
 /// Run every experiment of [`EXPERIMENTS`] in this process and print
@@ -350,12 +338,15 @@ pub static WARM_START: Experiment = Experiment {
 /// the fault sweep uses the host's available parallelism instead.
 ///
 /// `--profile-out` writes the merge of every experiment's profile, in
-/// suite order. `--trace-out` and the snapshot flags exit 2. Exits 1
-/// after printing everything if any experiment failed.
+/// suite order. `--trace-out` exits 2. Exits 1 after printing
+/// everything if any experiment failed.
 pub fn all_experiments() {
-    let bin = "all_experiments";
-    let refused = [&SNAPSHOT_FLAGS[..], &["--trace-out"]].concat();
-    let args = parse_or_exit(bin, "", &refused, std::env::args().skip(1));
+    let args = parse_or_exit(
+        "all_experiments",
+        "",
+        &["--trace-out"],
+        std::env::args().skip(1),
+    );
     let jobs = args.effective_jobs();
     let ctx = Context::new(BenchArgs {
         jobs: if jobs > 1 { 1 } else { 0 },
@@ -985,6 +976,8 @@ pub struct WarmStart {
     pub generations: usize,
     /// Benchmarks to run, in suite order (empty: all of them).
     pub benches: Vec<String>,
+    /// Order and admission of restored entries (`--restore-policy`).
+    pub restore_policy: RestorePolicy,
 }
 
 impl Default for WarmStart {
@@ -993,6 +986,7 @@ impl Default for WarmStart {
             state_dir: std::env::temp_dir().join("axmemo-warm-start"),
             generations: 3,
             benches: Vec::new(),
+            restore_policy: RestorePolicy::default(),
         }
     }
 }
@@ -1004,9 +998,12 @@ impl Default for WarmStart {
 ///
 /// # Errors
 ///
-/// The first run's failure, snapshot I/O included.
+/// Failure to create `state_dir` (naming `--state-dir`), then the first
+/// run's failure, snapshot I/O included.
 pub fn warm_start(ctx: &Context, tel: &mut Telemetry, warm: &WarmStart) -> Result<Output> {
     let (scale, generations) = (ctx.scale, warm.generations);
+    let dir = &warm.state_dir;
+    std::fs::create_dir_all(dir).map_err(|e| format!("--state-dir {}: {e}", dir.display()))?;
     // One mid-size configuration: large enough to hold useful warm
     // state, small enough that a single run does not trivially saturate
     // it (the regime where persistence matters).
@@ -1030,16 +1027,13 @@ pub fn warm_start(ctx: &Context, tel: &mut Telemetry, warm: &WarmStart) -> Resul
         if !warm.benches.is_empty() && !warm.benches.contains(&name) {
             continue;
         }
-        let snap_path = |generation: usize| {
-            warm.state_dir
-                .join(format!("{name}.gen{generation}.axmsnap"))
-        };
+        let snap_path = |generation: usize| dir.join(format!("{name}.gen{generation}.axmsnap"));
         let mut cold_hit_rate = 0.0;
         for generation in 0..generations {
             let plan = SnapshotPlan {
                 restore_from: (generation > 0).then(|| snap_path(generation - 1)),
                 snapshot_out: Some(snap_path(generation)),
-                restore_policy: ctx.args.restore_policy,
+                restore_policy: warm.restore_policy,
             };
             let report = run_cell(
                 bench.as_ref(),
@@ -1120,36 +1114,48 @@ mod tests {
     }
 
     #[test]
-    fn only_the_matrix_figures_take_snapshot_flags() {
+    fn no_experiment_takes_a_snapshot_flag() {
+        let lines: Vec<String> = EXPERIMENTS
+            .iter()
+            .chain([&WARM_START])
+            .map(|e| usage(e.name, e.extra_usage, e.refused()))
+            .collect();
+        for line in &lines {
+            for flag in ["--snapshot-out", "--restore-from", "--dispatch"] {
+                assert!(!line.contains(flag), "{line}");
+            }
+        }
         let taking = |flag: &str| -> Vec<&str> {
             EXPERIMENTS
                 .iter()
-                .filter(|e| !e.refused.contains(&flag))
+                .filter(|e| !e.refused().contains(&flag))
                 .map(|e| e.name)
                 .collect()
         };
-        assert_eq!(taking("--snapshot-out"), ["fig7", "fig8", "fig9", "fig10"]);
         assert_eq!(taking("--seed"), ["fault_sweep"]);
-        let fig11 = experiment("fig11");
-        let line = usage(fig11.name, fig11.extra_usage, fig11.refused);
-        assert!(line.starts_with("usage: fig11 [--trace-out"), "{line}");
-        assert!(!line.contains("--dispatch"), "{line}");
-        assert!(!line.contains("--snapshot-out"), "{line}");
-        assert!(!line.contains("--seed"), "{line}");
-        let sweep = experiment("fault_sweep");
-        let line = usage(sweep.name, sweep.extra_usage, sweep.refused);
-        assert!(line.starts_with("usage: fault_sweep [--benches a,b,c] "));
-        assert!(line.contains("[--seed <n>]"), "{line}");
+        assert_eq!(taking("--jobs"), ["fault_sweep"]);
         let fig7 = experiment("fig7");
-        let line = usage(fig7.name, fig7.extra_usage, fig7.refused);
-        assert!(line.ends_with("[--restore-policy oldest|mru]"), "{line}");
-        assert!(!line.contains("--seed"), "{line}");
-        // warm_start sets its own snapshot paths but takes the policy.
-        let warm = &WARM_START;
-        let line = usage(warm.name, warm.extra_usage, warm.refused);
-        assert!(line.starts_with("usage: warm_start [--state-dir <dir>] "));
-        assert!(line.ends_with("[--restore-policy oldest|mru]"), "{line}");
-        assert!(!line.contains("--snapshot-out") && !line.contains("--restore-from"));
-        assert!(!line.contains("--seed"), "{line}");
+        let line = usage(fig7.name, fig7.extra_usage, fig7.refused());
+        assert_eq!(
+            line,
+            "usage: fig7 [--trace-out <path>] [--report text|json] \
+             [--profile-out <path>] [--profile folded|json|text]"
+        );
+        let sweep = experiment("fault_sweep");
+        let line = usage(sweep.name, sweep.extra_usage, sweep.refused());
+        assert!(line.starts_with("usage: fault_sweep [--benches a,b,c] "));
+        assert!(line.contains("[--seed <n>] [--jobs <n>]"), "{line}");
+        // The restore policy is warm_start's own flag, and no other
+        // usage line lists it.
+        let warm = &lines[EXPERIMENTS.len()];
+        assert!(warm.starts_with("usage: warm_start [--state-dir <dir>] "));
+        assert!(warm.contains("[--restore-policy oldest|mru]"), "{warm}");
+        assert!(
+            !warm.contains("--seed") && !warm.contains("--jobs"),
+            "{warm}"
+        );
+        for line in &lines[..EXPERIMENTS.len()] {
+            assert!(!line.contains("--restore-policy"), "{line}");
+        }
     }
 }

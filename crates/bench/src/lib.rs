@@ -29,7 +29,6 @@ use axmemo_baselines::cost::kernel_profile;
 use axmemo_baselines::{AtmModel, ContenderOutcome, SoftwareLut};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::unit::LookupEvent;
-use axmemo_core::RestorePolicy;
 pub use axmemo_sim::cpu::DispatchTier;
 use axmemo_sim::cpu::{Machine, SimConfig, Simulator};
 use axmemo_sim::stats::RunStats;
@@ -81,17 +80,12 @@ pub enum ProfileMode {
 ///   through `all_experiments`); default 0. Every other binary has no
 ///   seeded model and rejects it with exit 2.
 /// * `--jobs <n>` — worker threads for orchestrated sweeps (default:
-///   available parallelism; `1` forces the serial path). Serial
-///   binaries accept and ignore it, so one flag set drives them all.
-/// * `--snapshot-out <dir>` — after each benchmark's memoized run,
-///   write its warm LUT image atomically to `<dir>/<bench>.axmsnap`.
-/// * `--restore-from <dir>` — warm-start each benchmark from
-///   `<dir>/<bench>.axmsnap` (written by a previous `--snapshot-out`
-///   run). Corrupt or torn files degrade to a reported cold start.
-///   Both snapshot flags are default-off: unused, the output is
-///   byte-identical to a build without the feature. Only the
-///   paper-matrix figures (`fig7`–`fig10`) take them; the
-///   [`experiments`] drivers reject them elsewhere with exit 2.
+///   available parallelism; `1` forces the serial path). Only
+///   `fault_sweep` and `all_experiments` read it; every other binary
+///   rejects it with exit 2.
+///
+/// LUT snapshots are written and restored by `warm_start` alone, through
+/// its own `--state-dir` and `--restore-policy` flags.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     /// JSONL event-trace destination, when requested.
@@ -107,16 +101,6 @@ pub struct BenchArgs {
     pub profile_out: Option<String>,
     /// Profile rendering selected with `--profile` (default folded).
     pub profile_mode: ProfileMode,
-    /// Directory to write per-benchmark warm snapshots into
-    /// (`--snapshot-out`); `None` keeps persistence fully off.
-    pub snapshot_out: Option<String>,
-    /// Directory to warm-start per-benchmark runs from
-    /// (`--restore-from`); `None` runs cold.
-    pub restore_from: Option<String>,
-    /// Restore order/admission policy (`--restore-policy oldest|mru`,
-    /// default `oldest` — byte-identical to pre-policy restores).
-    /// Inert without `--restore-from`.
-    pub restore_policy: RestorePolicy,
 }
 
 impl BenchArgs {
@@ -153,26 +137,6 @@ impl BenchArgs {
                     out.profile_out =
                         Some(it.next().ok_or("--profile-out requires a path argument")?);
                 }
-                "--snapshot-out" => {
-                    out.snapshot_out = Some(
-                        it.next()
-                            .ok_or("--snapshot-out requires a directory argument")?,
-                    );
-                }
-                "--restore-from" => {
-                    out.restore_from = Some(
-                        it.next()
-                            .ok_or("--restore-from requires a directory argument")?,
-                    );
-                }
-                "--restore-policy" => match it.next().as_deref() {
-                    Some(p) => {
-                        out.restore_policy = RestorePolicy::parse(p).ok_or_else(|| {
-                            format!("--restore-policy must be oldest|mru, got {p}")
-                        })?;
-                    }
-                    None => return Err("--restore-policy requires oldest|mru".to_string()),
-                },
                 "--profile" => match it.next().as_deref() {
                     Some("folded") => out.profile_mode = ProfileMode::Folded,
                     Some("json") => out.profile_mode = ProfileMode::Json,
@@ -237,27 +201,6 @@ impl BenchArgs {
     /// Whether `--profile-out` asked for a cycle-attribution profile.
     pub fn profiling(&self) -> bool {
         self.profile_out.is_some()
-    }
-
-    /// The [`SnapshotPlan`] the flags ask for, specialised to one
-    /// benchmark: `--snapshot-out <dir>` / `--restore-from <dir>` hold
-    /// one `<bench>.axmsnap` file per benchmark, so a multi-benchmark
-    /// binary never mixes warm images across workloads. With neither
-    /// flag given this is the empty plan, and runs are byte-identical
-    /// to the pre-snapshot path.
-    pub fn snapshot_plan_for(&self, bench: &str) -> SnapshotPlan {
-        let file = format!("{bench}.axmsnap");
-        SnapshotPlan {
-            restore_from: self
-                .restore_from
-                .as_ref()
-                .map(|dir| std::path::Path::new(dir).join(&file)),
-            snapshot_out: self
-                .snapshot_out
-                .as_ref()
-                .map(|dir| std::path::Path::new(dir).join(&file)),
-            restore_policy: self.restore_policy,
-        }
     }
 
     /// Render `profile` in the `--profile` format and write it to the
@@ -479,12 +422,11 @@ pub fn paper_configs() -> Vec<(String, MemoConfig)> {
 /// Run one (benchmark × config) cell on the evaluation dataset, with
 /// its baseline and compiled programs from `cache` (a figure binary
 /// that runs one benchmark under several configurations simulates its
-/// baseline once) and the snapshot persistence of `plan` (from
-/// [`BenchArgs::snapshot_plan_for`]; the empty plan is a plain run).
-/// The memoized run executes under a `run:<name>` span with `tel`
+/// baseline once) and the snapshot persistence of `plan` (only
+/// `warm_start` passes a non-empty plan; the empty plan is a plain
+/// run). The memoized run executes under a `run:<name>` span with `tel`
 /// threaded through the simulator; the handle comes back inside the
-/// [`RunReport`] so the caller can pass it to the next cell. The parent
-/// directory of `plan.snapshot_out` is created if needed.
+/// [`RunReport`] so the caller can pass it to the next cell.
 ///
 /// # Errors
 ///
@@ -500,14 +442,6 @@ pub fn run_cell(
     opts: RunOptions,
     plan: &SnapshotPlan,
 ) -> Result<RunReport, Box<dyn std::error::Error>> {
-    if let Some(parent) = plan.snapshot_out.as_deref().and_then(|p| p.parent()) {
-        std::fs::create_dir_all(parent).map_err(|e| {
-            std::io::Error::new(
-                e.kind(),
-                format!("--snapshot-out {}: {e}", parent.display()),
-            )
-        })?;
-    }
     run_benchmark_report_snap(
         bench,
         scale,
@@ -692,7 +626,8 @@ mod tests {
     fn bench_args_reject_removed_spellings() {
         // Removed tiers and flags fail loudly instead of falling back.
         // The legacy interpreter is selected through `RunOptions` and
-        // `SimConfig` in tests, never from the command line.
+        // `SimConfig` in tests, never from the command line; snapshot
+        // paths and the restore policy are `warm_start`'s own flags.
         for removed in [
             &["--dispatch", "legacy"][..],
             &["--dispatch", "threaded"],
@@ -701,6 +636,9 @@ mod tests {
             &["--batch-lanes", "4"],
             &["--no-predecode"],
             &["--no-baseline-cache"],
+            &["--snapshot-out", "w"],
+            &["--restore-from", "w"],
+            &["--restore-policy", "mru"],
         ] {
             let err = BenchArgs::try_from_iter(removed.iter().map(|s| s.to_string()))
                 .expect_err("removed spelling must be rejected");
@@ -735,41 +673,6 @@ mod tests {
             BenchArgs::try_from_iter(["--profile", "xml"].iter().map(|s| (*s).to_string()))
                 .is_err()
         );
-    }
-
-    #[test]
-    fn bench_args_parse_snapshot_flags() {
-        let default = BenchArgs::try_from_iter(std::iter::empty()).unwrap();
-        assert!(default.snapshot_out.is_none(), "persistence off by default");
-        assert!(default.restore_from.is_none());
-        assert!(
-            default.snapshot_plan_for("fft").is_empty(),
-            "default plan does nothing"
-        );
-        let args = BenchArgs::try_from_iter(
-            ["--snapshot-out", "/tmp/warm", "--restore-from", "/tmp/prev"]
-                .iter()
-                .map(|s| (*s).to_string()),
-        )
-        .unwrap();
-        let plan = args.snapshot_plan_for("fft");
-        assert!(!plan.is_empty());
-        assert!(plan.restore_from.is_some());
-        assert_eq!(
-            plan.snapshot_out.as_deref(),
-            Some(std::path::Path::new("/tmp/warm/fft.axmsnap"))
-        );
-        assert_eq!(
-            plan.restore_from.as_deref(),
-            Some(std::path::Path::new("/tmp/prev/fft.axmsnap"))
-        );
-        assert_ne!(
-            plan.snapshot_out,
-            args.snapshot_plan_for("kmeans").snapshot_out,
-            "per-benchmark files never mix warm images"
-        );
-        assert!(BenchArgs::try_from_iter(["--snapshot-out".to_string()]).is_err());
-        assert!(BenchArgs::try_from_iter(["--restore-from".to_string()]).is_err());
     }
 
     #[test]

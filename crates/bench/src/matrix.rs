@@ -15,7 +15,7 @@ use axmemo_workloads::{all_benchmarks, Scale};
 
 use crate::{
     collect_events_cached, geomean, mean, paper_configs, run_cell, software_lut_outcome,
-    BaselineCache, BenchArgs, ContenderInputs, ReportMode, RunOptions, Table,
+    BaselineCache, ContenderInputs, ReportMode, RunOptions, SnapshotPlan, Table,
 };
 
 /// One benchmark's row of the matrix.
@@ -49,15 +49,13 @@ impl PaperMatrix {
     /// Simulate the matrix benchmark by benchmark: the four
     /// configurations through [`run_cell`] with `tel` threaded through
     /// every memoized run, then the contender inputs. Baselines and
-    /// compiled programs come from `cache`, and each benchmark's cells
-    /// follow `args.snapshot_plan_for(bench)`.
+    /// compiled programs come from `cache`. Every cell is a cold run:
+    /// no figure writes or restores a snapshot.
     ///
     /// # Errors
     ///
-    /// Propagates the first cell or contender-run failure, including
-    /// snapshot I/O failures.
+    /// Propagates the first cell or contender-run failure.
     pub fn compute(
-        args: &BenchArgs,
         scale: Scale,
         cache: &BaselineCache,
         tel: &mut Telemetry,
@@ -66,7 +64,6 @@ impl PaperMatrix {
         let mut rows = Vec::new();
         for bench in all_benchmarks() {
             let name = bench.meta().name;
-            let plan = args.snapshot_plan_for(name);
             let mut cells = Vec::with_capacity(configs.len());
             for (_, cfg) in &configs {
                 let handle = std::mem::replace(tel, Telemetry::off());
@@ -77,7 +74,7 @@ impl PaperMatrix {
                     handle,
                     cache,
                     RunOptions::default(),
-                    &plan,
+                    &SnapshotPlan::default(),
                 )?;
                 *tel = report.telemetry;
                 cells.push(report.result);

@@ -48,17 +48,9 @@ impl RestorePolicy {
     /// Parse a command-line spelling (`oldest` / `mru`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "oldest" | "oldest-first" => Some(Self::OldestFirst),
-            "mru" | "mru-first" => Some(Self::MruFirst),
+            "oldest" => Some(Self::OldestFirst),
+            "mru" => Some(Self::MruFirst),
             _ => None,
-        }
-    }
-
-    /// The command-line spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::OldestFirst => "oldest",
-            Self::MruFirst => "mru",
         }
     }
 }
@@ -692,6 +684,8 @@ mod tests {
         assert_eq!(RestorePolicy::parse("mru"), Some(RestorePolicy::MruFirst));
         assert_eq!(RestorePolicy::parse("bogus"), None);
         assert_eq!(RestorePolicy::default(), RestorePolicy::OldestFirst);
-        assert_eq!(RestorePolicy::MruFirst.label(), "mru");
+        for unlisted in ["oldest-first", "mru-first", "MRU"] {
+            assert_eq!(RestorePolicy::parse(unlisted), None, "{unlisted}");
+        }
     }
 }

@@ -579,23 +579,15 @@ impl MemoizationUnit {
     }
 
     /// Warm-start the unit from a recovered snapshot: reinstall the LUT
-    /// entries (stats-neutral and fault-free — restored entries never
-    /// count as this run's inserts, lookups or hits) and resume the
-    /// quality-monitor ladder where the donor left it. Run statistics
+    /// entries in `policy`'s order (stats-neutral and fault-free —
+    /// restored entries never count as this run's inserts, lookups or
+    /// hits) and, under [`RestorePolicy::OldestFirst`], resume the
+    /// quality-monitor ladder where the donor left it.
+    /// [`RestorePolicy::MruFirst`] bounds restore pollution for
+    /// scan-dominated workloads (see `EXPERIMENTS.md`). Run statistics
     /// and pending state are untouched; call [`Self::reset`] first for
     /// a clean run.
     pub fn restore_warm(
-        &mut self,
-        snapshot: &crate::snapshot::MemoSnapshot,
-    ) -> crate::snapshot::RestoreSummary {
-        self.restore_warm_with(snapshot, RestorePolicy::OldestFirst)
-    }
-
-    /// [`Self::restore_warm`] with an explicit [`RestorePolicy`].
-    /// [`RestorePolicy::OldestFirst`] reproduces [`Self::restore_warm`]
-    /// byte-for-byte; [`RestorePolicy::MruFirst`] bounds restore
-    /// pollution for scan-dominated workloads (see `EXPERIMENTS.md`).
-    pub fn restore_warm_with(
         &mut self,
         snapshot: &crate::snapshot::MemoSnapshot,
         policy: RestorePolicy,
@@ -996,7 +988,7 @@ mod tests {
         let image = donor.take_warm_image().unwrap();
 
         let mut fresh = unit();
-        let summary = fresh.restore_warm(&image);
+        let summary = fresh.restore_warm(&image, RestorePolicy::OldestFirst);
         assert_eq!(summary.l1_restored, 50);
         assert_eq!(summary.l1_dropped, 0);
         assert!(summary.quality_restored);

@@ -747,7 +747,7 @@ fn run_benchmark_inner(
     if let Some(plan) = plan {
         if let Some(unit) = memo_sim.memo_unit_mut() {
             if let Some(image) = &warm_image {
-                let summary = unit.restore_warm_with(image, plan.restore_policy);
+                let summary = unit.restore_warm(image, plan.restore_policy);
                 if let Some(rec) = recovery.as_mut() {
                     rec.applied = Some(summary);
                 }

@@ -1,7 +1,8 @@
 //! Command-line contracts of the experiment binaries: flags a binary
 //! cannot honour, unknown flags and benchmark-name typos exit 2 with a
-//! message and the usage line, before any simulation runs; the
-//! snapshot flags fig7–fig10 do honour write one file per benchmark.
+//! message and the usage line, before any simulation runs. Snapshots
+//! are `warm_start`'s alone: its `--restore-policy` is checked here, and
+//! every other binary refuses the snapshot flags.
 
 use std::process::{Command, Output};
 
@@ -34,7 +35,9 @@ fn assert_usage_error(bin: &str, args: &[&str], mentions: &[&str]) {
 
 const WARM_START: &str = env!("CARGO_BIN_EXE_warm_start");
 const FAULT_SWEEP: &str = env!("CARGO_BIN_EXE_fault_sweep");
+const FIG7: &str = env!("CARGO_BIN_EXE_fig7");
 const FIG8: &str = env!("CARGO_BIN_EXE_fig8");
+const FIG10: &str = env!("CARGO_BIN_EXE_fig10");
 const FIG11: &str = env!("CARGO_BIN_EXE_fig11");
 const ALL_EXPERIMENTS: &str = env!("CARGO_BIN_EXE_all_experiments");
 const ATM_COMPARE: &str = env!("CARGO_BIN_EXE_atm_compare");
@@ -72,14 +75,72 @@ fn removed_flags_exit_2() {
         assert_usage_error(bin, &["--dispatch", "legacy"], &["--dispatch"]);
         assert_usage_error(bin, &["--no-baseline-cache"], &["--no-baseline-cache"]);
     }
+    // Only warm_start writes or restores snapshots; the figures run cold.
+    for bin in [FIG7, FIG10, FIG11, ALL_EXPERIMENTS] {
+        for (flag, value) in [
+            ("--snapshot-out", "x"),
+            ("--restore-from", "x"),
+            ("--restore-policy", "mru"),
+        ] {
+            assert_usage_error(bin, &[flag, value], &[flag]);
+        }
+    }
 }
 
 #[test]
 fn seed_exits_2_where_nothing_reads_it() {
-    // Only fault_sweep (also through all_experiments) has a seeded model.
+    // Only fault_sweep (also through all_experiments) has a seeded
+    // model or a worker pool.
     for bin in [FIG11, FIG8, ATM_COMPARE, WARM_START] {
         assert_usage_error(bin, &["--seed", "1"], &["--seed"]);
+        assert_usage_error(bin, &["--jobs", "1"], &["--jobs"]);
     }
+}
+
+#[test]
+fn warm_start_takes_restore_policy() {
+    let dir = std::env::temp_dir().join(format!("axmemo-warm-policy-{}", std::process::id()));
+    let out = run(
+        WARM_START,
+        &[
+            "--benches",
+            "fft",
+            "--generations",
+            "2",
+            "--state-dir",
+            dir.to_str().unwrap(),
+            "--restore-policy",
+            "mru",
+            "--report",
+            "json",
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(dir.join("fft.gen1.axmsnap").is_file());
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_usage_error(
+        WARM_START,
+        &["--restore-policy", "newest"],
+        &["--restore-policy", "newest"],
+    );
+    assert_usage_error(WARM_START, &["--restore-policy"], &["--restore-policy"]);
+}
+
+#[test]
+fn warm_start_names_state_dir_it_cannot_create() {
+    let file = std::env::temp_dir().join(format!("axmemo-warm-file-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").unwrap();
+    let state_dir = file.join("sub");
+    let out = run(WARM_START, &["--state-dir", state_dir.to_str().unwrap()]);
+    std::fs::remove_file(&file).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "no report: {stderr}");
+    assert!(
+        stderr.contains(&format!("error: --state-dir {}", state_dir.display())),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -98,39 +159,6 @@ fn fault_sweep_rejects_snapshot_flags() {
     ] {
         assert_usage_error(FAULT_SWEEP, &[flag, value], &[flag]);
     }
-}
-
-#[test]
-fn fig8_honours_snapshot_out() {
-    let dir = std::env::temp_dir().join(format!("axmemo-fig8-snap-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let out = run(
-        FIG8,
-        &["--snapshot-out", dir.to_str().unwrap(), "--report", "json"],
-    );
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let golden = std::fs::read(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../tests/data/fig8_tiny.golden.json"),
-    )
-    .expect("golden exists");
-    assert!(out.stdout == golden, "writing snapshots changes no result");
-    let mut files: Vec<String> = std::fs::read_dir(&dir)
-        .expect("snapshot dir created")
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    files.sort();
-    let mut expected: Vec<String> = axmemo_workloads::all_benchmarks()
-        .iter()
-        .map(|b| format!("{}.axmsnap", b.meta().name))
-        .collect();
-    expected.sort();
-    assert_eq!(files, expected);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -1,8 +1,8 @@
-//! Warm-restore policy tests: the default `OldestFirst` policy must
-//! reproduce the historical restore byte-for-byte, while the opt-in
-//! fresh-biased `MruFirst` policy pins the warm-restore pathology fix
-//! from EXPERIMENTS.md — a warm sobel run at small scale must no
-//! longer underperform a cold one.
+//! Warm-restore policy tests: the default `OldestFirst` policy resumes
+//! the donor's quality ladder, while the opt-in fresh-biased `MruFirst`
+//! policy (`warm_start --restore-policy mru`) pins the warm-restore
+//! pathology fix from EXPERIMENTS.md — a warm sobel run at small scale
+//! must no longer underperform a cold one.
 //!
 //! The measured root cause of the pathology is *not* entry order
 //! alone: sobel's donor run walks the quality ladder to
@@ -121,7 +121,7 @@ fn mru_policy_starts_quality_ladder_fresh() {
     });
 
     let mut resumed = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024)).expect("valid config");
-    let summary = resumed.restore_warm_with(&snap, RestorePolicy::OldestFirst);
+    let summary = resumed.restore_warm(&snap, RestorePolicy::OldestFirst);
     assert!(
         summary.quality_restored,
         "default policy resumes the ladder"
@@ -129,7 +129,7 @@ fn mru_policy_starts_quality_ladder_fresh() {
     assert_eq!(resumed.quality_stage(), DegradationStage::ReducedTruncation);
 
     let mut fresh = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024)).expect("valid config");
-    let summary = fresh.restore_warm_with(&snap, RestorePolicy::MruFirst);
+    let summary = fresh.restore_warm(&snap, RestorePolicy::MruFirst);
     assert!(
         !summary.quality_restored,
         "fresh-biased policy must not resume the donor ladder"
@@ -152,10 +152,10 @@ fn mru_policy_caps_restored_occupancy_at_half_the_ways() {
     assert!(ways >= 2, "test premise: associative L1");
 
     let mut capped = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024)).expect("valid config");
-    let summary = capped.restore_warm_with(&donor, RestorePolicy::MruFirst);
+    let summary = capped.restore_warm(&donor, RestorePolicy::MruFirst);
     let full = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024))
         .map(|mut u| {
-            u.restore_warm_with(&donor, RestorePolicy::OldestFirst);
+            u.restore_warm(&donor, RestorePolicy::OldestFirst);
             u
         })
         .expect("valid config");
@@ -181,23 +181,4 @@ fn mru_policy_caps_restored_occupancy_at_half_the_ways() {
     for e in &capped_entries {
         assert!(full_keys.contains(&(e.lut_id, e.crc)));
     }
-}
-
-/// The default policy remains byte-identical to the historical
-/// `restore_warm` entry point.
-#[test]
-fn oldest_first_matches_legacy_restore_bytes() {
-    let donor = {
-        let mut unit = degraded_donor();
-        unit.arm_warm_capture();
-        unit.take_warm_image().expect("warm image")
-    };
-    let mut legacy = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024)).expect("valid config");
-    let legacy_summary = legacy.restore_warm(&donor);
-    let mut explicit = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024)).expect("valid config");
-    let explicit_summary = explicit.restore_warm_with(&donor, RestorePolicy::OldestFirst);
-    assert_eq!(legacy_summary, explicit_summary);
-    let (a, _) = legacy.lut().export_l1();
-    let (b, _) = explicit.lut().export_l1();
-    assert_eq!(a, b, "explicit OldestFirst must match restore_warm exactly");
 }

@@ -3,7 +3,7 @@
 //! point (truncation or bit flip) must recover without panicking,
 //! without ever admitting a corrupt entry, and always yield either a
 //! valid warm restore or a clean, reported cold start. The runner-level
-//! tests pin the `--snapshot-out` / `--restore-from` plumbing: warm
+//! tests pin the `SnapshotPlan` plumbing `warm_start` drives: warm
 //! runs beat cold runs, restored entries never count as this-run
 //! activity, the default-off path is byte-identical, and snapshot
 //! files are deterministic. The capture tests pin the export path
@@ -19,7 +19,7 @@ use axmemo_core::snapshot::{
     CrashMode, CrashPoint, MemoSnapshot, RecoveryOutcome, SectionDisposition,
 };
 use axmemo_core::truncate::InputValue;
-use axmemo_core::two_level::TwoLevelLut;
+use axmemo_core::two_level::{RestorePolicy, TwoLevelLut};
 use axmemo_core::unit::{LookupResult, MemoizationUnit};
 use axmemo_telemetry::Telemetry;
 use axmemo_workloads::runner::run_benchmark_report_cached;
@@ -135,7 +135,7 @@ fn crash_sweep_restores_into_live_unit_safely() {
         let Some(recovered) = state else { continue };
         let mut unit =
             MemoizationUnit::new(MemoConfig::l1_l2(4 * 1024, 64 * 1024)).expect("valid config");
-        let summary = unit.restore_warm(&recovered);
+        let summary = unit.restore_warm(&recovered, RestorePolicy::OldestFirst);
         assert!(
             summary.l1_restored as usize <= original.len(),
             "seed {seed}: more entries restored than the donor ever held"
@@ -151,8 +151,8 @@ fn fft() -> Box<dyn Benchmark> {
     benchmark_by_name("fft").expect("fft registered")
 }
 
-/// End-to-end warm start through the runner: snapshot-out a cold run,
-/// restore-from it, and verify the warm run reports the restore and
+/// End-to-end warm start through the runner: snapshot a cold run,
+/// restore from it, and verify the warm run reports the restore and
 /// beats the cold run's hit rate without inheriting its counters.
 #[test]
 fn runner_warm_start_beats_cold_and_keeps_stats_clean() {
@@ -218,7 +218,7 @@ fn runner_warm_start_beats_cold_and_keeps_stats_clean() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--snapshot-out` then `--restore-from` is deterministic: two
+/// Snapshot then restore is deterministic: two
 /// identical cold runs write byte-identical snapshot files, and the
 /// default-off (empty-plan) path is byte-identical to the plain
 /// runner.
