@@ -12,8 +12,10 @@
 //! contender comparisons simulate their common cells once. Each
 //! experiment's output is printed in the fixed experiment order
 //! regardless of which finishes first, so the combined output is
-//! identical for any `--jobs` value. `--report` applies to every
-//! experiment, and `--seed` to the fault sweep, the one seeded model.
+//! identical for any `--jobs` value. Every experiment returns tables,
+//! rendered in the `--report` format (`json`: one JSON object per
+//! line), and `--seed` applies to the fault sweep, the one seeded
+//! model.
 //!
 //! `--profile-out <path>` merges every experiment's cycle-attribution
 //! profile in fixed experiment order and writes the aggregate to

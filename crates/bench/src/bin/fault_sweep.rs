@@ -34,7 +34,7 @@ use axmemo_bench::select_benches;
 fn main() {
     // Split off the sweep-specific `--benches` flag; the driver parses
     // the rest.
-    let sweep = experiment("fault_sweep");
+    let sweep = &experiment("fault_sweep").bin;
     let ([benches], shared) = sweep.split_flags(std::env::args().skip(1), ["--benches"]);
     let benches = select_benches(benches.as_deref()).unwrap_or_else(|msg| sweep.usage_error(&msg));
     sweep.main_with(shared, |ctx, tel| fault_sweep(ctx, tel, &benches));

@@ -5,12 +5,13 @@
 //!
 //! An experiment reads a shared [`Context`] (flags, scale, one
 //! [`BaselineCache`], and the lazily computed [`PaperMatrix`]) and
-//! returns its stdout as a string plus an optional profile. Nothing is
-//! printed while it runs, so the suite driver can run experiments on
-//! the [`parallel_map`] pool and still print them in a fixed order.
+//! returns its [`Table`]s plus an optional profile. Nothing is printed
+//! while it runs, so the suite driver can run experiments on the
+//! [`parallel_map`] pool and still print them in a fixed order; both
+//! drivers render the tables in the `--report` format through
+//! [`Output::render`], the only place that reads it.
 
 use std::error::Error;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -45,20 +46,28 @@ type Result<T> = std::result::Result<T, Box<dyn Error>>;
 /// What one experiment produced.
 #[derive(Debug)]
 pub struct Output {
-    /// Everything the experiment prints on stdout.
-    pub stdout: String,
+    /// The experiment's report, in print order.
+    pub tables: Vec<Table>,
     /// A profile collected outside the experiment's telemetry handle
     /// (the fault sweep's per-job profiles). The drivers merge it with
     /// the handle's own profile.
     pub profile: Option<Profile>,
 }
 
-impl From<String> for Output {
-    fn from(stdout: String) -> Self {
+impl From<Vec<Table>> for Output {
+    fn from(tables: Vec<Table>) -> Self {
         Self {
-            stdout,
+            tables,
             profile: None,
         }
+    }
+}
+
+impl Output {
+    /// Every table in `mode`, each followed by a blank line: what the
+    /// experiment prints on stdout.
+    pub fn render(&self, mode: ReportMode) -> String {
+        self.tables.iter().map(|t| t.render(mode) + "\n").collect()
     }
 }
 
@@ -106,17 +115,26 @@ impl Context {
 /// The body of an experiment.
 pub type Body = fn(&Context, &mut Telemetry) -> Result<Output>;
 
-/// One experiment: the binary it is named after and its body.
+/// The command line of one binary: which shared flags it takes and
+/// the usage of those only it parses.
 #[derive(Debug)]
-pub struct Experiment {
+pub struct Binary {
     /// Binary name, also the section header in [`all_experiments`].
     pub name: &'static str,
     /// Whether it runs the seeded, orchestrated fault sweep: only then
-    /// does it read `--seed` and `--jobs`; every other experiment
-    /// refuses them.
+    /// does it read `--seed` and `--jobs`; every other binary refuses
+    /// them.
     seeded_sweep: bool,
-    /// Usage text for flags only its own binary parses.
+    /// Usage text for flags only this binary parses.
     extra_usage: &'static str,
+}
+
+/// One experiment of the suite: the binary it is named after and its
+/// body.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The experiment's binary.
+    pub bin: Binary,
     body: Body,
 }
 
@@ -167,8 +185,8 @@ fn usage_exit(bin: &str, extra: &str, refused: &[&str], msg: &str) -> ! {
     std::process::exit(2);
 }
 
-impl Experiment {
-    /// The shared flags this experiment refuses.
+impl Binary {
+    /// The shared flags this binary refuses.
     fn refused(&self) -> &'static [&'static str] {
         if self.seeded_sweep {
             &[]
@@ -209,14 +227,8 @@ impl Experiment {
         (values, shared)
     }
 
-    /// Run this experiment as its own binary with the process
-    /// arguments.
-    pub fn main(&self) {
-        self.main_with(std::env::args().skip(1), self.body);
-    }
-
-    /// Run `body` as this experiment's binary: parse `raw` (exit 2 on a
-    /// bad or refused flag), run, print the output, write the profile
+    /// Run `body` as this binary: parse `raw` (exit 2 on a bad or
+    /// refused flag), run, print the rendered output, write the profile
     /// `--profile-out` asked for, and append the telemetry report in
     /// text mode under `--trace-out`. A failure prints `error: ...` and
     /// exits 1.
@@ -230,7 +242,7 @@ impl Experiment {
         let run = || -> Result<()> {
             let mut tel = ctx.args.telemetry()?;
             let out = body(&ctx, &mut tel)?;
-            print!("{}", out.stdout);
+            print!("{}", out.render(ctx.args.report));
             if let Some(profile) = merge(tel.take_profile(), out.profile) {
                 ctx.args.write_profile(&profile)?;
             }
@@ -244,6 +256,14 @@ impl Experiment {
             eprintln!("error: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+impl Experiment {
+    /// Run this experiment as its own binary with the process
+    /// arguments.
+    pub fn main(&self) {
+        self.bin.main_with(std::env::args().skip(1), self.body);
     }
 
     /// Run inside [`all_experiments`]: a fresh telemetry handle (the
@@ -284,16 +304,18 @@ fn merge(a: Option<Profile>, b: Option<Profile>) -> Option<Profile> {
 pub fn experiment(name: &str) -> &'static Experiment {
     EXPERIMENTS
         .iter()
-        .find(|e| e.name == name)
+        .find(|e| e.bin.name == name)
         .unwrap_or_else(|| panic!("no experiment named {name}"))
 }
 
 /// An experiment without the seeded sweep or flags of its own.
 const fn plain(name: &'static str, body: Body) -> Experiment {
     Experiment {
-        name,
-        seeded_sweep: false,
-        extra_usage: "",
+        bin: Binary {
+            name,
+            seeded_sweep: false,
+            extra_usage: "",
+        },
         body,
     }
 }
@@ -303,10 +325,10 @@ pub static EXPERIMENTS: [Experiment; 14] = [
     plain("table1", table1),
     plain("table2", table2),
     plain("table4_5", table4_5),
-    plain("fig7", |c, t| Ok(c.matrix(t)?.fig7(c.args.report).into())),
-    plain("fig8", |c, t| Ok(c.matrix(t)?.fig8(c.args.report).into())),
-    plain("fig9", |c, t| Ok(c.matrix(t)?.fig9(c.args.report).into())),
-    plain("fig10", |c, t| Ok(c.matrix(t)?.fig10(c.args.report).into())),
+    plain("fig7", |c, t| Ok(vec![c.matrix(t)?.fig7()].into())),
+    plain("fig8", |c, t| Ok(vec![c.matrix(t)?.fig8()].into())),
+    plain("fig9", |c, t| Ok(vec![c.matrix(t)?.fig9()].into())),
+    plain("fig10", |c, t| Ok(c.matrix(t)?.fig10().into())),
     plain("fig11", fig11),
     plain("atm_compare", atm_compare),
     plain("l2_sensitivity", l2_sensitivity),
@@ -314,20 +336,26 @@ pub static EXPERIMENTS: [Experiment; 14] = [
     plain("ablation_two_level", ablation_two_level),
     plain("ablation_branch_predictor", ablation_branch_predictor),
     Experiment {
-        seeded_sweep: true,
-        extra_usage: "[--benches a,b,c] ",
-        ..plain("fault_sweep", |c, t| fault_sweep(c, t, &[]))
+        bin: Binary {
+            name: "fault_sweep",
+            seeded_sweep: true,
+            extra_usage: "[--benches a,b,c] ",
+        },
+        body: |c, t| fault_sweep(c, t, &[]),
     },
 ];
 
-/// The `warm_start` binary: not part of [`EXPERIMENTS`] (it writes
-/// snapshot files, so [`all_experiments`] leaves it out). It is the
-/// only binary that writes or restores LUT snapshots: `--state-dir`
-/// sets every snapshot path and `--restore-policy` the restore order.
-pub static WARM_START: Experiment = Experiment {
+/// The `warm_start` binary: not an experiment of [`EXPERIMENTS`] (it
+/// writes snapshot files, so [`all_experiments`] leaves it out), and
+/// its body is [`warm_start`] with the flags the binary parses. It is
+/// the only binary that writes or restores LUT snapshots:
+/// `--state-dir` sets every snapshot path and `--restore-policy` the
+/// restore order.
+pub static WARM_START: Binary = Binary {
+    name: "warm_start",
+    seeded_sweep: false,
     extra_usage:
         "[--state-dir <dir>] [--generations <n>] [--benches a,b,c] [--restore-policy oldest|mru] ",
-    ..plain("warm_start", |c, t| warm_start(c, t, &WarmStart::default()))
 };
 
 /// Run every experiment of [`EXPERIMENTS`] in this process and print
@@ -356,15 +384,15 @@ pub fn all_experiments() {
 
     let mut failed = false;
     let mut profile = None;
-    for (exp, output) in EXPERIMENTS.iter().zip(outputs) {
-        println!("\n==================== {} ====================", exp.name);
+    for (Experiment { bin, .. }, output) in EXPERIMENTS.iter().zip(outputs) {
+        println!("\n==================== {} ====================", bin.name);
         match output {
             Ok(out) => {
-                print!("{}", out.stdout);
+                print!("{}", out.render(args.report));
                 profile = merge(profile, out.profile);
             }
             Err(e) => {
-                eprintln!("{}: error: {e}", exp.name);
+                eprintln!("{}: error: {e}", bin.name);
                 failed = true;
             }
         }
@@ -385,7 +413,7 @@ pub fn all_experiments() {
 /// ratio, and memoization coverage. Per §5 the analysis runs on the
 /// *sample* input set (disjoint from evaluation) over a bounded trace
 /// window, always at tiny scale.
-fn table1(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
+fn table1(_: &Context, _: &mut Telemetry) -> Result<Output> {
     // Enough dynamic instructions to cover many kernel invocations
     // without ballooning graph construction.
     const TRACE_CAP: usize = 200_000;
@@ -409,12 +437,12 @@ fn table1(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
             format!("{:.2}%", 100.0 * summary.coverage),
         ]);
     }
-    Ok(format!("{}\n", table.render(ctx.args.report)).into())
+    Ok(vec![table].into())
 }
 
 /// Table 2: benchmark inventory — domain, description, dataset,
 /// memoization input sizes, and truncated bits per memoized block.
-fn table2(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
+fn table2(_: &Context, _: &mut Telemetry) -> Result<Output> {
     let mut table = Table::new(
         "Table 2: evaluated benchmarks",
         &[
@@ -438,13 +466,13 @@ fn table2(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
             join(m.truncated_bits),
         ]);
     }
-    Ok(format!("{}\n", table.render(ctx.args.report)).into())
+    Ok(vec![table].into())
 }
 
 /// Tables 4 & 5: ISA timing parameters and the synthesised hardware's
 /// area / energy / latency figures, including the §6.1 area-overhead
 /// claim (memoization hardware ≈ 2% of the two-core HPI processor).
-fn table4_5(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
+fn table4_5(_: &Context, _: &mut Telemetry) -> Result<Output> {
     let mut t4 = Table::new(
         "Table 4: AxMemo ISA timing parameters",
         &["instruction", "latency"],
@@ -505,8 +533,7 @@ fn table4_5(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
             a.processor
         ),
     );
-    let mode = ctx.args.report;
-    Ok(format!("{}\n{}\n", t4.render(mode), t5.render(mode)).into())
+    Ok(vec![t4, t5].into())
 }
 
 /// Figure 11: effectiveness of approximation — speedup and energy
@@ -579,7 +606,7 @@ fn fig11(ctx: &Context, tel: &mut Telemetry) -> Result<Output> {
             100.0 * mean(&ex_hits)
         ),
     );
-    Ok(format!("{}\n", table.render(ctx.args.report)).into())
+    Ok(vec![table].into())
 }
 
 /// §6.2 "Comparison with prior work": per-benchmark speedup of the ATM
@@ -588,38 +615,36 @@ fn fig11(ctx: &Context, tel: &mut Telemetry) -> Result<Output> {
 /// reports speedups only for blackscholes, fft, inversek2j and kmeans,
 /// with slowdowns elsewhere and a geomean of 0.8x.
 fn atm_compare(ctx: &Context, tel: &mut Telemetry) -> Result<Output> {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "ATM comparison (software task memoization), scale {:?}",
-        ctx.scale
-    )?;
-    writeln!(
-        out,
-        "{:<14} | {:>10} | {:>10} | {:>14} | {:>12}",
-        "Benchmark", "speedup", "hit rate", "false-hit rate", "inst ratio"
-    )?;
+    let mut table = Table::new(
+        format!(
+            "ATM comparison (software task memoization), scale {:?}",
+            ctx.scale
+        ),
+        &[
+            "Benchmark",
+            "speedup",
+            "hit rate",
+            "false-hit rate",
+            "inst ratio",
+        ],
+    );
     let mut speedups = Vec::new();
     for row in &ctx.matrix(tel)?.rows {
         let atm = atm_outcome(&row.contender);
-        writeln!(
-            out,
-            "{:<14} | {:>9.2}x | {:>9.1}% | {:>13.2}% | {:>12.2}",
-            row.bench,
-            atm.speedup,
-            100.0 * atm.hit_rate(),
-            100.0 * atm.collision_rate(),
-            atm.inst_ratio,
-        )?;
+        table.row(vec![
+            row.bench.to_string(),
+            format!("{:.2}x", atm.speedup),
+            format!("{:.1}%", 100.0 * atm.hit_rate()),
+            format!("{:.2}%", 100.0 * atm.collision_rate()),
+            format!("{:.2}", atm.inst_ratio),
+        ]);
         speedups.push(atm.speedup);
     }
-    writeln!(out)?;
-    writeln!(
-        out,
-        "ATM geomean speedup: {:.2}x (paper: 0.8x)",
-        geomean(&speedups)
-    )?;
-    Ok(out.into())
+    table.summary(
+        "ATM geomean speedup",
+        format!("{:.2}x (paper: 0.8x)", geomean(&speedups)),
+    );
+    Ok(vec![table].into())
 }
 
 /// §6.2 L2-cache-size sensitivity: with a 256 KB L2 LUT, shrink the
@@ -630,16 +655,15 @@ fn atm_compare(ctx: &Context, tel: &mut Telemetry) -> Result<Output> {
 fn l2_sensitivity(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
     let scale = ctx.scale;
     let memo = MemoConfig::l1_l2(8 * 1024, 256 * 1024);
-    let mut out = String::new();
-    writeln!(
-        out,
-        "L2 size sensitivity with a 256 KB L2 LUT, scale {scale:?}"
-    )?;
-    writeln!(
-        out,
-        "{:<14} | {:>14} | {:>14} | {:>12}",
-        "Benchmark", "cycles @1MB L2", "cycles @512KB", "degradation"
-    )?;
+    let mut table = Table::new(
+        format!("L2 size sensitivity with a 256 KB L2 LUT, scale {scale:?}"),
+        &[
+            "Benchmark",
+            "cycles @1MB L2",
+            "cycles @512KB",
+            "degradation",
+        ],
+    );
     let mut degradations = Vec::new();
     for bench in all_benchmarks() {
         let prepared = ctx.cache.program(bench.as_ref(), scale, false)?;
@@ -666,22 +690,21 @@ fn l2_sensitivity(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
         }
         let degradation = cycles[1] as f64 / cycles[0] as f64 - 1.0;
         degradations.push(degradation);
-        writeln!(
-            out,
-            "{:<14} | {:>14} | {:>14} | {:>11.2}%",
-            bench.meta().name,
-            cycles[0],
-            cycles[1],
-            100.0 * degradation
-        )?;
+        table.row(vec![
+            bench.meta().name.to_string(),
+            cycles[0].to_string(),
+            cycles[1].to_string(),
+            format!("{:.2}%", 100.0 * degradation),
+        ]);
     }
-    writeln!(out)?;
-    writeln!(
-        out,
-        "average degradation: {:.2}% (paper: 0.44%, worst 1.55%)",
-        100.0 * mean(&degradations)
-    )?;
-    Ok(out.into())
+    table.summary(
+        "average degradation",
+        format!(
+            "{:.2}% (paper: 0.44%, worst 1.55%)",
+            100.0 * mean(&degradations)
+        ),
+    );
+    Ok(vec![table].into())
 }
 
 /// Tag collisions of one event stream under `hash`: inputs of the same
@@ -729,23 +752,21 @@ fn sample8(data: &[u8]) -> u64 {
 /// The footer is computed from the counts.
 fn ablation_crc(ctx: &Context, tel: &mut Telemetry) -> Result<Output> {
     const KEYS: [&str; 5] = ["CRC16", "CRC32", "CRC64", "xor-fold", "sample8"];
-    let mut out = String::new();
-    writeln!(
-        out,
-        "Ablation: CRC width vs collision rate, scale {:?}",
-        ctx.scale
-    )?;
-    writeln!(
-        out,
-        "{:<14} | {:>10} | {:>14} | {:>14} | {:>14} | {:>16} | {:>16}",
-        "Benchmark",
-        "lookups",
-        "CRC16 collide",
-        "CRC32 collide",
-        "CRC64 collide",
-        "xor-fold collide",
-        "sample8 collide"
-    )?;
+    let mut table = Table::new(
+        format!(
+            "Ablation: CRC width vs collision rate, scale {:?}",
+            ctx.scale
+        ),
+        &[
+            "Benchmark",
+            "lookups",
+            "CRC16 collide",
+            "CRC32 collide",
+            "CRC64 collide",
+            "xor-fold collide",
+            "sample8 collide",
+        ],
+    );
     let crcs = [CrcWidth::W16, CrcWidth::W32, CrcWidth::W64].map(TableCrc::new);
     let mut lookups = 0usize;
     let mut totals = [0u64; KEYS.len()];
@@ -763,46 +784,31 @@ fn ablation_crc(ctx: &Context, tel: &mut Telemetry) -> Result<Output> {
             collisions(&stream, xor_fold),
             collisions(&stream, sample8),
         ];
-        writeln!(
-            out,
-            "{:<14} | {:>10} | {:>14} | {:>14} | {:>14} | {:>16} | {:>16}",
-            row.bench,
-            stream.len(),
-            counts[0],
-            counts[1],
-            counts[2],
-            counts[3],
-            counts[4]
-        )?;
+        let mut cells = vec![row.bench.to_string(), stream.len().to_string()];
+        cells.extend(counts.iter().map(u64::to_string));
+        table.row(cells);
         lookups += stream.len();
         for (total, count) in totals.iter_mut().zip(counts) {
             *total += count;
         }
     }
-    writeln!(out)?;
-    let observed: Vec<String> = KEYS
-        .iter()
-        .zip(totals)
-        .map(|(key, total)| format!("{key} {total}"))
-        .collect();
-    writeln!(
-        out,
-        "Collisions in {lookups} lookups: {}.",
-        observed.join(", ")
-    )?;
+    table.summary("lookups", lookups.to_string());
+    for (key, total) in KEYS.iter().zip(totals) {
+        table.summary(format!("{key} collisions"), total.to_string());
+    }
     let crc32 = match totals[1] {
         0 => "is collision-free".to_string(),
         n => format!("collides on {n} of {lookups} lookups"),
     };
-    writeln!(
-        out,
-        "Expectation (§6): 32-bit CRC is generally large enough to avoid collision; here CRC32 {crc32}."
-    )?;
-    writeln!(
-        out,
-        "CRC16's 65536-value space collides once distinct tuples approach ~300 (birthday bound)."
-    )?;
-    Ok(out.into())
+    table.summary(
+        "expectation (§6)",
+        format!("32-bit CRC is generally large enough to avoid collision; here CRC32 {crc32}"),
+    );
+    table.summary(
+        "birthday bound",
+        "CRC16's 65536-value space collides once distinct tuples approach ~300",
+    );
+    Ok(vec![table].into())
 }
 
 /// Ablation: two-level LUT vs. a single level at the same total
@@ -811,12 +817,13 @@ fn ablation_crc(ctx: &Context, tel: &mut Telemetry) -> Result<Output> {
 /// capacity; this sweep quantifies what a single flat level of equal
 /// capacity would have to cost to match.
 fn ablation_two_level(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "Ablation: L1-only vs two-level at matched capacities, scale {:?}",
-        ctx.scale
-    )?;
+    let mut table = Table::new(
+        format!(
+            "Ablation: L1-only vs two-level at matched capacities, scale {:?}",
+            ctx.scale
+        ),
+        &["configuration", "geo speedup", "mean hit"],
+    );
     // 16 KB is the dedicated-SRAM ceiling (§3.3); capacity beyond that
     // is only reachable through the LLC partition.
     let configs: Vec<(&str, MemoConfig)> = vec![
@@ -830,11 +837,6 @@ fn ablation_two_level(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
         ("L1 8KB + L2 256KB", MemoConfig::l1_l2(8 * 1024, 256 * 1024)),
         ("L1 8KB + L2 512KB", MemoConfig::l1_l2(8 * 1024, 512 * 1024)),
     ];
-    writeln!(
-        out,
-        "{:<30} | {:>10} | {:>10}",
-        "configuration", "geo speedup", "mean hit"
-    )?;
     for (name, cfg) in configs {
         let mut speedups = Vec::new();
         let mut hits = Vec::new();
@@ -852,28 +854,18 @@ fn ablation_two_level(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
             speedups.push(r.speedup);
             hits.push(r.hit_rate);
         }
-        writeln!(
-            out,
-            "{:<30} | {:>9.2}x | {:>9.1}%",
-            name,
-            geomean(&speedups),
-            100.0 * hits.iter().sum::<f64>() / hits.len() as f64
-        )?;
+        table.row(vec![
+            name.to_string(),
+            format!("{:.2}x", geomean(&speedups)),
+            format!("{:.1}%", 100.0 * mean(&hits)),
+        ]);
     }
-    writeln!(out)?;
-    writeln!(
-        out,
-        "Expectation: capacity beyond the 16 KB SRAM ceiling is only"
-    )?;
-    writeln!(
-        out,
-        "reachable via the L2 partition — the two-level design recovers"
-    )?;
-    writeln!(
-        out,
-        "the flat-LUT hit rate without growing the dedicated array."
-    )?;
-    Ok(out.into())
+    table.summary(
+        "expectation",
+        "capacity beyond the 16 KB SRAM ceiling is only reachable via the L2 partition — \
+         the two-level design recovers the flat-LUT hit rate without growing the dedicated array",
+    );
+    Ok(vec![table].into())
 }
 
 /// Ablation: fixed taken-branch bubble vs. a real branch predictor. The
@@ -884,16 +876,10 @@ fn ablation_two_level(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
 /// equally.
 fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
     let scale = ctx.scale;
-    let mut out = String::new();
-    writeln!(
-        out,
-        "Ablation: fixed-bubble vs bimodal-predictor front end, scale {scale:?}"
-    )?;
-    writeln!(
-        out,
-        "{:<14} | {:>16} | {:>16} | {:>10}",
-        "Benchmark", "speedup (bubble)", "speedup (pred.)", "delta"
-    )?;
+    let mut table = Table::new(
+        format!("Ablation: fixed-bubble vs bimodal-predictor front end, scale {scale:?}"),
+        &["Benchmark", "speedup (bubble)", "speedup (pred.)", "delta"],
+    );
     for bench in all_benchmarks() {
         let prepared = ctx.cache.program(bench.as_ref(), scale, false)?;
         let inputs = ctx.cache.inputs(bench.as_ref(), scale, Dataset::Eval)?;
@@ -926,16 +912,14 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
                 .run(&mut memo, DispatchTier::default(), &mut mm)?;
             speedups[i] = bs.cycles as f64 / ms.cycles.max(1) as f64;
         }
-        writeln!(
-            out,
-            "{:<14} | {:>15.2}x | {:>15.2}x | {:>+9.1}%",
-            bench.meta().name,
-            speedups[0],
-            speedups[1],
-            100.0 * (speedups[1] / speedups[0] - 1.0)
-        )?;
+        table.row(vec![
+            bench.meta().name.to_string(),
+            format!("{:.2}x", speedups[0]),
+            format!("{:.2}x", speedups[1]),
+            format!("{:+.1}%", 100.0 * (speedups[1] / speedups[0] - 1.0)),
+        ]);
     }
-    Ok(out.into())
+    Ok(vec![table].into())
 }
 
 /// Full-matrix fault-injection sweep over `benches` (empty: all ten)
@@ -962,7 +946,7 @@ pub fn fault_sweep(ctx: &Context, tel: &mut Telemetry, benches: &[String]) -> Re
         .run_with_telemetry(&matrix, &ctx.cache, tel);
     let table = sweep::table(ctx.scale, args.seed, &metas, &outcomes);
     Ok(Output {
-        stdout: format!("{}\n", table.render(args.report)),
+        tables: vec![table],
         profile: merge_profiles(&outcomes),
     })
 }
@@ -1094,7 +1078,7 @@ pub fn warm_start(ctx: &Context, tel: &mut Telemetry, warm: &WarmStart) -> Resul
             }
         ),
     );
-    Ok(format!("{}\n", table.render(ctx.args.report)).into())
+    Ok(vec![table].into())
 }
 
 #[cfg(test)]
@@ -1114,11 +1098,23 @@ mod tests {
     }
 
     #[test]
+    fn output_renders_each_table_followed_by_a_blank_line() {
+        let (a, b) = (Table::new("a", &["x"]), Table::new("b", &["y"]));
+        let out = Output::from(vec![a.clone(), b.clone()]);
+        for mode in [ReportMode::Text, ReportMode::Json] {
+            let expected = format!("{}\n{}\n", a.render(mode), b.render(mode));
+            assert_eq!(out.render(mode), expected);
+        }
+    }
+
+    #[test]
     fn no_experiment_takes_a_snapshot_flag() {
+        let usage_of = |b: &Binary| usage(b.name, b.extra_usage, b.refused());
         let lines: Vec<String> = EXPERIMENTS
             .iter()
+            .map(|e| &e.bin)
             .chain([&WARM_START])
-            .map(|e| usage(e.name, e.extra_usage, e.refused()))
+            .map(usage_of)
             .collect();
         for line in &lines {
             for flag in ["--snapshot-out", "--restore-from", "--dispatch"] {
@@ -1128,21 +1124,19 @@ mod tests {
         let taking = |flag: &str| -> Vec<&str> {
             EXPERIMENTS
                 .iter()
-                .filter(|e| !e.refused().contains(&flag))
-                .map(|e| e.name)
+                .filter(|e| !e.bin.refused().contains(&flag))
+                .map(|e| e.bin.name)
                 .collect()
         };
         assert_eq!(taking("--seed"), ["fault_sweep"]);
         assert_eq!(taking("--jobs"), ["fault_sweep"]);
-        let fig7 = experiment("fig7");
-        let line = usage(fig7.name, fig7.extra_usage, fig7.refused());
+        let line = usage_of(&experiment("fig7").bin);
         assert_eq!(
             line,
             "usage: fig7 [--trace-out <path>] [--report text|json] \
              [--profile-out <path>] [--profile folded|json|text]"
         );
-        let sweep = experiment("fault_sweep");
-        let line = usage(sweep.name, sweep.extra_usage, sweep.refused());
+        let line = usage_of(&experiment("fault_sweep").bin);
         assert!(line.starts_with("usage: fault_sweep [--benches a,b,c] "));
         assert!(line.contains("[--seed <n>] [--jobs <n>]"), "{line}");
         // The restore policy is warm_start's own flag, and no other

@@ -2,9 +2,10 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper's
 //! evaluation (see DESIGN.md's experiment index). Each binary is a shim
-//! over one function in [`experiments`]; figures 7–10 render one
+//! over one function in [`experiments`]; figures 7–10 read one
 //! [`matrix::PaperMatrix`], and `all_experiments` runs the whole suite
-//! in one process.
+//! in one process. Every experiment returns its report as [`Table`]s,
+//! which the drivers render in the `--report` format.
 //!
 //! Scale is selected with the `AXMEMO_SCALE` environment variable
 //! (`tiny` | `small` | `full`, default `small`). `tiny` is a smoke
@@ -46,7 +47,7 @@ pub enum ReportMode {
     /// Human-readable aligned columns (the default).
     #[default]
     Text,
-    /// One JSON object on stdout.
+    /// One JSON object per table, one per line.
     Json,
 }
 
@@ -227,9 +228,11 @@ impl BenchArgs {
     }
 }
 
-/// The shared report formatter: a titled table plus free-form summary
-/// lines, renderable as aligned text or as one JSON object. Every
-/// figure binary routes its output through this (`--report`).
+/// The one report format: a titled table plus `label: value` summary
+/// lines, rendered as aligned columns (no separators) or as one JSON
+/// object on one line. Every experiment returns its report as tables,
+/// and [`experiments::Output::render`] renders them in the `--report`
+/// format.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     title: String,

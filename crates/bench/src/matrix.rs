@@ -5,7 +5,7 @@
 //! The four figures print different columns of the same 10 × 4 cells
 //! and the same event-recording runs. Each cell is a deterministic
 //! function of its inputs, so the harness computes the matrix once and
-//! every figure reads it.
+//! every figure reads it into its [`Table`]s.
 
 use axmemo_baselines::ContenderOutcome;
 use axmemo_core::config::MemoConfig;
@@ -15,7 +15,7 @@ use axmemo_workloads::{all_benchmarks, Scale};
 
 use crate::{
     collect_events_cached, geomean, mean, paper_configs, run_cell, software_lut_outcome,
-    BaselineCache, ContenderInputs, ReportMode, RunOptions, SnapshotPlan, Table,
+    BaselineCache, ContenderInputs, RunOptions, SnapshotPlan, Table,
 };
 
 /// One benchmark's row of the matrix.
@@ -112,7 +112,7 @@ impl PaperMatrix {
     /// Figure 7: (a) whole-application speedup and (b) energy saving
     /// per benchmark and configuration, plus the software-LUT
     /// contender, all normalised to the non-memoized baseline.
-    pub fn fig7(&self, mode: ReportMode) -> String {
+    pub fn fig7(&self) -> Table {
         let mut table = Table::new(
             format!(
                 "Figure 7a (speedup) / 7b (energy saving), scale {:?}",
@@ -151,14 +151,14 @@ impl PaperMatrix {
                 geomean(&sw)
             ),
         );
-        format!("{}\n", table.render(mode))
+        table
     }
 
     /// Figure 8: dynamic instruction count of the memoized run
     /// normalised to the baseline, with the memoization-instruction
     /// share (the black bar segment), plus the software-LUT contender's
     /// instruction ratio (~2x in the paper).
-    pub fn fig8(&self, mode: ReportMode) -> String {
+    pub fn fig8(&self) -> Table {
         let mut table = Table::new(
             format!(
                 "Figure 8: normalised dynamic instruction count (memo share in parens), scale {:?}",
@@ -197,12 +197,12 @@ impl PaperMatrix {
             "Software LUT",
             format!("mean instruction ratio {:.2}x (paper: ~2.0x)", mean(&sw)),
         );
-        format!("{}\n", table.render(mode))
+        table
     }
 
     /// Figure 9: LUT hit rate per benchmark and configuration, plus the
     /// software-LUT contender.
-    pub fn fig9(&self, mode: ReportMode) -> String {
+    pub fn fig9(&self) -> Table {
         let mut table = Table::new(
             format!("Figure 9: LUT hit rate, scale {:?}", self.scale),
             &self.columns(&["Benchmark"], "Software LUT"),
@@ -231,14 +231,14 @@ impl PaperMatrix {
             "Software LUT",
             format!("mean hit rate {:.1}% (paper: 81.1%)", 100.0 * mean(&sw)),
         );
-        format!("{}\n", table.render(mode))
+        table
     }
 
     /// Figure 10: (a) whole-application quality loss per benchmark and
     /// configuration, plus the software-LUT contender's collision rate;
     /// (b) CDF of element-wise relative error for the
     /// L1(8KB)+L2(512KB) configuration.
-    pub fn fig10(&self, mode: ReportMode) -> String {
+    pub fn fig10(&self) -> Vec<Table> {
         let mut table = Table::new(
             format!(
                 "Figure 10a: whole-application quality loss (Eq. 2; misclassification for jmeint), scale {:?}",
@@ -283,6 +283,6 @@ impl PaperMatrix {
                 ]);
             }
         }
-        format!("{}\n{}\n", table.render(mode), cdf.render(mode))
+        vec![table, cdf]
     }
 }

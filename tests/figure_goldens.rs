@@ -1,11 +1,9 @@
 //! Byte-for-byte pins of the figure suite: every figure/table binary
 //! runs at `AXMEMO_SCALE=tiny` with `--report json` and its stdout must
-//! equal the committed `tests/data/<bin>_tiny.golden.*` file.
+//! equal the committed `tests/data/<bin>_tiny.golden.json` file.
 //!
-//! Bins that print fixed-format text whatever `--report` says are
-//! pinned as text (`.golden.txt`). `table1` takes minutes in a debug
-//! build, so its golden is compared by CI's release `figure-goldens`
-//! job instead of here.
+//! `table1` takes minutes in a debug build, so its golden is compared
+//! by CI's release `figure-goldens` job instead of here.
 
 use std::path::Path;
 use std::process::Command;
@@ -48,22 +46,26 @@ golden!(fig10, "fig10", "fig10_tiny.golden.json");
 golden!(fig11, "fig11", "fig11_tiny.golden.json");
 golden!(table2, "table2", "table2_tiny.golden.json");
 golden!(table4_5, "table4_5", "table4_5_tiny.golden.json");
-golden!(atm_compare, "atm_compare", "atm_compare_tiny.golden.txt");
+golden!(atm_compare, "atm_compare", "atm_compare_tiny.golden.json");
 golden!(
     l2_sensitivity,
     "l2_sensitivity",
-    "l2_sensitivity_tiny.golden.txt"
+    "l2_sensitivity_tiny.golden.json"
 );
-golden!(ablation_crc, "ablation_crc", "ablation_crc_tiny.golden.txt");
+golden!(
+    ablation_crc,
+    "ablation_crc",
+    "ablation_crc_tiny.golden.json"
+);
 golden!(
     ablation_two_level,
     "ablation_two_level",
-    "ablation_two_level_tiny.golden.txt"
+    "ablation_two_level_tiny.golden.json"
 );
 golden!(
     ablation_branch_predictor,
     "ablation_branch_predictor",
-    "ablation_branch_predictor_tiny.golden.txt"
+    "ablation_branch_predictor_tiny.golden.json"
 );
 golden!(
     fault_sweep_reduced,
