@@ -892,25 +892,39 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
             .into_iter()
             .enumerate()
         {
-            let base_cfg = SimConfig {
-                predictor,
-                ..SimConfig::baseline()
+            let base_cycles = if predictor.is_none() {
+                // The fixed-bubble baseline is the run the cache shares.
+                ctx.cache
+                    .get_or_compute(
+                        bench.as_ref(),
+                        scale,
+                        Dataset::Eval,
+                        u64::MAX,
+                        DispatchTier::default(),
+                    )?
+                    .stats
+                    .cycles
+            } else {
+                let mut base = Simulator::new(SimConfig {
+                    predictor,
+                    ..SimConfig::baseline()
+                })?;
+                let mut mb = Machine::clone(&inputs);
+                prepared
+                    .base
+                    .run(&mut base, DispatchTier::default(), &mut mb)?
+                    .cycles
             };
             let memo_sim_cfg = SimConfig {
                 predictor,
                 ..SimConfig::with_memo(memo_cfg.clone())
             };
-            let mut base = Simulator::new(base_cfg)?;
-            let mut mb = Machine::clone(&inputs);
-            let bs = prepared
-                .base
-                .run(&mut base, DispatchTier::default(), &mut mb)?;
             let mut memo = Simulator::new(memo_sim_cfg)?;
             let mut mm = Machine::clone(&inputs);
             let ms = prepared
                 .memo
                 .run(&mut memo, DispatchTier::default(), &mut mm)?;
-            speedups[i] = bs.cycles as f64 / ms.cycles.max(1) as f64;
+            speedups[i] = base_cycles as f64 / ms.cycles.max(1) as f64;
         }
         table.row(vec![
             bench.meta().name.to_string(),

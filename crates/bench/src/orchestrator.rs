@@ -325,14 +325,13 @@ impl Orchestrator {
 
     /// [`Orchestrator::run`] with baselines and compiled programs from
     /// `cache` (shared with the caller's other runs), then record the
-    /// sweep into `tel` in
-    /// job-index order: one `job:<benchmark>:<label>` span per
-    /// *successful* job (covering its simulated memoized-run cycles —
-    /// failed jobs have no meaningful cycle count, and a zero-length
-    /// span would pollute span min/p50 statistics, so failures are
-    /// counted only via `orchestrator.jobs.failed`), the
-    /// `orchestrator.jobs.{ok,failed}` counters,
-    /// and `cache`'s `orchestrator.baseline.{computed,reused}` counters.
+    /// sweep into `tel` in job-index order: one
+    /// `job:<benchmark>:<label>` span per *successful* job (covering
+    /// its simulated memoized-run cycles; a failed job has no simulated
+    /// cycle count to span, so failures are counted only via
+    /// `orchestrator.jobs.failed`), the `orchestrator.jobs.{ok,failed}`
+    /// counters, and `cache`'s `orchestrator.baseline.{computed,reused}`
+    /// counters.
     ///
     /// Span paths treat `/` as a hierarchy separator, so any `/` in the
     /// label is rewritten to `|` to keep the whole name on one path

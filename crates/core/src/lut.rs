@@ -539,14 +539,6 @@ impl LutArray {
     pub fn occupancy(&self) -> usize {
         self.sets.iter().filter(|e| e.valid).count()
     }
-
-    /// Valid-entry count per set, in set order (telemetry occupancy
-    /// snapshots; each value is in `0..=ways`).
-    pub fn set_occupancies(&self) -> impl Iterator<Item = usize> + '_ {
-        self.sets
-            .chunks(self.geometry.ways)
-            .map(|set| set.iter().filter(|e| e.valid).count())
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! # Examples
 //!
 //! ```
-//! use axmemo_core::truncate::{truncate_bits, TruncatedBytes, InputValue};
+//! use axmemo_core::truncate::{truncate_bits, InputValue};
 //!
 //! // Two nearby floats hash identically after 16-bit truncation:
 //! let a = InputValue::F32(1.000001);
@@ -92,18 +92,11 @@ impl InputValue {
             InputValue::U8(_) => InputValue::U8(bits as u8),
         }
     }
-}
 
-/// Little-endian bytes of a value after truncating `n` LSBs — exactly the
-/// beat sequence sent to the memoization unit's input queue.
-pub trait TruncatedBytes {
-    /// Bytes streamed to the CRC unit for this value with `n` truncated
-    /// bits. At most 8 bytes; the `usize` is the valid length.
-    fn truncated_bytes(&self, n: u32) -> ([u8; 8], usize);
-}
-
-impl TruncatedBytes for InputValue {
-    fn truncated_bytes(&self, n: u32) -> ([u8; 8], usize) {
+    /// Little-endian bytes of the value after truncating `n` LSBs —
+    /// exactly the beat sequence sent to the memoization unit's input
+    /// queue. At most 8 bytes; the `usize` is the valid length.
+    pub fn truncated_bytes(&self, n: u32) -> ([u8; 8], usize) {
         // `raw_bits` zero-extends, so the bytes past `byte_width` are
         // already zero and no partial copy is needed.
         (

@@ -258,38 +258,6 @@ impl TwoLevelLut {
         }
     }
 
-    /// Snapshot occupancy into telemetry: overall occupancy-fraction
-    /// gauges per level plus a per-set valid-entry histogram. Costs a
-    /// scan of the arrays, so call it at phase boundaries rather than
-    /// per access.
-    pub fn record_occupancy(&self, tel: &mut Telemetry) {
-        // Every recording call below is a no-op on a disabled handle;
-        // return before paying for the array scans.
-        if !tel.is_enabled() {
-            return;
-        }
-        // An all-empty snapshot (e.g. right after the region-end
-        // invalidate) would clobber the meaningful gauge values.
-        if self.l1.occupancy() == 0 && self.l2.as_ref().is_none_or(|l2| l2.occupancy() == 0) {
-            return;
-        }
-        let entries = self.l1.geometry().entries().max(1);
-        tel.gauge(
-            "lut.l1.occupancy",
-            self.l1.occupancy() as f64 / entries as f64,
-        );
-        for occ in self.l1.set_occupancies() {
-            tel.observe("lut.l1.set_occupancy", occ as f64);
-        }
-        if let Some(l2) = self.l2.as_ref() {
-            let entries = l2.geometry().entries().max(1);
-            tel.gauge("lut.l2.occupancy", l2.occupancy() as f64 / entries as f64);
-            for occ in l2.set_occupancies() {
-                tel.observe("lut.l2.set_occupancy", occ as f64);
-            }
-        }
-    }
-
     /// Invalidate a whole logical LUT at every level.
     pub fn invalidate(&mut self, lut_id: LutId) -> u64 {
         let mut n = self.l1.invalidate(lut_id);
@@ -635,28 +603,6 @@ mod tests {
             lut.update_tel(id(0), i, i, &mut tel);
         }
         assert_eq!(levels(&sink, "lut.evict"), vec!["L1"; 8]);
-    }
-
-    #[test]
-    fn record_occupancy_records_only_when_enabled() {
-        let mut lut = tiny_two_level();
-        for i in 0..16u64 {
-            lut.update(id(0), i, i);
-        }
-        let mut off = Telemetry::off();
-        lut.record_occupancy(&mut off);
-        assert_eq!(off.registry().gauge("lut.l1.occupancy"), None);
-
-        let mut on = Telemetry::enabled();
-        lut.record_occupancy(&mut on);
-        assert_eq!(on.registry().gauge("lut.l1.occupancy"), Some(1.0));
-        assert!(on.registry().gauge("lut.l2.occupancy").unwrap() > 0.0);
-        assert_eq!(
-            on.registry()
-                .histogram("lut.l1.set_occupancy")
-                .map(|h| h.count()),
-            Some(1)
-        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::quality::{
     relative_error, DegradationStage, QualityAction, QualityMonitor, ERROR_THRESHOLD,
     TRUNC_BACKOFF_BITS,
 };
-use crate::truncate::{InputValue, TruncatedBytes};
+use crate::truncate::InputValue;
 use crate::two_level::{HitLevel, RestorePolicy, TwoLevelLut, TwoLevelOutcome};
 use axmemo_telemetry::{PhaseId, Telemetry, Value};
 
@@ -495,17 +495,14 @@ impl MemoizationUnit {
         self.invalidate_tel(lut, &mut Telemetry::off())
     }
 
-    /// [`Self::invalidate`] with telemetry.
+    /// [`Self::invalidate`] with telemetry: counts the invalidation and,
+    /// as `lut.invalidated_entries`, the entries it wiped at both levels.
     pub fn invalidate_tel(&mut self, lut: LutId, tel: &mut Telemetry) {
-        // Snapshot occupancy before wiping: workloads invalidate at
-        // region end, so this is the last point the gauges are
-        // meaningful.
-        self.lut.record_occupancy(tel);
-        // Same reasoning for the persistent warm image: compiled
-        // programs emit `invalidate` for every LUT right before `halt`,
-        // so an armed capture must grab the contents here, before the
-        // wipe. Only the first invalidate captures — subsequent ones
-        // (multi-LUT programs) see a partially-wiped array.
+        // Compiled programs emit `invalidate` for every LUT right
+        // before `halt`, so an armed warm-image capture must grab the
+        // contents here, before the wipe. Only the first invalidate
+        // captures — subsequent ones (multi-LUT programs) see a
+        // partially-wiped array.
         if self.capture_armed && self.warm_image.is_none() {
             self.warm_image = Some(crate::snapshot::MemoSnapshot::capture_tel(
                 &self.lut,
@@ -514,19 +511,14 @@ impl MemoizationUnit {
             ));
             tel.count("snapshot.captures", 1);
         }
-        self.lut.invalidate(lut);
+        let wiped = self.lut.invalidate(lut);
         self.stats.invalidates += 1;
         tel.count("lut.invalidations", 1);
+        tel.count("lut.invalidated_entries", wiped);
         tel.event(
             "lut.invalidate",
             &[("lut", Value::U64(u64::from(lut.raw())))],
         );
-    }
-
-    /// Snapshot LUT occupancy gauges/histograms into `tel` (cheap to
-    /// skip when disabled; costs an array scan when enabled).
-    pub fn record_occupancy(&self, tel: &mut Telemetry) {
-        self.lut.record_occupancy(tel);
     }
 
     /// Clear all state between runs (LUT contents, HVRs, pending slots,
@@ -874,6 +866,40 @@ mod tests {
         u.invalidate(lut);
         u.feed(lut, tid, InputValue::I32(5), 0);
         assert_eq!(u.lookup(lut, tid), LookupResult::Miss);
+    }
+
+    #[test]
+    fn invalidate_counts_the_entries_it_wipes() {
+        let filled = || {
+            let mut u = MemoizationUnit::new(MemoConfig::l1_l2(1024, 8 * 1024)).unwrap();
+            let (lut, tid) = ids();
+            for i in 0..200i32 {
+                u.feed(lut, tid, InputValue::I32(i), 0);
+                assert_eq!(u.lookup(lut, tid), LookupResult::Miss);
+                u.update(lut, tid, i as u64);
+            }
+            u
+        };
+        let wiped = |u: &MemoizationUnit| {
+            u.lut().l1_stats().invalidations + u.lut().l2_stats().invalidations
+        };
+        let (lut, _) = ids();
+
+        let mut u = filled();
+        let l2 = u.lut().l2().expect("L1+L2 unit");
+        let live = (u.lut().l1().occupancy() + l2.occupancy()) as u64;
+        assert!(live > 0 && l2.occupancy() > 0);
+        let before = wiped(&u);
+        let mut tel = Telemetry::enabled();
+        u.invalidate_tel(lut, &mut tel);
+        let counted = tel.registry().counter("lut.invalidated_entries");
+        assert_eq!(counted, live);
+        assert_eq!(counted, wiped(&u) - before);
+
+        let mut u = filled();
+        let mut off = Telemetry::off();
+        u.invalidate_tel(lut, &mut off);
+        assert_eq!(off.registry().counter("lut.invalidated_entries"), 0);
     }
 
     #[test]

@@ -905,9 +905,6 @@ impl Simulator {
             tel.count("predictor.predictions", ps.predictions);
             tel.count("predictor.mispredictions", ps.mispredictions);
         }
-        if let Some(unit) = self.memo.as_ref() {
-            unit.record_occupancy(tel);
-        }
     }
 }
 

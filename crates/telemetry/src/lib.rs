@@ -1,11 +1,10 @@
 //! # axmemo-telemetry
 //!
 //! Zero-dependency tracing and metrics for the AxMemo workspace: a
-//! metrics registry (counters, gauges, fixed-bucket histograms with
-//! p50/p90/p99 readout), hierarchical spans keyed on *simulated*
-//! cycles, and a structured event stream with pluggable sinks (ring
-//! buffer for tests, JSONL for offline tooling, text report for
-//! humans).
+//! registry of named counters, hierarchical spans keyed on *simulated*
+//! cycles, a structured event stream with pluggable sinks (ring buffer
+//! for tests, JSONL for offline tooling) and a phase profiler. A text
+//! report renders the counters and spans for humans.
 //!
 //! The whole workspace threads a `&mut Telemetry` through its hot
 //! paths. When the handle is disabled ([`Telemetry::off`]) every
@@ -39,7 +38,7 @@ pub mod sink;
 pub mod span;
 
 pub use event::{escape_json, event_to_json, Event, Value};
-pub use metrics::{Histogram, Registry, DEFAULT_BUCKETS};
+pub use metrics::Registry;
 pub use profile::{folded_escape, BlockStat, PhaseId, Profile, Profiler};
 pub use sink::{EventSink, JsonlSink, RingBufferSink};
 pub use span::{SpanRecord, SpanTracker};
@@ -103,24 +102,6 @@ impl Telemetry {
             return;
         }
         self.registry.counter_add(name, n);
-    }
-
-    /// Set gauge `name` to `v`.
-    #[inline]
-    pub fn gauge(&mut self, name: &'static str, v: f64) {
-        if !self.enabled {
-            return;
-        }
-        self.registry.gauge_set(name, v);
-    }
-
-    /// Record `v` into histogram `name` (default buckets on first use).
-    #[inline]
-    pub fn observe(&mut self, name: &'static str, v: f64) {
-        if !self.enabled {
-            return;
-        }
-        self.registry.observe(name, v);
     }
 
     /// Emit a structured event at the current cycle, tagged with the
@@ -303,8 +284,6 @@ mod tests {
         let mut tel = Telemetry::off();
         tel.add_sink(Box::new(sink.clone()));
         tel.count("a", 1);
-        tel.gauge("g", 2.0);
-        tel.observe("h", 3.0);
         tel.event("k", &[]);
         tel.span_enter("s");
         tel.span_exit(); // no-op, must not panic even though nothing is open
@@ -334,13 +313,11 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_histograms_accumulate() {
+    fn counters_accumulate() {
         let mut tel = Telemetry::enabled();
         tel.count("c", 2);
         tel.count("c", 3);
-        tel.observe("lat", 4.0);
         assert_eq!(tel.registry().counter("c"), 5);
-        assert_eq!(tel.registry().histogram("lat").unwrap().count(), 1);
     }
 
     #[test]

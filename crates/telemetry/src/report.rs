@@ -4,64 +4,18 @@ use std::fmt::Write as _;
 
 use crate::Telemetry;
 
-/// Render counters, gauges, histogram summaries and completed spans as
-/// an aligned plain-text report. Sections with no data are omitted; a
-/// fully-empty report is the empty string.
+/// Render counters and completed spans as an aligned plain-text
+/// report. Sections with no data are omitted; a fully-empty report is
+/// the empty string.
 pub fn render_text(tel: &Telemetry) -> String {
     let mut out = String::new();
-    let reg = tel.registry();
 
-    let counters: Vec<_> = reg.counters().collect();
+    let counters: Vec<_> = tel.registry().counters().collect();
     if !counters.is_empty() {
         out.push_str("== counters ==\n");
         let width = counters.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
         for (k, v) in counters {
             let _ = writeln!(out, "  {k:<width$}  {v}");
-        }
-    }
-
-    let gauges: Vec<_> = reg.gauges().collect();
-    if !gauges.is_empty() {
-        out.push_str("== gauges ==\n");
-        let width = gauges.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-        for (k, v) in gauges {
-            let _ = writeln!(out, "  {k:<width$}  {v:.4}");
-        }
-    }
-
-    let hists: Vec<_> = reg.histograms().collect();
-    if !hists.is_empty() {
-        out.push_str("== histograms ==\n");
-        let width = hists.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-        for (k, h) in hists {
-            let _ = writeln!(
-                out,
-                "  {k:<width$}  n={} mean={:.2} min={} max={} p50={} p90={} p99={}",
-                h.count(),
-                h.mean(),
-                h.min(),
-                h.max(),
-                h.p50(),
-                h.p90(),
-                h.p99()
-            );
-            // Bucket occupancy (only the populated buckets — the
-            // default layout has 15 and most stay empty). The registry
-            // is BTreeMap-backed, so the whole report, including this
-            // line, is deterministic for a given set of observations.
-            let counts = h.bucket_counts();
-            let populated: Vec<String> = counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(i, &c)| match h.bounds().get(i) {
-                    Some(bound) => format!("le{bound}={c}"),
-                    None => format!("inf={c}"),
-                })
-                .collect();
-            if !populated.is_empty() {
-                let _ = writeln!(out, "  {:<width$}  buckets: {}", "", populated.join(" "));
-            }
         }
     }
 
@@ -99,8 +53,6 @@ mod tests {
     fn sections_appear_when_populated() {
         let mut tel = Telemetry::enabled();
         tel.count("lut.l1.hit", 42);
-        tel.gauge("lut.l1.occupancy", 0.5);
-        tel.observe("memo.latency", 3.0);
         tel.set_cycle(10);
         tel.span_enter("run:fft");
         tel.set_cycle(90);
@@ -109,39 +61,21 @@ mod tests {
         let text = render_text(&tel);
         assert!(text.contains("== counters =="), "{text}");
         assert!(text.contains("lut.l1.hit"), "{text}");
-        assert!(text.contains("== gauges =="), "{text}");
-        assert!(text.contains("== histograms =="), "{text}");
         assert!(text.contains("== spans =="), "{text}");
         assert!(text.contains("run:fft"), "{text}");
         assert!(text.contains("80 cycles"), "{text}");
     }
 
     #[test]
-    fn histogram_buckets_render_deterministically() {
-        // Build the same observations twice in different orders: the
-        // report must be byte-identical (names are BTreeMap-sorted and
-        // bucket lines depend only on the multiset of observations).
+    fn counters_render_name_sorted_whatever_the_insertion_order() {
         let mut a = Telemetry::enabled();
-        a.observe("lat", 1.0);
-        a.observe("lat", 3.0);
-        a.observe("lat", 3.0);
-        a.observe("lat", 1e9); // overflow bucket
         a.count("z.last", 1);
         a.count("a.first", 1);
         let mut b = Telemetry::enabled();
         b.count("a.first", 1);
-        b.observe("lat", 1e9);
-        b.observe("lat", 3.0);
-        b.observe("lat", 1.0);
-        b.observe("lat", 3.0);
         b.count("z.last", 1);
-        assert_eq!(render_text(&a), render_text(&b));
-
-        // Pin the bucket line format: populated buckets only, labelled
-        // by their inclusive upper bound, overflow labelled `inf`.
         let text = render_text(&a);
-        assert!(text.contains("buckets: le1=1 le4=2 inf=1"), "{text}");
-        // Counter section is name-sorted.
+        assert_eq!(text, render_text(&b));
         let first = text.find("a.first").unwrap();
         let last = text.find("z.last").unwrap();
         assert!(first < last, "{text}");

@@ -2,7 +2,8 @@
 //! cannot honour, unknown flags and benchmark-name typos exit 2 with a
 //! message and the usage line, before any simulation runs. Snapshots
 //! are `warm_start`'s alone: its `--restore-policy` is checked here, and
-//! every other binary refuses the snapshot flags.
+//! every other binary refuses the snapshot flags. `--trace-out` appends
+//! its counter and span tail to a text report only.
 
 use std::process::{Command, Output};
 
@@ -178,4 +179,43 @@ fn all_experiments_rejects_restore_from() {
 #[test]
 fn atm_compare_rejects_unknown_flags() {
     assert_usage_error(ATM_COMPARE, &["--bogus"], &["--bogus"]);
+}
+
+#[test]
+fn trace_out_text_tail_lists_counters_and_spans() {
+    let trace = std::env::temp_dir().join(format!("axmemo-tail-{}.jsonl", std::process::id()));
+    let trace_arg = trace.to_str().unwrap();
+    let text = run(FIG11, &["--trace-out", trace_arg]);
+    let json = run(FIG11, &["--trace-out", trace_arg, "--report", "json"]);
+    std::fs::remove_file(&trace).unwrap();
+    assert!(
+        text.status.success(),
+        "{}",
+        String::from_utf8_lossy(&text.stderr)
+    );
+    assert!(
+        json.status.success(),
+        "{}",
+        String::from_utf8_lossy(&json.stderr)
+    );
+
+    let stdout = String::from_utf8_lossy(&text.stdout);
+    // The tail has exactly two sections: the registry holds counters
+    // only, so nothing else may follow the table.
+    let sections: Vec<&str> = stdout.lines().filter(|l| l.starts_with("== ")).collect();
+    assert_eq!(sections, ["== counters ==", "== spans =="], "{stdout}");
+    let wiped: u64 = stdout
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("lut.invalidated_entries"))
+        .expect(&stdout)
+        .trim()
+        .parse()
+        .unwrap();
+    assert!(wiped > 0, "{stdout}");
+
+    let stdout = String::from_utf8_lossy(&json.stdout);
+    assert!(
+        !stdout.contains("== "),
+        "json mode prints no tail: {stdout}"
+    );
 }

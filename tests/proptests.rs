@@ -9,7 +9,7 @@ use axmemo_core::config::{DataWidth, MemoConfig};
 use axmemo_core::crc::{CrcWidth, SerialCrc, TableCrc};
 use axmemo_core::ids::LutId;
 use axmemo_core::lut::{LookupOutcome, LutArray, LutGeometry};
-use axmemo_core::truncate::{truncate_bits, InputValue, TruncatedBytes};
+use axmemo_core::truncate::{truncate_bits, InputValue};
 use axmemo_core::two_level::TwoLevelLut;
 use axmemo_workloads::gen::SplitMix64;
 
