@@ -265,7 +265,7 @@ impl PaperMatrix {
                 if *cfg != big {
                     continue;
                 }
-                let mut errs = row.cells[i].error.elementwise.clone();
+                let mut errs = row.cells[i].error.elementwise.to_vec();
                 errs.sort_by(f64::total_cmp);
                 let q = |p: f64| -> f64 {
                     if errs.is_empty() {

@@ -17,7 +17,12 @@
 //!    summaries) never observes completion order.
 //!
 //! Every job of a run shares one [`BaselineCache`], so each distinct
-//! benchmark's fault-free baseline is simulated once per sweep.
+//! benchmark's fault-free baseline is simulated once per sweep. Error
+//! vectors are shared the same way: as each job finishes, its
+//! element-wise errors are replaced by an earlier job's when the two are
+//! bit-identical (a flip that never reaches an output leaves the cell's
+//! errors equal to the fault-free cell's), so a run holds each distinct
+//! vector once.
 //!
 //! Failures never sink a sweep: each job runs through
 //! [`runner::run_job`], which catches panics, bounds the memoized leg
@@ -39,13 +44,14 @@
 //! assert!(outcomes[0].result.is_ok());
 //! ```
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use axmemo_core::config::MemoConfig;
 use axmemo_sim::cpu::DispatchTier;
 use axmemo_telemetry::{Profile, Telemetry};
-use axmemo_workloads::runner::{BaselineCache, RunFailure, RunOptions};
+use axmemo_workloads::runner::{BaselineCache, ErrorVec, RunFailure, RunOptions};
 use axmemo_workloads::{benchmark_by_name, runner, FailureKind, Scale};
 
 /// Deterministic-order parallel map: evaluate `f(0..count)` on up to
@@ -306,9 +312,13 @@ impl Orchestrator {
     fn run_in(&self, matrix: &JobMatrix, cache: &BaselineCache) -> Vec<JobOutcome> {
         let total = matrix.len();
         let done = AtomicUsize::new(0);
+        let errors = ErrorTable::default();
         let run_one = |index: usize| -> JobOutcome {
             let spec = matrix.jobs()[index].clone();
-            let outcome = self.run_job(index, spec, cache);
+            let mut outcome = self.run_job(index, spec, cache);
+            if let Ok(result) = &mut outcome.result {
+                errors.intern(&mut result.error.elementwise);
+            }
             if self.progress {
                 let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
                 eprintln!(
@@ -402,6 +412,44 @@ impl Orchestrator {
     }
 }
 
+/// The distinct error vectors of one [`Orchestrator::run`], keyed by
+/// [`error_hash`]. Jobs intern as they finish, so a duplicate is freed
+/// while the sweep still runs rather than at its end.
+#[derive(Debug, Default)]
+struct ErrorTable(Mutex<HashMap<u64, Vec<ErrorVec>>>);
+
+impl ErrorTable {
+    /// Point `errors` at the stored vector bit-identical to it, or store
+    /// it as the first of its kind.
+    fn intern(&self, errors: &mut ErrorVec) {
+        let hash = error_hash(errors);
+        let mut table = self.0.lock().expect("error table poisoned");
+        let bucket = table.entry(hash).or_default();
+        match bucket.iter().find(|stored| bit_identical(stored, errors)) {
+            Some(stored) => *errors = stored.clone(),
+            None => bucket.push(errors.clone()),
+        }
+    }
+}
+
+/// FNV-1a over the length and every element's bits, one 64-bit word at
+/// a time.
+fn error_hash(errors: &[f64]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let words = std::iter::once(errors.len() as u64).chain(errors.iter().map(|x| x.to_bits()));
+    for word in words {
+        hash = (hash ^ word).wrapping_mul(PRIME);
+    }
+    hash
+}
+
+/// Equal length and equal bits in every element (`-0.0` and `0.0`
+/// differ; a NaN equals only the same NaN).
+fn bit_identical(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// `d` in whole milliseconds, rounded to the nearest. Truncating would
 /// drop half a millisecond per job on average, which a sweep of
 /// sub-millisecond jobs sums into most of its reported tail.
@@ -434,6 +482,7 @@ pub fn merge_profiles(outcomes: &[JobOutcome]) -> Option<Profile> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReportMode;
 
     #[test]
     fn job_wall_time_rounds_to_nearest_ms() {
@@ -561,5 +610,69 @@ mod tests {
         assert_eq!(fail.kind, FailureKind::Error);
         assert!(fail.message.contains("doom"));
         assert_eq!(outcomes[0].status(), "error");
+    }
+
+    #[test]
+    fn bit_identical_error_vectors_share_storage() {
+        let benches = ["blackscholes", "sobel"].map(str::to_string);
+        let (matrix, metas) = crate::sweep::matrix(7, &benches);
+        let error_vecs = |outcomes: &[JobOutcome]| -> Vec<Option<ErrorVec>> {
+            outcomes
+                .iter()
+                .map(|o| o.result.as_ref().ok().map(|r| r.error.elementwise.clone()))
+                .collect()
+        };
+        // For each successful outcome, the first outcome whose vector
+        // shares its storage.
+        let partition = |errors: &[Option<ErrorVec>]| -> Vec<Option<usize>> {
+            let first = |a: &ErrorVec| {
+                errors
+                    .iter()
+                    .position(|b| b.as_ref().is_some_and(|b| b.shares_storage_with(a)))
+            };
+            errors.iter().map(|a| a.as_ref().and_then(first)).collect()
+        };
+        let mut runs = Vec::new();
+        for jobs in [1, 2] {
+            let outcomes = Orchestrator::new(Scale::Tiny).jobs(jobs).run(&matrix);
+            let errors = error_vecs(&outcomes);
+            for a in errors.iter().flatten() {
+                for b in errors.iter().flatten() {
+                    assert_eq!(
+                        a.shares_storage_with(b),
+                        bit_identical(a, b),
+                        "jobs({jobs}): storage is shared exactly between equal vectors"
+                    );
+                }
+            }
+            let report =
+                crate::sweep::table(Scale::Tiny, 7, &metas, &outcomes).render(ReportMode::Json);
+            assert_eq!(
+                format!("{report}\n"),
+                include_str!("../../../tests/data/fault_sweep_reduced.golden.json"),
+                "jobs({jobs}): the sweep report drifted from its golden"
+            );
+            runs.push(errors);
+        }
+        let (serial, parallel) = (&runs[0], &runs[1]);
+        let shares = partition(serial);
+        assert_eq!(
+            shares,
+            partition(parallel),
+            "sharing depends on worker count"
+        );
+        assert!(
+            shares
+                .iter()
+                .enumerate()
+                .any(|(i, s)| s.is_some_and(|s| s != i)),
+            "no two cells share a vector"
+        );
+        for (s, p) in serial.iter().zip(parallel) {
+            assert_eq!(s.is_some(), p.is_some());
+            if let (Some(s), Some(p)) = (s, p) {
+                assert!(bit_identical(s, p), "values depend on worker count");
+            }
+        }
     }
 }

@@ -242,14 +242,15 @@ impl MemoTiming {
         // Goldens and ledger digests pin this figure, so it stays as
         // first written; `crc.beat` is the exact measure.
         port.stats.memo_stall_cycles += not_before.saturating_sub(before.max(1)) / 2;
-        let l2_probed = !matches!(
-            result,
+        // A disabled lookup touches no array, so it pays no LUT energy.
+        match result {
+            LookupResult::Disabled => {}
             LookupResult::Hit {
                 level: HitLevel::L1,
                 ..
-            }
-        );
-        self.charge_lut(port.stats, l2_probed);
+            } => self.charge_lut(port.stats, false),
+            _ => self.charge_lut(port.stats, true),
+        }
         let data = match result {
             LookupResult::Hit { data, .. } => Some(data),
             _ => None,
@@ -262,7 +263,8 @@ impl MemoTiming {
     }
 
     /// `update`: writes the recomputed output for the preceding miss.
-    /// Only a write that consumed a pending miss pays the ECC check.
+    /// Only a write that consumed a pending miss pays the ECC check and
+    /// the LUT energy.
     #[inline(always)]
     pub(crate) fn update(&mut self, port: MemoPort<'_>, src: u8, lut: LutId, data: u64) {
         port.tel.set_cycle(port.pipe.now());
@@ -270,7 +272,9 @@ impl MemoTiming {
         let cycles = UPDATE_CYCLES + if wrote { self.ecc_cycles() } else { 0 };
         port.tel.profiler_mut().leaf(PhaseId::LutUpdate, cycles);
         port.pipe.issue(&[src], None, FuClass::Memo, cycles, 0);
-        self.charge_lut(port.stats, true);
+        if wrote {
+            self.charge_lut(port.stats, true);
+        }
     }
 
     /// `invalidate`: clears the LUT at the end of a region.
@@ -366,13 +370,12 @@ mod tests {
             .map_or(0, |s| s.cycles)
     }
 
-    /// Run one op on `unit` with a fresh pipeline and return the cycles
-    /// it charged to `phase`.
-    fn charged(
+    /// Run one op on `unit` with a fresh pipeline and profiler; return
+    /// them with the stats it counted.
+    fn run_op(
         unit: &mut MemoizationUnit,
-        phase: PhaseId,
         op: impl FnOnce(&mut MemoTiming, MemoPort<'_>),
-    ) -> u64 {
+    ) -> (Telemetry, RunStats) {
         let mut timing = MemoTiming::new(Some(unit));
         let (mut pipe, mut stats) = (Pipeline::new(), RunStats::default());
         let mut tel = Telemetry::off();
@@ -384,7 +387,25 @@ mod tests {
             stats: &mut stats,
         };
         op(&mut timing, port);
-        leaf_cycles(tel.profiler(), phase)
+        (tel, stats)
+    }
+
+    /// Run one op on `unit` and return the cycles it charged to `phase`.
+    fn charged(
+        unit: &mut MemoizationUnit,
+        phase: PhaseId,
+        op: impl FnOnce(&mut MemoTiming, MemoPort<'_>),
+    ) -> u64 {
+        leaf_cycles(run_op(unit, op).0.profiler(), phase)
+    }
+
+    /// The L2 LUT accesses and ECC checks one op billed.
+    fn billed(
+        unit: &mut MemoizationUnit,
+        op: impl FnOnce(&mut MemoTiming, MemoPort<'_>),
+    ) -> (u64, u64) {
+        let energy = run_op(unit, op).1.energy;
+        (energy.l2_lut_accesses, energy.ecc_checks)
     }
 
     #[test]
@@ -443,5 +464,45 @@ mod tests {
             });
             assert_eq!(invalidate, cycles, "invalidate with {data_width:?} data");
         }
+    }
+
+    #[test]
+    fn ops_that_touch_no_array_bill_no_lut_energy() {
+        // An L2 LUT and ECC: every billed access shows in both counters.
+        let mut u = unit(true, true, DataWidth::W4);
+        let lut = LutId::new(0).unwrap();
+        let mut machine = Machine::new(64);
+        let update = |u: &mut MemoizationUnit| billed(u, |t, port| t.update(port, 0, lut, 7));
+        assert_eq!(update(&mut u), (0, 0), "update without a pending miss");
+        u.feed(lut, TID, InputValue::I32(5), 0);
+        assert_eq!(u.lookup(lut, TID), LookupResult::Miss);
+        assert_eq!(update(&mut u), (1, 2), "update after a miss");
+
+        // Recomputed values that alternate far apart fail every sampled
+        // comparison, so the quality monitor walks its ladder to
+        // `Disabled`.
+        let mut flip = false;
+        for _ in 0..60_000 {
+            if u.memoization_disabled() {
+                break;
+            }
+            u.feed(lut, TID, InputValue::I32(1), 0);
+            if matches!(
+                u.lookup(lut, TID),
+                LookupResult::Miss | LookupResult::SampledMiss { .. }
+            ) {
+                let v = if flip { 100.0f32 } else { 1.0f32 };
+                flip = !flip;
+                u.update(lut, TID, u64::from(v.to_bits()));
+            }
+        }
+        assert!(u.memoization_disabled(), "quality monitor never tripped");
+        u.feed(lut, TID, InputValue::I32(1), 0);
+        let lookup = billed(&mut u, |t, port| {
+            assert_eq!(t.lookup(port, &mut machine, 1, lut), None);
+        });
+        assert_eq!(lookup, (0, 0), "disabled lookup");
+        assert!(u.memoization_disabled());
+        assert_eq!(update(&mut u), (0, 0), "update after a disabled lookup");
     }
 }

@@ -25,13 +25,68 @@ use axmemo_sim::threaded::ThreadedProgram;
 use axmemo_sim::Program;
 use axmemo_telemetry::{escape_json, PhaseId, Telemetry};
 
+/// Element-wise errors of one run, behind a reference count: a clone
+/// is a pointer copy, so runs whose errors are bit-identical can hold
+/// one allocation (the sweep orchestrator stores each distinct vector
+/// once). Reads as a `[f64]`.
+///
+/// ```
+/// use axmemo_workloads::runner::ErrorVec;
+///
+/// let errors: ErrorVec = [0.0, 0.25, 1.0].into_iter().collect();
+/// let mut sum = 0.0;
+/// for &x in &errors {
+///     sum += x;
+/// }
+/// assert_eq!(sum, 1.25);
+/// assert_eq!(errors[1], 0.25);
+/// assert_eq!(errors.len(), 3);
+///
+/// let copy = errors.clone();
+/// assert!(copy.shares_storage_with(&errors));
+/// let equal: ErrorVec = [0.0, 0.25, 1.0].into_iter().collect();
+/// assert!(!equal.shares_storage_with(&errors));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ErrorVec(Arc<[f64]>);
+
+impl ErrorVec {
+    /// Whether `self` and `other` are handles to the same allocation.
+    pub fn shares_storage_with(&self, other: &ErrorVec) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl std::ops::Deref for ErrorVec {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a ErrorVec {
+    type Item = &'a f64;
+    type IntoIter = std::slice::Iter<'a, f64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl FromIterator<f64> for ErrorVec {
+    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
+        Self(iter.into_iter().collect())
+    }
+}
+
 /// Per-element relative errors (for the Fig. 10b CDF) plus aggregates.
 #[derive(Debug, Clone, Default)]
 pub struct ErrorReport {
     /// Equation 2 whole-output error (or misclassification rate).
     pub output_error: f64,
     /// Element-wise relative errors, for CDF plotting.
-    pub elementwise: Vec<f64>,
+    pub elementwise: ErrorVec,
     /// Output elements where the exact or approximate value was NaN or
     /// infinite. Such pairs are clamped to [`NON_FINITE_ERROR`] (unless
     /// bit-identical) so aggregates stay finite instead of silently
@@ -1049,7 +1104,7 @@ pub fn compute_error(metric: Metric, exact: &[f64], approx: &[f64]) -> ErrorRepo
             }
         }
         Metric::Misclassification => {
-            let wrong: Vec<f64> = exact
+            let wrong: ErrorVec = exact
                 .iter()
                 .zip(approx)
                 .map(|(x, xh)| if (x - xh).abs() > 0.5 { 1.0 } else { 0.0 })
