@@ -23,7 +23,7 @@ use axmemo_core::crc::{CrcWidth, TableCrc};
 use axmemo_core::snapshot::RecoveryOutcome;
 use axmemo_core::RestorePolicy;
 use axmemo_sim::cache::CacheConfig;
-use axmemo_sim::cpu::{DispatchTier, Machine, SimConfig, Simulator};
+use axmemo_sim::cpu::{Machine, SimConfig, Simulator};
 use axmemo_sim::energy::{l1_lut_energy, AreaModel, EnergyModel};
 use axmemo_sim::memo::{
     CRC_BYTES_PER_CYCLE, INVALIDATE_CYCLES_PER_WAY, LOOKUP_L1_CYCLES, LOOKUP_L2_CYCLES,
@@ -86,11 +86,16 @@ pub struct Context {
 }
 
 impl Context {
-    /// Context for `args` at the `AXMEMO_SCALE` scale.
+    /// Context for `args` at the `AXMEMO_SCALE` scale. An invalid
+    /// `AXMEMO_SCALE` prints the error and exits 2.
     pub fn new(args: BenchArgs) -> Self {
+        let scale = scale_from_env().unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2)
+        });
         Self {
             args,
-            scale: scale_from_env(),
+            scale,
             cache: BaselineCache::new(),
             matrix: OnceLock::new(),
         }
@@ -426,7 +431,7 @@ fn table1(_: &Context, _: &mut Telemetry) -> Result<Output> {
         let mut machine = bench.setup(Scale::Tiny, Dataset::Sample);
         let mut sim = Simulator::new(SimConfig::baseline())?;
         let mut cap = TraceCapture::with_limit(TRACE_CAP);
-        sim.run_traced(&program, &mut machine, Some(&mut cap))?;
+        sim.run_reference(&program, &mut machine, Some(&mut cap))?;
         let graph = Dddg::from_trace(cap.events(), &LatencyModel::default());
         let summary = analyze(&graph, &SearchConfig::default());
         table.row(vec![
@@ -561,20 +566,16 @@ fn fig11(ctx: &Context, tel: &mut Telemetry) -> Result<Output> {
     let mut ax_hits = Vec::new();
     let mut ex_hits = Vec::new();
     let plan = SnapshotPlan::default();
-    let opts = RunOptions::default();
-    let exact_opts = RunOptions {
-        zero_trunc: true,
-        ..opts
-    };
-    let mut run = |bench: &dyn Benchmark, opts| -> Result<_> {
+    let mut run = |bench: &dyn Benchmark, zero_trunc| -> Result<_> {
+        let opts = RunOptions { zero_trunc };
         let handle = std::mem::replace(tel, Telemetry::off());
         let report = run_cell(bench, scale, &cfg, handle, &ctx.cache, opts, &plan)?;
         *tel = report.telemetry;
         Ok(report.result)
     };
     for bench in all_benchmarks() {
-        let ax = run(bench.as_ref(), opts)?;
-        let ex = run(bench.as_ref(), exact_opts)?;
+        let ax = run(bench.as_ref(), false)?;
+        let ex = run(bench.as_ref(), true)?;
         table.row(vec![
             bench.meta().name.to_string(),
             format!("{:.2}x", ax.speedup),
@@ -683,9 +684,8 @@ fn l2_sensitivity(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
             };
             let mut sim = Simulator::new(cfg)?;
             let mut machine = Machine::clone(&inputs);
-            cycles[i] = prepared
-                .memo
-                .run(&mut sim, DispatchTier::default(), &mut machine)?
+            cycles[i] = sim
+                .run_prepared_threaded(&prepared.memo.threaded, &mut machine)?
                 .cycles;
         }
         let degradation = cycles[1] as f64 / cycles[0] as f64 - 1.0;
@@ -895,13 +895,7 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
             let base_cycles = if predictor.is_none() {
                 // The fixed-bubble baseline is the run the cache shares.
                 ctx.cache
-                    .get_or_compute(
-                        bench.as_ref(),
-                        scale,
-                        Dataset::Eval,
-                        u64::MAX,
-                        DispatchTier::default(),
-                    )?
+                    .baseline(bench.as_ref(), scale, Dataset::Eval, u64::MAX)?
                     .stats
                     .cycles
             } else {
@@ -910,9 +904,7 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
                     ..SimConfig::baseline()
                 })?;
                 let mut mb = Machine::clone(&inputs);
-                prepared
-                    .base
-                    .run(&mut base, DispatchTier::default(), &mut mb)?
+                base.run_prepared_threaded(&prepared.base.threaded, &mut mb)?
                     .cycles
             };
             let memo_sim_cfg = SimConfig {
@@ -921,9 +913,7 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
             };
             let mut memo = Simulator::new(memo_sim_cfg)?;
             let mut mm = Machine::clone(&inputs);
-            let ms = prepared
-                .memo
-                .run(&mut memo, DispatchTier::default(), &mut mm)?;
+            let ms = memo.run_prepared_threaded(&prepared.memo.threaded, &mut mm)?;
             speedups[i] = base_cycles as f64 / ms.cycles.max(1) as f64;
         }
         table.row(vec![

@@ -8,9 +8,9 @@
 //! which the drivers render in the `--report` format.
 //!
 //! Scale is selected with the `AXMEMO_SCALE` environment variable
-//! (`tiny` | `small` | `full`, default `small`). `tiny` is a smoke
-//! setting; `small` reproduces the trends in seconds; `full` approaches
-//! the paper's dataset sizes.
+//! (`tiny` | `small` | `full`, default `small`; any other value exits
+//! 2). `tiny` is a smoke setting; `small` reproduces the trends in
+//! seconds; `full` approaches the paper's dataset sizes.
 //!
 //! Sweep binaries (`fault_sweep`, `all_experiments`) run their job
 //! matrices through [`orchestrator`], a deterministic `std::thread`
@@ -30,7 +30,6 @@ use axmemo_baselines::cost::kernel_profile;
 use axmemo_baselines::{AtmModel, ContenderOutcome, SoftwareLut};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::unit::LookupEvent;
-pub use axmemo_sim::cpu::DispatchTier;
 use axmemo_sim::cpu::{Machine, SimConfig, Simulator};
 use axmemo_sim::stats::RunStats;
 use axmemo_telemetry::{escape_json, JsonlSink, Profile, Telemetry};
@@ -376,12 +375,25 @@ impl Table {
     }
 }
 
-/// Read the scale from `AXMEMO_SCALE` (default `small`).
-pub fn scale_from_env() -> Scale {
-    match std::env::var("AXMEMO_SCALE").as_deref() {
-        Ok("tiny") => Scale::Tiny,
-        Ok("full") => Scale::Full,
-        _ => Scale::Small,
+/// Read the scale from `AXMEMO_SCALE`: `tiny`, `small` or `full`, and
+/// `small` when unset.
+///
+/// # Errors
+///
+/// Any other value, named in the message, so that a typo never runs a
+/// different experiment.
+pub fn scale_from_env() -> Result<Scale, String> {
+    let Some(value) = std::env::var_os("AXMEMO_SCALE") else {
+        return Ok(Scale::Small);
+    };
+    match value.to_str() {
+        Some("tiny") => Ok(Scale::Tiny),
+        Some("small") => Ok(Scale::Small),
+        Some("full") => Ok(Scale::Full),
+        _ => Err(format!(
+            "AXMEMO_SCALE must be tiny|small|full, got {:?}",
+            value.to_string_lossy()
+        )),
     }
 }
 
@@ -510,15 +522,7 @@ pub fn collect_events_cached(
         }
     };
     let prepared = cache.program(bench, scale, false)?;
-    let baseline = cache
-        .get_or_compute(
-            bench,
-            scale,
-            Dataset::Eval,
-            u64::MAX,
-            DispatchTier::default(),
-        )?
-        .stats;
+    let baseline = cache.baseline(bench, scale, Dataset::Eval, u64::MAX)?.stats;
 
     let cfg = MemoConfig {
         data_width: bench.data_width(),
@@ -530,9 +534,7 @@ pub fn collect_events_cached(
         .expect("memo configured")
         .enable_event_log();
     let mut machine = Machine::clone(&*cache.inputs(bench, scale, Dataset::Eval)?);
-    prepared
-        .memo
-        .run(&mut sim, DispatchTier::default(), &mut machine)?;
+    sim.run_prepared_threaded(&prepared.memo.threaded, &mut machine)?;
     let events = sim
         .memo_unit_mut()
         .expect("memo configured")
@@ -628,9 +630,9 @@ mod tests {
     #[test]
     fn bench_args_reject_removed_spellings() {
         // Removed tiers and flags fail loudly instead of falling back.
-        // The legacy interpreter is selected through `RunOptions` and
-        // `SimConfig` in tests, never from the command line; snapshot
-        // paths and the restore policy are `warm_start`'s own flags.
+        // The legacy interpreter is `Simulator::run_reference`, which
+        // only tests call; snapshot paths and the restore policy are
+        // `warm_start`'s own flags.
         for removed in [
             &["--dispatch", "legacy"][..],
             &["--dispatch", "threaded"],
@@ -725,8 +727,8 @@ mod tests {
     #[test]
     fn scale_env_parsing_defaults_to_small() {
         // No env mutation here (tests run in parallel); just exercise
-        // the default path.
-        let s = scale_from_env();
+        // the default path. `tests/bin_flags.rs` drives a bad value.
+        let s = scale_from_env().expect("a valid AXMEMO_SCALE or none");
         assert!(matches!(s, Scale::Tiny | Scale::Small | Scale::Full));
     }
 }

@@ -49,9 +49,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use axmemo_core::config::MemoConfig;
-use axmemo_sim::cpu::DispatchTier;
 use axmemo_telemetry::{Profile, Telemetry};
-use axmemo_workloads::runner::{BaselineCache, ErrorVec, RunFailure, RunOptions};
+use axmemo_workloads::runner::{BaselineCache, ErrorVec, RunFailure};
 use axmemo_workloads::{benchmark_by_name, runner, FailureKind, Scale};
 
 /// Deterministic-order parallel map: evaluate `f(0..count)` on up to
@@ -225,7 +224,6 @@ pub struct Orchestrator {
     jobs: usize,
     max_cycles: u64,
     progress: bool,
-    dispatch: DispatchTier,
     profile: bool,
 }
 
@@ -239,7 +237,6 @@ impl Orchestrator {
             jobs: 1,
             max_cycles: u64::MAX,
             progress: false,
-            dispatch: DispatchTier::default(),
             profile: false,
         }
     }
@@ -267,15 +264,6 @@ impl Orchestrator {
     /// report (stdout).
     pub fn progress(mut self, on: bool) -> Self {
         self.progress = on;
-        self
-    }
-
-    /// Select the execution tier for every simulation (default:
-    /// [`DispatchTier::Threaded`], the fused-superblock interpreter).
-    /// The legacy tier, the executable spec, produces byte-identical
-    /// reports (the decode-equivalence tests pin exactly that).
-    pub fn dispatch(mut self, tier: DispatchTier) -> Self {
-        self.dispatch = tier;
         self
     }
 
@@ -387,10 +375,6 @@ impl Orchestrator {
                 &spec.memo,
                 self.max_cycles,
                 cache,
-                RunOptions {
-                    dispatch: self.dispatch,
-                    ..RunOptions::default()
-                },
                 &mut tel,
             ),
             None => Err(RunFailure {

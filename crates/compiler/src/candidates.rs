@@ -298,7 +298,7 @@ mod tests {
         let mut sim = Simulator::new(SimConfig::baseline()).unwrap();
         let mut m = Machine::new(4096);
         let mut cap = TraceCapture::new();
-        sim.run_traced(&p, &mut m, Some(&mut cap)).unwrap();
+        sim.run_reference(&p, &mut m, Some(&mut cap)).unwrap();
         Dddg::from_trace(cap.events(), &LatencyModel::default())
     }
 

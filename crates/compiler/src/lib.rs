@@ -34,7 +34,7 @@
 //! # let mut sim = Simulator::new(SimConfig::baseline()).unwrap();
 //! # let mut machine = Machine::new(64);
 //! let mut cap = TraceCapture::new();
-//! sim.run_traced(&program, &mut machine, Some(&mut cap)).unwrap();
+//! sim.run_reference(&program, &mut machine, Some(&mut cap)).unwrap();
 //! let graph = Dddg::from_trace(cap.events(), &LatencyModel::default());
 //! let summary = candidates::analyze(&graph, &candidates::SearchConfig::default());
 //! assert!(summary.coverage <= 1.0);

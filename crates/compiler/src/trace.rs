@@ -34,7 +34,7 @@ pub struct TraceEvent {
 /// let mut sim = Simulator::new(SimConfig::baseline()).unwrap();
 /// let mut m = Machine::new(64);
 /// let mut cap = TraceCapture::new();
-/// sim.run_traced(&p, &mut m, Some(&mut cap)).unwrap();
+/// sim.run_reference(&p, &mut m, Some(&mut cap)).unwrap();
 /// assert_eq!(cap.events().len(), 2); // movi + halt
 /// ```
 #[derive(Debug, Default)]
@@ -99,7 +99,7 @@ mod tests {
         let p = b.build().unwrap();
         let mut sim = Simulator::new(SimConfig::baseline()).unwrap();
         let mut m = Machine::new(64);
-        sim.run_traced(&p, &mut m, Some(cap)).unwrap();
+        sim.run_reference(&p, &mut m, Some(cap)).unwrap();
     }
 
     #[test]

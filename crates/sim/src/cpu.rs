@@ -327,38 +327,18 @@ pub trait TraceSink {
     fn record(&mut self, pc: usize, inst: &Inst, wrote: Option<(u8, u64)>, addr: Option<u64>);
 }
 
-/// Which interpreter executes a program. Both tiers are observably
-/// identical — `RunStats`, machine state, error values, fault-injector
-/// draws, and telemetry event streams match bit for bit (pinned by
-/// `tests/decode_equivalence.rs`); they differ only in host speed and
-/// profiler attribution granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+/// The one execution tier the simulator runs in production: threaded
+/// code over fused superblocks ([`Simulator::run`]). The legacy
+/// instruction-at-a-time loop is not a tier to select; it is the
+/// executable spec tests reach through [`Simulator::run_reference`].
+/// The type remains because the benchmark ledger passes
+/// `DispatchTier::default()` to `BaselineCache::get_or_compute`, which
+/// ignores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchTier {
-    /// Instruction-at-a-time reference loop: re-derives operands and
-    /// latencies per dynamic instruction. The only tier supporting a
-    /// [`TraceSink`], and the executable spec the fast path is checked
-    /// against.
-    Legacy,
-    /// Threaded-code dispatch over fused superblocks (the default):
-    /// straight-line chains of basic blocks — loop back-edges unrolled,
-    /// biased conditional edges fused — executed as one flat run of
-    /// pre-bound ops, with side exits back to the outer loop when a
-    /// branch disagrees with its static prediction.
+    /// Threaded-code dispatch over fused superblocks.
     #[default]
     Threaded,
-}
-
-impl DispatchTier {
-    /// All tiers, reference first.
-    pub const ALL: [DispatchTier; 2] = [DispatchTier::Legacy, DispatchTier::Threaded];
-
-    /// The tier's name (`legacy` | `threaded`).
-    pub fn name(self) -> &'static str {
-        match self {
-            DispatchTier::Legacy => "legacy",
-            DispatchTier::Threaded => "threaded",
-        }
-    }
 }
 
 /// Simulator configuration.
@@ -381,11 +361,6 @@ pub struct SimConfig {
     /// bound. The supervised benchmark runner uses it as a watchdog
     /// against non-terminating or pathologically slow programs.
     pub max_cycles: u64,
-    /// Which interpreter runs the program (default
-    /// [`DispatchTier::Threaded`]). Results are bit-identical across
-    /// tiers (pinned by tests), so the legacy tier exists only as the
-    /// reference for equivalence checks.
-    pub dispatch: DispatchTier,
 }
 
 impl Default for SimConfig {
@@ -397,7 +372,6 @@ impl Default for SimConfig {
             predictor: None,
             max_insts: 2_000_000_000,
             max_cycles: u64::MAX,
-            dispatch: DispatchTier::default(),
         }
     }
 }
@@ -509,25 +483,19 @@ impl Simulator {
         }
     }
 
-    /// Execute `program` to `Halt` on the configured
-    /// [`SimConfig::dispatch`] tier. The threaded tier lowers the
-    /// program once per call ([`DecodedProgram::compile`], then
-    /// [`ThreadedProgram::compile`]); results are bit-identical across
-    /// tiers.
+    /// Execute `program` to `Halt` on the threaded tier, lowering it
+    /// once per call ([`DecodedProgram::compile`], then
+    /// [`ThreadedProgram::compile`]). Callers that run one program many
+    /// times lower it once and call [`Self::run_prepared_threaded`].
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] on the first fault (out-of-bounds access,
     /// division by zero, runaway loop, missing memoization unit).
     pub fn run(&mut self, program: &Program, machine: &mut Machine) -> Result<RunStats, SimError> {
-        match self.config.dispatch {
-            DispatchTier::Legacy => self.run_legacy(program, machine, None),
-            DispatchTier::Threaded => {
-                let decoded = DecodedProgram::compile(program, &self.config.latency);
-                let threaded = ThreadedProgram::compile(&decoded);
-                self.run_threaded(&threaded, machine)
-            }
-        }
+        let decoded = DecodedProgram::compile(program, &self.config.latency);
+        let threaded = ThreadedProgram::compile(&decoded);
+        self.run_threaded(&threaded, machine)
     }
 
     /// Execute an already-lowered threaded program (see
@@ -556,26 +524,17 @@ impl Simulator {
         self.run_threaded(threaded, machine)
     }
 
-    /// Like [`Self::run`] with an optional trace sink receiving every
-    /// committed instruction (compiler trace capture). Tracing always
-    /// uses the legacy loop — trace capture is a compile-time activity
-    /// where per-instruction callbacks dwarf decode savings.
-    pub fn run_traced(
-        &mut self,
-        program: &Program,
-        machine: &mut Machine,
-        trace: Option<&mut dyn TraceSink>,
-    ) -> Result<RunStats, SimError> {
-        match trace {
-            Some(sink) => self.run_legacy(program, machine, Some(sink)),
-            None => self.run(program, machine),
-        }
-    }
-
-    /// The legacy instruction-at-a-time interpreter: the reference
-    /// implementation the fast path is checked against, and the only
-    /// path supporting a [`TraceSink`].
-    fn run_legacy(
+    /// Execute `program` on the legacy instruction-at-a-time loop, with
+    /// an optional trace sink receiving every committed instruction.
+    /// This is the executable spec: tests check the threaded tier
+    /// against it, and compiler trace capture uses it for the sink.
+    /// Its observables (`RunStats`, machine state, errors, unit state,
+    /// telemetry events) equal [`Self::run`]'s bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] on the first fault, exactly as [`Self::run`].
+    pub fn run_reference(
         &mut self,
         program: &Program,
         machine: &mut Machine,
@@ -1224,25 +1183,21 @@ mod tests {
                 width: MemWidth::B8
             })
         );
-        // Same through the interpreter (all tiers).
-        for dispatch in DispatchTier::ALL {
-            let mut b = ProgramBuilder::new();
-            b.movi(1, u64::MAX - 1);
-            b.ld(MemWidth::B8, 2, 1, 0);
-            b.halt();
-            let p = b.build().unwrap();
-            let cfg = SimConfig {
-                dispatch,
-                ..SimConfig::baseline()
-            };
-            let mut sim = Simulator::new(cfg).unwrap();
-            let mut m = Machine::new(64);
+        // Same through both interpreters.
+        let mut b = ProgramBuilder::new();
+        b.movi(1, u64::MAX - 1);
+        b.ld(MemWidth::B8, 2, 1, 0);
+        b.halt();
+        let p = b.build().unwrap();
+        for reference in [true, false] {
+            let mut sim = Simulator::new(SimConfig::baseline()).unwrap();
             assert_eq!(
-                sim.run(&p, &mut m),
+                run_tier(&mut sim, reference, &p, &mut Machine::new(64)),
                 Err(SimError::MemOutOfBounds {
                     addr: u64::MAX - 1,
                     width: MemWidth::B8
-                })
+                }),
+                "reference={reference}"
             );
         }
     }
@@ -1391,24 +1346,35 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// Run `p` on `sim`: on the legacy loop when `reference`, else on
+    /// the threaded tier.
+    fn run_tier(
+        sim: &mut Simulator,
+        reference: bool,
+        p: &Program,
+        m: &mut Machine,
+    ) -> Result<RunStats, SimError> {
+        if reference {
+            sim.run_reference(p, m, None)
+        } else {
+            sim.run(p, m)
+        }
+    }
+
     #[test]
     fn all_dispatch_tiers_agree_exactly() {
         let p = memo_square_program();
-        let run = |dispatch: DispatchTier| {
-            let cfg = SimConfig {
-                dispatch,
-                ..SimConfig::with_memo(MemoConfig::l1_only(4096))
-            };
+        let run = |reference: bool| {
+            let cfg = SimConfig::with_memo(MemoConfig::l1_only(4096));
             let mut sim = Simulator::new(cfg).unwrap();
             let mut m = Machine::new(64 * 1024);
             for i in 0..256 {
                 m.store_f32(0x1000 + 4 * i, (i % 8) as f32 + 1.0);
             }
-            let stats = sim.run(&p, &mut m).unwrap();
+            let stats = run_tier(&mut sim, reference, &p, &mut m).unwrap();
             (stats, m)
         };
-        let reference = run(DispatchTier::Legacy);
-        assert_eq!(run(DispatchTier::Threaded), reference);
+        assert_eq!(run(false), run(true));
     }
 
     /// §4's dummy-register rule: `lookup` waits for every `reg_crc`
@@ -1420,7 +1386,7 @@ mod tests {
     #[test]
     fn lookup_orders_only_after_crc_on_its_own_lut() {
         let (lut_a, lut_b) = (LutId::new(0).unwrap(), LutId::new(1).unwrap());
-        let run = |dispatch: DispatchTier, inputs: u64, lookup_lut: LutId, queue_depth: usize| {
+        let run = |reference: bool, inputs: u64, lookup_lut: LutId, queue_depth: usize| {
             let mut b = ProgramBuilder::new();
             b.movi(1, 0x1234_5678);
             for _ in 0..inputs {
@@ -1432,15 +1398,12 @@ mod tests {
                 input_queue_depth: queue_depth,
                 ..MemoConfig::l1_only(4096)
             };
-            let cfg = SimConfig {
-                dispatch,
-                ..SimConfig::with_memo(memo)
-            };
-            let mut sim = Simulator::new(cfg).unwrap();
+            let mut sim = Simulator::new(SimConfig::with_memo(memo)).unwrap();
             let mut tel = Telemetry::off();
             tel.profiler_mut().enable();
             sim.set_telemetry(tel);
-            let stats = sim.run(&b.build().unwrap(), &mut Machine::new(64)).unwrap();
+            let p = b.build().unwrap();
+            let stats = run_tier(&mut sim, reference, &p, &mut Machine::new(64)).unwrap();
             let profile = sim.telemetry().take_profile().unwrap();
             (stats, profile.phases["dispatch;crc.beat"].cycles)
         };
@@ -1454,24 +1417,31 @@ mod tests {
         let crc_delay = |n: u64| 2 + n * beats - (n + 1);
         let default_depth = MemoConfig::default().input_queue_depth;
         let mut last_leaf = None;
-        for dispatch in DispatchTier::ALL {
+        for reference in [true, false] {
             let mut last_stall = 0;
             let mut leaves = Vec::new();
             for inputs in [1, 2, 4, 8, 12] {
-                let (same, leaf) = run(dispatch, inputs, lut_a, default_depth);
-                let (other, other_leaf) = run(dispatch, inputs, lut_b, default_depth);
+                let (same, leaf) = run(reference, inputs, lut_a, default_depth);
+                let (other, other_leaf) = run(reference, inputs, lut_b, default_depth);
                 assert!(
                     same.memo_stall_cycles > last_stall,
-                    "{dispatch:?}, {inputs} inputs: stall {} after {last_stall}",
+                    "reference={reference}, {inputs} inputs: stall {} after {last_stall}",
                     same.memo_stall_cycles
                 );
                 last_stall = same.memo_stall_cycles;
-                assert_eq!(leaf, crc_delay(inputs), "{dispatch:?}, {inputs} inputs");
-                assert_eq!(other.memo_stall_cycles, 0, "{dispatch:?}, {inputs} inputs");
-                assert_eq!(other_leaf, 0, "{dispatch:?}, {inputs} inputs");
+                assert_eq!(
+                    leaf,
+                    crc_delay(inputs),
+                    "reference={reference}, {inputs} inputs"
+                );
+                assert_eq!(
+                    other.memo_stall_cycles, 0,
+                    "reference={reference}, {inputs} inputs"
+                );
+                assert_eq!(other_leaf, 0, "reference={reference}, {inputs} inputs");
                 assert!(
                     other.cycles < same.cycles,
-                    "{dispatch:?}, {inputs} inputs: {} vs {}",
+                    "reference={reference}, {inputs} inputs: {} vs {}",
                     other.cycles,
                     same.cycles
                 );
@@ -1479,16 +1449,16 @@ mod tests {
             }
             // A one-slot queue holds 8 cycles of CRC backlog, so 32
             // inputs stall their own issue.
-            let (full, leaf) = run(dispatch, 32, lut_a, 1);
-            assert_eq!(leaf, crc_delay(32), "{dispatch:?}, full queue");
+            let (full, leaf) = run(reference, 32, lut_a, 1);
+            assert_eq!(leaf, crc_delay(32), "reference={reference}, full queue");
             assert!(
                 2 * full.memo_stall_cycles < leaf,
-                "{dispatch:?}: stall {} counts back-pressure (leaf {leaf})",
+                "reference={reference}: stall {} counts back-pressure (leaf {leaf})",
                 full.memo_stall_cycles
             );
             leaves.push(leaf);
             if let Some(last) = &last_leaf {
-                assert_eq!(&leaves, last, "{dispatch:?}: tiers disagree");
+                assert_eq!(&leaves, last, "reference={reference}: tiers disagree");
             }
             last_leaf = Some(leaves);
         }
@@ -1546,9 +1516,8 @@ mod tests {
         // over points that trip mid-loop: every tier must return the
         // identical Result at every point.
         let p = memo_square_program();
-        let run = |dispatch: DispatchTier, max_insts: u64, max_cycles: u64| {
+        let run = |reference: bool, max_insts: u64, max_cycles: u64| {
             let cfg = SimConfig {
-                dispatch,
                 max_insts,
                 max_cycles,
                 ..SimConfig::with_memo(MemoConfig::l1_only(4096))
@@ -1558,25 +1527,22 @@ mod tests {
             for i in 0..256 {
                 m.store_f32(0x1000 + 4 * i, (i % 8) as f32 + 1.0);
             }
-            sim.run(&p, &mut m).map(|stats| (stats, m.regs))
+            run_tier(&mut sim, reference, &p, &mut m).map(|stats| (stats, m.regs))
         };
-        let total = run(DispatchTier::Legacy, u64::MAX, u64::MAX)
-            .unwrap()
-            .0
-            .dynamic_insts;
+        let total = run(true, u64::MAX, u64::MAX).unwrap().0.dynamic_insts;
         let insts_limits = (0..=total + 1).chain([SimConfig::default().max_insts]);
         for max_insts in insts_limits {
-            let reference = run(DispatchTier::Legacy, max_insts, u64::MAX);
+            let reference = run(true, max_insts, u64::MAX);
             assert_eq!(
-                run(DispatchTier::Threaded, max_insts, u64::MAX),
+                run(false, max_insts, u64::MAX),
                 reference,
                 "max_insts {max_insts}"
             );
         }
         for max_cycles in [0, 13, 97, 800, 4000] {
-            let reference = run(DispatchTier::Legacy, u64::MAX, max_cycles);
+            let reference = run(true, u64::MAX, max_cycles);
             assert_eq!(
-                run(DispatchTier::Threaded, u64::MAX, max_cycles),
+                run(false, u64::MAX, max_cycles),
                 reference,
                 "max_cycles {max_cycles}"
             );
@@ -1674,12 +1640,8 @@ mod tests {
             // keep evicting into the L2 and hitting there.
             ..MemoConfig::l1_l2(64, 4096)
         };
-        let run = |dispatch: DispatchTier, reset: bool| {
-            let mut sim = Simulator::new(SimConfig {
-                dispatch,
-                ..SimConfig::with_memo(memo.clone())
-            })
-            .unwrap();
+        let run = |reference: bool, reset: bool| {
+            let mut sim = Simulator::new(SimConfig::with_memo(memo.clone())).unwrap();
             let sink = RingBufferSink::new(1 << 20);
             let mut tel = Telemetry::enabled();
             tel.add_sink(Box::new(sink.clone()));
@@ -1691,7 +1653,7 @@ mod tests {
             for i in 0..256 {
                 m.store_f32(0x1000 + 4 * i, (i % 32) as f32 + 1.0);
             }
-            let stats = sim.run(&p, &mut m).unwrap();
+            let stats = run_tier(&mut sim, reference, &p, &mut m).unwrap();
             let mut tel = sim.take_telemetry();
             tel.flush();
             assert_eq!(sink.dropped(), 0);
@@ -1700,15 +1662,21 @@ mod tests {
             let luts = (unit.lut().l1_stats(), unit.lut().l2_stats());
             (stats, unit.stats(), luts, unit.fault_stats(), events, m)
         };
-        for dispatch in DispatchTier::ALL {
-            let fresh = run(dispatch, false);
+        for reference in [true, false] {
+            let fresh = run(reference, false);
             let (stats, unit, (_, l2), faults, events, _) = &fresh;
             // The premise: every part of the state a reset touches is
             // exercised.
-            assert!(unit.l2_hits > 0 && l2.inserts > 0, "{dispatch:?}: {l2:?}");
-            assert!(faults.total_flips() > 0, "{dispatch:?}: {faults:?}");
+            assert!(
+                unit.l2_hits > 0 && l2.inserts > 0,
+                "reference={reference}: {l2:?}"
+            );
+            assert!(
+                faults.total_flips() > 0,
+                "reference={reference}: {faults:?}"
+            );
             assert!(stats.memo_insts > 0 && !events.is_empty());
-            assert!(fresh == run(dispatch, true), "{dispatch:?}");
+            assert!(fresh == run(reference, true), "reference={reference}");
         }
     }
 
@@ -1797,7 +1765,7 @@ mod tests {
         let mut sim = Simulator::new(SimConfig::baseline()).unwrap();
         let mut m = Machine::new(64);
         let mut sink = Counter(0);
-        sim.run_traced(&p, &mut m, Some(&mut sink)).unwrap();
+        sim.run_reference(&p, &mut m, Some(&mut sink)).unwrap();
         // movi + region_begin + add + region_end + halt
         assert_eq!(sink.0, 5);
     }

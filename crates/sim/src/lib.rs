@@ -20,13 +20,13 @@
 //!
 //! The simulator has two interpreters that produce **bit-identical**
 //! observables (statistics, machine state, errors, telemetry events)
-//! and differ only in host-side speed, selected by
-//! [`cpu::SimConfig::dispatch`]:
+//! and differ only in host-side speed. Which one runs is chosen by the
+//! method called, not by a setting:
 //!
-//! | Tier | Module | Strategy |
+//! | Entry point | Module | Strategy |
 //! |---|---|---|
-//! | [`cpu::DispatchTier::Legacy`] | [`cpu`] | decode each [`ir::Inst`] at every dynamic execution; the executable spec and the only trace-sink path |
-//! | [`cpu::DispatchTier::Threaded`] (default) | [`threaded`] | fuse basic blocks into superblocks; dispatch per chain |
+//! | [`Simulator::run`](cpu::Simulator::run), [`Simulator::run_prepared_threaded`](cpu::Simulator::run_prepared_threaded) | [`threaded`] | fuse basic blocks into superblocks; dispatch per chain. Every production run |
+//! | [`Simulator::run_reference`](cpu::Simulator::run_reference) | [`cpu`] | the legacy loop: decode each [`ir::Inst`] at every dynamic execution. The executable spec, tests only, and the only trace-sink path |
 //!
 //! Lowering is staged: [`ir::Program`] →
 //! [`DecodedProgram::compile`](decoded::DecodedProgram::compile) (the
@@ -37,7 +37,7 @@
 //! The threaded form can be shared across simulators and threads:
 //!
 //! ```
-//! use axmemo_sim::cpu::{DispatchTier, Machine, SimConfig, Simulator};
+//! use axmemo_sim::cpu::{Machine, SimConfig, Simulator};
 //! use axmemo_sim::{DecodedProgram, ProgramBuilder, ThreadedProgram};
 //!
 //! let mut b = ProgramBuilder::new();
@@ -51,15 +51,13 @@
 //! let threaded = ThreadedProgram::compile(&decoded);
 //!
 //! let mut fast_sim = Simulator::new(config.clone())?;
-//! let mut spec_sim = Simulator::new(SimConfig {
-//!     dispatch: DispatchTier::Legacy,
-//!     ..config
-//! })?;
+//! let mut spec_sim = Simulator::new(config)?;
 //! let mut m1 = Machine::new(4096);
 //! let mut m2 = Machine::new(4096);
 //! let fast = fast_sim.run_prepared_threaded(&threaded, &mut m1)?;
-//! let spec = spec_sim.run(&program, &mut m2)?;
+//! let spec = spec_sim.run_reference(&program, &mut m2, None)?;
 //! assert_eq!(fast, spec);
+//! assert_eq!(m1, m2);
 //! assert_eq!(m1.regs[3], 42);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

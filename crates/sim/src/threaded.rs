@@ -22,11 +22,12 @@
 //!
 //! Exactness is by construction, not by sampling: every op performs the
 //! same error check, pipeline call, and telemetry call in the same
-//! order as the legacy loop, and the same watchdog guard unless its
-//! superblock was shown at entry not to reach the watchdog's limits,
-//! so `RunStats`, machine state, error values, fault-injector draws,
-//! and telemetry event streams are bit-identical across tiers (pinned
-//! by `tests/decode_equivalence.rs`). Runs of consecutive region
+//! order as the legacy loop ([`Simulator::run_reference`]), and the
+//! same watchdog guard unless its superblock was shown at entry not to
+//! reach the watchdog's limits, so `RunStats`, machine state, error
+//! values, fault-injector draws, and telemetry event streams are
+//! bit-identical across tiers (pinned by
+//! `tests/decode_equivalence.rs`). Runs of consecutive region
 //! markers compress into one guard op — valid because the watchdog
 //! state cannot change between two zero-cost markers, so one check is
 //! equivalent to N.
@@ -527,7 +528,7 @@ struct BlockEnd {
 impl Simulator {
     /// The threaded-dispatch interpreter: executes fused superblocks.
     /// Every observable — `RunStats`, error values, telemetry event
-    /// streams, fault-injector draws — matches `run_legacy` exactly;
+    /// streams, fault-injector draws — matches `run_reference` exactly;
     /// equivalence tests pin this.
     pub(crate) fn run_threaded(
         &mut self,
@@ -582,7 +583,7 @@ impl Simulator {
             // the cycle limit unarmed a superblock whose op count fits in
             // what is left of the instruction budget cannot trip the
             // watchdog: its ops skip the per-op guard. Any other
-            // superblock checks before every op, exactly as `run_legacy`
+            // superblock checks before every op, exactly as `run_reference`
             // does before every instruction.
             let len = u64::from(sb.ops_end - sb.ops_start);
             let end = if cycles_unarmed && st.insts + len <= max_insts {
@@ -958,23 +959,33 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::cpu::{DispatchTier, SimConfig};
+    use crate::cpu::SimConfig;
     use crate::ir::{Operand, Program};
 
-    fn run_tier(p: &Program, dispatch: DispatchTier) -> Result<(RunStats, [u64; 32]), SimError> {
-        let cfg = SimConfig {
-            dispatch,
-            ..SimConfig::baseline()
-        };
+    /// Run `p` on a fresh baseline simulator: on the legacy loop when
+    /// `reference`, else on the threaded tier.
+    fn run_tier(p: &Program, reference: bool) -> Result<(RunStats, [u64; 32]), SimError> {
+        run_tier_with(SimConfig::baseline(), p, reference, 64 * 1024)
+    }
+
+    fn run_tier_with(
+        cfg: SimConfig,
+        p: &Program,
+        reference: bool,
+        mem: usize,
+    ) -> Result<(RunStats, [u64; 32]), SimError> {
         let mut sim = Simulator::new(cfg).unwrap();
-        let mut m = Machine::new(64 * 1024);
-        let stats = sim.run(p, &mut m)?;
+        let mut m = Machine::new(mem);
+        let stats = if reference {
+            sim.run_reference(p, &mut m, None)?
+        } else {
+            sim.run(p, &mut m)?
+        };
         Ok((stats, m.regs))
     }
 
     fn assert_tiers_agree(p: &Program) {
-        let reference = run_tier(p, DispatchTier::Legacy);
-        assert_eq!(run_tier(p, DispatchTier::Threaded), reference);
+        assert_eq!(run_tier(p, false), run_tier(p, true));
     }
 
     #[test]
@@ -1030,14 +1041,8 @@ mod tests {
         b.alu(IAluOp::Div, 3, 1, Operand::Reg(2));
         b.halt();
         let p = b.build().unwrap();
-        assert_eq!(
-            run_tier(&p, DispatchTier::Threaded),
-            Err(SimError::DivByZero { pc: 2 })
-        );
-        assert_eq!(
-            run_tier(&p, DispatchTier::Legacy),
-            Err(SimError::DivByZero { pc: 2 })
-        );
+        assert_eq!(run_tier(&p, false), Err(SimError::DivByZero { pc: 2 }));
+        assert_eq!(run_tier(&p, true), Err(SimError::DivByZero { pc: 2 }));
     }
 
     #[test]
@@ -1053,18 +1058,14 @@ mod tests {
         b.halt();
         let p = b.build().unwrap();
         for max_insts in [0, 1, 2, 3] {
-            let run = |dispatch: DispatchTier| {
+            let run = |reference: bool| {
                 let cfg = SimConfig {
-                    dispatch,
                     max_insts,
                     ..SimConfig::baseline()
                 };
-                let mut sim = Simulator::new(cfg).unwrap();
-                let mut m = Machine::new(64);
-                sim.run(&p, &mut m)
+                run_tier_with(cfg, &p, reference, 64)
             };
-            let reference = run(DispatchTier::Legacy);
-            assert_eq!(run(DispatchTier::Threaded), reference, "insts {max_insts}");
+            assert_eq!(run(false), run(true), "insts {max_insts}");
         }
     }
 
@@ -1073,8 +1074,8 @@ mod tests {
         let p = Program {
             insts: vec![crate::ir::Inst::Jump { target: 9 }],
         };
-        let r = run_tier(&p, DispatchTier::Threaded);
-        assert_eq!(r, run_tier(&p, DispatchTier::Legacy));
+        let r = run_tier(&p, false);
+        assert_eq!(r, run_tier(&p, true));
         assert_eq!(r, Err(SimError::PcOutOfRange { pc: 9 }));
     }
 
@@ -1156,18 +1157,13 @@ mod tests {
         b.branch(Cond::LtS, 1, Operand::Reg(2), top);
         b.halt();
         let p = b.build().unwrap();
-        let run = |dispatch: DispatchTier| {
+        let run = |reference: bool| {
             let cfg = SimConfig {
-                dispatch,
                 predictor: Some(PredictorConfig::default()),
                 ..SimConfig::baseline()
             };
-            let mut sim = Simulator::new(cfg).unwrap();
-            let mut m = Machine::new(64 * 1024);
-            let stats = sim.run(&p, &mut m).unwrap();
-            (stats, m.regs)
+            run_tier_with(cfg, &p, reference, 64 * 1024).unwrap()
         };
-        let reference = run(DispatchTier::Legacy);
-        assert_eq!(run(DispatchTier::Threaded), reference);
+        assert_eq!(run(false), run(true));
     }
 }

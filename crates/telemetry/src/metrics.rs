@@ -1,13 +1,10 @@
 //! Metrics registry: monotonic counters.
 //!
 //! Names are `&'static str` so the hot path never allocates; the
-//! registry uses `BTreeMap` so every readout (text report, JSON
-//! snapshot) is deterministically ordered.
+//! registry uses `BTreeMap` so every readout (the text report, the
+//! counter iterator) is deterministically ordered.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
-use crate::event::escape_json;
 
 /// The metrics registry owned by a `Telemetry` handle.
 #[derive(Debug, Clone, Default)]
@@ -39,21 +36,6 @@ impl Registry {
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(k, v)| (*k, *v))
     }
-
-    /// Deterministic JSON object `{"counters":{…}}`, names in order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_json(k, &mut out);
-            let _ = write!(out, "\":{v}");
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -77,13 +59,5 @@ mod tests {
         assert_eq!(r.counter("c"), u64::MAX);
         r.counter_add("c", 1);
         assert_eq!(r.counter("c"), u64::MAX);
-    }
-
-    #[test]
-    fn registry_json_is_deterministic() {
-        let mut r = Registry::new();
-        r.counter_add("b", 1);
-        r.counter_add("a", 2);
-        assert_eq!(r.to_json(), "{\"counters\":{\"a\":2,\"b\":1}}");
     }
 }

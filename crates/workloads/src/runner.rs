@@ -13,7 +13,7 @@ use crate::{Benchmark, Dataset, Scale};
 use axmemo_compiler::codegen::{memoize, CodegenError};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::lut::LutStats;
-use axmemo_core::snapshot::{MemoSnapshot, RecoveryOutcome, RecoveryReport};
+use axmemo_core::snapshot::{MemoSnapshot, RecoveryReport};
 use axmemo_core::unit::UnitStats;
 use axmemo_core::RestorePolicy;
 use axmemo_sim::cpu::{DispatchTier, Machine, SimConfig, SimError, Simulator};
@@ -23,7 +23,7 @@ use axmemo_sim::pipeline::LatencyModel;
 use axmemo_sim::stats::RunStats;
 use axmemo_sim::threaded::ThreadedProgram;
 use axmemo_sim::Program;
-use axmemo_telemetry::{escape_json, PhaseId, Telemetry};
+use axmemo_telemetry::{PhaseId, Telemetry};
 
 /// Element-wise errors of one run, behind a reference count: a clone
 /// is a pointer copy, so runs whose errors are bit-identical can hold
@@ -47,7 +47,7 @@ use axmemo_telemetry::{escape_json, PhaseId, Telemetry};
 /// let equal: ErrorVec = [0.0, 0.25, 1.0].into_iter().collect();
 /// assert!(!equal.shares_storage_with(&errors));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ErrorVec(Arc<[f64]>);
 
 impl ErrorVec {
@@ -81,7 +81,7 @@ impl FromIterator<f64> for ErrorVec {
 }
 
 /// Per-element relative errors (for the Fig. 10b CDF) plus aggregates.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ErrorReport {
     /// Equation 2 whole-output error (or misclassification rate).
     pub output_error: f64,
@@ -95,7 +95,7 @@ pub struct ErrorReport {
 }
 
 /// Everything the figures need for one (benchmark, config) cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkResult {
     /// Benchmark name.
     pub name: String,
@@ -138,83 +138,19 @@ pub struct RunReport {
     /// the caller passed a disabled handle.
     pub telemetry: Telemetry,
     /// Recovery account when the run warm-started from a snapshot
-    /// (`None` for ordinary cold runs — the default-off path is
-    /// byte-identical, including in [`Self::to_json`]).
+    /// (`None` for ordinary cold runs).
     pub recovery: Option<RecoveryReport>,
-}
-
-impl RunReport {
-    /// One machine-readable JSON object with the paper metrics, the
-    /// LUT-level statistics, and the telemetry metrics registry.
-    pub fn to_json(&self) -> String {
-        let r = &self.result;
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        s.push_str("\"name\":\"");
-        escape_json(&r.name, &mut s);
-        s.push_str("\",\"config\":\"");
-        escape_json(&r.config, &mut s);
-        s.push_str("\",");
-        s.push_str(&format!("\"speedup\":{},", r.speedup));
-        s.push_str(&format!("\"energy_reduction\":{},", r.energy_reduction));
-        s.push_str(&format!("\"dyn_inst_ratio\":{},", r.dyn_inst_ratio));
-        s.push_str(&format!("\"memo_inst_fraction\":{},", r.memo_inst_fraction));
-        s.push_str(&format!("\"hit_rate\":{},", r.hit_rate));
-        s.push_str(&format!("\"output_error\":{},", r.error.output_error));
-        s.push_str(&format!(
-            "\"baseline\":{{\"cycles\":{},\"insts\":{}}},",
-            r.baseline_stats.cycles, r.baseline_stats.dynamic_insts
-        ));
-        s.push_str(&format!(
-            "\"memoized\":{{\"cycles\":{},\"insts\":{},\"memo_insts\":{}}},",
-            r.memo_stats.cycles, r.memo_stats.dynamic_insts, r.memo_stats.memo_insts
-        ));
-        let u = &self.unit_stats;
-        s.push_str(&format!(
-            "\"unit\":{{\"lookups\":{},\"reported_hits\":{},\"l1_hits\":{},\"l2_hits\":{},\"sampled_misses\":{},\"updates\":{},\"invalidates\":{}}},",
-            u.lookups, u.reported_hits, u.l1_hits, u.l2_hits, u.sampled_misses, u.updates, u.invalidates
-        ));
-        for (label, l) in [("l1_lut", &self.l1_lut), ("l2_lut", &self.l2_lut)] {
-            s.push_str(&format!(
-                "\"{label}\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"evictions\":{}}},",
-                l.hits, l.misses, l.inserts, l.evictions
-            ));
-        }
-        if let Some(rec) = &self.recovery {
-            s.push_str(&format!(
-                "\"recovery\":{{\"outcome\":\"{}\",\"entries_restored\":{},\"entries_discarded\":{},\"torn_tail\":{}}},",
-                match rec.outcome {
-                    RecoveryOutcome::Restored => "restored",
-                    RecoveryOutcome::ColdStart => "cold_start",
-                },
-                rec.entries_restored(),
-                rec.entries_discarded(),
-                rec.torn_tail
-            ));
-        }
-        s.push_str(&format!(
-            "\"metrics\":{}",
-            self.telemetry.registry().to_json()
-        ));
-        s.push('}');
-        s
-    }
 }
 
 /// Per-run switches orthogonal to the LUT configuration.
 ///
 /// `Default` matches [`run_benchmark`]: truncation as specified by the
-/// benchmark, threaded superblock interpreter on.
+/// benchmark.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunOptions {
     /// Disable input truncation (exact memoization) for the Fig. 11
     /// approximation-effectiveness comparison.
     pub zero_trunc: bool,
-    /// Execution tier for both legs (default
-    /// [`DispatchTier::Threaded`]). The legacy tier produces
-    /// bit-identical results (pinned by the decode-equivalence tests);
-    /// it is the executable spec those tests compare against.
-    pub dispatch: DispatchTier,
 }
 
 /// Persistence plan for one run: where to restore warm LUT state from
@@ -254,9 +190,9 @@ impl SnapshotPlan {
 
 /// A benchmark's programs, built once per `(benchmark, scale,
 /// zero_trunc)` by [`BaselineCache`] and shared by every run: the
-/// baseline and memoized legs, each in both tier forms. Immutable once
-/// built, so no run (a snapshot restore included) can change what its
-/// siblings execute.
+/// baseline and memoized legs, each as a program and in its lowered
+/// form. Immutable once built, so no run (a snapshot restore included)
+/// can change what its siblings execute.
 #[derive(Debug)]
 pub struct PreparedProgram {
     /// The baseline leg (the same for either truncation choice).
@@ -267,12 +203,15 @@ pub struct PreparedProgram {
 
 /// One leg's program plus its threaded-superblock form, lowered against
 /// [`LatencyModel::default`] (the latency every runner-constructed
-/// [`SimConfig`] uses).
+/// [`SimConfig`] uses). Runs execute [`Self::threaded`] with
+/// [`Simulator::run_prepared_threaded`]; [`Self::program`] is the
+/// source it was lowered from, which equivalence tests also run on
+/// [`Simulator::run_reference`].
 #[derive(Debug)]
 pub struct Leg {
-    /// The program the legacy tier interprets.
+    /// The program before lowering.
     pub program: Program,
-    /// The lowered form the threaded tier runs.
+    /// The lowered form every run executes.
     pub threaded: ThreadedProgram,
 }
 
@@ -281,25 +220,6 @@ impl Leg {
         let decoded = DecodedProgram::compile(&program, &LatencyModel::default());
         let threaded = ThreadedProgram::compile(&decoded);
         Self { program, threaded }
-    }
-
-    /// Run this leg to `Halt` on `sim`, which must be configured for
-    /// `dispatch`: legacy interprets [`Self::program`], threaded runs
-    /// [`Self::threaded`] without lowering it again.
-    ///
-    /// # Errors
-    ///
-    /// The simulator's first fault, as [`Simulator::run`].
-    pub fn run(
-        &self,
-        sim: &mut Simulator,
-        dispatch: DispatchTier,
-        machine: &mut Machine,
-    ) -> Result<RunStats, SimError> {
-        match dispatch {
-            DispatchTier::Legacy => sim.run(&self.program, machine),
-            DispatchTier::Threaded => sim.run_prepared_threaded(&self.threaded, machine),
-        }
     }
 }
 
@@ -421,13 +341,12 @@ pub fn run_benchmark_report_snap(
         }
     };
     let prepared = cache.program(bench, scale, opts.zero_trunc)?;
-    let baseline = cache.get_or_compute(bench, scale, dataset, u64::MAX, opts.dispatch)?;
+    let baseline = cache.baseline(bench, scale, dataset, u64::MAX)?;
     let inputs = cache.inputs(bench, scale, dataset)?;
     let mut report = run_benchmark_inner(
         bench,
         scale,
         memo,
-        opts.dispatch,
         &mut tel,
         u64::MAX,
         &baseline,
@@ -455,25 +374,21 @@ pub struct BaselineRun {
     pub exact: Vec<f64>,
 }
 
-/// Simulate the baseline leg of `prepared` (no memoization) on the
-/// `dispatch` tier under a cycle watchdog, on a copy of `inputs`.
+/// Simulate the baseline leg of `prepared` (no memoization) under a
+/// cycle watchdog, on a copy of `inputs`.
 fn baseline_leg(
     bench: &dyn Benchmark,
     scale: Scale,
     max_cycles: u64,
-    dispatch: DispatchTier,
     prepared: &PreparedProgram,
     inputs: &Machine,
 ) -> Result<BaselineRun, Box<dyn std::error::Error>> {
     let mut base_sim = Simulator::new(SimConfig {
         max_cycles,
-        dispatch,
         ..SimConfig::baseline()
     })?;
     let mut base_machine = inputs.clone();
-    let stats = prepared
-        .base
-        .run(&mut base_sim, dispatch, &mut base_machine)?;
+    let stats = base_sim.run_prepared_threaded(&prepared.base.threaded, &mut base_machine)?;
     let exact = bench.outputs(&base_machine, scale);
     Ok(BaselineRun { stats, exact })
 }
@@ -515,8 +430,8 @@ fn catch_failure<T>(
 
 /// One lazily filled, shared cache entry: the value or its failure.
 type Slot<T> = Arc<OnceLock<Result<Arc<T>, CachedFailure>>>;
-/// Baseline slot key: `(benchmark, scale, dataset, dispatch)`.
-type BaselineKey = (String, Scale, Dataset, DispatchTier);
+/// Baseline slot key: `(benchmark, scale, dataset)`.
+type BaselineKey = (String, Scale, Dataset);
 /// Program slot key: `(benchmark, scale, zero_trunc)`.
 type ProgramKey = (String, Scale, bool);
 /// Input slot key: `(benchmark, scale, dataset)`.
@@ -554,19 +469,15 @@ fn get_or_init<K: Eq + Hash, T>(
 ///
 /// - **Programs**: one [`PreparedProgram`] per `(benchmark, scale,
 ///   zero_trunc)`. Building, memoizing and superblock-lowering a
-///   benchmark is deterministic, so every run, attempt and tier shares
-///   it.
+///   benchmark is deterministic, so every run shares it.
 /// - **Inputs**: one [`Machine`] per `(benchmark, scale, dataset)`, as
 ///   [`Benchmark::setup`] writes it. Every leg runs on a clone, which
 ///   copies only the pages the inputs occupy.
-/// - **Baselines**: one [`BaselineRun`] per `(benchmark, scale, dataset,
-///   dispatch)`. A sweep's fault matrix runs every benchmark under many
+/// - **Baselines**: one [`BaselineRun`] per `(benchmark, scale,
+///   dataset)`. A sweep's fault matrix runs every benchmark under many
 ///   (domain × protection × rate) cells, but the memoization
 ///   configuration never reaches the baseline core, so the first cell
-///   to ask simulates it and the rest share the [`Arc`]. The tier is in
-///   the key so a legacy-tier run genuinely exercises the legacy
-///   loop (the tiers are bit-identical, but the decode-equivalence
-///   tests exist to prove exactly that).
+///   to ask simulates it and the rest share the [`Arc`].
 ///
 /// Nothing else is in any key. In particular a snapshot restore
 /// ([`SnapshotPlan`]) changes none of them: the baseline simulator has
@@ -602,48 +513,63 @@ impl BaselineCache {
         Self::default()
     }
 
-    /// The shared baseline for `(bench, scale, dataset, dispatch)`,
-    /// simulating it under `max_cycles` on first request and serving the
-    /// cached run (or cached failure) afterwards.
-    /// Kept in this shape because `ledger/` (the benchmark) calls it.
+    /// The shared baseline for `(bench, scale, dataset)`, simulating it
+    /// under `max_cycles` on first request and serving the cached run
+    /// (or cached failure) afterwards.
     ///
     /// # Errors
     ///
     /// Returns the (possibly cached) [`CachedFailure`] when the
     /// baseline program failed to compile or its simulation failed.
+    pub fn baseline(
+        &self,
+        bench: &dyn Benchmark,
+        scale: Scale,
+        dataset: Dataset,
+        max_cycles: u64,
+    ) -> Result<Arc<BaselineRun>, CachedFailure> {
+        let key = (bench.meta().name.to_string(), scale, dataset);
+        get_or_init(&self.slots, key, [&self.computed, &self.reused], || {
+            let prepared = self.program(bench, scale, false)?;
+            let inputs = self.inputs(bench, scale, dataset)?;
+            catch_failure(|| baseline_leg(bench, scale, max_cycles, &prepared, &inputs))
+        })
+    }
+
+    /// [`Self::baseline`]; the tier is ignored (there is one).
+    /// Kept in this shape because `ledger/` (the benchmark) calls it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::baseline`].
     pub fn get_or_compute(
         &self,
         bench: &dyn Benchmark,
         scale: Scale,
         dataset: Dataset,
         max_cycles: u64,
-        dispatch: DispatchTier,
+        _dispatch: DispatchTier,
     ) -> Result<Arc<BaselineRun>, CachedFailure> {
-        let key = (bench.meta().name.to_string(), scale, dataset, dispatch);
-        get_or_init(&self.slots, key, [&self.computed, &self.reused], || {
-            let prepared = self.program(bench, scale, false)?;
-            let inputs = self.inputs(bench, scale, dataset)?;
-            catch_failure(|| baseline_leg(bench, scale, max_cycles, dispatch, &prepared, &inputs))
-        })
+        self.baseline(bench, scale, dataset, max_cycles)
     }
 
-    /// [`Self::get_or_compute`]; `warm` is inert (no baseline can
-    /// observe a restore, so warm and cold requests share a slot).
+    /// [`Self::baseline`]; the tier and `warm` are ignored (no baseline
+    /// can observe a restore, so warm and cold requests share a slot).
     /// Kept in this shape because `ledger/` (the benchmark) calls it.
     ///
     /// # Errors
     ///
-    /// As [`Self::get_or_compute`].
+    /// As [`Self::baseline`].
     pub fn get_or_compute_keyed(
         &self,
         bench: &dyn Benchmark,
         scale: Scale,
         dataset: Dataset,
         max_cycles: u64,
-        dispatch: DispatchTier,
+        _dispatch: DispatchTier,
         _warm: bool,
     ) -> Result<Arc<BaselineRun>, CachedFailure> {
-        self.get_or_compute(bench, scale, dataset, max_cycles, dispatch)
+        self.baseline(bench, scale, dataset, max_cycles)
     }
 
     /// The shared [`PreparedProgram`] for `(bench, scale, zero_trunc)`,
@@ -731,7 +657,7 @@ impl BaselineCache {
 
 /// One memoized run of `prepared` against an already computed
 /// `baseline`: only the memoized leg is simulated, on a copy of
-/// `inputs`, on the `dispatch` tier under `max_cycles`.
+/// `inputs`, under `max_cycles`.
 ///
 /// The telemetry handle is borrowed so it *survives* the error path:
 /// the sim-side spans and phase frames a failed run leaves open are
@@ -750,7 +676,6 @@ fn run_benchmark_inner(
     bench: &dyn Benchmark,
     scale: Scale,
     memo: &MemoConfig,
-    dispatch: DispatchTier,
     tel: &mut Telemetry,
     max_cycles: u64,
     baseline: &BaselineRun,
@@ -786,7 +711,6 @@ fn run_benchmark_inner(
     // rewrite every LUT entry `Simulator::new` just built.
     let mut memo_sim = Simulator::new(SimConfig {
         max_cycles,
-        dispatch,
         ..SimConfig::with_memo(memo_cfg.clone())
     })?;
     let mut memo_machine = inputs.clone();
@@ -812,9 +736,7 @@ fn run_benchmark_inner(
             }
         }
     }
-    let memo_stats = prepared
-        .memo
-        .run(&mut memo_sim, dispatch, &mut memo_machine);
+    let memo_stats = memo_sim.run_prepared_threaded(&prepared.memo.threaded, &mut memo_machine);
     *tel = memo_sim.take_telemetry();
     let memo_stats = match memo_stats {
         Ok(stats) => stats,
@@ -940,7 +862,8 @@ pub fn memo_watchdog(baseline_cycles: u64, ceiling: u64) -> u64 {
 }
 
 /// One sweep job: a supervised run of `bench` on the evaluation
-/// dataset that never panics and never runs away.
+/// dataset, with the benchmark's own truncation, that never panics and
+/// never runs away.
 ///
 /// - The compiled program, the input image and the baseline come from
 ///   `cache`, the baseline simulated once per distinct key under the
@@ -976,7 +899,6 @@ pub fn run_job(
     memo: &MemoConfig,
     max_cycles: u64,
     cache: &BaselineCache,
-    opts: RunOptions,
     tel: &mut Telemetry,
 ) -> Result<BenchmarkResult, RunFailure> {
     let was_enabled = tel.is_enabled();
@@ -991,10 +913,9 @@ pub fn run_job(
     // through the cache; the job only re-simulates, on its own copy of
     // the inputs.
     let (prepared, baseline, inputs) = cache
-        .program(bench, scale, opts.zero_trunc)
+        .program(bench, scale, false)
         .and_then(|prepared| {
-            let baseline =
-                cache.get_or_compute(bench, scale, dataset, max_cycles, opts.dispatch)?;
+            let baseline = cache.baseline(bench, scale, dataset, max_cycles)?;
             let inputs = cache.inputs(bench, scale, dataset)?;
             Ok((prepared, baseline, inputs))
         })
@@ -1004,7 +925,6 @@ pub fn run_job(
             bench,
             scale,
             memo,
-            opts.dispatch,
             tel,
             memo_watchdog(baseline.stats.cycles, max_cycles),
             &baseline,
@@ -1214,7 +1134,6 @@ mod tests {
             memo,
             max_cycles,
             &BaselineCache::new(),
-            RunOptions::default(),
             tel,
         )
     }
@@ -1292,12 +1211,11 @@ mod tests {
         let bench = crate::benchmark_by_name("jmeint").unwrap();
         let memo = MemoConfig::l1_only(4096);
         let baseline = BaselineCache::new()
-            .get_or_compute(
+            .baseline(
                 bench.as_ref(),
                 crate::Scale::Tiny,
                 crate::Dataset::Eval,
                 75_000,
-                DispatchTier::default(),
             )
             .expect("the baseline fits under the ceiling");
         assert_eq!(baseline.stats.cycles, 72_960);

@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut machine = setup(512);
     let (small_program, _) = (build_program(512).0, ());
     let mut cap = TraceCapture::with_limit(100_000);
-    sim.run_traced(&small_program, &mut machine, Some(&mut cap))?;
+    sim.run_reference(&small_program, &mut machine, Some(&mut cap))?;
     let graph = Dddg::from_trace(cap.events(), &LatencyModel::default());
     println!(
         "DDDG: {} vertices, total weight {}",

@@ -11,17 +11,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use axmemo_bench::orchestrator::Orchestrator;
-use axmemo_bench::{collect_events_cached, sweep, DispatchTier};
+use axmemo_bench::{collect_events_cached, sweep};
 use axmemo_compiler::codegen::CodegenError;
 use axmemo_compiler::RegionSpec;
 use axmemo_core::config::MemoConfig;
 use axmemo_core::snapshot::RecoveryOutcome;
-use axmemo_sim::cpu::Machine;
+use axmemo_sim::cpu::{DispatchTier, Machine};
 use axmemo_sim::Program;
 use axmemo_telemetry::Telemetry;
 use axmemo_workloads::runner::{
     memo_watchdog, run_benchmark_report_cached, run_benchmark_report_snap, run_job, BaselineCache,
-    RunOptions, SnapshotPlan, WATCHDOG_FLOOR_CYCLES, WATCHDOG_MARGIN,
+    RunOptions, RunReport, SnapshotPlan, WATCHDOG_FLOOR_CYCLES, WATCHDOG_MARGIN,
 };
 use axmemo_workloads::{benchmark_by_name, Benchmark, Dataset, FailureKind, Scale, WorkloadMeta};
 
@@ -90,21 +90,18 @@ fn baseline_cache_computes_once_per_key() {
     let sobel = benchmark_by_name("sobel").unwrap();
 
     let first = cache
-        .get_or_compute(
-            bs.as_ref(),
-            Scale::Tiny,
-            Dataset::Eval,
-            u64::MAX,
-            DispatchTier::Threaded,
-        )
+        .baseline(bs.as_ref(), Scale::Tiny, Dataset::Eval, u64::MAX)
         .expect("tiny baseline succeeds");
+    assert!(first.stats.cycles > 0);
+    // The ledger-shaped entry point ignores its tier argument and
+    // serves the same slot.
     let second = cache
         .get_or_compute(
             bs.as_ref(),
             Scale::Tiny,
             Dataset::Eval,
             u64::MAX,
-            DispatchTier::Threaded,
+            DispatchTier::default(),
         )
         .expect("cached baseline succeeds");
     assert!(std::sync::Arc::ptr_eq(&first, &second), "same shared run");
@@ -119,7 +116,7 @@ fn baseline_cache_computes_once_per_key() {
             Scale::Tiny,
             Dataset::Eval,
             u64::MAX,
-            DispatchTier::Threaded,
+            DispatchTier::default(),
             true,
         )
         .expect("cached baseline succeeds");
@@ -132,43 +129,13 @@ fn baseline_cache_computes_once_per_key() {
 
     // A different scale is a different key.
     cache
-        .get_or_compute(
-            bs.as_ref(),
-            Scale::Small,
-            Dataset::Eval,
-            u64::MAX,
-            DispatchTier::Threaded,
-        )
+        .baseline(bs.as_ref(), Scale::Small, Dataset::Eval, u64::MAX)
         .expect("small baseline succeeds");
     // A different benchmark is a different key.
     cache
-        .get_or_compute(
-            sobel.as_ref(),
-            Scale::Tiny,
-            Dataset::Eval,
-            u64::MAX,
-            DispatchTier::Threaded,
-        )
+        .baseline(sobel.as_ref(), Scale::Tiny, Dataset::Eval, u64::MAX)
         .expect("sobel baseline succeeds");
     assert_eq!(cache.computed(), 3);
-
-    // The execution tier is part of the key: a legacy-loop request
-    // simulates its own baseline instead of reusing the fast-path run
-    // (they are bit-identical — the decode-equivalence tests prove
-    // it — but sharing across interpreters would defeat those tests).
-    let legacy = cache
-        .get_or_compute(
-            bs.as_ref(),
-            Scale::Tiny,
-            Dataset::Eval,
-            u64::MAX,
-            DispatchTier::Legacy,
-        )
-        .expect("legacy baseline succeeds");
-    assert!(!std::sync::Arc::ptr_eq(&first, &legacy), "distinct slot");
-    assert_eq!(legacy.stats, first.stats, "bit-identical stats");
-    assert!(first.stats.cycles > 0);
-    assert_eq!(cache.computed(), 4);
 }
 
 /// A baseline that trips the watchdog is cached as a failure and shared:
@@ -180,27 +147,36 @@ fn failed_baseline_is_cached_and_shared() {
     let cache = BaselineCache::new();
     let bs = benchmark_by_name("blackscholes").unwrap();
     let a = cache
-        .get_or_compute(
-            bs.as_ref(),
-            Scale::Tiny,
-            Dataset::Eval,
-            1_000,
-            DispatchTier::Threaded,
-        )
+        .baseline(bs.as_ref(), Scale::Tiny, Dataset::Eval, 1_000)
         .unwrap_err();
     let b = cache
-        .get_or_compute(
-            bs.as_ref(),
-            Scale::Tiny,
-            Dataset::Eval,
-            1_000,
-            DispatchTier::Threaded,
-        )
+        .baseline(bs.as_ref(), Scale::Tiny, Dataset::Eval, 1_000)
         .unwrap_err();
     assert_eq!(a.kind, FailureKind::Watchdog);
     assert_eq!(a.message, b.message);
     assert_eq!(cache.computed(), 1, "the failing run is simulated once");
     assert_eq!(cache.reused(), 1);
+}
+
+/// What a [`RunReport`] says about its run: the paper metrics with both
+/// legs' `RunStats`, the unit and per-level LUT statistics, the
+/// registry's counters and the recovery account.
+type RunFields = (
+    axmemo_workloads::BenchmarkResult,
+    axmemo_core::unit::UnitStats,
+    [axmemo_core::lut::LutStats; 2],
+    Vec<(&'static str, u64)>,
+    Option<axmemo_core::snapshot::RecoveryReport>,
+);
+
+fn run_fields(r: &RunReport) -> RunFields {
+    (
+        r.result.clone(),
+        r.unit_stats,
+        [r.l1_lut, r.l2_lut],
+        r.telemetry.registry().counters().collect(),
+        r.recovery.clone(),
+    )
 }
 
 /// A run restored from a snapshot and a later cold run share one cache:
@@ -212,7 +188,7 @@ fn warm_run_leaves_shared_cold_run_unchanged() {
     let fft = benchmark_by_name("fft").unwrap();
     let memo = MemoConfig::l1_only(8 * 1024);
     let cold = |cache: &BaselineCache| {
-        run_benchmark_report_cached(
+        let report = run_benchmark_report_cached(
             fft.as_ref(),
             Scale::Tiny,
             Dataset::Eval,
@@ -221,8 +197,8 @@ fn warm_run_leaves_shared_cold_run_unchanged() {
             Telemetry::enabled(),
             Some(cache),
         )
-        .expect("cold run")
-        .to_json()
+        .expect("cold run");
+        run_fields(&report)
     };
     let snap = |cache: &BaselineCache, plan: &SnapshotPlan| {
         run_benchmark_report_snap(
@@ -340,9 +316,7 @@ fn inputs_are_generated_once_per_key() {
     let bench = Wrapped::new(Fault::None);
     let cache = BaselineCache::new();
     let (scale, dataset) = (Scale::Tiny, Dataset::Eval);
-    cache
-        .get_or_compute(&bench, scale, dataset, u64::MAX, DispatchTier::default())
-        .unwrap();
+    cache.baseline(&bench, scale, dataset, u64::MAX).unwrap();
     for (_, memo) in MemoConfig::paper_sweep() {
         let opts = RunOptions::default();
         let tel = Telemetry::off();
@@ -351,14 +325,12 @@ fn inputs_are_generated_once_per_key() {
     }
     collect_events_cached(&bench, scale, Some(&cache)).unwrap();
     let memo = MemoConfig::l1_only(4 * 1024);
-    let opts = RunOptions::default();
     run_job(
         &bench,
         scale,
         &memo,
         u64::MAX,
         &cache,
-        opts,
         &mut Telemetry::off(),
     )
     .unwrap();
@@ -385,26 +357,18 @@ fn panicking_setup_is_a_cached_failure() {
     let cache = BaselineCache::new();
     for _ in 0..2 {
         let err = cache
-            .get_or_compute(
-                &bench,
-                Scale::Tiny,
-                Dataset::Eval,
-                u64::MAX,
-                DispatchTier::default(),
-            )
+            .baseline(&bench, Scale::Tiny, Dataset::Eval, u64::MAX)
             .unwrap_err();
         assert_eq!(err.kind, FailureKind::Panic);
         assert!(err.message.contains("synthetic setup bug"), "{err}");
     }
     let memo = MemoConfig::l1_only(4 * 1024);
-    let opts = RunOptions::default();
     let fail = run_job(
         &bench,
         Scale::Tiny,
         &memo,
         u64::MAX,
         &cache,
-        opts,
         &mut Telemetry::off(),
     )
     .unwrap_err();
@@ -442,7 +406,6 @@ fn codegen_failure_is_cached_and_structured() {
         &memo,
         u64::MAX,
         &cache,
-        RunOptions::default(),
         &mut Telemetry::off(),
     )
     .unwrap_err();

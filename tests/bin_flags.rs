@@ -3,7 +3,8 @@
 //! message and the usage line, before any simulation runs. Snapshots
 //! are `warm_start`'s alone: its `--restore-policy` is checked here, and
 //! every other binary refuses the snapshot flags. `--trace-out` appends
-//! its counter and span tail to a text report only.
+//! its counter and span tail to a text report only. An `AXMEMO_SCALE`
+//! other than `tiny`, `small` or `full` exits 2 naming the variable.
 
 use std::process::{Command, Output};
 
@@ -38,10 +39,31 @@ const WARM_START: &str = env!("CARGO_BIN_EXE_warm_start");
 const FAULT_SWEEP: &str = env!("CARGO_BIN_EXE_fault_sweep");
 const FIG7: &str = env!("CARGO_BIN_EXE_fig7");
 const FIG8: &str = env!("CARGO_BIN_EXE_fig8");
+const FIG9: &str = env!("CARGO_BIN_EXE_fig9");
 const FIG10: &str = env!("CARGO_BIN_EXE_fig10");
 const FIG11: &str = env!("CARGO_BIN_EXE_fig11");
 const ALL_EXPERIMENTS: &str = env!("CARGO_BIN_EXE_all_experiments");
 const ATM_COMPARE: &str = env!("CARGO_BIN_EXE_atm_compare");
+
+#[test]
+fn unknown_scale_exits_2() {
+    // A typo must not quietly run the default scale.
+    for (bin, value) in [(FIG9, "bogus"), (ALL_EXPERIMENTS, "ful"), (WARM_START, "")] {
+        let out = Command::new(bin)
+            .env("AXMEMO_SCALE", value)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {value:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} {value:?}: no report");
+        assert!(
+            stderr.contains(&format!(
+                "error: AXMEMO_SCALE must be tiny|small|full, got {value:?}"
+            )),
+            "{bin} {value:?}: {stderr}"
+        );
+    }
+}
 
 #[test]
 fn warm_start_rejects_unknown_benchmark_names() {

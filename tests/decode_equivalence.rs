@@ -1,131 +1,177 @@
 //! The threaded interpreter is an *optimisation*, never a semantic
-//! change: these tests pin byte-identical results between the two
-//! execution tiers — the legacy instruction-at-a-time loop (the
-//! executable spec, selected through `RunOptions::dispatch`,
-//! `SimConfig::dispatch` or `Orchestrator::dispatch`) and the threaded
-//! superblock interpreter (the default and the only tier the binaries
-//! run) — at the benchmark and sweep level (metrics, raw run
-//! statistics, report JSON, CRC and LUT profile leaves, telemetry event
-//! streams, the whole aggregated fault-sweep report) and on seeded
-//! random programs. The threaded tier's outputs are pinned by the
-//! figure goldens, so these tests carry the goldens to the spec.
+//! change: these tests pin bit-identical observables between the two
+//! interpreters, each called directly on a fresh `Simulator`. The
+//! legacy instruction-at-a-time loop is `Simulator::run_reference`,
+//! the executable spec that only tests call; the threaded superblock
+//! interpreter (`Simulator::run`, `run_prepared_threaded`) is the only
+//! one the binaries run. Every benchmark leg and every reduced-sweep
+//! cell is compared on its `Result`, whole machine, unit, fault and LUT
+//! statistics, registry counters, telemetry event stream and CRC/LUT
+//! profile leaves, and seeded random programs on their `Result` and
+//! machine. The runner's metrics are pure functions of these values and
+//! the threaded tier's outputs are pinned by the figure goldens, so
+//! these tests carry the goldens to the spec.
 
-use axmemo_bench::orchestrator::{merge_profiles, Orchestrator};
-use axmemo_bench::{paper_configs, sweep, DispatchTier, ReportMode};
+use axmemo_bench::orchestrator::Orchestrator;
+use axmemo_bench::{paper_configs, sweep, ReportMode};
+use axmemo_core::config::MemoConfig;
+use axmemo_core::faults::FaultStats;
+use axmemo_core::lut::LutStats;
+use axmemo_core::unit::UnitStats;
 use axmemo_sim::cpu::{Machine, SimConfig, SimError, Simulator, PAGE_BYTES};
 use axmemo_sim::ir::{Cond, FBinOp, FUnOp, IAluOp, MemWidth, Operand};
 use axmemo_sim::predictor::PredictorConfig;
+use axmemo_sim::stats::RunStats;
 use axmemo_sim::{Program, ProgramBuilder};
-use axmemo_telemetry::{event_to_json, Profile, RingBufferSink, Telemetry};
+use axmemo_telemetry::{event_to_json, RingBufferSink, Telemetry};
 use axmemo_workloads::gen::SplitMix64;
-use axmemo_workloads::runner::{run_benchmark_report_cached, RunOptions};
-use axmemo_workloads::{all_benchmarks, Dataset, Scale};
+use axmemo_workloads::runner::{memo_watchdog, Leg, PreparedProgram};
+use axmemo_workloads::{all_benchmarks, benchmark_by_name, Benchmark, Dataset, Scale};
 use std::collections::BTreeMap;
 
 /// Profile leaves by path, as (cycles, count).
 type Leaves = BTreeMap<String, (u64, u64)>;
 
-/// The `run;dispatch;crc.beat` and `run;dispatch;lut.*` leaves of
-/// `profile`. Both tiers take memo-op timing from one owner
-/// (`sim::memo`), so these must agree.
-fn memo_leaves(profile: &Profile) -> Leaves {
-    profile
-        .phases
-        .iter()
-        .filter(|(path, _)| {
-            *path == "run;dispatch;crc.beat" || path.starts_with("run;dispatch;lut.")
-        })
-        .map(|(path, stat)| (path.clone(), (stat.cycles, stat.count)))
-        .collect()
+/// What one run of a leg leaves behind.
+struct Observed {
+    result: Result<RunStats, SimError>,
+    machine: Machine,
+    /// Unit, fault, L1 LUT and L2 LUT statistics (`None` without a
+    /// memoization unit).
+    unit: Option<(UnitStats, FaultStats, LutStats, LutStats)>,
+    counters: Vec<(&'static str, u64)>,
+    events: Vec<String>,
+    /// The leaves under `dispatch`: `crc.beat`, `lut.*` and
+    /// `quality.monitor`. Both tiers take memo-op timing from one owner
+    /// (`sim::memo`), so these must agree; the threaded tier's own
+    /// `dispatch.threaded` leaf is left out.
+    leaves: Leaves,
 }
 
-/// Every registered benchmark at tiny scale under the four paper
-/// configurations (Figs. 7–10), each with the benchmark's own
-/// truncation and with none (`zero_trunc`, Fig. 11's exact leg):
-/// identical baseline and memoized [`axmemo_sim::stats::RunStats`],
-/// identical paper metrics and report JSON, identical CRC and LUT
-/// profile leaves (cycles and counts), and an identical telemetry
-/// event stream (every LUT probe, quality decision and span edge at
-/// the same simulated cycle) on both interpreters.
+/// Run `leg` on a fresh simulator for `cfg`, on a copy of `inputs`,
+/// with events, counters and the profiler on: on the legacy loop when
+/// `reference`, else on the lowered form the runner executes.
+fn observe(cfg: &SimConfig, leg: &Leg, inputs: &Machine, reference: bool) -> Observed {
+    let mut sim = Simulator::new(cfg.clone()).expect("valid config");
+    let sink = RingBufferSink::new(4_000_000);
+    let mut tel = Telemetry::enabled();
+    tel.add_sink(Box::new(sink.clone()));
+    tel.profiler_mut().enable();
+    sim.set_telemetry(tel);
+    let mut machine = inputs.clone();
+    let result = if reference {
+        sim.run_reference(&leg.program, &mut machine, None)
+    } else {
+        sim.run_prepared_threaded(&leg.threaded, &mut machine)
+    };
+    let mut tel = sim.take_telemetry();
+    tel.close_open_spans();
+    tel.flush();
+    assert_eq!(sink.dropped(), 0, "event stream truncated");
+    let profile = tel.take_profile().expect("profiling on");
+    Observed {
+        result,
+        machine,
+        unit: sim.memo_unit().map(|u| {
+            let lut = u.lut();
+            (u.stats(), u.fault_stats(), lut.l1_stats(), lut.l2_stats())
+        }),
+        counters: tel.registry().counters().collect(),
+        events: sink.events().iter().map(event_to_json).collect(),
+        leaves: profile
+            .phases
+            .iter()
+            .filter(|(path, _)| {
+                path.starts_with("dispatch;") && path.as_str() != "dispatch;dispatch.threaded"
+            })
+            .map(|(path, stat)| (path.clone(), (stat.cycles, stat.count)))
+            .collect(),
+    }
+}
+
+/// Run `leg` on both tiers and assert every observable agrees. Returns
+/// the reference observation.
+fn assert_leg_agrees(at: &str, cfg: &SimConfig, leg: &Leg, inputs: &Machine) -> Observed {
+    let spec = observe(cfg, leg, inputs, true);
+    let fast = observe(cfg, leg, inputs, false);
+    assert_eq!(fast.result, spec.result, "{at}: result diverges");
+    assert!(fast.machine == spec.machine, "{at}: machine diverges");
+    assert_eq!(fast.unit, spec.unit, "{at}: unit/fault/LUT stats diverge");
+    assert_eq!(fast.counters, spec.counters, "{at}: counters diverge");
+    assert_eq!(
+        fast.leaves, spec.leaves,
+        "{at}: CRC/LUT profile leaves diverge"
+    );
+    assert_eq!(
+        fast.events.len(),
+        spec.events.len(),
+        "{at}: event counts diverge"
+    );
+    for (i, (got, want)) in fast.events.iter().zip(&spec.events).enumerate() {
+        assert_eq!(got, want, "{at}: event {i} diverges");
+    }
+    spec
+}
+
+/// The memoized leg's simulator config for `bench` under `memo`, as the
+/// runner builds it.
+fn memo_sim_config(bench: &dyn Benchmark, memo: &MemoConfig, max_cycles: u64) -> SimConfig {
+    SimConfig {
+        max_cycles,
+        ..SimConfig::with_memo(MemoConfig {
+            data_width: bench.data_width(),
+            ..memo.clone()
+        })
+    }
+}
+
+/// Assert the memoized leg's observation covers memo work: a
+/// successful run with lookups, CRC and LUT leaves.
+fn assert_memo_work(at: &str, o: &Observed) {
+    assert!(o.result.is_ok(), "{at}: {:?}", o.result);
+    let (unit, ..) = o.unit.expect("memo unit configured");
+    assert!(unit.lookups > 0, "{at}: no lookups");
+    assert!(
+        o.leaves.contains_key("dispatch;crc.beat") && o.leaves.len() > 1,
+        "{at}: CRC and LUT leaves missing: {:?}",
+        o.leaves
+    );
+}
+
+/// Every registered benchmark at tiny scale, each with the benchmark's
+/// own truncation and with none (`zero_trunc`, Fig. 11's exact leg):
+/// the baseline leg of each `PreparedProgram`, and its memoized leg
+/// under each of the four paper configurations (Figs. 7–10), agree on
+/// both interpreters in every observable.
 #[test]
 fn every_benchmark_is_bit_identical_across_interpreters() {
-    let mut runs = 0;
+    let mut legs = 0;
     for bench in all_benchmarks() {
-        let name = bench.meta().name;
-        for (label, cfg) in paper_configs() {
-            for zero_trunc in [false, true] {
-                let at = format!("{name} {label} zero_trunc={zero_trunc}");
-                let mut legs = Vec::new();
-                for dispatch in DispatchTier::ALL {
-                    let sink = RingBufferSink::new(4_000_000);
-                    let mut tel = Telemetry::enabled();
-                    tel.add_sink(Box::new(sink.clone()));
-                    tel.profiler_mut().enable();
-                    let opts = RunOptions {
-                        zero_trunc,
-                        dispatch,
-                    };
-                    let report = run_benchmark_report_cached(
-                        bench.as_ref(),
-                        Scale::Tiny,
-                        Dataset::Eval,
-                        &cfg,
-                        opts,
-                        tel,
-                        None,
-                    )
-                    .unwrap_or_else(|e| panic!("{at} (dispatch={}): {e}", dispatch.name()));
-                    assert_eq!(sink.dropped(), 0, "{at}: event stream truncated");
-                    let events: Vec<String> = sink.events().iter().map(event_to_json).collect();
-                    let profile = report.telemetry.take_profile().expect("profiling on");
-                    legs.push((dispatch, report, events, memo_leaves(&profile)));
-                }
-                let (_, ref_report, ref_events, ref_leaves) = &legs[0];
-                assert!(
-                    ref_leaves.contains_key("run;dispatch;crc.beat") && ref_leaves.len() > 1,
-                    "{at}: CRC and LUT leaves missing: {ref_leaves:?}"
-                );
-                for (tier, report, events, leaves) in &legs[1..] {
-                    let t = tier.name();
-                    assert_eq!(
-                        report.result.baseline_stats, ref_report.result.baseline_stats,
-                        "{at} ({t}): baseline stats diverge"
-                    );
-                    assert_eq!(
-                        report.result.memo_stats, ref_report.result.memo_stats,
-                        "{at} ({t}): memoized stats diverge"
-                    );
-                    assert_eq!(
-                        report.result.error.output_error, ref_report.result.error.output_error,
-                        "{at} ({t}): output error diverges"
-                    );
-                    assert_eq!(
-                        report.result.hit_rate, ref_report.result.hit_rate,
-                        "{at} ({t}): hit rate diverges"
-                    );
-                    assert_eq!(
-                        report.to_json(),
-                        ref_report.to_json(),
-                        "{at} ({t}): report JSON diverges"
-                    );
-                    assert_eq!(
-                        leaves, ref_leaves,
-                        "{at} ({t}): CRC/LUT profile leaves diverge"
-                    );
-                    assert_eq!(
-                        events.len(),
-                        ref_events.len(),
-                        "{at} ({t}): event counts diverge"
-                    );
-                    for (i, (got, want)) in events.iter().zip(ref_events).enumerate() {
-                        assert_eq!(got, want, "{at} ({t}): event {i} diverges");
-                    }
-                }
-                runs += legs.len();
+        let b = bench.as_ref();
+        let name = b.meta().name;
+        let inputs = b.setup(Scale::Tiny, Dataset::Eval);
+        for zero_trunc in [false, true] {
+            let prepared =
+                PreparedProgram::compile(b, Scale::Tiny, zero_trunc).expect("tiny codegen");
+            let at = format!("{name} zero_trunc={zero_trunc}");
+            let base = assert_leg_agrees(
+                &format!("{at} baseline"),
+                &SimConfig::baseline(),
+                &prepared.base,
+                &inputs,
+            );
+            assert!(base.result.is_ok(), "{at} baseline: {:?}", base.result);
+            legs += 1;
+            for (label, cfg) in paper_configs() {
+                let at = format!("{at} {label}");
+                let cfg = memo_sim_config(b, &cfg, u64::MAX);
+                let memo = assert_leg_agrees(&at, &cfg, &prepared.memo, &inputs);
+                assert_memo_work(&at, &memo);
+                legs += 1;
             }
         }
     }
-    assert_eq!(runs, 160);
+    assert_eq!(legs, 10 * 2 * (1 + 4));
 }
 
 /// Side-exit stress: a conditional branch whose bias *flips* mid-run.
@@ -153,69 +199,66 @@ fn biased_branch_flip_mid_run_side_exits_exactly() {
     b.halt();
     let program = b.build().unwrap();
 
-    let run = |dispatch: DispatchTier| {
-        let cfg = SimConfig {
-            dispatch,
-            ..SimConfig::baseline()
-        };
-        let mut sim = Simulator::new(cfg).unwrap();
+    let run = |reference: bool| {
+        let mut sim = Simulator::new(SimConfig::baseline()).unwrap();
         let mut machine = Machine::new(64 * 1024);
-        let stats = sim.run(&program, &mut machine).unwrap();
-        (stats, machine)
+        let stats = if reference {
+            sim.run_reference(&program, &mut machine, None)
+        } else {
+            sim.run(&program, &mut machine)
+        };
+        (stats.unwrap(), machine)
     };
-    let reference = run(DispatchTier::Legacy);
-    assert_eq!(run(DispatchTier::Threaded), reference);
+    let reference = run(true);
+    assert_eq!(run(false), reference);
     // Sanity: both phases actually executed.
     assert_eq!(reference.1.regs[1], 1200);
     assert_ne!(reference.1.regs[3], 0);
 }
 
-/// The reduced fault sweep — fault injection, watchdogs,
-/// shared baselines and all — with the profiler on, over two benchmark
-/// pairs: on every execution tier each pair renders the same JSON
-/// report and the same merged CRC and LUT profile leaves, and
-/// `blackscholes,sobel` renders the committed `fault_sweep_reduced`
-/// golden (`fault_sweep --seed 7 --benches blackscholes,sobel --report
-/// json`) byte for byte.
+/// Every cell of the reduced fault sweep (`sweep::matrix(7, …)`) over
+/// two benchmark pairs — fault injection and all — agrees on both
+/// interpreters in every observable: each benchmark's baseline leg
+/// under the sweep's (unbounded) ceiling, and each cell's memoized leg
+/// under the watchdog `run_job` derives from that baseline, which arms
+/// the threaded tier's guarded superblock path. The orchestrated
+/// report of `blackscholes,sobel` renders the committed
+/// `fault_sweep_reduced` golden (`fault_sweep --seed 7 --benches
+/// blackscholes,sobel --report json`) byte for byte.
 #[test]
 fn reduced_fault_sweep_golden_diff_across_interpreters() {
     for pair in [["blackscholes", "sobel"], ["blackscholes", "fft"]] {
         let at = pair.join(",");
         let benches = pair.map(str::to_string).to_vec();
         let (matrix, metas) = sweep::matrix(7, &benches);
-        let legs: Vec<(DispatchTier, String, Leaves)> = DispatchTier::ALL
-            .into_iter()
-            .map(|tier| {
-                let outcomes = Orchestrator::new(Scale::Tiny)
-                    .jobs(2)
-                    .dispatch(tier)
-                    .profile(true)
-                    .run(&matrix);
-                let report =
-                    sweep::table(Scale::Tiny, 7, &metas, &outcomes).render(ReportMode::Json);
-                let profile = merge_profiles(&outcomes).expect("profiling on");
-                (tier, report, memo_leaves(&profile))
-            })
-            .collect();
-        let (_, ref_report, ref_leaves) = &legs[0];
-        assert!(
-            ref_leaves.contains_key("run;dispatch;crc.beat") && ref_leaves.len() > 1,
-            "{at}: CRC and LUT leaves missing: {ref_leaves:?}"
-        );
-        for (tier, report, leaves) in &legs[1..] {
-            let t = tier.name();
-            assert_eq!(
-                report, ref_report,
-                "{at} ({t}): fault-sweep report diverges"
+        let mut flipped = 0;
+        for name in pair {
+            let bench = benchmark_by_name(name).expect("registered");
+            let b = bench.as_ref();
+            let prepared = PreparedProgram::compile(b, Scale::Tiny, false).expect("tiny codegen");
+            let inputs = b.setup(Scale::Tiny, Dataset::Eval);
+            let base = assert_leg_agrees(
+                &format!("{at}: {name} baseline"),
+                &SimConfig::baseline(),
+                &prepared.base,
+                &inputs,
             );
-            assert_eq!(
-                leaves, ref_leaves,
-                "{at} ({t}): CRC/LUT profile leaves diverge"
-            );
+            let base_cycles = base.result.expect("tiny baseline succeeds").cycles;
+            let watchdog = memo_watchdog(base_cycles, u64::MAX);
+            for job in matrix.jobs().iter().filter(|j| j.benchmark == name) {
+                let cell = format!("{at}: {name} {}", job.label);
+                let cfg = memo_sim_config(b, &job.memo, watchdog);
+                let memo = assert_leg_agrees(&cell, &cfg, &prepared.memo, &inputs);
+                assert_memo_work(&cell, &memo);
+                flipped += memo.unit.map_or(0, |(_, f, ..)| f.total_flips());
+            }
         }
+        assert!(flipped > 0, "{at}: no cell injected a fault");
         if at == "blackscholes,sobel" {
+            let outcomes = Orchestrator::new(Scale::Tiny).jobs(2).run(&matrix);
+            let report = sweep::table(Scale::Tiny, 7, &metas, &outcomes).render(ReportMode::Json);
             assert_eq!(
-                format!("{ref_report}\n"),
+                format!("{report}\n"),
                 include_str!("data/fault_sweep_reduced.golden.json"),
                 "{at}: fault-sweep report drifted from its golden"
             );
@@ -476,9 +519,8 @@ fn random_programs_match_legacy() {
         };
         let program = gen.program();
         let predictor = gen.rng.bool().then(PredictorConfig::default);
-        let run = |dispatch: DispatchTier, max_insts: u64, max_cycles: u64| {
+        let run = |reference: bool, max_insts: u64, max_cycles: u64| {
             let mut sim = Simulator::new(SimConfig {
-                dispatch,
                 max_insts,
                 max_cycles,
                 predictor,
@@ -486,7 +528,11 @@ fn random_programs_match_legacy() {
             })
             .unwrap();
             let mut machine = Machine::new(MEM_BYTES as usize);
-            let result = sim.run(&program, &mut machine);
+            let result = if reference {
+                sim.run_reference(&program, &mut machine, None)
+            } else {
+                sim.run(&program, &mut machine)
+            };
             (result, machine.regs, machine)
         };
         let limits = match gen.rng.below(8) {
@@ -495,7 +541,7 @@ fn random_programs_match_legacy() {
             4 => vec![(SimConfig::default().max_insts, u64::MAX)],
             // The unlimited run's exact count and one either side of it:
             // there the last superblock's budget check decides the trip.
-            5 => match run(DispatchTier::Legacy, u64::MAX, u64::MAX).0 {
+            5 => match run(true, u64::MAX, u64::MAX).0 {
                 Ok(stats) => {
                     let n = stats.dynamic_insts;
                     vec![(n - 1, u64::MAX), (n, u64::MAX), (n + 1, u64::MAX)]
@@ -505,8 +551,8 @@ fn random_programs_match_legacy() {
             _ => vec![(u64::MAX, u64::MAX)],
         };
         for (max_insts, max_cycles) in limits {
-            let reference = run(DispatchTier::Legacy, max_insts, max_cycles);
-            let threaded = run(DispatchTier::Threaded, max_insts, max_cycles);
+            let reference = run(true, max_insts, max_cycles);
+            let threaded = run(false, max_insts, max_cycles);
             let at = format!("seed {seed}, max_insts {max_insts}, max_cycles {max_cycles}");
             assert_eq!(threaded.0, reference.0, "{at}: result diverges");
             assert_eq!(threaded.1, reference.1, "{at}: registers diverge");

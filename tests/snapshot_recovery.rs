@@ -267,11 +267,21 @@ fn snapshot_files_and_default_off_path_are_deterministic() {
         &SnapshotPlan::default(),
     )
     .expect("empty-plan run");
+    // The empty plan reproduces the plain runner: same metrics and
+    // run statistics, unit and LUT statistics, counters, and no
+    // recovery account.
+    assert_eq!(plain.result, empty_plan.result);
+    assert_eq!(plain.unit_stats, empty_plan.unit_stats);
     assert_eq!(
-        plain.to_json(),
-        empty_plan.to_json(),
-        "empty plan is byte-identical to the plain runner"
+        (plain.l1_lut, plain.l2_lut),
+        (empty_plan.l1_lut, empty_plan.l2_lut)
     );
+    assert!(plain
+        .telemetry
+        .registry()
+        .counters()
+        .eq(empty_plan.telemetry.registry().counters()));
+    assert_eq!((&plain.recovery, &empty_plan.recovery), (&None, &None));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

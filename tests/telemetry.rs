@@ -81,9 +81,17 @@ fn run_report_carries_span_and_counters() {
     assert!(spans[0].cycles() > 0, "span must cover the simulated run");
     assert!(tel.registry().counter("inst.total") > 0);
     assert!(tel.registry().counter("lut.updates") > 0);
-    let json = report.to_json();
-    assert!(json.starts_with('{') && json.ends_with('}'));
-    assert!(json.contains("\"hit_rate\":"));
+    // The report's own fields agree with the run they describe.
+    let r = &report.result;
+    assert!((0.0..=1.0).contains(&r.hit_rate), "hit rate {}", r.hit_rate);
+    assert!(r.baseline_stats.cycles > 0 && r.memo_stats.cycles > 0);
+    assert_eq!(r.memo_stats.cycles, spans[0].cycles());
+    assert_eq!(
+        report.unit_stats.lookups,
+        report.l1_lut.hits + report.l1_lut.misses
+    );
+    assert_eq!(report.l2_lut, Default::default(), "single-level config");
+    assert!(report.recovery.is_none(), "cold run");
 }
 
 /// The profiler's leaves under `run` sum to the simulated cycles the
