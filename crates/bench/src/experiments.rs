@@ -685,7 +685,7 @@ fn l2_sensitivity(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
             let mut sim = Simulator::new(cfg)?;
             let mut machine = Machine::clone(&inputs);
             cycles[i] = sim
-                .run_prepared_threaded(&prepared.memo.threaded, &mut machine)?
+                .run_prepared_threaded(&prepared.memo, &mut machine)?
                 .cycles;
         }
         let degradation = cycles[1] as f64 / cycles[0] as f64 - 1.0;
@@ -904,8 +904,7 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
                     ..SimConfig::baseline()
                 })?;
                 let mut mb = Machine::clone(&inputs);
-                base.run_prepared_threaded(&prepared.base.threaded, &mut mb)?
-                    .cycles
+                base.run_prepared_threaded(&prepared.base, &mut mb)?.cycles
             };
             let memo_sim_cfg = SimConfig {
                 predictor,
@@ -913,7 +912,7 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
             };
             let mut memo = Simulator::new(memo_sim_cfg)?;
             let mut mm = Machine::clone(&inputs);
-            let ms = memo.run_prepared_threaded(&prepared.memo.threaded, &mut mm)?;
+            let ms = memo.run_prepared_threaded(&prepared.memo, &mut mm)?;
             speedups[i] = base_cycles as f64 / ms.cycles.max(1) as f64;
         }
         table.row(vec![

@@ -534,7 +534,7 @@ pub fn collect_events_cached(
         .expect("memo configured")
         .enable_event_log();
     let mut machine = Machine::clone(&*cache.inputs(bench, scale, Dataset::Eval)?);
-    sim.run_prepared_threaded(&prepared.memo.threaded, &mut machine)?;
+    sim.run_prepared_threaded(&prepared.memo, &mut machine)?;
     let events = sim
         .memo_unit_mut()
         .expect("memo configured")
@@ -547,7 +547,7 @@ pub fn collect_events_cached(
         .map(|&b| b as u64)
         .sum::<u64>()
         / bench.meta().input_bytes.len().max(1) as u64;
-    let profile = kernel_profile(&prepared.base.program, input_bytes);
+    let profile = kernel_profile(&prepared.base_program, input_bytes);
     Ok(ContenderInputs {
         events,
         baseline,

@@ -11,9 +11,9 @@
 //! is detected and the entry invalidated — a miss instead of silent
 //! corruption; a double flip escapes parity) and data words carry SECDED
 //! (single flips corrected, double flips detected-uncorrectable and
-//! invalidated). Protection costs cycles and energy per access; those
-//! constants live in `axmemo-sim`: `memo::ECC_CHECK_CYCLES` beside
-//! Table 4's latencies, and the energy model.
+//! invalidated). Protection costs energy per access and cycles per
+//! lookup; those constants live in `axmemo-sim`: `memo::ECC_CHECK_CYCLES`
+//! beside Table 4's latencies, and the energy model.
 //!
 //! The default [`FaultConfig`] injects nothing, and a zero-rate config
 //! installs no injectors at all, so the fault-free path is bit-identical

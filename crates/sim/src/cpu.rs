@@ -660,7 +660,8 @@ impl Simulator {
                     mem_addr = Some(addr);
                     let (_, served) = self.cache.access_served(addr);
                     charge_mem(&mut stats, served);
-                    pipe.issue(&[rs, base], None, FuClass::LdSt, lat.store, 0);
+                    // No destination register, so no latency is read.
+                    pipe.issue(&[rs, base], None, FuClass::LdSt, 0, 0);
                     classes.store += 1;
                 }
                 Inst::MovImm { rd, imm } => {

@@ -18,6 +18,9 @@
 //! background. A feed stalls issue only when the input queue is full,
 //! and `lookup` waits until the CRC has drained its LUT's queue. The
 //! profiler's `crc.beat` leaf is charged exactly those issue delays.
+//! `update` and `invalidate` each take one memo-port issue slot and
+//! write no register, so no later instruction can wait on them: their
+//! leaves count the op and charge 0 cycles.
 //!
 //! Every op is `#[inline(always)]`: left to the heuristics, the threaded
 //! loop calls out to them, which cost about 4 % of ledger `fig7` wall
@@ -49,16 +52,20 @@ pub const LOOKUP_L1_CYCLES: u64 = 2;
 /// probed an L2 pays it too.
 pub const LOOKUP_L2_CYCLES: u64 = 13;
 
-/// Table 4: `update` latency.
+/// Table 4: `update` latency. Display-only: `table4_5` prints it and
+/// no simulated cycle reads it, because an `update` writes no register
+/// on a pipelined memo port, so no instruction can wait on it.
 pub const UPDATE_CYCLES: u64 = 2;
 
 /// Table 4: `invalidate` latency per way in a set (§4: "one cycle for
-/// each way in a set").
+/// each way in a set"). Display-only, for the same reason as
+/// [`UPDATE_CYCLES`].
 pub const INVALIDATE_CYCLES_PER_WAY: u64 = 1;
 
-/// Extra latency of a LUT access whose arrays are ECC-protected (parity
+/// Extra latency of a lookup whose arrays are ECC-protected (parity
 /// check on tags, SECDED syndrome on data), charged only under
-/// [`Protection::EccProtected`].
+/// [`Protection::EccProtected`]. An `update` pays the check's energy
+/// but, off the critical path, none of its cycles.
 pub const ECC_CHECK_CYCLES: u64 = 1;
 
 /// The simulated core runs one hardware thread.
@@ -107,8 +114,6 @@ pub(crate) struct MemoTiming {
     has_l2_lut: bool,
     /// Every LUT access pays an ECC check.
     ecc: bool,
-    /// `invalidate` latency: one cycle per way in a set.
-    invalidate_cycles: u64,
 }
 
 impl MemoTiming {
@@ -120,9 +125,6 @@ impl MemoTiming {
             queue_capacity: config.map_or(0, |c| c.input_queue_depth as u64 * 8),
             has_l2_lut: config.is_some_and(|c| c.l2_bytes.is_some()),
             ecc: config.is_some_and(|c| c.faults.protection == Protection::EccProtected),
-            invalidate_cycles: config.map_or(0, |c| {
-                INVALIDATE_CYCLES_PER_WAY * c.data_width.ways() as u64
-            }),
         }
     }
 
@@ -262,31 +264,28 @@ impl MemoTiming {
         data
     }
 
-    /// `update`: writes the recomputed output for the preceding miss.
-    /// Only a write that consumed a pending miss pays the ECC check and
-    /// the LUT energy.
+    /// `update`: writes the recomputed output for the preceding miss,
+    /// off the critical path. Only a write that consumed a pending miss
+    /// pays the LUT and ECC-check energy.
     #[inline(always)]
     pub(crate) fn update(&mut self, port: MemoPort<'_>, src: u8, lut: LutId, data: u64) {
         port.tel.set_cycle(port.pipe.now());
         let wrote = port.unit.update_tel(lut, TID, data, port.tel);
-        let cycles = UPDATE_CYCLES + if wrote { self.ecc_cycles() } else { 0 };
-        port.tel.profiler_mut().leaf(PhaseId::LutUpdate, cycles);
-        port.pipe.issue(&[src], None, FuClass::Memo, cycles, 0);
+        port.tel.profiler_mut().leaf(PhaseId::LutUpdate, 0);
+        port.pipe.issue(&[src], None, FuClass::Memo, 0, 0);
         if wrote {
             self.charge_lut(port.stats, true);
         }
     }
 
-    /// `invalidate`: clears the LUT at the end of a region.
+    /// `invalidate`: clears the LUT at the end of a region, off the
+    /// critical path.
     #[inline(always)]
     pub(crate) fn invalidate(&mut self, port: MemoPort<'_>, lut: LutId) {
         port.tel.set_cycle(port.pipe.now());
         port.unit.invalidate_tel(lut, port.tel);
-        port.tel
-            .profiler_mut()
-            .leaf(PhaseId::LutInvalidate, self.invalidate_cycles);
-        port.pipe
-            .issue(&[], None, FuClass::Memo, self.invalidate_cycles, 0);
+        port.tel.profiler_mut().leaf(PhaseId::LutInvalidate, 0);
+        port.pipe.issue(&[], None, FuClass::Memo, 0, 0);
     }
 
     /// Energy of one L1 LUT access (counted by the tiers) plus, when an
@@ -375,7 +374,7 @@ mod tests {
     fn run_op(
         unit: &mut MemoizationUnit,
         op: impl FnOnce(&mut MemoTiming, MemoPort<'_>),
-    ) -> (Telemetry, RunStats) {
+    ) -> (Telemetry, RunStats, Pipeline) {
         let mut timing = MemoTiming::new(Some(unit));
         let (mut pipe, mut stats) = (Pipeline::new(), RunStats::default());
         let mut tel = Telemetry::off();
@@ -387,16 +386,7 @@ mod tests {
             stats: &mut stats,
         };
         op(&mut timing, port);
-        (tel, stats)
-    }
-
-    /// Run one op on `unit` and return the cycles it charged to `phase`.
-    fn charged(
-        unit: &mut MemoizationUnit,
-        phase: PhaseId,
-        op: impl FnOnce(&mut MemoTiming, MemoPort<'_>),
-    ) -> u64 {
-        leaf_cycles(run_op(unit, op).0.profiler(), phase)
+        (tel, stats, pipe)
     }
 
     /// The L2 LUT accesses and ECC checks one op billed.
@@ -406,6 +396,30 @@ mod tests {
     ) -> (u64, u64) {
         let energy = run_op(unit, op).1.energy;
         (energy.l2_lut_accesses, energy.ecc_checks)
+    }
+
+    /// The cycles at which a memo op and an ALU op reading its result
+    /// issue on `pipe`, and the cycle `pipe` then drains at.
+    fn next_issues(mut pipe: Pipeline) -> (u64, u64, u64) {
+        let memo = pipe.issue(&[], Some(3), FuClass::Memo, 1, 0);
+        let alu = pipe.issue(&[3], Some(4), FuClass::IntAlu, 1, 0);
+        (memo, alu, pipe.drain())
+    }
+
+    /// Assert `op` enters its `phase` leaf once with 0 cycles and leaves
+    /// the pipeline where any other memo-port issue would.
+    fn assert_off_critical_path(
+        unit: &mut MemoizationUnit,
+        phase: PhaseId,
+        what: &str,
+        op: impl FnOnce(&mut MemoTiming, MemoPort<'_>),
+    ) {
+        let (tel, _, pipe) = run_op(unit, op);
+        let leaf = tel.profiler().snapshot().phases[phase.name()];
+        assert_eq!((leaf.count, leaf.cycles), (1, 0), "{what}: leaf");
+        let mut slot = Pipeline::new();
+        slot.issue(&[0], None, FuClass::Memo, 1, 0);
+        assert_eq!(next_issues(pipe), next_issues(slot), "{what}: next issue");
     }
 
     #[test]
@@ -419,21 +433,25 @@ mod tests {
             level: HitLevel::L2,
         };
         let sampled = LookupResult::SampledMiss { data: 0 };
+        let lut = LutId::new(0).unwrap();
         for (l2, ecc) in [(false, false), (false, true), (true, false), (true, true)] {
-            let ecc_check = u64::from(ecc);
-            let mut u = unit(l2, ecc, DataWidth::W4);
-            let timing = MemoTiming::new(Some(&u));
+            let ecc_check = if ecc { ECC_CHECK_CYCLES } else { 0 };
+            let timing = MemoTiming::new(Some(&unit(l2, ecc, DataWidth::W4)));
             // An L1-only unit never reports an L2 hit.
-            let probe = if l2 { 13 } else { 2 };
+            let probe = if l2 {
+                LOOKUP_L2_CYCLES
+            } else {
+                LOOKUP_L1_CYCLES
+            };
             let mut cases = vec![
-                (l1_hit, 2 + ecc_check),
+                (l1_hit, LOOKUP_L1_CYCLES + ecc_check),
                 (LookupResult::Miss, probe + ecc_check),
                 (sampled, probe + ecc_check),
                 // No array access, so no ECC check.
-                (LookupResult::Disabled, 2),
+                (LookupResult::Disabled, LOOKUP_L1_CYCLES),
             ];
             if l2 {
-                cases.push((l2_hit, 13 + ecc_check));
+                cases.push((l2_hit, LOOKUP_L2_CYCLES + ecc_check));
             }
             for (result, latency) in cases {
                 let mut prof = Profiler::enabled();
@@ -443,26 +461,32 @@ mod tests {
                 let leaves: u64 = prof.snapshot().phases.values().map(|s| s.cycles).sum();
                 assert_eq!(leaves, latency, "leaves of {what}");
                 if result == LookupResult::Disabled {
-                    assert_eq!(leaf_cycles(&prof, PhaseId::Quality), 2);
+                    assert_eq!(leaf_cycles(&prof, PhaseId::Quality), LOOKUP_L1_CYCLES);
                 }
             }
 
-            let lut = LutId::new(0).unwrap();
-            let update = |u: &mut MemoizationUnit| {
-                charged(u, PhaseId::LutUpdate, |t, port| t.update(port, 0, lut, 7))
-            };
-            assert_eq!(update(&mut u), 2, "update without a pending miss");
-            u.feed(lut, TID, InputValue::I32(5), 0);
-            assert_eq!(u.lookup(lut, TID), LookupResult::Miss);
-            assert_eq!(update(&mut u), 2 + ecc_check, "update after a miss");
-        }
-        for (data_width, cycles) in [(DataWidth::W4, 8), (DataWidth::W8, 4)] {
-            let mut u = unit(false, false, data_width);
-            let lut = LutId::new(0).unwrap();
-            let invalidate = charged(&mut u, PhaseId::LutInvalidate, |t, port| {
-                t.invalidate(port, lut)
-            });
-            assert_eq!(invalidate, cycles, "invalidate with {data_width:?} data");
+            // `update` and `invalidate` write no register, so nothing
+            // waits on them: whether or not the update writes, and for
+            // either data width (ways per set), each is one memo-port
+            // issue slot and charges its leaf nothing.
+            for data_width in [DataWidth::W4, DataWidth::W8] {
+                let at = format!("{data_width:?} data with l2={l2} ecc={ecc}");
+                let mut u = unit(l2, ecc, data_width);
+                let update = |u: &mut MemoizationUnit, when: &str| {
+                    let what = format!("update {when}, {at}");
+                    assert_off_critical_path(u, PhaseId::LutUpdate, &what, |t, port| {
+                        t.update(port, 0, lut, 7)
+                    });
+                };
+                update(&mut u, "without a pending miss");
+                u.feed(lut, TID, InputValue::I32(5), 0);
+                assert_eq!(u.lookup(lut, TID), LookupResult::Miss);
+                update(&mut u, "after a miss");
+                let what = format!("invalidate, {at}");
+                assert_off_critical_path(&mut u, PhaseId::LutInvalidate, &what, |t, port| {
+                    t.invalidate(port, lut)
+                });
+            }
         }
     }
 

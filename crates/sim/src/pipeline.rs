@@ -49,8 +49,6 @@ pub struct LatencyModel {
     /// Fused libm pseudo-ops (exp/log/sin/cos/atan): cost of the
     /// library-call sequence they stand for on an in-order core.
     pub fp_libm: u64,
-    /// Store (fire-and-forget into the write buffer).
-    pub store: u64,
     /// Taken-branch front-end bubble.
     pub taken_branch_bubble: u64,
 }
@@ -64,7 +62,6 @@ impl Default for LatencyModel {
             fp_op: 4,
             fp_div: 15,
             fp_libm: 45,
-            store: 1,
             taken_branch_bubble: 2,
         }
     }

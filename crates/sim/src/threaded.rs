@@ -112,13 +112,12 @@ pub(crate) enum FusedOp {
         base: u8,
         offset: i32,
     },
-    /// Store; `lat` is the precomputed store latency.
+    /// Store.
     St {
         width: MemWidth,
         rs: u8,
         base: u8,
         offset: i32,
-        lat: u64,
     },
     /// Load immediate.
     MovImm { rd: u8, imm: u64 },
@@ -425,7 +424,6 @@ fn lower_block(
                 rs,
                 base,
                 offset,
-                lat: latency.store,
             },
             Inst::MovImm { rd, imm } => FusedOp::MovImm { rd, imm },
             Inst::Mov { rd, ra } => FusedOp::Mov { rd, ra },
@@ -554,8 +552,12 @@ impl Simulator {
         // range and charges a `dispatch.threaded` leaf with whatever
         // share of those cycles the LUT leaves did not already claim —
         // so the Dispatch phase's exclusive time shrinks to the unfused
-        // residue (outer-loop transfers, side exits).
+        // residue (outer-loop transfers, side exits). A lookup latency
+        // can outlast its superblock; the excess is `overcharged`, and
+        // the next superblock's charge pays it back, so the leaves sum
+        // to the pipeline's cycles exactly.
         let prof_on = self.telemetry.profiler().is_enabled();
+        let mut overcharged = 0u64;
         if prof_on {
             self.telemetry.profiler_mut().begin_blocks(&tp.ranges);
         }
@@ -597,8 +599,9 @@ impl Simulator {
                 let cyc = st.pipe.now().saturating_sub(sb_cycle0);
                 let prof = self.telemetry.profiler_mut();
                 prof.block_retire(sb_idx as usize, cyc, st.insts - sb_inst0);
-                let charged = prof.open_charged().saturating_sub(sb_charged0);
+                let charged = prof.open_charged() - sb_charged0 + overcharged;
                 prof.leaf(PhaseId::DispatchThreaded, cyc.saturating_sub(charged));
+                overcharged = charged.saturating_sub(cyc);
             }
             let Some(next_pc) = end.next_pc else {
                 break;
@@ -767,14 +770,13 @@ impl Simulator {
                     rs,
                     base,
                     offset,
-                    lat,
                 } => {
                     let addr = machine.reg(base).wrapping_add_signed(offset.into());
                     machine.store(addr, width, machine.reg(rs))?;
                     let (_, served) = self.cache.access_served(addr);
                     charge_mem_levels(stats, served);
                     let e = pipe.src_ready(rs).max(pipe.src_ready(base));
-                    pipe.issue_ldst(e, None, lat);
+                    pipe.issue_ldst(e, None, 0);
                 }
                 FusedOp::MovImm { rd, imm } => {
                     machine.set_reg(rd, imm);

@@ -56,12 +56,14 @@ pub enum PhaseId {
     /// L2 LUT probe (only when the L1 set search missed and an L2
     /// exists, or on an L2 hit).
     LutL2Probe,
-    /// LUT update (insert on miss-fill).
+    /// LUT update (insert on miss-fill; counted, 0 cycles: the op
+    /// writes no register, so no issue waits on it).
     LutUpdate,
-    /// LUT eviction / L2 spill (counted; the cycle cost is folded into
-    /// the update/lookup charge that triggered it).
+    /// LUT eviction / L2 spill (counted, 0 cycles: it rides the update
+    /// or lookup that triggered it).
     LutEvict,
-    /// LUT invalidation walk.
+    /// LUT invalidation at region end (counted, 0 cycles, as for
+    /// [`PhaseId::LutUpdate`]).
     LutInvalidate,
     /// Quality-monitor work: hit sampling, output comparisons,
     /// degradation/re-enable probes (counted; no modelled hardware

@@ -190,37 +190,26 @@ impl SnapshotPlan {
 
 /// A benchmark's programs, built once per `(benchmark, scale,
 /// zero_trunc)` by [`BaselineCache`] and shared by every run: the
-/// baseline and memoized legs, each as a program and in its lowered
-/// form. Immutable once built, so no run (a snapshot restore included)
-/// can change what its siblings execute.
+/// baseline program, which `kernel_profile` reads, and both legs in the
+/// threaded-superblock form every run executes with
+/// [`Simulator::run_prepared_threaded`], lowered against
+/// [`LatencyModel::default`] (the latency every runner-constructed
+/// [`SimConfig`] uses). The memoized program is not kept: only tests
+/// read it, and they rebuild it with `memoize`. Immutable once built,
+/// so no run (a snapshot restore included) can change what its
+/// siblings execute.
 #[derive(Debug)]
 pub struct PreparedProgram {
+    /// The baseline program before lowering.
+    pub base_program: Program,
     /// The baseline leg (the same for either truncation choice).
-    pub base: Leg,
+    pub base: ThreadedProgram,
     /// The memoized leg.
-    pub memo: Leg,
+    pub memo: ThreadedProgram,
 }
 
-/// One leg's program plus its threaded-superblock form, lowered against
-/// [`LatencyModel::default`] (the latency every runner-constructed
-/// [`SimConfig`] uses). Runs execute [`Self::threaded`] with
-/// [`Simulator::run_prepared_threaded`]; [`Self::program`] is the
-/// source it was lowered from, which equivalence tests also run on
-/// [`Simulator::run_reference`].
-#[derive(Debug)]
-pub struct Leg {
-    /// The program before lowering.
-    pub program: Program,
-    /// The lowered form every run executes.
-    pub threaded: ThreadedProgram,
-}
-
-impl Leg {
-    fn lower(program: Program) -> Self {
-        let decoded = DecodedProgram::compile(&program, &LatencyModel::default());
-        let threaded = ThreadedProgram::compile(&decoded);
-        Self { program, threaded }
-    }
+fn lower(program: &Program) -> ThreadedProgram {
+    ThreadedProgram::compile(&DecodedProgram::compile(program, &LatencyModel::default()))
 }
 
 impl PreparedProgram {
@@ -244,10 +233,11 @@ impl PreparedProgram {
                 spec.reg_inputs.iter_mut().for_each(|ri| ri.trunc = 0);
             }
         }
-        let memo = Leg::lower(memoize(&program, &specs)?);
+        let memo = lower(&memoize(&program, &specs)?);
         Ok(Self {
-            base: Leg::lower(program),
+            base: lower(&program),
             memo,
+            base_program: program,
         })
     }
 }
@@ -388,7 +378,7 @@ fn baseline_leg(
         ..SimConfig::baseline()
     })?;
     let mut base_machine = inputs.clone();
-    let stats = base_sim.run_prepared_threaded(&prepared.base.threaded, &mut base_machine)?;
+    let stats = base_sim.run_prepared_threaded(&prepared.base, &mut base_machine)?;
     let exact = bench.outputs(&base_machine, scale);
     Ok(BaselineRun { stats, exact })
 }
@@ -736,7 +726,7 @@ fn run_benchmark_inner(
             }
         }
     }
-    let memo_stats = memo_sim.run_prepared_threaded(&prepared.memo.threaded, &mut memo_machine);
+    let memo_stats = memo_sim.run_prepared_threaded(&prepared.memo, &mut memo_machine);
     *tel = memo_sim.take_telemetry();
     let memo_stats = match memo_stats {
         Ok(stats) => stats,

@@ -14,6 +14,7 @@
 
 use axmemo_bench::orchestrator::Orchestrator;
 use axmemo_bench::{paper_configs, sweep, ReportMode};
+use axmemo_compiler::codegen::memoize;
 use axmemo_core::config::MemoConfig;
 use axmemo_core::faults::FaultStats;
 use axmemo_core::lut::LutStats;
@@ -22,15 +23,49 @@ use axmemo_sim::cpu::{Machine, SimConfig, SimError, Simulator, PAGE_BYTES};
 use axmemo_sim::ir::{Cond, FBinOp, FUnOp, IAluOp, MemWidth, Operand};
 use axmemo_sim::predictor::PredictorConfig;
 use axmemo_sim::stats::RunStats;
-use axmemo_sim::{Program, ProgramBuilder};
+use axmemo_sim::{Program, ProgramBuilder, ThreadedProgram};
 use axmemo_telemetry::{event_to_json, RingBufferSink, Telemetry};
 use axmemo_workloads::gen::SplitMix64;
-use axmemo_workloads::runner::{memo_watchdog, Leg, PreparedProgram};
+use axmemo_workloads::runner::{memo_watchdog, PreparedProgram};
 use axmemo_workloads::{all_benchmarks, benchmark_by_name, Benchmark, Dataset, Scale};
 use std::collections::BTreeMap;
 
 /// Profile leaves by path, as (cycles, count).
 type Leaves = BTreeMap<String, (u64, u64)>;
+
+/// One leg as the two interpreters read it: the program the legacy loop
+/// runs and the lowered form the runner executes.
+struct Leg<'a> {
+    program: &'a Program,
+    threaded: &'a ThreadedProgram,
+}
+
+/// The memoized program `PreparedProgram::compile` lowers for `bench`
+/// at tiny, rebuilt: the prepared form keeps only the lowered leg.
+fn memo_program(bench: &dyn Benchmark, zero_trunc: bool) -> Program {
+    let (program, mut specs) = bench.program(Scale::Tiny);
+    if zero_trunc {
+        for spec in &mut specs {
+            spec.input_loads.iter_mut().for_each(|il| il.trunc = 0);
+            spec.reg_inputs.iter_mut().for_each(|ri| ri.trunc = 0);
+        }
+    }
+    memoize(&program, &specs).expect("tiny codegen")
+}
+
+/// The baseline and memoized legs of `prepared`, whose memoized
+/// program is `memo`.
+fn legs<'a>(prepared: &'a PreparedProgram, memo: &'a Program) -> (Leg<'a>, Leg<'a>) {
+    let base = Leg {
+        program: &prepared.base_program,
+        threaded: &prepared.base,
+    };
+    let memo = Leg {
+        program: memo,
+        threaded: &prepared.memo,
+    };
+    (base, memo)
+}
 
 /// What one run of a leg leaves behind.
 struct Observed {
@@ -51,7 +86,7 @@ struct Observed {
 /// Run `leg` on a fresh simulator for `cfg`, on a copy of `inputs`,
 /// with events, counters and the profiler on: on the legacy loop when
 /// `reference`, else on the lowered form the runner executes.
-fn observe(cfg: &SimConfig, leg: &Leg, inputs: &Machine, reference: bool) -> Observed {
+fn observe(cfg: &SimConfig, leg: &Leg<'_>, inputs: &Machine, reference: bool) -> Observed {
     let mut sim = Simulator::new(cfg.clone()).expect("valid config");
     let sink = RingBufferSink::new(4_000_000);
     let mut tel = Telemetry::enabled();
@@ -60,9 +95,9 @@ fn observe(cfg: &SimConfig, leg: &Leg, inputs: &Machine, reference: bool) -> Obs
     sim.set_telemetry(tel);
     let mut machine = inputs.clone();
     let result = if reference {
-        sim.run_reference(&leg.program, &mut machine, None)
+        sim.run_reference(leg.program, &mut machine, None)
     } else {
-        sim.run_prepared_threaded(&leg.threaded, &mut machine)
+        sim.run_prepared_threaded(leg.threaded, &mut machine)
     };
     let mut tel = sim.take_telemetry();
     tel.close_open_spans();
@@ -91,7 +126,7 @@ fn observe(cfg: &SimConfig, leg: &Leg, inputs: &Machine, reference: bool) -> Obs
 
 /// Run `leg` on both tiers and assert every observable agrees. Returns
 /// the reference observation.
-fn assert_leg_agrees(at: &str, cfg: &SimConfig, leg: &Leg, inputs: &Machine) -> Observed {
+fn assert_leg_agrees(at: &str, cfg: &SimConfig, leg: &Leg<'_>, inputs: &Machine) -> Observed {
     let spec = observe(cfg, leg, inputs, true);
     let fast = observe(cfg, leg, inputs, false);
     assert_eq!(fast.result, spec.result, "{at}: result diverges");
@@ -145,7 +180,7 @@ fn assert_memo_work(at: &str, o: &Observed) {
 /// both interpreters in every observable.
 #[test]
 fn every_benchmark_is_bit_identical_across_interpreters() {
-    let mut legs = 0;
+    let mut count = 0;
     for bench in all_benchmarks() {
         let b = bench.as_ref();
         let name = b.meta().name;
@@ -153,25 +188,27 @@ fn every_benchmark_is_bit_identical_across_interpreters() {
         for zero_trunc in [false, true] {
             let prepared =
                 PreparedProgram::compile(b, Scale::Tiny, zero_trunc).expect("tiny codegen");
+            let program = memo_program(b, zero_trunc);
+            let (base_leg, memo_leg) = legs(&prepared, &program);
             let at = format!("{name} zero_trunc={zero_trunc}");
             let base = assert_leg_agrees(
                 &format!("{at} baseline"),
                 &SimConfig::baseline(),
-                &prepared.base,
+                &base_leg,
                 &inputs,
             );
             assert!(base.result.is_ok(), "{at} baseline: {:?}", base.result);
-            legs += 1;
+            count += 1;
             for (label, cfg) in paper_configs() {
                 let at = format!("{at} {label}");
                 let cfg = memo_sim_config(b, &cfg, u64::MAX);
-                let memo = assert_leg_agrees(&at, &cfg, &prepared.memo, &inputs);
+                let memo = assert_leg_agrees(&at, &cfg, &memo_leg, &inputs);
                 assert_memo_work(&at, &memo);
-                legs += 1;
+                count += 1;
             }
         }
     }
-    assert_eq!(legs, 10 * 2 * (1 + 4));
+    assert_eq!(count, 10 * 2 * (1 + 4));
 }
 
 /// Side-exit stress: a conditional branch whose bias *flips* mid-run.
@@ -236,11 +273,13 @@ fn reduced_fault_sweep_golden_diff_across_interpreters() {
             let bench = benchmark_by_name(name).expect("registered");
             let b = bench.as_ref();
             let prepared = PreparedProgram::compile(b, Scale::Tiny, false).expect("tiny codegen");
+            let program = memo_program(b, false);
+            let (base_leg, memo_leg) = legs(&prepared, &program);
             let inputs = b.setup(Scale::Tiny, Dataset::Eval);
             let base = assert_leg_agrees(
                 &format!("{at}: {name} baseline"),
                 &SimConfig::baseline(),
-                &prepared.base,
+                &base_leg,
                 &inputs,
             );
             let base_cycles = base.result.expect("tiny baseline succeeds").cycles;
@@ -248,7 +287,7 @@ fn reduced_fault_sweep_golden_diff_across_interpreters() {
             for job in matrix.jobs().iter().filter(|j| j.benchmark == name) {
                 let cell = format!("{at}: {name} {}", job.label);
                 let cfg = memo_sim_config(b, &job.memo, watchdog);
-                let memo = assert_leg_agrees(&cell, &cfg, &prepared.memo, &inputs);
+                let memo = assert_leg_agrees(&cell, &cfg, &memo_leg, &inputs);
                 assert_memo_work(&cell, &memo);
                 flipped += memo.unit.map_or(0, |(_, f, ..)| f.total_flips());
             }

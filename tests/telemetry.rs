@@ -2,9 +2,12 @@
 //! stream must *reconcile exactly* with the statistics the figures
 //! report, and the JSONL trace must be well-formed line by line.
 
+use axmemo_bench::paper_configs;
+use axmemo_compiler::codegen::memoize;
 use axmemo_core::config::MemoConfig;
+use axmemo_sim::{SimConfig, Simulator};
 use axmemo_telemetry::{JsonlSink, RingBufferSink, Telemetry};
-use axmemo_workloads::runner::{run_benchmark_report_cached, RunOptions};
+use axmemo_workloads::runner::{run_benchmark_report_cached, PreparedProgram, RunOptions};
 use axmemo_workloads::{all_benchmarks, benchmark_by_name, Dataset, Scale};
 
 /// Every `TwoLevelLut` probe emits exactly one `lut.hit` or `lut.miss`
@@ -94,37 +97,44 @@ fn run_report_carries_span_and_counters() {
     assert!(report.recovery.is_none(), "cold run");
 }
 
-/// The profiler's leaves under `run` sum to the simulated cycles the
-/// threaded tier reports, on every benchmark. Memo ops charge
-/// `crc.beat` only the issue delays the CRC causes, so no superblock's
-/// leaves outrun its cycles; the tolerance covers LUT latencies that
-/// overlap later issue.
+/// The profiler attributes exactly the simulated cycles each interpreter
+/// reports, on every benchmark under every paper configuration: its
+/// leaves hold only cycles that delayed an issue, and the threaded tier
+/// carries a lookup latency that outlasts its superblock into the next
+/// superblock's charge.
 #[test]
 fn threaded_cycle_attribution_is_exact() {
-    let cfg = MemoConfig::l1_l2(8 * 1024, 512 * 1024);
     for bench in all_benchmarks() {
-        let mut tel = Telemetry::off();
-        tel.profiler_mut().enable();
-        let report = run_benchmark_report_cached(
-            bench.as_ref(),
-            Scale::Tiny,
-            Dataset::Eval,
-            &cfg,
-            RunOptions::default(),
-            tel,
-            None,
-        )
-        .expect("run succeeds");
-        let profile = report.telemetry.take_profile().expect("profiler on");
-        let run = profile.phases["run"];
-        let attributed = (run.total - run.cycles) as f64;
-        let reported = report.result.memo_stats.cycles as f64;
-        let skew_pct = 100.0 * (attributed - reported).abs() / reported;
-        assert!(
-            skew_pct < 0.05,
-            "{}: attributed {attributed} vs reported {reported} cycles ({skew_pct:.4}%)",
-            bench.meta().name
-        );
+        let b = bench.as_ref();
+        let name = b.meta().name;
+        let prepared = PreparedProgram::compile(b, Scale::Tiny, false).expect("tiny codegen");
+        let (program, specs) = b.program(Scale::Tiny);
+        let program = memoize(&program, &specs).expect("tiny codegen");
+        let inputs = b.setup(Scale::Tiny, Dataset::Eval);
+        for (label, memo) in paper_configs() {
+            for reference in [false, true] {
+                let cfg = SimConfig::with_memo(MemoConfig {
+                    data_width: b.data_width(),
+                    ..memo.clone()
+                });
+                let mut sim = Simulator::new(cfg).expect("valid config");
+                let mut tel = Telemetry::off();
+                tel.profiler_mut().enable();
+                sim.set_telemetry(tel);
+                let mut machine = inputs.clone();
+                let stats = if reference {
+                    sim.run_reference(&program, &mut machine, None)
+                } else {
+                    sim.run_prepared_threaded(&prepared.memo, &mut machine)
+                }
+                .expect("run succeeds");
+                let profile = sim.take_telemetry().take_profile().expect("profiler on");
+                assert_eq!(
+                    profile.phases["dispatch"].total, stats.cycles,
+                    "{name} {label} reference={reference}: attributed vs reported cycles"
+                );
+            }
+        }
     }
 }
 
