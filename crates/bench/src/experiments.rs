@@ -667,7 +667,7 @@ fn l2_sensitivity(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
     );
     let mut degradations = Vec::new();
     for bench in all_benchmarks() {
-        let prepared = ctx.cache.program(bench.as_ref(), scale, false)?;
+        let memo_leg = ctx.cache.memo_leg(bench.as_ref(), scale, false)?;
         let inputs = ctx.cache.inputs(bench.as_ref(), scale, Dataset::Eval)?;
         let mut cycles = [0u64; 2];
         for (i, l2_bytes) in [1024 * 1024usize, 512 * 1024].into_iter().enumerate() {
@@ -684,9 +684,7 @@ fn l2_sensitivity(ctx: &Context, _: &mut Telemetry) -> Result<Output> {
             };
             let mut sim = Simulator::new(cfg)?;
             let mut machine = Machine::clone(&inputs);
-            cycles[i] = sim
-                .run_prepared_threaded(&prepared.memo, &mut machine)?
-                .cycles;
+            cycles[i] = sim.run_prepared_threaded(&memo_leg, &mut machine)?.cycles;
         }
         let degradation = cycles[1] as f64 / cycles[0] as f64 - 1.0;
         degradations.push(degradation);
@@ -881,7 +879,8 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
         &["Benchmark", "speedup (bubble)", "speedup (pred.)", "delta"],
     );
     for bench in all_benchmarks() {
-        let prepared = ctx.cache.program(bench.as_ref(), scale, false)?;
+        let base = ctx.cache.base_program(bench.as_ref(), scale)?;
+        let memo_leg = ctx.cache.memo_leg(bench.as_ref(), scale, false)?;
         let inputs = ctx.cache.inputs(bench.as_ref(), scale, Dataset::Eval)?;
         let memo_cfg = MemoConfig {
             data_width: bench.data_width(),
@@ -899,12 +898,14 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
                     .stats
                     .cycles
             } else {
-                let mut base = Simulator::new(SimConfig {
+                let mut base_sim = Simulator::new(SimConfig {
                     predictor,
                     ..SimConfig::baseline()
                 })?;
                 let mut mb = Machine::clone(&inputs);
-                base.run_prepared_threaded(&prepared.base, &mut mb)?.cycles
+                base_sim
+                    .run_prepared_threaded(&base.lowered, &mut mb)?
+                    .cycles
             };
             let memo_sim_cfg = SimConfig {
                 predictor,
@@ -912,7 +913,7 @@ fn ablation_branch_predictor(ctx: &Context, _: &mut Telemetry) -> Result<Output>
             };
             let mut memo = Simulator::new(memo_sim_cfg)?;
             let mut mm = Machine::clone(&inputs);
-            let ms = memo.run_prepared_threaded(&prepared.memo, &mut mm)?;
+            let ms = memo.run_prepared_threaded(&memo_leg, &mut mm)?;
             speedups[i] = base_cycles as f64 / ms.cycles.max(1) as f64;
         }
         table.row(vec![

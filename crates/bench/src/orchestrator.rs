@@ -26,8 +26,8 @@
 //!
 //! Failures never sink a sweep: each job runs through
 //! [`runner::run_job`], which catches panics, bounds the memoized leg
-//! with a watchdog derived from the measured baseline (capped by
-//! [`Orchestrator::max_cycles`]), and makes one attempt. The simulator
+//! with an instruction watchdog derived from the measured baseline
+//! (capped by [`Orchestrator::max_insts`]), and makes one attempt. The simulator
 //! is deterministic, so a retry would fail identically; a job that
 //! fails is reported as a structured [`RunFailure`] row next to its
 //! successful siblings.
@@ -222,7 +222,7 @@ impl JobOutcome {
 pub struct Orchestrator {
     scale: Scale,
     jobs: usize,
-    max_cycles: u64,
+    max_insts: u64,
     progress: bool,
     profile: bool,
 }
@@ -235,7 +235,7 @@ impl Orchestrator {
         Self {
             scale,
             jobs: 1,
-            max_cycles: u64::MAX,
+            max_insts: u64::MAX,
             progress: false,
             profile: false,
         }
@@ -249,13 +249,13 @@ impl Orchestrator {
         self
     }
 
-    /// Cap every simulation at `max_cycles` (default: uncapped). The
-    /// ceiling bounds the shared baseline run and clamps each job's
-    /// derived memoized-leg watchdog
-    /// ([`axmemo_workloads::runner::memo_watchdog`]); tests use it to
-    /// force watchdog trips.
-    pub fn max_cycles(mut self, max_cycles: u64) -> Self {
-        self.max_cycles = max_cycles;
+    /// Cap every simulation at `max_insts` dynamic instructions
+    /// (default: the simulator's own budget). The ceiling bounds the
+    /// shared baseline run and clamps each job's derived memoized-leg
+    /// watchdog ([`axmemo_workloads::runner::memo_watchdog`]); tests use
+    /// it to force watchdog trips.
+    pub fn max_insts(mut self, max_insts: u64) -> Self {
+        self.max_insts = max_insts;
         self
     }
 
@@ -373,7 +373,7 @@ impl Orchestrator {
                 bench.as_ref(),
                 self.scale,
                 &spec.memo,
-                self.max_cycles,
+                self.max_insts,
                 cache,
                 &mut tel,
             ),

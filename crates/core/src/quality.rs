@@ -506,6 +506,33 @@ mod tests {
     }
 
     #[test]
+    fn probe_schedule_doubles_from_the_thousandth_disabled_lookup() {
+        // Walk the ladder to Disabled, then fail every probe: the first
+        // probe fires on the 1,000th disabled lookup, each failed probe
+        // doubles the wait, and the wait stops growing at 64,000.
+        let mut qm = QualityMonitor::new();
+        for _ in 0..3 {
+            push_window(&mut qm, 100);
+        }
+        let mut waits = Vec::new();
+        for _ in 0..8 {
+            assert_eq!(qm.stage(), DegradationStage::Disabled);
+            let mut lookups = 1u64;
+            while !qm.note_disabled_lookup() {
+                lookups += 1;
+            }
+            waits.push(lookups);
+            assert_eq!(qm.stage(), DegradationStage::Rewarmed);
+            assert_eq!(push_window(&mut qm, 100), QualityAction::Disable);
+        }
+        assert_eq!(
+            waits,
+            [1_000, 2_000, 4_000, 8_000, 16_000, 32_000, 64_000, 64_000]
+        );
+        assert_eq!(qm.probes(), 8);
+    }
+
+    #[test]
     fn export_state_roundtrips() {
         let mut qm = QualityMonitor::new();
         push_window(&mut qm, 20);

@@ -857,6 +857,55 @@ mod tests {
     }
 
     #[test]
+    fn degraded_stage_merges_only_the_low_four_bits() {
+        // Whether `v` hits the entry stored for an earlier input: any
+        // outcome but a plain miss means the truncated tags matched (a
+        // sampled miss is a hit the monitor converted).
+        fn merges(u: &mut MemoizationUnit, v: i32) -> bool {
+            let (lut, tid) = ids();
+            u.feed(lut, tid, InputValue::I32(v), 8);
+            u.lookup(lut, tid) != LookupResult::Miss
+        }
+        fn store(u: &mut MemoizationUnit, v: i32) {
+            let (lut, tid) = ids();
+            assert!(!merges(u, v), "a fresh input misses");
+            u.update(lut, tid, 1);
+        }
+        let mut u = unit();
+        let (lut, tid) = ids();
+        // Healthy: an 8-bit truncation merges inputs that differ only in
+        // their low 8 bits.
+        store(&mut u, 0x1200);
+        assert!(merges(&mut u, 0x1200 ^ 0x80));
+        assert!(!merges(&mut u, 0x1200 ^ 0x100));
+        // One bad window of drifting recomputations backs truncation off
+        // and flushes the LUT (the entry was keyed under the old
+        // truncation).
+        let mut flip = false;
+        for _ in 0..60_000u64 {
+            if u.quality_stage() != DegradationStage::Healthy {
+                break;
+            }
+            u.feed(lut, tid, InputValue::I32(1), 0);
+            if matches!(
+                u.lookup(lut, tid),
+                LookupResult::SampledMiss { .. } | LookupResult::Miss
+            ) {
+                let v = if flip { 100.0f32 } else { 1.0f32 };
+                flip = !flip;
+                u.update(lut, tid, u64::from(v.to_bits()));
+            }
+        }
+        assert_eq!(u.quality_stage(), DegradationStage::ReducedTruncation);
+        // Backed off by four bits: the same input now keeps bits 4–7,
+        // so only inputs differing in the low four bits still merge.
+        store(&mut u, 0x1200);
+        assert!(merges(&mut u, 0x1200 ^ 0x8));
+        assert!(!merges(&mut u, 0x1200 ^ 0x10));
+        assert!(!merges(&mut u, 0x1200 ^ 0x80));
+    }
+
+    #[test]
     fn invalidate_clears_logical_lut() {
         let mut u = unit();
         let (lut, tid) = ids();

@@ -275,12 +275,6 @@ pub enum SimError {
         /// The limit that was hit.
         limit: u64,
     },
-    /// Simulated-cycle budget exhausted (wall-clock watchdog for
-    /// supervised runs; see [`SimConfig::max_cycles`]).
-    CycleLimit {
-        /// The limit that was hit.
-        limit: u64,
-    },
     /// A memoization instruction was executed but no memoization unit is
     /// configured.
     NoMemoUnit {
@@ -299,9 +293,6 @@ impl fmt::Display for SimError {
             SimError::PcOutOfRange { pc } => write!(f, "pc {pc} out of range"),
             SimError::InstLimit { limit } => {
                 write!(f, "dynamic instruction limit {limit} exceeded")
-            }
-            SimError::CycleLimit { limit } => {
-                write!(f, "simulated cycle limit {limit} exceeded")
             }
             SimError::NoMemoUnit { pc } => {
                 write!(
@@ -354,13 +345,13 @@ pub struct SimConfig {
     /// fixed taken-branch bubble of [`LatencyModel`]; `Some` replaces it
     /// with predicted-direction stalls (gem5-HPI-like refinement).
     pub predictor: Option<PredictorConfig>,
-    /// Dynamic-instruction budget (guards against runaway loops).
+    /// Dynamic-instruction budget: the run aborts with
+    /// [`SimError::InstLimit`] once this many instructions have
+    /// executed. It is the simulator's only runaway guard, and it
+    /// bounds cycles too, since every instruction's pipeline delay is
+    /// bounded. The supervised benchmark runner tightens it into a
+    /// per-job watchdog derived from the baseline's instruction count.
     pub max_insts: u64,
-    /// Simulated-cycle budget: the run aborts with
-    /// [`SimError::CycleLimit`] once the pipeline clock passes this
-    /// bound. The supervised benchmark runner uses it as a watchdog
-    /// against non-terminating or pathologically slow programs.
-    pub max_cycles: u64,
 }
 
 impl Default for SimConfig {
@@ -371,7 +362,6 @@ impl Default for SimConfig {
             latency: LatencyModel::default(),
             predictor: None,
             max_insts: 2_000_000_000,
-            max_cycles: u64::MAX,
         }
     }
 }
@@ -561,11 +551,6 @@ impl Simulator {
             if stats.dynamic_insts >= self.config.max_insts {
                 return Err(SimError::InstLimit {
                     limit: self.config.max_insts,
-                });
-            }
-            if pipe.now() > self.config.max_cycles {
-                return Err(SimError::CycleLimit {
-                    limit: self.config.max_cycles,
                 });
             }
 
@@ -1094,40 +1079,27 @@ mod tests {
 
     #[test]
     fn inst_limit_guards_runaway() {
+        // The instruction budget is the only runaway guard: it stops a
+        // non-terminating program on both interpreters, after exactly
+        // `max_insts` instructions.
         let mut b = ProgramBuilder::new();
         let top = b.label("spin");
         b.bind(top);
         b.jump(top);
         let p = b.build().unwrap();
-        let cfg = SimConfig {
-            max_insts: 1000,
-            ..SimConfig::baseline()
-        };
-        let mut sim = Simulator::new(cfg).unwrap();
-        let mut m = Machine::new(64);
-        assert_eq!(
-            sim.run(&p, &mut m),
-            Err(SimError::InstLimit { limit: 1000 })
-        );
-    }
-
-    #[test]
-    fn cycle_limit_watchdog_stops_nonterminating_program() {
-        let mut b = ProgramBuilder::new();
-        let top = b.label("spin");
-        b.bind(top);
-        b.jump(top);
-        let p = b.build().unwrap();
-        let cfg = SimConfig {
-            max_cycles: 5_000,
-            ..SimConfig::baseline()
-        };
-        let mut sim = Simulator::new(cfg).unwrap();
-        let mut m = Machine::new(64);
-        assert_eq!(
-            sim.run(&p, &mut m),
-            Err(SimError::CycleLimit { limit: 5_000 })
-        );
+        for reference in [false, true] {
+            let cfg = SimConfig {
+                max_insts: 1000,
+                ..SimConfig::baseline()
+            };
+            let mut sim = Simulator::new(cfg).unwrap();
+            let mut m = Machine::new(64);
+            assert_eq!(
+                run_tier(&mut sim, reference, &p, &mut m),
+                Err(SimError::InstLimit { limit: 1000 }),
+                "reference {reference}"
+            );
+        }
     }
 
     #[test]
@@ -1513,14 +1485,12 @@ mod tests {
         // program's exact dynamic count (trips in the first superblock
         // traversals, where the threaded tier switches between guarded
         // and unguarded superblocks, later where the memo lookups hit,
-        // and at the very end) plus the default budget, and max_cycles
-        // over points that trip mid-loop: every tier must return the
-        // identical Result at every point.
+        // and at the very end) plus the default budget: every tier must
+        // return the identical Result at every point.
         let p = memo_square_program();
-        let run = |reference: bool, max_insts: u64, max_cycles: u64| {
+        let run = |reference: bool, max_insts: u64| {
             let cfg = SimConfig {
                 max_insts,
-                max_cycles,
                 ..SimConfig::with_memo(MemoConfig::l1_only(4096))
             };
             let mut sim = Simulator::new(cfg).unwrap();
@@ -1530,23 +1500,11 @@ mod tests {
             }
             run_tier(&mut sim, reference, &p, &mut m).map(|stats| (stats, m.regs))
         };
-        let total = run(true, u64::MAX, u64::MAX).unwrap().0.dynamic_insts;
+        let total = run(true, u64::MAX).unwrap().0.dynamic_insts;
         let insts_limits = (0..=total + 1).chain([SimConfig::default().max_insts]);
         for max_insts in insts_limits {
-            let reference = run(true, max_insts, u64::MAX);
-            assert_eq!(
-                run(false, max_insts, u64::MAX),
-                reference,
-                "max_insts {max_insts}"
-            );
-        }
-        for max_cycles in [0, 13, 97, 800, 4000] {
-            let reference = run(true, u64::MAX, max_cycles);
-            assert_eq!(
-                run(false, u64::MAX, max_cycles),
-                reference,
-                "max_cycles {max_cycles}"
-            );
+            let reference = run(true, max_insts);
+            assert_eq!(run(false, max_insts), reference, "max_insts {max_insts}");
         }
     }
 

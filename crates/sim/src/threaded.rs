@@ -24,7 +24,7 @@
 //! same error check, pipeline call, and telemetry call in the same
 //! order as the legacy loop ([`Simulator::run_reference`]), and the
 //! same watchdog guard unless its superblock was shown at entry not to
-//! reach the watchdog's limits, so `RunStats`, machine state, error
+//! reach the instruction budget, so `RunStats`, machine state, error
 //! values, fault-injector draws, and telemetry event streams are
 //! bit-identical across tiers (pinned by
 //! `tests/decode_equivalence.rs`). Runs of consecutive region
@@ -545,7 +545,6 @@ impl Simulator {
         let l1d_before = self.cache.l1d_stats();
         let l2_before = self.cache.l2_stats();
         let max_insts = self.config.max_insts;
-        let cycles_unarmed = self.config.max_cycles == u64::MAX;
         let mut pc = 0usize;
         // Profiler plumbing: with profiling on, each superblock retire
         // attributes its cycle/instruction deltas to the superblock's pc
@@ -581,14 +580,13 @@ impl Simulator {
             } else {
                 (0, 0, 0)
             };
-            // The instruction count rises by at most one per op, so with
-            // the cycle limit unarmed a superblock whose op count fits in
-            // what is left of the instruction budget cannot trip the
-            // watchdog: its ops skip the per-op guard. Any other
-            // superblock checks before every op, exactly as `run_reference`
-            // does before every instruction.
+            // The instruction count rises by at most one per op, so a
+            // superblock whose op count fits in what is left of the
+            // instruction budget cannot trip the watchdog: its ops skip
+            // the per-op guard. Any other superblock checks before every
+            // op, exactly as `run_reference` does before every instruction.
             let len = u64::from(sb.ops_end - sb.ops_start);
-            let end = if cycles_unarmed && st.insts + len <= max_insts {
+            let end = if st.insts + len <= max_insts {
                 self.run_superblock::<false>(&mut st, tp, sb, machine)?
             } else {
                 self.run_superblock::<true>(&mut st, tp, sb, machine)?
@@ -635,7 +633,6 @@ impl Simulator {
         machine: &mut Machine,
     ) -> Result<BlockEnd, SimError> {
         let max_insts = self.config.max_insts;
-        let max_cycles = self.config.max_cycles;
         let taken_bubble = self.config.latency.taken_branch_bubble;
         let RunState {
             pipe,
@@ -645,11 +642,8 @@ impl Simulator {
             insts: dyn_insts,
         } = st;
         for op in &tp.ops[sb.ops_start as usize..sb.ops_end as usize] {
-            if GUARD && ((*dyn_insts >= max_insts) | (pipe.now() > max_cycles)) {
-                if *dyn_insts >= max_insts {
-                    return Err(SimError::InstLimit { limit: max_insts });
-                }
-                return Err(SimError::CycleLimit { limit: max_cycles });
+            if GUARD && *dyn_insts >= max_insts {
+                return Err(SimError::InstLimit { limit: max_insts });
             }
             match *op {
                 FusedOp::Guard => {

@@ -11,6 +11,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::meta::Metric;
 use crate::{Benchmark, Dataset, Scale};
 use axmemo_compiler::codegen::{memoize, CodegenError};
+use axmemo_compiler::RegionSpec;
 use axmemo_core::config::MemoConfig;
 use axmemo_core::lut::LutStats;
 use axmemo_core::snapshot::{MemoSnapshot, RecoveryReport};
@@ -159,7 +160,7 @@ pub struct RunOptions {
 /// Kept separate from [`RunOptions`] (which stays `Copy`) because paths
 /// are per-cell, not per-sweep. A plan never reaches the
 /// [`BaselineCache`]: a restore only touches the memoized run's unit,
-/// which neither a baseline nor a [`PreparedProgram`] contains. The
+/// which neither a baseline nor a compiled program contains. The
 /// empty plan is the default and reproduces a plain run byte-for-byte —
 /// persistence is default-off.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -188,57 +189,68 @@ impl SnapshotPlan {
     }
 }
 
-/// A benchmark's programs, built once per `(benchmark, scale,
-/// zero_trunc)` by [`BaselineCache`] and shared by every run: the
-/// baseline program, which `kernel_profile` reads, and both legs in the
-/// threaded-superblock form every run executes with
-/// [`Simulator::run_prepared_threaded`], lowered against
-/// [`LatencyModel::default`] (the latency every runner-constructed
-/// [`SimConfig`] uses). The memoized program is not kept: only tests
-/// read it, and they rebuild it with `memoize`. Immutable once built,
-/// so no run (a snapshot restore included) can change what its
-/// siblings execute.
+/// A benchmark's baseline leg, built once per `(benchmark, scale)` by
+/// [`BaselineCache`] and shared by every run and by both truncation
+/// choices: the program [`Benchmark::program`] returns (which
+/// `kernel_profile` reads, and which every memoized leg is compiled
+/// from), its memoizable regions, and its threaded-superblock form.
+/// Every leg runs lowered, with [`Simulator::run_prepared_threaded`],
+/// against [`LatencyModel::default`] (the latency every
+/// runner-constructed [`SimConfig`] uses). Immutable once built, so no
+/// run (a snapshot restore included) can change what its siblings
+/// execute.
 #[derive(Debug)]
-pub struct PreparedProgram {
+pub struct BaseProgram {
     /// The baseline program before lowering.
-    pub base_program: Program,
-    /// The baseline leg (the same for either truncation choice).
-    pub base: ThreadedProgram,
-    /// The memoized leg.
-    pub memo: ThreadedProgram,
+    pub program: Program,
+    /// Its memoizable regions, at the benchmark's own truncation.
+    pub specs: Vec<RegionSpec>,
+    /// The lowered baseline leg.
+    pub lowered: ThreadedProgram,
 }
 
 fn lower(program: &Program) -> ThreadedProgram {
     ThreadedProgram::compile(&DecodedProgram::compile(program, &LatencyModel::default()))
 }
 
-impl PreparedProgram {
-    /// Build, memoize and superblock-lower both legs of `bench` at
-    /// `scale`. `zero_trunc` zeroes every input's truncation first
-    /// (exact memoization, Fig. 11).
+impl BaseProgram {
+    /// Build and superblock-lower `bench`'s baseline leg at `scale`.
+    pub fn build(bench: &dyn Benchmark, scale: Scale) -> Self {
+        let (program, specs) = bench.program(scale);
+        Self {
+            lowered: lower(&program),
+            program,
+            specs,
+        }
+    }
+
+    /// The memoized program, before lowering. `zero_trunc` zeroes every
+    /// input's truncation first (exact memoization, Fig. 11).
     ///
     /// # Errors
     ///
     /// The codegen failure, when the benchmark's region specs do not fit
     /// its program.
-    pub fn compile(
-        bench: &dyn Benchmark,
-        scale: Scale,
-        zero_trunc: bool,
-    ) -> Result<Self, CodegenError> {
-        let (program, mut specs) = bench.program(scale);
-        if zero_trunc {
-            for spec in &mut specs {
-                spec.input_loads.iter_mut().for_each(|il| il.trunc = 0);
-                spec.reg_inputs.iter_mut().for_each(|ri| ri.trunc = 0);
-            }
+    pub fn memoized(&self, zero_trunc: bool) -> Result<Program, CodegenError> {
+        if !zero_trunc {
+            return memoize(&self.program, &self.specs);
         }
-        let memo = lower(&memoize(&program, &specs)?);
-        Ok(Self {
-            base: lower(&program),
-            memo,
-            base_program: program,
-        })
+        let mut specs = self.specs.clone();
+        for spec in &mut specs {
+            spec.input_loads.iter_mut().for_each(|il| il.trunc = 0);
+            spec.reg_inputs.iter_mut().for_each(|ri| ri.trunc = 0);
+        }
+        memoize(&self.program, &specs)
+    }
+
+    /// The memoized leg as runs execute it: [`Self::memoized`], lowered.
+    /// The memoized program itself is not kept: only tests read it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::memoized`].
+    pub fn memo_leg(&self, zero_trunc: bool) -> Result<ThreadedProgram, CodegenError> {
+        Ok(lower(&self.memoized(zero_trunc)?))
     }
 }
 
@@ -330,7 +342,7 @@ pub fn run_benchmark_report_snap(
             &local
         }
     };
-    let prepared = cache.program(bench, scale, opts.zero_trunc)?;
+    let memo_leg = cache.memo_leg(bench, scale, opts.zero_trunc)?;
     let baseline = cache.baseline(bench, scale, dataset, u64::MAX)?;
     let inputs = cache.inputs(bench, scale, dataset)?;
     let mut report = run_benchmark_inner(
@@ -338,9 +350,9 @@ pub fn run_benchmark_report_snap(
         scale,
         memo,
         &mut tel,
-        u64::MAX,
+        SimConfig::default().max_insts,
         &baseline,
-        &prepared,
+        &memo_leg,
         &inputs,
         plan,
     )?;
@@ -364,21 +376,21 @@ pub struct BaselineRun {
     pub exact: Vec<f64>,
 }
 
-/// Simulate the baseline leg of `prepared` (no memoization) under a
-/// cycle watchdog, on a copy of `inputs`.
+/// Simulate the baseline leg `base` (no memoization) under the
+/// instruction `ceiling` (see [`inst_budget`]), on a copy of `inputs`.
 fn baseline_leg(
     bench: &dyn Benchmark,
     scale: Scale,
-    max_cycles: u64,
-    prepared: &PreparedProgram,
+    ceiling: u64,
+    base: &BaseProgram,
     inputs: &Machine,
 ) -> Result<BaselineRun, Box<dyn std::error::Error>> {
     let mut base_sim = Simulator::new(SimConfig {
-        max_cycles,
+        max_insts: inst_budget(ceiling),
         ..SimConfig::baseline()
     })?;
     let mut base_machine = inputs.clone();
-    let stats = base_sim.run_prepared_threaded(&prepared.base, &mut base_machine)?;
+    let stats = base_sim.run_prepared_threaded(&base.lowered, &mut base_machine)?;
     let exact = bench.outputs(&base_machine, scale);
     Ok(BaselineRun { stats, exact })
 }
@@ -410,7 +422,7 @@ fn catch_failure<T>(
     let (kind, message) = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(Ok(value)) => return Ok(value),
         Ok(Err(e)) => match e.downcast_ref::<SimError>() {
-            Some(SimError::CycleLimit { .. }) => (FailureKind::Watchdog, e.to_string()),
+            Some(SimError::InstLimit { .. }) => (FailureKind::Watchdog, e.to_string()),
             _ => (FailureKind::Error, e.to_string()),
         },
         Err(payload) => (FailureKind::Panic, panic_message(payload.as_ref())),
@@ -422,18 +434,21 @@ fn catch_failure<T>(
 type Slot<T> = Arc<OnceLock<Result<Arc<T>, CachedFailure>>>;
 /// Baseline slot key: `(benchmark, scale, dataset)`.
 type BaselineKey = (String, Scale, Dataset);
-/// Program slot key: `(benchmark, scale, zero_trunc)`.
-type ProgramKey = (String, Scale, bool);
+/// Baseline-leg program slot key: `(benchmark, scale)`.
+type BaseProgramKey = (String, Scale);
+/// Memoized-leg program slot key: `(benchmark, scale, zero_trunc)`.
+type MemoProgramKey = (String, Scale, bool);
 /// Input slot key: `(benchmark, scale, dataset)`.
 type InputKey = (String, Scale, Dataset);
 
 /// Fill `key`'s slot in `slots` with `init` on first request (concurrent
 /// askers block on the same [`OnceLock`]) and serve it afterwards,
-/// counting the request in `computed` or `reused`.
+/// counting the request in `computed` or `reused` when counters are
+/// given.
 fn get_or_init<K: Eq + Hash, T>(
     slots: &Mutex<HashMap<K, Slot<T>>>,
     key: K,
-    [computed, reused]: [&AtomicU64; 2],
+    counters: Option<[&AtomicU64; 2]>,
     init: impl FnOnce() -> Result<T, CachedFailure>,
 ) -> Result<Arc<T>, CachedFailure> {
     let slot = Arc::clone(
@@ -448,7 +463,9 @@ fn get_or_init<K: Eq + Hash, T>(
         fresh = true;
         init().map(Arc::new)
     });
-    if fresh { computed } else { reused }.fetch_add(1, Ordering::Relaxed);
+    if let Some([computed, reused]) = counters {
+        if fresh { computed } else { reused }.fetch_add(1, Ordering::Relaxed);
+    }
     result.clone()
 }
 
@@ -457,9 +474,12 @@ fn get_or_init<K: Eq + Hash, T>(
 /// result depends on. Callers without a sweep-wide cache use a
 /// call-local one.
 ///
-/// - **Programs**: one [`PreparedProgram`] per `(benchmark, scale,
-///   zero_trunc)`. Building, memoizing and superblock-lowering a
-///   benchmark is deterministic, so every run shares it.
+/// - **Programs**: one [`BaseProgram`] per `(benchmark, scale)`, and
+///   one lowered memoized leg per `(benchmark, scale, zero_trunc)`,
+///   compiled from that base. Building, memoizing and
+///   superblock-lowering a benchmark is deterministic, so every run
+///   shares them, and the two truncation choices share one baseline
+///   leg.
 /// - **Inputs**: one [`Machine`] per `(benchmark, scale, dataset)`, as
 ///   [`Benchmark::setup`] writes it. Every leg runs on a clone, which
 ///   copies only the pages the inputs occupy.
@@ -471,7 +491,7 @@ fn get_or_init<K: Eq + Hash, T>(
 ///
 /// Nothing else is in any key. In particular a snapshot restore
 /// ([`SnapshotPlan`]) changes none of them: the baseline simulator has
-/// no memoization unit, a `PreparedProgram` is immutable and every leg
+/// no memoization unit, a compiled program is immutable and every leg
 /// runs on a clone of its input image, so warm and cold runs share
 /// slots.
 ///
@@ -486,7 +506,8 @@ fn get_or_init<K: Eq + Hash, T>(
 #[derive(Debug, Default)]
 pub struct BaselineCache {
     slots: Mutex<HashMap<BaselineKey, Slot<BaselineRun>>>,
-    programs: Mutex<HashMap<ProgramKey, Slot<PreparedProgram>>>,
+    bases: Mutex<HashMap<BaseProgramKey, Slot<BaseProgram>>>,
+    programs: Mutex<HashMap<MemoProgramKey, Slot<ThreadedProgram>>>,
     inputs: Mutex<HashMap<InputKey, Slot<Machine>>>,
     computed: AtomicU64,
     reused: AtomicU64,
@@ -504,7 +525,7 @@ impl BaselineCache {
     }
 
     /// The shared baseline for `(bench, scale, dataset)`, simulating it
-    /// under `max_cycles` on first request and serving the cached run
+    /// under the instruction `ceiling` on first request and serving the cached run
     /// (or cached failure) afterwards.
     ///
     /// # Errors
@@ -516,13 +537,14 @@ impl BaselineCache {
         bench: &dyn Benchmark,
         scale: Scale,
         dataset: Dataset,
-        max_cycles: u64,
+        ceiling: u64,
     ) -> Result<Arc<BaselineRun>, CachedFailure> {
         let key = (bench.meta().name.to_string(), scale, dataset);
-        get_or_init(&self.slots, key, [&self.computed, &self.reused], || {
-            let prepared = self.program(bench, scale, false)?;
+        let counters = [&self.computed, &self.reused];
+        get_or_init(&self.slots, key, Some(counters), || {
+            let base = self.base_program(bench, scale)?;
             let inputs = self.inputs(bench, scale, dataset)?;
-            catch_failure(|| baseline_leg(bench, scale, max_cycles, &prepared, &inputs))
+            catch_failure(|| baseline_leg(bench, scale, ceiling, &base, &inputs))
         })
     }
 
@@ -537,10 +559,10 @@ impl BaselineCache {
         bench: &dyn Benchmark,
         scale: Scale,
         dataset: Dataset,
-        max_cycles: u64,
+        ceiling: u64,
         _dispatch: DispatchTier,
     ) -> Result<Arc<BaselineRun>, CachedFailure> {
-        self.baseline(bench, scale, dataset, max_cycles)
+        self.baseline(bench, scale, dataset, ceiling)
     }
 
     /// [`Self::baseline`]; the tier and `warm` are ignored (no baseline
@@ -555,31 +577,52 @@ impl BaselineCache {
         bench: &dyn Benchmark,
         scale: Scale,
         dataset: Dataset,
-        max_cycles: u64,
+        ceiling: u64,
         _dispatch: DispatchTier,
         _warm: bool,
     ) -> Result<Arc<BaselineRun>, CachedFailure> {
-        self.baseline(bench, scale, dataset, max_cycles)
+        self.baseline(bench, scale, dataset, ceiling)
     }
 
-    /// The shared [`PreparedProgram`] for `(bench, scale, zero_trunc)`,
-    /// built on first request and served (or its cached failure)
-    /// afterwards.
+    /// The shared [`BaseProgram`] for `(bench, scale)`, built on first
+    /// request and served (or its cached failure) afterwards. Both
+    /// truncation choices' memoized legs compile from it, so a
+    /// benchmark's baseline leg is built and lowered once per scale.
     ///
     /// # Errors
     ///
-    /// Returns the (possibly cached) [`CachedFailure`] when codegen
-    /// failed or panicked.
-    pub fn program(
+    /// Returns the (possibly cached) [`CachedFailure`] when building the
+    /// program panicked.
+    pub fn base_program(
+        &self,
+        bench: &dyn Benchmark,
+        scale: Scale,
+    ) -> Result<Arc<BaseProgram>, CachedFailure> {
+        let key = (bench.meta().name.to_string(), scale);
+        get_or_init(&self.bases, key, None, || {
+            catch_failure(|| Ok(BaseProgram::build(bench, scale)))
+        })
+    }
+
+    /// The shared lowered memoized leg for `(bench, scale, zero_trunc)`
+    /// ([`BaseProgram::memo_leg`] of [`Self::base_program`]), built on
+    /// first request and served (or its cached failure) afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns the (possibly cached) [`CachedFailure`] when building the
+    /// program or codegen failed or panicked.
+    pub fn memo_leg(
         &self,
         bench: &dyn Benchmark,
         scale: Scale,
         zero_trunc: bool,
-    ) -> Result<Arc<PreparedProgram>, CachedFailure> {
+    ) -> Result<Arc<ThreadedProgram>, CachedFailure> {
         let key = (bench.meta().name.to_string(), scale, zero_trunc);
         let counters = [&self.programs_compiled, &self.programs_reused];
-        get_or_init(&self.programs, key, counters, || {
-            catch_failure(|| Ok(PreparedProgram::compile(bench, scale, zero_trunc)?))
+        get_or_init(&self.programs, key, Some(counters), || {
+            let base = self.base_program(bench, scale)?;
+            catch_failure(|| Ok(base.memo_leg(zero_trunc)?))
         })
     }
 
@@ -599,7 +642,7 @@ impl BaselineCache {
     ) -> Result<Arc<Machine>, CachedFailure> {
         let key = (bench.meta().name.to_string(), scale, dataset);
         let counters = [&self.inputs_generated, &self.inputs_reused];
-        get_or_init(&self.inputs, key, counters, || {
+        get_or_init(&self.inputs, key, Some(counters), || {
             catch_failure(|| Ok(bench.setup(scale, dataset)))
         })
     }
@@ -614,19 +657,21 @@ impl BaselineCache {
         self.inputs_reused.load(Ordering::Relaxed)
     }
 
-    /// [`Self::program`] with default truncation, `None` when it failed.
+    /// [`Self::memo_leg`] with default truncation (building the baseline
+    /// leg on the way), `None` when it failed.
     /// Kept in this shape because `ledger/` (the benchmark) calls it.
-    pub fn prepared(&self, bench: &dyn Benchmark, scale: Scale) -> Option<Arc<PreparedProgram>> {
-        self.program(bench, scale, false).ok()
+    pub fn prepared(&self, bench: &dyn Benchmark, scale: Scale) -> Option<Arc<ThreadedProgram>> {
+        self.memo_leg(bench, scale, false).ok()
     }
 
-    /// Program compilations actually performed (one per distinct key).
+    /// Memoized-leg compilations actually performed (one per distinct
+    /// key).
     /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn programs_compiled(&self) -> u64 {
         self.programs_compiled.load(Ordering::Relaxed)
     }
 
-    /// Program requests served from an existing slot.
+    /// Memoized-leg requests served from an existing slot.
     /// Kept in this shape because `ledger/` (the benchmark) calls it.
     pub fn programs_reused(&self) -> u64 {
         self.programs_reused.load(Ordering::Relaxed)
@@ -645,9 +690,9 @@ impl BaselineCache {
     }
 }
 
-/// One memoized run of `prepared` against an already computed
+/// One memoized run of `memo_leg` against an already computed
 /// `baseline`: only the memoized leg is simulated, on a copy of
-/// `inputs`, under `max_cycles`.
+/// `inputs`, under the instruction budget `max_insts`.
 ///
 /// The telemetry handle is borrowed so it *survives* the error path:
 /// the sim-side spans and phase frames a failed run leaves open are
@@ -667,9 +712,9 @@ fn run_benchmark_inner(
     scale: Scale,
     memo: &MemoConfig,
     tel: &mut Telemetry,
-    max_cycles: u64,
+    max_insts: u64,
     baseline: &BaselineRun,
-    prepared: &PreparedProgram,
+    memo_leg: &ThreadedProgram,
     inputs: &Machine,
     plan: &SnapshotPlan,
 ) -> Result<RunReport, Box<dyn std::error::Error>> {
@@ -700,7 +745,7 @@ fn run_benchmark_inner(
     // already in its reset state, so it is not reset again: that would
     // rewrite every LUT entry `Simulator::new` just built.
     let mut memo_sim = Simulator::new(SimConfig {
-        max_cycles,
+        max_insts,
         ..SimConfig::with_memo(memo_cfg.clone())
     })?;
     let mut memo_machine = inputs.clone();
@@ -726,7 +771,7 @@ fn run_benchmark_inner(
             }
         }
     }
-    let memo_stats = memo_sim.run_prepared_threaded(&prepared.memo, &mut memo_machine);
+    let memo_stats = memo_sim.run_prepared_threaded(memo_leg, &mut memo_machine);
     *tel = memo_sim.take_telemetry();
     let memo_stats = match memo_stats {
         Ok(stats) => stats,
@@ -797,10 +842,10 @@ pub enum FailureKind {
     /// The run panicked; the panic was caught so sibling benchmarks in a
     /// sweep keep running.
     Panic,
-    /// The watchdog cycle budget expired
-    /// ([`axmemo_sim::cpu::SimError::CycleLimit`]): the program did not
-    /// terminate — or did not terminate fast enough — under this
-    /// configuration.
+    /// The watchdog's instruction budget ran out
+    /// ([`axmemo_sim::cpu::SimError::InstLimit`]): the program did not
+    /// terminate — or executed far more instructions than its baseline —
+    /// under this configuration. Reported with status `watchdog`.
     Watchdog,
     /// The simulator or code generator reported an ordinary error.
     Error,
@@ -829,26 +874,37 @@ impl std::fmt::Display for RunFailure {
 
 impl std::error::Error for RunFailure {}
 
-/// A job's memoized leg may run at most this many times its baseline's
-/// cycles before the watchdog trips (see [`memo_watchdog`]).
+/// A job's memoized leg may execute at most this many times its
+/// baseline's instructions before the watchdog trips (see
+/// [`memo_watchdog`]).
 pub const WATCHDOG_MARGIN: u64 = 8;
 
-/// The memoized-leg watchdog never drops below this many cycles: tiny
-/// baselines leave no headroom for fixed memoization overheads
+/// The memoized-leg watchdog never drops below this many instructions:
+/// tiny baselines leave no headroom for fixed memoization overheads
 /// otherwise.
-pub const WATCHDOG_FLOOR_CYCLES: u64 = 1_000_000;
+pub const WATCHDOG_FLOOR_INSTS: u64 = 1_000_000;
 
-/// The memoized-leg watchdog of a job whose baseline measured
-/// `baseline_cycles`: [`WATCHDOG_MARGIN`] × baseline, at least
-/// [`WATCHDOG_FLOOR_CYCLES`], clamped to `ceiling`. A memoized run that
-/// is 8× slower than its own baseline is pathological whatever the
-/// benchmark's absolute cost, so one margin gives tight watchdogs on
-/// kernels whose costs differ by ~30× (jpeg vs. blackscholes).
-pub fn memo_watchdog(baseline_cycles: u64, ceiling: u64) -> u64 {
+/// The instruction budget a run gets under `ceiling`: the ceiling, but
+/// never more than the simulator's default budget
+/// ([`SimConfig::max_insts`]), so an uncapped (`u64::MAX`) ceiling keeps
+/// the default runaway guard.
+fn inst_budget(ceiling: u64) -> u64 {
+    ceiling.min(SimConfig::default().max_insts)
+}
+
+/// The memoized-leg watchdog of a job whose baseline executed
+/// `baseline_insts` instructions: [`WATCHDOG_MARGIN`] × baseline, at
+/// least [`WATCHDOG_FLOOR_INSTS`], clamped to `ceiling` and to the
+/// simulator's default budget. A memoized run that executes 8× its own
+/// baseline's instructions is pathological whatever the benchmark's
+/// absolute cost, so one margin gives tight watchdogs on kernels whose
+/// costs differ by ~30× (jpeg vs. blackscholes). Each instruction's
+/// pipeline delay is bounded, so the budget bounds cycles too.
+pub fn memo_watchdog(baseline_insts: u64, ceiling: u64) -> u64 {
     WATCHDOG_MARGIN
-        .saturating_mul(baseline_cycles)
-        .max(WATCHDOG_FLOOR_CYCLES)
-        .min(ceiling)
+        .saturating_mul(baseline_insts)
+        .max(WATCHDOG_FLOOR_INSTS)
+        .min(inst_budget(ceiling))
 }
 
 /// One sweep job: a supervised run of `bench` on the evaluation
@@ -857,11 +913,11 @@ pub fn memo_watchdog(baseline_cycles: u64, ceiling: u64) -> u64 {
 ///
 /// - The compiled program, the input image and the baseline come from
 ///   `cache`, the baseline simulated once per distinct key under the
-///   `max_cycles` ceiling. A cached compile, input or baseline
+///   instruction `ceiling`. A cached compile, input or baseline
 ///   *failure* fails the job with that failure, without recompiling or
 ///   re-simulating.
 /// - The memoized leg runs under [`memo_watchdog`] of the measured
-///   baseline, clamped to `max_cycles`.
+///   baseline's instruction count, clamped to `ceiling`.
 /// - Panics are caught and become [`FailureKind::Panic`] failures.
 /// - The job makes one attempt: the simulator is deterministic, so a
 ///   retry would fail identically.
@@ -887,7 +943,7 @@ pub fn run_job(
     bench: &dyn Benchmark,
     scale: Scale,
     memo: &MemoConfig,
-    max_cycles: u64,
+    ceiling: u64,
     cache: &BaselineCache,
     tel: &mut Telemetry,
 ) -> Result<BenchmarkResult, RunFailure> {
@@ -902,12 +958,12 @@ pub fn run_job(
     // Compiled programs and input images are shared with sibling cells
     // through the cache; the job only re-simulates, on its own copy of
     // the inputs.
-    let (prepared, baseline, inputs) = cache
-        .program(bench, scale, false)
-        .and_then(|prepared| {
-            let baseline = cache.baseline(bench, scale, dataset, max_cycles)?;
+    let (memo_leg, baseline, inputs) = cache
+        .memo_leg(bench, scale, false)
+        .and_then(|memo_leg| {
+            let baseline = cache.baseline(bench, scale, dataset, ceiling)?;
             let inputs = cache.inputs(bench, scale, dataset)?;
-            Ok((prepared, baseline, inputs))
+            Ok((memo_leg, baseline, inputs))
         })
         .map_err(failed)?;
     let failure = match catch_failure(|| {
@@ -916,9 +972,9 @@ pub fn run_job(
             scale,
             memo,
             tel,
-            memo_watchdog(baseline.stats.cycles, max_cycles),
+            memo_watchdog(baseline.stats.dynamic_insts, ceiling),
             &baseline,
-            &prepared,
+            &memo_leg,
             &inputs,
             &SnapshotPlan::default(),
         )
@@ -1115,14 +1171,14 @@ mod tests {
     fn job(
         bench: &dyn crate::Benchmark,
         memo: &MemoConfig,
-        max_cycles: u64,
+        ceiling: u64,
         tel: &mut Telemetry,
     ) -> Result<BenchmarkResult, RunFailure> {
         run_job(
             bench,
             crate::Scale::Tiny,
             memo,
-            max_cycles,
+            ceiling,
             &BaselineCache::new(),
             tel,
         )
@@ -1153,7 +1209,11 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(fail.kind, FailureKind::Watchdog);
-        assert!(fail.message.contains("cycle limit"), "{}", fail.message);
+        assert!(
+            fail.message.contains("instruction limit"),
+            "{}",
+            fail.message
+        );
     }
 
     #[test]
@@ -1195,9 +1255,9 @@ mod tests {
         // simulator); the job runner must drain the open stack so the
         // handle stays balanced, then a healthy run on the same handle
         // must profile exactly one run. jmeint has no reuse, so its
-        // memoized leg (76,448 cycles at tiny) is slower than its
-        // baseline (72,960): a 75,000-cycle ceiling admits the baseline
-        // and trips inside the memoized leg.
+        // memoized leg (26,118 instructions at tiny) executes more than
+        // its baseline (24,581): a 25,000-instruction ceiling admits the
+        // baseline and trips inside the memoized leg.
         let bench = crate::benchmark_by_name("jmeint").unwrap();
         let memo = MemoConfig::l1_only(4096);
         let baseline = BaselineCache::new()
@@ -1205,13 +1265,13 @@ mod tests {
                 bench.as_ref(),
                 crate::Scale::Tiny,
                 crate::Dataset::Eval,
-                75_000,
+                25_000,
             )
             .expect("the baseline fits under the ceiling");
-        assert_eq!(baseline.stats.cycles, 72_960);
+        assert_eq!(baseline.stats.dynamic_insts, 24_581);
         let mut tel = Telemetry::enabled();
         tel.profiler_mut().enable();
-        let fail = job(bench.as_ref(), &memo, 75_000, &mut tel).unwrap_err();
+        let fail = job(bench.as_ref(), &memo, 25_000, &mut tel).unwrap_err();
         assert_eq!(fail.kind, FailureKind::Watchdog, "{fail}");
         assert!(tel.is_enabled());
         assert_eq!(tel.close_open_spans(), 0, "span tree balanced");

@@ -6,7 +6,7 @@
 //! without a restore leaking into a cold run; compile and `setup`
 //! failures are cached like baseline failures; every leg on one cache
 //! runs on one input image per key; and the memoized-leg watchdog is
-//! derived from measured baseline cycles.
+//! derived from the measured baseline instruction count.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -16,12 +16,12 @@ use axmemo_compiler::codegen::CodegenError;
 use axmemo_compiler::RegionSpec;
 use axmemo_core::config::MemoConfig;
 use axmemo_core::snapshot::RecoveryOutcome;
-use axmemo_sim::cpu::{DispatchTier, Machine};
+use axmemo_sim::cpu::{DispatchTier, Machine, SimConfig};
 use axmemo_sim::Program;
 use axmemo_telemetry::Telemetry;
 use axmemo_workloads::runner::{
     memo_watchdog, run_benchmark_report_cached, run_benchmark_report_snap, run_job, BaselineCache,
-    RunOptions, RunReport, SnapshotPlan, WATCHDOG_FLOOR_CYCLES, WATCHDOG_MARGIN,
+    RunOptions, RunReport, SnapshotPlan, WATCHDOG_FLOOR_INSTS, WATCHDOG_MARGIN,
 };
 use axmemo_workloads::{benchmark_by_name, Benchmark, Dataset, FailureKind, Scale, WorkloadMeta};
 
@@ -251,12 +251,13 @@ enum Fault {
     PanickingSetup,
 }
 
-/// blackscholes behind a wrapper that counts its `setup` calls and can
-/// inject one [`Fault`].
+/// blackscholes behind a wrapper that counts its `program` and `setup`
+/// calls and can inject one [`Fault`].
 #[derive(Debug)]
 struct Wrapped {
     inner: Box<dyn Benchmark>,
     fault: Fault,
+    programs: AtomicU64,
     setups: AtomicU64,
 }
 
@@ -265,8 +266,13 @@ impl Wrapped {
         Self {
             inner: benchmark_by_name("blackscholes").unwrap(),
             fault,
+            programs: AtomicU64::new(0),
             setups: AtomicU64::new(0),
         }
+    }
+
+    fn programs(&self) -> u64 {
+        self.programs.load(Ordering::Relaxed)
     }
 
     fn setups(&self) -> u64 {
@@ -287,6 +293,7 @@ impl Benchmark for Wrapped {
         }
     }
     fn program(&self, scale: Scale) -> (Program, Vec<RegionSpec>) {
+        self.programs.fetch_add(1, Ordering::Relaxed);
         let (program, mut specs) = self.inner.program(scale);
         if self.fault == Fault::MisplacedSpec {
             specs[0].region = 99;
@@ -347,6 +354,37 @@ fn inputs_are_generated_once_per_key() {
         bench.setup(scale, dataset),
         "no leg wrote the image"
     );
+}
+
+/// One benchmark run with both truncation choices (Fig. 11's pair)
+/// through one cache builds and lowers its baseline leg once: the
+/// baseline program is built once per `(benchmark, scale)`, and the
+/// exact memoized leg compiles from that same build. Only the memoized
+/// legs are compiled per truncation.
+#[test]
+fn baseline_leg_is_built_once_for_both_truncations() {
+    let bench = Wrapped::new(Fault::None);
+    let cache = BaselineCache::new();
+    let memo = MemoConfig::l1_only(4 * 1024);
+    let run = |zero_trunc: bool| {
+        let opts = RunOptions { zero_trunc };
+        run_benchmark_report_cached(
+            &bench,
+            Scale::Tiny,
+            Dataset::Eval,
+            &memo,
+            opts,
+            Telemetry::off(),
+            Some(&cache),
+        )
+        .expect("tiny run")
+        .result
+    };
+    let (approx, exact) = (run(false), run(true));
+    assert_eq!(bench.programs(), 1, "one baseline build for both legs");
+    assert_eq!(cache.programs_compiled(), 2, "one memoized leg each");
+    assert_eq!((cache.computed(), cache.reused()), (1, 1));
+    assert_eq!(approx.baseline_stats, exact.baseline_stats);
 }
 
 /// A panicking `setup` becomes a cached failure of the input slot: it
@@ -415,17 +453,21 @@ fn codegen_failure_is_cached_and_structured() {
     assert_eq!(cache.programs_compiled(), 1, "the job reuses the failure");
 }
 
-/// The derived per-benchmark watchdog is `margin × baseline` with a
-/// floor, clamped to the ceiling.
+/// The derived per-benchmark watchdog is `margin × baseline
+/// instructions` with a floor, clamped to the ceiling and to the
+/// simulator's default instruction budget.
 #[test]
 fn derived_budget_watchdog_math() {
-    assert_eq!((WATCHDOG_MARGIN, WATCHDOG_FLOOR_CYCLES), (8, 1_000_000));
+    assert_eq!((WATCHDOG_MARGIN, WATCHDOG_FLOOR_INSTS), (8, 1_000_000));
     // Small baselines sit on the floor.
     assert_eq!(memo_watchdog(10_000, u64::MAX), 1_000_000);
     // Large baselines scale by the margin.
     assert_eq!(memo_watchdog(10_000_000, u64::MAX), 80_000_000);
     // The ceiling always wins.
     assert_eq!(memo_watchdog(10_000_000, 5_000_000), 5_000_000);
-    // Saturating: an absurd baseline must not overflow.
-    assert_eq!(memo_watchdog(u64::MAX / 2, u64::MAX), u64::MAX);
+    // Saturating: an absurd baseline must not overflow, and no budget
+    // exceeds the default runaway guard.
+    let default = SimConfig::default().max_insts;
+    assert_eq!(memo_watchdog(u64::MAX / 2, u64::MAX), default);
+    assert_eq!(memo_watchdog(default, default + 1), default);
 }

@@ -14,7 +14,6 @@
 
 use axmemo_bench::orchestrator::Orchestrator;
 use axmemo_bench::{paper_configs, sweep, ReportMode};
-use axmemo_compiler::codegen::memoize;
 use axmemo_core::config::MemoConfig;
 use axmemo_core::faults::FaultStats;
 use axmemo_core::lut::LutStats;
@@ -26,7 +25,7 @@ use axmemo_sim::stats::RunStats;
 use axmemo_sim::{Program, ProgramBuilder, ThreadedProgram};
 use axmemo_telemetry::{event_to_json, RingBufferSink, Telemetry};
 use axmemo_workloads::gen::SplitMix64;
-use axmemo_workloads::runner::{memo_watchdog, PreparedProgram};
+use axmemo_workloads::runner::{memo_watchdog, BaseProgram};
 use axmemo_workloads::{all_benchmarks, benchmark_by_name, Benchmark, Dataset, Scale};
 use std::collections::BTreeMap;
 
@@ -40,31 +39,20 @@ struct Leg<'a> {
     threaded: &'a ThreadedProgram,
 }
 
-/// The memoized program `PreparedProgram::compile` lowers for `bench`
-/// at tiny, rebuilt: the prepared form keeps only the lowered leg.
-fn memo_program(bench: &dyn Benchmark, zero_trunc: bool) -> Program {
-    let (program, mut specs) = bench.program(Scale::Tiny);
-    if zero_trunc {
-        for spec in &mut specs {
-            spec.input_loads.iter_mut().for_each(|il| il.trunc = 0);
-            spec.reg_inputs.iter_mut().for_each(|ri| ri.trunc = 0);
-        }
+/// The baseline leg of `base`.
+fn base_leg(base: &BaseProgram) -> Leg<'_> {
+    Leg {
+        program: &base.program,
+        threaded: &base.lowered,
     }
-    memoize(&program, &specs).expect("tiny codegen")
 }
 
-/// The baseline and memoized legs of `prepared`, whose memoized
-/// program is `memo`.
-fn legs<'a>(prepared: &'a PreparedProgram, memo: &'a Program) -> (Leg<'a>, Leg<'a>) {
-    let base = Leg {
-        program: &prepared.base_program,
-        threaded: &prepared.base,
-    };
-    let memo = Leg {
-        program: memo,
-        threaded: &prepared.memo,
-    };
-    (base, memo)
+/// A memoized leg of `base` as both interpreters read it: the memoized
+/// program (which the runner does not keep) and its lowered form.
+fn memo_leg(base: &BaseProgram, zero_trunc: bool) -> (Program, ThreadedProgram) {
+    let program = base.memoized(zero_trunc).expect("tiny codegen");
+    let threaded = base.memo_leg(zero_trunc).expect("tiny codegen");
+    (program, threaded)
 }
 
 /// What one run of a leg leaves behind.
@@ -150,9 +138,9 @@ fn assert_leg_agrees(at: &str, cfg: &SimConfig, leg: &Leg<'_>, inputs: &Machine)
 
 /// The memoized leg's simulator config for `bench` under `memo`, as the
 /// runner builds it.
-fn memo_sim_config(bench: &dyn Benchmark, memo: &MemoConfig, max_cycles: u64) -> SimConfig {
+fn memo_sim_config(bench: &dyn Benchmark, memo: &MemoConfig, max_insts: u64) -> SimConfig {
     SimConfig {
-        max_cycles,
+        max_insts,
         ..SimConfig::with_memo(MemoConfig {
             data_width: bench.data_width(),
             ..memo.clone()
@@ -173,11 +161,11 @@ fn assert_memo_work(at: &str, o: &Observed) {
     );
 }
 
-/// Every registered benchmark at tiny scale, each with the benchmark's
-/// own truncation and with none (`zero_trunc`, Fig. 11's exact leg):
-/// the baseline leg of each `PreparedProgram`, and its memoized leg
-/// under each of the four paper configurations (Figs. 7–10), agree on
-/// both interpreters in every observable.
+/// Every registered benchmark at tiny scale: its baseline leg (one per
+/// benchmark, shared by both truncation choices), and its memoized leg
+/// with the benchmark's own truncation and with none (`zero_trunc`,
+/// Fig. 11's exact leg) under each of the four paper configurations
+/// (Figs. 7–10), agree on both interpreters in every observable.
 #[test]
 fn every_benchmark_is_bit_identical_across_interpreters() {
     let mut count = 0;
@@ -185,20 +173,22 @@ fn every_benchmark_is_bit_identical_across_interpreters() {
         let b = bench.as_ref();
         let name = b.meta().name;
         let inputs = b.setup(Scale::Tiny, Dataset::Eval);
+        let base_program = BaseProgram::build(b, Scale::Tiny);
+        let base = assert_leg_agrees(
+            &format!("{name} baseline"),
+            &SimConfig::baseline(),
+            &base_leg(&base_program),
+            &inputs,
+        );
+        assert!(base.result.is_ok(), "{name} baseline: {:?}", base.result);
+        count += 1;
         for zero_trunc in [false, true] {
-            let prepared =
-                PreparedProgram::compile(b, Scale::Tiny, zero_trunc).expect("tiny codegen");
-            let program = memo_program(b, zero_trunc);
-            let (base_leg, memo_leg) = legs(&prepared, &program);
+            let (program, threaded) = memo_leg(&base_program, zero_trunc);
+            let memo_leg = Leg {
+                program: &program,
+                threaded: &threaded,
+            };
             let at = format!("{name} zero_trunc={zero_trunc}");
-            let base = assert_leg_agrees(
-                &format!("{at} baseline"),
-                &SimConfig::baseline(),
-                &base_leg,
-                &inputs,
-            );
-            assert!(base.result.is_ok(), "{at} baseline: {:?}", base.result);
-            count += 1;
             for (label, cfg) in paper_configs() {
                 let at = format!("{at} {label}");
                 let cfg = memo_sim_config(b, &cfg, u64::MAX);
@@ -208,7 +198,7 @@ fn every_benchmark_is_bit_identical_across_interpreters() {
             }
         }
     }
-    assert_eq!(count, 10 * 2 * (1 + 4));
+    assert_eq!(count, 10 * (1 + 2 * 4));
 }
 
 /// Side-exit stress: a conditional branch whose bias *flips* mid-run.
@@ -257,11 +247,17 @@ fn biased_branch_flip_mid_run_side_exits_exactly() {
 /// two benchmark pairs — fault injection and all — agrees on both
 /// interpreters in every observable: each benchmark's baseline leg
 /// under the sweep's (unbounded) ceiling, and each cell's memoized leg
-/// under the watchdog `run_job` derives from that baseline, which arms
-/// the threaded tier's guarded superblock path. The orchestrated
-/// report of `blackscholes,sobel` renders the committed
-/// `fault_sweep_reduced` golden (`fault_sweep --seed 7 --benches
-/// blackscholes,sobel --report json`) byte for byte.
+/// under the watchdog `run_job` derives from that baseline. That
+/// watchdog never trips, so the threaded tier runs those legs on its
+/// unguarded superblock path. Each memoized leg therefore runs twice
+/// more, on budgets that send a superblock through the guarded path:
+/// half its dynamic count, which trips mid-leg inside memo work, and
+/// one short of it, where only the last superblock's guard stops the
+/// `halt` (so a budget check that admits one op too many completes the
+/// run instead of tripping). The orchestrated report
+/// of `blackscholes,sobel` renders the committed `fault_sweep_reduced`
+/// golden (`fault_sweep --seed 7 --benches blackscholes,sobel --report
+/// json`) byte for byte.
 #[test]
 fn reduced_fault_sweep_golden_diff_across_interpreters() {
     for pair in [["blackscholes", "sobel"], ["blackscholes", "fft"]] {
@@ -272,24 +268,37 @@ fn reduced_fault_sweep_golden_diff_across_interpreters() {
         for name in pair {
             let bench = benchmark_by_name(name).expect("registered");
             let b = bench.as_ref();
-            let prepared = PreparedProgram::compile(b, Scale::Tiny, false).expect("tiny codegen");
-            let program = memo_program(b, false);
-            let (base_leg, memo_leg) = legs(&prepared, &program);
+            let base_program = BaseProgram::build(b, Scale::Tiny);
+            let (program, threaded) = memo_leg(&base_program, false);
+            let memo_leg = Leg {
+                program: &program,
+                threaded: &threaded,
+            };
             let inputs = b.setup(Scale::Tiny, Dataset::Eval);
             let base = assert_leg_agrees(
                 &format!("{at}: {name} baseline"),
                 &SimConfig::baseline(),
-                &base_leg,
+                &base_leg(&base_program),
                 &inputs,
             );
-            let base_cycles = base.result.expect("tiny baseline succeeds").cycles;
-            let watchdog = memo_watchdog(base_cycles, u64::MAX);
+            let base_insts = base.result.expect("tiny baseline succeeds").dynamic_insts;
+            let watchdog = memo_watchdog(base_insts, u64::MAX);
             for job in matrix.jobs().iter().filter(|j| j.benchmark == name) {
                 let cell = format!("{at}: {name} {}", job.label);
                 let cfg = memo_sim_config(b, &job.memo, watchdog);
                 let memo = assert_leg_agrees(&cell, &cfg, &memo_leg, &inputs);
                 assert_memo_work(&cell, &memo);
                 flipped += memo.unit.map_or(0, |(_, f, ..)| f.total_flips());
+                let insts = memo.result.expect("memo leg succeeds").dynamic_insts;
+                for limit in [insts / 2, insts - 1] {
+                    let cut = assert_leg_agrees(
+                        &format!("{cell} at max_insts {limit}"),
+                        &memo_sim_config(b, &job.memo, limit),
+                        &memo_leg,
+                        &inputs,
+                    );
+                    assert_eq!(cut.result, Err(SimError::InstLimit { limit }), "{cell}");
+                }
             }
         }
         assert!(flipped > 0, "{at}: no cell injected a fault");
@@ -543,8 +552,8 @@ impl ProgramGen {
 /// Seeded random programs — integer, multiply and divide ops (some by
 /// zero), FP ops, loads and stores at and past the memory bound,
 /// counted loops whose inner branch flips bias mid-run, data-dependent
-/// branches, and on some programs a tight instruction or cycle limit,
-/// the default instruction budget, or an instruction limit at the
+/// branches, and on some programs a tight instruction limit, the
+/// default instruction budget, or an instruction limit at the
 /// program's exact dynamic count and one either side of it — must
 /// produce the same `Result`, registers and memory on the threaded tier
 /// as on the legacy loop.
@@ -558,10 +567,9 @@ fn random_programs_match_legacy() {
         };
         let program = gen.program();
         let predictor = gen.rng.bool().then(PredictorConfig::default);
-        let run = |reference: bool, max_insts: u64, max_cycles: u64| {
+        let run = |reference: bool, max_insts: u64| {
             let mut sim = Simulator::new(SimConfig {
                 max_insts,
-                max_cycles,
                 predictor,
                 ..SimConfig::baseline()
             })
@@ -575,30 +583,29 @@ fn random_programs_match_legacy() {
             (result, machine.regs, machine)
         };
         let limits = match gen.rng.below(8) {
-            0..=1 => vec![(gen.rng.below(400), u64::MAX)],
-            2..=3 => vec![(u64::MAX, gen.rng.below(1500))],
-            4 => vec![(SimConfig::default().max_insts, u64::MAX)],
+            0..=3 => vec![gen.rng.below(400)],
+            4 => vec![SimConfig::default().max_insts],
             // The unlimited run's exact count and one either side of it:
             // there the last superblock's budget check decides the trip.
-            5 => match run(true, u64::MAX, u64::MAX).0 {
+            5 => match run(true, u64::MAX).0 {
                 Ok(stats) => {
                     let n = stats.dynamic_insts;
-                    vec![(n - 1, u64::MAX), (n, u64::MAX), (n + 1, u64::MAX)]
+                    vec![n - 1, n, n + 1]
                 }
-                Err(_) => vec![(u64::MAX, u64::MAX)],
+                Err(_) => vec![u64::MAX],
             },
-            _ => vec![(u64::MAX, u64::MAX)],
+            _ => vec![u64::MAX],
         };
-        for (max_insts, max_cycles) in limits {
-            let reference = run(true, max_insts, max_cycles);
-            let threaded = run(false, max_insts, max_cycles);
-            let at = format!("seed {seed}, max_insts {max_insts}, max_cycles {max_cycles}");
+        for max_insts in limits {
+            let reference = run(true, max_insts);
+            let threaded = run(false, max_insts);
+            let at = format!("seed {seed}, max_insts {max_insts}");
             assert_eq!(threaded.0, reference.0, "{at}: result diverges");
             assert_eq!(threaded.1, reference.1, "{at}: registers diverge");
             assert!(threaded.2 == reference.2, "{at}: memory diverges");
             outcomes[match reference.0 {
                 Ok(_) => 0,
-                Err(SimError::InstLimit { .. } | SimError::CycleLimit { .. }) => 2,
+                Err(SimError::InstLimit { .. }) => 2,
                 Err(_) => 1,
             }] += 1;
         }

@@ -99,14 +99,14 @@ fn supervised_watchdog_bounds_cycles_end_to_end() {
         "L1 8K",
         MemoConfig::l1_only(8 * 1024),
     ));
-    let outcomes = Orchestrator::new(Scale::Tiny).max_cycles(500).run(&matrix);
+    let outcomes = Orchestrator::new(Scale::Tiny).max_insts(500).run(&matrix);
     let failure = outcomes[0]
         .result
         .as_ref()
-        .expect_err("500 cycles cannot finish blackscholes");
+        .expect_err("500 instructions cannot finish blackscholes");
     assert_eq!(failure.kind, FailureKind::Watchdog);
     assert!(
-        failure.message.contains("cycle limit"),
+        failure.message.contains("instruction limit 500"),
         "unexpected message: {}",
         failure.message
     );

@@ -12,7 +12,7 @@ use axmemo_sim::energy::EnergyModel;
 use axmemo_sim::ir::{Cond, FBinOp, FUnOp, IAluOp, MemWidth, Operand};
 use axmemo_sim::predictor::PredictorConfig;
 use axmemo_sim::{Machine, Program, ProgramBuilder, RunStats, SimConfig, Simulator};
-use axmemo_workloads::runner::PreparedProgram;
+use axmemo_workloads::runner::BaseProgram;
 use axmemo_workloads::{benchmark_by_name, Dataset, Scale};
 
 /// Memory of the stream probe: its highest stream ends below 1.25 MB.
@@ -105,11 +105,13 @@ fn memo_probe() -> (RunStats, EnergyModel) {
         ..MemoConfig::l1_l2(8 * 1024, 512 * 1024)
     };
     let model = EnergyModel::for_l1_lut(memo.l1_bytes);
-    let prepared = PreparedProgram::compile(b, Scale::Tiny, false).expect("tiny codegen");
+    let memo_leg = BaseProgram::build(b, Scale::Tiny)
+        .memo_leg(false)
+        .expect("tiny codegen");
     let mut sim = Simulator::new(SimConfig::with_memo(memo)).expect("valid config");
     let mut machine = b.setup(Scale::Tiny, Dataset::Eval);
     let stats = sim
-        .run_prepared_threaded(&prepared.memo, &mut machine)
+        .run_prepared_threaded(&memo_leg, &mut machine)
         .expect("probe runs");
     (stats, model)
 }

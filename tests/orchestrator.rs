@@ -53,7 +53,7 @@ fn budget_exhaustion_is_a_structured_failure() {
     ));
     let outcomes = Orchestrator::new(Scale::Tiny)
         .jobs(2)
-        .max_cycles(1_000) // far below what even Tiny needs
+        .max_insts(1_000) // far below what even Tiny needs
         .run(&matrix);
     assert_eq!(outcomes.len(), 2);
     for outcome in &outcomes {
@@ -104,7 +104,7 @@ fn all_failed_group_summary_renders_dashes() {
     let benches = vec!["blackscholes".to_string()];
     let (matrix, metas) = sweep::matrix(7, &benches);
     let outcomes = Orchestrator::new(Scale::Tiny)
-        .max_cycles(1_000) // below what any benchmark needs: every cell fails
+        .max_insts(1_000) // below what any benchmark needs: every cell fails
         .run(&matrix);
     assert!(
         outcomes.iter().all(|o| o.result.is_err()),
@@ -130,9 +130,7 @@ fn all_failed_group_summary_renders_dashes() {
 fn mismatched_meta_and_outcome_lengths_panic() {
     let benches = vec!["blackscholes".to_string()];
     let (matrix, metas) = sweep::matrix(7, &benches);
-    let mut outcomes = Orchestrator::new(Scale::Tiny)
-        .max_cycles(1_000)
-        .run(&matrix);
+    let mut outcomes = Orchestrator::new(Scale::Tiny).max_insts(1_000).run(&matrix);
     outcomes.pop(); // a future matrix edit that desyncs the two slices
     let _ = sweep::table(Scale::Tiny, 7, &metas, &outcomes);
 }

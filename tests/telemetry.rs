@@ -3,11 +3,10 @@
 //! report, and the JSONL trace must be well-formed line by line.
 
 use axmemo_bench::paper_configs;
-use axmemo_compiler::codegen::memoize;
 use axmemo_core::config::MemoConfig;
 use axmemo_sim::{SimConfig, Simulator};
 use axmemo_telemetry::{JsonlSink, RingBufferSink, Telemetry};
-use axmemo_workloads::runner::{run_benchmark_report_cached, PreparedProgram, RunOptions};
+use axmemo_workloads::runner::{run_benchmark_report_cached, BaseProgram, RunOptions};
 use axmemo_workloads::{all_benchmarks, benchmark_by_name, Dataset, Scale};
 
 /// Every `TwoLevelLut` probe emits exactly one `lut.hit` or `lut.miss`
@@ -107,9 +106,9 @@ fn threaded_cycle_attribution_is_exact() {
     for bench in all_benchmarks() {
         let b = bench.as_ref();
         let name = b.meta().name;
-        let prepared = PreparedProgram::compile(b, Scale::Tiny, false).expect("tiny codegen");
-        let (program, specs) = b.program(Scale::Tiny);
-        let program = memoize(&program, &specs).expect("tiny codegen");
+        let base = BaseProgram::build(b, Scale::Tiny);
+        let program = base.memoized(false).expect("tiny codegen");
+        let memo_leg = base.memo_leg(false).expect("tiny codegen");
         let inputs = b.setup(Scale::Tiny, Dataset::Eval);
         for (label, memo) in paper_configs() {
             for reference in [false, true] {
@@ -125,7 +124,7 @@ fn threaded_cycle_attribution_is_exact() {
                 let stats = if reference {
                     sim.run_reference(&program, &mut machine, None)
                 } else {
-                    sim.run_prepared_threaded(&prepared.memo, &mut machine)
+                    sim.run_prepared_threaded(&memo_leg, &mut machine)
                 }
                 .expect("run succeeds");
                 let profile = sim.take_telemetry().take_profile().expect("profiler on");
