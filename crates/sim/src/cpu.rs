@@ -133,6 +133,75 @@ impl Machine {
         f32::from_bits(self.load(addr, MemWidth::B4).expect("load_f32 in bounds") as u32)
     }
 
+    /// Write `bytes` from `addr` on: one bounds check for the whole run,
+    /// then one page lookup and copy per page it covers. A run that does
+    /// not lie wholly in memory writes nothing and returns the fault a
+    /// loop of [`MemWidth::B1`] stores would have hit first.
+    pub fn store_bytes(&mut self, addr: u64, mut bytes: &[u8]) -> Result<(), SimError> {
+        let mut a = self.check_run(addr, bytes.len(), MemWidth::B1)?;
+        while !bytes.is_empty() {
+            let off = a % PAGE_BYTES;
+            let (head, rest) = bytes.split_at(bytes.len().min(PAGE_BYTES - off));
+            self.page_mut(a / PAGE_BYTES)[off..off + head.len()].copy_from_slice(head);
+            a += head.len();
+            bytes = rest;
+        }
+        Ok(())
+    }
+
+    /// Write `values` as consecutive little-endian f32s from `addr` on,
+    /// as [`Self::store_bytes`] does; an out-of-bounds run writes nothing
+    /// and returns the fault of the first [`MemWidth::B4`] store that
+    /// would not fit.
+    pub fn store_f32s(&mut self, addr: u64, values: &[f32]) -> Result<(), SimError> {
+        self.check_run(addr, values.len(), MemWidth::B4)?;
+        let mut buf = [0u8; PAGE_BYTES];
+        let mut a = addr;
+        for chunk in values.chunks(PAGE_BYTES / 4) {
+            let bytes = &mut buf[..4 * chunk.len()];
+            for (dst, v) in bytes.chunks_exact_mut(4).zip(chunk) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+            self.store_bytes(a, bytes)?;
+            a += bytes.len() as u64;
+        }
+        Ok(())
+    }
+
+    /// Fill `out` with the bytes from `addr` on, one page at a time; a
+    /// page never written reads as zeros. Faults as [`Self::store_bytes`].
+    pub fn load_bytes(&self, addr: u64, mut out: &mut [u8]) -> Result<(), SimError> {
+        let mut a = self.check_run(addr, out.len(), MemWidth::B1)?;
+        while !out.is_empty() {
+            let off = a % PAGE_BYTES;
+            let n = out.len().min(PAGE_BYTES - off);
+            let (head, rest) = std::mem::take(&mut out).split_at_mut(n);
+            match &self.pages[a / PAGE_BYTES] {
+                Some(page) => head.copy_from_slice(&page[off..off + n]),
+                None => head.fill(0),
+            }
+            a += n;
+            out = rest;
+        }
+        Ok(())
+    }
+
+    /// The `n` consecutive little-endian f32s from `addr` on. Faults as
+    /// [`Self::store_f32s`].
+    pub fn load_f32s(&self, addr: u64, n: usize) -> Result<Vec<f32>, SimError> {
+        self.check_run(addr, n, MemWidth::B4)?;
+        let mut out = Vec::with_capacity(n);
+        let mut buf = [0u8; PAGE_BYTES];
+        let mut a = addr;
+        while out.len() < n {
+            let bytes = &mut buf[..4 * (n - out.len()).min(PAGE_BYTES / 4)];
+            self.load_bytes(a, bytes)?;
+            out.extend(bytes.chunks_exact(4).map(|b| f32::from_le_bytes(fixed(b))));
+            a += bytes.len() as u64;
+        }
+        Ok(out)
+    }
+
     /// `addr` as a byte index, when all `width` bytes from it lie in
     /// memory. `addr + n` can overflow for near-`u64::MAX` addresses;
     /// the checked add keeps that a structured fault, not a panic.
@@ -141,6 +210,29 @@ impl Machine {
         match usize::try_from(addr).map(|a| (a, a.checked_add(width.bytes()))) {
             Ok((a, Some(end))) if end <= self.len => Ok(a),
             _ => Err(SimError::MemOutOfBounds { addr, width }),
+        }
+    }
+
+    /// [`Self::check`] for a run of `count` accesses of `width` from
+    /// `addr` on. When the run does not fit, the fault names the first
+    /// access that does not, as a loop of [`Self::check`]s would. An
+    /// empty run always fits.
+    fn check_run(&self, addr: u64, count: usize, width: MemWidth) -> Result<usize, SimError> {
+        let end = usize::try_from(addr).ok().and_then(|a| {
+            let end = count.checked_mul(width.bytes())?.checked_add(a)?;
+            Some((a, end))
+        });
+        match end {
+            Some((a, end)) if end <= self.len => Ok(a),
+            _ if count == 0 => Ok(0),
+            _ => {
+                let w = width.bytes() as u64;
+                let fit = (self.len as u64).saturating_sub(addr) / w;
+                Err(SimError::MemOutOfBounds {
+                    addr: addr.wrapping_add(fit * w),
+                    width,
+                })
+            }
         }
     }
 
@@ -274,6 +366,10 @@ pub enum SimError {
     InstLimit {
         /// The limit that was hit.
         limit: u64,
+        /// Where the run stopped: the pc of the instruction the budget
+        /// left unexecuted. A `u32`, as in the lowered program, so the
+        /// error stays two words wide.
+        pc: u32,
     },
     /// A memoization instruction was executed but no memoization unit is
     /// configured.
@@ -291,7 +387,7 @@ impl fmt::Display for SimError {
             }
             SimError::DivByZero { pc } => write!(f, "division by zero at pc {pc}"),
             SimError::PcOutOfRange { pc } => write!(f, "pc {pc} out of range"),
-            SimError::InstLimit { limit } => {
+            SimError::InstLimit { limit, .. } => {
                 write!(f, "dynamic instruction limit {limit} exceeded")
             }
             SimError::NoMemoUnit { pc } => {
@@ -551,6 +647,7 @@ impl Simulator {
             if stats.dynamic_insts >= self.config.max_insts {
                 return Err(SimError::InstLimit {
                     limit: self.config.max_insts,
+                    pc: pc as u32,
                 });
             }
 
@@ -1081,24 +1178,30 @@ mod tests {
     fn inst_limit_guards_runaway() {
         // The instruction budget is the only runaway guard: it stops a
         // non-terminating program on both interpreters, after exactly
-        // `max_insts` instructions.
+        // `max_insts` instructions, before the instruction that would
+        // exceed it: an even budget stops at the add (pc 0), an odd one
+        // at the jump (pc 1).
         let mut b = ProgramBuilder::new();
         let top = b.label("spin");
         b.bind(top);
+        b.alu(IAluOp::Add, 1, 1, Operand::Imm(1));
         b.jump(top);
         let p = b.build().unwrap();
-        for reference in [false, true] {
-            let cfg = SimConfig {
-                max_insts: 1000,
-                ..SimConfig::baseline()
-            };
-            let mut sim = Simulator::new(cfg).unwrap();
-            let mut m = Machine::new(64);
-            assert_eq!(
-                run_tier(&mut sim, reference, &p, &mut m),
-                Err(SimError::InstLimit { limit: 1000 }),
-                "reference {reference}"
-            );
+        for (limit, pc) in [(1000, 0), (1001, 1)] {
+            for reference in [false, true] {
+                let cfg = SimConfig {
+                    max_insts: limit,
+                    ..SimConfig::baseline()
+                };
+                let mut sim = Simulator::new(cfg).unwrap();
+                let mut m = Machine::new(64);
+                assert_eq!(
+                    run_tier(&mut sim, reference, &p, &mut m),
+                    Err(SimError::InstLimit { limit, pc }),
+                    "reference {reference}"
+                );
+                assert_eq!(m.regs[1], limit.div_ceil(2), "reference {reference}");
+            }
         }
     }
 
@@ -1285,6 +1388,69 @@ mod tests {
             assert_eq!(m.store(addr, width, 0), err.map(|_| ()));
             assert_eq!(m, before, "a faulting store writes nothing");
         }
+    }
+
+    /// Bulk writes and reads equal the element-at-a-time stores and
+    /// loads they replace, at every start offset around a page
+    /// boundary, over written and never-written pages alike.
+    #[test]
+    fn bulk_runs_match_element_accesses() {
+        let len = 3 * PAGE_BYTES + 6;
+        let values: Vec<f32> = (0..PAGE_BYTES / 2).map(|i| i as f32 * 0.5 - 7.0).collect();
+        let bytes: Vec<u8> = (0..PAGE_BYTES + 9).map(|i| (i * 7 + 3) as u8).collect();
+        for start in (PAGE_BYTES - 9..PAGE_BYTES + 2).map(|a| a as u64) {
+            let (mut bulk, mut single) = (Machine::new(len), Machine::new(len));
+            bulk.store_f32s(start, &values).unwrap();
+            for (i, &v) in values.iter().enumerate() {
+                single.store_f32(start + 4 * i as u64, v);
+            }
+            assert_eq!(bulk, single, "f32s from {start}");
+            assert_eq!(bulk.load_f32s(start, values.len()), Ok(values.clone()));
+            bulk.store_bytes(start + 5, &bytes).unwrap();
+            for (i, &b) in bytes.iter().enumerate() {
+                single
+                    .store(start + 5 + i as u64, MemWidth::B1, u64::from(b))
+                    .unwrap();
+            }
+            assert_eq!(bulk, single, "bytes from {start}");
+            let mut got = vec![0xAA; len - start as usize];
+            bulk.load_bytes(start, &mut got).unwrap();
+            for (i, &b) in got.iter().enumerate() {
+                assert_eq!(
+                    single.load(start + i as u64, MemWidth::B1),
+                    Ok(u64::from(b))
+                );
+            }
+        }
+        let untouched = Machine::new(len);
+        assert_eq!(untouched.load_f32s(4, 3), Ok(vec![0.0; 3]));
+        assert_eq!(untouched.load_f32s(len as u64, 0), Ok(vec![]));
+    }
+
+    /// A run that overruns memory writes nothing and faults where the
+    /// element loop it replaces would first have faulted.
+    #[test]
+    fn bulk_runs_fault_at_the_first_element_that_does_not_fit() {
+        let len = PAGE_BYTES + 10;
+        let mut m = Machine::new(len);
+        m.store(0, MemWidth::B8, 42).unwrap();
+        let before = m.clone();
+        fn err<T>(addr: u64, width: MemWidth) -> Result<T, SimError> {
+            Err(SimError::MemOutOfBounds { addr, width })
+        }
+        // Elements at PAGE_BYTES and PAGE_BYTES + 4 fit; + 8 does not.
+        let at = PAGE_BYTES as u64;
+        assert_eq!(m.store_f32s(at, &[1.0; 3]), err(at + 8, MemWidth::B4));
+        assert_eq!(m.load_f32s(at, 3), err(at + 8, MemWidth::B4));
+        assert_eq!(m.store_bytes(at, &[1; 11]), err(at + 10, MemWidth::B1));
+        assert_eq!(m.load_bytes(at, &mut [0; 11]), err(at + 10, MemWidth::B1));
+        assert_eq!(
+            m.store_f32s(u64::MAX - 1, &[1.0]),
+            err(u64::MAX - 1, MemWidth::B4)
+        );
+        assert_eq!(m.load_f32s(0, usize::MAX), err(at + 8, MemWidth::B4));
+        assert_eq!(m.store_bytes(u64::MAX, &[]), Ok(()));
+        assert_eq!(m, before, "a faulting run writes nothing");
     }
 
     #[test]

@@ -230,6 +230,9 @@ pub(crate) struct SbMeta {
 pub struct ThreadedProgram {
     /// Flat fused-op array; superblocks are contiguous runs.
     pub(crate) ops: Vec<FusedOp>,
+    /// Per op, the pc of the instruction it stands for (a `Guard`'s
+    /// first marker): where a watchdog trip before that op stops.
+    pub(crate) op_pcs: Vec<u32>,
     /// One superblock per basic block, in block order (so the CFG's
     /// `block_of` table maps a leader pc straight to its superblock).
     pub(crate) superblocks: Vec<SbMeta>,
@@ -251,6 +254,7 @@ impl ThreadedProgram {
     pub fn compile(dp: &DecodedProgram) -> Self {
         let chains = dp.superblocks();
         let mut ops = Vec::new();
+        let mut op_pcs = Vec::new();
         let mut superblocks = Vec::with_capacity(chains.len());
         let mut exit_counts = Vec::with_capacity(chains.len());
         let mut ranges = Vec::with_capacity(chains.len());
@@ -267,7 +271,8 @@ impl ThreadedProgram {
                 max_end = max_end.max(blk.end);
                 let last_in_chain = j + 1 == chain.len();
                 let exit = base_exit + j as u32;
-                lower_block(dp, blk, exit, taken && !last_in_chain, &mut ops);
+                let fused_taken = taken && !last_in_chain;
+                lower_block(dp, blk, exit, fused_taken, &mut ops, &mut op_pcs);
             }
             let (last, _) = *chain.last().expect("chains are non-empty");
             let last_blk = &dp.blocks[last as usize];
@@ -282,6 +287,7 @@ impl ThreadedProgram {
         }
         Self {
             ops,
+            op_pcs,
             superblocks,
             block_of: dp.block_of.clone(),
             exit_counts,
@@ -310,18 +316,20 @@ impl ThreadedProgram {
 }
 
 /// Append one basic block's fused ops, lowered straight from its
-/// instructions and bound to exit-count slot `exit`. `fused_taken` says
-/// whether the chain continues along the terminator's taken edge (as
-/// decided by `DecodedProgram::fused_successor`): a branch then expects
-/// taken and side-exits to the fall-through, a jump reduces to timing;
-/// otherwise a branch expects not-taken and side-exits to its target,
-/// and a jump ends the chain.
+/// instructions and bound to exit-count slot `exit`, and each op's pc
+/// to `pcs`. `fused_taken` says whether the chain continues along the
+/// terminator's taken edge (as decided by
+/// `DecodedProgram::fused_successor`): a branch then expects taken and
+/// side-exits to the fall-through, a jump reduces to timing; otherwise
+/// a branch expects not-taken and side-exits to its target, and a jump
+/// ends the chain.
 fn lower_block(
     dp: &DecodedProgram,
     blk: &Block,
     exit: u32,
     fused_taken: bool,
     ops: &mut Vec<FusedOp>,
+    pcs: &mut Vec<u32>,
 ) {
     let latency = dp.latency();
     let start = blk.start as usize;
@@ -340,6 +348,7 @@ fn lower_block(
         if matches!(inst, Inst::RegionBegin { .. } | Inst::RegionEnd { .. }) {
             if !in_region_run {
                 ops.push(FusedOp::Guard);
+                pcs.push(pc as u32);
                 in_region_run = true;
             }
             continue;
@@ -502,6 +511,7 @@ fn lower_block(
             Inst::RegionBegin { .. } | Inst::RegionEnd { .. } => unreachable!("handled above"),
         };
         ops.push(fused);
+        pcs.push(pc32);
     }
 }
 
@@ -641,9 +651,13 @@ impl Simulator {
             memo,
             insts: dyn_insts,
         } = st;
-        for op in &tp.ops[sb.ops_start as usize..sb.ops_end as usize] {
+        let ops = sb.ops_start as usize..sb.ops_end as usize;
+        for (at, op) in tp.ops[ops.clone()].iter().enumerate() {
             if GUARD && *dyn_insts >= max_insts {
-                return Err(SimError::InstLimit { limit: max_insts });
+                return Err(SimError::InstLimit {
+                    limit: max_insts,
+                    pc: tp.op_pcs[ops.start + at],
+                });
             }
             match *op {
                 FusedOp::Guard => {
@@ -1045,7 +1059,8 @@ mod tests {
     fn trailing_region_markers_keep_watchdog_semantics() {
         // A region marker after the last counted instruction: the
         // InstLimit trip must fire at the marker's guard check in every
-        // tier (not fall off the end as PcOutOfRange).
+        // tier (not fall off the end as PcOutOfRange), and stop at the
+        // marker's pc.
         let mut b = ProgramBuilder::new();
         b.movi(1, 1);
         b.region_begin(1);
@@ -1053,7 +1068,7 @@ mod tests {
         b.region_end(1);
         b.halt();
         let p = b.build().unwrap();
-        for max_insts in [0, 1, 2, 3] {
+        for (max_insts, stop) in [(0, Some(0)), (1, Some(1)), (2, Some(3)), (3, None)] {
             let run = |reference: bool| {
                 let cfg = SimConfig {
                     max_insts,
@@ -1062,6 +1077,11 @@ mod tests {
                 run_tier_with(cfg, &p, reference, 64)
             };
             assert_eq!(run(false), run(true), "insts {max_insts}");
+            let pc = match run(true) {
+                Err(SimError::InstLimit { pc, .. }) => Some(pc),
+                _ => None,
+            };
+            assert_eq!(pc, stop, "insts {max_insts}");
         }
     }
 

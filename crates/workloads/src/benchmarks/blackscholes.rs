@@ -14,6 +14,7 @@
 //! few hundred distinct tuples — matching the paper's observation that a
 //! small LUT already captures blackscholes' reuse.
 
+use super::{load_f32s, load_f64s, store_f32s};
 use crate::gen::{QuantizedGrid, Rng};
 use crate::meta::{Metric, WorkloadMeta};
 use crate::{Benchmark, Dataset, Scale};
@@ -25,7 +26,9 @@ use axmemo_sim::ir::{Cond, FBinOp, FUnOp, IAluOp, MemWidth, Operand, Program};
 
 const IN_BASE: u64 = 0x1_0000;
 const OUT_BASE: u64 = 0x60_0000; // clear of 200K x 24B of inputs
-const OPTION_BYTES: u64 = 24;
+const OPTION_BYTES: u64 = 4 * OPTION_FIELDS as u64;
+/// f32 fields per option record.
+const OPTION_FIELDS: usize = 6;
 
 fn count(scale: Scale) -> usize {
     match scale {
@@ -242,36 +245,30 @@ impl Benchmark for Blackscholes {
             levels: 4,
             jitter_rel: 0.0,
         };
-        for i in 0..n {
-            let base = IN_BASE + OPTION_BYTES * i as u64;
+        let mut options = Vec::with_capacity(OPTION_FIELDS * n);
+        for _ in 0..n {
             let (r, v) = if rng.index(2) == 0 {
                 (0.02f32, 0.3f32)
             } else {
                 (0.05, 0.4)
             };
-            machine.store_f32(base, spot.sample(&mut rng));
-            machine.store_f32(base + 4, strike.sample(&mut rng));
-            machine.store_f32(base + 8, r);
-            machine.store_f32(base + 12, v);
-            machine.store_f32(base + 16, expiry.sample(&mut rng));
-            machine.store_f32(base + 20, rng.index(2) as f32);
+            let s = spot.sample(&mut rng);
+            let k = strike.sample(&mut rng);
+            let t = expiry.sample(&mut rng);
+            options.extend([s, k, r, v, t, rng.index(2) as f32]);
         }
+        store_f32s(&mut machine, IN_BASE, &options);
         machine
     }
 
     fn outputs(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        (0..count(scale))
-            .map(|i| f64::from(machine.load_f32(OUT_BASE + 4 * i as u64)))
-            .collect()
+        load_f64s(machine, OUT_BASE, count(scale))
     }
 
     fn golden(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        (0..count(scale))
-            .map(|i| {
-                let base = IN_BASE + OPTION_BYTES * i as u64;
-                let g = |o| machine.load_f32(base + o);
-                f64::from(price(g(0), g(4), g(8), g(12), g(16), g(20)))
-            })
+        load_f32s(machine, IN_BASE, OPTION_FIELDS * count(scale))
+            .chunks_exact(OPTION_FIELDS)
+            .map(|o| f64::from(price(o[0], o[1], o[2], o[3], o[4], o[5])))
             .collect()
     }
 }

@@ -18,6 +18,7 @@
 //! frame, and full reuse across frames — the source of FFT's >90% hit
 //! rate in the paper.
 
+use super::{load_f32s, store_f32s};
 use crate::gen::Rng;
 use crate::meta::{Metric, WorkloadMeta};
 use crate::{Benchmark, Dataset, Scale};
@@ -301,34 +302,34 @@ impl Benchmark for Fft {
         let total = n * frames;
         let mut machine = Machine::new(IM_BASE as usize + total * 4 + 4096);
         let mut rng = Rng::new(dataset.seed() ^ 0xFF7);
-        for i in 0..total {
-            machine.store_f32(RE_BASE + 4 * i as u64, rng.range(-1.0, 1.0));
-            machine.store_f32(IM_BASE + 4 * i as u64, rng.range(-1.0, 1.0));
+        let (mut re, mut im) = (Vec::with_capacity(total), Vec::with_capacity(total));
+        for _ in 0..total {
+            re.push(rng.range(-1.0, 1.0));
+            im.push(rng.range(-1.0, 1.0));
         }
+        store_f32s(&mut machine, RE_BASE, &re);
+        store_f32s(&mut machine, IM_BASE, &im);
         machine
     }
 
     fn outputs(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
         let (n, frames) = dims(scale);
         let total = n * frames;
-        let mut out = Vec::with_capacity(2 * total);
-        for i in 0..total {
-            out.push(f64::from(machine.load_f32(RE_BASE + 4 * i as u64)));
-            out.push(f64::from(machine.load_f32(IM_BASE + 4 * i as u64)));
-        }
-        out
+        let re = load_f32s(machine, RE_BASE, total);
+        let im = load_f32s(machine, IM_BASE, total);
+        re.into_iter()
+            .zip(im)
+            .flat_map(|(r, i)| [f64::from(r), f64::from(i)])
+            .collect()
     }
 
     fn golden(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
         let (n, frames) = dims(scale);
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(2 * n * frames);
         for f in 0..frames {
-            let mut re: Vec<f32> = (0..n)
-                .map(|i| machine.load_f32(RE_BASE + 4 * (f * n + i) as u64))
-                .collect();
-            let mut im: Vec<f32> = (0..n)
-                .map(|i| machine.load_f32(IM_BASE + 4 * (f * n + i) as u64))
-                .collect();
+            let at = 4 * (f * n) as u64;
+            let mut re = load_f32s(machine, RE_BASE + at, n);
+            let mut im = load_f32s(machine, IM_BASE + at, n);
             golden_fft(&mut re, &mut im);
             for i in 0..n {
                 out.push(f64::from(re[i]));

@@ -12,6 +12,7 @@
 //! 512×512 Rodinia inputs describe), posterised power so identical
 //! (temp, power) neighbourhoods recur.
 
+use super::{interior, load_f32s, store_f32s};
 use crate::gen::{Rng, SmoothField};
 use crate::meta::{Metric, WorkloadMeta};
 use crate::{Benchmark, Dataset, Scale};
@@ -152,10 +153,12 @@ impl Benchmark for Hotspot {
         };
         // Posterise temperature into 0.25-degree steps (sensor/ADC
         // granularity) with sub-truncation jitter.
-        for (i, v) in temp_field.generate(&mut rng).into_iter().enumerate() {
-            let t = (v * 4.0).floor() / 4.0;
-            machine.store_f32(TEMP_BASE + 4 * i as u64, t + 1e-4 * rng.f32());
-        }
+        let temps: Vec<f32> = temp_field
+            .generate(&mut rng)
+            .into_iter()
+            .map(|v| (v * 4.0).floor() / 4.0 + 1e-4 * rng.f32())
+            .collect();
+        store_f32s(&mut machine, TEMP_BASE, &temps);
         // Power map: blocky functional units (posterised to 8 levels).
         let power_field = SmoothField {
             w: d,
@@ -165,30 +168,25 @@ impl Benchmark for Hotspot {
             offset: 0.0,
             amplitude: 1.0,
         };
-        for (i, v) in power_field.generate(&mut rng).into_iter().enumerate() {
-            let p = (v * 8.0).floor() / 8.0 * 0.6;
-            machine.store_f32(POWER_BASE + 4 * i as u64, p);
-        }
+        let powers: Vec<f32> = power_field
+            .generate(&mut rng)
+            .into_iter()
+            .map(|v| (v * 8.0).floor() / 8.0 * 0.6)
+            .collect();
+        store_f32s(&mut machine, POWER_BASE, &powers);
         machine
     }
 
     fn outputs(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        let d = dim(scale);
-        let mut out = Vec::new();
-        for y in 1..d - 1 {
-            for x in 1..d - 1 {
-                out.push(f64::from(
-                    machine.load_f32(OUT_BASE + 4 * (y * d + x) as u64),
-                ));
-            }
-        }
-        out
+        interior(&load_f32s(machine, OUT_BASE, dim(scale).pow(2)), dim(scale))
     }
 
     fn golden(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
         let d = dim(scale);
-        let t = |x: usize, y: usize| machine.load_f32(TEMP_BASE + 4 * (y * d + x) as u64);
-        let p = |x: usize, y: usize| machine.load_f32(POWER_BASE + 4 * (y * d + x) as u64);
+        let temps = load_f32s(machine, TEMP_BASE, d * d);
+        let powers = load_f32s(machine, POWER_BASE, d * d);
+        let t = |x: usize, y: usize| temps[y * d + x];
+        let p = |x: usize, y: usize| powers[y * d + x];
         let mut out = Vec::new();
         for y in 1..d - 1 {
             for x in 1..d - 1 {

@@ -19,6 +19,7 @@
 //! the 8-bit truncation step — near-identical targets that only collapse
 //! into LUT hits when truncation is enabled (the Fig. 11 contrast).
 
+use super::{load_f32s, load_f64s, store_f32s};
 use crate::gen::Rng;
 use crate::meta::{Metric, WorkloadMeta};
 use crate::{Benchmark, Dataset, Scale};
@@ -46,6 +47,31 @@ fn count(scale: Scale) -> usize {
 /// The inversek2j benchmark.
 #[derive(Debug, Clone, Copy)]
 pub struct Inversek2j;
+
+/// Joint-angle grid: `GRID_A1 × GRID_A2` = 384 poses.
+const GRID_A1: usize = 24;
+const GRID_A2: usize = 16;
+
+/// End-effector position of joint angles `(a1, a2)`.
+fn forward(a1: f32, a2: f32) -> (f32, f32) {
+    (
+        L1 * a1.cos() + L2 * (a1 + a2).cos(),
+        L1 * a1.sin() + L2 * (a1 + a2).sin(),
+    )
+}
+
+/// The position of every grid pose, at index `a1 * GRID_A2 + a2`.
+fn pose_table() -> Vec<(f32, f32)> {
+    (0..GRID_A1)
+        .flat_map(|a1| (0..GRID_A2).map(move |a2| (a1, a2)))
+        .map(|(a1, a2)| {
+            forward(
+                0.2 + 1.2 * a1 as f32 / GRID_A1 as f32,
+                0.3 + 1.8 * a2 as f32 / GRID_A2 as f32,
+            )
+        })
+        .collect()
+}
 
 /// Golden solver, op-for-op the IR kernel.
 pub fn solve(x: f32, y: f32) -> (f32, f32) {
@@ -159,36 +185,31 @@ impl Benchmark for Inversek2j {
         let n = count(scale);
         let mut machine = Machine::new(OUT_BASE as usize + n * 8 + 4096);
         let mut rng = Rng::new(dataset.seed() ^ 0x1A2u64);
-        // Angle grid: 24 × 16 = 384 poses; jitter below the truncation
-        // step (trunc 8 on f32 ≈ 2^-15 relative).
-        for i in 0..n {
-            let a1 = 0.2 + 1.2 * rng.index(24) as f32 / 24.0;
-            let a2 = 0.3 + 1.8 * rng.index(16) as f32 / 16.0;
-            let x = L1 * a1.cos() + L2 * (a1 + a2).cos();
-            let y = L1 * a1.sin() + L2 * (a1 + a2).sin();
+        // Jitter below the truncation step (trunc 8 on f32 ≈ 2^-15
+        // relative) on targets drawn from the pose grid.
+        let poses = pose_table();
+        let mut targets = Vec::with_capacity(2 * n);
+        for _ in 0..n {
+            let a1 = rng.index(GRID_A1);
+            let a2 = rng.index(GRID_A2);
+            let (x, y) = poses[a1 * GRID_A2 + a2];
             let jx = x * (1.0 + 4e-6 * rng.f32());
             let jy = y * (1.0 + 4e-6 * rng.f32());
-            machine.store_f32(IN_BASE + 8 * i as u64, jx.max(0.05));
-            machine.store_f32(IN_BASE + 8 * i as u64 + 4, jy);
+            targets.extend([jx.max(0.05), jy]);
         }
+        store_f32s(&mut machine, IN_BASE, &targets);
         machine
     }
 
     fn outputs(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        let mut out = Vec::new();
-        for i in 0..count(scale) {
-            out.push(f64::from(machine.load_f32(OUT_BASE + 8 * i as u64)));
-            out.push(f64::from(machine.load_f32(OUT_BASE + 8 * i as u64 + 4)));
-        }
-        out
+        load_f64s(machine, OUT_BASE, 2 * count(scale))
     }
 
     fn golden(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        let mut out = Vec::new();
-        for i in 0..count(scale) {
-            let x = machine.load_f32(IN_BASE + 8 * i as u64);
-            let y = machine.load_f32(IN_BASE + 8 * i as u64 + 4);
-            let (t1, t2) = solve(x, y);
+        let targets = load_f32s(machine, IN_BASE, 2 * count(scale));
+        let mut out = Vec::with_capacity(targets.len());
+        for xy in targets.chunks_exact(2) {
+            let (t1, t2) = solve(xy[0], xy[1]);
             out.push(f64::from(t1));
             out.push(f64::from(t2));
         }
@@ -205,8 +226,7 @@ mod tests {
     fn solver_round_trips_forward_kinematics() {
         // Pick joint angles, run forward kinematics, solve back.
         for &(a1, a2) in &[(0.4f32, 0.9f32), (0.8, 1.2), (1.1, 0.5)] {
-            let x = L1 * a1.cos() + L2 * (a1 + a2).cos();
-            let y = L1 * a1.sin() + L2 * (a1 + a2).sin();
+            let (x, y) = forward(a1, a2);
             let (t1, t2) = solve(x, y);
             assert!((t1 - a1).abs() < 1e-2, "θ1 {t1} vs {a1}");
             assert!((t2 - a2).abs() < 1e-2, "θ2 {t2} vs {a2}");

@@ -14,6 +14,7 @@
 //! the paper's observation that jmeint's hit rate is below 0.1% and it
 //! gains nothing from memoization (the designed failure case).
 
+use super::{load_f32s, load_f64s, store_f32s};
 use crate::gen::{uniform, Rng};
 use crate::meta::{Metric, WorkloadMeta};
 use crate::{Benchmark, Dataset, Scale};
@@ -159,28 +160,18 @@ impl Benchmark for Jmeint {
         let n = count(scale);
         let mut machine = Machine::new(OUT_BASE as usize + n * 4 + 4096);
         let mut rng = Rng::new(dataset.seed() ^ 0x13E);
-        let vals = uniform(&mut rng, n * 9, -1.0, 1.0);
-        for (i, v) in vals.into_iter().enumerate() {
-            machine.store_f32(IN_BASE + 4 * i as u64, v);
-        }
+        store_f32s(&mut machine, IN_BASE, &uniform(&mut rng, n * 9, -1.0, 1.0));
         machine
     }
 
     fn outputs(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        (0..count(scale))
-            .map(|i| f64::from(machine.load_f32(OUT_BASE + 4 * i as u64)))
-            .collect()
+        load_f64s(machine, OUT_BASE, count(scale))
     }
 
     fn golden(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        (0..count(scale))
-            .map(|i| {
-                let mut v = [0f32; 9];
-                for (k, slot) in v.iter_mut().enumerate() {
-                    *slot = machine.load_f32(IN_BASE + PAIR_BYTES * i as u64 + 4 * k as u64);
-                }
-                f64::from(u8::from(straddles(&v)))
-            })
+        load_f32s(machine, IN_BASE, 9 * count(scale))
+            .chunks_exact(9)
+            .map(|v| f64::from(u8::from(straddles(v.try_into().expect("nine floats")))))
             .collect()
     }
 }

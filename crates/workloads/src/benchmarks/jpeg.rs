@@ -230,6 +230,7 @@ impl Benchmark for Jpeg {
             amplitude: 1.0,
         };
         let tiles = field.generate(&mut rng);
+        let mut pixels = vec![0u8; d * d];
         for ty in 0..d {
             for tx in 0..d / 16 {
                 let v = tiles[ty * (d / 16) + tx];
@@ -243,22 +244,26 @@ impl Benchmark for Jpeg {
                         let base = ((v.clamp(0.0, 1.0) * 15.0).floor() * 16.0) as u8;
                         base.saturating_add(rng.index(3) as u8)
                     };
-                    let i = ty * d + tx * 16 + k;
-                    machine
-                        .store(IN_BASE + i as u64, MemWidth::B1, u64::from(level))
-                        .unwrap();
+                    pixels[ty * d + tx * 16 + k] = level;
                 }
             }
         }
+        machine
+            .store_bytes(IN_BASE, &pixels)
+            .expect("jpeg pixels fit in memory");
         machine
     }
 
     fn outputs(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
         let d = dim(scale);
         let pairs = (d / 2) * (d / 16);
-        let mut out = Vec::new();
-        for i in 0..pairs / 2 {
-            let rec = machine.load(OUT_BASE + 8 * i as u64, MemWidth::B8).unwrap();
+        let mut records = vec![0u8; 8 * (pairs / 2)];
+        machine
+            .load_bytes(OUT_BASE, &mut records)
+            .expect("jpeg records lie in memory");
+        let mut out = Vec::with_capacity(4 * (pairs / 2));
+        for rec in records.chunks_exact(8) {
+            let rec = u64::from_le_bytes(rec.try_into().expect("eight bytes"));
             for k in 0..4 {
                 let lane = ((rec >> (16 * k)) & 0xFFFF) as u16 as i16;
                 out.push(f64::from(lane));
@@ -271,16 +276,14 @@ impl Benchmark for Jpeg {
         let d = dim(scale);
         let pairs = (d / 2) * (d / 16);
         // Pass A.
-        let mut records: Vec<[i16; 4]> = Vec::with_capacity(pairs);
-        for r in 0..pairs {
-            let mut px = [0u8; 16];
-            for (k, slot) in px.iter_mut().enumerate() {
-                *slot = machine
-                    .load(IN_BASE + 16 * r as u64 + k as u64, MemWidth::B1)
-                    .unwrap() as u8;
-            }
-            records.push(row_pair_dct(&px));
-        }
+        let mut pixels = vec![0u8; 16 * pairs];
+        machine
+            .load_bytes(IN_BASE, &mut pixels)
+            .expect("jpeg pixels lie in memory");
+        let records: Vec<[i16; 4]> = pixels
+            .chunks_exact(16)
+            .map(|px| row_pair_dct(px.try_into().expect("sixteen pixels")))
+            .collect();
         // Pass B.
         let mut out = Vec::new();
         for i in 0..pairs / 2 {

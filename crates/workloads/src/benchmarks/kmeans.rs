@@ -13,6 +13,7 @@
 //! `invalidate_between_iterations` test and the failure-injection
 //! integration tests).
 
+use super::{load_f32s, load_f64s, store_f32s};
 use crate::gen::{Rng, SmoothField};
 use crate::meta::{Metric, WorkloadMeta};
 use crate::{Benchmark, Dataset, Scale};
@@ -150,31 +151,22 @@ impl Benchmark for Kmeans {
             amplitude: 0.9,
         };
         let luma = field.generate(&mut rng);
-        for i in 0..n {
-            let v = luma[i % luma.len()];
-            machine.store_f32(IN_BASE + 12 * i as u64, v);
-            machine.store_f32(IN_BASE + 12 * i as u64 + 4, v * 0.95 + 0.01);
-            machine.store_f32(IN_BASE + 12 * i as u64 + 8, v * 0.9 + 0.03);
-        }
+        let pixels: Vec<f32> = (0..n)
+            .map(|i| luma[i % luma.len()])
+            .flat_map(|v| [v, v * 0.95 + 0.01, v * 0.9 + 0.03])
+            .collect();
+        store_f32s(&mut machine, IN_BASE, &pixels);
         machine
     }
 
     fn outputs(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        (0..count(scale))
-            .map(|i| f64::from(machine.load_f32(OUT_BASE + 4 * i as u64)))
-            .collect()
+        load_f64s(machine, OUT_BASE, count(scale))
     }
 
     fn golden(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        (0..count(scale))
-            .map(|i| {
-                let base = IN_BASE + 12 * i as u64;
-                f64::from(assign(
-                    machine.load_f32(base),
-                    machine.load_f32(base + 4),
-                    machine.load_f32(base + 8),
-                ))
-            })
+        load_f32s(machine, IN_BASE, 3 * count(scale))
+            .chunks_exact(3)
+            .map(|p| f64::from(assign(p[0], p[1], p[2])))
             .collect()
     }
 }

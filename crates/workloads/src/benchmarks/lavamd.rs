@@ -13,6 +13,7 @@
 //! The displacement differences are computed outside the region (plain
 //! subtracts); the expensive exponential chain is inside.
 
+use super::{load_f32s, load_f64s, store_f32s};
 use crate::gen::Rng;
 use crate::meta::{Metric, WorkloadMeta};
 use crate::{Benchmark, Dataset, Scale};
@@ -156,31 +157,24 @@ impl Benchmark for LavaMd {
             .collect();
         // x is periodic with period 16 (folded chain) so that f32
         // rounding cannot perturb the displacement pattern as i grows.
-        for i in 0..n {
-            let j = jitter[i % 8];
-            machine.store_f32(POS_BASE + 12 * i as u64, (i % 16) as f32 * 0.25 + j[0]);
-            machine.store_f32(POS_BASE + 12 * i as u64 + 4, j[1]);
-            machine.store_f32(POS_BASE + 12 * i as u64 + 8, j[2]);
-        }
+        let positions: Vec<f32> = (0..n)
+            .flat_map(|i| {
+                let j = jitter[i % 8];
+                [(i % 16) as f32 * 0.25 + j[0], j[1], j[2]]
+            })
+            .collect();
+        store_f32s(&mut machine, POS_BASE, &positions);
         machine
     }
 
     fn outputs(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        let (n, _) = dims(scale);
-        (0..n)
-            .map(|i| f64::from(machine.load_f32(OUT_BASE + 4 * i as u64)))
-            .collect()
+        load_f64s(machine, OUT_BASE, dims(scale).0)
     }
 
     fn golden(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
         let (n, k) = dims(scale);
-        let pos = |i: usize| {
-            [
-                machine.load_f32(POS_BASE + 12 * i as u64),
-                machine.load_f32(POS_BASE + 12 * i as u64 + 4),
-                machine.load_f32(POS_BASE + 12 * i as u64 + 8),
-            ]
-        };
+        let positions = load_f32s(machine, POS_BASE, 3 * n);
+        let pos = |i: usize| [positions[3 * i], positions[3 * i + 1], positions[3 * i + 2]];
         (0..n)
             .map(|i| {
                 let h = pos(i);

@@ -18,6 +18,42 @@ pub mod lavamd;
 pub mod sobel;
 pub mod srad;
 
+use axmemo_sim::cpu::Machine;
+
+/// Write one generated input array from `addr` on, in one bulk store.
+pub(crate) fn store_f32s(machine: &mut Machine, addr: u64, values: &[f32]) {
+    machine
+        .store_f32s(addr, values)
+        .expect("benchmark inputs fit in memory");
+}
+
+/// The `n` f32s from `addr` on, in one bulk load.
+pub(crate) fn load_f32s(machine: &Machine, addr: u64, n: usize) -> Vec<f32> {
+    machine
+        .load_f32s(addr, n)
+        .expect("benchmark arrays lie in memory")
+}
+
+/// The pixels of a row-major `d × d` image off its one-pixel border,
+/// in row-major order, as f64s.
+pub(crate) fn interior(image: &[f32], d: usize) -> Vec<f64> {
+    image
+        .chunks_exact(d)
+        .take(d - 1)
+        .skip(1)
+        .flat_map(|row| &row[1..d - 1])
+        .map(|&v| f64::from(v))
+        .collect()
+}
+
+/// [`load_f32s`], widened to the f64s outputs are compared in.
+pub(crate) fn load_f64s(machine: &Machine, addr: u64, n: usize) -> Vec<f64> {
+    load_f32s(machine, addr, n)
+        .into_iter()
+        .map(f64::from)
+        .collect()
+}
+
 #[cfg(test)]
 pub(crate) mod test_support {
     use crate::{Benchmark, Dataset, Scale};

@@ -14,6 +14,7 @@
 //! truncation; with truncation disabled the noise keeps every window
 //! distinct (the Fig. 11 contrast).
 
+use super::{interior, load_f32s, store_f32s};
 use crate::gen::{Rng, SmoothField};
 use crate::meta::{Metric, WorkloadMeta};
 use crate::{Benchmark, Dataset, Scale};
@@ -156,30 +157,26 @@ impl Benchmark for Sobel {
         };
         // Posterize into 12 flat levels, then add noise below the
         // 16-bit truncation step so only truncated hashing collapses it.
-        for (i, v) in field.generate(&mut rng).into_iter().enumerate() {
-            let level = (v * 12.0).floor() / 12.0 + 0.08;
-            let noisy = level + 2e-4 * rng.f32();
-            machine.store_f32(IN_BASE + 4 * i as u64, noisy);
-        }
+        let image: Vec<f32> = field
+            .generate(&mut rng)
+            .into_iter()
+            .map(|v| {
+                let level = (v * 12.0).floor() / 12.0 + 0.08;
+                level + 2e-4 * rng.f32()
+            })
+            .collect();
+        store_f32s(&mut machine, IN_BASE, &image);
         machine
     }
 
     fn outputs(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        let d = dim(scale);
-        let mut out = Vec::new();
-        for y in 1..d - 1 {
-            for x in 1..d - 1 {
-                out.push(f64::from(
-                    machine.load_f32(OUT_BASE + 4 * (y * d + x) as u64),
-                ));
-            }
-        }
-        out
+        interior(&load_f32s(machine, OUT_BASE, dim(scale).pow(2)), dim(scale))
     }
 
     fn golden(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
         let d = dim(scale);
-        let px = |x: usize, y: usize| machine.load_f32(IN_BASE + 4 * (y * d + x) as u64);
+        let image = load_f32s(machine, IN_BASE, d * d);
+        let px = |x: usize, y: usize| image[y * d + x];
         let mut out = Vec::new();
         for y in 1..d - 1 {
             for x in 1..d - 1 {

@@ -18,6 +18,7 @@
 //! Dataset: a posterised smooth field standing in for the 458×502
 //! ultrasound image (speckle modelled as sub-truncation noise).
 
+use super::{interior, load_f32s, store_f32s};
 use crate::gen::{Rng, SmoothField};
 use crate::meta::{Metric, WorkloadMeta};
 use crate::{Benchmark, Dataset, Scale};
@@ -185,29 +186,23 @@ impl Benchmark for Srad {
         };
         // Posterise to tissue-intensity bands; speckle below the (very
         // coarse) 18-bit truncation step.
-        for (i, v) in field.generate(&mut rng).into_iter().enumerate() {
-            let level = (v * 10.0).floor() / 10.0 + 0.15;
-            machine.store_f32(IN_BASE + 4 * i as u64, level + 5e-4 * rng.f32());
-        }
+        let image: Vec<f32> = field
+            .generate(&mut rng)
+            .into_iter()
+            .map(|v| (v * 10.0).floor() / 10.0 + 0.15 + 5e-4 * rng.f32())
+            .collect();
+        store_f32s(&mut machine, IN_BASE, &image);
         machine
     }
 
     fn outputs(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
-        let d = dim(scale);
-        let mut out = Vec::new();
-        for y in 1..d - 1 {
-            for x in 1..d - 1 {
-                out.push(f64::from(
-                    machine.load_f32(OUT_BASE + 4 * (y * d + x) as u64),
-                ));
-            }
-        }
-        out
+        interior(&load_f32s(machine, OUT_BASE, dim(scale).pow(2)), dim(scale))
     }
 
     fn golden(&self, machine: &Machine, scale: Scale) -> Vec<f64> {
         let d = dim(scale);
-        let px = |x: usize, y: usize| machine.load_f32(IN_BASE + 4 * (y * d + x) as u64);
+        let image = load_f32s(machine, IN_BASE, d * d);
+        let px = |x: usize, y: usize| image[y * d + x];
         let mut out = Vec::new();
         for y in 1..d - 1 {
             for x in 1..d - 1 {

@@ -214,17 +214,21 @@ pub struct SmoothField {
 }
 
 impl SmoothField {
-    /// Generate the field in row-major order.
+    /// Generate the field in row-major order. One cosine term varies
+    /// only along x and the other only along y, so each is evaluated
+    /// once per column and once per row.
     pub fn generate(&self, rng: &mut Rng) -> Vec<f32> {
         let (fx, fy) = (
             self.cycles * std::f32::consts::TAU / self.w.max(1) as f32,
             self.cycles * std::f32::consts::TAU / self.h.max(1) as f32,
         );
         let phase = rng.f32() * std::f32::consts::TAU;
+        let cols: Vec<f32> = (0..self.w).map(|x| (x as f32 * fx + phase).cos()).collect();
         let mut out = Vec::with_capacity(self.w * self.h);
         for y in 0..self.h {
-            for x in 0..self.w {
-                let v = ((x as f32 * fx + phase).cos() + (y as f32 * fy).cos()) * 0.25 + 0.5;
+            let row = (y as f32 * fy).cos();
+            for &col in &cols {
+                let v = (col + row) * 0.25 + 0.5;
                 let n = (rng.f32() - 0.5) * 2.0 * self.noise;
                 out.push(self.offset + self.amplitude * (v + n));
             }

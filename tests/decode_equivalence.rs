@@ -254,7 +254,9 @@ fn biased_branch_flip_mid_run_side_exits_exactly() {
 /// half its dynamic count, which trips mid-leg inside memo work, and
 /// one short of it, where only the last superblock's guard stops the
 /// `halt` (so a budget check that admits one op too many completes the
-/// run instead of tripping). The orchestrated report
+/// run instead of tripping). Both tiers must stop at the same pc, so an
+/// op run past the budget shows even when it leaves registers, memory
+/// and unit stats alone (a trailing branch or jump). The orchestrated report
 /// of `blackscholes,sobel` renders the committed `fault_sweep_reduced`
 /// golden (`fault_sweep --seed 7 --benches blackscholes,sobel --report
 /// json`) byte for byte.
@@ -297,7 +299,11 @@ fn reduced_fault_sweep_golden_diff_across_interpreters() {
                         &memo_leg,
                         &inputs,
                     );
-                    assert_eq!(cut.result, Err(SimError::InstLimit { limit }), "{cell}");
+                    assert!(
+                        matches!(cut.result, Err(SimError::InstLimit { limit: l, .. }) if l == limit),
+                        "{cell}: {:?}",
+                        cut.result
+                    );
                 }
             }
         }
